@@ -14,6 +14,7 @@ from .kahler import (
     enumerate_matchings,
     verify_core_chain,
     verify_distinctness,
+    verify_grid,
     verify_n22,
     verify_pm_conjugation,
     verify_real_structure,

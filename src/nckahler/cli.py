@@ -2,7 +2,8 @@
 computation modules, and emit deterministic JSON reports.
 
 Exit codes: 0 all checks pass; 1 some check failed (report still written);
-2 invalid configuration.
+2 invalid configuration.  Internal numerical faults (LinAlgError) are not
+configuration errors: they propagate with their traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import clifford, forms, holomorphic, kahler
+from . import __version__, clifford, forms, holomorphic, kahler
 from .report import VerificationReport, default_tol
 from .torus import ThetaMatrix
 
@@ -65,8 +66,8 @@ def emit(report_obj, out_path, all_pass):
     return 0 if all_pass else 1
 
 
-def _meta(args, tol):
-    return {"version": "0.1.0", "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+def _meta(tol):
+    return {"version": __version__, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "tol": tol}
 
 
@@ -103,33 +104,24 @@ def cmd_verify(args):
                 raise ConfigError(f"matching {m} is not a perfect matching of 1..{theta.n}")
     else:
         matchings = kahler.enumerate_matchings(theta.n)
-    eps_list = parse_eps(args.eps_prime)
-    rep = clifford.build_gamma(theta.n)
-    merged = VerificationReport(tol=tol)
     dumps = {}
-    for matching in matchings:
-        for eps in eps_list:
-            pkg = kahler.build_kahler_package(theta, matching, eps, rep=rep)
-            sub = kahler.verify_n22(pkg, tol=tol)
-            for c in sub.checks:
-                merged.add(f"[{matching}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
-            if args.dump_ops:
-                dumps[f"{matching}|eps'={eps:+d}"] = {
-                    "del": pkg.del_hol.to_json(),
-                    "delbar": pkg.del_bar.to_json(),
-                }
-        merged.add(f"[{matching}] pm conjugation",
-                   kahler.verify_pm_conjugation(theta, matching, rep=rep), 1e-12)
-    obj = _meta(args, tol)
-    obj.update({
+
+    def dump(pkg):
+        dumps[f"{pkg.matching}|eps'={pkg.eps_prime:+d}"] = {
+            "del": pkg.del_hol.to_json(),
+            "delbar": pkg.del_bar.to_json(),
+        }
+
+    rp = kahler.verify_grid(theta, matchings, parse_eps(args.eps_prime), tol=tol,
+                            on_package=dump if args.dump_ops else None)
+    rp.meta = _meta(tol) | {
         "n": theta.n,
         "matching": args.matching or "all",
         "eps_prime": args.eps_prime or "both",
-        "checks": [c.to_json() for c in merged.checks],
-    })
+    }
     if dumps:
-        obj["operators"] = dumps
-    return emit(obj, args.out, merged.all_pass)
+        rp.meta["operators"] = dumps
+    return emit(rp.to_json(), args.out, rp.all_pass)
 
 
 def cmd_forms(args):
@@ -137,15 +129,10 @@ def cmd_forms(args):
     fbm = forms.build_form_matrices(theta.n)
     table = forms.rank_table(fbm)
     rp = forms.bidegree_decomposition_check(fbm)
-    obj = _meta(args, rp.tol)
-    obj.update({
-        "n": theta.n,
-        "nilpotency_residual": forms.nilpotency_residual(fbm),
-        "table": table,
-        "checks": [c.to_json() for c in rp.checks],
-    })
-    ok = rp.all_pass and obj["nilpotency_residual"] < 1e-12
-    return emit(obj, args.out, ok)
+    nilpotency = forms.nilpotency_residual(fbm)
+    rp.meta = _meta(rp.tol) | {"n": theta.n, "nilpotency_residual": nilpotency,
+                               "table": table}
+    return emit(rp.to_json(), args.out, rp.all_pass and nilpotency < 1e-12)
 
 
 def load_connection(path):
@@ -188,41 +175,24 @@ def cmd_report(args):
     theta = load_theta(args, default_n=args.n or 2)
     tol = args.tol if args.tol is not None else default_tol()
     rep = clifford.build_gamma(theta.n)
-    merged = VerificationReport(tol=tol)
-    merged.add("clifford relations", clifford.relations_residual(rep), 1e-12)
-    merged.add("grading product", clifford.grading_product_check(rep), 1e-12)
-    for matching in kahler.enumerate_matchings(theta.n):
-        for eps in (1, -1):
-            pkg = kahler.build_kahler_package(theta, matching, eps, rep=rep)
-            sub = kahler.verify_n22(pkg, tol=tol)
-            for c in sub.checks:
-                merged.add(f"[{matching}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
-        merged.add(f"[{matching}] pm conjugation",
-                   kahler.verify_pm_conjugation(theta, matching, rep=rep), 1e-12)
+    rp = VerificationReport(tol=tol)
+    rp.add("clifford relations", clifford.relations_residual(rep), 1e-12)
+    rp.add("grading product", clifford.grading_product_check(rep), 1e-12)
+    rp.extend(kahler.verify_grid(theta, kahler.enumerate_matchings(theta.n),
+                                 rep=rep, tol=tol))
     for variant in ("plus", "minus"):
         sub = kahler.verify_real_structure(theta, rep=rep, variant=variant, tol=tol)
         for c in sub.checks:
-            merged.add(f"[J {variant}] {c.name}", c.residual, c.tol)
+            rp.add(f"[J {variant}] {c.name}", c.residual, c.tol)
     fbm = forms.build_form_matrices(rep)
-    merged.add("form nilpotency", forms.nilpotency_residual(fbm), 1e-12)
-    merged.extend(forms.bidegree_decomposition_check(fbm, tol=tol))
+    rp.add("form nilpotency", forms.nilpotency_residual(fbm), 1e-12)
+    rp.extend(forms.bidegree_decomposition_check(fbm, tol=tol))
     kern = holomorphic.holomorphic_kernel(theta, args.radius)
-    merged.add("holomorphic kernel is C.1", float(abs(len(kern) - 1)), 0.5)
-    obj = _meta(args, tol)
-    obj.update({
-        "n": theta.n,
-        "matching": "all",
-        "eps_prime": "both",
-        "checks": [c.to_json() for c in merged.checks],
-        "summary": {
-            "pass_count": sum(c.passed for c in merged.checks),
-            "total": len(merged.checks),
-            "max_residual": merged.max_residual,
-        },
-    })
-    for line in merged.lines():
+    rp.add("holomorphic kernel is C.1", float(abs(len(kern) - 1)), 0.5)
+    rp.meta = _meta(tol) | {"n": theta.n, "matching": "all", "eps_prime": "both"}
+    for line in rp.lines():
         print(line, file=sys.stderr)
-    return emit(obj, args.out, merged.all_pass)
+    return emit(rp.to_json(), args.out, rp.all_pass)
 
 
 # -- argument parsing -------------------------------------------------------
@@ -296,14 +266,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already
-        raise exc
+    # argparse itself exits with 2 on usage errors
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError:
+        raise
     except (ConfigError, kahler.MatchingError, FileNotFoundError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

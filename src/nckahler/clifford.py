@@ -8,7 +8,6 @@ C . (entrywise conjugation) for unitary matrices C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -47,7 +46,11 @@ class GammaRep:
         raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
 
     def signs(self, variant):
-        return self.signs_plus if variant == "plus" else self.signs_minus
+        if variant == "plus":
+            return self.signs_plus
+        if variant == "minus":
+            return self.signs_minus
+        raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
 
 
 def _relations_residual(gammas, sigma):
@@ -94,44 +97,28 @@ def _subset_products(gammas):
     return prods, sizes
 
 
-def charge_conjugation(rep_or_gammas, variant, rng=None, tol=1e-10):
-    """Solve C conj(gamma_j) = eps' gamma_j C (and the sigma constraint) for
-    unitary C, returning (C, (eps, eps', eps'')).
+def charge_conjugation(rep, variant, tol=1e-10):
+    """The unitary C with C conj(gamma_j) = eps' gamma_j C (and the sigma
+    constraint), returning (C, (eps, eps', eps'')).
 
-    The intertwiner is found by averaging a random seed matrix over the finite
-    Clifford group; the one-dimensional solution space is then unitarized and
-    phase-canonicalized.  All sign relations, including C conj(C) = eps I, are
-    verified against the n mod 8 table before returning.
+    Every gamma_j of `build_gamma` is real or purely imaginary, n/2 of each.
+    The product of the real ones satisfies the relations with
+    eps' = (-1)^(n/2 - 1), that of the imaginary ones with eps' = (-1)^(n/2),
+    so C is whichever product the variant's eps' asks for, phase-canonicalized.
+    All sign relations, including C conj(C) = eps I, are verified against the
+    n mod 8 table before returning.
     """
-    if isinstance(rep_or_gammas, GammaRep):
-        gammas, sigma, n = rep_or_gammas.gammas, rep_or_gammas.sigma, rep_or_gammas.n
-    else:
-        gammas = rep_or_gammas
-        n = len(gammas)
-        sigma = None
-    table = SIGNS_PLUS if variant == "plus" else SIGNS_MINUS
     if variant not in ("plus", "minus"):
         raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
+    gammas, sigma, n = rep.gammas, rep.sigma, rep.n
+    table = SIGNS_PLUS if variant == "plus" else SIGNS_MINUS
     eps, eps_p, eps_pp = table[n % 8]
     N = gammas[0].shape[0]
-    rng = np.random.default_rng(0) if rng is None else rng
-    prods, sizes = _subset_products(gammas)
-
-    C = None
-    for _ in range(8):
-        X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-        acc = np.zeros((N, N), dtype=complex)
-        for M, s in zip(prods, sizes):
-            acc += (eps_p**s) * (M @ X @ M.T)
-        acc /= 2**n
-        if np.abs(acc).max() > 1e-8:
-            C = acc
-            break
-    if C is None:
-        raise CliffordError("charge conjugation intertwiner projection vanished")
-
-    u, _, vh = np.linalg.svd(C)
-    C = u @ vh
+    use_real = eps_p == (-1) ** (n // 2 - 1)
+    C = np.eye(N, dtype=complex)
+    for g in gammas:
+        if (not np.any(g.imag)) == use_real:
+            C = C @ g
     # canonical phase: first nonzero entry of the first nonzero column is real > 0
     flat = C.T.reshape(-1)
     z = flat[np.flatnonzero(np.abs(flat) > 1e-12)[0]]
@@ -140,13 +127,12 @@ def charge_conjugation(rep_or_gammas, variant, rng=None, tol=1e-10):
     res = 0.0
     for g in gammas:
         res = max(res, np.abs(C @ g.conj() - eps_p * g @ C).max())
-    if sigma is not None:
-        res = max(res, np.abs(C @ sigma.conj() - eps_pp * sigma @ C).max())
+    res = max(res, np.abs(C @ sigma.conj() - eps_pp * sigma @ C).max())
     res = max(res, np.abs(C @ C.conj() - eps * np.eye(N)).max())
     res = max(res, np.abs(C @ C.conj().T - np.eye(N)).max())
     if res > tol:
         raise CliffordError(
-            f"charge conjugation solve failed for n={n} {variant}: residual {res:.3e} "
+            f"charge conjugation failed for n={n} {variant}: residual {res:.3e} "
             "(sign-table / representation mismatch)"
         )
     return C, (eps, eps_p, eps_pp)
@@ -181,11 +167,8 @@ def build_gamma(n, check_tol=1e-12):
     if res > check_tol:
         raise CliffordError(f"gamma construction failed relations check: {res:.3e}")
 
-    cp, sp = charge_conjugation(gammas if n % 2 else None or gammas, "plus")
     rep = GammaRep(n=n, N=N, gammas=gammas, sigma=sigma,
-                   conj_plus=cp, conj_minus=None,
-                   signs_plus=sp, signs_minus=None)
-    # the sigma constraint needs the grading, re-solve with the full rep
+                   conj_plus=None, conj_minus=None)
     rep.conj_plus, rep.signs_plus = charge_conjugation(rep, "plus")
     rep.conj_minus, rep.signs_minus = charge_conjugation(rep, "minus")
     return rep

@@ -372,16 +372,38 @@ def _box_sample(n, radius, rng, count):
     return sorted(out)
 
 
-def verify_pm_conjugation(theta, matching, rep=None):
+def verify_pm_conjugation(plus, minus):
     """Residual of W del_+ = del_- W and the delbar analogue for
     W = kron(sigma, 1), conjugating the eps' = +1 package into eps' = -1."""
-    rep = build_gamma(theta.n) if rep is None else rep
-    plus = build_kahler_package(theta, matching, eps_prime=1, rep=rep)
-    minus = build_kahler_package(theta, matching, eps_prime=-1, rep=rep)
-    W = build_pm_intertwiner(rep, theta)
+    W = build_pm_intertwiner(plus.rep, plus.theta)
     r1 = (W.compose(plus.del_hol) - minus.del_hol.compose(W)).residual_norm()
     r2 = (W.compose(plus.del_bar) - minus.del_bar.compose(W)).residual_norm()
     return max(r1, r2)
+
+
+def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
+                on_package=None):
+    """The N=(2,2) checklist over every (matching, eps') of the grid, as one
+    report: "[matching|eps'=+-1] <check>" for each eps' in `eps_list`, then
+    "[matching] pm conjugation".  Each matching builds its eps' = +1 and -1
+    packages once and shares them between the checklist and the conjugation
+    check; `on_package(pkg)` is called on every package that gets verified."""
+    tol = default_tol() if tol is None else tol
+    rep = build_gamma(theta.n) if rep is None else rep
+    grid = VerificationReport(tol=tol)
+    for matching in matchings:
+        pkgs = {eps: build_kahler_package(theta, matching, eps, rep=rep)
+                for eps in (1, -1)}
+        pm = verify_pm_conjugation(pkgs[1], pkgs[-1])
+        for eps in eps_list:
+            # pop, so each package is freed once its checklist has run
+            pkg = pkgs.pop(eps)
+            if on_package is not None:
+                on_package(pkg)
+            for c in verify_n22(pkg, tol=tol).checks:
+                grid.add(f"[{matching}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
+        grid.add(f"[{matching}] pm conjugation", pm, 1e-12)
+    return grid
 
 
 def verify_distinctness(theta, two_k, threshold=0.1, rep=None):

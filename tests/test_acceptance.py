@@ -62,14 +62,17 @@ def grid():
     thetas = {n: [ThetaMatrix.random(n, rng) for _ in range(THETAS_PER_DIM)]
               for n in GRID_DIMS}
     reports = []  # (dim, theta_idx, matching, eps, report)
+    pm = []  # pm-conjugation residual of each (dim, theta, matching)
     for n in GRID_DIMS:
         for ti, theta in enumerate(thetas[n]):
             for matching in enumerate_matchings(n):
-                for eps in (1, -1):
-                    pkg = build_kahler_package(theta, matching, eps, rep=reps[n])
+                pkgs = {eps: build_kahler_package(theta, matching, eps, rep=reps[n])
+                        for eps in (1, -1)}
+                for eps, pkg in pkgs.items():
                     reports.append((n, ti, matching, eps,
                                     verify_n22(pkg, tol=TOL)))
-    _cache.update(reps=reps, thetas=thetas, reports=reports)
+                pm.append(verify_pm_conjugation(pkgs[1], pkgs[-1]))
+    _cache.update(reps=reps, thetas=thetas, reports=reports, pm=pm)
     return _cache
 
 
@@ -155,13 +158,7 @@ def test_criterion_05_matching_counts():
 
 
 def test_criterion_06_pm_conjugation():
-    g = grid()
-    worst = 0.0
-    for n in GRID_DIMS:
-        for theta in g["thetas"][n]:
-            for matching in enumerate_matchings(n):
-                worst = max(worst, verify_pm_conjugation(theta, matching,
-                                                         rep=g["reps"][n]))
+    worst = max(grid()["pm"])
     emit(6, "kron(sigma,1) conjugates the eps'=+1 differentials to eps'=-1",
          worst < 1e-12, f"max residual {worst:.1e}")
 

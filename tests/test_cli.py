@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import nckahler
+from nckahler import holomorphic
 from nckahler.cli import main
 from nckahler.torus import ThetaMatrix, TorusElement
 
@@ -23,6 +25,27 @@ def theta4_file(tmp_path):
     path = tmp_path / "theta4.json"
     path.write_text(json.dumps(theta.to_json()))
     return str(path), theta
+
+
+@pytest.fixture()
+def conn2_file(theta2_file, tmp_path):
+    """A non-diagonal m=1 connection on the n=2 torus (A_1 = U_2), so that
+    h0_solve takes its dense path."""
+    _, theta = theta2_file
+    conn = {"theta": theta.to_json(), "m": 1,
+            "A": [[[TorusElement.generator(theta, 2).to_json()]]]}
+    path = tmp_path / "conn2.json"
+    path.write_text(json.dumps(conn))
+    return str(path)
+
+
+def run_json(capsys, argv):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+META_KEYS = {"version", "timestamp", "tol", "checks", "summary"}
+SUMMARY_KEYS = {"pass_count", "total", "max_residual", "all_pass"}
 
 
 class TestClifford:
@@ -150,3 +173,68 @@ class TestReport:
         assert code == 0
         obj = json.loads(out.read_text())
         assert obj["summary"]["pass_count"] == obj["summary"]["total"]
+
+
+class TestSinglePath:
+    def test_report_grid_equals_verify(self, theta2_file, capsys):
+        path, _ = theta2_file
+        _, ver = run_json(capsys, ["verify", "--theta", path, "--eps-prime", "both"])
+        _, rep = run_json(capsys, ["report", "--theta", path])
+        grid = [c for c in rep["checks"] if c["name"].startswith("[1-2")]
+        assert grid == ver["checks"]
+        assert [c["name"] for c in grid][-1] == "[1-2] pm conjugation"
+
+    def test_verify_keys(self, theta2_file, capsys):
+        path, _ = theta2_file
+        _, obj = run_json(capsys, ["verify", "--theta", path])
+        assert set(obj) == META_KEYS | {"n", "matching", "eps_prime"}
+        assert set(obj["summary"]) == SUMMARY_KEYS
+        assert obj["version"] == nckahler.__version__
+        assert obj["summary"]["total"] == len(obj["checks"])
+
+    def test_verify_dump_ops_keys(self, theta2_file, capsys):
+        path, _ = theta2_file
+        _, obj = run_json(capsys, ["verify", "--theta", path, "--dump-ops"])
+        assert set(obj) == META_KEYS | {"n", "matching", "eps_prime", "operators"}
+        assert sorted(obj["operators"]) == ["1-2|eps'=+1", "1-2|eps'=-1"]
+
+    def test_forms_keys(self, theta4_file, capsys):
+        path, _ = theta4_file
+        _, obj = run_json(capsys, ["forms", "--theta", path])
+        assert set(obj) == META_KEYS | {"n", "nilpotency_residual", "table"}
+        assert set(obj["summary"]) == SUMMARY_KEYS
+        assert obj["version"] == nckahler.__version__
+
+    def test_report_keys(self, theta2_file, capsys):
+        path, _ = theta2_file
+        _, obj = run_json(capsys, ["report", "--theta", path])
+        assert set(obj) == META_KEYS | {"n", "matching", "eps_prime"}
+        assert set(obj["summary"]) == SUMMARY_KEYS
+        assert obj["summary"]["all_pass"] is True
+        assert obj["version"] == nckahler.__version__
+
+
+class TestExitCodes:
+    def test_solver_fault_is_not_config_error(self, conn2_file, monkeypatch):
+        def failing_null_space(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(holomorphic, "null_space", failing_null_space)
+        try:
+            code = main(["holo", "h0", "--conn", conn2_file, "--radius", "1"])
+        except np.linalg.LinAlgError:
+            code = None
+        assert code != 2
+
+    def test_dense_limit_exit_2(self, conn2_file, capsys):
+        assert main(["holo", "h0", "--conn", conn2_file, "--radius", "40"]) == 2
+        assert "dense solver limit" in capsys.readouterr().err
+
+    def test_bad_theta_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps({"n": 2, "theta": [[0.0, 0.3, 0.1]]}))
+        assert main(["verify", "--theta", str(path)]) == 2
+
+    @pytest.mark.parametrize("n", ["3", "12"])
+    def test_bad_dimension_exit_2(self, n, capsys):
+        assert main(["clifford", "--n", n]) == 2

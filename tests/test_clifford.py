@@ -94,10 +94,19 @@ class TestChargeConjugation:
         assert np.abs(C @ C.conj() - eps * np.eye(rep.N)).max() < 1e-10
         assert np.abs(C @ C.conj().T - np.eye(rep.N)).max() < 1e-10
 
-    def test_deterministic_canonicalization(self):
-        rep = build_gamma(4)
-        C2, _ = charge_conjugation(rep, "plus", rng=np.random.default_rng(123))
-        assert np.abs(rep.conj_plus - C2).max() < 1e-10
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_entries_exact(self, n):
+        # C is a product of gammas: a monomial matrix with unit entries, no noise
+        rep = build_gamma(n)
+        for C in (rep.conj_plus, rep.conj_minus):
+            assert set(np.unique(C).tolist()) <= {0, 1, -1, 1j, -1j}
+
+    def test_unknown_variant_rejected(self):
+        rep = build_gamma(2)
+        for lookup in (rep.signs, rep.conj_matrix,
+                       lambda v: charge_conjugation(rep, v)):
+            with pytest.raises(ValueError):
+                lookup("bogus")
 
 
 class TestIrreducibility:

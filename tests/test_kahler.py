@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nckahler import kahler
 from nckahler.clifford import build_gamma
 from nckahler.kahler import (
     Matching,
@@ -12,6 +13,7 @@ from nckahler.kahler import (
     enumerate_matchings,
     verify_core_chain,
     verify_distinctness,
+    verify_grid,
     verify_n22,
     verify_pm_conjugation,
     verify_real_structure,
@@ -132,13 +134,19 @@ class TestN22Checklist:
         assert (pkg.d.adjoint() - pkg.d_star).residual_norm() < 1e-12
 
 
+def pm_residual(theta, matching, rep):
+    return verify_pm_conjugation(
+        build_kahler_package(theta, matching, eps_prime=1, rep=rep),
+        build_kahler_package(theta, matching, eps_prime=-1, rep=rep))
+
+
 class TestPMConjugation:
     def test_n2(self):
-        assert verify_pm_conjugation(THETA2, enumerate_matchings(2)[0], rep=REP2) < 1e-12
+        assert pm_residual(THETA2, enumerate_matchings(2)[0], REP2) < 1e-12
 
     def test_n4_all_matchings(self):
         for mt in enumerate_matchings(4):
-            assert verify_pm_conjugation(THETA4, mt, rep=REP4) < 1e-12
+            assert pm_residual(THETA4, mt, REP4) < 1e-12
 
     def test_wrong_intertwiner_detected(self):
         # gamma_tilde = kron(sigma, sigma) does NOT conjugate del_+ to del_-
@@ -148,6 +156,39 @@ class TestPMConjugation:
         W = build_gamma_tilde(REP4, THETA4)
         res = (W.compose(plus.del_hol) - minus.del_hol.compose(W)).residual_norm()
         assert res > 0.1
+
+
+class TestVerifyGrid:
+    def test_two_builds_per_matching(self, monkeypatch):
+        built = []
+        build = kahler.build_kahler_package
+
+        def counting_build(theta, matching, eps_prime, rep=None):
+            built.append((str(matching), eps_prime))
+            return build(theta, matching, eps_prime, rep=rep)
+
+        monkeypatch.setattr(kahler, "build_kahler_package", counting_build)
+        ms = enumerate_matchings(4)
+        verified = []
+        rp = verify_grid(THETA4, ms, [1], rep=REP4, on_package=verified.append)
+        assert built == [(str(m), e) for m in ms for e in (1, -1)]
+        assert [(str(p.matching), p.eps_prime) for p in verified] == [(str(m), 1) for m in ms]
+        # eps' = +1 alone still runs the conjugation check against eps' = -1
+        names = [c.name for c in rp.checks]
+        assert [n for n in names if "pm conjugation" in n] == [f"[{m}] pm conjugation" for m in ms]
+        assert not any("eps'=-1" in n for n in names)
+
+    def test_matches_per_package_checklist(self):
+        mt = enumerate_matchings(2)[0]
+        rp = verify_grid(THETA2, [mt], [1, -1], rep=REP2)
+        want = []
+        for eps in (1, -1):
+            pkg = build_kahler_package(THETA2, mt, eps, rep=REP2)
+            want += [(f"[{mt}|eps'={eps:+d}] {c.name}", c.residual)
+                     for c in verify_n22(pkg).checks]
+        want.append((f"[{mt}] pm conjugation", pm_residual(THETA2, mt, REP2)))
+        assert [(c.name, c.residual) for c in rp.checks] == want
+        assert rp.all_pass
 
 
 class TestDistinctness:
