@@ -179,10 +179,3 @@ def irreducibility_rank(rep):
     prods, _ = _subset_products(rep.gammas)
     stack = np.stack([p.reshape(-1) for p in prods])
     return int(np.linalg.matrix_rank(stack, tol=1e-8))
-
-
-def span_dimension(mats, tol=1e-10):
-    if not mats:
-        return 0
-    stack = np.stack([np.asarray(m).reshape(-1) for m in mats])
-    return int(np.linalg.matrix_rank(stack, tol=tol))

@@ -51,14 +51,8 @@ def build_form_matrices(n_or_rep, eps_prime=1):
           for g in rep.gammas]
     eta_bar, eta_hol = [], []
     for j in range(1, n // 2 + 1):
-        g_even, g_odd = rep.gammas[2 * j - 1], rep.gammas[2 * j - 2]
         eta_bar.append(0.5 * (mu[2 * j - 1] - 1j * mu[2 * j - 2]))
         eta_hol.append(0.5 * (mu[2 * j - 1] + 1j * mu[2 * j - 2]))
-        # equivalent closed form, kept as a cross-check of the construction
-        eta = g_even - 1j * g_odd
-        alt = 0.25 * (np.kron(eye, eta) + 1j * eps_prime * np.kron(eta, rep.sigma))
-        if np.abs(alt - eta_bar[-1]).max() > 1e-12:
-            raise AssertionError("eta_bar closed form disagrees with mu combination")
     return FormBasisMatrices(n=n, eps_prime=eps_prime, mu=mu,
                              eta_bar=eta_bar, eta_hol=eta_hol)
 

@@ -13,11 +13,20 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .torus import TWO_PI_I, DimensionMismatch, TorusElement
 
-DENSE_LIMIT = 6000  # max unknown count for the dense H^0 solver
+# h0_solve refuses a system it would need more than this many bytes to hold:
+# its sparse entries (ENTRY_BYTES each, counting the copies the assembly
+# makes), or one batch of equal-shape blocks with their SVD factors.
+MAX_BYTES = 1 << 30
+ENTRY_BYTES = 200  # tracemalloc peak per entry: 185-201 on n=4 constant connections
+
+
+def _check_bytes(n_bytes, what):
+    if n_bytes > MAX_BYTES:
+        raise ValueError(f"{what} needs {n_bytes} bytes, over the dense solver limit "
+                         f"of {MAX_BYTES} bytes; reduce the radius or rank")
 
 
 def delta(a, j):
@@ -154,88 +163,93 @@ def flatness_check(conn):
     return res
 
 
-def _diagonal_scalars(conn, tol=1e-12):
-    """If every A_j is (scalar constant) . Id, return the scalars, else None."""
-    zero_mode = (0,) * conn.theta.n
-    out = []
-    for Aj in conn.A:
-        c = Aj[0][0].coeffs.get(zero_mode, 0.0)
-        for i, row in enumerate(Aj):
-            for l, a in enumerate(row):
-                want = {zero_mode: c} if (i == l and abs(c) > tol) else {}
-                ref = TorusElement(conn.theta, want)
-                if not a.close_to(ref, tol):
-                    return None
-        out.append(c)
-    return out
+def _position_in_block(block):
+    """Each node's index among the nodes of its block, in node order."""
+    order = np.argsort(block, kind="stable")
+    counts = np.bincount(block)
+    local = np.empty_like(block)
+    local[order] = np.arange(len(block)) - (np.cumsum(counts) - counts)[block[order]]
+    return local
 
 
 def h0_solve(conn, radius):
     """C-basis of { xi in (box-truncated A)^m : delta_j(xi) + A_j xi = 0 }.
 
-    Diagonal fast path when all A_j are scalar constants (the delta_j are
-    diagonal on monomials, so the system decouples per mode); otherwise the
-    finite linear system over the box coefficients is assembled densely and
-    its null space computed."""
-    theta, m = conn.theta, conn.m
-    half = theta.n // 2
-    scalars = _diagonal_scalars(conn)
-    if scalars is not None:
-        basis = []
-        for mode in iproduct(range(-radius, radius + 1), repeat=theta.n):
-            if all(abs(delta_eigenvalue(mode, j + 1) + scalars[j]) < 1e-10
-                   for j in range(half)):
-                for i in range(m):
-                    xi = [TorusElement.zero(theta) for _ in range(m)]
-                    xi[i] = TorusElement.monomial(theta, mode)
-                    basis.append(xi)
-        return basis
+    The system over the box coefficients, rows (j, output mode, i) against
+    unknowns (box mode, l), is assembled sparse and split into its connected
+    blocks: mode t couples only to t + supp(A_j).  Blocks of equal shape share
+    one batched SVD.  A singular value at most 1e-10 times the largest over all
+    blocks marks a null direction, as in a dense null space of the whole
+    system.  Raises ValueError when the entries, or one batch of blocks with
+    its SVD factors, would take more than MAX_BYTES."""
+    theta, m, n = conn.theta, conn.m, conn.theta.n
+    half = n // 2
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    terms = [(j, i, l, k, c) for j, Aj in enumerate(conn.A) for i, row in enumerate(Aj)
+             for l, a in enumerate(row) for k, c in a.coeffs.items()]
+    n_box = (2 * radius + 1) ** n
+    _check_bytes(n_box * (half * m + len(terms)) * ENTRY_BYTES, "the sparse system")
 
-    modes = list(iproduct(range(-radius, radius + 1), repeat=theta.n))
-    index = {mode: t for t, mode in enumerate(modes)}
-    n_unknowns = len(modes) * m
-    if n_unknowns > DENSE_LIMIT:
-        raise ValueError(
-            f"{n_unknowns} unknowns exceeds the dense solver limit {DENSE_LIMIT}; "
-            "reduce the radius or rank"
-        )
-    out_modes = {}
+    box = np.indices((2 * radius + 1,) * n).reshape(n, -1).T - radius  # product order
+    terms = [(j, i, i, (0,) * n, delta_eigenvalue(box.T, j + 1))
+             for j in range(half) for i in range(m)] + terms
+    shifts = {k: s for s, k in enumerate(dict.fromkeys(k for *_, k, _ in terms))}
+    out_modes = (box[None] + np.array(list(shifts))[:, None]).reshape(-1, n)
+    _, out_index = np.unique(out_modes, axis=0, return_inverse=True)
+    n_out, out_index = out_index.max() + 1, out_index.reshape(len(shifts), n_box)
+    upper = np.triu(theta.entries, k=1)
+    rows, cols, vals = [], [], []
+    for j, i, l, k, c in terms:
+        rows.append((j * n_out + out_index[shifts[k]]) * m + i)
+        cols.append(np.arange(n_box) * m + l)
+        vals.append(c * np.exp(TWO_PI_I * (box @ (upper @ np.array(k)))))  # theta.phase(k, t)
+    rows, cols, vals = (np.concatenate(x, axis=None) for x in (rows, cols, vals))
 
-    def out_index(mode):
-        if mode not in out_modes:
-            out_modes[mode] = len(out_modes)
-        return out_modes[mode]
+    # Imported here: scipy.sparse adds 40-100 ms to `import nckahler`.
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
 
-    rows_j = []
-    for j in range(1, half + 1):
-        entries = []  # (out_mode_index, i, unknown_index, coefficient)
-        for mode, t in index.items():
-            for i in range(m):
-                u = t * m + i
-                entries.append((out_index(mode), i, u, delta_eigenvalue(mode, j)))
-                for l in range(m):
-                    a = conn.A[j - 1][i][l]
-                    for k, c in a.coeffs.items():
-                        tgt = tuple(x + y for x, y in zip(k, mode))
-                        entries.append((out_index(tgt), i,
-                                        t * m + l, c * theta.phase(k, mode)))
-        rows_j.append(entries)
-    n_rows = len(out_modes) * m
-    system = np.zeros((n_rows * half, n_unknowns), dtype=complex)
-    for j, entries in enumerate(rows_j):
-        base = j * n_rows
-        for om, i, u, c in entries:
-            system[base + om * m + i, u] += c
-    ns = null_space(system, rcond=1e-10)
+    n_rows, n_cols = half * n_out * m, n_box * m
+    graph = coo_array((np.ones(len(rows)), (cols, n_cols + rows)), shape=(n_cols + n_rows,) * 2)
+    n_blocks, block = connected_components(graph, directed=False)
+    col_block, row_block = block[:n_cols], block[n_cols:]
+    col_local, row_local = _position_in_block(col_block), _position_in_block(row_block)
+    width = np.bincount(col_block, minlength=n_blocks)
+    # zero rows pad each block to at least as many rows as unknowns, so its
+    # vh holds a full basis of the unknowns and s one value per direction
+    height = np.maximum(np.bincount(row_block, minlength=n_blocks), width)
+    shapes, group = np.unique(height * (n_cols + 1) + width, return_inverse=True)  # (h, w) keys
+    entry_block = col_block[cols]
+    factors = []
+    for g, (h, w) in enumerate(zip(*divmod(shapes, n_cols + 1))):
+        if w == 0:
+            continue  # rows that no unknown reaches
+        blocks = np.flatnonzero(group == g)
+        _check_bytes(len(blocks) * w * (2 * h + w) * 16, f"{len(blocks)} blocks of {h} x {w}")
+        slot = np.empty(n_blocks, dtype=int)
+        slot[blocks] = np.arange(len(blocks))
+        mine = group[entry_block] == g
+        stack = np.zeros((len(blocks), h, w), dtype=complex)
+        np.add.at(stack, (slot[entry_block[mine]], row_local[rows[mine]], col_local[cols[mine]]),
+                  vals[mine])
+        own = np.flatnonzero(group[col_block] == g)
+        block_cols = np.empty((len(blocks), w), dtype=int)
+        block_cols[slot[col_block[own]], col_local[own]] = own
+        factors.append((block_cols, *np.linalg.svd(stack, full_matrices=False)[1:]))
+    cutoff = 1e-10 * max((s.max() for _, s, _ in factors), default=0.0)
+
+    found = []
+    for block_cols, s, vh in factors:
+        g, k = np.nonzero(s <= cutoff)
+        found += zip(block_cols[g, 0].tolist(), k.tolist(), block_cols[g], vh[g, k].conj())
     basis = []
-    for col in ns.T:
+    for _, _, block_cols, vec in sorted(found, key=lambda f: f[:2]):
         xi = [dict() for _ in range(m)]
-        for t, mode in enumerate(modes):
-            for i in range(m):
-                v = col[t * m + i]
-                if abs(v) > 1e-12:
-                    xi[i][mode] = v
-        basis.append([TorusElement(theta, c) for c in xi])
+        for col, v in zip(block_cols.tolist(), vec):
+            if abs(v) > 1e-12:
+                xi[col % m][tuple(box[col // m].tolist())] = v
+        basis.append([TorusElement(theta, x) for x in xi])
     return basis
 
 

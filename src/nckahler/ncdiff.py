@@ -249,11 +249,6 @@ class NCDiffOp:
         return cls(a.theta, m, {(0,) * a.theta.n: TorusMatrix.scalar_element(a, m)})
 
     @classmethod
-    def from_matrix(cls, mat):
-        """Degree-0 operator from a TorusMatrix."""
-        return cls(mat.theta, mat.m, {(0,) * mat.theta.n: mat})
-
-    @classmethod
     def random(cls, theta, m, rng, max_degree=1, radius=1, terms=2):
         out = {}
         for _ in range(terms):

@@ -36,7 +36,7 @@ class ThetaMatrix:
             raise ValueError(f"torus dimension must be even, got {n}")
         if n < 1:
             raise ValueError("torus dimension must be positive")
-        if not np.allclose(entries, -entries.T, atol=1e-12):
+        if not np.allclose(entries, -entries.T, rtol=0, atol=1e-12):
             raise ValueError("theta must be skew-symmetric")
         self.n = n
         self.entries = 0.5 * (entries - entries.T)  # exact skew-symmetrization
@@ -96,7 +96,8 @@ class ThetaMatrix:
         return self.phase(m, tuple(-x for x in m)).conjugate()
 
     def compatible(self, other):
-        return self.n == other.n and np.allclose(self.entries, other.entries, atol=1e-12)
+        return self is other or (self.n == other.n
+                                 and np.array_equal(self.entries, other.entries))
 
 
 class TorusElement:

@@ -29,8 +29,7 @@ def theta4_file(tmp_path):
 
 @pytest.fixture()
 def conn2_file(theta2_file, tmp_path):
-    """A non-diagonal m=1 connection on the n=2 torus (A_1 = U_2), so that
-    h0_solve takes its dense path."""
+    """A non-constant m=1 connection on the n=2 torus: A_1 = U_2."""
     _, theta = theta2_file
     conn = {"theta": theta.to_json(), "m": 1,
             "A": [[[TorusElement.generator(theta, 2).to_json()]]]}
@@ -216,19 +215,22 @@ class TestSinglePath:
 
 class TestExitCodes:
     def test_solver_fault_is_not_config_error(self, conn2_file, monkeypatch):
-        def failing_null_space(*args, **kwargs):
+        def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(holomorphic, "null_space", failing_null_space)
-        try:
-            code = main(["holo", "h0", "--conn", conn2_file, "--radius", "1"])
-        except np.linalg.LinAlgError:
-            code = None
-        assert code != 2
+        monkeypatch.setattr(holomorphic.np.linalg, "svd", failing_svd)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["holo", "h0", "--conn", conn2_file, "--radius", "1"])
 
     def test_dense_limit_exit_2(self, conn2_file, capsys):
-        assert main(["holo", "h0", "--conn", conn2_file, "--radius", "40"]) == 2
+        # 10001^2 box modes, two entries each: over MAX_BYTES
+        assert main(["holo", "h0", "--conn", conn2_file, "--radius", "5000"]) == 2
         assert "dense solver limit" in capsys.readouterr().err
+
+    def test_radius_40_solves(self, conn2_file, capsys):
+        # 6561 unknowns, split into 81 blocks of 81
+        assert main(["holo", "h0", "--conn", conn2_file, "--radius", "40"]) == 0
+        assert json.loads(capsys.readouterr().out)["radius"] == 40
 
     def test_bad_theta_exit_2(self, tmp_path, capsys):
         path = tmp_path / "theta.json"

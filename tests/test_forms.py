@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from nckahler.clifford import build_gamma
 from nckahler.forms import (
     bidegree_decomposition_check,
     build_form_matrices,
@@ -34,6 +35,21 @@ class TestNilpotency:
     def test_mu_linearly_independent(self):
         stack = np.stack([m.reshape(-1) for m in FBM4.mu])
         assert np.linalg.matrix_rank(stack, tol=1e-10) == 4
+
+
+class TestEtaBarClosedForm:
+    @pytest.mark.parametrize("eps_prime", [1, -1])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_mu_combination_equals_closed_form(self, n, eps_prime):
+        # eta_bar_j = (mu_2j - i mu_{2j-1}) / 2 is, with eta = gamma_2j - i gamma_{2j-1},
+        # (1 tensor eta + i eps' eta tensor sigma) / 4
+        rep = build_gamma(n)
+        fbm = build_form_matrices(rep, eps_prime)
+        eye = np.eye(rep.N)
+        for j in range(1, n // 2 + 1):
+            eta = rep.gammas[2 * j - 1] - 1j * rep.gammas[2 * j - 2]
+            alt = 0.25 * (np.kron(eye, eta) + 1j * eps_prime * np.kron(eta, rep.sigma))
+            assert np.abs(alt - fbm.eta_bar[j - 1]).max() <= 1e-12
 
 
 class TestRanks:

@@ -1,16 +1,20 @@
 """Holomorphic elements, connections, flatness, H^0, and the dim-2 reduction."""
 
 import cmath
+import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from nckahler.holomorphic import (
     Connection,
     del_tau,
     delbar_tuple,
     delta,
+    delta_eigenvalue,
     flatness_check,
     grassmannian,
     h0_solve,
@@ -170,6 +174,106 @@ class TestH0:
         basis = h0_solve(Connection(THETA2, 1, A), 2)
         # reported, not asserted, by the solver; generically empty
         assert len(basis) in (0, 1)
+
+
+def dense_h0(conn, radius):
+    """Oracle: the whole box system assembled densely, one entry at a time,
+    and its null space (columns) over the unknowns (box mode, fiber index)."""
+    theta, m, half = conn.theta, conn.m, conn.theta.n // 2
+    modes = list(product(range(-radius, radius + 1), repeat=theta.n))
+    entries = []  # (j, output mode, i, unknown, coefficient)
+    for j in range(half):
+        for t, mode in enumerate(modes):
+            for i in range(m):
+                entries.append((j, mode, i, t * m + i, delta_eigenvalue(mode, j + 1)))
+                for l in range(m):
+                    for k, c in conn.A[j][i][l].coeffs.items():
+                        out = tuple(x + y for x, y in zip(k, mode))
+                        entries.append((j, out, i, t * m + l, c * theta.phase(k, mode)))
+    out_index = {s: o for o, s in enumerate(dict.fromkeys(e[1] for e in entries))}
+    system = np.zeros((half * len(out_index) * m, len(modes) * m), dtype=complex)
+    for j, out, i, u, c in entries:
+        system[(j * len(out_index) + out_index[out]) * m + i, u] += c
+    return null_space(system, rcond=1e-10), modes
+
+
+def projector(vectors):
+    q, _ = np.linalg.qr(vectors)
+    return q @ q.conj().T
+
+
+def as_columns(basis, modes, m):
+    index = {mode: t for t, mode in enumerate(modes)}
+    cols = np.zeros((len(modes) * m, len(basis)), dtype=complex)
+    for b, xi in enumerate(basis):
+        for i, x in enumerate(xi):
+            for mode, c in x.coeffs.items():
+                cols[index[mode] * m + i, b] = c
+    return cols
+
+
+def shifted_scalar(m0=(1, -1, 0, 2)):
+    """A_j = -delta_j-eigenvalue(m0) . 1 makes U^{m0} a holomorphic section."""
+    A = [scalar_matrix(THETA4, -delta_eigenvalue(m0, j)) for j in (1, 2)]
+    return Connection(THETA4, 1, A)
+
+
+def bench_shaped(m):
+    """The benchmark's flat connections: A_1 = c U_2 P for a constant pattern
+    P, A_2 = 0 on the n=4 torus."""
+    cu2 = TorusElement.generator(THETA4, 2).scale(0.8 - 1.3j)
+    z = TorusElement.zero(THETA4)
+    A1 = [[cu2]] if m == 1 else [[z, cu2], [z, z]]
+    return Connection(THETA4, m, [A1, [[z] * m for _ in range(m)]])
+
+
+ORACLE_CASES = {
+    "grassmannian m=1": (lambda: grassmannian(THETA4, 1), 2),
+    "grassmannian m=2": (lambda: grassmannian(THETA4, 2), 1),
+    "grassmannian m=3": (lambda: grassmannian(THETA4, 3), 1),
+    "shifted scalar": (shifted_scalar, 2),
+    "nilpotent m=2": (lambda: Connection(THETA2, 2, [[
+        [TorusElement.zero(THETA2), TorusElement.monomial(THETA2, (0, 0), 0.3)],
+        [TorusElement.zero(THETA2), TorusElement.zero(THETA2)]]]), 2),
+    "random m=1": (lambda: Connection(THETA2, 1, [[[TorusElement.random(
+        THETA2, np.random.default_rng(3), 1, 3)]]]), 2),
+    "c U_2 m=1": (lambda: bench_shaped(1), 2),
+    "c U_2 m=2": (lambda: bench_shaped(2), 1),
+    "(U_2, U_4)": (lambda: Connection(THETA4, 1, [
+        [[TorusElement.generator(THETA4, 2)]], [[TorusElement.generator(THETA4, 4)]]]), 2),
+}
+
+
+class TestH0AgainstDenseOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_dimension_and_span(self, name):
+        make, radius = ORACLE_CASES[name]
+        conn = make()
+        want, modes = dense_h0(conn, radius)
+        got = as_columns(h0_solve(conn, radius), modes, conn.m)
+        assert got.shape[1] == want.shape[1]
+        if want.shape[1]:
+            assert np.abs(projector(got) - projector(want)).max() <= 1e-8
+
+
+class TestH0Constant:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_grassmannian_monomial_basis(self, m):
+        basis = h0_solve(grassmannian(THETA4, m), 2)
+        one = [{"m": [0, 0, 0, 0], "re": 1.0, "im": 0.0}]
+        want = [[one if l == i else [] for l in range(m)] for i in range(m)]
+        assert json.loads(json.dumps([[x.to_json() for x in xi] for xi in basis])) == want
+
+    def test_shifted_scalar_monomial_basis(self):
+        basis = h0_solve(shifted_scalar(), 2)
+        want = [[[{"m": [1, -1, 0, 2], "re": 1.0, "im": 0.0}]]]
+        assert json.loads(json.dumps([[x.to_json() for x in xi] for xi in basis])) == want
+
+    def test_huge_radius_refused_before_enumeration(self):
+        # the box would hold 2001^6 modes
+        theta = ThetaMatrix.random(6, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="dense solver limit"):
+            h0_solve(grassmannian(theta, 1), 1000)
 
 
 class TestMorphism:

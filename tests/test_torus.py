@@ -204,6 +204,11 @@ class TestTheta:
         with pytest.raises(ValueError):
             ThetaMatrix(np.ones((2, 2)))
 
+    def test_skew_enforced_without_relative_slack(self):
+        # 1e6 against -1e6 - 1 is within np.allclose's default rtol=1e-5
+        with pytest.raises(ValueError):
+            ThetaMatrix([[0.0, 1e6], [-1e6 - 1, 0.0]])
+
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             ThetaMatrix(np.zeros((3, 3)))
@@ -215,6 +220,16 @@ class TestTheta:
     def test_json_roundtrip(self):
         t2 = ThetaMatrix.from_json(THETA4.to_json())
         assert t2.compatible(THETA4)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_nearby_theta_incompatible(self):
+        # 0.3 and 0.300001 are within np.allclose's default rtol=1e-5, yet
+        # they are different algebras
+        near = ThetaMatrix([[0.0, 0.3], [-0.3, 0.0]])
+        far = ThetaMatrix([[0.0, 0.300001], [-0.300001, 0.0]])
+        assert not near.compatible(far)
+        with pytest.raises(DimensionMismatch):
+            TorusElement.generator(near, 1) * TorusElement.generator(far, 2)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_json_uses_upper_triangle_only(self):
