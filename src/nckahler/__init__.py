@@ -2,7 +2,7 @@
 
 from .torus import ThetaMatrix, TorusElement, DimensionMismatch, inner_product_scalar
 from .clifford import GammaRep, build_gamma, charge_conjugation, grading_product_check
-from .ncdiff import HVector, NCDiffOp, TorusMatrix, inner_product
+from .ncdiff import NCDiffOp, TorusMatrix, inner_product
 from .kahler import (
     KahlerPackage,
     Matching,

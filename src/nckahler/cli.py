@@ -2,8 +2,8 @@
 computation modules, and emit deterministic JSON reports.
 
 Exit codes: 0 all checks pass; 1 some check failed (report still written);
-2 invalid configuration.  Internal numerical faults (LinAlgError) are not
-configuration errors: they propagate with their traceback.
+2 invalid configuration.  Internal faults (a LinAlgError, a failed Clifford
+self-check) are not configuration errors: they propagate with their traceback.
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ SIGNS_MINUS = {0: (1, -1, 1), 2: (1, -1, -1), 4: (-1, -1, 1), 6: (-1, -1, -1)}
 
 
 class CliffordError(ValueError):
-    pass
+    """An invalid request, such as an odd or too large n."""
+
+
+class SelfCheckError(RuntimeError):
+    """A constructed matrix failed its own relations check: an internal fault."""
 
 
 @dataclass
@@ -131,7 +135,7 @@ def charge_conjugation(rep, variant, tol=1e-10):
     res = max(res, np.abs(C @ C.conj() - eps * np.eye(N)).max())
     res = max(res, np.abs(C @ C.conj().T - np.eye(N)).max())
     if res > tol:
-        raise CliffordError(
+        raise SelfCheckError(
             f"charge conjugation failed for n={n} {variant}: residual {res:.3e} "
             "(sign-table / representation mismatch)"
         )
@@ -165,7 +169,7 @@ def build_gamma(n, check_tol=1e-12):
 
     res = _relations_residual(gammas, sigma)
     if res > check_tol:
-        raise CliffordError(f"gamma construction failed relations check: {res:.3e}")
+        raise SelfCheckError(f"gamma construction failed relations check: {res:.3e}")
 
     rep = GammaRep(n=n, N=N, gammas=gammas, sigma=sigma,
                    conj_plus=None, conj_minus=None)

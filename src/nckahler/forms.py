@@ -175,7 +175,7 @@ def product_map_via_operators(fbm, theta, x, y):
     dim = fbm.eta_bar[0].shape[0]
 
     def lift(t):
-        acc = TorusMatrix.zero(theta, dim)
+        acc = TorusMatrix.zero(theta, (dim, dim))
         for tj, ej in zip(t, fbm.eta_bar):
             acc = acc + TorusMatrix.scalar_element(tj, dim).matmul(
                 TorusMatrix.constant(theta, ej))

@@ -2,9 +2,10 @@
 delbar-connections on free modules, flatness, H^0, morphisms, and the
 dimension-2 reduction to the classical del_tau operator.
 
-Connections are stored with plain nested lists of torus elements for the
-coefficient matrices A_j (these can be rectangular in morphism checks, unlike
-the square fiber matrices of the operator calculus).
+A connection keeps its coefficient matrices A_j as nested lists of torus
+elements, the form of its JSON.  The flatness and morphism checks lift them,
+and the possibly rectangular morphism phi, to TorusMatrix once and do their
+algebra there.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
+from .ncdiff import TorusMatrix
 from .torus import TWO_PI_I, DimensionMismatch, TorusElement
 
 # h0_solve refuses a system it would need more than this many bytes to hold:
@@ -64,48 +66,10 @@ def holomorphic_kernel(theta, radius, extra_ops=None):
     return basis
 
 
-# -- matrices of torus elements (nested lists, possibly rectangular) --------
-
-
-def zero_matrix(theta, rows, cols):
-    return [[TorusElement.zero(theta) for _ in range(cols)] for _ in range(rows)]
-
-
-def matrix_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def matrix_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def matrix_mul(A, B):
-    if A and B and len(A[0]) != len(B):
-        raise DimensionMismatch(f"cannot multiply {len(A[0])} columns into {len(B)} rows")
-    theta = A[0][0].theta
-    out = zero_matrix(theta, len(A), len(B[0]))
-    for i, row in enumerate(A):
-        for k, a in enumerate(row):
-            if a.coeffs:
-                for j in range(len(B[0])):
-                    out[i][j] = out[i][j] + a * B[k][j]
-    return out
-
-
-def matrix_delta(A, j):
-    return [[delta(a, j) for a in row] for row in A]
-
-
-def matrix_norm(A):
-    return max((a.norm() for row in A for a in row), default=0.0)
-
-
-def matrix_to_json(A):
-    return [[a.to_json() for a in row] for row in A]
-
-
-def matrix_from_json(theta, rows):
-    return [[TorusElement.from_json(theta, cell) for cell in row] for row in rows]
+def _delta_matrix(M, j):
+    """delta_j entrywise: block k picks up delta_eigenvalue(k, j)."""
+    return TorusMatrix(M.theta, M.shape,
+                       {k: delta_eigenvalue(k, j) * b for k, b in M.blocks.items()})
 
 
 @dataclass
@@ -124,42 +88,34 @@ class Connection:
             if len(Aj) != self.m or any(len(r) != self.m for r in Aj):
                 raise DimensionMismatch("coefficient matrix is not m x m")
 
-    def apply(self, j, xi):
-        """(nabla_j xi)_i = delta_j(xi_i) + sum_l A_j[i][l] xi_l."""
-        out = [delta(x, j) for x in xi]
-        for i in range(self.m):
-            for l in range(self.m):
-                out[i] = out[i] + self.A[j - 1][i][l] * xi[l]
-        return out
-
     def to_json(self):
-        return {"m": self.m, "A": [matrix_to_json(Aj) for Aj in self.A]}
+        return {"m": self.m, "A": [[[a.to_json() for a in row] for row in Aj] for Aj in self.A]}
 
     @classmethod
     def from_json(cls, theta, obj):
-        return cls(theta, int(obj["m"]),
-                   [matrix_from_json(theta, Aj) for Aj in obj["A"]])
+        return cls(theta, int(obj["m"]), [[[TorusElement.from_json(theta, cell) for cell in row]
+                                            for row in Aj] for Aj in obj["A"]])
 
 
 def grassmannian(theta, m):
     """The flat connection on the free module: all A_j = 0."""
     half = theta.n // 2
-    return Connection(theta, m, [zero_matrix(theta, m, m) for _ in range(half)])
+    return Connection(theta, m, [[[TorusElement.zero(theta) for _ in range(m)] for _ in range(m)]
+                                 for _ in range(half)])
 
 
 def flatness_check(conn):
     """Max curvature residual over l < r:
     delta_l(A_r) - delta_r(A_l) + [A_l, A_r]; zero iff holomorphic structure."""
     half = conn.theta.n // 2
+    A = [TorusMatrix.from_entries(conn.theta, Aj) for Aj in conn.A]
     res = 0.0
     for l in range(1, half + 1):
         for r in range(l + 1, half + 1):
-            Al, Ar = conn.A[l - 1], conn.A[r - 1]
-            curv = matrix_add(
-                matrix_sub(matrix_delta(Ar, l), matrix_delta(Al, r)),
-                matrix_sub(matrix_mul(Al, Ar), matrix_mul(Ar, Al)),
-            )
-            res = max(res, matrix_norm(curv))
+            Al, Ar = A[l - 1], A[r - 1]
+            curv = ((_delta_matrix(Ar, l) - _delta_matrix(Al, r))
+                    + (Al.matmul(Ar) - Ar.matmul(Al)))
+            res = max(res, curv.norm())
     return res
 
 
@@ -181,7 +137,12 @@ def h0_solve(conn, radius):
     one batched SVD.  A singular value at most 1e-10 times the largest over all
     blocks marks a null direction, as in a dense null space of the whole
     system.  Raises ValueError when the entries, or one batch of blocks with
-    its SVD factors, would take more than MAX_BYTES."""
+    its SVD factors, would take more than MAX_BYTES.
+
+    For a non-constant connection the dimension is that of the box-truncated
+    system, and it can depend on the radius: with A_1 = U_2 on n = 2 it is 0
+    up to radius 6 and 1 from radius 7 on, once the smallest singular value
+    of the truncated chain, about 1/((2 pi)^r r!), falls under the cutoff."""
     theta, m, n = conn.theta, conn.m, conn.theta.n
     half = n // 2
     if radius < 0:
@@ -260,13 +221,13 @@ def morphism_check(phi, c1, c2):
     if len(phi) != c2.m or any(len(r) != c1.m for r in phi):
         raise DimensionMismatch(
             f"phi must be {c2.m} x {c1.m} for the given connections")
-    half = c1.theta.n // 2
+    P = TorusMatrix.from_entries(c1.theta, phi)
     res = 0.0
-    for j in range(1, half + 1):
-        defect = matrix_add(matrix_delta(phi, j),
-                            matrix_sub(matrix_mul(c2.A[j - 1], phi),
-                                       matrix_mul(phi, c1.A[j - 1])))
-        res = max(res, matrix_norm(defect))
+    for j in range(1, c1.theta.n // 2 + 1):
+        A1 = TorusMatrix.from_entries(c1.theta, c1.A[j - 1])
+        A2 = TorusMatrix.from_entries(c2.theta, c2.A[j - 1])
+        defect = _delta_matrix(P, j) + (A2.matmul(P) - P.matmul(A1))
+        res = max(res, defect.norm())
     return res
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import GammaRep, build_gamma
-from .ncdiff import HVector, NCDiffOp
+from .ncdiff import NCDiffOp, TorusMatrix
 from .report import VerificationReport, default_tol
 from .torus import DimensionMismatch, TorusElement
 
@@ -323,21 +323,19 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     N = rep.N
 
     def J(v):
-        stars = [e.star() for e in v.entries]
-        return HVector([
-            sum((C[i, j] * stars[j] for j in range(N)),
-                TorusElement.zero(theta))
-            for i in range(N)
-        ])
+        # (J v)_i = sum_j C_ij v_j*: block k goes to mode -k as star_phase(k) C conj(b)
+        out = {tuple(-x for x in k): theta.star_phase(k) * (C @ b.conj())
+               for k, b in v.blocks.items()}
+        return TorusMatrix(theta, v.shape, out)
 
-    def J_inv(v):
+    def JaJstar(a, v):
         # J^2 = eps I, so J^{-1} = eps J
-        return J(v).scale(eps)
+        return J(a.matmul(J(v))).scale(eps)
 
     res = 0.0
     for m in _box_sample(theta.n, radius, rng, 12):
         for i in range(N):
-            v = HVector.basis(theta, N, i, exponent=m)
+            v = TorusMatrix.unit_column(theta, N, i, m)
             res = max(res, (J(D.apply(v)) - D.apply(J(v)).scale(eps_p)).norm())
     rp.add("J D = eps' D J", res)
 
@@ -345,20 +343,13 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     for _ in range(samples):
         ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
         mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
-        a = TorusElement.monomial(theta, ma)
-        b = TorusElement.monomial(theta, mb)
-        mult_b = NCDiffOp.mult(b, N)
-        Db = D.commutator(mult_b)
-
-        def JaJstar(v, a=a):
-            return J_inv(HVector([a * e for e in J(v).entries]))
-
+        a = TorusMatrix.scalar_element(TorusElement.monomial(theta, ma), N)
+        b = TorusMatrix.scalar_element(TorusElement.monomial(theta, mb), N)
+        Db = D.commutator(NCDiffOp(theta, N, {(0,) * theta.n: b}))
         for i in range(N):
-            v = HVector.basis(theta, N, i)
-            bv = HVector([b * e for e in v.entries])
-            res0 = max(res0, (JaJstar(bv) -
-                              HVector([b * e for e in JaJstar(v).entries])).norm())
-            res1 = max(res1, (JaJstar(Db.apply(v)) - Db.apply(JaJstar(v))).norm())
+            v = TorusMatrix.unit_column(theta, N, i)
+            res0 = max(res0, (JaJstar(a, b.matmul(v)) - b.matmul(JaJstar(a, v))).norm())
+            res1 = max(res1, (JaJstar(a, Db.apply(v)) - Db.apply(JaJstar(a, v))).norm())
     rp.add("[J a J*, b] = 0", res0)
     rp.add("[J a J*, [D, b]] = 0", res1)
     return rp

@@ -6,9 +6,12 @@ the symbols del^alpha act on U^k with distinct eigenvalue tuples (2 pi i k)^alph
 two operators agree on the dense smooth domain iff their normal forms agree
 coefficient by coefficient — identity checks here are exact, not box-truncated.
 
-Matrix coefficients are stored mode-blocked: a map from Fourier exponent k to a
-constant m x m complex block (the fiber matrices are constant, so they commute
-with the scalar phases and the blocked product is the entrywise torus product).
+Every matrix of torus elements, square or rectangular, is a TorusMatrix stored
+mode-blocked: a map from Fourier exponent k to a constant rows x cols complex
+block (the fiber matrices are constant, so they commute with the scalar phases
+and the blocked product is the entrywise torus product).  Vectors of the dense
+domain A_Theta^m are (m, 1) columns, and the connection and morphism matrices
+of the holomorphic calculus are lifted to TorusMatrix the same way.
 """
 
 from __future__ import annotations
@@ -36,30 +39,30 @@ def _deriv_factor(k, delta):
 
 
 class TorusMatrix:
-    """m x m matrix with torus-element entries, blocked by Fourier mode."""
+    """rows x cols matrix with torus-element entries, blocked by Fourier mode."""
 
-    __slots__ = ("theta", "m", "blocks")
+    __slots__ = ("theta", "shape", "blocks")
 
-    def __init__(self, theta, m, blocks=None, prune=True):
+    def __init__(self, theta, shape, blocks=None, prune=True):
         self.theta = theta
-        self.m = m
+        self.shape = tuple(shape)
         self.blocks = {}
         if blocks:
             for k, mat in blocks.items():
                 mat = np.asarray(mat, dtype=complex)
-                if mat.shape != (m, m):
-                    raise DimensionMismatch(f"block at {k} has shape {mat.shape}")
+                if mat.shape != self.shape:
+                    raise DimensionMismatch(f"block at {k} is {mat.shape}, not {self.shape}")
                 if not prune or np.abs(mat).max() >= PRUNE_TOL:
                     self.blocks[k] = mat
 
     @classmethod
-    def zero(cls, theta, m):
-        return cls(theta, m)
+    def zero(cls, theta, shape):
+        return cls(theta, shape)
 
     @classmethod
     def constant(cls, theta, mat):
         mat = np.asarray(mat, dtype=complex)
-        return cls(theta, mat.shape[0], {(0,) * theta.n: mat})
+        return cls(theta, mat.shape, {(0,) * theta.n: mat})
 
     @classmethod
     def identity(cls, theta, m):
@@ -68,45 +71,64 @@ class TorusMatrix:
     @classmethod
     def scalar_element(cls, a, m):
         """a . Id_m for a torus element a."""
-        return cls(a.theta, m, {k: c * np.eye(m) for k, c in a.coeffs.items()})
+        return cls(a.theta, (m, m), {k: c * np.eye(m) for k, c in a.coeffs.items()})
+
+    @classmethod
+    def unit_column(cls, theta, m, i, mode=None):
+        """The column e_i . U^mode of A^m (mode 0 by default)."""
+        col = np.zeros((m, 1), dtype=complex)
+        col[i] = 1.0
+        mode = (0,) * theta.n if mode is None else tuple(int(x) for x in mode)
+        return cls(theta, (m, 1), {mode: col})
+
+    @classmethod
+    def random(cls, theta, shape, rng, radius=2, terms=3):
+        """Entries TorusElement.random(theta, rng, radius, terms), drawn row-major."""
+        rows, cols = shape
+        return cls.from_entries(theta, [[TorusElement.random(theta, rng, radius, terms)
+                                         for _ in range(cols)] for _ in range(rows)])
 
     @classmethod
     def from_entries(cls, theta, entries):
-        """Build from a 2d array of TorusElements."""
-        m = len(entries)
+        """Build from a nested list of TorusElements, rows of equal length."""
+        shape = (len(entries), len(entries[0]) if entries else 0)
         blocks = {}
         for i, row in enumerate(entries):
-            if len(row) != m:
-                raise DimensionMismatch("entries must be square")
+            if len(row) != shape[1]:
+                raise DimensionMismatch("rows of entries differ in length")
             for j, a in enumerate(row):
+                if not theta.compatible(a.theta):
+                    raise DimensionMismatch(f"entry ({i}, {j}) is over another torus context")
                 for k, c in a.coeffs.items():
-                    blocks.setdefault(k, np.zeros((m, m), dtype=complex))[i, j] = c
-        return cls(theta, m, blocks)
+                    blocks.setdefault(k, np.zeros(shape, dtype=complex))[i, j] = c
+        return cls(theta, shape, blocks)
 
     def entry(self, i, j):
         coeffs = {k: b[i, j] for k, b in self.blocks.items()}
         return TorusElement(self.theta, coeffs)
 
-    def _check(self, other):
-        if self.m != other.m or not self.theta.compatible(other.theta):
+    def _check(self, other, shapes_fit):
+        if not shapes_fit:
+            raise DimensionMismatch(f"torus matrices of shapes {self.shape} and {other.shape}")
+        if not self.theta.compatible(other.theta):
             raise DimensionMismatch("torus matrices over incompatible contexts")
 
     def __add__(self, other):
-        self._check(other)
+        self._check(other, self.shape == other.shape)
         out = {k: b.copy() for k, b in self.blocks.items()}
         for k, b in other.blocks.items():
             out[k] = out[k] + b if k in out else b
-        return TorusMatrix(self.theta, self.m, out)
+        return TorusMatrix(self.theta, self.shape, out)
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, z):
-        return TorusMatrix(self.theta, self.m, {k: z * b for k, b in self.blocks.items()})
+        return TorusMatrix(self.theta, self.shape, {k: z * b for k, b in self.blocks.items()})
 
     def matmul(self, other):
         """Entrywise torus product; phases factor out of the constant blocks."""
-        self._check(other)
+        self._check(other, self.shape[1] == other.shape[0])
         theta = self.theta
         out = {}
         for k, A in self.blocks.items():
@@ -114,7 +136,7 @@ class TorusMatrix:
                 kk = tuple(x + y for x, y in zip(k, kp))
                 term = theta.phase(k, kp) * (A @ B)
                 out[kk] = out[kk] + term if kk in out else term
-        return TorusMatrix(theta, self.m, out)
+        return TorusMatrix(theta, (self.shape[0], other.shape[1]), out)
 
     def star(self):
         """Entrywise star composed with matrix transpose."""
@@ -123,7 +145,7 @@ class TorusMatrix:
         for k, b in self.blocks.items():
             mk = tuple(-x for x in k)
             out[mk] = theta.star_phase(k) * b.conj().T
-        return TorusMatrix(theta, self.m, out, prune=False)
+        return TorusMatrix(theta, self.shape[::-1], out, prune=False)
 
     def derive_multi(self, delta):
         """Apply del^delta entrywise: block k picks up (2 pi i k)^delta."""
@@ -134,72 +156,20 @@ class TorusMatrix:
             f = _deriv_factor(k, delta)
             if f != 0:
                 out[k] = f * b
-        return TorusMatrix(self.theta, self.m, out)
+        return TorusMatrix(self.theta, self.shape, out)
 
     def norm(self):
-        return max((np.abs(b).max() for b in self.blocks.values()), default=0.0)
+        return float(max((np.abs(b).max() for b in self.blocks.values()), default=0.0))
 
     def is_zero(self, tol=PRUNE_TOL):
         return self.norm() < tol
 
 
-class HVector:
-    """Element of the dense domain A_Theta^m: a list of m torus elements."""
-
-    __slots__ = ("theta", "entries")
-
-    def __init__(self, entries):
-        if not entries:
-            raise ValueError("HVector must have positive length")
-        self.entries = list(entries)
-        self.theta = self.entries[0].theta
-        for e in self.entries:
-            if not self.theta.compatible(e.theta):
-                raise DimensionMismatch("mixed torus contexts in HVector")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    @classmethod
-    def basis(cls, theta, m, i, exponent=None):
-        ex = (0,) * theta.n if exponent is None else tuple(exponent)
-        ent = [TorusElement.zero(theta) for _ in range(m)]
-        ent[i] = TorusElement.monomial(theta, ex)
-        return cls(ent)
-
-    @classmethod
-    def random(cls, theta, m, rng, radius=2, terms=3):
-        return cls([TorusElement.random(theta, rng, radius, terms) for _ in range(m)])
-
-    def __add__(self, other):
-        return HVector([a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return HVector([a - b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, z):
-        return HVector([z * a for a in self.entries])
-
-    def norm(self):
-        return max(a.norm() for a in self.entries)
-
-    def close_to(self, other, tol=1e-9):
-        return (self - other).norm() < tol
-
-
 def inner_product(x, y):
-    """<x, y> = sum_i tau(x_i* y_i) = sum of conj(coeff) . coeff (Parseval)."""
-    if len(x) != len(y):
-        raise DimensionMismatch("HVector lengths differ")
-    total = 0.0 + 0.0j
-    for a, b in zip(x.entries, y.entries):
-        for k, c in a.coeffs.items():
-            if k in b.coeffs:
-                total += c.conjugate() * b.coeffs[k]
-    return total
+    """<x, y> = sum_i tau(x_i* y_i): a vdot of the blocks of each common mode (Parseval)."""
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
+    return sum((np.vdot(b, y.blocks[k]) for k, b in x.blocks.items() if k in y.blocks), 0j)
 
 
 class NCDiffOp:
@@ -216,6 +186,8 @@ class NCDiffOp:
                 alpha = tuple(int(x) for x in alpha)
                 if len(alpha) != theta.n or any(a < 0 for a in alpha):
                     raise ValueError(f"bad multi-index {alpha}")
+                if mat.shape != (m, m):
+                    raise DimensionMismatch(f"coefficient of shape {mat.shape} on fiber {m}")
                 if not prune or not mat.is_zero():
                     self.terms[alpha] = mat
 
@@ -233,7 +205,7 @@ class NCDiffOp:
     def constant(cls, theta, mat):
         """Degree-0 operator with a constant fiber matrix."""
         tm = TorusMatrix.constant(theta, mat)
-        return cls(theta, tm.m, {(0,) * theta.n: tm})
+        return cls(theta, tm.shape[0], {(0,) * theta.n: tm})
 
     @classmethod
     def derivation(cls, theta, m, j, mat=None):
@@ -241,7 +213,7 @@ class NCDiffOp:
         alpha = [0] * theta.n
         alpha[j - 1] = 1
         tm = TorusMatrix.identity(theta, m) if mat is None else TorusMatrix.constant(theta, mat)
-        return cls(theta, tm.m, {tuple(alpha): tm})
+        return cls(theta, tm.shape[0], {tuple(alpha): tm})
 
     @classmethod
     def mult(cls, a, m):
@@ -253,9 +225,7 @@ class NCDiffOp:
         out = {}
         for _ in range(terms):
             alpha = tuple(int(x) for x in rng.integers(0, max_degree + 1, size=theta.n))
-            ents = [[TorusElement.random(theta, rng, radius, 2) for _ in range(m)]
-                    for _ in range(m)]
-            tm = TorusMatrix.from_entries(theta, ents)
+            tm = TorusMatrix.random(theta, (m, m), rng, radius, 2)
             out[alpha] = out[alpha] + tm if alpha in out else tm
         return cls(theta, m, out)
 
@@ -321,30 +291,15 @@ class NCDiffOp:
     # -- action and comparison ---------------------------------------------
 
     def apply(self, v):
-        """(Pv)_i = sum_alpha sum_j mul(M_alpha[i][j], del^alpha v_j)."""
-        if len(v) != self.m:
-            raise DimensionMismatch(f"vector length {len(v)} != fiber {self.m}")
-        theta = self.theta
-        out = [dict() for _ in range(self.m)]
+        """P v = sum_alpha M_alpha . del^alpha v for an (m, c) TorusMatrix v.
+        Nothing is normal-ordered, so this is an action oracle independent of
+        compose and adjoint."""
+        if v.shape[0] != self.m:
+            raise DimensionMismatch(f"vector length {v.shape[0]} != fiber {self.m}")
+        out = TorusMatrix.zero(self.theta, v.shape)
         for alpha, M in self.terms.items():
-            for mode, col in self._vector_modes(v):
-                f = _deriv_factor(mode, alpha) if any(alpha) else 1.0
-                if f == 0:
-                    continue
-                for k, block in M.blocks.items():
-                    kk = tuple(x + y for x, y in zip(k, mode))
-                    w = theta.phase(k, mode) * f * (block @ col)
-                    for i in range(self.m):
-                        if w[i] != 0:
-                            out[i][kk] = out[i].get(kk, 0.0) + w[i]
-        return HVector([TorusElement(theta, c) for c in out])
-
-    def _vector_modes(self, v):
-        modes = {}
-        for j, e in enumerate(v.entries):
-            for mode, c in e.coeffs.items():
-                modes.setdefault(mode, np.zeros(self.m, dtype=complex))[j] = c
-        return modes.items()
+            out = out + M.matmul(v.derive_multi(alpha))
+        return out
 
     def residual_norm(self):
         """Max coefficient magnitude over all terms, blocks, and entries;

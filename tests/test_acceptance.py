@@ -41,7 +41,7 @@ from nckahler.kahler import (
     verify_pm_conjugation,
     verify_real_structure,
 )
-from nckahler.ncdiff import HVector, NCDiffOp, inner_product
+from nckahler.ncdiff import NCDiffOp, TorusMatrix, inner_product
 from nckahler.torus import ThetaMatrix, TorusElement
 
 from test_torus import swap_oracle_phase
@@ -237,7 +237,7 @@ def test_criterion_10_oracle_cross_checks():
         Q = NCDiffOp.random(theta, 2, rng) if t % 5 else P + NCDiffOp.zero(theta, 2)
         diff = P - Q
         nf_zero = diff.residual_norm() < 1e-12
-        act = max(diff.apply(HVector.basis(theta, 2, i, exponent=m)).norm()
+        act = max(diff.apply(TorusMatrix.unit_column(theta, 2, i, m)).norm()
                   for m in modes for i in range(2))
         act_zero = act < 1e-9 * 200  # modest growth bound on the box
         ok = ok and (nf_zero == act_zero)
@@ -252,8 +252,8 @@ def test_criterion_10_oracle_cross_checks():
     # adjoint contract on 50 random triples
     for _ in range(50):
         P = NCDiffOp.random(theta, 2, rng, max_degree=2)
-        x = HVector.random(theta, 2, rng)
-        y = HVector.random(theta, 2, rng)
+        x = TorusMatrix.random(theta, (2, 1), rng)
+        y = TorusMatrix.random(theta, (2, 1), rng)
         lhs = inner_product(P.apply(x), y)
         rhs = inner_product(x, P.adjoint().apply(y))
         ok = ok and abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))

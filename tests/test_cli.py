@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nckahler
-from nckahler import holomorphic
+from nckahler import clifford, holomorphic
 from nckahler.cli import main
 from nckahler.torus import ThetaMatrix, TorusElement
 
@@ -221,6 +221,17 @@ class TestExitCodes:
         monkeypatch.setattr(holomorphic.np.linalg, "svd", failing_svd)
         with pytest.raises(np.linalg.LinAlgError):
             main(["holo", "h0", "--conn", conn2_file, "--radius", "1"])
+
+    def test_failed_sign_check_is_not_config_error(self, monkeypatch):
+        flipped = {k: (-eps, *rest) for k, (eps, *rest) in clifford.SIGNS_PLUS.items()}
+        monkeypatch.setattr(clifford, "SIGNS_PLUS", flipped)
+        with pytest.raises(RuntimeError, match="charge conjugation failed"):
+            main(["clifford", "--n", "4"])
+
+    def test_failed_relations_check_is_not_config_error(self, monkeypatch):
+        monkeypatch.setattr(clifford, "_relations_residual", lambda gammas, sigma: 1.0)
+        with pytest.raises(RuntimeError, match="relations check"):
+            main(["clifford", "--n", "4"])
 
     def test_dense_limit_exit_2(self, conn2_file, capsys):
         # 10001^2 box modes, two entries each: over MAX_BYTES

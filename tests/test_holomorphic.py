@@ -22,6 +22,7 @@ from nckahler.holomorphic import (
     morphism_check,
     ps_compare,
 )
+from nckahler.ncdiff import TorusMatrix
 from nckahler.torus import TWO_PI_I, DimensionMismatch, ThetaMatrix, TorusElement
 
 RNG = np.random.default_rng(400)
@@ -111,32 +112,25 @@ class TestFlatness:
     def test_gauge_covariance_constant_unitary(self):
         # under A_j -> u A_j u* (constant u, so delta_j(u) = 0) the curvature
         # conjugates entry by entry: F' = u F u*
-        from nckahler.holomorphic import matrix_add, matrix_delta, matrix_mul, matrix_sub
         rng = np.random.default_rng(2)
         m = 2
-        A = [[[TorusElement.random(THETA4, rng, 1, 2) for _ in range(m)]
-              for _ in range(m)] for _ in range(2)]
+        A = [TorusMatrix.random(THETA4, (m, m), rng, 1, 2) for _ in range(2)]
         q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        u = TorusMatrix.constant(THETA4, q)
 
         def conj(M):
-            out = [[TorusElement.zero(THETA4) for _ in range(m)] for _ in range(m)]
-            for i in range(m):
-                for l in range(m):
-                    for a in range(m):
-                        for b in range(m):
-                            out[i][l] = out[i][l] + (
-                                q[i, a] * q[l, b].conjugate()) * M[a][b]
-            return out
+            return u.matmul(M).matmul(u.star())
+
+        def delta_j(M, j):
+            return TorusMatrix(THETA4, M.shape,
+                               {k: delta_eigenvalue(k, j) * b for k, b in M.blocks.items()})
 
         def curvature(Al, Ar, l, r):
-            return matrix_add(
-                matrix_sub(matrix_delta(Ar, l), matrix_delta(Al, r)),
-                matrix_sub(matrix_mul(Al, Ar), matrix_mul(Ar, Al)))
+            return (delta_j(Ar, l) - delta_j(Al, r)) + (Al.matmul(Ar) - Ar.matmul(Al))
 
         F = curvature(A[0], A[1], 1, 2)
         Fg = curvature(conj(A[0]), conj(A[1]), 1, 2)
-        diff = matrix_sub(Fg, conj(F))
-        assert max(x.norm() for row in diff for x in row) < 1e-9
+        assert (Fg - conj(F)).norm() < 1e-9
 
 
 class TestH0:
@@ -295,6 +289,18 @@ class TestMorphism:
         u1 = TorusElement.generator(THETA4, 1)
         res = morphism_check([[u1]], g, g)
         assert abs(res - 2 * math.pi) < 1e-10  # |delta_1(U_1)| = |2 pi i . i|
+
+    def test_rectangular_constant(self):
+        # a 2 x 1 phi from the rank-1 to the rank-2 trivial bundle
+        g1, g2 = grassmannian(THETA4, 1), grassmannian(THETA4, 2)
+        c = TorusElement.monomial(THETA4, (0, 0, 0, 0), 2.5 - 1j)
+        phi = [[c], [TorusElement.one(THETA4)]]
+        assert morphism_check(phi, g1, g2) < 1e-15
+
+    def test_rectangular_nonholomorphic_entry(self):
+        g1, g2 = grassmannian(THETA4, 1), grassmannian(THETA4, 2)
+        phi = [[TorusElement.zero(THETA4)], [TorusElement.generator(THETA4, 1)]]
+        assert abs(morphism_check(phi, g1, g2) - 2 * math.pi) < 1e-10
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):

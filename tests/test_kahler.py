@@ -1,5 +1,7 @@
 """Matchings, Dirac lifts, and the N=(2,2) verification chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,11 @@ class TestRealStructure:
     def test_n4_plus(self):
         rp = verify_real_structure(THETA4, rep=REP4, variant="plus")
         assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
+
+    def test_wrong_conjugation_fails(self):
+        # J_- paired with the signs of J_+ breaks J D = eps' D J (residual 53.3)
+        theta = ThetaMatrix.random(4, np.random.default_rng(7))
+        bad = dataclasses.replace(REP4, conj_plus=REP4.conj_minus)
+        rp = verify_real_structure(theta, rep=bad, variant="plus")
+        assert [c.name for c in rp.failures()] == ["J D = eps' D J"]
+        assert rp.failures()[0].residual > 50

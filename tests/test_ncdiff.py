@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nckahler.ncdiff import HVector, NCDiffOp, TorusMatrix, inner_product
+from nckahler.ncdiff import NCDiffOp, TorusMatrix, inner_product
 from nckahler.torus import DimensionMismatch, ThetaMatrix, TorusElement
 
 RNG = np.random.default_rng(100)
@@ -19,7 +19,7 @@ def basis_vectors(theta, m, radius):
     from itertools import product
     for mode in product(range(-radius, radius + 1), repeat=theta.n):
         for i in range(m):
-            yield HVector.basis(theta, m, i, exponent=mode)
+            yield TorusMatrix.unit_column(theta, m, i, mode)
 
 
 class TestCompose:
@@ -45,10 +45,10 @@ class TestCompose:
     def test_action_oracle(self):
         for seed in range(10):
             P, Q = random_op(seed), random_op(seed + 50)
-            v = HVector.random(THETA, 2, np.random.default_rng(seed + 100))
+            v = TorusMatrix.random(THETA, (2, 1), np.random.default_rng(seed + 100))
             lhs = P.compose(Q).apply(v)
             rhs = P.apply(Q.apply(v))
-            assert lhs.close_to(rhs, 1e-9)
+            assert (lhs - rhs).norm() < 1e-9
 
     def test_ring_axioms(self):
         P, Q, R = random_op(1), random_op(2), random_op(3)
@@ -69,23 +69,28 @@ class TestCompose:
 
 class TestApply:
     def test_identity(self):
-        v = HVector.random(THETA, 3, np.random.default_rng(7))
-        assert NCDiffOp.identity(THETA, 3).apply(v).close_to(v)
+        v = TorusMatrix.random(THETA, (3, 1), np.random.default_rng(7))
+        assert (NCDiffOp.identity(THETA, 3).apply(v) - v).norm() < 1e-9
 
     def test_derivation_eigenvector(self):
         u1 = TorusElement.generator(THETA, 1)
-        v = HVector([u1, TorusElement.zero(THETA)])
+        v = TorusMatrix.from_entries(THETA, [[u1], [TorusElement.zero(THETA)]])
         out = NCDiffOp.derivation(THETA, 2, 1).apply(v)
-        assert out.entries[0].close_to(2j * np.pi * u1, 1e-12)
-        assert out.entries[1].is_zero()
+        assert out.entry(0, 0).close_to(2j * np.pi * u1, 1e-12)
+        assert out.entry(1, 0).is_zero()
 
     def test_linearity(self):
         P = random_op(8)
         rng = np.random.default_rng(9)
-        v, w = HVector.random(THETA, 2, rng), HVector.random(THETA, 2, rng)
+        v, w = TorusMatrix.random(THETA, (2, 1), rng), TorusMatrix.random(THETA, (2, 1), rng)
         lhs = P.apply(v + w.scale(2.5j))
         rhs = P.apply(v) + P.apply(w).scale(2.5j)
-        assert lhs.close_to(rhs, 1e-10)
+        assert (lhs - rhs).norm() < 1e-10
+
+    def test_wrong_length_rejected(self):
+        v = TorusMatrix.random(THETA, (3, 1), np.random.default_rng(7))
+        with pytest.raises(DimensionMismatch):
+            NCDiffOp.identity(THETA, 2).apply(v)
 
 
 class TestAdjoint:
@@ -114,8 +119,8 @@ class TestAdjoint:
         for seed in range(8):
             P = random_op(seed + 20, max_degree=2)
             rng = np.random.default_rng(seed + 200)
-            x = HVector.random(THETA, 2, rng)
-            y = HVector.random(THETA, 2, rng)
+            x = TorusMatrix.random(THETA, (2, 1), rng)
+            y = TorusMatrix.random(THETA, (2, 1), rng)
             lhs = inner_product(P.apply(x), y)
             rhs = inner_product(x, P.adjoint().apply(y))
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
@@ -146,12 +151,12 @@ class TestInnerProduct:
     def test_orthonormal_basis(self):
         for i in range(3):
             for j in range(3):
-                ei = HVector.basis(THETA, 3, i)
-                ej = HVector.basis(THETA, 3, j)
+                ei = TorusMatrix.unit_column(THETA, 3, i)
+                ej = TorusMatrix.unit_column(THETA, 3, j)
                 assert abs(inner_product(ei, ej) - (1.0 if i == j else 0.0)) < 1e-15
 
     def test_positivity(self):
-        x = HVector.random(THETA, 2, np.random.default_rng(16))
+        x = TorusMatrix.random(THETA, (2, 1), np.random.default_rng(16))
         val = inner_product(x, x)
         assert val.real >= 0 and abs(val.imag) < 1e-12
 
@@ -162,8 +167,10 @@ class TestInnerProduct:
         eta = [TorusElement.random(THETA, rng) for _ in range(2)]
         xi2 = [TorusElement.random(THETA, rng) for _ in range(2)]
         eta2 = [TorusElement.random(THETA, rng) for _ in range(2)]
-        flat1 = HVector([xi[j] * eta[l] for j in range(2) for l in range(2)])
-        flat2 = HVector([xi2[j] * eta2[l] for j in range(2) for l in range(2)])
+        flat1 = TorusMatrix.from_entries(THETA, [[xi[j] * eta[l]] for j in range(2)
+                                                 for l in range(2)])
+        flat2 = TorusMatrix.from_entries(THETA, [[xi2[j] * eta2[l]] for j in range(2)
+                                                 for l in range(2)])
         direct = sum(
             (eta[l].star() * xi[j].star() * xi2[j] * eta2[l]).trace()
             for j in range(2) for l in range(2)
@@ -177,8 +184,45 @@ class TestSerialization:
         Q = NCDiffOp.from_json(THETA, P.to_json())
         assert (P - Q).residual_norm() < 1e-15
 
+    def test_non_square_matrix_rejected(self):
+        items = random_op(18).to_json()
+        for row in items[0]["matrix"]:
+            row.append([])
+        with pytest.raises(DimensionMismatch):
+            NCDiffOp.from_json(THETA, items)
+
     def test_entry_extraction(self):
         a = TorusElement.random(THETA, np.random.default_rng(19))
         M = TorusMatrix.scalar_element(a, 2)
         assert M.entry(0, 0).close_to(a, 1e-15)
         assert M.entry(0, 1).is_zero()
+
+
+class TestRectangular:
+    def test_random_draws_entries_row_major(self):
+        M = TorusMatrix.random(THETA, (2, 3), np.random.default_rng(20), radius=1, terms=2)
+        rng = np.random.default_rng(20)
+        for i in range(2):
+            for j in range(3):
+                assert M.entry(i, j).coeffs == TorusElement.random(THETA, rng, 1, 2).coeffs
+
+    def test_matmul_and_star_shapes(self):
+        rng = np.random.default_rng(21)
+        A = TorusMatrix.random(THETA, (2, 3), rng)
+        B = TorusMatrix.random(THETA, (3, 1), rng)
+        AB = A.matmul(B)
+        assert AB.shape == (2, 1) and A.star().shape == (3, 2)
+        want = (A.entry(1, 0) * B.entry(0, 0) + A.entry(1, 1) * B.entry(1, 0)
+                + A.entry(1, 2) * B.entry(2, 0))
+        assert AB.entry(1, 0).close_to(want, 1e-12)
+
+    def test_entries_over_another_theta_rejected(self):
+        other = ThetaMatrix.random(2, np.random.default_rng(23))
+        with pytest.raises(DimensionMismatch):
+            TorusMatrix.from_entries(THETA, [[TorusElement.generator(other, 1)]])
+
+    def test_matmul_inner_dimension_mismatch(self):
+        rng = np.random.default_rng(22)
+        A = TorusMatrix.random(THETA, (2, 3), rng)
+        with pytest.raises(DimensionMismatch):
+            A.matmul(TorusMatrix.random(THETA, (2, 1), rng))
