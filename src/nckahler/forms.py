@@ -9,7 +9,10 @@ The one-form coefficient matrices come from commutators with the algebra:
 with delta_j = del_{2j} + i del_{2j-1} (canonical matching pairing the
 coordinates (2j-1, 2j)).  Higher-form ranks are the C-span dimensions of the
 ordered products of these constant matrices; the bimodule isomorphisms reduce
-to exactly this because coefficients are free over the matrix span.
+to exactly this because coefficients are free over the matrix span.  Each
+family's spans form one chain, level 0 to the top level, each level's
+orthonormal basis grown from the one before by one SVD; the rank table and the
+bidegree check index into it.
 """
 
 from __future__ import annotations
@@ -67,40 +70,36 @@ def _span_basis(mats, tol=RANK_TOL):
     return vh[keep]
 
 
-def _level_products(family, level, tol=RANK_TOL):
-    """Orthonormal basis of the span of all level-fold ordered products,
-    grown level by level (span closure, no n^level enumeration)."""
+def _level_chain(family, top, tol=RANK_TOL):
+    """Orthonormal bases of the spans of all level-fold ordered products for
+    levels 0..top, each grown from the one before (span closure, no
+    n^level enumeration)."""
     dim = family[0].shape[0]
-    basis = _span_basis([np.eye(dim, dtype=complex)])
-    for _ in range(level):
-        prods = [(b.reshape(dim, dim) @ f) for b in basis for f in family]
-        basis = _span_basis(prods, tol)
-        if basis.shape[0] == 0:
-            break
-    return basis
+    chain = [_span_basis([np.eye(dim, dtype=complex)])]
+    for _ in range(top):
+        basis = chain[-1]
+        if basis.shape[0] > 0:
+            basis = _span_basis([b.reshape(dim, dim) @ f for b in basis for f in family], tol)
+        chain.append(basis)
+    return chain
 
 
 def form_rank(fbm, family_name, level, tol=RANK_TOL):
     """C-span dimension of all level-fold ordered products of the family."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level == 0:
-        return 1
-    return _level_products(fbm.family(family_name), level, tol).shape[0]
+    return _level_chain(fbm.family(family_name), level, tol)[level].shape[0]
 
 
 def rank_table(fbm):
     """Ranks per level for all three families, through the first vanishing."""
-    n = fbm.n
-    rows = []
-    for level in range(0, n + 2):
-        rows.append({
-            "level": level,
-            "omega_d": form_rank(fbm, "mu", level),
-            "omega_0q": form_rank(fbm, "eta_bar", level),
-            "omega_p0": form_rank(fbm, "eta_hol", level),
-        })
-    return rows
+    top = fbm.n + 1
+    chains = {name: _level_chain(fbm.family(name), top) for name in ("mu", "eta_bar", "eta_hol")}
+    return [{"level": level,
+             "omega_d": chains["mu"][level].shape[0],
+             "omega_0q": chains["eta_bar"][level].shape[0],
+             "omega_p0": chains["eta_hol"][level].shape[0]}
+            for level in range(0, top + 1)]
 
 
 def nilpotency_residual(fbm):
@@ -130,18 +129,20 @@ def bidegree_decomposition_check(n_or_fbm, max_r=2, tol=None):
     n, half = fbm.n, fbm.n // 2
     rp = VerificationReport(tol=tol)
     rp.meta = {"n": n}
+    mu_chain = _level_chain(fbm.mu, max(n, max_r))
+    hol_chain = _level_chain(fbm.eta_hol, max_r)
+    bar_chain = _level_chain(fbm.eta_bar, max_r)
     for r in range(0, n + 1):
-        lhs = form_rank(fbm, "mu", r)
+        lhs = mu_chain[r].shape[0]
         rhs = sum(comb(half, p) * comb(half, r - p)
                   for p in range(0, r + 1))
         rp.add(f"rank count C({n},{r}) = Vandermonde sum", abs(lhs - rhs), tol=0.5)
     dim = fbm.mu[0].shape[0]
     for r in range(1, max_r + 1):
-        mu_basis = _level_products(fbm.mu, r)
+        mu_basis = mu_chain[r]
         mixed = []
         for p in range(0, r + 1):
-            left = _level_products(fbm.eta_hol, p)
-            right = _level_products(fbm.eta_bar, r - p)
+            left, right = hol_chain[p], bar_chain[r - p]
             for bl in left:
                 for br in right:
                     mixed.append(bl.reshape(dim, dim) @ br.reshape(dim, dim))

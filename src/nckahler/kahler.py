@@ -225,8 +225,8 @@ def verify_core_chain(pkg, tol=None):
     rp.add("[I, T_script] = 0", pkg.I_op.commutator(pkg.T_script).residual_norm())
     rp.add("[I, gamma_tilde] = 0", pkg.I_op.commutator(pkg.gamma_tilde).residual_norm())
     rp.add("[I, star] = 0", pkg.I_op.commutator(pkg.hodge_star).residual_norm())
-    rp.add("[I, [I, d]] = -d",
-           (pkg.I_op.commutator(pkg.I_op.commutator(pkg.d)) + pkg.d).residual_norm())
+    # build_kahler_package defines d2 = [I, d]
+    rp.add("[I, [I, d]] = -d", (pkg.I_op.commutator(pkg.d2) + pkg.d).residual_norm())
     d2s = pkg.d2.adjoint()
     rp.add("{d, d2*} = 0", pkg.d.anticommutator(d2s).residual_norm())
     rp.add("{d*, d2} = 0", pkg.d_star.anticommutator(pkg.d2).residual_norm())
@@ -262,13 +262,14 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
         ma = NCDiffOp.mult(a, pkg.DD.m)
         rp.add(f"[T, a] = 0 (sample {s})", T.commutator(ma).residual_norm())
         rp.add(f"[Tbar, a] = 0 (sample {s})", Tb.commutator(ma).residual_norm())
-        # "bounded" commutators = derivation degree 0 in normal form
-        for nm, op in (("del", p), ("delbar", pb)):
-            com = op.commutator(ma)
-            deg = com.max_degree()
-            rp.add(f"[{nm}, a] degree-0 (sample {s})", float(deg))
+        # "bounded" commutators = derivation degree 0 in normal form; a degree
+        # is an integer, so these pass below 0.5 whatever the run's tol
+        com_pb = pb.commutator(ma)
+        rp.add(f"[del, a] degree-0 (sample {s})",
+               float(p.commutator(ma).max_degree()), tol=0.5)
+        rp.add(f"[delbar, a] degree-0 (sample {s})", float(com_pb.max_degree()), tol=0.5)
         rp.add(f"{{del, [delbar, a]}} degree-0 (sample {s})",
-               float(p.anticommutator(pb.commutator(ma)).max_degree()))
+               float(p.anticommutator(com_pb).max_degree()), tol=0.5)
 
     rp.add("{gamma_tilde, del} = 0", gt.anticommutator(p).residual_norm())
     rp.add("{gamma_tilde, delbar} = 0", gt.anticommutator(pb).residual_norm())

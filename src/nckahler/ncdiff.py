@@ -12,6 +12,11 @@ block (the fiber matrices are constant, so they commute with the scalar phases
 and the blocked product is the entrywise torus product).  Vectors of the dense
 domain A_Theta^m are (m, 1) columns, and the connection and morphism matrices
 of the holomorphic calculus are lifted to TorusMatrix the same way.
+
+compose and adjoint normal-order in one accumulation pass over the raw
+coefficient blocks: every block product is formed once, scaled by one scalar
+(phase, binomial and derivative eigenvalue) and added in place under its
+(multi-index, mode); blocks below PRUNE_TOL are dropped once, at the end.
 """
 
 from __future__ import annotations
@@ -24,18 +29,25 @@ import numpy as np
 from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
 
 
-def _multi_binom(alpha, gamma):
-    return math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
-
-
-def _sub_indices(alpha):
-    """All gamma with 0 <= gamma <= alpha componentwise."""
-    return iproduct(*(range(a + 1) for a in alpha))
+def _pushes(alpha):
+    """(gamma, C(alpha, gamma), alpha - gamma) for all 0 <= gamma <= alpha."""
+    return [(gamma, math.prod(math.comb(a, g) for a, g in zip(alpha, gamma)),
+             tuple(a - g for a, g in zip(alpha, gamma)))
+            for gamma in iproduct(*(range(a + 1) for a in alpha))]
 
 
 def _deriv_factor(k, delta):
     """Eigenvalue of del^delta on U^k."""
     return math.prod((TWO_PI_I * kj) ** dj for kj, dj in zip(k, delta) if dj)
+
+
+def _accumulate(acc, idx, k, w, block):
+    """acc[idx][k] += w * block; the first insert is a fresh array."""
+    blocks = acc.setdefault(idx, {})
+    if k in blocks:
+        blocks[k] += w * block
+    else:
+        blocks[k] = w * block
 
 
 class TorusMatrix:
@@ -249,22 +261,34 @@ class NCDiffOp:
         return NCDiffOp(self.theta, self.m, {a: t.scale(z) for a, t in self.terms.items()})
 
     def compose(self, other):
-        """Normal-ordered product: push each del^alpha through the matrix
-        coefficients of `other` by the iterated Leibniz rule."""
+        """Normal-ordered product by the iterated Leibniz rule
+
+            A del^alpha . B del^beta = sum_{gamma <= alpha} C(alpha, gamma)
+                                       A (del^{alpha - gamma} B) del^{gamma + beta},
+
+        in one accumulation pass: each block product a @ b is formed once and
+        added, with the phase, the binomial and the derivative eigenvalue folded
+        into one scalar, to every (gamma + beta, k + k') it reaches; the result
+        is pruned once."""
         self._check(other)
-        out = {}
+        theta = self.theta
+        acc = {}
         for alpha, A in self.terms.items():
+            pushes = _pushes(alpha)
             for beta, B in other.terms.items():
-                for gamma in _sub_indices(alpha):
-                    delta = tuple(a - g for a, g in zip(alpha, gamma))
-                    dB = B.derive_multi(delta)
-                    if dB.is_zero():
-                        continue
-                    coef = _multi_binom(alpha, gamma)
-                    idx = tuple(g + b for g, b in zip(gamma, beta))
-                    term = A.matmul(dB).scale(coef)
-                    out[idx] = out[idx] + term if idx in out else term
-        return NCDiffOp(self.theta, self.m, out)
+                targets = [(tuple(g + b for g, b in zip(gamma, beta)), coef, delta)
+                           for gamma, coef, delta in pushes]
+                weights = {kp: [(idx, coef * f) for idx, coef, delta in targets
+                                if (f := _deriv_factor(kp, delta)) != 0]
+                           for kp in B.blocks}
+                for k, a in A.blocks.items():
+                    for kp, b in B.blocks.items():
+                        ab = a @ b
+                        lam = theta.phase(k, kp)
+                        kk = tuple(x + y for x, y in zip(k, kp))
+                        for idx, w in weights[kp]:
+                            _accumulate(acc, idx, kk, lam * w, ab)
+        return self._from_blocks(acc)
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)
@@ -274,19 +298,30 @@ class NCDiffOp:
 
     def adjoint(self):
         """Formal adjoint w.r.t. <x,y> = sum_i tau(x_i* y_i), using
-        del_j* = -del_j and (mult_a)* = mult_{a*}; normal-reorder the result."""
-        out = {}
+        del_j* = -del_j and (mult_a)* = mult_{a*}: (M del^alpha)* =
+        (-1)^|alpha| sum_{gamma <= alpha} C(alpha, gamma) (del^{alpha - gamma} M*) del^gamma,
+        accumulated over the blocks of M* in one pass and pruned once."""
+        acc = {}
         for alpha, M in self.terms.items():
             sign = (-1) ** sum(alpha)
-            Mstar = M.star()
-            for gamma in _sub_indices(alpha):
-                delta = tuple(a - g for a, g in zip(alpha, gamma))
-                dM = Mstar.derive_multi(delta)
-                if dM.is_zero():
-                    continue
-                term = dM.scale(sign * _multi_binom(alpha, gamma))
-                out[gamma] = out[gamma] + term if gamma in out else term
-        return NCDiffOp(self.theta, self.m, out)
+            pushes = _pushes(alpha)
+            for k, b in M.star().blocks.items():
+                for gamma, coef, delta in pushes:
+                    f = _deriv_factor(k, delta)
+                    if f != 0:
+                        _accumulate(acc, gamma, k, sign * coef * f, b)
+        return self._from_blocks(acc)
+
+    def _from_blocks(self, acc):
+        """The operator of accumulated {alpha: {mode: block}}, dropping every
+        block below PRUNE_TOL."""
+        shape = (self.m, self.m)
+        terms = {}
+        for alpha, blocks in acc.items():
+            kept = {k: b for k, b in blocks.items() if np.abs(b).max() >= PRUNE_TOL}
+            if kept:
+                terms[alpha] = TorusMatrix(self.theta, shape, kept, prune=False)
+        return NCDiffOp(self.theta, self.m, terms, prune=False)
 
     # -- action and comparison ---------------------------------------------
 

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from nckahler import forms
 from nckahler.clifford import build_gamma
 from nckahler.forms import (
     bidegree_decomposition_check,
@@ -84,6 +85,31 @@ class TestBidegree:
     def test_vandermonde_example(self):
         # n=4, r=2: 6 = 1*1 + 2*2 + 1*1
         assert comb(4, 2) == sum(comb(2, p) * comb(2, 2 - p) for p in range(3))
+
+
+class TestOneChainPerFamily:
+    """Each family's span chain is grown once per call: one SVD per level."""
+
+    @staticmethod
+    def count_svds(monkeypatch, fn):
+        calls = []
+        real = forms._span_basis
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forms, "_span_basis", counting)
+        fn()
+        return len(calls)
+
+    def test_rank_table_n6(self, monkeypatch):
+        # mu: levels 0..7; eta_bar, eta_hol: levels 0..4, the 4th empty
+        assert self.count_svds(monkeypatch, lambda: rank_table(FBM6)) <= 18
+
+    def test_bidegree_n6(self, monkeypatch):
+        # mu: levels 0..6; eta_hol, eta_bar: levels 0..2; one mixed span per r
+        assert self.count_svds(monkeypatch, lambda: bidegree_decomposition_check(FBM6)) <= 15
 
 
 class TestCommutatorDecomposition:

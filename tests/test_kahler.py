@@ -135,6 +135,14 @@ class TestN22Checklist:
         assert (pkg.T + pkg.T_bar - pkg.T_script).residual_norm() < 1e-14
         assert (pkg.d.adjoint() - pkg.d_star).residual_norm() < 1e-12
 
+    def test_degree_checks_ignore_run_tol(self):
+        # a degree is an integer: degree 1 must fail even under tol=2
+        rp = verify_n22(build_kahler_package(THETA2, rep=REP2), tol=2.0)
+        degree = [c for c in rp.checks if "degree-0" in c.name]
+        assert len(degree) == 9
+        assert all(c.tol == 0.5 for c in degree)
+        assert all(c.tol == 2.0 for c in rp.checks if "degree-0" not in c.name)
+
 
 def pm_residual(theta, matching, rep):
     return verify_pm_conjugation(

@@ -1,10 +1,13 @@
 """Operator calculus: normal form, composition, adjoints, action soundness."""
 
+import math
+from itertools import product as iproduct
+
 import numpy as np
 import pytest
 
 from nckahler.ncdiff import NCDiffOp, TorusMatrix, inner_product
-from nckahler.torus import DimensionMismatch, ThetaMatrix, TorusElement
+from nckahler.torus import PRUNE_TOL, DimensionMismatch, ThetaMatrix, TorusElement
 
 RNG = np.random.default_rng(100)
 THETA = ThetaMatrix.random(2, RNG)
@@ -65,6 +68,83 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             NCDiffOp.identity(THETA, 2).compose(NCDiffOp.identity(THETA, 3))
+
+
+def _leibniz_terms(alpha):
+    """(gamma, C(alpha, gamma), alpha - gamma) for 0 <= gamma <= alpha."""
+    for gamma in iproduct(*(range(a + 1) for a in alpha)):
+        coef = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+        yield gamma, coef, tuple(a - g for a, g in zip(alpha, gamma))
+
+
+def oracle_compose(P, Q):
+    """Per-term Leibniz loop: one derived copy, matmul and scale per (alpha, beta, gamma)."""
+    out = {}
+    for alpha, A in P.terms.items():
+        for beta, B in Q.terms.items():
+            for gamma, coef, delta in _leibniz_terms(alpha):
+                dB = B.derive_multi(delta)
+                if dB.is_zero():
+                    continue
+                idx = tuple(g + b for g, b in zip(gamma, beta))
+                term = A.matmul(dB).scale(coef)
+                out[idx] = out[idx] + term if idx in out else term
+    return NCDiffOp(P.theta, P.m, out)
+
+
+def oracle_adjoint(P):
+    """Per-term loop over the derived copies of each starred coefficient."""
+    out = {}
+    for alpha, M in P.terms.items():
+        sign = (-1) ** sum(alpha)
+        for gamma, coef, delta in _leibniz_terms(alpha):
+            dM = M.star().derive_multi(delta)
+            if dM.is_zero():
+                continue
+            term = dM.scale(sign * coef)
+            out[gamma] = out[gamma] + term if gamma in out else term
+    return NCDiffOp(P.theta, P.m, out)
+
+
+def assert_pruned(op):
+    for tm in op.terms.values():
+        assert tm.blocks
+        for b in tm.blocks.values():
+            assert np.abs(b).max() >= PRUNE_TOL
+
+
+class TestAgainstPerTermOracle:
+    """compose/adjoint accumulate raw block products in one pass; the
+    per-term Leibniz loop above is the reference."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_random_pairs(self, n):
+        theta = THETA if n == 2 else ThetaMatrix.random(4, np.random.default_rng(41))
+        for seed in range(20):
+            rng = np.random.default_rng(1000 * n + seed)
+            P = NCDiffOp.random(theta, 2, rng, max_degree=2)
+            Q = NCDiffOp.random(theta, 2, rng, max_degree=2)
+            for got, want in ((P.compose(Q), oracle_compose(P, Q)),
+                              (P.adjoint(), oracle_adjoint(P))):
+                # magnitudes reach 1e6 through (2 pi k)^alpha; compare relative
+                scale = max(1.0, want.residual_norm())
+                assert (got - want).residual_norm() <= 1e-12 * scale
+                assert_pruned(got)
+
+    def test_exact_cancellation_stores_nothing(self):
+        a = TorusElement.random(THETA, np.random.default_rng(3))
+        ma = NCDiffOp.mult(a, 2)
+        assert ma.commutator(ma).terms == {}
+
+    def test_cancelling_block_dropped(self):
+        # (U_1 + U_2)(U_2 - c U_1) with c U_2 U_1 = U_1 U_2: the U^(1,1) block
+        # cancels up to rounding inside one compose and is not stored
+        u1, u2 = TorusElement.generator(THETA, 1), TorusElement.generator(THETA, 2)
+        c = THETA.phase((1, 0), (0, 1)) / THETA.phase((0, 1), (1, 0))
+        out = NCDiffOp.mult(u1 + u2, 1).compose(NCDiffOp.mult(u2 - c * u1, 1))
+        assert (1, 1) not in out.terms[ZERO2].blocks
+        assert set(out.terms[ZERO2].blocks) == {(2, 0), (0, 2)}
+        assert_pruned(out)
 
 
 class TestApply:
