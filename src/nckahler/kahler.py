@@ -2,7 +2,11 @@
 full N=(2,2) verification checklist on the noncommutative even torus.
 
 All operators act on A_Theta tensor C^{N^2} (fiber ordering: first tensor leg
-then second, via kron), except the base Dirac operator which lives on C^N.
+then second, as np.kron orders them), except the base Dirac operator which
+lives on C^N.  The builders write every fiber matrix as Pauli words: the
+words of the N x N gammas and sigma come from one Pauli transform each, and
+a kron of two legs concatenates their masks (word_kron), so no N^2 x N^2
+matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -12,9 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import GammaRep, build_gamma
-from .ncdiff import NCDiffOp, TorusMatrix
+from .ncdiff import NCDiffOp, TorusMatrix, pauli_words, word_kron, word_product
 from .report import VerificationReport, default_tol
 from .torus import DimensionMismatch, TorusElement
+
+
+_ONE = {(0, 0): 1 + 0j}
 
 
 class MatchingError(ValueError):
@@ -81,14 +88,29 @@ def enumerate_matchings(two_k):
 # -- operator constructors --------------------------------------------------
 
 
+def _fiber_words(rep):
+    """The Pauli words of each gamma_j and of sigma, and the qubit count q of
+    the C^N fiber (N = 2^q)."""
+    return ([pauli_words(g) for g in rep.gammas], pauli_words(rep.sigma),
+            rep.N.bit_length() - 1)
+
+
+def _unit(n, j):
+    """The multi-index of del_j, 1 <= j <= n."""
+    return tuple(int(i == j - 1) for i in range(n))
+
+
+def _constant(theta, m, words):
+    return NCDiffOp.from_words(theta, m, {(0,) * theta.n: words})
+
+
 def build_dirac(rep, theta):
     """D = sum_j del_j tensor gamma_j on the C^N fiber."""
     if rep.n != theta.n:
         raise DimensionMismatch(f"rep n={rep.n} vs theta n={theta.n}")
-    op = NCDiffOp.zero(theta, rep.N)
-    for j in range(1, rep.n + 1):
-        op = op + NCDiffOp.derivation(theta, rep.N, j, mat=rep.gammas[j - 1])
-    return op
+    gammas, _, _ = _fiber_words(rep)
+    return NCDiffOp.from_words(theta, rep.N, {_unit(rep.n, j): g
+                                              for j, g in enumerate(gammas, 1)})
 
 
 def build_lifted(rep, theta, eps_prime=1):
@@ -100,16 +122,12 @@ def build_lifted(rep, theta, eps_prime=1):
     """
     if rep.n != theta.n:
         raise DimensionMismatch(f"rep n={rep.n} vs theta n={theta.n}")
-    N = rep.N
-    eyeN = np.eye(N)
-    DD = NCDiffOp.zero(theta, N * N)
-    DDbar = NCDiffOp.zero(theta, N * N)
-    for j in range(1, rep.n + 1):
-        g = rep.gammas[j - 1]
-        DD = DD + NCDiffOp.derivation(theta, N * N, j, mat=np.kron(eyeN, g))
-        DDbar = DDbar + NCDiffOp.derivation(
-            theta, N * N, j, mat=-eps_prime * np.kron(g, rep.sigma)
-        )
+    gammas, sigma, q = _fiber_words(rep)
+    m = rep.N ** 2
+    DD = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): word_kron(_ONE, g, q)
+                                        for j, g in enumerate(gammas, 1)})
+    DDbar = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): word_kron(g, sigma, q)
+                                           for j, g in enumerate(gammas, 1)}).scale(-eps_prime)
     d = (DD - DDbar.scale(1j)).scale(0.5)
     d_star = (DD + DDbar.scale(1j)).scale(0.5)
     return DD, DDbar, d, d_star
@@ -118,11 +136,11 @@ def build_lifted(rep, theta, eps_prime=1):
 def build_T_script(rep, theta, eps_prime=1):
     """T-script = sum_j (i eps'/2) kron(gamma_j, gamma_j sigma): bounded,
     self-adjoint, commutes with the algebra, and satisfies [T, d] = d."""
-    N = rep.N
-    mat = np.zeros((N * N, N * N), dtype=complex)
-    for g in rep.gammas:
-        mat += (1j * eps_prime / 2.0) * np.kron(g, g @ rep.sigma)
-    return NCDiffOp.constant(theta, mat)
+    gammas, sigma, q = _fiber_words(rep)
+    T = NCDiffOp.zero(theta, rep.N ** 2)
+    for g in gammas:
+        T = T + _constant(theta, rep.N ** 2, word_kron(g, word_product(g, sigma), q))
+    return T.scale(1j * eps_prime / 2.0)
 
 
 def build_I(matching, rep, theta):
@@ -133,26 +151,31 @@ def build_I(matching, rep, theta):
     """
     if matching.two_k != rep.n:
         raise MatchingError(f"matching covers 1..{matching.two_k}, rep has n={rep.n}")
-    N = rep.N
-    eyeN = np.eye(N)
-    mat = np.zeros((N * N, N * N), dtype=complex)
+    gammas, _, q = _fiber_words(rep)
+    I_op = NCDiffOp.zero(theta, rep.N ** 2)
     for (l, j) in matching.pairs:
-        gg = rep.gammas[l - 1] @ rep.gammas[j - 1]
-        mat += 0.5 * (np.kron(eyeN, gg) + np.kron(gg, eyeN))
-    return NCDiffOp.constant(theta, mat)
+        gg = word_product(gammas[l - 1], gammas[j - 1])
+        I_op = (I_op + _constant(theta, rep.N ** 2, word_kron(_ONE, gg, q))
+                + _constant(theta, rep.N ** 2, word_kron(gg, _ONE, q)))
+    return I_op.scale(0.5)
 
 
 def build_gamma_tilde(rep, theta):
-    return NCDiffOp.constant(theta, np.kron(rep.sigma, rep.sigma))
+    """kron(sigma, sigma)."""
+    _, sigma, q = _fiber_words(rep)
+    return _constant(theta, rep.N ** 2, word_kron(sigma, sigma, q))
 
 
 def build_hodge_star(rep, theta):
-    return NCDiffOp.constant(theta, np.kron(np.eye(rep.N), rep.sigma))
+    """kron(1, sigma)."""
+    _, sigma, q = _fiber_words(rep)
+    return _constant(theta, rep.N ** 2, word_kron(_ONE, sigma, q))
 
 
 def build_pm_intertwiner(rep, theta):
     """kron(sigma, 1): conjugates the eps'=+1 differentials into eps'=-1."""
-    return NCDiffOp.constant(theta, np.kron(rep.sigma, np.eye(rep.N)))
+    _, sigma, q = _fiber_words(rep)
+    return _constant(theta, rep.N ** 2, word_kron(sigma, _ONE, q))
 
 
 @dataclass
@@ -346,7 +369,7 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
         mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
         a = TorusMatrix.scalar_element(TorusElement.monomial(theta, ma), N)
         b = TorusMatrix.scalar_element(TorusElement.monomial(theta, mb), N)
-        Db = D.commutator(NCDiffOp(theta, N, {(0,) * theta.n: b}))
+        Db = D.commutator(NCDiffOp.mult(TorusElement.monomial(theta, mb), N))
         for i in range(N):
             v = TorusMatrix.unit_column(theta, N, i)
             res0 = max(res0, (JaJstar(a, b.matmul(v)) - b.matmul(JaJstar(a, v))).norm())

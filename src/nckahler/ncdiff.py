@@ -6,22 +6,32 @@ the symbols del^alpha act on U^k with distinct eigenvalue tuples (2 pi i k)^alph
 two operators agree on the dense smooth domain iff their normal forms agree
 coefficient by coefficient — identity checks here are exact, not box-truncated.
 
-Every matrix of torus elements, square or rectangular, is a TorusMatrix stored
-mode-blocked: a map from Fourier exponent k to a constant rows x cols complex
-block (the fiber matrices are constant, so they commute with the scalar phases
-and the blocked product is the entrywise torus product).  Vectors of the dense
-domain A_Theta^m are (m, 1) columns, and the connection and morphism matrices
-of the holomorphic calculus are lifted to TorusMatrix the same way.
+Operator fibers have m = 2^q, and a coefficient M_alpha is a WordMatrix: per
+Fourier mode k, the constant block of U^k as a sum of Pauli words {(x, z): c}.
+The word (x, z) of q-bit masks is the signed permutation X^x Z^z:
+|i> -> (-1)^{|z & i|} |i ^ x>.  Words multiply exactly by the symplectic rule
 
-compose and adjoint normal-order in one accumulation pass over the raw
-coefficient blocks: every block product is formed once, scaled by one scalar
-(phase, binomial and derivative eigenvalue) and added in place under its
-(multi-index, mode); blocks below PRUNE_TOL are dropped once, at the end.
+    X^{x1} Z^{z1} . X^{x2} Z^{z2} = (-1)^{|z1 & x2|} X^{x1 ^ x2} Z^{z1 ^ z2},
+
+and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so compose and adjoint never
+form an m x m block.  Dense matrices enter through one Pauli transform
+(pauli_words) and leave only for residual_norm and to_json; apply permutes
+and signs rows.  compose, adjoint, sums and commutators accumulate every word
+product, scaled by one scalar (phase, binomial, derivative eigenvalue), under
+its (multi-index, mode, word), and drop words below PRUNE_TOL once, at the end.
+
+Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
+from Fourier exponent k to a constant rows x cols complex block (constant
+fiber matrices commute with the scalar phases, so the blocked product is the
+entrywise torus product).  Vectors of A_Theta^m are (m, 1) columns, and the
+connection and morphism matrices of the holomorphic calculus are TorusMatrix
+too.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -29,11 +39,12 @@ import numpy as np
 from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
 
 
+@lru_cache(maxsize=None)
 def _pushes(alpha):
     """(gamma, C(alpha, gamma), alpha - gamma) for all 0 <= gamma <= alpha."""
-    return [(gamma, math.prod(math.comb(a, g) for a, g in zip(alpha, gamma)),
-             tuple(a - g for a, g in zip(alpha, gamma)))
-            for gamma in iproduct(*(range(a + 1) for a in alpha))]
+    return tuple((gamma, math.prod(math.comb(a, g) for a, g in zip(alpha, gamma)),
+                  tuple(a - g for a, g in zip(alpha, gamma)))
+                 for gamma in iproduct(*(range(a + 1) for a in alpha)))
 
 
 def _deriv_factor(k, delta):
@@ -41,13 +52,12 @@ def _deriv_factor(k, delta):
     return math.prod((TWO_PI_I * kj) ** dj for kj, dj in zip(k, delta) if dj)
 
 
-def _accumulate(acc, idx, k, w, block):
-    """acc[idx][k] += w * block; the first insert is a fresh array."""
-    blocks = acc.setdefault(idx, {})
-    if k in blocks:
-        blocks[k] += w * block
-    else:
-        blocks[k] = w * block
+def _accumulate(acc, idx, k, w, words):
+    """acc[idx][k][word] += w * c for every word of `words`."""
+    block = acc.setdefault(idx, {}).setdefault(k, {})
+    for word, c in words.items():
+        c = w * c
+        block[word] = block[word] + c if word in block else c
 
 
 class TorusMatrix:
@@ -75,10 +85,6 @@ class TorusMatrix:
     def constant(cls, theta, mat):
         mat = np.asarray(mat, dtype=complex)
         return cls(theta, mat.shape, {(0,) * theta.n: mat})
-
-    @classmethod
-    def identity(cls, theta, m):
-        return cls.constant(theta, np.eye(m))
 
     @classmethod
     def scalar_element(cls, a, m):
@@ -184,24 +190,141 @@ def inner_product(x, y):
     return sum((np.vdot(b, y.blocks[k]) for k, b in x.blocks.items() if k in y.blocks), 0j)
 
 
+# -- Pauli words --------------------------------------------------------------
+
+
+def _check_fiber(m):
+    if m < 1 or m & (m - 1):
+        raise DimensionMismatch(f"fiber {m} is not a power of two")
+
+
+@lru_cache(maxsize=None)
+def _signs(m):
+    """S[z, i] = (-1)^{|z & i|}: row z is the diagonal of Z^z (read-only)."""
+    parity = np.array([i.bit_count() & 1 for i in range(m)])
+    idx = np.arange(m)
+    signs = 1.0 - 2.0 * parity[idx[:, None] & idx[None, :]]
+    signs.setflags(write=False)
+    return signs
+
+
+def pauli_words(mat):
+    """The Pauli transform {(x, z): c} of a 2^q x 2^q matrix M,
+    c(x, z) = (1/m) sum_i M[i ^ x, i] (-1)^{|z & i|}; zero words are dropped."""
+    mat = np.asarray(mat, dtype=complex)
+    m = mat.shape[0]
+    if mat.shape != (m, m):
+        raise DimensionMismatch(f"fiber matrix of shape {mat.shape} is not square")
+    _check_fiber(m)
+    idx = np.arange(m)
+    # row x holds the diagonal M[i ^ x, i] of the permutation X^x
+    coeffs = mat[idx[:, None] ^ idx[None, :], idx[None, :]] @ _signs(m) / m
+    return {(int(x), int(z)): complex(coeffs[x, z]) for x, z in zip(*np.nonzero(coeffs))}
+
+
+def dense_words(words, m):
+    """The m x m matrix sum_w c_w X^x Z^z (M[i ^ x, i] = c (-1)^{|z & i|})."""
+    out = np.zeros((m, m), dtype=complex)
+    idx, signs = np.arange(m), _signs(m)
+    for (x, z), c in words.items():
+        out[idx ^ x, idx] += c * signs[z]
+    return out
+
+
+def word_product(a, b):
+    """The product of two word sums by the symplectic sign rule."""
+    out = {}
+    for (x1, z1), c1 in a.items():
+        for (x2, z2), c2 in b.items():
+            c = c1 * c2
+            if (z1 & x2).bit_count() & 1:
+                c = -c
+            word = (x1 ^ x2, z1 ^ z2)
+            out[word] = out[word] + c if word in out else c
+    return out
+
+
+def word_adjoint(words):
+    """(sum_w c_w X^x Z^z)^dagger = sum_w conj(c_w) (-1)^{|x & z|} X^x Z^z."""
+    return {(x, z): -c.conjugate() if (x & z).bit_count() & 1 else c.conjugate()
+            for (x, z), c in words.items()}
+
+
+def word_kron(a, b, q):
+    """kron(A, B) for B on q qubits: the masks concatenate, A's above B's."""
+    return {(x1 << q | x2, z1 << q | z2): c1 * c2
+            for (x1, z1), c1 in a.items() for (x2, z2), c2 in b.items()}
+
+
+def _act(words, cols):
+    """(sum_w c_w X^x Z^z) @ cols: entry r of X^x Z^z col is
+    (-1)^{|z & (r ^ x)|} times entry r ^ x.  The words of one x are first
+    summed into the matrix entries M[r, r ^ x], which then multiply their
+    column entries, as in the dense product."""
+    m = len(cols)
+    entries = {}
+    for (x, z), c in words.items():
+        e = entries.get(x, [0j] * m)
+        entries[x] = [ei - c if (z & (r ^ x)).bit_count() & 1 else ei + c
+                      for r, ei in enumerate(e)]
+    out = []
+    for col in cols.T.tolist():
+        acc = [0j] * m
+        for x, e in entries.items():
+            acc = [a + er * col[r ^ x] for r, (a, er) in enumerate(zip(acc, e))]
+        out.append(acc)
+    return np.array(out).T
+
+
+class WordMatrix:
+    """m x m matrix of torus elements, m = 2^q, blocked by Fourier mode: each
+    block is a sum of Pauli words, {k: {(x, z): c}}; words below PRUNE_TOL are
+    dropped."""
+
+    __slots__ = ("theta", "m", "blocks")
+
+    def __init__(self, theta, m, blocks=None):
+        _check_fiber(m)
+        self.theta = theta
+        self.m = m
+        self.blocks = {}
+        for k, words in (blocks or {}).items():
+            words = {w: c for w, c in words.items() if abs(c) >= PRUNE_TOL}
+            if words:
+                self.blocks[k] = words
+
+    @classmethod
+    def from_dense(cls, tm):
+        """The words of a square TorusMatrix, block by block."""
+        if tm.shape[0] != tm.shape[1]:
+            raise DimensionMismatch(f"coefficient of shape {tm.shape} is not square")
+        return cls(tm.theta, tm.shape[0], {k: pauli_words(b) for k, b in tm.blocks.items()})
+
+    def dense(self):
+        m = self.m
+        return TorusMatrix(self.theta, (m, m),
+                           {k: dense_words(w, m) for k, w in self.blocks.items()})
+
+
 class NCDiffOp:
-    """Normal-ordered differential operator  sum_alpha M_alpha . del^alpha."""
+    """Normal-ordered differential operator  sum_alpha M_alpha . del^alpha  on
+    a fiber of m = 2^q, with WordMatrix coefficients."""
 
     __slots__ = ("theta", "m", "terms")
 
-    def __init__(self, theta, m, terms=None, prune=True):
+    def __init__(self, theta, m, terms=None):
+        _check_fiber(m)
         self.theta = theta
         self.m = m
         self.terms = {}
-        if terms:
-            for alpha, mat in terms.items():
-                alpha = tuple(int(x) for x in alpha)
-                if len(alpha) != theta.n or any(a < 0 for a in alpha):
-                    raise ValueError(f"bad multi-index {alpha}")
-                if mat.shape != (m, m):
-                    raise DimensionMismatch(f"coefficient of shape {mat.shape} on fiber {m}")
-                if not prune or not mat.is_zero():
-                    self.terms[alpha] = mat
+        for alpha, mat in (terms or {}).items():
+            alpha = tuple(int(x) for x in alpha)
+            if len(alpha) != theta.n or any(a < 0 for a in alpha):
+                raise ValueError(f"bad multi-index {alpha}")
+            if mat.m != m:
+                raise DimensionMismatch(f"coefficient on fiber {mat.m}, not {m}")
+            if mat.blocks:
+                self.terms[alpha] = mat
 
     # -- constructors -------------------------------------------------------
 
@@ -211,26 +334,32 @@ class NCDiffOp:
 
     @classmethod
     def identity(cls, theta, m):
-        return cls(theta, m, {(0,) * theta.n: TorusMatrix.identity(theta, m)})
+        return cls.from_words(theta, m, {(0,) * theta.n: {(0, 0): 1 + 0j}})
 
     @classmethod
     def constant(cls, theta, mat):
         """Degree-0 operator with a constant fiber matrix."""
-        tm = TorusMatrix.constant(theta, mat)
-        return cls(theta, tm.shape[0], {(0,) * theta.n: tm})
+        return cls.from_words(theta, len(mat), {(0,) * theta.n: pauli_words(mat)})
 
     @classmethod
     def derivation(cls, theta, m, j, mat=None):
         """del_j tensor mat (default identity fiber)."""
-        alpha = [0] * theta.n
-        alpha[j - 1] = 1
-        tm = TorusMatrix.identity(theta, m) if mat is None else TorusMatrix.constant(theta, mat)
-        return cls(theta, tm.shape[0], {tuple(alpha): tm})
+        alpha = tuple(int(i == j - 1) for i in range(theta.n))
+        if mat is None:
+            return cls.from_words(theta, m, {alpha: {(0, 0): 1 + 0j}})
+        return cls.from_words(theta, len(mat), {alpha: pauli_words(mat)})
+
+    @classmethod
+    def from_words(cls, theta, m, words):
+        """The constant-coefficient operator sum_alpha words[alpha] . del^alpha."""
+        zero = (0,) * theta.n
+        return cls(theta, m, {a: WordMatrix(theta, m, {zero: w}) for a, w in words.items()})
 
     @classmethod
     def mult(cls, a, m):
         """Left multiplication by the torus element a on A^m."""
-        return cls(a.theta, m, {(0,) * a.theta.n: TorusMatrix.scalar_element(a, m)})
+        coeff = WordMatrix(a.theta, m, {k: {(0, 0): c} for k, c in a.coeffs.items()})
+        return cls(a.theta, m, {(0,) * a.theta.n: coeff})
 
     @classmethod
     def random(cls, theta, m, rng, max_degree=1, radius=1, terms=2):
@@ -239,7 +368,7 @@ class NCDiffOp:
             alpha = tuple(int(x) for x in rng.integers(0, max_degree + 1, size=theta.n))
             tm = TorusMatrix.random(theta, (m, m), rng, radius, 2)
             out[alpha] = out[alpha] + tm if alpha in out else tm
-        return cls(theta, m, out)
+        return cls(theta, m, {a: WordMatrix.from_dense(tm) for a, tm in out.items()})
 
     # -- ring structure -----------------------------------------------------
 
@@ -247,99 +376,121 @@ class NCDiffOp:
         if self.m != other.m or not self.theta.compatible(other.theta):
             raise DimensionMismatch("operators over incompatible contexts")
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + sign * other, accumulated word by word and pruned once."""
         self._check(other)
-        out = dict(self.terms)
-        for alpha, mat in other.terms.items():
-            out[alpha] = out[alpha] + mat if alpha in out else mat
-        return NCDiffOp(self.theta, self.m, out)
+        acc = {}
+        for op, w in ((self, 1), (other, sign)):
+            for alpha, M in op.terms.items():
+                for k, words in M.blocks.items():
+                    _accumulate(acc, alpha, k, w, words)
+        return self._from_acc(acc)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1.0)
+        return self._sum(other, -1)
 
     def scale(self, z):
-        return NCDiffOp(self.theta, self.m, {a: t.scale(z) for a, t in self.terms.items()})
+        return NCDiffOp(self.theta, self.m, {
+            a: WordMatrix(self.theta, self.m, {k: {w: z * c for w, c in words.items()}
+                                               for k, words in M.blocks.items()})
+            for a, M in self.terms.items()})
 
-    def compose(self, other):
-        """Normal-ordered product by the iterated Leibniz rule
+    def _compose_into(self, acc, other, sign):
+        """acc += sign * self . other by the iterated Leibniz rule
 
             A del^alpha . B del^beta = sum_{gamma <= alpha} C(alpha, gamma)
-                                       A (del^{alpha - gamma} B) del^{gamma + beta},
+                                       A (del^{alpha - gamma} B) del^{gamma + beta}:
 
-        in one accumulation pass: each block product a @ b is formed once and
-        added, with the phase, the binomial and the derivative eigenvalue folded
-        into one scalar, to every (gamma + beta, k + k') it reaches; the result
-        is pruned once."""
+        each word product of a block pair is formed once and added, with the
+        phase, the binomial, the derivative eigenvalue and the sign folded into
+        one scalar, to every (gamma + beta, k + k') it reaches."""
         self._check(other)
         theta = self.theta
-        acc = {}
         for alpha, A in self.terms.items():
             pushes = _pushes(alpha)
             for beta, B in other.terms.items():
-                targets = [(tuple(g + b for g, b in zip(gamma, beta)), coef, delta)
+                targets = [(tuple(g + b for g, b in zip(gamma, beta)), sign * coef, delta)
                            for gamma, coef, delta in pushes]
                 weights = {kp: [(idx, coef * f) for idx, coef, delta in targets
                                 if (f := _deriv_factor(kp, delta)) != 0]
                            for kp in B.blocks}
                 for k, a in A.blocks.items():
                     for kp, b in B.blocks.items():
-                        ab = a @ b
+                        if not weights[kp]:
+                            continue
+                        ab = word_product(a, b)
                         lam = theta.phase(k, kp)
                         kk = tuple(x + y for x, y in zip(k, kp))
                         for idx, w in weights[kp]:
                             _accumulate(acc, idx, kk, lam * w, ab)
-        return self._from_blocks(acc)
+        return acc
+
+    def compose(self, other):
+        """Normal-ordered product self . other, pruned once."""
+        return self._from_acc(self._compose_into({}, other, 1))
 
     def commutator(self, other):
-        return self.compose(other) - other.compose(self)
+        """self . other - other . self in one accumulator, pruned once."""
+        return self._from_acc(other._compose_into(self._compose_into({}, other, 1), self, -1))
 
     def anticommutator(self, other):
-        return self.compose(other) + other.compose(self)
+        return self._from_acc(other._compose_into(self._compose_into({}, other, 1), self, 1))
 
     def adjoint(self):
         """Formal adjoint w.r.t. <x,y> = sum_i tau(x_i* y_i), using
         del_j* = -del_j and (mult_a)* = mult_{a*}: (M del^alpha)* =
         (-1)^|alpha| sum_{gamma <= alpha} C(alpha, gamma) (del^{alpha - gamma} M*) del^gamma,
-        accumulated over the blocks of M* in one pass and pruned once."""
+        accumulated over the blocks of M* in one pass and pruned once.  M* maps
+        the block c X^x Z^z of U^k to star_phase(k) (X^x Z^z)^dagger at U^-k."""
+        theta = self.theta
         acc = {}
         for alpha, M in self.terms.items():
             sign = (-1) ** sum(alpha)
             pushes = _pushes(alpha)
-            for k, b in M.star().blocks.items():
+            for k, words in M.blocks.items():
+                mk = tuple(-x for x in k)
+                mu = theta.star_phase(k)
+                starred = {w: mu * c for w, c in word_adjoint(words).items()}
                 for gamma, coef, delta in pushes:
-                    f = _deriv_factor(k, delta)
+                    f = _deriv_factor(mk, delta)
                     if f != 0:
-                        _accumulate(acc, gamma, k, sign * coef * f, b)
-        return self._from_blocks(acc)
+                        _accumulate(acc, gamma, mk, sign * coef * f, starred)
+        return self._from_acc(acc)
 
-    def _from_blocks(self, acc):
-        """The operator of accumulated {alpha: {mode: block}}, dropping every
-        block below PRUNE_TOL."""
-        shape = (self.m, self.m)
-        terms = {}
-        for alpha, blocks in acc.items():
-            kept = {k: b for k, b in blocks.items() if np.abs(b).max() >= PRUNE_TOL}
-            if kept:
-                terms[alpha] = TorusMatrix(self.theta, shape, kept, prune=False)
-        return NCDiffOp(self.theta, self.m, terms, prune=False)
+    def _from_acc(self, acc):
+        """The operator of accumulated {alpha: {mode: {word: c}}}, dropping every
+        word below PRUNE_TOL."""
+        return NCDiffOp(self.theta, self.m,
+                        {a: WordMatrix(self.theta, self.m, blocks) for a, blocks in acc.items()})
 
     # -- action and comparison ---------------------------------------------
 
     def apply(self, v):
-        """P v = sum_alpha M_alpha . del^alpha v for an (m, c) TorusMatrix v.
-        Nothing is normal-ordered, so this is an action oracle independent of
-        compose and adjoint."""
+        """P v = sum_alpha M_alpha . del^alpha v for an (m, c) TorusMatrix v,
+        the blocks acting as signed row permutations and the phases factored
+        out as in TorusMatrix.matmul.  Nothing is normal-ordered, so this is an
+        action oracle independent of compose and adjoint."""
         if v.shape[0] != self.m:
             raise DimensionMismatch(f"vector length {v.shape[0]} != fiber {self.m}")
-        out = TorusMatrix.zero(self.theta, v.shape)
+        theta = self.theta
+        out = {}
         for alpha, M in self.terms.items():
-            out = out + M.matmul(v.derive_multi(alpha))
-        return out
+            dv = v.derive_multi(alpha)
+            for k, words in M.blocks.items():
+                for kp, b in dv.blocks.items():
+                    kk = tuple(x + y for x, y in zip(k, kp))
+                    term = theta.phase(k, kp) * _act(words, b)
+                    out[kk] = out[kk] + term if kk in out else term
+        return TorusMatrix(theta, v.shape, out)
 
     def residual_norm(self):
-        """Max coefficient magnitude over all terms, blocks, and entries;
-        zero iff this is the zero operator (normal-form soundness)."""
-        return max((t.norm() for t in self.terms.values()), default=0.0)
+        """Max magnitude over all terms, modes and dense fiber entries; zero iff
+        this is the zero operator (normal-form soundness).  An exactly
+        cancelled operator has no terms and densifies nothing."""
+        return max((M.dense().norm() for M in self.terms.values()), default=0.0)
 
     def is_zero(self, tol=1e-9):
         return self.residual_norm() < tol
@@ -353,9 +504,10 @@ class NCDiffOp:
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
+        """Each term's dense coefficient, entry by entry as torus elements."""
         out = []
         for alpha in sorted(self.terms):
-            M = self.terms[alpha]
+            M = self.terms[alpha].dense()
             matrix = [[M.entry(i, j).to_json() for j in range(self.m)]
                       for i in range(self.m)]
             out.append({"alpha": list(alpha), "matrix": matrix})
@@ -368,7 +520,7 @@ class NCDiffOp:
             alpha = tuple(int(x) for x in it["alpha"])
             ents = [[TorusElement.from_json(theta, cell) for cell in row]
                     for row in it["matrix"]]
-            terms[alpha] = TorusMatrix.from_entries(theta, ents)
+            terms[alpha] = WordMatrix.from_dense(TorusMatrix.from_entries(theta, ents))
         return cls(theta, len(items[0]["matrix"]) if items else 1, terms)
 
     def __repr__(self):

@@ -85,8 +85,11 @@ class ThetaMatrix:
     def phase(self, m, k):
         """Reordering phase lambda(m, k) with U^m U^k = lambda(m,k) U^{m+k}.
 
-        lambda(m,k) = exp(2 pi i sum_{a<b} Theta_{ab} m_b k_a).
+        lambda(m,k) = exp(2 pi i sum_{a<b} Theta_{ab} m_b k_a), exactly 1 when
+        either mode is 0.
         """
+        if not any(m) or not any(k):
+            return 1 + 0j
         m = np.asarray(m, dtype=float)
         k = np.asarray(k, dtype=float)
         return cmath.exp(TWO_PI_I * float(k @ (self._upper @ m)))
@@ -245,9 +248,6 @@ class TorusElement:
 
     def close_to(self, other, tol=EQ_TOL):
         return (self - other).norm() < tol
-
-    def support(self):
-        return set(self.coeffs)
 
     # -- serialization ------------------------------------------------------
 

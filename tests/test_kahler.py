@@ -20,7 +20,7 @@ from nckahler.kahler import (
     verify_pm_conjugation,
     verify_real_structure,
 )
-from nckahler.ncdiff import NCDiffOp, TorusMatrix
+from nckahler.ncdiff import NCDiffOp
 from nckahler.torus import ThetaMatrix
 
 RNG = np.random.default_rng(200)
@@ -64,8 +64,8 @@ class TestDirac:
     def test_n2_block_pattern(self):
         # D = [[0, i del_1 + del_2], [i del_1 - del_2, 0]] up to 2 pi i
         D = build_dirac(REP2, THETA2)
-        e1 = D.terms[(1, 0)].blocks[(0, 0)]
-        e2 = D.terms[(0, 1)].blocks[(0, 0)]
+        e1 = D.terms[(1, 0)].dense().blocks[(0, 0)]
+        e2 = D.terms[(0, 1)].dense().blocks[(0, 0)]
         assert np.abs(e1 - 1j * np.array([[0, 1], [1, 0]])).max() < 1e-15
         assert np.abs(e2 - np.array([[0, 1], [-1, 0]])).max() < 1e-15
 
@@ -122,10 +122,8 @@ class TestN22Checklist:
             M[2, 0] = 0.5j * eps
             M[3, 1] = -0.5j * eps
             M[3, 2] = 0.5
-            want = NCDiffOp(THETA2, 4, {
-                (1, 0): TorusMatrix.constant(THETA2, 1j * M),
-                (0, 1): TorusMatrix.constant(THETA2, -M),
-            })
+            want = (NCDiffOp.derivation(THETA2, 4, 1, mat=1j * M)
+                    + NCDiffOp.derivation(THETA2, 4, 2, mat=-M))
             assert (pkg.del_hol - want).residual_norm() < 1e-14
 
     def test_structure_identities(self):
@@ -142,6 +140,62 @@ class TestN22Checklist:
         assert len(degree) == 9
         assert all(c.tol == 0.5 for c in degree)
         assert all(c.tol == 2.0 for c in rp.checks if "degree-0" not in c.name)
+
+
+def dense_package(rep, matching, eps):
+    """The package's operators by the dense kron formulas, as {name: {alpha:
+    fiber matrix}}.  Every coefficient is constant, so [I, d] has the
+    coefficients I M - M I."""
+    n, eye, sigma = rep.n, np.eye(rep.N), rep.sigma
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    zero = (0,) * n
+    ops = {
+        "D": dict(zip(unit, rep.gammas)),
+        "DD": {u: np.kron(eye, g) for u, g in zip(unit, rep.gammas)},
+        "DDbar": {u: -eps * np.kron(g, sigma) for u, g in zip(unit, rep.gammas)},
+        "T_script": {zero: sum((1j * eps / 2.0) * np.kron(g, g @ sigma) for g in rep.gammas)},
+        "I_op": {zero: sum(0.5 * (np.kron(eye, gg) + np.kron(gg, eye))
+                           for gg in (rep.gammas[l - 1] @ rep.gammas[j - 1]
+                                      for l, j in matching.pairs))},
+        "gamma_tilde": {zero: np.kron(sigma, sigma)},
+        "hodge_star": {zero: np.kron(eye, sigma)},
+    }
+    DD, DDbar, I_op = ops["DD"], ops["DDbar"], ops["I_op"][zero]
+    ops["d"] = {u: (DD[u] - 1j * DDbar[u]) * 0.5 for u in unit}
+    ops["d_star"] = {u: (DD[u] + 1j * DDbar[u]) * 0.5 for u in unit}
+    ops["d2"] = {u: I_op @ ops["d"][u] - ops["d"][u] @ I_op for u in unit}
+    ops["del_hol"] = {u: (ops["d"][u] - 1j * ops["d2"][u]) * 0.5 for u in unit}
+    ops["del_bar"] = {u: (ops["d"][u] + 1j * ops["d2"][u]) * 0.5 for u in unit}
+    ops["T"] = {zero: (ops["T_script"][zero] - 1j * I_op) * 0.5}
+    ops["T_bar"] = {zero: (ops["T_script"][zero] + 1j * I_op) * 0.5}
+    return ops
+
+
+class TestWordBuilders:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_package_equals_dense_kron_formulas(self, n):
+        theta = ThetaMatrix.random(n, np.random.default_rng(n))
+        rep = build_gamma(n)
+        zero = (0,) * n
+        W = kahler.build_pm_intertwiner(rep, theta)
+        assert np.abs(W.terms[zero].dense().blocks[zero]
+                      - np.kron(rep.sigma, np.eye(rep.N))).max() == 0.0
+        for mt in enumerate_matchings(n):
+            for eps in (1, -1):
+                pkg = build_kahler_package(theta, mt, eps, rep=rep)
+                for name, want in dense_package(rep, mt, eps).items():
+                    op = getattr(pkg, name)
+                    assert set(op.terms) == set(want), name
+                    for alpha, M in op.terms.items():
+                        blocks = M.dense().blocks
+                        assert set(blocks) == {zero}, name
+                        assert np.abs(blocks[zero] - want[alpha]).max() == 0.0, (name, alpha)
+
+    def test_n8_grid_exact(self):
+        theta = ThetaMatrix.random(8, np.random.default_rng(8))
+        rp = verify_grid(theta, enumerate_matchings(8)[:1], (1, -1))
+        assert len(rp.checks) == 2 * 49 + 1
+        assert all(c.residual == 0.0 for c in rp.checks)
 
 
 def pm_residual(theta, matching, rep):

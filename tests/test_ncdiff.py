@@ -6,7 +6,16 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from nckahler.ncdiff import NCDiffOp, TorusMatrix, inner_product
+from nckahler.ncdiff import (
+    NCDiffOp,
+    TorusMatrix,
+    WordMatrix,
+    dense_words,
+    inner_product,
+    pauli_words,
+    word_adjoint,
+    word_product,
+)
 from nckahler.torus import PRUNE_TOL, DimensionMismatch, ThetaMatrix, TorusElement
 
 RNG = np.random.default_rng(100)
@@ -43,7 +52,7 @@ class TestCompose:
         Q = NCDiffOp.derivation(THETA, 2, 2, mat=B)
         out = P.compose(Q)
         assert set(out.terms) == {(1, 1)}
-        assert np.abs(out.terms[(1, 1)].blocks[ZERO2] - A @ B).max() < 1e-15
+        assert np.abs(out.terms[(1, 1)].dense().blocks[ZERO2] - A @ B).max() < 1e-15
 
     def test_action_oracle(self):
         for seed in range(10):
@@ -65,9 +74,17 @@ class TestCompose:
                  + R.commutator(P.commutator(Q)))
         assert total.residual_norm() < 1e-8
 
+    def test_commutator_is_difference_of_products(self):
+        for seed in range(10):
+            P, Q = random_op(seed + 300, max_degree=2), random_op(seed + 400, max_degree=2)
+            for got, want in ((P.commutator(Q), P.compose(Q) - Q.compose(P)),
+                              (P.anticommutator(Q), P.compose(Q) + Q.compose(P))):
+                scale = max(1.0, want.residual_norm())
+                assert (got - want).residual_norm() <= 1e-12 * scale
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            NCDiffOp.identity(THETA, 2).compose(NCDiffOp.identity(THETA, 3))
+            NCDiffOp.identity(THETA, 2).compose(NCDiffOp.identity(THETA, 4))
 
 
 def _leibniz_terms(alpha):
@@ -77,45 +94,51 @@ def _leibniz_terms(alpha):
         yield gamma, coef, tuple(a - g for a, g in zip(alpha, gamma))
 
 
+def _from_dense(theta, m, terms):
+    return NCDiffOp(theta, m, {a: WordMatrix.from_dense(tm) for a, tm in terms.items()})
+
+
 def oracle_compose(P, Q):
-    """Per-term Leibniz loop: one derived copy, matmul and scale per (alpha, beta, gamma)."""
+    """Per-term Leibniz loop on dense coefficients: one derived copy, matmul
+    and scale per (alpha, beta, gamma)."""
     out = {}
     for alpha, A in P.terms.items():
+        A = A.dense()
         for beta, B in Q.terms.items():
             for gamma, coef, delta in _leibniz_terms(alpha):
-                dB = B.derive_multi(delta)
+                dB = B.dense().derive_multi(delta)
                 if dB.is_zero():
                     continue
                 idx = tuple(g + b for g, b in zip(gamma, beta))
                 term = A.matmul(dB).scale(coef)
                 out[idx] = out[idx] + term if idx in out else term
-    return NCDiffOp(P.theta, P.m, out)
+    return _from_dense(P.theta, P.m, out)
 
 
 def oracle_adjoint(P):
-    """Per-term loop over the derived copies of each starred coefficient."""
+    """Per-term loop over the derived copies of each starred dense coefficient."""
     out = {}
     for alpha, M in P.terms.items():
         sign = (-1) ** sum(alpha)
         for gamma, coef, delta in _leibniz_terms(alpha):
-            dM = M.star().derive_multi(delta)
+            dM = M.dense().star().derive_multi(delta)
             if dM.is_zero():
                 continue
             term = dM.scale(sign * coef)
             out[gamma] = out[gamma] + term if gamma in out else term
-    return NCDiffOp(P.theta, P.m, out)
+    return _from_dense(P.theta, P.m, out)
 
 
 def assert_pruned(op):
-    for tm in op.terms.values():
-        assert tm.blocks
-        for b in tm.blocks.values():
-            assert np.abs(b).max() >= PRUNE_TOL
+    for M in op.terms.values():
+        assert M.blocks
+        for words in M.blocks.values():
+            assert words and min(abs(c) for c in words.values()) >= PRUNE_TOL
 
 
 class TestAgainstPerTermOracle:
-    """compose/adjoint accumulate raw block products in one pass; the
-    per-term Leibniz loop above is the reference."""
+    """compose/adjoint accumulate word products in one pass; the per-term
+    Leibniz loop above, on dense blocks, is the reference."""
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_random_pairs(self, n):
@@ -147,10 +170,50 @@ class TestAgainstPerTermOracle:
         assert_pruned(out)
 
 
+class TestPauliWords:
+    """Word product, adjoint, transform and action against the dense matrices
+    of every word (pair) on q = 0..3 qubits, exactly."""
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
+    def test_exact_against_dense(self, q):
+        m = 2 ** q
+        words = [(x, z) for x in range(m) for z in range(m)]
+        dense = {w: dense_words({w: 1 + 0j}, m) for w in words}
+        cols = np.random.default_rng(q).normal(size=(m, 2)) + 1j
+        for w1, a in dense.items():
+            # a word is a signed permutation matrix, and its own transform
+            assert np.array_equal(np.abs(a), np.eye(m)[np.arange(m) ^ w1[0]])
+            assert pauli_words(a) == {w1: 1 + 0j}
+            assert np.array_equal(dense_words(word_adjoint({w1: 1j}), m), (1j * a).conj().T)
+            got = NCDiffOp.constant(THETA, a).apply(TorusMatrix.constant(THETA, cols))
+            assert np.array_equal(got.blocks[ZERO2], a @ cols)
+            for w2, b in dense.items():
+                assert np.array_equal(dense_words(word_product({w1: 1 + 0j}, {w2: 1 + 0j}), m),
+                                      a @ b)
+
+    def test_transform_roundtrip(self):
+        mat = np.random.default_rng(30).normal(size=(4, 4, 2)) @ [1, 1j]
+        assert np.abs(dense_words(pauli_words(mat), 4) - mat).max() < 1e-15
+
+
+class TestPowerOfTwoFiber:
+    def test_other_fibers_refused(self):
+        for m in (0, 3, 6):
+            with pytest.raises(DimensionMismatch):
+                NCDiffOp.identity(THETA, m)
+        with pytest.raises(DimensionMismatch):
+            NCDiffOp.constant(THETA, np.eye(3))
+        one = [{"m": [0, 0], "re": 1.0, "im": 0.0}]
+        items = [{"alpha": [0, 0],
+                  "matrix": [[one if i == j else [] for j in range(3)] for i in range(3)]}]
+        with pytest.raises(DimensionMismatch):
+            NCDiffOp.from_json(THETA, items)
+
+
 class TestApply:
     def test_identity(self):
-        v = TorusMatrix.random(THETA, (3, 1), np.random.default_rng(7))
-        assert (NCDiffOp.identity(THETA, 3).apply(v) - v).norm() < 1e-9
+        v = TorusMatrix.random(THETA, (4, 1), np.random.default_rng(7))
+        assert (NCDiffOp.identity(THETA, 4).apply(v) - v).norm() < 1e-9
 
     def test_derivation_eigenvector(self):
         u1 = TorusElement.generator(THETA, 1)

@@ -79,6 +79,21 @@ class TestProduct:
         m, k = tuple(m), tuple(k)
         assert abs(THETA4.phase(m, k) - swap_oracle_phase(THETA4, m, k)) < 1e-10
 
+    def test_phase_formula_and_zero_modes(self):
+        # lambda(m, k) = exp(2 pi i sum_{a<b} Theta_ab m_b k_a); a zero mode on
+        # either side gives exactly the 1 + 0j of exp(0j)
+        rng = np.random.default_rng(8)
+        zero = (0,) * 4
+        modes = [tuple(int(x) for x in rng.integers(-3, 4, size=4)) for _ in range(20)]
+        up = THETA4.entries
+        for m in modes + [zero]:
+            for k in modes + [zero]:
+                s = sum(up[a, b] * m[b] * k[a] for a in range(4) for b in range(a + 1, 4))
+                got = THETA4.phase(m, k)
+                assert abs(got - cmath.exp(2j * math.pi * s)) < 1e-12
+                if zero in (m, k):
+                    assert got == cmath.exp(0j) and math.copysign(1.0, got.imag) == 1.0
+
     def test_associativity(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
