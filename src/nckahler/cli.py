@@ -126,11 +126,12 @@ def cmd_verify(args):
 
 def cmd_forms(args):
     theta = load_theta(args, default_n=args.n or 4)
+    tol = args.tol if args.tol is not None else default_tol()
     fbm = forms.build_form_matrices(theta.n)
     table = forms.rank_table(fbm)
-    rp = forms.bidegree_decomposition_check(fbm)
+    rp = forms.bidegree_decomposition_check(fbm, tol=tol)
     nilpotency = forms.nilpotency_residual(fbm)
-    rp.meta = _meta(rp.tol) | {"n": theta.n, "nilpotency_residual": nilpotency,
+    rp.meta = _meta(tol) | {"n": theta.n, "nilpotency_residual": nilpotency,
                                "table": table}
     return emit(rp.to_json(), args.out, rp.all_pass and nilpotency < 1e-12)
 

@@ -1,6 +1,6 @@
 """Differential-form ranks and the degree-(0,2) product map.
 
-The one-form coefficient matrices come from commutators with the algebra:
+The one-form coefficients come from commutators with the algebra:
 
     [d, a]      = sum_k  del_k(a) tensor mu_k
     [delbar, a] = sum_j  delta_j(a) tensor eta_bar_j
@@ -8,116 +8,145 @@ The one-form coefficient matrices come from commutators with the algebra:
 
 with delta_j = del_{2j} + i del_{2j-1} (canonical matching pairing the
 coordinates (2j-1, 2j)).  Higher-form ranks are the C-span dimensions of the
-ordered products of these constant matrices; the bimodule isomorphisms reduce
-to exactly this because coefficients are free over the matrix span.  Each
-family's spans form one chain, level 0 to the top level, each level's
-orthonormal basis grown from the one before by one SVD; the rank table and the
-bidegree check index into it.
+ordered products of these constant fiber matrices; the bimodule isomorphisms
+reduce to exactly this because coefficients are free over the matrix span.
+
+The families are Pauli-word sums (ncdiff.word_product): mu_k, the coefficient
+of del_k in the package's d, is 2 words, and a product of r of them has at
+most C(n, r) 2^r words.  One SVD of the products' coefficients over the words
+that occur, scaled by sqrt(m) (a Frobenius isometry: words are orthogonal, of
+norm sqrt(m)), decides each span with the singular values of the flattened
+m x m matrices.  A level's basis is picked among its products, exact word
+sums.  Each family's chain of bases is grown once per FormBasisMatrices, level
+by level on demand; the rank table, form_rank and the bidegree check index it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
 from .clifford import build_gamma
-from .ncdiff import TorusMatrix
+from .kahler import fiber_words, lifted_words
+from .ncdiff import dense_words, word_product
 from .report import VerificationReport, default_tol
-from .torus import DimensionMismatch, TorusElement
+from .torus import DimensionMismatch
 
 RANK_TOL = 1e-10
+
+
+def _combine(*terms):
+    """sum_i c_i w_i over (c_i, word sum w_i), exact zeros dropped."""
+    out = {}
+    for c, words in terms:
+        for w, v in words.items():
+            out[w] = out.get(w, 0) + c * v
+    return {w: v for w, v in out.items() if v}
 
 
 @dataclass
 class FormBasisMatrices:
     n: int            # torus dimension (even)
     eps_prime: int
-    mu: list          # n matrices, N^2 x N^2
-    eta_bar: list     # n/2 matrices
-    eta_hol: list     # n/2 matrices
+    mu: list          # n word sums on the C^{N^2} fiber
+    eta_bar: list     # n/2 word sums
+    eta_hol: list     # n/2 word sums
+    chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def family(self, name):
-        try:
-            return {"mu": self.mu, "eta_bar": self.eta_bar,
-                    "eta_hol": self.eta_hol}[name]
-        except KeyError:
-            raise ValueError(f"unknown family {name!r}") from None
+    @property
+    def m(self):  # the fiber size N^2 = 2^n
+        return 2 ** self.n
+
+    def chain(self, name, top, tol=RANK_TOL):
+        """Bases of the spans of all level-fold ordered products of a family
+        for levels 0..top (level 0: the identity), each grown from the one
+        before (span closure, no n^level enumeration) and kept for later calls."""
+        if name not in ("mu", "eta_bar", "eta_hol"):
+            raise ValueError(f"unknown family {name!r}")
+        family = getattr(self, name)
+        chain = self.chains.setdefault((name, tol), [[{(0, 0): 1 + 0j}]])
+        while len(chain) <= top:
+            basis = chain[-1]
+            chain.append(_span([word_product(b, f) for b in basis for f in family], self.m, tol)
+                         if basis else [])
+        return chain
 
 
 def build_form_matrices(n_or_rep, eps_prime=1):
     rep = build_gamma(n_or_rep) if isinstance(n_or_rep, int) else n_or_rep
-    n, N = rep.n, rep.N
-    eye = np.eye(N)
-    mu = [0.5 * np.kron(eye, g) + (0.5j * eps_prime) * np.kron(g, rep.sigma)
-          for g in rep.gammas]
-    eta_bar, eta_hol = [], []
-    for j in range(1, n // 2 + 1):
-        eta_bar.append(0.5 * (mu[2 * j - 1] - 1j * mu[2 * j - 2]))
-        eta_hol.append(0.5 * (mu[2 * j - 1] + 1j * mu[2 * j - 2]))
-    return FormBasisMatrices(n=n, eps_prime=eps_prime, mu=mu,
-                             eta_bar=eta_bar, eta_hol=eta_hol)
+    mu = [_combine((0.5, a), (0.5j * eps_prime, b)) for a, b in lifted_words(fiber_words(rep))]
+    pairs = [(mu[2 * j - 1], mu[2 * j - 2]) for j in range(1, rep.n // 2 + 1)]
+    return FormBasisMatrices(
+        n=rep.n, eps_prime=eps_prime, mu=mu,
+        eta_bar=[_combine((0.5, a), (-0.5j, b)) for a, b in pairs],
+        eta_hol=[_combine((0.5, a), (0.5j, b)) for a, b in pairs])
 
 
-def _span_basis(mats, tol=RANK_TOL):
-    """Orthonormal basis (rows) of the span of flattened matrices."""
-    if not mats:
-        return np.zeros((0, 0))
-    stack = np.stack([m.reshape(-1) for m in mats])
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if len(s) else 1.0)
-    return vh[keep]
+def _coefficients(sums):
+    """The coefficients of word sums, one row each, over the words that occur."""
+    col = {w: i for i, w in enumerate(sorted({w for p in sums for w in p}))}
+    mat = np.zeros((len(sums), len(col)), dtype=complex)
+    for i, p in enumerate(sums):
+        for w, c in p.items():
+            mat[i, col[w]] = c
+    return mat
 
 
-def _level_chain(family, top, tol=RANK_TOL):
-    """Orthonormal bases of the spans of all level-fold ordered products for
-    levels 0..top, each grown from the one before (span closure, no
-    n^level enumeration)."""
-    dim = family[0].shape[0]
-    chain = [_span_basis([np.eye(dim, dtype=complex)])]
-    for _ in range(top):
-        basis = chain[-1]
-        if basis.shape[0] > 0:
-            basis = _span_basis([b.reshape(dim, dim) @ f for b in basis for f in family], tol)
-        chain.append(basis)
-    return chain
+def _span(products, m, tol=RANK_TOL):
+    """A basis of the span of word sums, picked among them: the SVD rule
+    decides the rank, and pivoted Gram-Schmidt on the coordinates u s of the
+    products picks that many."""
+    products = [p for p in (_combine((1, p)) for p in products) if p]
+    if not products:
+        return []
+    u, s, _ = np.linalg.svd(np.sqrt(m) * _coefficients(products), full_matrices=False)
+    rank = int(np.count_nonzero(s > tol * max(1.0, s[0])))
+    coords, picked = u[:, :rank] * s[:rank], []
+    for _ in range(rank):
+        i = int(np.argmax(np.linalg.norm(coords, axis=1)))
+        v = coords[i] / np.linalg.norm(coords[i])
+        coords = coords - np.outer(coords @ v.conj(), v)
+        picked.append(i)
+    return [products[i] for i in sorted(picked)]
 
 
 def form_rank(fbm, family_name, level, tol=RANK_TOL):
     """C-span dimension of all level-fold ordered products of the family."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    return _level_chain(fbm.family(family_name), level, tol)[level].shape[0]
+    return len(fbm.chain(family_name, level, tol)[level])
 
 
 def rank_table(fbm):
     """Ranks per level for all three families, through the first vanishing."""
     top = fbm.n + 1
-    chains = {name: _level_chain(fbm.family(name), top) for name in ("mu", "eta_bar", "eta_hol")}
+    chains = {name: fbm.chain(name, top) for name in ("mu", "eta_bar", "eta_hol")}
     return [{"level": level,
-             "omega_d": chains["mu"][level].shape[0],
-             "omega_0q": chains["eta_bar"][level].shape[0],
-             "omega_p0": chains["eta_hol"][level].shape[0]}
+             "omega_d": len(chains["mu"][level]),
+             "omega_0q": len(chains["eta_bar"][level]),
+             "omega_p0": len(chains["eta_hol"][level])}
             for level in range(0, top + 1)]
 
 
 def nilpotency_residual(fbm):
-    """Max residual of mu_j^2 = 0, {mu_j, mu_r} = 0 and the eta analogues."""
-    res = 0.0
-    for family in (fbm.mu, fbm.eta_bar, fbm.eta_hol):
-        for j, a in enumerate(family):
-            for b in family[j:]:
-                res = max(res, np.abs(a @ b + b @ a).max())
-    return res
+    """Max dense entry of mu_j^2 = 0, {mu_j, mu_r} = 0 and the eta analogues.
+    The word products cancel exactly, so nothing is densified."""
+    anti = [_combine((1, word_product(a, b)), (1, word_product(b, a)))
+            for f in (fbm.mu, fbm.eta_bar, fbm.eta_hol) for j, a in enumerate(f) for b in f[j:]]
+    return max((float(np.abs(dense_words(w, fbm.m)).max()) for w in anti if w), default=0.0)
 
 
-def _containment_residual(basis_a, basis_b):
-    """How far span(a) sticks out of span(b), both given as orthonormal rows."""
-    if basis_a.shape[0] == 0:
+def _containment_residual(a, b):
+    """How far span(a) sticks out of span(b), two bases of word sums: the
+    largest coordinate, over the words of both, of an orthonormal basis of
+    span(a) minus its projection on span(b)."""
+    if not a:
         return 0.0
-    proj = basis_a - (basis_a @ basis_b.conj().T) @ basis_b
-    return float(np.abs(proj).max())
+    mat = _coefficients(a + b).T
+    qa, qb = np.linalg.qr(mat[:, :len(a)])[0], np.linalg.qr(mat[:, len(a):])[0]
+    return float(np.abs(qa - qb @ (qb.conj().T @ qa)).max())
 
 
 def bidegree_decomposition_check(n_or_fbm, max_r=2, tol=None):
@@ -129,28 +158,21 @@ def bidegree_decomposition_check(n_or_fbm, max_r=2, tol=None):
     n, half = fbm.n, fbm.n // 2
     rp = VerificationReport(tol=tol)
     rp.meta = {"n": n}
-    mu_chain = _level_chain(fbm.mu, max(n, max_r))
-    hol_chain = _level_chain(fbm.eta_hol, max_r)
-    bar_chain = _level_chain(fbm.eta_bar, max_r)
+    mu_chain = fbm.chain("mu", max(n, max_r))
+    hol_chain = fbm.chain("eta_hol", max_r)
+    bar_chain = fbm.chain("eta_bar", max_r)
     for r in range(0, n + 1):
-        lhs = mu_chain[r].shape[0]
+        lhs = len(mu_chain[r])
         rhs = sum(comb(half, p) * comb(half, r - p)
                   for p in range(0, r + 1))
         rp.add(f"rank count C({n},{r}) = Vandermonde sum", abs(lhs - rhs), tol=0.5)
-    dim = fbm.mu[0].shape[0]
     for r in range(1, max_r + 1):
-        mu_basis = mu_chain[r]
-        mixed = []
-        for p in range(0, r + 1):
-            left, right = hol_chain[p], bar_chain[r - p]
-            for bl in left:
-                for br in right:
-                    mixed.append(bl.reshape(dim, dim) @ br.reshape(dim, dim))
-        eta_basis = _span_basis(mixed)
+        mixed = _span([word_product(bl, br) for p in range(0, r + 1)
+                       for bl in hol_chain[p] for br in bar_chain[r - p]], fbm.m)
         rp.add(f"span(mu^{r}) inside span(eta mixed^{r})",
-               _containment_residual(mu_basis, eta_basis))
+               _containment_residual(mu_chain[r], mixed))
         rp.add(f"span(eta mixed^{r}) inside span(mu^{r})",
-               _containment_residual(eta_basis, mu_basis))
+               _containment_residual(mixed, mu_chain[r]))
     return rp
 
 
@@ -165,36 +187,3 @@ def product_map(x, y):
             out.append(x[p] * y[q] - x[q] * y[p])
     return tuple(out)
 
-
-def product_map_via_operators(fbm, theta, x, y):
-    """Oracle for product_map: lift the tuples to one-form operators
-    X = sum_j x_j . eta_bar_j, multiply, and re-coordinate the result in the
-    two-form basis G_pq = eta_bar_p eta_bar_q by least squares."""
-    half = fbm.n // 2
-    if len(x) != half or len(y) != half:
-        raise DimensionMismatch(f"expected tuples of length {half}")
-    dim = fbm.eta_bar[0].shape[0]
-
-    def lift(t):
-        acc = TorusMatrix.zero(theta, (dim, dim))
-        for tj, ej in zip(t, fbm.eta_bar):
-            acc = acc + TorusMatrix.scalar_element(tj, dim).matmul(
-                TorusMatrix.constant(theta, ej))
-        return acc
-
-    prod = lift(x).matmul(lift(y))
-    basis = [fbm.eta_bar[p] @ fbm.eta_bar[q]
-             for p in range(half) for q in range(p + 1, half)]
-    G = np.stack([b.reshape(-1) for b in basis]).T
-    Gpinv = np.linalg.pinv(G)
-    coords = [dict() for _ in basis]
-    residual = 0.0
-    for k, block in prod.blocks.items():
-        vec = block.reshape(-1)
-        c = Gpinv @ vec
-        residual = max(residual, float(np.abs(G @ c - vec).max()))
-        for i, ci in enumerate(c):
-            if abs(ci) > 1e-14:
-                coords[i][k] = ci
-    elements = tuple(TorusElement(theta, c) for c in coords)
-    return elements, residual

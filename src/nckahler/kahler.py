@@ -4,9 +4,9 @@ full N=(2,2) verification checklist on the noncommutative even torus.
 All operators act on A_Theta tensor C^{N^2} (fiber ordering: first tensor leg
 then second, as np.kron orders them), except the base Dirac operator which
 lives on C^N.  The builders write every fiber matrix as Pauli words: the
-words of the N x N gammas and sigma come from one Pauli transform each, and
-a kron of two legs concatenates their masks (word_kron), so no N^2 x N^2
-matrix is ever formed.
+words of the N x N gammas and sigma come from one Pauli transform each per
+package (fiber_words, passed to every builder as `words`), and a kron of two
+legs concatenates their masks (word_kron): no N^2 x N^2 matrix is formed.
 """
 
 from __future__ import annotations
@@ -88,11 +88,18 @@ def enumerate_matchings(two_k):
 # -- operator constructors --------------------------------------------------
 
 
-def _fiber_words(rep):
+def fiber_words(rep):
     """The Pauli words of each gamma_j and of sigma, and the qubit count q of
-    the C^N fiber (N = 2^q)."""
+    the C^N fiber (N = 2^q); build_kahler_package shares one call's words."""
     return ([pauli_words(g) for g in rep.gammas], pauli_words(rep.sigma),
             rep.N.bit_length() - 1)
+
+
+def lifted_words(words):
+    """Per coordinate j, the C^{N^2} fiber words of DD and of DDbar / (-eps'):
+    kron(1, gamma_j) and kron(gamma_j, sigma)."""
+    gammas, sigma, q = words
+    return [(word_kron(_ONE, g, q), word_kron(g, sigma, q)) for g in gammas]
 
 
 def _unit(n, j):
@@ -104,16 +111,16 @@ def _constant(theta, m, words):
     return NCDiffOp.from_words(theta, m, {(0,) * theta.n: words})
 
 
-def build_dirac(rep, theta):
+def build_dirac(rep, theta, words=None):
     """D = sum_j del_j tensor gamma_j on the C^N fiber."""
     if rep.n != theta.n:
         raise DimensionMismatch(f"rep n={rep.n} vs theta n={theta.n}")
-    gammas, _, _ = _fiber_words(rep)
+    gammas, _, _ = words or fiber_words(rep)
     return NCDiffOp.from_words(theta, rep.N, {_unit(rep.n, j): g
                                               for j, g in enumerate(gammas, 1)})
 
 
-def build_lifted(rep, theta, eps_prime=1):
+def build_lifted(rep, theta, eps_prime=1, words=None):
     """The lifted pair on the C^{N^2} fiber and the differential it defines:
 
         DD    = sum_j del_j tensor kron(1, gamma_j)
@@ -122,28 +129,28 @@ def build_lifted(rep, theta, eps_prime=1):
     """
     if rep.n != theta.n:
         raise DimensionMismatch(f"rep n={rep.n} vs theta n={theta.n}")
-    gammas, sigma, q = _fiber_words(rep)
+    legs = lifted_words(words or fiber_words(rep))
     m = rep.N ** 2
-    DD = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): word_kron(_ONE, g, q)
-                                        for j, g in enumerate(gammas, 1)})
-    DDbar = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): word_kron(g, sigma, q)
-                                           for j, g in enumerate(gammas, 1)}).scale(-eps_prime)
+    DD = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): a
+                                        for j, (a, _) in enumerate(legs, 1)})
+    DDbar = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): b
+                                           for j, (_, b) in enumerate(legs, 1)}).scale(-eps_prime)
     d = (DD - DDbar.scale(1j)).scale(0.5)
     d_star = (DD + DDbar.scale(1j)).scale(0.5)
     return DD, DDbar, d, d_star
 
 
-def build_T_script(rep, theta, eps_prime=1):
+def build_T_script(rep, theta, eps_prime=1, words=None):
     """T-script = sum_j (i eps'/2) kron(gamma_j, gamma_j sigma): bounded,
     self-adjoint, commutes with the algebra, and satisfies [T, d] = d."""
-    gammas, sigma, q = _fiber_words(rep)
+    gammas, sigma, q = words or fiber_words(rep)
     T = NCDiffOp.zero(theta, rep.N ** 2)
     for g in gammas:
         T = T + _constant(theta, rep.N ** 2, word_kron(g, word_product(g, sigma), q))
     return T.scale(1j * eps_prime / 2.0)
 
 
-def build_I(matching, rep, theta):
+def build_I(matching, rep, theta, words=None):
     """Complex-structure generator for one matching:
 
         I = (1/2) sum_{(l,j) in pairs} [kron(1, gamma_l gamma_j)
@@ -151,7 +158,7 @@ def build_I(matching, rep, theta):
     """
     if matching.two_k != rep.n:
         raise MatchingError(f"matching covers 1..{matching.two_k}, rep has n={rep.n}")
-    gammas, _, q = _fiber_words(rep)
+    gammas, _, q = words or fiber_words(rep)
     I_op = NCDiffOp.zero(theta, rep.N ** 2)
     for (l, j) in matching.pairs:
         gg = word_product(gammas[l - 1], gammas[j - 1])
@@ -160,21 +167,21 @@ def build_I(matching, rep, theta):
     return I_op.scale(0.5)
 
 
-def build_gamma_tilde(rep, theta):
+def build_gamma_tilde(rep, theta, words=None):
     """kron(sigma, sigma)."""
-    _, sigma, q = _fiber_words(rep)
+    _, sigma, q = words or fiber_words(rep)
     return _constant(theta, rep.N ** 2, word_kron(sigma, sigma, q))
 
 
-def build_hodge_star(rep, theta):
+def build_hodge_star(rep, theta, words=None):
     """kron(1, sigma)."""
-    _, sigma, q = _fiber_words(rep)
+    _, sigma, q = words or fiber_words(rep)
     return _constant(theta, rep.N ** 2, word_kron(_ONE, sigma, q))
 
 
 def build_pm_intertwiner(rep, theta):
     """kron(sigma, 1): conjugates the eps'=+1 differentials into eps'=-1."""
-    _, sigma, q = _fiber_words(rep)
+    _, sigma, q = fiber_words(rep)
     return _constant(theta, rep.N ** 2, word_kron(sigma, _ONE, q))
 
 
@@ -207,10 +214,11 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
     rep = build_gamma(theta.n) if rep is None else rep
     if matching is None:
         matching = enumerate_matchings(theta.n)[0]
-    D = build_dirac(rep, theta)
-    DD, DDbar, d, d_star = build_lifted(rep, theta, eps_prime)
-    Ts = build_T_script(rep, theta, eps_prime)
-    I_op = build_I(matching, rep, theta)
+    words = fiber_words(rep)
+    D = build_dirac(rep, theta, words)
+    DD, DDbar, d, d_star = build_lifted(rep, theta, eps_prime, words)
+    Ts = build_T_script(rep, theta, eps_prime, words)
+    I_op = build_I(matching, rep, theta, words)
     d2 = I_op.commutator(d)
     del_hol = (d - d2.scale(1j)).scale(0.5)
     del_bar = (d + d2.scale(1j)).scale(0.5)
@@ -220,8 +228,8 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
         rep=rep, theta=theta, eps_prime=eps_prime, matching=matching,
         D=D, DD=DD, DDbar=DDbar, d=d, d_star=d_star, T_script=Ts, I_op=I_op,
         d2=d2, del_hol=del_hol, del_bar=del_bar, T=T, T_bar=T_bar,
-        gamma_tilde=build_gamma_tilde(rep, theta),
-        hodge_star=build_hodge_star(rep, theta),
+        gamma_tilde=build_gamma_tilde(rep, theta, words),
+        hodge_star=build_hodge_star(rep, theta, words),
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nckahler
-from nckahler import clifford, holomorphic
+from nckahler import clifford, forms, holomorphic
 from nckahler.cli import main
 from nckahler.torus import ThetaMatrix, TorusElement
 
@@ -126,6 +126,26 @@ class TestForms:
         levels = {row["level"]: row for row in obj["table"]}
         assert levels[1]["omega_d"] == 4
         assert levels[2]["omega_0q"] == 1
+
+    def test_tol_is_forwarded(self, capsys, monkeypatch):
+        reports = []
+        check = forms.bidegree_decomposition_check
+
+        def keeping(*args, **kwargs):
+            reports.append(check(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(forms, "bidegree_decomposition_check", keeping)
+        main(["forms", "--n", "4", "--tol", "1e-30"])
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["tol"] == 1e-30
+        (rp,) = reports
+        spans = [c for c in rp.checks if c.name.startswith("span(")]
+        assert len(spans) == 4 and all(c.tol == 1e-30 for c in spans)
+        # the rank counts compare integers and keep their fixed threshold 0.5
+        assert all(c.tol == 0.5 for c in rp.checks if c not in spans)
+        by_name = {c["name"]: c for c in obj["checks"]}
+        assert all(by_name[c.name]["pass"] == (c.residual < 1e-30) for c in spans)
 
 
 class TestHolo:

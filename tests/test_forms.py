@@ -13,13 +13,12 @@ from nckahler.forms import (
     form_rank,
     nilpotency_residual,
     product_map,
-    product_map_via_operators,
     rank_table,
 )
 from nckahler.holomorphic import delta
 from nckahler.kahler import Matching, build_kahler_package
-from nckahler.ncdiff import NCDiffOp
-from nckahler.torus import ThetaMatrix, TorusElement
+from nckahler.ncdiff import NCDiffOp, TorusMatrix, dense_words, word_product
+from nckahler.torus import DimensionMismatch, ThetaMatrix, TorusElement
 
 RNG = np.random.default_rng(300)
 THETA4 = ThetaMatrix.random(4, RNG)
@@ -33,8 +32,14 @@ class TestNilpotency:
     def test_families_square_to_zero(self, fbm):
         assert nilpotency_residual(fbm) < 1e-12
 
+    def test_exactly_zero_and_detects_a_defect(self):
+        assert nilpotency_residual(FBM6) == 0.0
+        bad = build_form_matrices(4)
+        bad.mu[0] = {**bad.mu[0], (0, 0): 0.25}  # mu_1 + 1/4 squares to mu_1/2 + 1/16
+        assert nilpotency_residual(bad) == pytest.approx(0.5)
+
     def test_mu_linearly_independent(self):
-        stack = np.stack([m.reshape(-1) for m in FBM4.mu])
+        stack = np.stack([dense_words(w, FBM4.m).reshape(-1) for w in FBM4.mu])
         assert np.linalg.matrix_rank(stack, tol=1e-10) == 4
 
 
@@ -50,7 +55,7 @@ class TestEtaBarClosedForm:
         for j in range(1, n // 2 + 1):
             eta = rep.gammas[2 * j - 1] - 1j * rep.gammas[2 * j - 2]
             alt = 0.25 * (np.kron(eye, eta) + 1j * eps_prime * np.kron(eta, rep.sigma))
-            assert np.abs(alt - fbm.eta_bar[j - 1]).max() <= 1e-12
+            assert np.abs(alt - dense_words(fbm.eta_bar[j - 1], fbm.m)).max() <= 1e-12
 
 
 class TestRanks:
@@ -70,6 +75,14 @@ class TestRanks:
             assert row["omega_0q"] == (comb(3, l) if l <= 3 else 0)
             assert row["omega_p0"] == (comb(3, l) if l <= 3 else 0)
 
+    def test_n8_table(self):
+        rows = rank_table(build_form_matrices(8))
+        for row in rows:
+            l = row["level"]
+            assert row["omega_d"] == (comb(8, l) if l <= 8 else 0)
+            assert row["omega_0q"] == (comb(4, l) if l <= 4 else 0)
+            assert row["omega_p0"] == (comb(4, l) if l <= 4 else 0)
+
     def test_n2_special_case(self):
         fbm2 = build_form_matrices(2)
         assert form_rank(fbm2, "eta_bar", 1) == 1
@@ -88,28 +101,108 @@ class TestBidegree:
 
 
 class TestOneChainPerFamily:
-    """Each family's span chain is grown once per call: one SVD per level."""
+    """Each family's span chain is grown once per FormBasisMatrices: one SVD
+    per level, kept for later calls."""
 
     @staticmethod
     def count_svds(monkeypatch, fn):
         calls = []
-        real = forms._span_basis
+        real = forms._span
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(forms, "_span_basis", counting)
+        monkeypatch.setattr(forms, "_span", counting)
         fn()
         return len(calls)
 
     def test_rank_table_n6(self, monkeypatch):
-        # mu: levels 0..7; eta_bar, eta_hol: levels 0..4, the 4th empty
-        assert self.count_svds(monkeypatch, lambda: rank_table(FBM6)) <= 18
+        # mu: levels 1..7; eta_bar, eta_hol: levels 1..4, the 4th empty
+        fbm = build_form_matrices(6)
+        assert self.count_svds(monkeypatch, lambda: rank_table(fbm)) <= 18
 
     def test_bidegree_n6(self, monkeypatch):
-        # mu: levels 0..6; eta_hol, eta_bar: levels 0..2; one mixed span per r
-        assert self.count_svds(monkeypatch, lambda: bidegree_decomposition_check(FBM6)) <= 15
+        # mu: levels 1..6; eta_hol, eta_bar: levels 1..2; one mixed span per r
+        fbm = build_form_matrices(6)
+        assert self.count_svds(monkeypatch,
+                               lambda: bidegree_decomposition_check(fbm)) <= 15
+
+    def test_rank_table_then_bidegree_grows_each_family_once(self, monkeypatch):
+        fbm = build_form_matrices(6)
+        assert self.count_svds(monkeypatch, lambda: rank_table(fbm)) == 7 + 4 + 4
+        # every chain level is kept: only the two mixed spans are new
+        assert self.count_svds(monkeypatch,
+                               lambda: bidegree_decomposition_check(fbm)) == 2
+        assert self.count_svds(monkeypatch,
+                               lambda: [form_rank(fbm, "mu", l) for l in range(8)]) == 0
+
+
+def dense_families(rep, eps_prime):
+    """The dense N^2 x N^2 mu, eta_bar, eta_hol of the kron formulas."""
+    eye = np.eye(rep.N)
+    mu = [0.5 * np.kron(eye, g) + (0.5j * eps_prime) * np.kron(g, rep.sigma)
+          for g in rep.gammas]
+    pairs = [(mu[2 * j - 1], mu[2 * j - 2]) for j in range(1, rep.n // 2 + 1)]
+    return {"mu": mu, "eta_bar": [0.5 * (a - 1j * b) for a, b in pairs],
+            "eta_hol": [0.5 * (a + 1j * b) for a, b in pairs]}
+
+
+def dense_span_basis(mats, tol=forms.RANK_TOL):
+    """Orthonormal basis (rows) of the span of flattened matrices."""
+    if not mats:
+        return np.zeros((0, 0))
+    stack = np.stack([m.reshape(-1) for m in mats])
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return vh[s > tol * max(1.0, s[0])]
+
+
+def dense_level_chain(family, top):
+    """Orthonormal bases of the level-fold product spans, levels 0..top."""
+    dim = family[0].shape[0]
+    chain = [dense_span_basis([np.eye(dim, dtype=complex)])]
+    for _ in range(top):
+        basis = chain[-1]
+        if basis.shape[0] > 0:
+            basis = dense_span_basis([b.reshape(dim, dim) @ f for b in basis for f in family])
+        chain.append(basis)
+    return chain
+
+
+def sticks_out(a, b):
+    """How far the row span of a sticks out of that of orthonormal rows b."""
+    if a.shape[0] == 0:
+        return 0.0
+    if b.shape[0] == 0:
+        return float(np.abs(a).max())
+    return float(np.abs(a - (a @ b.conj().T) @ b).max())
+
+
+class TestAgainstDenseChains:
+    """The word chains against the dense SVD chains they replace."""
+
+    @pytest.mark.parametrize("eps_prime", [1, -1])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_same_ranks_and_spans(self, n, eps_prime):
+        rep = build_gamma(n)
+        fbm = build_form_matrices(rep, eps_prime)
+        dense = dense_families(rep, eps_prime)
+        for name, family in dense.items():
+            top = n + 1 if name == "mu" else n // 2 + 1
+            want = dense_level_chain(family, top)
+            got = fbm.chain(name, top)
+            for level, (basis, rows) in enumerate(zip(got, want)):
+                assert len(basis) == rows.shape[0], (name, level)
+                mine = dense_span_basis([dense_words(w, fbm.m) for w in basis])
+                assert sticks_out(mine, rows) < 1e-12, (name, level)
+                assert sticks_out(rows, mine) < 1e-12, (name, level)
+
+    def test_basis_is_products_of_the_family(self):
+        # each kept mu^2 element is +-mu_j mu_k exactly: no rounding noise
+        fbm = build_form_matrices(4)
+        products = [word_product(a, b) for a in fbm.mu for b in fbm.mu]
+        for w in fbm.chain("mu", 2)[2]:
+            assert any(w == p or w == {k: -c for k, c in p.items()} for p in products)
 
 
 class TestCommutatorDecomposition:
@@ -121,7 +214,7 @@ class TestCommutatorDecomposition:
         want = NCDiffOp.zero(THETA4, 16)
         for k in range(1, 5):
             want = want + NCDiffOp.mult(a.derive(k), 16).compose(
-                NCDiffOp.constant(THETA4, FBM4.mu[k - 1]))
+                NCDiffOp.from_words(THETA4, 16, {(0,) * 4: FBM4.mu[k - 1]}))
         assert (com - want).residual_norm() < 1e-10
 
     def test_delbar_commutator_uses_eta_bar(self):
@@ -132,8 +225,43 @@ class TestCommutatorDecomposition:
         want = NCDiffOp.zero(THETA4, 16)
         for j in range(1, 3):
             want = want + NCDiffOp.mult(delta(a, j), 16).compose(
-                NCDiffOp.constant(THETA4, FBM4.eta_bar[j - 1]))
+                NCDiffOp.from_words(THETA4, 16, {(0,) * 4: FBM4.eta_bar[j - 1]}))
         assert (com - want).residual_norm() < 1e-10
+
+
+def product_map_via_operators(fbm, theta, x, y):
+    """Oracle for product_map: lift the tuples to one-form operators
+    X = sum_j x_j . eta_bar_j, multiply, and re-coordinate the result in the
+    two-form basis G_pq = eta_bar_p eta_bar_q by least squares."""
+    half = fbm.n // 2
+    if len(x) != half or len(y) != half:
+        raise DimensionMismatch(f"expected tuples of length {half}")
+    dim = fbm.m
+    eta_bar = [dense_words(w, dim) for w in fbm.eta_bar]
+
+    def lift(t):
+        acc = TorusMatrix.zero(theta, (dim, dim))
+        for tj, ej in zip(t, eta_bar):
+            acc = acc + TorusMatrix.scalar_element(tj, dim).matmul(
+                TorusMatrix.constant(theta, ej))
+        return acc
+
+    prod = lift(x).matmul(lift(y))
+    basis = [eta_bar[p] @ eta_bar[q]
+             for p in range(half) for q in range(p + 1, half)]
+    G = np.stack([b.reshape(-1) for b in basis]).T
+    Gpinv = np.linalg.pinv(G)
+    coords = [dict() for _ in basis]
+    residual = 0.0
+    for k, block in prod.blocks.items():
+        vec = block.reshape(-1)
+        c = Gpinv @ vec
+        residual = max(residual, float(np.abs(G @ c - vec).max()))
+        for i, ci in enumerate(c):
+            if abs(ci) > 1e-14:
+                coords[i][k] = ci
+    elements = tuple(TorusElement(theta, c) for c in coords)
+    return elements, residual
 
 
 class TestProductMap:

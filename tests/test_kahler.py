@@ -191,6 +191,21 @@ class TestWordBuilders:
                         assert set(blocks) == {zero}, name
                         assert np.abs(blocks[zero] - want[alpha]).max() == 0.0, (name, alpha)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_one_transform_per_package(self, n, monkeypatch):
+        # the gammas and sigma are transformed once and shared by all builders
+        calls = []
+        transform = kahler.pauli_words
+
+        def counting(mat):
+            calls.append(1)
+            return transform(mat)
+
+        monkeypatch.setattr(kahler, "pauli_words", counting)
+        theta = ThetaMatrix.random(n, np.random.default_rng(n))
+        build_kahler_package(theta, rep=build_gamma(n))
+        assert len(calls) == n + 1
+
     def test_n8_grid_exact(self):
         theta = ThetaMatrix.random(8, np.random.default_rng(8))
         rp = verify_grid(theta, enumerate_matchings(8)[:1], (1, -1))
