@@ -26,14 +26,13 @@ class ConfigError(Exception):
     pass
 
 
-def atomic_write_json(path, obj):
+def atomic_write(path, text):
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -41,10 +40,14 @@ def atomic_write_json(path, obj):
 
 
 def load_theta(args, default_n=2):
+    n = getattr(args, "n", None)
     if getattr(args, "theta", None):
         with open(args.theta) as fh:
-            return ThetaMatrix.from_json(json.load(fh))
-    n = getattr(args, "n", None) or default_n
+            theta = ThetaMatrix.from_json(json.load(fh))
+        if n is not None and n != theta.n:
+            raise ConfigError(f"--n {n} contradicts the n={theta.n} of {args.theta}")
+        return theta
+    n = n or default_n
     # deterministic generic irrational-entry default
     return ThetaMatrix.random(n, np.random.default_rng(0))
 
@@ -60,9 +63,11 @@ def parse_eps(text):
 
 
 def emit(report_obj, out_path, all_pass):
+    """Serialise once; print the text and write the same text to out_path."""
+    text = json.dumps(report_obj, indent=2, sort_keys=True)
     if out_path:
-        atomic_write_json(out_path, report_obj)
-    print(json.dumps(report_obj, indent=2, sort_keys=True))
+        atomic_write(out_path, text + "\n")
+    print(text)
     return 0 if all_pass else 1
 
 

@@ -115,7 +115,7 @@ def build_dirac(rep, theta, words=None):
     """D = sum_j del_j tensor gamma_j on the C^N fiber."""
     if rep.n != theta.n:
         raise DimensionMismatch(f"rep n={rep.n} vs theta n={theta.n}")
-    gammas, _, _ = words or fiber_words(rep)
+    gammas = words[0] if words else [pauli_words(g) for g in rep.gammas]
     return NCDiffOp.from_words(theta, rep.N, {_unit(rep.n, j): g
                                               for j, g in enumerate(gammas, 1)})
 
@@ -181,8 +181,8 @@ def build_hodge_star(rep, theta, words=None):
 
 def build_pm_intertwiner(rep, theta):
     """kron(sigma, 1): conjugates the eps'=+1 differentials into eps'=-1."""
-    _, sigma, q = fiber_words(rep)
-    return _constant(theta, rep.N ** 2, word_kron(sigma, _ONE, q))
+    sigma = pauli_words(rep.sigma)
+    return _constant(theta, rep.N ** 2, word_kron(sigma, _ONE, rep.N.bit_length() - 1))
 
 
 @dataclass

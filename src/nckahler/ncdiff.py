@@ -16,9 +16,11 @@ The word (x, z) of q-bit masks is the signed permutation X^x Z^z:
 and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so compose and adjoint never
 form an m x m block.  Dense matrices enter through one Pauli transform
 (pauli_words) and leave only for residual_norm and to_json; apply permutes
-and signs rows.  compose, adjoint, sums and commutators accumulate every word
-product, scaled by one scalar (phase, binomial, derivative eigenvalue), under
-its (multi-index, mode, word), and drop words below PRUNE_TOL once, at the end.
+and signs rows.  compose, commutator and anticommutator are one kernel,
+P.Q + s Q.P (s = 0, -1, +1): both orders of a word pair give the word w1 ^ w2,
+with signs (-1)^{|z1 & x2|} and (-1)^{|z2 & x1|}, so each pair is formed once
+and, for commuting words in a commutator, adds nothing.  Every result drops
+words below PRUNE_TOL once, at the end.
 
 Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
 from Fourier exponent k to a constant rows x cols complex block (constant
@@ -39,17 +41,22 @@ import numpy as np
 from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
 
 
-@lru_cache(maxsize=None)
-def _pushes(alpha):
-    """(gamma, C(alpha, gamma), alpha - gamma) for all 0 <= gamma <= alpha."""
-    return tuple((gamma, math.prod(math.comb(a, g) for a, g in zip(alpha, gamma)),
-                  tuple(a - g for a, g in zip(alpha, gamma)))
-                 for gamma in iproduct(*(range(a + 1) for a in alpha)))
-
-
 def _deriv_factor(k, delta):
     """Eigenvalue of del^delta on U^k."""
     return math.prod((TWO_PI_I * kj) ** dj for kj, dj in zip(k, delta) if dj)
+
+
+@lru_cache(maxsize=4096)
+def _push_weights(alpha, beta, kp):
+    """(gamma + beta, C(alpha, gamma) (2 pi i k')^{alpha - gamma}) for every
+    0 <= gamma <= alpha whose weight is not 0: where A del^alpha . B del^beta
+    sends a block of B at mode k'."""
+    out = []
+    for gamma in iproduct(*(range(a + 1) for a in alpha)):
+        if f := _deriv_factor(kp, tuple(a - g for a, g in zip(alpha, gamma))):
+            coef = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+            out.append((tuple(g + b for g, b in zip(gamma, beta)), coef * f))
+    return tuple(out)
 
 
 def _accumulate(acc, idx, k, w, words):
@@ -276,6 +283,16 @@ def _act(words, cols):
     return np.array(out).T
 
 
+def _pruned(blocks):
+    """{k: words} without the words below PRUNE_TOL and the blocks they empty."""
+    out = {}
+    for k, words in blocks.items():
+        words = {w: c for w, c in words.items() if abs(c) >= PRUNE_TOL}
+        if words:
+            out[k] = words
+    return out
+
+
 class WordMatrix:
     """m x m matrix of torus elements, m = 2^q, blocked by Fourier mode: each
     block is a sum of Pauli words, {k: {(x, z): c}}; words below PRUNE_TOL are
@@ -287,11 +304,7 @@ class WordMatrix:
         _check_fiber(m)
         self.theta = theta
         self.m = m
-        self.blocks = {}
-        for k, words in (blocks or {}).items():
-            words = {w: c for w, c in words.items() if abs(c) >= PRUNE_TOL}
-            if words:
-                self.blocks[k] = words
+        self.blocks = _pruned(blocks or {})
 
     @classmethod
     def from_dense(cls, tm):
@@ -393,51 +406,52 @@ class NCDiffOp:
         return self._sum(other, -1)
 
     def scale(self, z):
-        return NCDiffOp(self.theta, self.m, {
-            a: WordMatrix(self.theta, self.m, {k: {w: z * c for w, c in words.items()}
-                                               for k, words in M.blocks.items()})
-            for a, M in self.terms.items()})
+        return self._from_acc({a: {k: {w: z * c for w, c in words.items()}
+                                   for k, words in M.blocks.items()}
+                               for a, M in self.terms.items()})
 
-    def _compose_into(self, acc, other, sign):
-        """acc += sign * self . other by the iterated Leibniz rule
+    def _product(self, other, sign):
+        """self . other + sign * other . self (sign 0, 1 or -1), pruned once, by
 
             A del^alpha . B del^beta = sum_{gamma <= alpha} C(alpha, gamma)
-                                       A (del^{alpha - gamma} B) del^{gamma + beta}:
+                                       A (del^{alpha - gamma} B) del^{gamma + beta}.
 
-        each word product of a block pair is formed once and added, with the
-        phase, the binomial, the derivative eigenvalue and the sign folded into
-        one scalar, to every (gamma + beta, k + k') it reaches."""
+        Per multi-index, a block pair's weights of both orders (phase, binomial,
+        derivative eigenvalue) merge into (f, g); a word pair adds
+        (+-f +- g) c1 c2 under w1 ^ w2, signed by |z1 & x2| and |z2 & x1|."""
         self._check(other)
-        theta = self.theta
-        for alpha, A in self.terms.items():
-            pushes = _pushes(alpha)
-            for beta, B in other.terms.items():
-                targets = [(tuple(g + b for g, b in zip(gamma, beta)), sign * coef, delta)
-                           for gamma, coef, delta in pushes]
-                weights = {kp: [(idx, coef * f) for idx, coef, delta in targets
-                                if (f := _deriv_factor(kp, delta)) != 0]
-                           for kp in B.blocks}
-                for k, a in A.blocks.items():
-                    for kp, b in B.blocks.items():
-                        if not weights[kp]:
-                            continue
-                        ab = word_product(a, b)
-                        lam = theta.phase(k, kp)
-                        kk = tuple(x + y for x, y in zip(k, kp))
-                        for idx, w in weights[kp]:
-                            _accumulate(acc, idx, kk, lam * w, ab)
-        return acc
+        theta, acc = self.theta, {}
+        for (alpha, A), (beta, B) in iproduct(self.terms.items(), other.terms.items()):
+            for (k, a), (kp, b) in iproduct(A.blocks.items(), B.blocks.items()):
+                lam = theta.phase(k, kp)
+                fg = {idx: [lam * w, 0] for idx, w in _push_weights(alpha, beta, kp)}
+                if sign:
+                    mu = sign * theta.phase(kp, k)
+                    for idx, w in _push_weights(beta, alpha, k):
+                        fg.setdefault(idx, [0, 0])[1] = mu * w
+                kk = tuple(x + y for x, y in zip(k, kp))
+                for idx, (f, g) in fg.items():
+                    table = (f + g, f - g, -f + g, -f - g)
+                    block = acc.setdefault(idx, {}).setdefault(kk, {})
+                    for (x1, z1), c1 in a.items():
+                        for (x2, z2), c2 in b.items():
+                            # 0 for commuting words in a commutator: nothing to add
+                            if t := table[(z1 & x2).bit_count() % 2 * 2
+                                          + (z2 & x1).bit_count() % 2]:
+                                word = (x1 ^ x2, z1 ^ z2)
+                                c = t * (c1 * c2)
+                                block[word] = block[word] + c if word in block else c
+        return self._from_acc(acc)
 
     def compose(self, other):
-        """Normal-ordered product self . other, pruned once."""
-        return self._from_acc(self._compose_into({}, other, 1))
+        """Normal-ordered product self . other."""
+        return self._product(other, 0)
 
     def commutator(self, other):
-        """self . other - other . self in one accumulator, pruned once."""
-        return self._from_acc(other._compose_into(self._compose_into({}, other, 1), self, -1))
+        return self._product(other, -1)
 
     def anticommutator(self, other):
-        return self._from_acc(other._compose_into(self._compose_into({}, other, 1), self, 1))
+        return self._product(other, 1)
 
     def adjoint(self):
         """Formal adjoint w.r.t. <x,y> = sum_i tau(x_i* y_i), using
@@ -445,26 +459,30 @@ class NCDiffOp:
         (-1)^|alpha| sum_{gamma <= alpha} C(alpha, gamma) (del^{alpha - gamma} M*) del^gamma,
         accumulated over the blocks of M* in one pass and pruned once.  M* maps
         the block c X^x Z^z of U^k to star_phase(k) (X^x Z^z)^dagger at U^-k."""
-        theta = self.theta
+        theta, zero = self.theta, (0,) * self.theta.n
         acc = {}
         for alpha, M in self.terms.items():
             sign = (-1) ** sum(alpha)
-            pushes = _pushes(alpha)
             for k, words in M.blocks.items():
                 mk = tuple(-x for x in k)
                 mu = theta.star_phase(k)
                 starred = {w: mu * c for w, c in word_adjoint(words).items()}
-                for gamma, coef, delta in pushes:
-                    f = _deriv_factor(mk, delta)
-                    if f != 0:
-                        _accumulate(acc, gamma, mk, sign * coef * f, starred)
+                for gamma, w in _push_weights(alpha, zero, mk):
+                    _accumulate(acc, gamma, mk, sign * w, starred)
         return self._from_acc(acc)
 
     def _from_acc(self, acc):
         """The operator of accumulated {alpha: {mode: {word: c}}}, dropping every
-        word below PRUNE_TOL."""
-        return NCDiffOp(self.theta, self.m,
-                        {a: WordMatrix(self.theta, self.m, blocks) for a, blocks in acc.items()})
+        word below PRUNE_TOL.  Its keys come from checked operands, so the
+        constructors' checks are skipped."""
+        theta, m = self.theta, self.m
+        op = object.__new__(NCDiffOp)
+        op.theta, op.m, op.terms = theta, m, {}
+        for alpha, blocks in acc.items():
+            if blocks := _pruned(blocks):
+                M = op.terms[alpha] = object.__new__(WordMatrix)
+                M.theta, M.m, M.blocks = theta, m, blocks
+        return op
 
     # -- action and comparison ---------------------------------------------
 

@@ -108,6 +108,11 @@ class TestVerify:
         a.pop("timestamp"), b.pop("timestamp")
         assert a == b
 
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--n", "4", "--dump-ops", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
     def test_dump_ops(self, theta2_file, capsys):
         path, _ = theta2_file
         assert main(["verify", "--theta", path, "--eps-prime", "+1",
@@ -271,3 +276,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("n", ["3", "12"])
     def test_bad_dimension_exit_2(self, n, capsys):
         assert main(["clifford", "--n", n]) == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "--matching", "1-2,3-4"], ["forms"]],
+                             ids=["verify", "forms"])
+    def test_n_contradicting_theta_exit_2(self, argv, theta4_file, tmp_path, capsys):
+        path, _ = theta4_file
+        out = tmp_path / "report.json"
+        assert main(argv + ["--theta", path, "--n", "6", "--out", str(out)]) == 2
+        assert "contradicts" in capsys.readouterr().err and not out.exists()
+        assert main(argv + ["--theta", path, "--n", "4"]) == 0

@@ -206,6 +206,26 @@ class TestWordBuilders:
         build_kahler_package(theta, rep=build_gamma(n))
         assert len(calls) == n + 1
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_transforms_per_grid_matching(self, n, monkeypatch):
+        # two packages, then sigma alone for the pm intertwiner; the real
+        # structure's Dirac operator transforms the gammas alone
+        calls = []
+        transform = kahler.pauli_words
+
+        def counting(mat):
+            calls.append(1)
+            return transform(mat)
+
+        monkeypatch.setattr(kahler, "pauli_words", counting)
+        theta = ThetaMatrix.random(n, np.random.default_rng(n))
+        rep = build_gamma(n)
+        verify_grid(theta, enumerate_matchings(n)[:1], (1, -1), rep=rep)
+        assert len(calls) <= 2 * (n + 1) + 1
+        calls.clear()
+        kahler.build_dirac(rep, theta)
+        assert len(calls) == n
+
     def test_n8_grid_exact(self):
         theta = ThetaMatrix.random(8, np.random.default_rng(8))
         rp = verify_grid(theta, enumerate_matchings(8)[:1], (1, -1))

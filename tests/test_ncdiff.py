@@ -5,6 +5,8 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nckahler.ncdiff import (
     NCDiffOp,
@@ -136,9 +138,16 @@ def assert_pruned(op):
             assert words and min(abs(c) for c in words.values()) >= PRUNE_TOL
 
 
+def assert_close(got, want):
+    # magnitudes reach 1e6 through (2 pi k)^alpha; compare relative
+    scale = max(1.0, want.residual_norm())
+    assert (got - want).residual_norm() <= 1e-12 * scale
+    assert_pruned(got)
+
+
 class TestAgainstPerTermOracle:
-    """compose/adjoint accumulate word products in one pass; the per-term
-    Leibniz loop above, on dense blocks, is the reference."""
+    """compose, the brackets and adjoint form each word pair once; the
+    per-term Leibniz loop above, on dense blocks, is the reference."""
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_random_pairs(self, n):
@@ -149,10 +158,28 @@ class TestAgainstPerTermOracle:
             Q = NCDiffOp.random(theta, 2, rng, max_degree=2)
             for got, want in ((P.compose(Q), oracle_compose(P, Q)),
                               (P.adjoint(), oracle_adjoint(P))):
-                # magnitudes reach 1e6 through (2 pi k)^alpha; compare relative
-                scale = max(1.0, want.residual_norm())
-                assert (got - want).residual_norm() <= 1e-12 * scale
-                assert_pruned(got)
+                assert_close(got, want)
+
+    @pytest.mark.parametrize("n, m, theta_seed", [(2, 2, 51), (2, 2, 52), (2, 4, 53),
+                                                  (4, 2, 54), (4, 2, 55)])
+    def test_brackets(self, n, m, theta_seed):
+        theta = ThetaMatrix.random(n, np.random.default_rng(theta_seed))
+        for seed in range(3):
+            rng = np.random.default_rng(100 * theta_seed + seed)
+            P = NCDiffOp.random(theta, m, rng, max_degree=2, radius=1)
+            Q = NCDiffOp.random(theta, m, rng, max_degree=2, radius=1)
+            pq, qp = oracle_compose(P, Q), oracle_compose(Q, P)
+            assert_close(P.commutator(Q), pq - qp)
+            assert_close(P.anticommutator(Q), pq + qp)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(0, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_compose_hypothesis(self, seed, n, max_degree):
+        rng = np.random.default_rng(seed)
+        theta = ThetaMatrix.random(n, rng)
+        P = NCDiffOp.random(theta, 2, rng, max_degree=max_degree)
+        Q = NCDiffOp.random(theta, 2, rng, max_degree=max_degree)
+        assert_close(P.compose(Q), oracle_compose(P, Q))
 
     def test_exact_cancellation_stores_nothing(self):
         a = TorusElement.random(THETA, np.random.default_rng(3))
