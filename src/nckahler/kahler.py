@@ -12,6 +12,7 @@ legs concatenates their masks (word_kron): no N^2 x N^2 matrix is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -341,9 +342,15 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
 def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
                           radius=3, samples=20):
     """The real-structure conditions for J = (a -> a*) tensor J_N on the C^N
-    fiber: J D = eps' D J on monomial basis vectors in a box, plus the zero-
-    and first-order conditions [JaJ*, b] = [JaJ*, [D, b]] = 0 on sampled
-    monomial pairs."""
+    fiber: J D = eps' D J on the monomial basis vectors e_i U^k of 12 modes k
+    of the box [-radius, radius]^n, plus the zero- and first-order conditions
+    [JaJ*, b] = [JaJ*, [D, b]] = 0 on sampled monomial pairs.
+
+    Each operator acts once on a block of basis vectors, the columns of an
+    (N, N) TorusMatrix (column i of a result is the operator on e_i): for
+    J D the identity at every sampled mode at once, which holds only while
+    D's coefficients sit at mode 0, and for the pair conditions the identity
+    at mode 0.  A call makes 2 + 2 * samples NCDiffOp.apply calls."""
     tol = default_tol() if tol is None else tol
     rng = np.random.default_rng(11) if rng is None else rng
     rep = build_gamma(theta.n) if rep is None else rep
@@ -353,6 +360,7 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     eps, eps_p, _ = rep.signs(variant)
     D = build_dirac(rep, theta)
     N = rep.N
+    eye = np.eye(N, dtype=complex)
 
     def J(v):
         # (J v)_i = sum_j C_ij v_j*: block k goes to mode -k as star_phase(k) C conj(b)
@@ -364,31 +372,39 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
         # J^2 = eps I, so J^{-1} = eps J
         return J(a.matmul(J(v))).scale(eps)
 
-    res = 0.0
-    for m in _box_sample(theta.n, radius, rng, 12):
-        for i in range(N):
-            v = TorusMatrix.unit_column(theta, N, i, m)
-            res = max(res, (J(D.apply(v)) - D.apply(J(v)).scale(eps_p)).norm())
-    rp.add("J D = eps' D J", res)
+    # D's coefficients sit at mode 0, so D.apply keeps the block of mode k at
+    # k and J moves it to -k: no two sampled modes merge, and the norm is the
+    # max over every (mode, basis vector)
+    basis = TorusMatrix(theta, (N, N),
+                        {k: eye for k in _box_sample(theta.n, radius, rng, 12)})
+    rp.add("J D = eps' D J",
+           (J(D.apply(basis)) - D.apply(J(basis)).scale(eps_p)).norm())
 
+    ident = TorusMatrix.constant(theta, eye)
     res0 = res1 = 0.0
     for _ in range(samples):
         ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
         mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
         a = TorusMatrix.scalar_element(TorusElement.monomial(theta, ma), N)
+        # b applied to the identity is b itself
         b = TorusMatrix.scalar_element(TorusElement.monomial(theta, mb), N)
         Db = D.commutator(NCDiffOp.mult(TorusElement.monomial(theta, mb), N))
-        for i in range(N):
-            v = TorusMatrix.unit_column(theta, N, i)
-            res0 = max(res0, (JaJstar(a, b.matmul(v)) - b.matmul(JaJstar(a, v))).norm())
-            res1 = max(res1, (JaJstar(a, Db.apply(v)) - Db.apply(JaJstar(a, v))).norm())
+        ja = JaJstar(a, ident)
+        res0 = max(res0, (JaJstar(a, b) - b.matmul(ja)).norm())
+        res1 = max(res1, (JaJstar(a, Db.apply(ident)) - Db.apply(ja)).norm())
     rp.add("[J a J*, b] = 0", res0)
     rp.add("[J a J*, [D, b]] = 0", res1)
     return rp
 
 
 def _box_sample(n, radius, rng, count):
-    """A deterministic handful of exponents in box(radius), corners included."""
+    """A deterministic handful of exponents in box(radius), corners included;
+    the whole box when it holds fewer than `count` modes."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    side = range(-radius, radius + 1)
+    if len(side) ** n < count:
+        return list(iproduct(side, repeat=n))
     out = {(0,) * n, (radius,) + (0,) * (n - 1), (-radius,) * n}
     while len(out) < count:
         out.add(tuple(int(x) for x in rng.integers(-radius, radius + 1, size=n)))

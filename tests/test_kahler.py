@@ -1,6 +1,8 @@
 """Matchings, Dirac lifts, and the N=(2,2) verification chain."""
 
 import dataclasses
+import signal
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from nckahler.kahler import (
     verify_pm_conjugation,
     verify_real_structure,
 )
-from nckahler.ncdiff import NCDiffOp
-from nckahler.torus import ThetaMatrix
+from nckahler.ncdiff import NCDiffOp, TorusMatrix
+from nckahler.torus import ThetaMatrix, TorusElement
 
 RNG = np.random.default_rng(200)
 THETA2 = ThetaMatrix.random(2, RNG)
@@ -298,6 +300,54 @@ class TestDistinctness:
         assert verify_distinctness(THETA4, 4, rep=REP4)
 
 
+def oracle_box_sample(n, radius, rng, count):
+    out = {(0,) * n, (radius,) + (0,) * (n - 1), (-radius,) * n}
+    while len(out) < count:
+        out.add(tuple(int(x) for x in rng.integers(-radius, radius + 1, size=n)))
+    return sorted(out)
+
+
+def oracle_real_structure(theta, rep, variant, radius=3, samples=20):
+    """The three residuals of verify_real_structure, one unit column e_i U^k
+    and one apply at a time, with the default rng."""
+    rng = np.random.default_rng(11)
+    C = rep.conj_matrix(variant)
+    eps, eps_p, _ = rep.signs(variant)
+    D = build_dirac(rep, theta)
+    N = rep.N
+
+    def J(v):
+        out = {tuple(-x for x in k): theta.star_phase(k) * (C @ b.conj())
+               for k, b in v.blocks.items()}
+        return TorusMatrix(theta, v.shape, out)
+
+    def JaJstar(a, v):
+        return J(a.matmul(J(v))).scale(eps)
+
+    res = 0.0
+    for m in oracle_box_sample(theta.n, radius, rng, 12):
+        for i in range(N):
+            v = TorusMatrix.unit_column(theta, N, i, m)
+            res = max(res, (J(D.apply(v)) - D.apply(J(v)).scale(eps_p)).norm())
+
+    res0 = res1 = 0.0
+    for _ in range(samples):
+        ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
+        mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
+        a = TorusMatrix.scalar_element(TorusElement.monomial(theta, ma), N)
+        b = TorusMatrix.scalar_element(TorusElement.monomial(theta, mb), N)
+        Db = D.commutator(NCDiffOp.mult(TorusElement.monomial(theta, mb), N))
+        for i in range(N):
+            v = TorusMatrix.unit_column(theta, N, i)
+            res0 = max(res0, (JaJstar(a, b.matmul(v)) - b.matmul(JaJstar(a, v))).norm())
+            res1 = max(res1, (JaJstar(a, Db.apply(v)) - Db.apply(JaJstar(a, v))).norm())
+    return res, res0, res1
+
+
+def residuals(rp):
+    return tuple(c.residual for c in rp.checks)
+
+
 class TestRealStructure:
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     def test_n2(self, variant):
@@ -315,3 +365,67 @@ class TestRealStructure:
         rp = verify_real_structure(theta, rep=bad, variant="plus")
         assert [c.name for c in rp.failures()] == ["J D = eps' D J"]
         assert rp.failures()[0].residual > 50
+        assert residuals(rp) == oracle_real_structure(theta, bad, "plus")
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_equals_unit_column_oracle(self, n, variant):
+        # one apply per operator over every basis column and mode gives the
+        # residuals of one apply per unit column, bit for bit
+        rep = build_gamma(n)
+        for seed in range(1, 6):
+            theta = ThetaMatrix.random(n, np.random.default_rng(seed))
+            rp = verify_real_structure(theta, rep=rep, variant=variant)
+            assert residuals(rp) == oracle_real_structure(theta, rep, variant)
+
+    def test_apply_count(self, monkeypatch):
+        # J D: D applied once to J(basis) and once to the basis; then [D, b]
+        # once to the identity and once to J a J* per sample (512 one column at a time)
+        calls = 0
+        apply = NCDiffOp.apply
+
+        def counted(op, v):
+            nonlocal calls
+            calls += 1
+            return apply(op, v)
+
+        monkeypatch.setattr(NCDiffOp, "apply", counted)
+        theta = ThetaMatrix.random(6, np.random.default_rng(3))
+        verify_real_structure(theta, rep=build_gamma(6), samples=20)
+        assert calls <= 2 + 2 * 20
+
+    def test_scaled_gamma_fails_jd_only(self):
+        # i gamma_1 breaks J D = eps' D J in its del_1 part by 2 * 2 pi |k_1|
+        # at each stacked mode k, most at the corners k_1 = +-3; no D enters
+        # [J a J*, b]
+        g = list(REP4.gammas)
+        bad = dataclasses.replace(REP4, gammas=[1j * g[0]] + g[1:])
+        rp = verify_real_structure(THETA4, rep=bad, variant="plus")
+        jd, zero, _ = rp.checks
+        assert not jd.passed and jd.residual == pytest.approx(12 * np.pi)
+        assert zero.residual == 0.0
+        assert residuals(rp) == oracle_real_structure(THETA4, bad, "plus")
+
+    def test_box_sample_draws_unchanged(self):
+        for n, radius, seed in ((2, 3, 11), (4, 3, 11), (6, 2, 5), (2, 2, 1)):
+            got = kahler._box_sample(n, radius, np.random.default_rng(seed), 12)
+            assert got == oracle_box_sample(n, radius, np.random.default_rng(seed), 12)
+
+    def test_box_smaller_than_sample_count(self):
+        # a radius-1 box on n = 2 holds 9 modes, fewer than the 12 sampled:
+        # each mode is checked once, and the call returns
+        def hang(signum, frame):
+            raise TimeoutError("_box_sample did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            modes = kahler._box_sample(2, 1, np.random.default_rng(0), 12)
+            rp = verify_real_structure(THETA2, rep=REP2, radius=1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert modes == sorted(iproduct(range(-1, 2), repeat=2))
+        assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
+        with pytest.raises(ValueError):
+            verify_real_structure(THETA2, rep=REP2, radius=-1)
