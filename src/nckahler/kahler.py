@@ -237,36 +237,55 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
 # -- verification -----------------------------------------------------------
 
 
+def _products(jobs):
+    """{name: P . Q + s Q . P} for jobs {name: (P, Q, s)}, in one kernel pass."""
+    return dict(zip(jobs, NCDiffOp.products(list(jobs.values()))))
+
+
+def _core_chain_jobs(pkg, d2s):
+    """The products verify_core_chain checks, by name; d2s is d2*."""
+    DD, DDbar, d, d2, I_op = pkg.DD, pkg.DDbar, pkg.d, pkg.d2, pkg.I_op
+    return {"DD^2": (DD, DD, 0), "DDbar^2": (DDbar, DDbar, 0), "{DD,DDbar}": (DD, DDbar, 1),
+            "d^2": (d, d, 0), "[Ts,d]": (pkg.T_script, d, -1),
+            "[I,Ts]": (I_op, pkg.T_script, -1), "[I,gt]": (I_op, pkg.gamma_tilde, -1),
+            "[I,star]": (I_op, pkg.hodge_star, -1), "[I,d2]": (I_op, d2, -1),
+            "{d,d2*}": (d, d2s, 1), "{d*,d2}": (pkg.d_star, d2, 1)}
+
+
+def _add_core_chain(rp, pkg, r):
+    """The checks of verify_core_chain on the products r of _core_chain_jobs."""
+    theta, m = pkg.theta, pkg.DD.m
+    # sum_j del_j^2, so that DD^2 = -sum del_r^2 reads DD^2 + lap = 0
+    lap = NCDiffOp.from_words(theta, m, {tuple(2 * a for a in _unit(theta.n, j)): _ONE
+                                         for j in range(1, theta.n + 1)})
+    rp.add("DD^2 = -sum del_r^2", (r["DD^2"] + lap).residual_norm())
+    rp.add("DDbar^2 = -sum del_r^2", (r["DDbar^2"] + lap).residual_norm())
+    rp.add("{DD, DDbar} = 0", r["{DD,DDbar}"].residual_norm())
+    rp.add("d^2 = 0", r["d^2"].residual_norm())
+    rp.add("[T_script, d] = d", (r["[Ts,d]"] - pkg.d).residual_norm())
+    rp.add("[I, T_script] = 0", r["[I,Ts]"].residual_norm())
+    rp.add("[I, gamma_tilde] = 0", r["[I,gt]"].residual_norm())
+    rp.add("[I, star] = 0", r["[I,star]"].residual_norm())
+    # build_kahler_package defines d2 = [I, d]
+    rp.add("[I, [I, d]] = -d", (r["[I,d2]"] + pkg.d).residual_norm())
+    rp.add("{d, d2*} = 0", r["{d,d2*}"].residual_norm())
+    rp.add("{d*, d2} = 0", r["{d*,d2}"].residual_norm())
+
+
 def verify_core_chain(pkg, tol=None):
     """The operator identities the construction rests on, before the full
     axiom checklist: squares of the lifted pair, nilpotency, [T,d]=d,
-    [I, .] commutations, [I,[I,d]]=-d, and the d/d2 cross relations."""
-    tol = default_tol() if tol is None else tol
-    rp = VerificationReport(tol=tol)
-    theta, m = pkg.theta, pkg.DD.m
-
-    lap = NCDiffOp.zero(theta, m)
-    for j in range(1, theta.n + 1):
-        dj = NCDiffOp.derivation(theta, m, j)
-        lap = lap + dj.compose(dj)
-    rp.add("DD^2 = -sum del_r^2", (pkg.DD.compose(pkg.DD) + lap).residual_norm())
-    rp.add("DDbar^2 = -sum del_r^2", (pkg.DDbar.compose(pkg.DDbar) + lap).residual_norm())
-    rp.add("{DD, DDbar} = 0", pkg.DD.anticommutator(pkg.DDbar).residual_norm())
-    rp.add("d^2 = 0", pkg.d.compose(pkg.d).residual_norm())
-    rp.add("[T_script, d] = d", (pkg.T_script.commutator(pkg.d) - pkg.d).residual_norm())
-    rp.add("[I, T_script] = 0", pkg.I_op.commutator(pkg.T_script).residual_norm())
-    rp.add("[I, gamma_tilde] = 0", pkg.I_op.commutator(pkg.gamma_tilde).residual_norm())
-    rp.add("[I, star] = 0", pkg.I_op.commutator(pkg.hodge_star).residual_norm())
-    # build_kahler_package defines d2 = [I, d]
-    rp.add("[I, [I, d]] = -d", (pkg.I_op.commutator(pkg.d2) + pkg.d).residual_norm())
-    d2s = pkg.d2.adjoint()
-    rp.add("{d, d2*} = 0", pkg.d.anticommutator(d2s).residual_norm())
-    rp.add("{d*, d2} = 0", pkg.d_star.anticommutator(pkg.d2).residual_norm())
+    [I, .] commutations, [I,[I,d]]=-d, and the d/d2 cross relations; one
+    kernel pass."""
+    rp = VerificationReport(tol=default_tol() if tol is None else tol)
+    _add_core_chain(rp, pkg, _products(_core_chain_jobs(pkg, pkg.d2.adjoint())))
     return rp
 
 
 def verify_n22(pkg, tol=None, rng=None, samples=3):
-    """Full N=(2,2) axiom checklist for one package, as a report."""
+    """Full N=(2,2) axiom checklist for one package, as a report.  After the
+    adjoints, every product whose operands exist (the core chain's too) is
+    one kernel pass, and {del, [delbar, a]} over the samples a second."""
     tol = default_tol() if tol is None else tol
     rng = np.random.default_rng(7) if rng is None else rng
     rp = VerificationReport(tol=tol)
@@ -275,67 +294,79 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
         "matching": str(pkg.matching),
         "eps_prime": pkg.eps_prime,
     }
-    p, pb = pkg.del_hol, pkg.del_bar
-    ps, pbs = p.adjoint(), pb.adjoint()
+    p, pb, d = pkg.del_hol, pkg.del_bar, pkg.d
+    ps, pbs, ds, d2s = (op.adjoint() for op in (p, pb, d, pkg.d2))
     T, Tb = pkg.T, pkg.T_bar
     gt, st = pkg.gamma_tilde, pkg.hodge_star
+    mas = [NCDiffOp.mult(TorusElement.random(pkg.theta, rng, radius=1, terms=3), pkg.DD.m)
+           for _ in range(samples)]
 
-    rp.add("del^2 = 0", p.compose(p).residual_norm())
-    rp.add("delbar^2 = 0", pb.compose(pb).residual_norm())
-    rp.add("{del, delbar} = 0", p.anticommutator(pb).residual_norm())
-    rp.add("[T, Tbar] = 0", T.commutator(Tb).residual_norm())
-    rp.add("[T, del] = del", (T.commutator(p) - p).residual_norm())
-    rp.add("[T, delbar] = 0", T.commutator(pb).residual_norm())
-    rp.add("[Tbar, del] = 0", Tb.commutator(p).residual_norm())
-    rp.add("[Tbar, delbar] = delbar", (Tb.commutator(pb) - pb).residual_norm())
+    jobs = {"del^2": (p, p, 0), "delbar^2": (pb, pb, 0), "{del,delbar}": (p, pb, 1),
+            "[T,Tbar]": (T, Tb, -1), "[T,del]": (T, p, -1), "[T,delbar]": (T, pb, -1),
+            "[Tbar,del]": (Tb, p, -1), "[Tbar,delbar]": (Tb, pb, -1),
+            "{gt,del}": (gt, p, 1), "{gt,delbar}": (gt, pb, 1),
+            "[gt,T]": (gt, T, -1), "[gt,Tbar]": (gt, Tb, -1),
+            "star del": (st, p, 0), "delbar* star": (pbs, st, 0),
+            "star delbar": (st, pb, 0), "del* star": (ps, st, 0),
+            "{del,delbar*}": (p, pbs, 1), "{delbar,del*}": (pb, ps, 1),
+            "{del,del*}": (p, ps, 1), "{delbar,delbar*}": (pb, pbs, 1),
+            "{d,d*}": (d, pkg.d_star, 1), "{d2,d2*}": (pkg.d2, d2s, 1),
+            **_core_chain_jobs(pkg, d2s)}
+    for s, ma in enumerate(mas):
+        jobs |= {("[T,a]", s): (T, ma, -1), ("[Tbar,a]", s): (Tb, ma, -1),
+                 ("[del,a]", s): (p, ma, -1), ("[delbar,a]", s): (pb, ma, -1)}
+    r = _products(jobs)
+    nested = NCDiffOp.products([(p, r["[delbar,a]", s], 1) for s in range(samples)])
+
+    rp.add("del^2 = 0", r["del^2"].residual_norm())
+    rp.add("delbar^2 = 0", r["delbar^2"].residual_norm())
+    rp.add("{del, delbar} = 0", r["{del,delbar}"].residual_norm())
+    rp.add("[T, Tbar] = 0", r["[T,Tbar]"].residual_norm())
+    rp.add("[T, del] = del", (r["[T,del]"] - p).residual_norm())
+    rp.add("[T, delbar] = 0", r["[T,delbar]"].residual_norm())
+    rp.add("[Tbar, del] = 0", r["[Tbar,del]"].residual_norm())
+    rp.add("[Tbar, delbar] = delbar", (r["[Tbar,delbar]"] - pb).residual_norm())
 
     for s in range(samples):
-        a = TorusElement.random(pkg.theta, rng, radius=1, terms=3)
-        ma = NCDiffOp.mult(a, pkg.DD.m)
-        rp.add(f"[T, a] = 0 (sample {s})", T.commutator(ma).residual_norm())
-        rp.add(f"[Tbar, a] = 0 (sample {s})", Tb.commutator(ma).residual_norm())
+        rp.add(f"[T, a] = 0 (sample {s})", r["[T,a]", s].residual_norm())
+        rp.add(f"[Tbar, a] = 0 (sample {s})", r["[Tbar,a]", s].residual_norm())
         # "bounded" commutators = derivation degree 0 in normal form; a degree
         # is an integer, so these pass below 0.5 whatever the run's tol
-        com_pb = pb.commutator(ma)
         rp.add(f"[del, a] degree-0 (sample {s})",
-               float(p.commutator(ma).max_degree()), tol=0.5)
-        rp.add(f"[delbar, a] degree-0 (sample {s})", float(com_pb.max_degree()), tol=0.5)
+               float(r["[del,a]", s].max_degree()), tol=0.5)
+        rp.add(f"[delbar, a] degree-0 (sample {s})",
+               float(r["[delbar,a]", s].max_degree()), tol=0.5)
         rp.add(f"{{del, [delbar, a]}} degree-0 (sample {s})",
-               float(p.anticommutator(com_pb).max_degree()), tol=0.5)
+               float(nested[s].max_degree()), tol=0.5)
 
-    rp.add("{gamma_tilde, del} = 0", gt.anticommutator(p).residual_norm())
-    rp.add("{gamma_tilde, delbar} = 0", gt.anticommutator(pb).residual_norm())
-    rp.add("[gamma_tilde, T] = 0", gt.commutator(T).residual_norm())
-    rp.add("[gamma_tilde, Tbar] = 0", gt.commutator(Tb).residual_norm())
+    rp.add("{gamma_tilde, del} = 0", r["{gt,del}"].residual_norm())
+    rp.add("{gamma_tilde, delbar} = 0", r["{gt,delbar}"].residual_norm())
+    rp.add("[gamma_tilde, T] = 0", r["[gt,T]"].residual_norm())
+    rp.add("[gamma_tilde, Tbar] = 0", r["[gt,Tbar]"].residual_norm())
 
     # Hodge relations with zeta = -1: star del = -delbar* star, star delbar = -del* star
     rp.add("star del = -delbar* star",
-           (st.compose(p) + pbs.compose(st)).residual_norm())
+           (r["star del"] + r["delbar* star"]).residual_norm())
     rp.add("star delbar = -del* star",
-           (st.compose(pb) + ps.compose(st)).residual_norm())
+           (r["star delbar"] + r["del* star"]).residual_norm())
 
-    rp.add("{del, delbar*} = 0", p.anticommutator(pbs).residual_norm())
-    rp.add("{delbar, del*} = 0", pb.anticommutator(ps).residual_norm())
-    lap_d = p.anticommutator(ps)
-    lap_db = pb.anticommutator(pbs)
-    rp.add("{del, del*} = {delbar, delbar*}", (lap_d - lap_db).residual_norm())
+    rp.add("{del, delbar*} = 0", r["{del,delbar*}"].residual_norm())
+    rp.add("{delbar, del*} = 0", r["{delbar,del*}"].residual_norm())
+    lap_db = r["{delbar,delbar*}"]
+    rp.add("{del, del*} = {delbar, delbar*}", (r["{del,del*}"] - lap_db).residual_norm())
 
     # structural consistency of the package
-    rp.add("d = del + delbar", (p + pb - pkg.d).residual_norm())
-    rp.add("d + d* = DD", (pkg.d + pkg.d_star - pkg.DD).residual_norm())
+    rp.add("d = del + delbar", (p + pb - d).residual_norm())
+    rp.add("d + d* = DD", (d + pkg.d_star - pkg.DD).residual_norm())
     rp.add("T_script = T + Tbar", (T + Tb - pkg.T_script).residual_norm())
-    rp.add("d* = (DD + i DDbar)/2",
-           (pkg.d.adjoint() - pkg.d_star).residual_norm())
+    rp.add("d* = (DD + i DDbar)/2", (ds - pkg.d_star).residual_norm())
 
     # Laplacian equalities
-    lap = pkg.d.anticommutator(pkg.d_star)
-    d2s = pkg.d2.adjoint()
-    rp.add("{d, d*} = {d2, d2*}",
-           (lap - pkg.d2.anticommutator(d2s)).residual_norm())
-    rp.add("{d, d*} = 2{delbar, delbar*}",
-           (lap - lap_db.scale(2.0)).residual_norm())
+    lap = r["{d,d*}"]
+    rp.add("{d, d*} = {d2, d2*}", (lap - r["{d2,d2*}"]).residual_norm())
+    rp.add("{d, d*} = 2{delbar, delbar*}", (lap - lap_db.scale(2.0)).residual_norm())
 
-    rp.extend(verify_core_chain(pkg, tol=tol))
+    _add_core_chain(rp, pkg, r)
     return rp
 
 
@@ -350,7 +381,8 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     (N, N) TorusMatrix (column i of a result is the operator on e_i): for
     J D the identity at every sampled mode at once, which holds only while
     D's coefficients sit at mode 0, and for the pair conditions the identity
-    at mode 0.  A call makes 2 + 2 * samples NCDiffOp.apply calls."""
+    at mode 0.  A call makes 2 + 2 * samples NCDiffOp.apply calls, and one
+    kernel pass (NCDiffOp.products) forms every sample's [D, b]."""
     tol = default_tol() if tol is None else tol
     rng = np.random.default_rng(11) if rng is None else rng
     rep = build_gamma(theta.n) if rep is None else rep
@@ -381,14 +413,18 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
            (J(D.apply(basis)) - D.apply(J(basis)).scale(eps_p)).norm())
 
     ident = TorusMatrix.constant(theta, eye)
-    res0 = res1 = 0.0
+    modes = []
     for _ in range(samples):
         ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
         mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
+        modes.append((ma, mb))
+    Dbs = NCDiffOp.products([(D, NCDiffOp.mult(TorusElement.monomial(theta, mb), N), -1)
+                             for _, mb in modes])
+    res0 = res1 = 0.0
+    for (ma, mb), Db in zip(modes, Dbs):
         a = TorusMatrix.scalar_element(TorusElement.monomial(theta, ma), N)
         # b applied to the identity is b itself
         b = TorusMatrix.scalar_element(TorusElement.monomial(theta, mb), N)
-        Db = D.commutator(NCDiffOp.mult(TorusElement.monomial(theta, mb), N))
         ja = JaJstar(a, ident)
         res0 = max(res0, (JaJstar(a, b) - b.matmul(ja)).norm())
         res1 = max(res1, (JaJstar(a, Db.apply(ident)) - Db.apply(ja)).norm())
@@ -415,9 +451,9 @@ def verify_pm_conjugation(plus, minus):
     """Residual of W del_+ = del_- W and the delbar analogue for
     W = kron(sigma, 1), conjugating the eps' = +1 package into eps' = -1."""
     W = build_pm_intertwiner(plus.rep, plus.theta)
-    r1 = (W.compose(plus.del_hol) - minus.del_hol.compose(W)).residual_norm()
-    r2 = (W.compose(plus.del_bar) - minus.del_bar.compose(W)).residual_norm()
-    return max(r1, r2)
+    Wp, mW, Wpb, mbW = NCDiffOp.products([(W, plus.del_hol, 0), (minus.del_hol, W, 0),
+                                          (W, plus.del_bar, 0), (minus.del_bar, W, 0)])
+    return max((Wp - mW).residual_norm(), (Wpb - mbW).residual_norm())
 
 
 def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,

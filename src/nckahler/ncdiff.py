@@ -16,11 +16,19 @@ The word (x, z) of q-bit masks is the signed permutation X^x Z^z:
 and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so compose and adjoint never
 form an m x m block.  Dense matrices enter through one Pauli transform
 (pauli_words) and leave only for residual_norm and to_json; apply permutes
-and signs rows.  compose, commutator and anticommutator are one kernel,
-P.Q + s Q.P (s = 0, -1, +1): both orders of a word pair give the word w1 ^ w2,
-with signs (-1)^{|z1 & x2|} and (-1)^{|z2 & x1|}, so each pair is formed once
-and, for commuting words in a commutator, adds nothing.  Every result drops
-words below PRUNE_TOL once, at the end.
+and signs rows.
+
+NCDiffOp.products is the one product kernel: for a list of jobs (P, Q, s) it
+returns every P.Q + s Q.P (s = 0, -1, +1) from one vectorised pass, and
+compose, commutator and anticommutator are one-job calls.  Both orders of a
+word pair give the word w1 ^ w2, with signs (-1)^{|z1 & x2|} and
+(-1)^{|z2 & x1|} read from a parity table of the q-bit masks, so each pair is
+formed once and, for commuting words in a commutator, adds nothing.  A Python
+loop sets the weights of each block pair (phase, binomial, derivative
+eigenvalue); numpy then expands the word pairs of every job at once and sums
+each (job, target, word) with np.bincount, which adds in the order of the
+block and word loops, so every sum equals that loop's bit for bit.  Every
+result drops words below PRUNE_TOL once, at the end.
 
 Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
 from Fourier exponent k to a constant rows x cols complex block (constant
@@ -206,11 +214,18 @@ def _check_fiber(m):
 
 
 @lru_cache(maxsize=None)
+def _parity(m):
+    """P[i] = |i| mod 2 for every mask i < m (read-only)."""
+    parity = np.array([i.bit_count() & 1 for i in range(m)], dtype=np.intp)
+    parity.setflags(write=False)
+    return parity
+
+
+@lru_cache(maxsize=None)
 def _signs(m):
     """S[z, i] = (-1)^{|z & i|}: row z is the diagonal of Z^z (read-only)."""
-    parity = np.array([i.bit_count() & 1 for i in range(m)])
     idx = np.arange(m)
-    signs = 1.0 - 2.0 * parity[idx[:, None] & idx[None, :]]
+    signs = 1.0 - 2.0 * _parity(m)[idx[:, None] & idx[None, :]]
     signs.setflags(write=False)
     return signs
 
@@ -263,20 +278,23 @@ def word_kron(a, b, q):
             for (x1, z1), c1 in a.items() for (x2, z2), c2 in b.items()}
 
 
-def _act(words, cols):
-    """(sum_w c_w X^x Z^z) @ cols: entry r of X^x Z^z col is
-    (-1)^{|z & (r ^ x)|} times entry r ^ x.  The words of one x are first
-    summed into the matrix entries M[r, r ^ x], which then multiply their
-    column entries, as in the dense product."""
-    m = len(cols)
+def _entries(words, m):
+    """{x: [M[r, r ^ x] for r < m]}: the words of one x summed into the
+    entries of the signed permutation X^x, as (-1)^{|z & (r ^ x)|} c."""
     entries = {}
     for (x, z), c in words.items():
         e = entries.get(x, [0j] * m)
         entries[x] = [ei - c if (z & (r ^ x)).bit_count() & 1 else ei + c
                       for r, ei in enumerate(e)]
+    return entries
+
+
+def _act(entries, cols):
+    """M @ cols for the entries of M (_entries): entry r of a column is
+    sum_x M[r, r ^ x] col[r ^ x], as in the dense product."""
     out = []
     for col in cols.T.tolist():
-        acc = [0j] * m
+        acc = [0j] * len(col)
         for x, e in entries.items():
             acc = [a + er * col[r ^ x] for r, (a, er) in enumerate(zip(acc, e))]
         out.append(acc)
@@ -291,6 +309,97 @@ def _pruned(blocks):
         if words:
             out[k] = words
     return out
+
+
+def _flatten(op, flat, xs, zs, cs):
+    """[(alpha, [(mode, offset, length)])]: where each block of op's words
+    sits in the flat lists xs, zs, cs, to which op is appended once (flat
+    maps id(op) to this list)."""
+    out = flat.get(id(op))
+    if out is None:
+        out = flat[id(op)] = []
+        for alpha, M in op.terms.items():
+            blocks = []
+            for k, words in M.blocks.items():
+                blocks.append((k, len(cs), len(words)))
+                x, z = zip(*words)
+                xs += x
+                zs += z
+                cs += words.values()
+            out.append((alpha, blocks))
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _pair_weights(alpha, beta, k, kp, s, lam, mu):
+    """(((idx, k + k'), (f + g, f - g, -f + g, -f - g)), ...): per target
+    multi-index idx, the merged weights f of A del^alpha . B del^beta and g of
+    s B del^beta . A del^alpha for blocks of A at mode k and of B at k', with
+    the phases lam = lambda(k, k') and mu = lambda(k', k) (binomial,
+    derivative eigenvalue and phase)."""
+    fg = {idx: [lam * w, 0] for idx, w in _push_weights(alpha, beta, kp)}
+    if s:
+        mu = s * mu
+        for idx, w in _push_weights(beta, alpha, k):
+            fg.setdefault(idx, [0, 0])[1] = mu * w
+    kk = tuple(x + y for x, y in zip(k, kp))
+    return tuple(((idx, kk), (f + g, f - g, -f + g, -f - g)) for idx, (f, g) in fg.items())
+
+
+def _sum_word_pairs(m, xs, zs, cs, segments, table):
+    """(target, x, z, c) for every word sum of NCDiffOp.products that is not
+    below PRUNE_TOL, in order of first contribution.
+
+    A segment (a_off, a_len, b_off, b_len, target, row) pairs a_len words
+    from a_off with b_len words from b_off, a-word major; word pair (w1, w2)
+    adds table[4 row + 2 |z1 & x2| % 2 + |z2 & x1| % 2] c1 c2 under
+    (target, w1 ^ w2), and nothing where that factor is 0.  The complex
+    products are spelled out in real arithmetic as Python computes them
+    (numpy's complex multiply may fuse them), and np.bincount adds in input
+    order, so every sum is the loop's bit for bit.  A key packs (target, x, z)
+    into one integer, x and z taking q bits each for m = 2^q; the pair count
+    is known before any per-pair array is made."""
+    q = m.bit_length() - 1
+    x, z = np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64)
+    c = np.array(cs, dtype=complex)
+    segments = np.array(segments, dtype=np.int64).reshape(-1, 6)
+    a_off, a_len, b_off, b_len, target, row = segments.T
+    sizes = a_len * b_len
+    pairs = int(sizes.sum())
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    u, v = np.divmod(np.arange(pairs) - np.repeat(np.cumsum(sizes) - sizes, sizes), b_len[seg])
+    i, j = a_off[seg] + u, b_off[seg] + v
+    x1, z1, x2, z2 = x[i], z[i], x[j], z[j]
+    parity = _parity(m)
+    t = np.array(table, dtype=complex)[4 * row[seg] + 2 * parity[z1 & x2] + parity[z2 & x1]]
+    nz = t != 0
+    key = (target[seg] << 2 * q | (x1 ^ x2) << q | z1 ^ z2)[nz]
+    t, i, j = t[nz], i[nz], j[nz]
+    ar, ai, br, bi = c.real[i], c.imag[i], c.real[j], c.imag[j]
+    pr, pi = ar * br - ai * bi, ar * bi + ai * br
+    keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    re = np.bincount(inverse, t.real * pr - t.imag * pi, len(keys))
+    im = np.bincount(inverse, t.real * pi + t.imag * pr, len(keys))
+    # np.hypot rounds as Python's abs(complex) does
+    kept = np.flatnonzero(np.hypot(re, im) >= PRUNE_TOL)
+    kept = kept[np.argsort(first[kept])]
+    keys, sums = keys[kept], re[kept].astype(complex)
+    sums.imag = im[kept]
+    return zip((keys >> 2 * q).tolist(), (keys >> q & m - 1).tolist(),
+               (keys & m - 1).tolist(), sums.tolist())
+
+
+def _assemble(theta, m, acc):
+    """The NCDiffOp of {alpha: {mode: words}} with pruned, nonempty blocks,
+    less the multi-indices without blocks.  Its keys come from checked
+    operands, so the constructors' checks are skipped."""
+    op = object.__new__(NCDiffOp)
+    op.theta, op.m, op.terms = theta, m, {}
+    for alpha, blocks in acc.items():
+        if blocks:
+            M = op.terms[alpha] = object.__new__(WordMatrix)
+            M.theta, M.m, M.blocks = theta, m, blocks
+    return op
 
 
 class WordMatrix:
@@ -410,48 +519,73 @@ class NCDiffOp:
                                    for k, words in M.blocks.items()}
                                for a, M in self.terms.items()})
 
-    def _product(self, other, sign):
-        """self . other + sign * other . self (sign 0, 1 or -1), pruned once, by
+    @staticmethod
+    def products(jobs):
+        """[P . Q + s Q . P for (P, Q, s) in jobs] (s = 0, -1 or +1), every word
+        pair of every job in one vectorised pass, by
 
             A del^alpha . B del^beta = sum_{gamma <= alpha} C(alpha, gamma)
                                        A (del^{alpha - gamma} B) del^{gamma + beta}.
 
-        Per multi-index, a block pair's weights of both orders (phase, binomial,
-        derivative eigenvalue) merge into (f, g); a word pair adds
-        (+-f +- g) c1 c2 under w1 ^ w2, signed by |z1 & x2| and |z2 & x1|."""
-        self._check(other)
-        theta, acc = self.theta, {}
-        for (alpha, A), (beta, B) in iproduct(self.terms.items(), other.terms.items()):
-            for (k, a), (kp, b) in iproduct(A.blocks.items(), B.blocks.items()):
-                lam = theta.phase(k, kp)
-                fg = {idx: [lam * w, 0] for idx, w in _push_weights(alpha, beta, kp)}
-                if sign:
-                    mu = sign * theta.phase(kp, k)
-                    for idx, w in _push_weights(beta, alpha, k):
-                        fg.setdefault(idx, [0, 0])[1] = mu * w
-                kk = tuple(x + y for x, y in zip(k, kp))
-                for idx, (f, g) in fg.items():
-                    table = (f + g, f - g, -f + g, -f - g)
-                    block = acc.setdefault(idx, {}).setdefault(kk, {})
-                    for (x1, z1), c1 in a.items():
-                        for (x2, z2), c2 in b.items():
-                            # 0 for commuting words in a commutator: nothing to add
-                            if t := table[(z1 & x2).bit_count() % 2 * 2
-                                          + (z2 & x1).bit_count() % 2]:
-                                word = (x1 ^ x2, z1 ^ z2)
-                                c = t * (c1 * c2)
-                                block[word] = block[word] + c if word in block else c
-        return self._from_acc(acc)
+        Per block pair of a job, the weights of both orders (phase, binomial,
+        derivative eigenvalue) merge per target multi-index into (f, g); a word
+        pair adds (+-f +- g) c1 c2 under w1 ^ w2, signed by |z1 & x2| and
+        |z2 & x1|, and nothing where that factor is 0.  Each sum runs in the
+        order of the block and word loops, and every result drops the words
+        below PRUNE_TOL.  Jobs may differ in torus and fiber; each result is
+        over its P's."""
+        flat, xs, zs, cs = {}, [], [], []
+        # per (theta, alpha, beta, k, k', s): a (code, row) for each target of
+        # _pair_weights, where a target (idx, k + k') has one code per call and
+        # its factors (f + g, f - g, -f + g, -f - g) are row `row` of `table`
+        weights, codes, table = {}, {}, []
+        # six ints per segment (a block pair and one of its targets): offset
+        # and length of each operand block in the flat words, target, row
+        segments = []
+        targets = []  # (job, code) of each target
+        for job, (P, Q, s) in enumerate(jobs):
+            P._check(Q)
+            theta, target_of = P.theta, {}
+            p_terms, q_terms = (_flatten(op, flat, xs, zs, cs) for op in (P, Q))
+            for alpha, a_blocks in p_terms:
+                for beta, b_blocks in q_terms:
+                    for (k, a0, la), (kp, b0, lb) in iproduct(a_blocks, b_blocks):
+                        key = (theta, alpha, beta, k, kp, s)
+                        rows = weights.get(key)
+                        if rows is None:
+                            rows = weights[key] = []
+                            lam, mu = theta.phase(k, kp), theta.phase(kp, k)
+                            for target, f in _pair_weights(alpha, beta, k, kp, s, lam, mu):
+                                code = codes.setdefault(target, len(codes))
+                                rows.append((code, len(table) // 4))
+                                table += f
+                        for code, row in rows:
+                            tid = target_of.get(code)
+                            if tid is None:
+                                tid = target_of[code] = len(targets)
+                                targets.append((job, code))
+                            segments += (a0, la, b0, lb, tid, row)
+        m = max((P.m for P, _, _ in jobs), default=1)
+        words = [{} for _ in targets]
+        for t, x, z, c in _sum_word_pairs(m, xs, zs, cs, segments, table):
+            words[t][x, z] = c
+        accs, keys = [{} for _ in jobs], list(codes)
+        for (job, code), w in zip(targets, words):
+            idx, kk = keys[code]
+            blocks = accs[job].setdefault(idx, {})
+            if w:
+                blocks[kk] = w
+        return [_assemble(P.theta, P.m, acc) for (P, _, _), acc in zip(jobs, accs)]
 
     def compose(self, other):
         """Normal-ordered product self . other."""
-        return self._product(other, 0)
+        return NCDiffOp.products([(self, other, 0)])[0]
 
     def commutator(self, other):
-        return self._product(other, -1)
+        return NCDiffOp.products([(self, other, -1)])[0]
 
     def anticommutator(self, other):
-        return self._product(other, 1)
+        return NCDiffOp.products([(self, other, 1)])[0]
 
     def adjoint(self):
         """Formal adjoint w.r.t. <x,y> = sum_i tau(x_i* y_i), using
@@ -473,16 +607,8 @@ class NCDiffOp:
 
     def _from_acc(self, acc):
         """The operator of accumulated {alpha: {mode: {word: c}}}, dropping every
-        word below PRUNE_TOL.  Its keys come from checked operands, so the
-        constructors' checks are skipped."""
-        theta, m = self.theta, self.m
-        op = object.__new__(NCDiffOp)
-        op.theta, op.m, op.terms = theta, m, {}
-        for alpha, blocks in acc.items():
-            if blocks := _pruned(blocks):
-                M = op.terms[alpha] = object.__new__(WordMatrix)
-                M.theta, M.m, M.blocks = theta, m, blocks
-        return op
+        word below PRUNE_TOL."""
+        return _assemble(self.theta, self.m, {a: _pruned(b) for a, b in acc.items()})
 
     # -- action and comparison ---------------------------------------------
 
@@ -498,9 +624,10 @@ class NCDiffOp:
         for alpha, M in self.terms.items():
             dv = v.derive_multi(alpha)
             for k, words in M.blocks.items():
+                entries = _entries(words, self.m)
                 for kp, b in dv.blocks.items():
                     kk = tuple(x + y for x, y in zip(k, kp))
-                    term = theta.phase(k, kp) * _act(words, b)
+                    term = theta.phase(k, kp) * _act(entries, b)
                     out[kk] = out[kk] + term if kk in out else term
         return TorusMatrix(theta, v.shape, out)
 

@@ -24,6 +24,7 @@ from nckahler.kahler import (
 )
 from nckahler.ncdiff import NCDiffOp, TorusMatrix
 from nckahler.torus import ThetaMatrix, TorusElement
+from test_ncdiff import loop_product
 
 RNG = np.random.default_rng(200)
 THETA2 = ThetaMatrix.random(2, RNG)
@@ -96,12 +97,73 @@ class TestCoreChain:
             rp = verify_core_chain(pkg)
             assert rp.all_pass, (str(mt), [(c.name, c.residual) for c in rp.failures()])
 
-    def test_corrupted_I_fails(self):
+    def test_corrupted_I_fails(self, monkeypatch):
         pkg = build_kahler_package(THETA4, rep=REP4)
         pkg.I_op = pkg.I_op.scale(2.0)
-        bad = pkg.I_op.commutator(pkg.I_op.commutator(pkg.d)) + pkg.d
+
+        def residuals():
+            bad = pkg.I_op.commutator(pkg.I_op.commutator(pkg.d)) + pkg.d
+            return bad.residual_norm(), [c.residual for c in verify_n22(pkg).checks]
+
+        bad, checklist = residuals()
         # quadratic scaling: [2I,[2I,d]] + d = -4d + d = -3d
-        assert bad.residual_norm() > 1.0
+        assert bad > 1.0
+        assert max(checklist) > 0.1
+        with monkeypatch.context() as mp:
+            mp.setattr(NCDiffOp, "products", staticmethod(looped))
+            assert residuals() == (bad, checklist)
+
+
+def looped(jobs):
+    """NCDiffOp.products one job at a time by the word-pair loop."""
+    return [loop_product(P, Q, s) for P, Q, s in jobs]
+
+
+class TestKernelPasses:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_grid_equals_word_pair_loop(self, n, monkeypatch):
+        # every residual of the grid, all matchings and both eps', bit for bit
+        rep = build_gamma(n)
+        for seed in (1, 2, 3):
+            theta = ThetaMatrix.random(n, np.random.default_rng(seed))
+
+            def grid():
+                rp = verify_grid(theta, enumerate_matchings(n), (1, -1), rep=rep)
+                return [(c.name, c.residual) for c in rp.checks]
+
+            got = grid()
+            with monkeypatch.context() as mp:
+                mp.setattr(NCDiffOp, "products", staticmethod(looped))
+                assert got == grid()
+
+    def test_pass_counts(self, monkeypatch):
+        # the checklist's 54 products at n = 6 in two passes, after 4
+        # adjoints; the core chain, the pm check and the real structure's
+        # [D, b] in one pass each
+        passes, adjoints = [], []
+        products, adjoint = NCDiffOp.products, NCDiffOp.adjoint
+
+        def counting_products(jobs):
+            passes.append(len(jobs))
+            return products(jobs)
+
+        def counting_adjoint(op):
+            adjoints.append(1)
+            return adjoint(op)
+
+        theta = ThetaMatrix.random(6, np.random.default_rng(6))
+        rep = build_gamma(6)
+        plus, minus = (build_kahler_package(theta, eps_prime=e, rep=rep) for e in (1, -1))
+        monkeypatch.setattr(NCDiffOp, "products", staticmethod(counting_products))
+        monkeypatch.setattr(NCDiffOp, "adjoint", counting_adjoint)
+        verify_n22(plus)
+        assert passes == [22 + 11 + 4 * 3, 3]
+        assert len(adjoints) == 4
+        for check in (lambda: verify_core_chain(plus), lambda: verify_pm_conjugation(plus, minus),
+                      lambda: verify_real_structure(theta, rep=rep)):
+            passes.clear()
+            check()
+            assert len(passes) == 1
 
 
 class TestN22Checklist:

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nckahler import ncdiff
 from nckahler.ncdiff import (
     NCDiffOp,
     TorusMatrix,
     WordMatrix,
+    _push_weights,
     dense_words,
     inner_product,
     pauli_words,
@@ -197,6 +199,85 @@ class TestAgainstPerTermOracle:
         assert_pruned(out)
 
 
+def loop_product(self, other, sign):
+    """self . other + sign * other . self: the word-pair loop the batched kernel
+    replaced, kept verbatim as the reference its sums must equal bit for bit."""
+    self._check(other)
+    theta, acc = self.theta, {}
+    for (alpha, A), (beta, B) in iproduct(self.terms.items(), other.terms.items()):
+        for (k, a), (kp, b) in iproduct(A.blocks.items(), B.blocks.items()):
+            lam = theta.phase(k, kp)
+            fg = {idx: [lam * w, 0] for idx, w in _push_weights(alpha, beta, kp)}
+            if sign:
+                mu = sign * theta.phase(kp, k)
+                for idx, w in _push_weights(beta, alpha, k):
+                    fg.setdefault(idx, [0, 0])[1] = mu * w
+            kk = tuple(x + y for x, y in zip(k, kp))
+            for idx, (f, g) in fg.items():
+                table = (f + g, f - g, -f + g, -f - g)
+                block = acc.setdefault(idx, {}).setdefault(kk, {})
+                for (x1, z1), c1 in a.items():
+                    for (x2, z2), c2 in b.items():
+                        # 0 for commuting words in a commutator: nothing to add
+                        if t := table[(z1 & x2).bit_count() % 2 * 2
+                                      + (z2 & x1).bit_count() % 2]:
+                            word = (x1 ^ x2, z1 ^ z2)
+                            c = t * (c1 * c2)
+                            block[word] = block[word] + c if word in block else c
+    return self._from_acc(acc)
+
+
+def layout(op):
+    """Every term, block and word of op with its coefficient, in stored order."""
+    return [(alpha, [(k, list(words.items())) for k, words in M.blocks.items()])
+            for alpha, M in op.terms.items()]
+
+
+class TestProducts:
+    """NCDiffOp.products forms every job of a list in one pass: each result is
+    the one-job result and the word-pair loop's, in value and stored order."""
+
+    @pytest.mark.parametrize("n, m, theta_seed", [(2, 2, 61), (2, 4, 62), (4, 2, 63),
+                                                  (4, 2, 64), (2, 4, 65)])
+    def test_mixed_jobs(self, n, m, theta_seed):
+        theta = ThetaMatrix.random(n, np.random.default_rng(theta_seed))
+        rng = np.random.default_rng(theta_seed)
+        P, Q, R = (NCDiffOp.random(theta, m, rng, max_degree=2, radius=1) for _ in range(3))
+        a = NCDiffOp.mult(TorusElement.random(theta, rng, radius=1, terms=3), m)
+        zero = NCDiffOp.zero(theta, m)
+        # P, Q and a recur, in both orders and as both operands of one job
+        jobs = [(P, Q, 0), (P, Q, -1), (Q, P, 1), (P, P, 0), (P, P, -1), (P, a, -1),
+                (a, R, 1), (zero, P, 0), (R, zero, -1), (R, a, 0), (a, a, 1)]
+        got = NCDiffOp.products(jobs)
+        assert len(got) == len(jobs)
+        for (A, B, s), op in zip(jobs, got):
+            assert layout(op) == layout(NCDiffOp.products([(A, B, s)])[0])
+            assert layout(op) == layout(loop_product(A, B, s))
+            ab, ba = oracle_compose(A, B), oracle_compose(B, A)
+            # relative to the products: [P, P] cancels to rounding of |P P|
+            scale = max(1.0, ab.residual_norm(), ba.residual_norm())
+            assert (op - (ab + ba.scale(s))).residual_norm() <= 1e-12 * scale
+            assert_pruned(op)
+        assert got[7].terms == {} and got[8].terms == {}
+        assert NCDiffOp.products([]) == []
+
+    def test_jobs_over_several_fibers_and_tori(self):
+        # key widths follow the largest fiber; each job keeps its own context
+        rng = np.random.default_rng(66)
+        theta2, theta4 = ThetaMatrix.random(2, rng), ThetaMatrix.random(4, rng)
+        ops = [NCDiffOp.random(theta, m, rng, max_degree=1, radius=1)
+               for theta, m in ((theta2, 2), (theta2, 4), (theta4, 2))]
+        jobs = [(op, op, s) for op in ops for s in (0, -1, 1)]
+        for (A, B, s), op in zip(jobs, NCDiffOp.products(jobs)):
+            assert (op.theta, op.m) == (A.theta, A.m)
+            assert layout(op) == layout(loop_product(A, B, s))
+
+    def test_mismatched_job_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            NCDiffOp.products([(random_op(1), random_op(2), 0),
+                               (NCDiffOp.identity(THETA, 2), NCDiffOp.identity(THETA, 4), 1)])
+
+
 class TestPauliWords:
     """Word product, adjoint, transform and action against the dense matrices
     of every word (pair) on q = 0..3 qubits, exactly."""
@@ -256,6 +337,22 @@ class TestApply:
         lhs = P.apply(v + w.scale(2.5j))
         rhs = P.apply(v) + P.apply(w).scale(2.5j)
         assert (lhs - rhs).norm() < 1e-10
+
+    def test_fiber_entries_once_per_block(self, monkeypatch):
+        # a block's entries serve every mode of v: one build per (term, block)
+        built = []
+        entries = ncdiff._entries
+
+        def counting(words, m):
+            built.append(1)
+            return entries(words, m)
+
+        monkeypatch.setattr(ncdiff, "_entries", counting)
+        P = random_op(8)
+        v = TorusMatrix.random(THETA, (2, 3), np.random.default_rng(10))
+        P.apply(v)
+        assert len(v.blocks) > 1
+        assert len(built) == sum(len(M.blocks) for M in P.terms.values())
 
     def test_wrong_length_rejected(self):
         v = TorusMatrix.random(THETA, (3, 1), np.random.default_rng(7))
