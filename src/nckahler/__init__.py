@@ -1,8 +1,8 @@
 """Kahler operator calculus and holomorphic bundles on noncommutative even tori."""
 
-from .torus import ThetaMatrix, TorusElement, DimensionMismatch, inner_product_scalar
+from .torus import ThetaMatrix, TorusElement, DimensionMismatch
 from .clifford import GammaRep, build_gamma, charge_conjugation, grading_product_check
-from .ncdiff import NCDiffOp, TorusMatrix, inner_product
+from .ncdiff import NCDiffOp, TorusMatrix
 from .kahler import (
     KahlerPackage,
     Matching,

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, clifford, forms, holomorphic, kahler
-from .report import VerificationReport, default_tol
+from .report import VerificationReport, resolve_tol
 from .torus import ThetaMatrix
 
 
@@ -101,7 +101,7 @@ def cmd_enumerate(args):
 
 def cmd_verify(args):
     theta = load_theta(args, default_n=args.n or 2)
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = resolve_tol(args.tol)
     if args.matching and args.matching != "all":
         matchings = [kahler.Matching.parse(args.matching)]
         for m in matchings:
@@ -131,7 +131,7 @@ def cmd_verify(args):
 
 def cmd_forms(args):
     theta = load_theta(args, default_n=args.n or 4)
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = resolve_tol(args.tol)
     fbm = forms.build_form_matrices(theta.n)
     table = forms.rank_table(fbm)
     rp = forms.bidegree_decomposition_check(fbm, tol=tol)
@@ -149,7 +149,7 @@ def load_connection(path):
 
 
 def cmd_holo(args):
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = resolve_tol(args.tol)
     if args.holo_cmd == "kernel":
         theta = load_theta(args, default_n=args.n or 2)
         basis = holomorphic.holomorphic_kernel(theta, args.radius)
@@ -179,7 +179,7 @@ def cmd_holo(args):
 def cmd_report(args):
     """Everything at once for one torus dimension."""
     theta = load_theta(args, default_n=args.n or 2)
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = resolve_tol(args.tol)
     rep = clifford.build_gamma(theta.n)
     rp = VerificationReport(tol=tol)
     rp.add("clifford relations", clifford.relations_residual(rep), 1e-12)

@@ -30,20 +30,11 @@ import numpy as np
 
 from .clifford import build_gamma
 from .kahler import fiber_words, lifted_words
-from .ncdiff import dense_words, word_product
-from .report import VerificationReport, default_tol
+from .ncdiff import dense_words, word_product, word_sum
+from .report import VerificationReport, resolve_tol
 from .torus import DimensionMismatch
 
 RANK_TOL = 1e-10
-
-
-def _combine(*terms):
-    """sum_i c_i w_i over (c_i, word sum w_i), exact zeros dropped."""
-    out = {}
-    for c, words in terms:
-        for w, v in words.items():
-            out[w] = out.get(w, 0) + c * v
-    return {w: v for w, v in out.items() if v}
 
 
 @dataclass
@@ -76,12 +67,12 @@ class FormBasisMatrices:
 
 def build_form_matrices(n_or_rep, eps_prime=1):
     rep = build_gamma(n_or_rep) if isinstance(n_or_rep, int) else n_or_rep
-    mu = [_combine((0.5, a), (0.5j * eps_prime, b)) for a, b in lifted_words(fiber_words(rep))]
+    mu = [word_sum((0.5, a), (0.5j * eps_prime, b)) for a, b in lifted_words(fiber_words(rep))]
     pairs = [(mu[2 * j - 1], mu[2 * j - 2]) for j in range(1, rep.n // 2 + 1)]
     return FormBasisMatrices(
         n=rep.n, eps_prime=eps_prime, mu=mu,
-        eta_bar=[_combine((0.5, a), (-0.5j, b)) for a, b in pairs],
-        eta_hol=[_combine((0.5, a), (0.5j, b)) for a, b in pairs])
+        eta_bar=[word_sum((0.5, a), (-0.5j, b)) for a, b in pairs],
+        eta_hol=[word_sum((0.5, a), (0.5j, b)) for a, b in pairs])
 
 
 def _coefficients(sums):
@@ -98,7 +89,7 @@ def _span(products, m, tol=RANK_TOL):
     """A basis of the span of word sums, picked among them: the SVD rule
     decides the rank, and pivoted Gram-Schmidt on the coordinates u s of the
     products picks that many."""
-    products = [p for p in (_combine((1, p)) for p in products) if p]
+    products = [p for p in (word_sum((1, p)) for p in products) if p]
     if not products:
         return []
     u, s, _ = np.linalg.svd(np.sqrt(m) * _coefficients(products), full_matrices=False)
@@ -133,7 +124,7 @@ def rank_table(fbm):
 def nilpotency_residual(fbm):
     """Max dense entry of mu_j^2 = 0, {mu_j, mu_r} = 0 and the eta analogues.
     The word products cancel exactly, so nothing is densified."""
-    anti = [_combine((1, word_product(a, b)), (1, word_product(b, a)))
+    anti = [word_sum((1, word_product(a, b)), (1, word_product(b, a)))
             for f in (fbm.mu, fbm.eta_bar, fbm.eta_hol) for j, a in enumerate(f) for b in f[j:]]
     return max((float(np.abs(dense_words(w, fbm.m)).max()) for w in anti if w), default=0.0)
 
@@ -153,7 +144,7 @@ def bidegree_decomposition_check(n_or_fbm, max_r=2, tol=None):
     """Report on Omega^r = direct sum of Omega^{p,q}: the binomial count
     identity C(n,r) = sum_p C(n/2,p) C(n/2,r-p), and span equality between
     mu-products and mixed eta products at each r <= max_r."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     fbm = build_form_matrices(n_or_fbm) if isinstance(n_or_fbm, int) else n_or_fbm
     n, half = fbm.n, fbm.n // 2
     rp = VerificationReport(tol=tol)

@@ -17,8 +17,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .clifford import GammaRep, build_gamma
-from .ncdiff import NCDiffOp, TorusMatrix, pauli_words, word_kron, word_product
-from .report import VerificationReport, default_tol
+from .ncdiff import NCDiffOp, TorusMatrix, pauli_words, word_kron, word_product, word_sum
+from .report import VerificationReport, resolve_tol
 from .torus import DimensionMismatch, TorusElement
 
 
@@ -134,10 +134,10 @@ def build_lifted(rep, theta, eps_prime=1, words=None):
     m = rep.N ** 2
     DD = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): a
                                         for j, (a, _) in enumerate(legs, 1)})
-    DDbar = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): b
-                                           for j, (_, b) in enumerate(legs, 1)}).scale(-eps_prime)
-    d = (DD - DDbar.scale(1j)).scale(0.5)
-    d_star = (DD + DDbar.scale(1j)).scale(0.5)
+    DDbar = NCDiffOp.from_words(theta, m, {_unit(rep.n, j): word_sum((-eps_prime, b))
+                                           for j, (_, b) in enumerate(legs, 1)})
+    # 0.5 DD -+ 0.5i DDbar: exact factors, so these equal (DD -+ DDbar.scale(1j)).scale(0.5)
+    d, d_star = NCDiffOp.sums([[(0.5, DD), (-0.5j, DDbar)], [(0.5, DD), (0.5j, DDbar)]])
     return DD, DDbar, d, d_star
 
 
@@ -145,10 +145,9 @@ def build_T_script(rep, theta, eps_prime=1, words=None):
     """T-script = sum_j (i eps'/2) kron(gamma_j, gamma_j sigma): bounded,
     self-adjoint, commutes with the algebra, and satisfies [T, d] = d."""
     gammas, sigma, q = words or fiber_words(rep)
-    T = NCDiffOp.zero(theta, rep.N ** 2)
-    for g in gammas:
-        T = T + _constant(theta, rep.N ** 2, word_kron(g, word_product(g, sigma), q))
-    return T.scale(1j * eps_prime / 2.0)
+    z = 1j * eps_prime / 2.0
+    return _constant(theta, rep.N ** 2,
+                     word_sum(*((z, word_kron(g, word_product(g, sigma), q)) for g in gammas)))
 
 
 def build_I(matching, rep, theta, words=None):
@@ -160,12 +159,11 @@ def build_I(matching, rep, theta, words=None):
     if matching.two_k != rep.n:
         raise MatchingError(f"matching covers 1..{matching.two_k}, rep has n={rep.n}")
     gammas, _, q = words or fiber_words(rep)
-    I_op = NCDiffOp.zero(theta, rep.N ** 2)
+    terms = []
     for (l, j) in matching.pairs:
         gg = word_product(gammas[l - 1], gammas[j - 1])
-        I_op = (I_op + _constant(theta, rep.N ** 2, word_kron(_ONE, gg, q))
-                + _constant(theta, rep.N ** 2, word_kron(gg, _ONE, q)))
-    return I_op.scale(0.5)
+        terms += [(0.5, word_kron(_ONE, gg, q)), (0.5, word_kron(gg, _ONE, q))]
+    return _constant(theta, rep.N ** 2, word_sum(*terms))
 
 
 def build_gamma_tilde(rep, theta, words=None):
@@ -221,10 +219,9 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
     Ts = build_T_script(rep, theta, eps_prime, words)
     I_op = build_I(matching, rep, theta, words)
     d2 = I_op.commutator(d)
-    del_hol = (d - d2.scale(1j)).scale(0.5)
-    del_bar = (d + d2.scale(1j)).scale(0.5)
-    T = (Ts - I_op.scale(1j)).scale(0.5)
-    T_bar = (Ts + I_op.scale(1j)).scale(0.5)
+    del_hol, del_bar, T, T_bar = NCDiffOp.sums([[(0.5, d), (-0.5j, d2)], [(0.5, d), (0.5j, d2)],
+                                                [(0.5, Ts), (-0.5j, I_op)],
+                                                [(0.5, Ts), (0.5j, I_op)]])
     return KahlerPackage(
         rep=rep, theta=theta, eps_prime=eps_prime, matching=matching,
         D=D, DD=DD, DDbar=DDbar, d=d, d_star=d_star, T_script=Ts, I_op=I_op,
@@ -240,6 +237,11 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
 def _products(jobs):
     """{name: P . Q + s Q . P} for jobs {name: (P, Q, s)}, in one kernel pass."""
     return dict(zip(jobs, NCDiffOp.products(list(jobs.values()))))
+
+
+def _sums(jobs):
+    """{name: sum_i z_i P_i} for jobs {name: [(z_i, P_i), ...]}, in one reduction."""
+    return dict(zip(jobs, NCDiffOp.sums(list(jobs.values()))))
 
 
 def _core_chain_jobs(pkg, d2s):
@@ -258,16 +260,18 @@ def _add_core_chain(rp, pkg, r):
     # sum_j del_j^2, so that DD^2 = -sum del_r^2 reads DD^2 + lap = 0
     lap = NCDiffOp.from_words(theta, m, {tuple(2 * a for a in _unit(theta.n, j)): _ONE
                                          for j in range(1, theta.n + 1)})
-    rp.add("DD^2 = -sum del_r^2", (r["DD^2"] + lap).residual_norm())
-    rp.add("DDbar^2 = -sum del_r^2", (r["DDbar^2"] + lap).residual_norm())
+    s = _sums({"DD^2": [(1, r["DD^2"]), (1, lap)], "DDbar^2": [(1, r["DDbar^2"]), (1, lap)],
+               "[Ts,d]": [(1, r["[Ts,d]"]), (-1, pkg.d)], "[I,d2]": [(1, r["[I,d2]"]), (1, pkg.d)]})
+    rp.add("DD^2 = -sum del_r^2", s["DD^2"].residual_norm())
+    rp.add("DDbar^2 = -sum del_r^2", s["DDbar^2"].residual_norm())
     rp.add("{DD, DDbar} = 0", r["{DD,DDbar}"].residual_norm())
     rp.add("d^2 = 0", r["d^2"].residual_norm())
-    rp.add("[T_script, d] = d", (r["[Ts,d]"] - pkg.d).residual_norm())
+    rp.add("[T_script, d] = d", s["[Ts,d]"].residual_norm())
     rp.add("[I, T_script] = 0", r["[I,Ts]"].residual_norm())
     rp.add("[I, gamma_tilde] = 0", r["[I,gt]"].residual_norm())
     rp.add("[I, star] = 0", r["[I,star]"].residual_norm())
     # build_kahler_package defines d2 = [I, d]
-    rp.add("[I, [I, d]] = -d", (r["[I,d2]"] + pkg.d).residual_norm())
+    rp.add("[I, [I, d]] = -d", s["[I,d2]"].residual_norm())
     rp.add("{d, d2*} = 0", r["{d,d2*}"].residual_norm())
     rp.add("{d*, d2} = 0", r["{d*,d2}"].residual_norm())
 
@@ -277,7 +281,7 @@ def verify_core_chain(pkg, tol=None):
     axiom checklist: squares of the lifted pair, nilpotency, [T,d]=d,
     [I, .] commutations, [I,[I,d]]=-d, and the d/d2 cross relations; one
     kernel pass."""
-    rp = VerificationReport(tol=default_tol() if tol is None else tol)
+    rp = VerificationReport(tol=resolve_tol(tol))
     _add_core_chain(rp, pkg, _products(_core_chain_jobs(pkg, pkg.d2.adjoint())))
     return rp
 
@@ -286,7 +290,7 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
     """Full N=(2,2) axiom checklist for one package, as a report.  After the
     adjoints, every product whose operands exist (the core chain's too) is
     one kernel pass, and {del, [delbar, a]} over the samples a second."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     rng = np.random.default_rng(7) if rng is None else rng
     rp = VerificationReport(tol=tol)
     rp.meta = {
@@ -295,7 +299,7 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
         "eps_prime": pkg.eps_prime,
     }
     p, pb, d = pkg.del_hol, pkg.del_bar, pkg.d
-    ps, pbs, ds, d2s = (op.adjoint() for op in (p, pb, d, pkg.d2))
+    ps, pbs, ds, d2s = NCDiffOp.adjoints([p, pb, d, pkg.d2])
     T, Tb = pkg.T, pkg.T_bar
     gt, st = pkg.gamma_tilde, pkg.hodge_star
     mas = [NCDiffOp.mult(TorusElement.random(pkg.theta, rng, radius=1, terms=3), pkg.DD.m)
@@ -317,15 +321,30 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
                  ("[del,a]", s): (p, ma, -1), ("[delbar,a]", s): (pb, ma, -1)}
     r = _products(jobs)
     nested = NCDiffOp.products([(p, r["[delbar,a]", s], 1) for s in range(samples)])
+    # the differences of the checks, in two reductions: sums of two terms, then
+    # the three-term ones from their first two (the order + and - take)
+    lap, lap_db = r["{d,d*}"], r["{delbar,delbar*}"]
+    dif = _sums({"[T,del]": [(1, r["[T,del]"]), (-1, p)],
+                 "[Tbar,delbar]": [(1, r["[Tbar,delbar]"]), (-1, pb)],
+                 "star del": [(1, r["star del"]), (1, r["delbar* star"])],
+                 "star delbar": [(1, r["star delbar"]), (1, r["del* star"])],
+                 "{del,del*}": [(1, r["{del,del*}"]), (-1, lap_db)],
+                 "del+delbar": [(1, p), (1, pb)], "d+d*": [(1, d), (1, pkg.d_star)],
+                 "T+Tbar": [(1, T), (1, Tb)], "d*": [(1, ds), (-1, pkg.d_star)],
+                 "lap d2": [(1, lap), (-1, r["{d2,d2*}"])],
+                 # 2 lap_db is exact, so this is lap - lap_db.scale(2.0)
+                 "lap delbar": [(1, lap), (-2.0, lap_db)]})
+    dif |= _sums({"d": [(1, dif["del+delbar"]), (-1, d)], "DD": [(1, dif["d+d*"]), (-1, pkg.DD)],
+                  "T_script": [(1, dif["T+Tbar"]), (-1, pkg.T_script)]})
 
     rp.add("del^2 = 0", r["del^2"].residual_norm())
     rp.add("delbar^2 = 0", r["delbar^2"].residual_norm())
     rp.add("{del, delbar} = 0", r["{del,delbar}"].residual_norm())
     rp.add("[T, Tbar] = 0", r["[T,Tbar]"].residual_norm())
-    rp.add("[T, del] = del", (r["[T,del]"] - p).residual_norm())
+    rp.add("[T, del] = del", dif["[T,del]"].residual_norm())
     rp.add("[T, delbar] = 0", r["[T,delbar]"].residual_norm())
     rp.add("[Tbar, del] = 0", r["[Tbar,del]"].residual_norm())
-    rp.add("[Tbar, delbar] = delbar", (r["[Tbar,delbar]"] - pb).residual_norm())
+    rp.add("[Tbar, delbar] = delbar", dif["[Tbar,delbar]"].residual_norm())
 
     for s in range(samples):
         rp.add(f"[T, a] = 0 (sample {s})", r["[T,a]", s].residual_norm())
@@ -345,26 +364,22 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
     rp.add("[gamma_tilde, Tbar] = 0", r["[gt,Tbar]"].residual_norm())
 
     # Hodge relations with zeta = -1: star del = -delbar* star, star delbar = -del* star
-    rp.add("star del = -delbar* star",
-           (r["star del"] + r["delbar* star"]).residual_norm())
-    rp.add("star delbar = -del* star",
-           (r["star delbar"] + r["del* star"]).residual_norm())
+    rp.add("star del = -delbar* star", dif["star del"].residual_norm())
+    rp.add("star delbar = -del* star", dif["star delbar"].residual_norm())
 
     rp.add("{del, delbar*} = 0", r["{del,delbar*}"].residual_norm())
     rp.add("{delbar, del*} = 0", r["{delbar,del*}"].residual_norm())
-    lap_db = r["{delbar,delbar*}"]
-    rp.add("{del, del*} = {delbar, delbar*}", (r["{del,del*}"] - lap_db).residual_norm())
+    rp.add("{del, del*} = {delbar, delbar*}", dif["{del,del*}"].residual_norm())
 
     # structural consistency of the package
-    rp.add("d = del + delbar", (p + pb - d).residual_norm())
-    rp.add("d + d* = DD", (d + pkg.d_star - pkg.DD).residual_norm())
-    rp.add("T_script = T + Tbar", (T + Tb - pkg.T_script).residual_norm())
-    rp.add("d* = (DD + i DDbar)/2", (ds - pkg.d_star).residual_norm())
+    rp.add("d = del + delbar", dif["d"].residual_norm())
+    rp.add("d + d* = DD", dif["DD"].residual_norm())
+    rp.add("T_script = T + Tbar", dif["T_script"].residual_norm())
+    rp.add("d* = (DD + i DDbar)/2", dif["d*"].residual_norm())
 
     # Laplacian equalities
-    lap = r["{d,d*}"]
-    rp.add("{d, d*} = {d2, d2*}", (lap - r["{d2,d2*}"]).residual_norm())
-    rp.add("{d, d*} = 2{delbar, delbar*}", (lap - lap_db.scale(2.0)).residual_norm())
+    rp.add("{d, d*} = {d2, d2*}", dif["lap d2"].residual_norm())
+    rp.add("{d, d*} = 2{delbar, delbar*}", dif["lap delbar"].residual_norm())
 
     _add_core_chain(rp, pkg, r)
     return rp
@@ -383,7 +398,7 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     D's coefficients sit at mode 0, and for the pair conditions the identity
     at mode 0.  A call makes 2 + 2 * samples NCDiffOp.apply calls, and one
     kernel pass (NCDiffOp.products) forms every sample's [D, b]."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     rng = np.random.default_rng(11) if rng is None else rng
     rep = build_gamma(theta.n) if rep is None else rep
     rp = VerificationReport(tol=tol)
@@ -453,7 +468,8 @@ def verify_pm_conjugation(plus, minus):
     W = build_pm_intertwiner(plus.rep, plus.theta)
     Wp, mW, Wpb, mbW = NCDiffOp.products([(W, plus.del_hol, 0), (minus.del_hol, W, 0),
                                           (W, plus.del_bar, 0), (minus.del_bar, W, 0)])
-    return max((Wp - mW).residual_norm(), (Wpb - mbW).residual_norm())
+    return max(op.residual_norm() for op in NCDiffOp.sums([[(1, Wp), (-1, mW)],
+                                                          [(1, Wpb), (-1, mbW)]]))
 
 
 def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
@@ -463,7 +479,7 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     "[matching] pm conjugation".  Each matching builds its eps' = +1 and -1
     packages once and shares them between the checklist and the conjugation
     check; `on_package(pkg)` is called on every package that gets verified."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     rep = build_gamma(theta.n) if rep is None else rep
     grid = VerificationReport(tol=tol)
     for matching in matchings:

@@ -6,29 +6,23 @@ the symbols del^alpha act on U^k with distinct eigenvalue tuples (2 pi i k)^alph
 two operators agree on the dense smooth domain iff their normal forms agree
 coefficient by coefficient — identity checks here are exact, not box-truncated.
 
-Operator fibers have m = 2^q, and a coefficient M_alpha is a WordMatrix: per
-Fourier mode k, the constant block of U^k as a sum of Pauli words {(x, z): c}.
-The word (x, z) of q-bit masks is the signed permutation X^x Z^z:
-|i> -> (-1)^{|z & i|} |i ^ x>.  Words multiply exactly by the symplectic rule
+Operator fibers have m = 2^q, and the block of U^k in M_alpha is a sum of
+Pauli words c X^x Z^z: the signed permutation |i> -> (-1)^{|z & i|} |i ^ x>
+of q-bit masks x, z.  Words multiply exactly by the symplectic rule
 
     X^{x1} Z^{z1} . X^{x2} Z^{z2} = (-1)^{|z1 & x2|} X^{x1 ^ x2} Z^{z1 ^ z2},
 
-and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so compose and adjoint never
-form an m x m block.  Dense matrices enter through one Pauli transform
-(pauli_words) and leave only for residual_norm and to_json; apply permutes
-and signs rows.
-
-NCDiffOp.products is the one product kernel: for a list of jobs (P, Q, s) it
-returns every P.Q + s Q.P (s = 0, -1, +1) from one vectorised pass, and
-compose, commutator and anticommutator are one-job calls.  Both orders of a
-word pair give the word w1 ^ w2, with signs (-1)^{|z1 & x2|} and
-(-1)^{|z2 & x1|} read from a parity table of the q-bit masks, so each pair is
-formed once and, for commuting words in a commutator, adds nothing.  A Python
-loop sets the weights of each block pair (phase, binomial, derivative
-eigenvalue); numpy then expands the word pairs of every job at once and sums
-each (job, target, word) with np.bincount, which adds in the order of the
-block and word loops, so every sum equals that loop's bit for bit.  Every
-result drops words below PRUNE_TOL once, at the end.
+and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so products and adjoints never
+form an m x m block; dense blocks appear only in residual_norm, to_json and
+apply.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau of
+Aaronson and Gottesman (PRA 70, 2004), with a table of blocks.  Sums,
+adjoints and products (NCDiffOp.sums, adjoints and products, each a batch of
+jobs) concatenate their contributions and share one reduction, _reduce: each
+(block, word) is summed in input order with np.bincount, sums below PRUNE_TOL
+are dropped, and blocks and words keep the order a dict accumulation gives
+them.  Complex products are spelled out in real arithmetic as Python computes
+them (numpy's complex multiply may fuse them), so every sum equals the dict
+loop's bit for bit.
 
 Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
 from Fourier exponent k to a constant rows x cols complex block (constant
@@ -42,7 +36,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import groupby, product as iproduct
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,14 +60,6 @@ def _push_weights(alpha, beta, kp):
             coef = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
             out.append((tuple(g + b for g, b in zip(gamma, beta)), coef * f))
     return tuple(out)
-
-
-def _accumulate(acc, idx, k, w, words):
-    """acc[idx][k][word] += w * c for every word of `words`."""
-    block = acc.setdefault(idx, {}).setdefault(k, {})
-    for word, c in words.items():
-        c = w * c
-        block[word] = block[word] + c if word in block else c
 
 
 class TorusMatrix:
@@ -198,13 +185,6 @@ class TorusMatrix:
         return self.norm() < tol
 
 
-def inner_product(x, y):
-    """<x, y> = sum_i tau(x_i* y_i): a vdot of the blocks of each common mode (Parseval)."""
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
-    return sum((np.vdot(b, y.blocks[k]) for k, b in x.blocks.items() if k in y.blocks), 0j)
-
-
 # -- Pauli words --------------------------------------------------------------
 
 
@@ -244,13 +224,19 @@ def pauli_words(mat):
     return {(int(x), int(z)): complex(coeffs[x, z]) for x, z in zip(*np.nonzero(coeffs))}
 
 
-def dense_words(words, m):
-    """The m x m matrix sum_w c_w X^x Z^z (M[i ^ x, i] = c (-1)^{|z & i|})."""
+def _densify(x, z, c, m):
+    """The m x m matrix sum_w c_w X^x Z^z of the words (x, z, c), added in
+    order: entry M[i ^ x, i] gets c (-1)^{|z & i|}."""
     out = np.zeros((m, m), dtype=complex)
-    idx, signs = np.arange(m), _signs(m)
-    for (x, z), c in words.items():
-        out[idx ^ x, idx] += c * signs[z]
+    idx = np.arange(m)
+    np.add.at(out, (x[:, None] ^ idx, idx), c[:, None] * _signs(m)[z])
     return out
+
+
+def dense_words(words, m):
+    """The m x m matrix of the word sum {(x, z): c}."""
+    x, z = np.array(list(words), dtype=np.int64).reshape(-1, 2).T
+    return _densify(x, z, np.array(list(words.values()), dtype=complex), m)
 
 
 def word_product(a, b):
@@ -266,10 +252,13 @@ def word_product(a, b):
     return out
 
 
-def word_adjoint(words):
-    """(sum_w c_w X^x Z^z)^dagger = sum_w conj(c_w) (-1)^{|x & z|} X^x Z^z."""
-    return {(x, z): -c.conjugate() if (x & z).bit_count() & 1 else c.conjugate()
-            for (x, z), c in words.items()}
+def word_sum(*terms):
+    """sum_i c_i w_i over (c_i, word sum w_i), exact zeros dropped."""
+    out = {}
+    for c, words in terms:
+        for w, v in words.items():
+            out[w] = out.get(w, 0) + c * v
+    return {w: v for w, v in out.items() if v}
 
 
 def word_kron(a, b, q):
@@ -278,55 +267,20 @@ def word_kron(a, b, q):
             for (x1, z1), c1 in a.items() for (x2, z2), c2 in b.items()}
 
 
-def _entries(words, m):
-    """{x: [M[r, r ^ x] for r < m]}: the words of one x summed into the
-    entries of the signed permutation X^x, as (-1)^{|z & (r ^ x)|} c."""
-    entries = {}
-    for (x, z), c in words.items():
-        e = entries.get(x, [0j] * m)
-        entries[x] = [ei - c if (z & (r ^ x)).bit_count() & 1 else ei + c
-                      for r, ei in enumerate(e)]
-    return entries
-
-
-def _act(entries, cols):
-    """M @ cols for the entries of M (_entries): entry r of a column is
-    sum_x M[r, r ^ x] col[r ^ x], as in the dense product."""
-    out = []
-    for col in cols.T.tolist():
-        acc = [0j] * len(col)
-        for x, e in entries.items():
-            acc = [a + er * col[r ^ x] for r, (a, er) in enumerate(zip(acc, e))]
-        out.append(acc)
-    return np.array(out).T
-
-
-def _pruned(blocks):
-    """{k: words} without the words below PRUNE_TOL and the blocks they empty."""
-    out = {}
-    for k, words in blocks.items():
-        words = {w: c for w, c in words.items() if abs(c) >= PRUNE_TOL}
-        if words:
-            out[k] = words
-    return out
-
-
-def _flatten(op, flat, xs, zs, cs):
-    """[(alpha, [(mode, offset, length)])]: where each block of op's words
-    sits in the flat lists xs, zs, cs, to which op is appended once (flat
-    maps id(op) to this list)."""
-    out = flat.get(id(op))
-    if out is None:
-        out = flat[id(op)] = []
-        for alpha, M in op.terms.items():
-            blocks = []
-            for k, words in M.blocks.items():
-                blocks.append((k, len(cs), len(words)))
-                x, z = zip(*words)
-                xs += x
-                zs += z
-                cs += words.values()
-            out.append((alpha, blocks))
+def _act(x, z, c, cols):
+    """M @ b for each block b of the stack cols, M the sum of the words
+    (x, z, c): entry r of a column is sum_g M[r, r ^ xs[g]] b[r ^ xs[g]] over
+    the distinct x in order of first appearance, added in that order with the
+    complex products spelled out in real arithmetic, as in the dense product."""
+    idx = np.arange(cols.shape[1])
+    xs = idx ^ np.array(list(dict.fromkeys(x.tolist())), dtype=np.int64)[:, None]
+    M, v = _densify(x, z, c, len(idx))[idx, xs], cols[:, xs]
+    er, ei = M.real[None, :, :, None], M.imag[None, :, :, None]
+    pr, pi = er * v.real - ei * v.imag, er * v.imag + ei * v.real
+    out = np.zeros(cols.shape, dtype=complex)
+    for g in range(len(xs)):
+        out.real += pr[:, g]
+        out.imag += pi[:, g]
     return out
 
 
@@ -346,113 +300,136 @@ def _pair_weights(alpha, beta, k, kp, s, lam, mu):
     return tuple(((idx, kk), (f + g, f - g, -f + g, -f - g)) for idx, (f, g) in fg.items())
 
 
-def _sum_word_pairs(m, xs, zs, cs, segments, table):
-    """(target, x, z, c) for every word sum of NCDiffOp.products that is not
-    below PRUNE_TOL, in order of first contribution.
-
-    A segment (a_off, a_len, b_off, b_len, target, row) pairs a_len words
-    from a_off with b_len words from b_off, a-word major; word pair (w1, w2)
-    adds table[4 row + 2 |z1 & x2| % 2 + |z2 & x1| % 2] c1 c2 under
-    (target, w1 ^ w2), and nothing where that factor is 0.  The complex
-    products are spelled out in real arithmetic as Python computes them
-    (numpy's complex multiply may fuse them), and np.bincount adds in input
-    order, so every sum is the loop's bit for bit.  A key packs (target, x, z)
-    into one integer, x and z taking q bits each for m = 2^q; the pair count
-    is known before any per-pair array is made."""
-    q = m.bit_length() - 1
-    x, z = np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64)
-    c = np.array(cs, dtype=complex)
+def _word_pairs(q, x, z, c, segments, table):
+    """(target, x, z, re, im) of every word pair of NCDiffOp.products whose
+    factor is not 0.  A segment (a_off, a_len, b_off, b_len, target, row)
+    pairs a_len words from a_off with b_len words from b_off, a-word major;
+    word pair (w1, w2) gives table[4 row + 2 |z1 & x2| % 2 + |z2 & x1| % 2]
+    c1 c2 under (target, w1 ^ w2)."""
     segments = np.array(segments, dtype=np.int64).reshape(-1, 6)
     a_off, a_len, b_off, b_len, target, row = segments.T
     sizes = a_len * b_len
-    pairs = int(sizes.sum())
     seg = np.repeat(np.arange(len(sizes)), sizes)
-    u, v = np.divmod(np.arange(pairs) - np.repeat(np.cumsum(sizes) - sizes, sizes), b_len[seg])
+    u, v = np.divmod(np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+                     b_len[seg])
     i, j = a_off[seg] + u, b_off[seg] + v
     x1, z1, x2, z2 = x[i], z[i], x[j], z[j]
-    parity = _parity(m)
+    parity = _parity(1 << q)
     t = np.array(table, dtype=complex)[4 * row[seg] + 2 * parity[z1 & x2] + parity[z2 & x1]]
     nz = t != 0
-    key = (target[seg] << 2 * q | (x1 ^ x2) << q | z1 ^ z2)[nz]
     t, i, j = t[nz], i[nz], j[nz]
     ar, ai, br, bi = c.real[i], c.imag[i], c.real[j], c.imag[j]
     pr, pi = ar * br - ai * bi, ar * bi + ai * br
-    keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    re = np.bincount(inverse, t.real * pr - t.imag * pi, len(keys))
-    im = np.bincount(inverse, t.real * pi + t.imag * pr, len(keys))
+    return (target[seg][nz], (x1 ^ x2)[nz], (z1 ^ z2)[nz],
+            t.real * pr - t.imag * pi, t.real * pi + t.imag * pr)
+
+
+def _reduce(contexts, keys, block, x, z, re, im):
+    """One NCDiffOp per (theta, m) of contexts.  Word i is (x[i], z[i]) with
+    coefficient re[i] + i im[i] in the block keys[block[i]], a key ((owner,
+    alpha), k) with owner indexing contexts; keys come in order of first
+    appearance.  Equal (block, word) are summed in input order (np.bincount on
+    a stable sort); blocks are grouped by (owner, alpha) and words follow
+    their first contribution.  A sort key packs (block, x, z) into one
+    integer, x and z taking q bits each for the largest m = 2^q."""
+    ids = {}
+    groups = [ids.setdefault(key[0], len(ids)) for key in keys]
+    if groups != sorted(groups):
+        order = np.argsort(groups, kind="stable")
+        block, keys = np.argsort(order)[block], [keys[b] for b in order.tolist()]
+    q = max(m for _, m in contexts).bit_length() - 1
+    key = block << 2 * q | x << q | z
+    srt = key.argsort(kind="stable")
+    key = key[srt]
+    head = np.empty(len(key), dtype=bool)
+    head[:1] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    group = head.cumsum()
+    first, block = srt[head], key[head] >> 2 * q
+    out = np.lexsort((first, block))
+    c = np.empty(len(out), dtype=complex)
+    # group g >= 1 sums its words in input order into bin g
+    c.real, c.imag = (np.bincount(group, w[srt])[1:][out] for w in (re, im))
+    first = first[out]
+    return _tabulate(contexts, keys, block[out], x[first], z[first], c)
+
+
+def _tabulate(contexts, keys, block, x, z, c):
+    """One NCDiffOp per (theta, m) of contexts from words ordered by block, an
+    index into keys ((owner, alpha), k) in stored order, less the words below
+    PRUNE_TOL and the blocks they empty."""
     # np.hypot rounds as Python's abs(complex) does
-    kept = np.flatnonzero(np.hypot(re, im) >= PRUNE_TOL)
-    kept = kept[np.argsort(first[kept])]
-    keys, sums = keys[kept], re[kept].astype(complex)
-    sums.imag = im[kept]
-    return zip((keys >> 2 * q).tolist(), (keys >> q & m - 1).tolist(),
-               (keys & m - 1).tolist(), sums.tolist())
+    kept = np.hypot(c.real, c.imag) >= PRUNE_TOL
+    if not kept.all():
+        block, x, z, c = block[kept], x[kept], z[kept], c[kept]
+    counts = np.bincount(block, minlength=len(keys))
+    present = counts.nonzero()[0]
+    # the owners' words are contiguous, in owner order
+    tables, sizes = [[] for _ in contexts], [0] * len(contexts)
+    for b, n in zip(present.tolist(), counts[present].tolist()):
+        (owner, alpha), k = keys[b]
+        tables[owner].append((alpha, k, sizes[owner], sizes[owner] + n))
+        sizes[owner] += n
+    bounds = np.cumsum([0] + sizes).tolist()
+    return [NCDiffOp(theta, m, x[lo:hi], z[lo:hi], c[lo:hi], tuple(table))
+            for (theta, m), table, lo, hi in zip(contexts, tables, bounds, bounds[1:])]
 
 
-def _assemble(theta, m, acc):
-    """The NCDiffOp of {alpha: {mode: words}} with pruned, nonempty blocks,
-    less the multi-indices without blocks.  Its keys come from checked
-    operands, so the constructors' checks are skipped."""
-    op = object.__new__(NCDiffOp)
-    op.theta, op.m, op.terms = theta, m, {}
-    for alpha, blocks in acc.items():
-        if blocks:
-            M = op.terms[alpha] = object.__new__(WordMatrix)
-            M.theta, M.m, M.blocks = theta, m, blocks
-    return op
-
-
-class WordMatrix:
-    """m x m matrix of torus elements, m = 2^q, blocked by Fourier mode: each
-    block is a sum of Pauli words, {k: {(x, z): c}}; words below PRUNE_TOL are
-    dropped."""
+class Term:
+    """Read-only view of one multi-index of an NCDiffOp (NCDiffOp.terms):
+    blocks = {k: {(x, z): c}} in stored order."""
 
     __slots__ = ("theta", "m", "blocks")
 
-    def __init__(self, theta, m, blocks=None):
-        _check_fiber(m)
-        self.theta = theta
-        self.m = m
-        self.blocks = _pruned(blocks or {})
-
-    @classmethod
-    def from_dense(cls, tm):
-        """The words of a square TorusMatrix, block by block."""
-        if tm.shape[0] != tm.shape[1]:
-            raise DimensionMismatch(f"coefficient of shape {tm.shape} is not square")
-        return cls(tm.theta, tm.shape[0], {k: pauli_words(b) for k, b in tm.blocks.items()})
+    def __init__(self, theta, m, blocks):
+        self.theta, self.m, self.blocks = theta, m, blocks
 
     def dense(self):
-        m = self.m
-        return TorusMatrix(self.theta, (m, m),
-                           {k: dense_words(w, m) for k, w in self.blocks.items()})
+        """The coefficient as an m x m TorusMatrix."""
+        return TorusMatrix(self.theta, (self.m, self.m),
+                           {k: dense_words(w, self.m) for k, w in self.blocks.items()})
 
 
 class NCDiffOp:
     """Normal-ordered differential operator  sum_alpha M_alpha . del^alpha  on
-    a fiber of m = 2^q, with WordMatrix coefficients."""
+    a fiber of m = 2^q: the words x, z (int64 masks) and c (complex128) and
+    the block table of (alpha, k, start, stop), the words start:stop being the
+    block of U^k in M_alpha.  The blocks of one alpha are adjacent, and no
+    word is below PRUNE_TOL."""
 
-    __slots__ = ("theta", "m", "terms")
+    __slots__ = ("theta", "m", "x", "z", "c", "blocks")
 
-    def __init__(self, theta, m, terms=None):
-        _check_fiber(m)
-        self.theta = theta
-        self.m = m
-        self.terms = {}
-        for alpha, mat in (terms or {}).items():
-            alpha = tuple(int(x) for x in alpha)
-            if len(alpha) != theta.n or any(a < 0 for a in alpha):
-                raise ValueError(f"bad multi-index {alpha}")
-            if mat.m != m:
-                raise DimensionMismatch(f"coefficient on fiber {mat.m}, not {m}")
-            if mat.blocks:
-                self.terms[alpha] = mat
+    def __init__(self, theta, m, x, z, c, blocks):
+        self.theta, self.m, self.x, self.z, self.c, self.blocks = theta, m, x, z, c, blocks
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def from_terms(cls, theta, m, terms):
+        """The operator of {alpha: {k: {(x, z): c}}}, in that order, less the
+        words below PRUNE_TOL; a dict holds each block and word once, so
+        nothing is summed."""
+        _check_fiber(m)
+        keys, ids, words, cs = [], [], [], []
+        for alpha, blocks in terms.items():
+            alpha = tuple(int(a) for a in alpha)
+            if len(alpha) != theta.n or any(a < 0 for a in alpha):
+                raise ValueError(f"bad multi-index {alpha}")
+            for k, block in blocks.items():
+                ids += [len(keys)] * len(block)
+                keys.append(((0, alpha), tuple(k)))
+                words += block
+                cs += block.values()
+        x, z = np.array(words, dtype=np.int64).reshape(-1, 2).T
+        # nonzero for a negative mask and for one of more than q bits
+        if ((x | z) >> m.bit_length() - 1).any():
+            raise DimensionMismatch(f"a word outside the fiber of {m}")
+        return _tabulate([(theta, m)], keys, np.array(ids, dtype=np.intp), x, z,
+                         np.array(cs, dtype=complex))[0]
+
+    @classmethod
     def zero(cls, theta, m):
-        return cls(theta, m)
+        return cls.from_terms(theta, m, {})
 
     @classmethod
     def identity(cls, theta, m):
@@ -475,13 +452,13 @@ class NCDiffOp:
     def from_words(cls, theta, m, words):
         """The constant-coefficient operator sum_alpha words[alpha] . del^alpha."""
         zero = (0,) * theta.n
-        return cls(theta, m, {a: WordMatrix(theta, m, {zero: w}) for a, w in words.items()})
+        return cls.from_terms(theta, m, {a: {zero: w} for a, w in words.items()})
 
     @classmethod
     def mult(cls, a, m):
         """Left multiplication by the torus element a on A^m."""
-        coeff = WordMatrix(a.theta, m, {k: {(0, 0): c} for k, c in a.coeffs.items()})
-        return cls(a.theta, m, {(0,) * a.theta.n: coeff})
+        return cls.from_terms(a.theta, m, {(0,) * a.theta.n: {k: {(0, 0): c}
+                                                             for k, c in a.coeffs.items()}})
 
     @classmethod
     def random(cls, theta, m, rng, max_degree=1, radius=1, terms=2):
@@ -490,7 +467,16 @@ class NCDiffOp:
             alpha = tuple(int(x) for x in rng.integers(0, max_degree + 1, size=theta.n))
             tm = TorusMatrix.random(theta, (m, m), rng, radius, 2)
             out[alpha] = out[alpha] + tm if alpha in out else tm
-        return cls(theta, m, {a: WordMatrix.from_dense(tm) for a, tm in out.items()})
+        return cls.from_terms(theta, m, {a: {k: pauli_words(b) for k, b in tm.blocks.items()}
+                                         for a, tm in out.items()})
+
+    @property
+    def terms(self):
+        """{alpha: Term}, a read-only dict view of the words in stored order."""
+        x, z, c = self.x.tolist(), self.z.tolist(), self.c.tolist()
+        return {alpha: Term(self.theta, self.m,
+                            {k: dict(zip(zip(x[s:e], z[s:e]), c[s:e])) for _, k, s, e in blocks})
+                for alpha, blocks in groupby(self.blocks, itemgetter(0))}
 
     # -- ring structure -----------------------------------------------------
 
@@ -498,26 +484,34 @@ class NCDiffOp:
         if self.m != other.m or not self.theta.compatible(other.theta):
             raise DimensionMismatch("operators over incompatible contexts")
 
-    def _sum(self, other, sign):
-        """self + sign * other, accumulated word by word and pruned once."""
-        self._check(other)
-        acc = {}
-        for op, w in ((self, 1), (other, sign)):
-            for alpha, M in op.terms.items():
-                for k, words in M.blocks.items():
-                    _accumulate(acc, alpha, k, w, words)
-        return self._from_acc(acc)
+    @staticmethod
+    def sums(jobs):
+        """[z_1 P_1 + z_2 P_2 + ... for each job [(z_1, P_1), (z_2, P_2), ...]],
+        every job in one reduction, each over its P_1's torus and fiber.  A
+        job's words are summed in term order, as adding the scaled terms one
+        by one into a dict would."""
+        keys, ids, lengths, terms = {}, [], [], []
+        for job, pairs in enumerate(jobs):
+            for a, op in pairs:
+                pairs[0][1]._check(op)
+                for alpha, k, s, e in op.blocks:
+                    ids.append(keys.setdefault(((job, alpha), k), len(keys)))
+                    lengths.append(e - s)
+                terms.append((complex(a), op))
+        x, z, c = (np.concatenate([getattr(op, f) for _, op in terms]) for f in "xzc")
+        a = np.repeat(np.array([a for a, _ in terms]), [len(op.c) for _, op in terms])
+        return _reduce([(p[0][1].theta, p[0][1].m) for p in jobs], list(keys),
+                       np.repeat(np.array(ids, dtype=np.intp), lengths), x, z,
+                       a.real * c.real - a.imag * c.imag, a.real * c.imag + a.imag * c.real)
 
     def __add__(self, other):
-        return self._sum(other, 1)
+        return NCDiffOp.sums([[(1, self), (1, other)]])[0]
 
     def __sub__(self, other):
-        return self._sum(other, -1)
+        return NCDiffOp.sums([[(1, self), (-1, other)]])[0]
 
     def scale(self, z):
-        return self._from_acc({a: {k: {w: z * c for w, c in words.items()}
-                                   for k, words in M.blocks.items()}
-                               for a, M in self.terms.items()})
+        return NCDiffOp.sums([[(z, self)]])[0]
 
     @staticmethod
     def products(jobs):
@@ -531,24 +525,30 @@ class NCDiffOp:
         derivative eigenvalue) merge per target multi-index into (f, g); a word
         pair adds (+-f +- g) c1 c2 under w1 ^ w2, signed by |z1 & x2| and
         |z2 & x1|, and nothing where that factor is 0.  Each sum runs in the
-        order of the block and word loops, and every result drops the words
-        below PRUNE_TOL.  Jobs may differ in torus and fiber; each result is
-        over its P's."""
-        flat, xs, zs, cs = {}, [], [], []
-        # per (theta, alpha, beta, k, k', s): a (code, row) for each target of
-        # _pair_weights, where a target (idx, k + k') has one code per call and
-        # its factors (f + g, f - g, -f + g, -f - g) are row `row` of `table`
-        weights, codes, table = {}, {}, []
+        order of the block and word loops.  Jobs may differ in torus and
+        fiber; each result is over its P's."""
+        if not jobs:
+            return []
+        # each distinct operand once, its blocks by multi-index with offsets
+        # into the concatenated words
+        ops = list({id(op): op for P, Q, _ in jobs for op in (P, Q)}.values())
+        bases = np.cumsum([0] + [len(op.c) for op in ops]).tolist()
+        flat = {id(op): [(alpha, [(k, base + s, e - s) for _, k, s, e in blocks])
+                         for alpha, blocks in groupby(op.blocks, itemgetter(0))]
+                for op, base in zip(ops, bases)}
+        # per (theta, alpha, beta, k, k', s): a (target, row) for each target
+        # (idx, k + k') of _pair_weights, whose factors (f + g, f - g, -f + g,
+        # -f - g) are row `row` of `table`
+        weights, table = {}, []
         # six ints per segment (a block pair and one of its targets): offset
         # and length of each operand block in the flat words, target, row
         segments = []
-        targets = []  # (job, code) of each target
+        targets = []  # ((job, idx), k + k') of each target
         for job, (P, Q, s) in enumerate(jobs):
             P._check(Q)
             theta, target_of = P.theta, {}
-            p_terms, q_terms = (_flatten(op, flat, xs, zs, cs) for op in (P, Q))
-            for alpha, a_blocks in p_terms:
-                for beta, b_blocks in q_terms:
+            for alpha, a_blocks in flat[id(P)]:
+                for beta, b_blocks in flat[id(Q)]:
                     for (k, a0, la), (kp, b0, lb) in iproduct(a_blocks, b_blocks):
                         key = (theta, alpha, beta, k, kp, s)
                         rows = weights.get(key)
@@ -556,26 +556,18 @@ class NCDiffOp:
                             rows = weights[key] = []
                             lam, mu = theta.phase(k, kp), theta.phase(kp, k)
                             for target, f in _pair_weights(alpha, beta, k, kp, s, lam, mu):
-                                code = codes.setdefault(target, len(codes))
-                                rows.append((code, len(table) // 4))
+                                rows.append((target, len(table) // 4))
                                 table += f
-                        for code, row in rows:
-                            tid = target_of.get(code)
+                        for target, row in rows:
+                            tid = target_of.get(target)
                             if tid is None:
-                                tid = target_of[code] = len(targets)
-                                targets.append((job, code))
+                                tid = target_of[target] = len(targets)
+                                targets.append(((job, target[0]), target[1]))
                             segments += (a0, la, b0, lb, tid, row)
-        m = max((P.m for P, _, _ in jobs), default=1)
-        words = [{} for _ in targets]
-        for t, x, z, c in _sum_word_pairs(m, xs, zs, cs, segments, table):
-            words[t][x, z] = c
-        accs, keys = [{} for _ in jobs], list(codes)
-        for (job, code), w in zip(targets, words):
-            idx, kk = keys[code]
-            blocks = accs[job].setdefault(idx, {})
-            if w:
-                blocks[kk] = w
-        return [_assemble(P.theta, P.m, acc) for (P, _, _), acc in zip(jobs, accs)]
+        contexts = [(P.theta, P.m) for P, _, _ in jobs]
+        x, z, c = (np.concatenate([getattr(op, f) for op in ops]) for f in "xzc")
+        q = max(m for _, m in contexts).bit_length() - 1
+        return _reduce(contexts, targets, *_word_pairs(q, x, z, c, segments, table))
 
     def compose(self, other):
         """Normal-ordered product self . other."""
@@ -587,28 +579,38 @@ class NCDiffOp:
     def anticommutator(self, other):
         return NCDiffOp.products([(self, other, 1)])[0]
 
-    def adjoint(self):
-        """Formal adjoint w.r.t. <x,y> = sum_i tau(x_i* y_i), using
-        del_j* = -del_j and (mult_a)* = mult_{a*}: (M del^alpha)* =
-        (-1)^|alpha| sum_{gamma <= alpha} C(alpha, gamma) (del^{alpha - gamma} M*) del^gamma,
-        accumulated over the blocks of M* in one pass and pruned once.  M* maps
-        the block c X^x Z^z of U^k to star_phase(k) (X^x Z^z)^dagger at U^-k."""
-        theta, zero = self.theta, (0,) * self.theta.n
-        acc = {}
-        for alpha, M in self.terms.items():
-            sign = (-1) ** sum(alpha)
-            for k, words in M.blocks.items():
-                mk = tuple(-x for x in k)
-                mu = theta.star_phase(k)
-                starred = {w: mu * c for w, c in word_adjoint(words).items()}
+    @staticmethod
+    def adjoints(ops):
+        """[P* for P in ops] in one reduction: the formal adjoints w.r.t.
+        <x,y> = sum_i tau(x_i* y_i), by del_j* = -del_j, (mult_a)* = mult_{a*}
+        and (M del^alpha)* =
+        (-1)^|alpha| sum_{gamma <= alpha} C(alpha, gamma) (del^{alpha - gamma} M*) del^gamma.
+        M* maps c X^x Z^z at U^k to star_phase(k) (X^x Z^z)^dagger at U^-k."""
+        keys, ids, spans, factors, base = {}, [], [], [], 0
+        for owner, P in enumerate(ops):
+            theta, zero = P.theta, (0,) * P.theta.n
+            for alpha, k, s, e in P.blocks:
+                sign, mk, mu = (-1) ** sum(alpha), tuple(-v for v in k), theta.star_phase(k)
                 for gamma, w in _push_weights(alpha, zero, mk):
-                    _accumulate(acc, gamma, mk, sign * w, starred)
-        return self._from_acc(acc)
+                    ids.append(keys.setdefault(((owner, gamma), mk), len(keys)))
+                    spans.append((base + s, e - s))
+                    factors.append((mu, complex(sign * w)))
+            base += len(P.c)
+        starts, lengths = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+        # the words of every (block, gamma), run after run
+        i = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        x, z, c = (np.concatenate([getattr(P, f) for P in ops])[i] for f in "xzc")
+        mu, w = np.repeat(np.array(factors, dtype=complex).reshape(-1, 2), lengths, axis=0).T
+        # (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z
+        flip = 1.0 - 2.0 * _parity(max(P.m for P in ops))[x & z]
+        ar, ai = flip * c.real, -flip * c.imag
+        tr, ti = mu.real * ar - mu.imag * ai, mu.real * ai + mu.imag * ar
+        return _reduce([(P.theta, P.m) for P in ops], list(keys),
+                       np.repeat(np.array(ids, dtype=np.intp), lengths), x, z,
+                       w.real * tr - w.imag * ti, w.real * ti + w.imag * tr)
 
-    def _from_acc(self, acc):
-        """The operator of accumulated {alpha: {mode: {word: c}}}, dropping every
-        word below PRUNE_TOL."""
-        return _assemble(self.theta, self.m, {a: _pruned(b) for a, b in acc.items()})
+    def adjoint(self):
+        return NCDiffOp.adjoints([self])[0]
 
     # -- action and comparison ---------------------------------------------
 
@@ -619,43 +621,38 @@ class NCDiffOp:
         action oracle independent of compose and adjoint."""
         if v.shape[0] != self.m:
             raise DimensionMismatch(f"vector length {v.shape[0]} != fiber {self.m}")
-        theta = self.theta
-        out = {}
-        for alpha, M in self.terms.items():
+        theta, out = self.theta, {}
+        for alpha, blocks in groupby(self.blocks, itemgetter(0)):
             dv = v.derive_multi(alpha)
-            for k, words in M.blocks.items():
-                entries = _entries(words, self.m)
-                for kp, b in dv.blocks.items():
+            cols = np.array(list(dv.blocks.values())).reshape(-1, *v.shape)
+            for _, k, s, e in blocks:
+                for kp, act in zip(dv.blocks, _act(self.x[s:e], self.z[s:e], self.c[s:e], cols)):
                     kk = tuple(x + y for x, y in zip(k, kp))
-                    term = theta.phase(k, kp) * _act(entries, b)
+                    term = theta.phase(k, kp) * act
                     out[kk] = out[kk] + term if kk in out else term
         return TorusMatrix(theta, v.shape, out)
 
+    def _dense(self, s, e):
+        return _densify(self.x[s:e], self.z[s:e], self.c[s:e], self.m)
+
     def residual_norm(self):
         """Max magnitude over all terms, modes and dense fiber entries; zero iff
-        this is the zero operator (normal-form soundness).  An exactly
-        cancelled operator has no terms and densifies nothing."""
-        return max((M.dense().norm() for M in self.terms.values()), default=0.0)
-
-    def is_zero(self, tol=1e-9):
-        return self.residual_norm() < tol
-
-    def close_to(self, other, tol=1e-9):
-        return (self - other).residual_norm() < tol
+        this is the zero operator (normal-form soundness)."""
+        return max((float(np.abs(self._dense(s, e)).max()) for _, _, s, e in self.blocks),
+                   default=0.0)
 
     def max_degree(self):
-        return max((sum(a) for a in self.terms), default=0)
+        return max((sum(alpha) for alpha, _, _, _ in self.blocks), default=0)
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
         """Each term's dense coefficient, entry by entry as torus elements."""
-        out = []
-        for alpha in sorted(self.terms):
-            M = self.terms[alpha].dense()
-            matrix = [[M.entry(i, j).to_json() for j in range(self.m)]
-                      for i in range(self.m)]
-            out.append({"alpha": list(alpha), "matrix": matrix})
+        m, out = self.m, []
+        for alpha, blocks in sorted((a, list(b)) for a, b in groupby(self.blocks, itemgetter(0))):
+            M = TorusMatrix(self.theta, (m, m), {k: self._dense(s, e) for _, k, s, e in blocks})
+            out.append({"alpha": list(alpha),
+                        "matrix": [[M.entry(i, j).to_json() for j in range(m)] for i in range(m)]})
         return out
 
     @classmethod
@@ -663,10 +660,12 @@ class NCDiffOp:
         terms = {}
         for it in items:
             alpha = tuple(int(x) for x in it["alpha"])
-            ents = [[TorusElement.from_json(theta, cell) for cell in row]
-                    for row in it["matrix"]]
-            terms[alpha] = WordMatrix.from_dense(TorusMatrix.from_entries(theta, ents))
-        return cls(theta, len(items[0]["matrix"]) if items else 1, terms)
+            tm = TorusMatrix.from_entries(theta, [[TorusElement.from_json(theta, cell)
+                                                   for cell in row] for row in it["matrix"]])
+            if tm.shape[0] != tm.shape[1]:
+                raise DimensionMismatch(f"coefficient of shape {tm.shape} is not square")
+            terms[alpha] = {k: pauli_words(b) for k, b in tm.blocks.items()}
+        return cls.from_terms(theta, len(items[0]["matrix"]) if items else 1, terms)
 
     def __repr__(self):
         return f"NCDiffOp(n={self.theta.n}, m={self.m}, terms={len(self.terms)})"

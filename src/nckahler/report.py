@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 DEFAULT_TOL = 1e-10
 
 
-def default_tol():
-    """Default residual tolerance, overridable via the NCK_TOL variable."""
-    env = os.environ.get("NCK_TOL")
-    return float(env) if env else DEFAULT_TOL
+def resolve_tol(tol=None):
+    """The residual tolerance: tol if given, else the NCK_TOL variable, else
+    DEFAULT_TOL.  A NaN, infinite or negative tolerance is a configuration
+    error (ValueError); 0 is allowed and fails every check."""
+    source, value = ("tol", tol) if tol is not None else ("NCK_TOL", os.environ.get("NCK_TOL"))
+    if value is None or value == "":
+        return DEFAULT_TOL
+    if not 0 <= float(value) < math.inf:
+        raise ValueError(f"{source} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 @dataclass

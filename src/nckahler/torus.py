@@ -223,25 +223,11 @@ class TorusElement:
             {m: TWO_PI_I * m[j - 1] * c for m, c in self.coeffs.items()},
         )
 
-    def truncate(self, radius):
-        """Restrict the support to the box [-radius, radius]^n."""
-        if radius < 0:
-            raise ValueError("truncation radius must be >= 0")
-        return TorusElement(
-            self.theta,
-            {m: c for m, c in self.coeffs.items() if max(abs(x) for x in m) <= radius},
-            prune=False,
-        )
-
     # -- comparisons and norms ---------------------------------------------
 
     def norm(self):
         """Max coefficient magnitude (sup over Fourier modes)."""
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def l2_norm_sq(self):
-        """GNS norm squared tau(a* a) = sum |alpha_m|^2."""
-        return sum(abs(c) ** 2 for c in self.coeffs.values())
 
     def is_zero(self, tol=EQ_TOL):
         return self.norm() < tol
@@ -272,9 +258,3 @@ class TorusElement:
             return "TorusElement(0)"
         parts = [f"({c:.4g})U^{m}" for m, c in sorted(self.coeffs.items())]
         return "TorusElement(" + " + ".join(parts[:6]) + ("..." if len(parts) > 6 else "") + ")"
-
-
-def inner_product_scalar(a, b):
-    """tau(a* b) = sum_m conj(alpha_m) beta_m (Parseval form)."""
-    a._check(b)
-    return sum(c.conjugate() * b.coeffs[m] for m, c in a.coeffs.items() if m in b.coeffs)

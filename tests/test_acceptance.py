@@ -41,9 +41,10 @@ from nckahler.kahler import (
     verify_pm_conjugation,
     verify_real_structure,
 )
-from nckahler.ncdiff import NCDiffOp, TorusMatrix, inner_product
+from nckahler.ncdiff import NCDiffOp, TorusMatrix
 from nckahler.torus import ThetaMatrix, TorusElement
 
+from test_ncdiff import inner_product
 from test_torus import swap_oracle_phase
 
 TOL = 1e-10

@@ -94,10 +94,22 @@ class TestVerify:
                                         monkeypatch):
         path, _ = theta2_file
         out = tmp_path / "report.json"
-        monkeypatch.setenv("NCK_TOL", "-1")  # impossible tolerance
+        monkeypatch.setenv("NCK_TOL", "0")  # no residual is below 0
         code = main(["verify", "--theta", path, "--out", str(out)])
         assert code == 1
         assert out.exists()  # report still written on failure
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_flag_exit_2(self, bad, capsys):
+        # a NaN or infinite tolerance would pass or fail every check silently
+        assert main(["verify", "--n", "2", f"--tol={bad}"]) == 2
+        assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_bad_tol_env_exit_2(self, bad, capsys, monkeypatch):
+        monkeypatch.setenv("NCK_TOL", bad)
+        assert main(["verify", "--n", "2"]) == 2
+        assert "NCK_TOL must be a finite number >= 0" in capsys.readouterr().err
 
     def test_determinism_modulo_timestamp(self, theta2_file, tmp_path, capsys):
         path, _ = theta2_file

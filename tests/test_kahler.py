@@ -138,27 +138,27 @@ class TestKernelPasses:
 
     def test_pass_counts(self, monkeypatch):
         # the checklist's 54 products at n = 6 in two passes, after 4
-        # adjoints; the core chain, the pm check and the real structure's
-        # [D, b] in one pass each
+        # adjoints in one pass; the core chain, the pm check and the real
+        # structure's [D, b] in one pass each
         passes, adjoints = [], []
-        products, adjoint = NCDiffOp.products, NCDiffOp.adjoint
+        products, adjoint = NCDiffOp.products, NCDiffOp.adjoints
 
         def counting_products(jobs):
             passes.append(len(jobs))
             return products(jobs)
 
-        def counting_adjoint(op):
-            adjoints.append(1)
-            return adjoint(op)
+        def counting_adjoint(ops):
+            adjoints.append(len(ops))
+            return adjoint(ops)
 
         theta = ThetaMatrix.random(6, np.random.default_rng(6))
         rep = build_gamma(6)
         plus, minus = (build_kahler_package(theta, eps_prime=e, rep=rep) for e in (1, -1))
         monkeypatch.setattr(NCDiffOp, "products", staticmethod(counting_products))
-        monkeypatch.setattr(NCDiffOp, "adjoint", counting_adjoint)
+        monkeypatch.setattr(NCDiffOp, "adjoints", staticmethod(counting_adjoint))
         verify_n22(plus)
         assert passes == [22 + 11 + 4 * 3, 3]
-        assert len(adjoints) == 4
+        assert adjoints == [4]
         for check in (lambda: verify_core_chain(plus), lambda: verify_pm_conjugation(plus, minus),
                       lambda: verify_real_structure(theta, rep=rep)):
             passes.clear()

@@ -1,5 +1,6 @@
 """Operator calculus: normal form, composition, adjoints, action soundness."""
 
+import dataclasses
 import math
 from itertools import product as iproduct
 
@@ -9,15 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nckahler import ncdiff
+from nckahler.kahler import build_kahler_package, enumerate_matchings
 from nckahler.ncdiff import (
     NCDiffOp,
     TorusMatrix,
-    WordMatrix,
     _push_weights,
     dense_words,
-    inner_product,
     pauli_words,
-    word_adjoint,
     word_product,
 )
 from nckahler.torus import PRUNE_TOL, DimensionMismatch, ThetaMatrix, TorusElement
@@ -25,6 +24,19 @@ from nckahler.torus import PRUNE_TOL, DimensionMismatch, ThetaMatrix, TorusEleme
 RNG = np.random.default_rng(100)
 THETA = ThetaMatrix.random(2, RNG)
 ZERO2 = (0, 0)
+
+
+def inner_product(x, y):
+    """<x, y> = sum_i tau(x_i* y_i): a vdot of the blocks of each common mode (Parseval)."""
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
+    return sum((np.vdot(b, y.blocks[k]) for k, b in x.blocks.items() if k in y.blocks), 0j)
+
+
+def word_adjoint(words):
+    """(sum_w c_w X^x Z^z)^dagger = sum_w conj(c_w) (-1)^{|x & z|} X^x Z^z."""
+    return {(x, z): -c.conjugate() if (x & z).bit_count() & 1 else c.conjugate()
+            for (x, z), c in words.items()}
 
 
 def random_op(seed, m=2, max_degree=1):
@@ -99,7 +111,8 @@ def _leibniz_terms(alpha):
 
 
 def _from_dense(theta, m, terms):
-    return NCDiffOp(theta, m, {a: WordMatrix.from_dense(tm) for a, tm in terms.items()})
+    return NCDiffOp.from_terms(theta, m, {a: {k: pauli_words(b) for k, b in tm.blocks.items()}
+                                          for a, tm in terms.items()})
 
 
 def oracle_compose(P, Q):
@@ -224,7 +237,59 @@ def loop_product(self, other, sign):
                             word = (x1 ^ x2, z1 ^ z2)
                             c = t * (c1 * c2)
                             block[word] = block[word] + c if word in block else c
-    return self._from_acc(acc)
+    return NCDiffOp.from_terms(self.theta, self.m, acc)
+
+
+def _accumulate(acc, idx, k, w, words):
+    """acc[idx][k][word] += w * c for every word of `words`."""
+    block = acc.setdefault(idx, {}).setdefault(k, {})
+    for word, c in words.items():
+        c = w * c
+        block[word] = block[word] + c if word in block else c
+
+
+def dict_sum(self, other, sign):
+    """self + sign * other, accumulated word by word: the dict walk the array
+    reduction replaced, kept verbatim as the reference of its sums and order."""
+    self._check(other)
+    acc = {}
+    for op, w in ((self, 1), (other, sign)):
+        for alpha, M in op.terms.items():
+            for k, words in M.blocks.items():
+                _accumulate(acc, alpha, k, w, words)
+    return NCDiffOp.from_terms(self.theta, self.m, acc)
+
+
+def dict_scale(self, z):
+    return NCDiffOp.from_terms(self.theta, self.m,
+                               {a: {k: {w: z * c for w, c in words.items()}
+                                    for k, words in M.blocks.items()}
+                                for a, M in self.terms.items()})
+
+
+def dict_adjoint(self):
+    """The dict adjoint the array reduction replaced, kept verbatim."""
+    theta, zero = self.theta, (0,) * self.theta.n
+    acc = {}
+    for alpha, M in self.terms.items():
+        sign = (-1) ** sum(alpha)
+        for k, words in M.blocks.items():
+            mk = tuple(-x for x in k)
+            mu = theta.star_phase(k)
+            starred = {w: mu * c for w, c in word_adjoint(words).items()}
+            for gamma, w in _push_weights(alpha, zero, mk):
+                _accumulate(acc, gamma, mk, sign * w, starred)
+    return NCDiffOp.from_terms(self.theta, self.m, acc)
+
+
+def assert_sums_match_dict_walk(P, Q):
+    """+, -, scale and adjoint equal the dict walks in value and stored order."""
+    for got, want in ((P + Q, dict_sum(P, Q, 1)), (P - Q, dict_sum(P, Q, -1)),
+                      (P.scale(0.5), dict_scale(P, 0.5)), (P.scale(1j), dict_scale(P, 1j)),
+                      (P.scale(0.3 - 1.7j), dict_scale(P, 0.3 - 1.7j)),
+                      (P.adjoint(), dict_adjoint(P))):
+        assert layout(got) == layout(want)
+        assert_pruned(got)
 
 
 def layout(op):
@@ -260,6 +325,19 @@ class TestProducts:
             assert_pruned(op)
         assert got[7].terms == {} and got[8].terms == {}
         assert NCDiffOp.products([]) == []
+        for A, B, _ in jobs:
+            assert_sums_match_dict_walk(A, B)
+
+    def test_package_sums_match_dict_walk(self):
+        theta = ThetaMatrix.random(4, np.random.default_rng(67))
+        pkg = build_kahler_package(theta, enumerate_matchings(4)[1], -1)
+        ops = [getattr(pkg, f.name) for f in dataclasses.fields(pkg)]
+        ops = [op for op in ops if isinstance(op, NCDiffOp)]
+        assert len(ops) == 14
+        for i, P in enumerate(ops):
+            # D alone is on the C^N fiber: it pairs with itself
+            Q = next(op for op in ops[i + 1:] + ops[:i + 1] if op.m == P.m)
+            assert_sums_match_dict_walk(P, Q)
 
     def test_jobs_over_several_fibers_and_tori(self):
         # key widths follow the largest fiber; each job keeps its own context
@@ -341,13 +419,13 @@ class TestApply:
     def test_fiber_entries_once_per_block(self, monkeypatch):
         # a block's entries serve every mode of v: one build per (term, block)
         built = []
-        entries = ncdiff._entries
+        act = ncdiff._act
 
-        def counting(words, m):
+        def counting(*args):
             built.append(1)
-            return entries(words, m)
+            return act(*args)
 
-        monkeypatch.setattr(ncdiff, "_entries", counting)
+        monkeypatch.setattr(ncdiff, "_act", counting)
         P = random_op(8)
         v = TorusMatrix.random(THETA, (2, 3), np.random.default_rng(10))
         P.apply(v)

@@ -12,12 +12,22 @@ from nckahler.torus import (
     DimensionMismatch,
     ThetaMatrix,
     TorusElement,
-    inner_product_scalar,
 )
 
 RNG = np.random.default_rng(42)
 THETA4 = ThetaMatrix.random(4, RNG)
 THETA2 = ThetaMatrix.random(2, RNG)
+
+
+def l2_norm_sq(a):
+    """GNS norm squared tau(a* a) = sum |alpha_m|^2."""
+    return sum(abs(c) ** 2 for c in a.coeffs.values())
+
+
+def inner_product_scalar(a, b):
+    """tau(a* b) = sum_m conj(alpha_m) beta_m (Parseval form)."""
+    a._check(b)
+    return sum(c.conjugate() * b.coeffs[m] for m, c in a.coeffs.items() if m in b.coeffs)
 
 
 def swap_oracle_phase(theta, m, k):
@@ -162,7 +172,7 @@ class TestTrace:
         rng = np.random.default_rng(4)
         a = TorusElement.random(THETA4, rng)
         gns = (a.star() * a).trace()
-        assert abs(gns - a.l2_norm_sq()) < 1e-10
+        assert abs(gns - l2_norm_sq(a)) < 1e-10
         assert gns.real >= 0 and abs(gns.imag) < 1e-12
 
     def test_faithful(self):
@@ -198,20 +208,6 @@ class TestDerive:
     def test_index_range(self):
         with pytest.raises(IndexError):
             TorusElement.one(THETA4).derive(5)
-
-
-class TestTruncate:
-    def test_unit_at_zero(self):
-        one = TorusElement.one(THETA4)
-        assert one.truncate(0).close_to(one)
-
-    def test_generator_at_zero(self):
-        assert TorusElement.generator(THETA4, 1).truncate(0).is_zero()
-
-    def test_idempotent_on_small_support(self):
-        a = TorusElement.random(THETA4, np.random.default_rng(8), radius=2)
-        assert a.truncate(2).close_to(a)
-        assert a.truncate(2).truncate(2).close_to(a.truncate(2))
 
 
 class TestTheta:
