@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,13 +42,15 @@ def atomic_write(path, text):
 
 def load_theta(args, default_n=2):
     n = getattr(args, "n", None)
+    if n is not None and n < 1:
+        raise ConfigError(f"--n must be a positive torus dimension, got {n}")
     if getattr(args, "theta", None):
         with open(args.theta) as fh:
             theta = ThetaMatrix.from_json(json.load(fh))
         if n is not None and n != theta.n:
             raise ConfigError(f"--n {n} contradicts the n={theta.n} of {args.theta}")
         return theta
-    n = n or default_n
+    n = default_n if n is None else n
     # deterministic generic irrational-entry default
     return ThetaMatrix.random(n, np.random.default_rng(0))
 
@@ -100,7 +103,7 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    theta = load_theta(args, default_n=args.n or 2)
+    theta = load_theta(args)
     tol = resolve_tol(args.tol)
     if args.matching and args.matching != "all":
         matchings = [kahler.Matching.parse(args.matching)]
@@ -130,7 +133,7 @@ def cmd_verify(args):
 
 
 def cmd_forms(args):
-    theta = load_theta(args, default_n=args.n or 4)
+    theta = load_theta(args, default_n=4)
     tol = resolve_tol(args.tol)
     fbm = forms.build_form_matrices(theta.n)
     table = forms.rank_table(fbm)
@@ -151,7 +154,7 @@ def load_connection(path):
 def cmd_holo(args):
     tol = resolve_tol(args.tol)
     if args.holo_cmd == "kernel":
-        theta = load_theta(args, default_n=args.n or 2)
+        theta = load_theta(args)
         basis = holomorphic.holomorphic_kernel(theta, args.radius)
         obj = {"n": theta.n, "radius": args.radius, "dimension": len(basis),
                "basis": [b.to_json() for b in basis]}
@@ -178,7 +181,7 @@ def cmd_holo(args):
 
 def cmd_report(args):
     """Everything at once for one torus dimension."""
-    theta = load_theta(args, default_n=args.n or 2)
+    theta = load_theta(args)
     tol = resolve_tol(args.tol)
     rep = clifford.build_gamma(theta.n)
     rp = VerificationReport(tol=tol)
@@ -271,9 +274,15 @@ def build_parser():
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
     # argparse itself exits with 2 on usage errors
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except np.linalg.LinAlgError:

@@ -234,14 +234,12 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
 # -- verification -----------------------------------------------------------
 
 
-def _products(jobs):
-    """{name: P . Q + s Q . P} for jobs {name: (P, Q, s)}, in one kernel pass."""
-    return dict(zip(jobs, NCDiffOp.products(list(jobs.values()))))
-
-
-def _sums(jobs):
-    """{name: sum_i z_i P_i} for jobs {name: [(z_i, P_i), ...]}, in one reduction."""
-    return dict(zip(jobs, NCDiffOp.sums(list(jobs.values()))))
+def _batch(run, named):
+    """run (NCDiffOp.products or sums) once over the jobs of every dict of
+    `named`, [{name: job}]; the results as [{name: result}]."""
+    flat = [job for jobs in named for job in jobs.values()]
+    out = iter(run(flat))
+    return [{name: next(out) for name in jobs} for jobs in named]
 
 
 def _core_chain_jobs(pkg, d2s):
@@ -254,14 +252,20 @@ def _core_chain_jobs(pkg, d2s):
             "{d,d2*}": (d, d2s, 1), "{d*,d2}": (pkg.d_star, d2, 1)}
 
 
-def _add_core_chain(rp, pkg, r):
-    """The checks of verify_core_chain on the products r of _core_chain_jobs."""
+def _core_chain_sums(pkg, r):
+    """The differences verify_core_chain checks, by name, from the products r
+    of _core_chain_jobs."""
     theta, m = pkg.theta, pkg.DD.m
     # sum_j del_j^2, so that DD^2 = -sum del_r^2 reads DD^2 + lap = 0
     lap = NCDiffOp.from_words(theta, m, {tuple(2 * a for a in _unit(theta.n, j)): _ONE
                                          for j in range(1, theta.n + 1)})
-    s = _sums({"DD^2": [(1, r["DD^2"]), (1, lap)], "DDbar^2": [(1, r["DDbar^2"]), (1, lap)],
-               "[Ts,d]": [(1, r["[Ts,d]"]), (-1, pkg.d)], "[I,d2]": [(1, r["[I,d2]"]), (1, pkg.d)]})
+    return {"DD^2": [(1, r["DD^2"]), (1, lap)], "DDbar^2": [(1, r["DDbar^2"]), (1, lap)],
+            "[Ts,d]": [(1, r["[Ts,d]"]), (-1, pkg.d)], "[I,d2]": [(1, r["[I,d2]"]), (1, pkg.d)]}
+
+
+def _add_core_chain(rp, r, s):
+    """The checks of verify_core_chain on the products r of _core_chain_jobs
+    and the sums s of _core_chain_sums."""
     rp.add("DD^2 = -sum del_r^2", s["DD^2"].residual_norm())
     rp.add("DDbar^2 = -sum del_r^2", s["DDbar^2"].residual_norm())
     rp.add("{DD, DDbar} = 0", r["{DD,DDbar}"].residual_norm())
@@ -282,29 +286,18 @@ def verify_core_chain(pkg, tol=None):
     [I, .] commutations, [I,[I,d]]=-d, and the d/d2 cross relations; one
     kernel pass."""
     rp = VerificationReport(tol=resolve_tol(tol))
-    _add_core_chain(rp, pkg, _products(_core_chain_jobs(pkg, pkg.d2.adjoint())))
+    [r] = _batch(NCDiffOp.products, [_core_chain_jobs(pkg, pkg.d2.adjoint())])
+    [s] = _batch(NCDiffOp.sums, [_core_chain_sums(pkg, r)])
+    _add_core_chain(rp, r, s)
     return rp
 
 
-def verify_n22(pkg, tol=None, rng=None, samples=3):
-    """Full N=(2,2) axiom checklist for one package, as a report.  After the
-    adjoints, every product whose operands exist (the core chain's too) is
-    one kernel pass, and {del, [delbar, a]} over the samples a second."""
-    tol = resolve_tol(tol)
-    rng = np.random.default_rng(7) if rng is None else rng
-    rp = VerificationReport(tol=tol)
-    rp.meta = {
-        "n": pkg.theta.n,
-        "matching": str(pkg.matching),
-        "eps_prime": pkg.eps_prime,
-    }
-    p, pb, d = pkg.del_hol, pkg.del_bar, pkg.d
-    ps, pbs, ds, d2s = NCDiffOp.adjoints([p, pb, d, pkg.d2])
-    T, Tb = pkg.T, pkg.T_bar
+def _checklist_jobs(pkg, adj, mas):
+    """The products of verify_n22 for one package, by name; adj holds the
+    adjoints of del, delbar, d and d2, and mas the samples' mult(a)."""
+    p, pb, d, T, Tb = pkg.del_hol, pkg.del_bar, pkg.d, pkg.T, pkg.T_bar
+    ps, pbs, _, d2s = adj
     gt, st = pkg.gamma_tilde, pkg.hodge_star
-    mas = [NCDiffOp.mult(TorusElement.random(pkg.theta, rng, radius=1, terms=3), pkg.DD.m)
-           for _ in range(samples)]
-
     jobs = {"del^2": (p, p, 0), "delbar^2": (pb, pb, 0), "{del,delbar}": (p, pb, 1),
             "[T,Tbar]": (T, Tb, -1), "[T,del]": (T, p, -1), "[T,delbar]": (T, pb, -1),
             "[Tbar,del]": (Tb, p, -1), "[Tbar,delbar]": (Tb, pb, -1),
@@ -319,24 +312,68 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
     for s, ma in enumerate(mas):
         jobs |= {("[T,a]", s): (T, ma, -1), ("[Tbar,a]", s): (Tb, ma, -1),
                  ("[del,a]", s): (p, ma, -1), ("[delbar,a]", s): (pb, ma, -1)}
-    r = _products(jobs)
-    nested = NCDiffOp.products([(p, r["[delbar,a]", s], 1) for s in range(samples)])
-    # the differences of the checks, in two reductions: sums of two terms, then
-    # the three-term ones from their first two (the order + and - take)
-    lap, lap_db = r["{d,d*}"], r["{delbar,delbar*}"]
-    dif = _sums({"[T,del]": [(1, r["[T,del]"]), (-1, p)],
-                 "[Tbar,delbar]": [(1, r["[Tbar,delbar]"]), (-1, pb)],
-                 "star del": [(1, r["star del"]), (1, r["delbar* star"])],
-                 "star delbar": [(1, r["star delbar"]), (1, r["del* star"])],
-                 "{del,del*}": [(1, r["{del,del*}"]), (-1, lap_db)],
-                 "del+delbar": [(1, p), (1, pb)], "d+d*": [(1, d), (1, pkg.d_star)],
-                 "T+Tbar": [(1, T), (1, Tb)], "d*": [(1, ds), (-1, pkg.d_star)],
-                 "lap d2": [(1, lap), (-1, r["{d2,d2*}"])],
-                 # 2 lap_db is exact, so this is lap - lap_db.scale(2.0)
-                 "lap delbar": [(1, lap), (-2.0, lap_db)]})
-    dif |= _sums({"d": [(1, dif["del+delbar"]), (-1, d)], "DD": [(1, dif["d+d*"]), (-1, pkg.DD)],
-                  "T_script": [(1, dif["T+Tbar"]), (-1, pkg.T_script)]})
+    return jobs
 
+
+def _checklist_sums(pkg, adj, r):
+    """The checklist's two-term differences (the core chain's too), by name."""
+    p, pb, d, T, Tb = pkg.del_hol, pkg.del_bar, pkg.d, pkg.T, pkg.T_bar
+    lap, lap_db = r["{d,d*}"], r["{delbar,delbar*}"]
+    return {"[T,del]": [(1, r["[T,del]"]), (-1, p)],
+            "[Tbar,delbar]": [(1, r["[Tbar,delbar]"]), (-1, pb)],
+            "star del": [(1, r["star del"]), (1, r["delbar* star"])],
+            "star delbar": [(1, r["star delbar"]), (1, r["del* star"])],
+            "{del,del*}": [(1, r["{del,del*}"]), (-1, lap_db)],
+            "del+delbar": [(1, p), (1, pb)], "d+d*": [(1, d), (1, pkg.d_star)],
+            "T+Tbar": [(1, T), (1, Tb)], "d*": [(1, adj[2]), (-1, pkg.d_star)],
+            "lap d2": [(1, lap), (-1, r["{d2,d2*}"])],
+            # 2 lap_db is exact, so this is lap - lap_db.scale(2.0)
+            "lap delbar": [(1, lap), (-2.0, lap_db)], **_core_chain_sums(pkg, r)}
+
+
+def verify_n22(pkg, tol=None, rng=None, samples=3):
+    """Full N=(2,2) axiom checklist for one package, as a report; for a list
+    of packages, the list of their reports from one batch.  After one
+    adjoints pass, every product whose operands exist (the core chain's too)
+    is one kernel pass, {del, [delbar, a]} over the samples a a second, and
+    the differences two reductions.  Each package draws its samples from
+    rng, or from a fresh default_rng(7) when rng is None, so a report does
+    not depend on the batch it ran in."""
+    pkgs = [pkg] if isinstance(pkg, KahlerPackage) else list(pkg)
+    tol = resolve_tol(tol)
+    adj = NCDiffOp.adjoints([op for q in pkgs for op in (q.del_hol, q.del_bar, q.d, q.d2)])
+    adj = [adj[i:i + 4] for i in range(0, len(adj), 4)]
+    mas, drawn = [], {}
+    for q in pkgs:
+        # fresh default_rng(7) draws repeat over one torus and fiber: build them once
+        key = (id(q.theta), q.DD.m) if rng is None else len(mas)
+        if key not in drawn:
+            qrng = np.random.default_rng(7) if rng is None else rng
+            drawn[key] = [NCDiffOp.mult(TorusElement.random(q.theta, qrng, radius=1, terms=3),
+                                        q.DD.m) for _ in range(samples)]
+        mas.append(drawn[key])
+    rs = _batch(NCDiffOp.products, [_checklist_jobs(*a) for a in zip(pkgs, adj, mas)])
+    nested = _batch(NCDiffOp.products, [{s: (q.del_hol, r["[delbar,a]", s], 1)
+                                         for s in range(samples)} for q, r in zip(pkgs, rs)])
+    # the differences in two reductions: sums of two terms, then the three-term
+    # ones from their first two (the order + and - take)
+    difs = _batch(NCDiffOp.sums, [_checklist_sums(*a) for a in zip(pkgs, adj, rs)])
+    difs = [dif | more for dif, more in zip(difs, _batch(NCDiffOp.sums, [
+        {"d": [(1, dif["del+delbar"]), (-1, q.d)], "DD": [(1, dif["d+d*"]), (-1, q.DD)],
+         "T_script": [(1, dif["T+Tbar"]), (-1, q.T_script)]} for q, dif in zip(pkgs, difs)]))]
+    reports = [_checklist_report(*a, tol, samples) for a in zip(pkgs, rs, nested, difs)]
+    return reports[0] if isinstance(pkg, KahlerPackage) else reports
+
+
+def _checklist_report(pkg, r, nested, dif, tol, samples):
+    """verify_n22's report of one package from its products r and nested and
+    its differences dif."""
+    rp = VerificationReport(tol=tol)
+    rp.meta = {
+        "n": pkg.theta.n,
+        "matching": str(pkg.matching),
+        "eps_prime": pkg.eps_prime,
+    }
     rp.add("del^2 = 0", r["del^2"].residual_norm())
     rp.add("delbar^2 = 0", r["delbar^2"].residual_norm())
     rp.add("{del, delbar} = 0", r["{del,delbar}"].residual_norm())
@@ -381,7 +418,7 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
     rp.add("{d, d*} = {d2, d2*}", dif["lap d2"].residual_norm())
     rp.add("{d, d*} = 2{delbar, delbar*}", dif["lap delbar"].residual_norm())
 
-    _add_core_chain(rp, pkg, r)
+    _add_core_chain(rp, r, dif)
     return rp
 
 
@@ -477,8 +514,9 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     """The N=(2,2) checklist over every (matching, eps') of the grid, as one
     report: "[matching|eps'=+-1] <check>" for each eps' in `eps_list`, then
     "[matching] pm conjugation".  Each matching builds its eps' = +1 and -1
-    packages once and shares them between the checklist and the conjugation
-    check; `on_package(pkg)` is called on every package that gets verified."""
+    packages once and shares them between the conjugation check and one
+    verify_n22 batch over the packages of `eps_list`; `on_package(pkg)` is
+    called on every package that gets verified."""
     tol = resolve_tol(tol)
     rep = build_gamma(theta.n) if rep is None else rep
     grid = VerificationReport(tol=tol)
@@ -486,14 +524,14 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
         pkgs = {eps: build_kahler_package(theta, matching, eps, rep=rep)
                 for eps in (1, -1)}
         pm = verify_pm_conjugation(pkgs[1], pkgs[-1])
-        for eps in eps_list:
-            # pop, so each package is freed once its checklist has run
-            pkg = pkgs.pop(eps)
-            if on_package is not None:
-                on_package(pkg)
-            for c in verify_n22(pkg, tol=tol).checks:
-                grid.add(f"[{matching}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
-        grid.add(f"[{matching}] pm conjugation", pm, 1e-12)
+        if on_package is not None:
+            for eps in eps_list:
+                on_package(pkgs[eps])
+        label = str(matching)
+        for eps, rp in zip(eps_list, verify_n22([pkgs[eps] for eps in eps_list], tol=tol)):
+            for c in rp.checks:
+                grid.add(f"[{label}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
+        grid.add(f"[{label}] pm conjugation", pm, 1e-12)
     return grid
 
 

@@ -15,14 +15,17 @@ of q-bit masks x, z.  Words multiply exactly by the symplectic rule
 and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so products and adjoints never
 form an m x m block; dense blocks appear only in residual_norm, to_json and
 apply.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau of
-Aaronson and Gottesman (PRA 70, 2004), with a table of blocks.  Sums,
-adjoints and products (NCDiffOp.sums, adjoints and products, each a batch of
-jobs) concatenate their contributions and share one reduction, _reduce: each
-(block, word) is summed in input order with np.bincount, sums below PRUNE_TOL
-are dropped, and blocks and words keep the order a dict accumulation gives
-them.  Complex products are spelled out in real arithmetic as Python computes
-them (numpy's complex multiply may fuse them), so every sum equals the dict
-loop's bit for bit.
+Aaronson and Gottesman (PRA 70, 2004), and its blocks as integer arrays: the
+code of alpha, the id of the interned mode k, and the span start:stop of the
+block's words.  Tuples appear only at the edges: terms, from_terms, to_json,
+from_json and apply.  Sums, adjoints and products (NCDiffOp.sums, adjoints
+and products, each a batch of jobs) lay out their contributions with numpy,
+the weights of each distinct block (pair) computed once, and share one
+reduction, _reduce: each (block, word) is summed in input order with
+np.bincount, sums below PRUNE_TOL are dropped, and blocks and words keep the
+order a dict accumulation gives them.  Complex products are spelled out in
+real arithmetic as Python computes them (numpy's complex multiply may fuse
+them), so every sum equals the dict loop's bit for bit.
 
 Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
 from Fourier exponent k to a constant rows x cols complex block (constant
@@ -35,9 +38,10 @@ too.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 from itertools import groupby, product as iproduct
-from operator import itemgetter
+from operator import itemgetter, lshift
 
 import numpy as np
 
@@ -284,59 +288,157 @@ def _act(x, z, c, cols):
     return out
 
 
+# -- block tables -------------------------------------------------------------
+
+# A multi-index alpha is coded as the integer sum_j alpha_j << 4j: at most 15
+# entries, each in 0..15.
+_SHIFTS, _AMAX = tuple(range(0, 60, 4)), 16
+
+
+def _acode(alpha):
+    if len(alpha) > len(_SHIFTS) or min(alpha, default=0) < 0 or max(alpha, default=0) >= _AMAX:
+        raise ValueError(f"multi-index {alpha} is outside the code radix "
+                         f"({len(_SHIFTS)} entries at most, each in 0..{_AMAX - 1})")
+    return sum(map(lshift, alpha, _SHIFTS))
+
+
+def _alpha(code, n):
+    return tuple(code >> j & _AMAX - 1 for j in _SHIFTS[:n])
+
+
+_INTERN, _MODES = threading.Lock(), {}
+
+
+def _modes(n):
+    """({mode: id}, [mode]) of the Fourier modes of the n-torus interned so
+    far, id 0 being mode 0.  An id only names its mode in this process: no
+    result depends on the ids' values or on what was interned before."""
+    if n not in _MODES:
+        with _INTERN:
+            _MODES.setdefault(n, ({(0,) * n: 0}, [(0,) * n]))
+    return _MODES[n]
+
+
+def _mode_id(n, k):
+    ids, modes = _modes(n)
+    if k not in ids:
+        with _INTERN:
+            if k not in ids:
+                # the mode is in the list before its id is published
+                modes.append(k)
+                ids[k] = len(modes) - 1
+    return ids[k]
+
+
 @lru_cache(maxsize=4096)
-def _pair_weights(alpha, beta, k, kp, s, lam, mu):
-    """(((idx, k + k'), (f + g, f - g, -f + g, -f - g)), ...): per target
-    multi-index idx, the merged weights f of A del^alpha . B del^beta and g of
-    s B del^beta . A del^alpha for blocks of A at mode k and of B at k', with
-    the phases lam = lambda(k, k') and mu = lambda(k', k) (binomial,
-    derivative eigenvalue and phase)."""
+def _pair_weights(n, a, b, ka, kb, s, lam, mu):
+    """((code, mode id, (f + g, f - g, -f + g, -f - g)), ...): per target, the
+    merged weights f of A del^alpha . B del^beta and g of s B del^beta .
+    A del^alpha for blocks of A at mode k and of B at k' on the n-torus
+    (codes a, b, mode ids ka, kb and phases lam = lambda(k, k'), mu =
+    lambda(k', k)): binomial, derivative eigenvalue and phase."""
+    _, modes = _modes(n)
+    alpha, beta, k, kp = _alpha(a, n), _alpha(b, n), modes[ka], modes[kb]
     fg = {idx: [lam * w, 0] for idx, w in _push_weights(alpha, beta, kp)}
     if s:
         mu = s * mu
         for idx, w in _push_weights(beta, alpha, k):
             fg.setdefault(idx, [0, 0])[1] = mu * w
-    kk = tuple(x + y for x, y in zip(k, kp))
-    return tuple(((idx, kk), (f + g, f - g, -f + g, -f - g)) for idx, (f, g) in fg.items())
+    kk = _mode_id(n, tuple(x + y for x, y in zip(k, kp)))
+    return tuple((_acode(idx), kk, (f + g, f - g, -f + g, -f - g)) for idx, (f, g) in fg.items())
 
 
-def _word_pairs(q, x, z, c, segments, table):
-    """(target, x, z, re, im) of every word pair of NCDiffOp.products whose
-    factor is not 0.  A segment (a_off, a_len, b_off, b_len, target, row)
-    pairs a_len words from a_off with b_len words from b_off, a-word major;
-    word pair (w1, w2) gives table[4 row + 2 |z1 & x2| % 2 + |z2 & x1| % 2]
-    c1 c2 under (target, w1 ^ w2)."""
-    segments = np.array(segments, dtype=np.int64).reshape(-1, 6)
-    a_off, a_len, b_off, b_len, target, row = segments.T
-    sizes = a_len * b_len
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    u, v = np.divmod(np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes),
-                     b_len[seg])
+@lru_cache(maxsize=4096)
+def _star_weights(theta, a, kid):
+    """((code, mode id, star_phase(k), weight), ...): the targets (gamma, -k)
+    of (M del^alpha)* for a block of M at mode k (code a, mode id kid), weight
+    (-1)^|alpha| C(alpha, gamma) (-2 pi i k)^(alpha - gamma)."""
+    alpha, k = _alpha(a, theta.n), _modes(theta.n)[1][kid]
+    mk, mu = tuple(-v for v in k), theta.star_phase(k)
+    return tuple((_acode(gamma), _mode_id(theta.n, mk), mu, complex((-1) ** sum(alpha) * w))
+                 for gamma, w in _push_weights(alpha, (0,) * theta.n, mk))
+
+
+def _first_ids(*cols):
+    """Number the distinct rows of the integer columns cols in order of first
+    appearance: (each row's number, each number's first row)."""
+    srt = np.lexsort(cols[::-1])
+    head = np.zeros(len(srt), dtype=bool)
+    head[:1] = True
+    for col in cols:
+        col = col[srt]
+        head[1:] |= col[1:] != col[:-1]
+    first = srt[head]
+    order = first.argsort()
+    rank = np.empty(len(srt), dtype=np.intp)
+    rank[srt] = order.argsort()[head.cumsum() - 1]
+    return rank, first[order]
+
+
+def _runs(counts):
+    """For runs of counts[i] elements end to end: each element's run and its
+    place in the run."""
+    run = np.arange(len(counts)).repeat(counts)
+    return run, np.arange(len(run)) - (counts.cumsum() - counts)[run]
+
+
+def _unfold(keys, weigh, *dtypes):
+    """The targets weigh(*row j of the integer columns keys) of every row j,
+    weigh called once per distinct row: the row of each target, and per
+    value of a target (of type dtypes[i]) the array of its values."""
+    ids, first = _first_ids(*keys)
+    weights = [weigh(*key) for key in zip(*(col[first].tolist() for col in keys))]
+    lengths = np.array([len(w) for w in weights], dtype=np.intp)
+    run, place = _runs(lengths[ids])
+    t = (lengths.cumsum() - lengths)[ids][run] + place
+    cols = list(zip(*(w for ws in weights for w in ws))) or [()] * len(dtypes)
+    return run, [np.array(col, dtype=dt)[t] for col, dt in zip(cols, dtypes)]
+
+
+def _concat(ops):
+    """The blocks of ops, concatenated (owner, alpha code, mode id, offset and
+    length in the concatenated words), and the words x, z and c."""
+    owner = np.arange(len(ops)).repeat([op.table.shape[1] for op in ops])
+    (alpha, mode, start, stop), x, z, c = (np.concatenate([getattr(op, f) for op in ops], axis=-1)
+                                           for f in ("table", "x", "z", "c"))
+    words = np.array([len(op.c) for op in ops])
+    return owner, alpha, mode, start + (words.cumsum() - words)[owner], stop - start, x, z, c
+
+
+def _word_pairs(q, x, z, c, a_off, a_len, b_off, b_len, row, table):
+    """(segment, x, z, re, im) of every word pair of NCDiffOp.products whose
+    factor is not 0.  Segment i pairs a_len[i] words from a_off[i] with
+    b_len[i] words from b_off[i], a-word major; word pair (w1, w2) gives
+    table[4 row[i] + 2 |z1 & x2| % 2 + |z2 & x1| % 2] c1 c2 under w1 ^ w2."""
+    seg, place = _runs(a_len * b_len)
+    u, v = np.divmod(place, b_len[seg])
     i, j = a_off[seg] + u, b_off[seg] + v
     x1, z1, x2, z2 = x[i], z[i], x[j], z[j]
     parity = _parity(1 << q)
-    t = np.array(table, dtype=complex)[4 * row[seg] + 2 * parity[z1 & x2] + parity[z2 & x1]]
+    t = table[4 * row[seg] + 2 * parity[z1 & x2] + parity[z2 & x1]]
     nz = t != 0
     t, i, j = t[nz], i[nz], j[nz]
     ar, ai, br, bi = c.real[i], c.imag[i], c.real[j], c.imag[j]
     pr, pi = ar * br - ai * bi, ar * bi + ai * br
-    return (target[seg][nz], (x1 ^ x2)[nz], (z1 ^ z2)[nz],
+    return (seg[nz], (x1 ^ x2)[nz], (z1 ^ z2)[nz],
             t.real * pr - t.imag * pi, t.real * pi + t.imag * pr)
 
 
-def _reduce(contexts, keys, block, x, z, re, im):
-    """One NCDiffOp per (theta, m) of contexts.  Word i is (x[i], z[i]) with
-    coefficient re[i] + i im[i] in the block keys[block[i]], a key ((owner,
-    alpha), k) with owner indexing contexts; keys come in order of first
-    appearance.  Equal (block, word) are summed in input order (np.bincount on
-    a stable sort); blocks are grouped by (owner, alpha) and words follow
-    their first contribution.  A sort key packs (block, x, z) into one
-    integer, x and z taking q bits each for the largest m = 2^q."""
-    ids = {}
-    groups = [ids.setdefault(key[0], len(ids)) for key in keys]
-    if groups != sorted(groups):
-        order = np.argsort(groups, kind="stable")
-        block, keys = np.argsort(order)[block], [keys[b] for b in order.tolist()]
+def _reduce(contexts, owner, alpha, mode, seg, x, z, re, im):
+    """One NCDiffOp per (theta, m) of contexts.  Segment s adds to the block at
+    mode id mode[s] of M_alpha[s] of result owner[s], owners ascending; word i
+    is (x[i], z[i]) with coefficient re[i] + i im[i] in segment seg[i].
+    Blocks are grouped by (owner, alpha), and otherwise ordered, as their
+    first segments; equal (block, word) are summed in input order
+    (np.bincount on a stable sort) and words follow their first
+    contribution.  A sort key packs (block, x, z), x and z taking q bits
+    each for the largest m = 2^q."""
+    target, first = _first_ids(owner, alpha, mode)
+    owner, alpha, mode, block = owner[first], alpha[first], mode[first], target[seg]
+    # at mode 0 alone, each (owner, alpha) has one target
+    if mode.any():
+        order = _first_ids(owner, alpha)[0].argsort(kind="stable")
+        owner, alpha, mode, block = owner[order], alpha[order], mode[order], order.argsort()[block]
     q = max(m for _, m in contexts).bit_length() - 1
     key = block << 2 * q | x << q | z
     srt = key.argsort(kind="stable")
@@ -351,28 +453,30 @@ def _reduce(contexts, keys, block, x, z, re, im):
     # group g >= 1 sums its words in input order into bin g
     c.real, c.imag = (np.bincount(group, w[srt])[1:][out] for w in (re, im))
     first = first[out]
-    return _tabulate(contexts, keys, block[out], x[first], z[first], c)
+    return _tabulate(contexts, owner, alpha, mode, block[out], x[first], z[first], c)
 
 
-def _tabulate(contexts, keys, block, x, z, c):
-    """One NCDiffOp per (theta, m) of contexts from words ordered by block, an
-    index into keys ((owner, alpha), k) in stored order, less the words below
-    PRUNE_TOL and the blocks they empty."""
+def _tabulate(contexts, owner, alpha, mode, block, x, z, c):
+    """One NCDiffOp per (theta, m) of contexts from the blocks (owner, alpha,
+    mode) in stored order, owners ascending, and words ordered by block, an
+    index into those, less the words below PRUNE_TOL and the blocks they
+    empty."""
     # np.hypot rounds as Python's abs(complex) does
     kept = np.hypot(c.real, c.imag) >= PRUNE_TOL
     if not kept.all():
         block, x, z, c = block[kept], x[kept], z[kept], c[kept]
-    counts = np.bincount(block, minlength=len(keys))
-    present = counts.nonzero()[0]
-    # the owners' words are contiguous, in owner order
-    tables, sizes = [[] for _ in contexts], [0] * len(contexts)
-    for b, n in zip(present.tolist(), counts[present].tolist()):
-        (owner, alpha), k = keys[b]
-        tables[owner].append((alpha, k, sizes[owner], sizes[owner] + n))
-        sizes[owner] += n
-    bounds = np.cumsum([0] + sizes).tolist()
-    return [NCDiffOp(theta, m, x[lo:hi], z[lo:hi], c[lo:hi], tuple(table))
-            for (theta, m), table, lo, hi in zip(contexts, tables, bounds, bounds[1:])]
+    counts = np.bincount(block, minlength=len(owner))
+    if not counts.all():
+        present = counts.nonzero()[0]
+        owner, alpha, mode, counts = owner[present], alpha[present], mode[present], counts[present]
+    stop = counts.cumsum()
+    # each owner's blocks and words are contiguous, in owner order
+    cuts = owner.searchsorted(np.arange(len(contexts) + 1))
+    base = np.concatenate(([0], stop))[cuts]
+    stop -= base[:-1].repeat(cuts[1:] - cuts[:-1])
+    table, cuts, base = np.array((alpha, mode, stop - counts, stop)), cuts.tolist(), base.tolist()
+    return [NCDiffOp(theta, m, x[w0:w1], z[w0:w1], c[w0:w1], table[:, b0:b1])
+            for (theta, m), b0, b1, w0, w1 in zip(contexts, cuts, cuts[1:], base, base[1:])]
 
 
 class Term:
@@ -392,15 +496,19 @@ class Term:
 
 class NCDiffOp:
     """Normal-ordered differential operator  sum_alpha M_alpha . del^alpha  on
-    a fiber of m = 2^q: the words x, z (int64 masks) and c (complex128) and
-    the block table of (alpha, k, start, stop), the words start:stop being the
-    block of U^k in M_alpha.  The blocks of one alpha are adjacent, and no
-    word is below PRUNE_TOL."""
+    a fiber of m = 2^q: the words x, z (int64 masks) and c (complex128), and
+    the block table, an int64 array whose rows alpha, mode, start and stop
+    give per block of U^k in M_alpha its alpha code, mode id and words
+    start:stop.  The blocks tile the words in order, the blocks of one alpha
+    are adjacent, and no word is below PRUNE_TOL."""
 
-    __slots__ = ("theta", "m", "x", "z", "c", "blocks")
+    __slots__ = ("theta", "m", "x", "z", "c", "table")
 
-    def __init__(self, theta, m, x, z, c, blocks):
-        self.theta, self.m, self.x, self.z, self.c, self.blocks = theta, m, x, z, c, blocks
+    def __init__(self, theta, m, x, z, c, table):
+        self.theta, self.m, self.x, self.z, self.c, self.table = theta, m, x, z, c, table
+
+    # the rows of the block table, as views
+    alpha, mode, start, stop = (property(lambda op, i=i: op.table[i]) for i in range(4))
 
     # -- constructors -------------------------------------------------------
 
@@ -410,21 +518,25 @@ class NCDiffOp:
         words below PRUNE_TOL; a dict holds each block and word once, so
         nothing is summed."""
         _check_fiber(m)
-        keys, ids, words, cs = [], [], [], []
+        codes, ids, lengths, words, cs = [], [], [], [], []
         for alpha, blocks in terms.items():
             alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != theta.n or any(a < 0 for a in alpha):
+            if len(alpha) != theta.n:
                 raise ValueError(f"bad multi-index {alpha}")
+            code = _acode(alpha)
             for k, block in blocks.items():
-                ids += [len(keys)] * len(block)
-                keys.append(((0, alpha), tuple(k)))
+                codes.append(code)
+                ids.append(_mode_id(theta.n, tuple(int(v) for v in k)))
+                lengths.append(len(block))
                 words += block
                 cs += block.values()
         x, z = np.array(words, dtype=np.int64).reshape(-1, 2).T
         # nonzero for a negative mask and for one of more than q bits
         if ((x | z) >> m.bit_length() - 1).any():
             raise DimensionMismatch(f"a word outside the fiber of {m}")
-        return _tabulate([(theta, m)], keys, np.array(ids, dtype=np.intp), x, z,
+        return _tabulate([(theta, m)], np.zeros(len(codes), dtype=np.intp),
+                         np.array(codes, dtype=np.int64), np.array(ids, dtype=np.intp),
+                         np.arange(len(codes)).repeat(lengths), x, z,
                          np.array(cs, dtype=complex))[0]
 
     @classmethod
@@ -470,13 +582,18 @@ class NCDiffOp:
         return cls.from_terms(theta, m, {a: {k: pauli_words(b) for k, b in tm.blocks.items()}
                                          for a, tm in out.items()})
 
+    def _table(self):
+        """(alpha, k, start, stop) of each block, as tuples."""
+        n, (_, modes) = self.theta.n, _modes(self.theta.n)
+        return [(_alpha(a, n), modes[k], s, e) for a, k, s, e in zip(*self.table.tolist())]
+
     @property
     def terms(self):
         """{alpha: Term}, a read-only dict view of the words in stored order."""
         x, z, c = self.x.tolist(), self.z.tolist(), self.c.tolist()
         return {alpha: Term(self.theta, self.m,
                             {k: dict(zip(zip(x[s:e], z[s:e]), c[s:e])) for _, k, s, e in blocks})
-                for alpha, blocks in groupby(self.blocks, itemgetter(0))}
+                for alpha, blocks in groupby(self._table(), itemgetter(0))}
 
     # -- ring structure -----------------------------------------------------
 
@@ -490,18 +607,14 @@ class NCDiffOp:
         every job in one reduction, each over its P_1's torus and fiber.  A
         job's words are summed in term order, as adding the scaled terms one
         by one into a dict would."""
-        keys, ids, lengths, terms = {}, [], [], []
-        for job, pairs in enumerate(jobs):
-            for a, op in pairs:
-                pairs[0][1]._check(op)
-                for alpha, k, s, e in op.blocks:
-                    ids.append(keys.setdefault(((job, alpha), k), len(keys)))
-                    lengths.append(e - s)
-                terms.append((complex(a), op))
-        x, z, c = (np.concatenate([getattr(op, f) for _, op in terms]) for f in "xzc")
-        a = np.repeat(np.array([a for a, _ in terms]), [len(op.c) for _, op in terms])
-        return _reduce([(p[0][1].theta, p[0][1].m) for p in jobs], list(keys),
-                       np.repeat(np.array(ids, dtype=np.intp), lengths), x, z,
+        terms = [(job, complex(a), op) for job, pairs in enumerate(jobs) for a, op in pairs]
+        for job, _, op in terms:
+            jobs[job][0][1]._check(op)
+        term, alpha, mode, _, length, x, z, c = _concat([op for _, _, op in terms])
+        a = np.array([a for _, a, _ in terms]).repeat([len(op.c) for _, _, op in terms])
+        return _reduce([(p[0][1].theta, p[0][1].m) for p in jobs],
+                       np.array([job for job, _, _ in terms])[term], alpha, mode,
+                       np.arange(len(alpha)).repeat(length), x, z,
                        a.real * c.real - a.imag * c.imag, a.real * c.imag + a.imag * c.real)
 
     def __add__(self, other):
@@ -521,53 +634,53 @@ class NCDiffOp:
             A del^alpha . B del^beta = sum_{gamma <= alpha} C(alpha, gamma)
                                        A (del^{alpha - gamma} B) del^{gamma + beta}.
 
-        Per block pair of a job, the weights of both orders (phase, binomial,
-        derivative eigenvalue) merge per target multi-index into (f, g); a word
-        pair adds (+-f +- g) c1 c2 under w1 ^ w2, signed by |z1 & x2| and
-        |z2 & x1|, and nothing where that factor is 0.  Each sum runs in the
-        order of the block and word loops.  Jobs may differ in torus and
-        fiber; each result is over its P's."""
+        Per block pair of a job, the weights of both orders merge per target
+        into (f, g) (_pair_weights, once per distinct pair of codes, modes and
+        phases); a word pair adds (+-f +- g) c1 c2 under w1 ^ w2, signed by
+        |z1 & x2| and |z2 & x1|, and nothing where that factor is 0.  The
+        sums run in the order of job, alpha group of P, of Q, block of P, of
+        Q, target and word pair.  Jobs may differ in torus and fiber; each
+        result is over its P's."""
         if not jobs:
             return []
-        # each distinct operand once, its blocks by multi-index with offsets
-        # into the concatenated words
         ops = list({id(op): op for P, Q, _ in jobs for op in (P, Q)}.values())
-        bases = np.cumsum([0] + [len(op.c) for op in ops]).tolist()
-        flat = {id(op): [(alpha, [(k, base + s, e - s) for _, k, s, e in blocks])
-                         for alpha, blocks in groupby(op.blocks, itemgetter(0))]
-                for op, base in zip(ops, bases)}
-        # per (theta, alpha, beta, k, k', s): a (target, row) for each target
-        # (idx, k + k') of _pair_weights, whose factors (f + g, f - g, -f + g,
-        # -f - g) are row `row` of `table`
-        weights, table = {}, []
-        # six ints per segment (a block pair and one of its targets): offset
-        # and length of each operand block in the flat words, target, row
-        segments = []
-        targets = []  # ((job, idx), k + k') of each target
-        for job, (P, Q, s) in enumerate(jobs):
+        slot = {id(op): i for i, op in enumerate(ops)}
+        for P, Q, _ in jobs:
             P._check(Q)
-            theta, target_of = P.theta, {}
-            for alpha, a_blocks in flat[id(P)]:
-                for beta, b_blocks in flat[id(Q)]:
-                    for (k, a0, la), (kp, b0, lb) in iproduct(a_blocks, b_blocks):
-                        key = (theta, alpha, beta, k, kp, s)
-                        rows = weights.get(key)
-                        if rows is None:
-                            rows = weights[key] = []
-                            lam, mu = theta.phase(k, kp), theta.phase(kp, k)
-                            for target, f in _pair_weights(alpha, beta, k, kp, s, lam, mu):
-                                rows.append((target, len(table) // 4))
-                                table += f
-                        for target, row in rows:
-                            tid = target_of.get(target)
-                            if tid is None:
-                                tid = target_of[target] = len(targets)
-                                targets.append(((job, target[0]), target[1]))
-                            segments += (a0, la, b0, lb, tid, row)
+        _, A, M, off, length, x, z, c = _concat(ops)
+        nb = np.array([op.table.shape[1] for op in ops])
+        b0 = nb.cumsum() - nb
+        # alpha groups, numbered in order within each operand
+        G = np.zeros(len(A), dtype=np.intp)
+        G[1:] = (A[1:] != A[:-1]).cumsum()
+        p, q, s = (np.array(col) for col in zip(*((slot[id(P)], slot[id(Q)], s)
+                                                  for P, Q, s in jobs)))
+        job, place = _runs(nb[p] * nb[q])
+        u, v = np.divmod(place, nb[q][job])
+        u, v = u + b0[p][job], v + b0[q][job]
+        order = np.lexsort((v, u, G[v], G[u], job))
+        job, u, v = job[order], u[order], v[order]
+        # blocks of one (torus, alpha, mode) class share their pairs' weights
+        thetas = list({id(op.theta): op.theta for op in ops}.values())
+        T = np.array([thetas.index(op.theta) for op in ops]).repeat(nb)
+        cls, rep = _first_ids(T, A, M)
+        T, a, k = [thetas[t] for t in T[rep].tolist()], A[rep].tolist(), M[rep].tolist()
+        K, nc = [_modes(t.n)[1][m] for t, m in zip(T, k)], len(rep)
+
+        def weigh(key):
+            (r, j), i = divmod(key // nc, nc), key % nc
+            return _pair_weights(T[j].n, a[j], a[i], k[j], k[i], r - 1, T[j].phase(K[j], K[i]),
+                                 T[j].phase(K[i], K[j]))
+
+        # key ((s + 1) nc + class of P's block) nc + class of Q's block
+        seg, (target, mode, table) = _unfold((((s[job] + 1) * nc + cls[u]) * nc + cls[v],),
+                                             weigh, np.int64, np.int64, complex)
         contexts = [(P.theta, P.m) for P, _, _ in jobs]
-        x, z, c = (np.concatenate([getattr(op, f) for op in ops]) for f in "xzc")
         q = max(m for _, m in contexts).bit_length() - 1
-        return _reduce(contexts, targets, *_word_pairs(q, x, z, c, segments, table))
+        u, v = u[seg], v[seg]
+        return _reduce(contexts, job[seg], target, mode,
+                       *_word_pairs(q, x, z, c, off[u], length[u], off[v], length[v],
+                                    np.arange(len(seg)), table.ravel()))
 
     def compose(self, other):
         """Normal-ordered product self . other."""
@@ -585,28 +698,22 @@ class NCDiffOp:
         <x,y> = sum_i tau(x_i* y_i), by del_j* = -del_j, (mult_a)* = mult_{a*}
         and (M del^alpha)* =
         (-1)^|alpha| sum_{gamma <= alpha} C(alpha, gamma) (del^{alpha - gamma} M*) del^gamma.
-        M* maps c X^x Z^z at U^k to star_phase(k) (X^x Z^z)^dagger at U^-k."""
-        keys, ids, spans, factors, base = {}, [], [], [], 0
-        for owner, P in enumerate(ops):
-            theta, zero = P.theta, (0,) * P.theta.n
-            for alpha, k, s, e in P.blocks:
-                sign, mk, mu = (-1) ** sum(alpha), tuple(-v for v in k), theta.star_phase(k)
-                for gamma, w in _push_weights(alpha, zero, mk):
-                    ids.append(keys.setdefault(((owner, gamma), mk), len(keys)))
-                    spans.append((base + s, e - s))
-                    factors.append((mu, complex(sign * w)))
-            base += len(P.c)
-        starts, lengths = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+        M* maps c X^x Z^z at U^k to star_phase(k) (X^x Z^z)^dagger at U^-k,
+        the targets of each distinct block from _star_weights."""
+        owner, alpha, mode, off, length, x, z, c = _concat(ops)
+        seg, (alpha, mode, mu, w) = _unfold(
+            (owner, alpha, mode), lambda o, a, k: _star_weights(ops[o].theta, a, k),
+            np.int64, np.int64, complex, complex)
+        owner, off, length = owner[seg], off[seg], length[seg]
         # the words of every (block, gamma), run after run
-        i = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-        x, z, c = (np.concatenate([getattr(P, f) for P in ops])[i] for f in "xzc")
-        mu, w = np.repeat(np.array(factors, dtype=complex).reshape(-1, 2), lengths, axis=0).T
+        run, place = _runs(length)
+        i = off[run] + place
+        x, z, c, mu, w = x[i], z[i], c[i], mu[run], w[run]
         # (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z
         flip = 1.0 - 2.0 * _parity(max(P.m for P in ops))[x & z]
         ar, ai = flip * c.real, -flip * c.imag
         tr, ti = mu.real * ar - mu.imag * ai, mu.real * ai + mu.imag * ar
-        return _reduce([(P.theta, P.m) for P in ops], list(keys),
-                       np.repeat(np.array(ids, dtype=np.intp), lengths), x, z,
+        return _reduce([(P.theta, P.m) for P in ops], owner, alpha, mode, run, x, z,
                        w.real * tr - w.imag * ti, w.real * ti + w.imag * tr)
 
     def adjoint(self):
@@ -622,7 +729,7 @@ class NCDiffOp:
         if v.shape[0] != self.m:
             raise DimensionMismatch(f"vector length {v.shape[0]} != fiber {self.m}")
         theta, out = self.theta, {}
-        for alpha, blocks in groupby(self.blocks, itemgetter(0)):
+        for alpha, blocks in groupby(self._table(), itemgetter(0)):
             dv = v.derive_multi(alpha)
             cols = np.array(list(dv.blocks.values())).reshape(-1, *v.shape)
             for _, k, s, e in blocks:
@@ -638,18 +745,18 @@ class NCDiffOp:
     def residual_norm(self):
         """Max magnitude over all terms, modes and dense fiber entries; zero iff
         this is the zero operator (normal-form soundness)."""
-        return max((float(np.abs(self._dense(s, e)).max()) for _, _, s, e in self.blocks),
-                   default=0.0)
+        return max((float(np.abs(self._dense(s, e)).max())
+                    for s, e in zip(self.start.tolist(), self.stop.tolist())), default=0.0)
 
     def max_degree(self):
-        return max((sum(alpha) for alpha, _, _, _ in self.blocks), default=0)
+        return int((self.alpha[:, None] >> np.array(_SHIFTS) & _AMAX - 1).sum(axis=1).max(initial=0))
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
         """Each term's dense coefficient, entry by entry as torus elements."""
         m, out = self.m, []
-        for alpha, blocks in sorted((a, list(b)) for a, b in groupby(self.blocks, itemgetter(0))):
+        for alpha, blocks in sorted((a, list(b)) for a, b in groupby(self._table(), itemgetter(0))):
             M = TorusMatrix(self.theta, (m, m), {k: self._dense(s, e) for _, k, s, e in blocks})
             out.append({"alpha": list(alpha),
                         "matrix": [[M.entry(i, j).to_json() for j in range(m)] for i in range(m)]})
@@ -668,4 +775,4 @@ class NCDiffOp:
         return cls.from_terms(theta, len(items[0]["matrix"]) if items else 1, terms)
 
     def __repr__(self):
-        return f"NCDiffOp(n={self.theta.n}, m={self.m}, terms={len(self.terms)})"
+        return f"NCDiffOp(n={self.theta.n}, m={self.m}, terms={len(set(self.alpha.tolist()))})"

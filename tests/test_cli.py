@@ -297,3 +297,26 @@ class TestExitCodes:
         assert main(argv + ["--theta", path, "--n", "6", "--out", str(out)]) == 2
         assert "contradicts" in capsys.readouterr().err and not out.exists()
         assert main(argv + ["--theta", path, "--n", "4"]) == 0
+
+
+class TestInProcessCalls:
+    @pytest.mark.parametrize("argv", [["verify"], ["report"], ["holo", "kernel"], ["forms"]],
+                             ids=["verify", "report", "holo-kernel", "forms"])
+    def test_n_zero_exit_2(self, argv, tmp_path, capsys):
+        # --n 0 is a bad dimension, not "unset": no default n runs in its place
+        out = tmp_path / "report.json"
+        assert main(argv + ["--n", "0", "--out", str(out)]) == 2
+        assert "--n must be a positive torus dimension" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calls_in_sequence_keep_no_state(self, conn2_file, capsys):
+        # the parser is built once per process; a flag of one call must not
+        # become the default of the next
+        code, obj = run_json(capsys, ["verify", "--n", "2", "--tol", "1e-3"])
+        assert obj["tol"] == 1e-3
+        code, obj = run_json(capsys, ["verify", "--n", "2"])
+        assert code == 0 and obj["tol"] == 1e-10
+        code, obj = run_json(capsys, ["holo", "h0", "--conn", conn2_file, "--radius", "5"])
+        assert obj["radius"] == 5
+        code, obj = run_json(capsys, ["holo", "h0", "--conn", conn2_file])
+        assert obj["radius"] == 3

@@ -159,6 +159,11 @@ class TestKernelPasses:
         verify_n22(plus)
         assert passes == [22 + 11 + 4 * 3, 3]
         assert adjoints == [4]
+        # both eps' packages of a matching in the same two passes
+        passes.clear(), adjoints.clear()
+        verify_n22([plus, minus])
+        assert passes == [2 * (22 + 11 + 4 * 3), 2 * 3]
+        assert adjoints == [8]
         for check in (lambda: verify_core_chain(plus), lambda: verify_pm_conjugation(plus, minus),
                       lambda: verify_real_structure(theta, rep=rep)):
             passes.clear()
@@ -167,6 +172,21 @@ class TestKernelPasses:
 
 
 class TestN22Checklist:
+    @pytest.mark.parametrize("rng", [None, 3], ids=["default-rng", "shared-rng"])
+    def test_batch_equals_per_package(self, rng):
+        # check for check, the batch over both eps' packages gives the names,
+        # residuals and tolerances of one call per package
+        for mt in enumerate_matchings(4):
+            pkgs = [build_kahler_package(THETA4, mt, e, rep=REP4) for e in (1, -1)]
+            draw = None if rng is None else np.random.default_rng(rng)
+            batch = verify_n22(pkgs, rng=draw)
+            draw = None if rng is None else np.random.default_rng(rng)
+            for pkg, rp in zip(pkgs, batch, strict=True):
+                want = verify_n22(pkg, rng=draw)
+                assert rp.meta == want.meta
+                assert ([(c.name, c.residual, c.tol) for c in rp.checks]
+                        == [(c.name, c.residual, c.tol) for c in want.checks])
+
     def test_n2_full(self):
         rp = verify_n22(build_kahler_package(THETA2, rep=REP2))
         assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
-from itertools import product as iproduct
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby, product as iproduct
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -10,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nckahler import ncdiff
-from nckahler.kahler import build_kahler_package, enumerate_matchings
+from nckahler.kahler import (
+    build_kahler_package,
+    enumerate_matchings,
+    verify_n22,
+    verify_real_structure,
+)
 from nckahler.ncdiff import (
     NCDiffOp,
     TorusMatrix,
@@ -298,21 +306,64 @@ def layout(op):
             for alpha, M in op.terms.items()]
 
 
+def loop_products(jobs):
+    """NCDiffOp.products by the Python loop over block pairs that its
+    vectorised enumeration replaced, kept as the reference of its segments:
+    per job, alpha group of P, of Q and block pair, each target of
+    ncdiff._pair_weights (mode-0 pairs included, phases from
+    ThetaMatrix.phase) is one segment; the word pairs and the reduction are
+    the kernel's."""
+    ops = list({id(op): op for P, Q, _ in jobs for op in (P, Q)}.values())
+    bases = dict(zip(map(id, ops), np.cumsum([0] + [len(op.c) for op in ops]).tolist()))
+
+    def groups(op):
+        blocks = zip(*op.table.tolist())
+        return [(a, [(k, bases[id(op)] + s, e - s) for _, k, s, e in run])
+                for a, run in groupby(blocks, itemgetter(0))]
+
+    segments, targets, table = [], [], []
+    for job, (P, Q, s) in enumerate(jobs):
+        P._check(Q)
+        theta, modes = P.theta, ncdiff._modes(P.theta.n)[1]
+        for (a, a_blocks), (b, b_blocks) in iproduct(groups(P), groups(Q)):
+            for (ka, a0, la), (kb, b0, lb) in iproduct(a_blocks, b_blocks):
+                k, kp = modes[ka], modes[kb]
+                for code, kk, f in ncdiff._pair_weights(theta.n, a, b, ka, kb, s,
+                                                        theta.phase(k, kp), theta.phase(kp, k)):
+                    segments.append((a0, la, b0, lb, len(table) // 4))
+                    targets.append((job, code, kk))
+                    table += f
+    contexts = [(P.theta, P.m) for P, _, _ in jobs]
+    x, z, c = (np.concatenate([getattr(op, f) for op in ops]) for f in "xzc")
+    q = max(m for _, m in contexts).bit_length() - 1
+    return ncdiff._reduce(contexts, *np.array(targets, dtype=np.int64).reshape(-1, 3).T,
+                          *ncdiff._word_pairs(q, x, z, c,
+                                              *np.array(segments, dtype=np.int64).reshape(-1, 5).T,
+                                              np.array(table, dtype=complex)))
+
+
+def mixed_jobs(n, m, theta_seed):
+    """Jobs over random operators of several modes and degrees: P, Q and a
+    mult(a) recur, in both orders and as both operands of one job."""
+    theta = ThetaMatrix.random(n, np.random.default_rng(theta_seed))
+    rng = np.random.default_rng(theta_seed)
+    P, Q, R = (NCDiffOp.random(theta, m, rng, max_degree=2, radius=1) for _ in range(3))
+    a = NCDiffOp.mult(TorusElement.random(theta, rng, radius=1, terms=3), m)
+    zero = NCDiffOp.zero(theta, m)
+    return [(P, Q, 0), (P, Q, -1), (Q, P, 1), (P, P, 0), (P, P, -1), (P, a, -1),
+            (a, R, 1), (zero, P, 0), (R, zero, -1), (R, a, 0), (a, a, 1)]
+
+
+MIXED = [(2, 2, 61), (2, 4, 62), (4, 2, 63), (4, 2, 64), (2, 4, 65)]
+
+
 class TestProducts:
     """NCDiffOp.products forms every job of a list in one pass: each result is
     the one-job result and the word-pair loop's, in value and stored order."""
 
-    @pytest.mark.parametrize("n, m, theta_seed", [(2, 2, 61), (2, 4, 62), (4, 2, 63),
-                                                  (4, 2, 64), (2, 4, 65)])
+    @pytest.mark.parametrize("n, m, theta_seed", MIXED)
     def test_mixed_jobs(self, n, m, theta_seed):
-        theta = ThetaMatrix.random(n, np.random.default_rng(theta_seed))
-        rng = np.random.default_rng(theta_seed)
-        P, Q, R = (NCDiffOp.random(theta, m, rng, max_degree=2, radius=1) for _ in range(3))
-        a = NCDiffOp.mult(TorusElement.random(theta, rng, radius=1, terms=3), m)
-        zero = NCDiffOp.zero(theta, m)
-        # P, Q and a recur, in both orders and as both operands of one job
-        jobs = [(P, Q, 0), (P, Q, -1), (Q, P, 1), (P, P, 0), (P, P, -1), (P, a, -1),
-                (a, R, 1), (zero, P, 0), (R, zero, -1), (R, a, 0), (a, a, 1)]
+        jobs = mixed_jobs(n, m, theta_seed)
         got = NCDiffOp.products(jobs)
         assert len(got) == len(jobs)
         for (A, B, s), op in zip(jobs, got):
@@ -354,6 +405,102 @@ class TestProducts:
         with pytest.raises(DimensionMismatch):
             NCDiffOp.products([(random_op(1), random_op(2), 0),
                                (NCDiffOp.identity(THETA, 2), NCDiffOp.identity(THETA, 4), 1)])
+
+
+def captured_products(run):
+    """The job lists of every NCDiffOp.products call that run() makes."""
+    calls, products = [], NCDiffOp.products
+
+    def capture(jobs):
+        calls.append(list(jobs))
+        return products(jobs)
+
+    NCDiffOp.products = staticmethod(capture)
+    try:
+        run()
+    finally:
+        NCDiffOp.products = staticmethod(products)
+    return calls
+
+
+class TestBlockPairLoop:
+    """The vectorised block-pair enumeration of NCDiffOp.products equals the
+    Python loop over block pairs (loop_products), in value and stored order,
+    bit for bit: on mixed-mode random jobs, on every checklist job of a
+    package, and on the real-structure check's [D, b] jobs."""
+
+    @staticmethod
+    def assert_equal_to_loop(jobs):
+        assert ([layout(op) for op in NCDiffOp.products(jobs)]
+                == [layout(op) for op in loop_products(jobs)])
+
+    @pytest.mark.parametrize("n, m, theta_seed", MIXED)
+    def test_mixed_jobs(self, n, m, theta_seed):
+        self.assert_equal_to_loop(mixed_jobs(n, m, theta_seed))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_checklist_jobs(self, n):
+        theta = ThetaMatrix.random(n, np.random.default_rng(68))
+        pkg = build_kahler_package(theta, enumerate_matchings(n)[-1], -1)
+        calls = captured_products(lambda: verify_n22(pkg))
+        # the checklist pass, with the [., a] samples, and the nested pass
+        assert [len(jobs) for jobs in calls] == [45, 3]
+        for jobs in calls:
+            self.assert_equal_to_loop(jobs)
+
+    def test_real_structure_jobs(self):
+        theta = ThetaMatrix.random(4, np.random.default_rng(69))
+        [jobs] = captured_products(lambda: verify_real_structure(theta))
+        assert len(jobs) == 20
+        self.assert_equal_to_loop(jobs)
+
+
+class TestModeIds:
+    def test_interned_once_across_threads(self):
+        # eight threads intern the same new modes at once, each from another
+        # start, switching often: all get one id per mode, naming that mode
+        modes = [(i, -i, 7, 11, 13) for i in range(2000)]
+
+        def intern(start):
+            order = modes[start:] + modes[:start]
+            return dict(zip(order, (ncdiff._mode_id(5, k) for k in order)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                runs = [pool.submit(intern, 250 * t) for t in range(8)]
+                ids = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == ids[0] for got in ids)
+        assert len(set(ids[0].values())) == len(modes)
+        assert all(ncdiff._modes(5)[1][i] == k for k, i in ids[0].items())
+
+
+class TestCodeRadix:
+    def test_entry_of_16_raises(self):
+        with pytest.raises(ValueError, match="code radix"):
+            NCDiffOp.from_words(THETA, 2, {(16, 0): {(0, 0): 1 + 0j}})
+        with pytest.raises(ValueError, match="code radix"):
+            NCDiffOp.from_words(THETA, 2, {(-1, 0): {(0, 0): 1 + 0j}})
+
+    def test_more_than_15_entries_raise(self):
+        theta = ThetaMatrix.random(16, np.random.default_rng(70))
+        with pytest.raises(ValueError, match="code radix"):
+            NCDiffOp.identity(theta, 2)
+
+    def test_product_outside_radix_raises_not_wraps(self):
+        # (15, 0) + (1, 0) has an entry of 16, past the 4 bits of its code
+        P = NCDiffOp.from_words(THETA, 2, {(15, 0): {(0, 0): 1 + 0j}})
+        d1 = NCDiffOp.derivation(THETA, 2, 1)
+        assert P.compose(NCDiffOp.identity(THETA, 2)).max_degree() == 15
+        with pytest.raises(ValueError, match="code radix"):
+            P.compose(d1)
+        # and so does a block pair at another mode
+        a = d1.compose(NCDiffOp.mult(TorusElement.generator(THETA, 1), 2))
+        with pytest.raises(ValueError, match="code radix"):
+            P.compose(a)
 
 
 class TestPauliWords:
