@@ -13,12 +13,15 @@ reduce to exactly this because coefficients are free over the matrix span.
 
 The families are Pauli-word sums (ncdiff.word_product): mu_k, the coefficient
 of del_k in the package's d, is 2 words, and a product of r of them has at
-most C(n, r) 2^r words.  One SVD of the products' coefficients over the words
-that occur, scaled by sqrt(m) (a Frobenius isometry: words are orthogonal, of
-norm sqrt(m)), decides each span with the singular values of the flattened
-m x m matrices.  A level's basis is picked among its products, exact word
-sums.  Each family's chain of bases is grown once per FormBasisMatrices, level
-by level on demand; the rank table, form_rank and the bidegree check index it.
+most C(n, r) 2^r words.  A level's products (previous basis x family, and the
+bidegree check's mixed hol x bar spans) come from one ncdiff._word_pairs pass,
+with word_product's arithmetic and order of summation, and one np.bincount.
+One SVD of the products' coefficients over the words that occur, scaled by
+sqrt(m) (a Frobenius isometry: words are orthogonal, of norm sqrt(m)), decides
+each span with the singular values of the flattened m x m matrices.  A level's
+basis is picked among its products, exact word sums.  Each family's chain of
+bases is grown once per FormBasisMatrices, level by level on demand; the rank
+table, form_rank and the bidegree check index it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .clifford import build_gamma
 from .kahler import fiber_words, lifted_words
-from .ncdiff import dense_words, word_product, word_sum
+from .ncdiff import _first_ids, _word_pairs, dense_words, word_product, word_sum
 from .report import VerificationReport, resolve_tol
 from .torus import DimensionMismatch
 
@@ -60,7 +63,7 @@ class FormBasisMatrices:
         chain = self.chains.setdefault((name, tol), [[{(0, 0): 1 + 0j}]])
         while len(chain) <= top:
             basis = chain[-1]
-            chain.append(_span([word_product(b, f) for b in basis for f in family], self.m, tol)
+            chain.append(_span(_products([(basis, family)], self.n), self.m, tol)
                          if basis else [])
         return chain
 
@@ -75,24 +78,55 @@ def build_form_matrices(n_or_rep, eps_prime=1):
         eta_hol=[word_sum((0.5, a), (0.5j, b)) for a, b in pairs])
 
 
-def _coefficients(sums):
-    """The coefficients of word sums, one row each, over the words that occur."""
-    col = {w: i for i, w in enumerate(sorted({w for p in sums for w in p}))}
-    mat = np.zeros((len(sums), len(col)), dtype=complex)
-    for i, p in enumerate(sums):
-        for w, c in p.items():
-            mat[i, col[w]] = c
-    return mat
+def _flat(sums):
+    """Word sums as flat arrays (sum, x, z, c) of their words in dict order."""
+    words = np.array([w for p in sums for w in p], dtype=np.int64).reshape(-1, 2)
+    c = np.array([c for p in sums for c in p.values()], dtype=complex)
+    return np.arange(len(sums)).repeat([len(p) for p in sums]), *words.T, c
+
+
+def _products(groups, q):
+    """The products l r, l in left and r in right, of each (left, right) of
+    groups, left-major and group after group, as flat word sums from one
+    ncdiff._word_pairs pass over q-qubit words: word_product's words, order
+    and sums, less exact zeros."""
+    sums, a, b = [], [], []
+    for left, right in groups:
+        a.append(len(sums) + np.arange(len(left)).repeat(len(right)))
+        b.append(len(sums) + len(left) + np.tile(np.arange(len(right)), len(left)))
+        sums += left + right
+    seg, x, z, c = _flat(sums)
+    length = np.bincount(seg, minlength=len(sums))
+    off, a, b = length.cumsum() - length, np.concatenate(a), np.concatenate(b)
+    # the sign of a word pair is -1 iff |z1 & x2| is odd, as in word_product
+    seg, x, z, re, im = _word_pairs(q, x, z, c, off[a], length[a], off[b], length[b],
+                                    np.zeros(len(a), dtype=np.intp),
+                                    np.array([1, 1, -1, -1], dtype=complex))
+    ids, first = _first_ids(seg, x, z)
+    c = np.empty(len(first), dtype=complex)
+    c.real, c.imag = (np.bincount(ids, w, len(first)) for w in (re, im))
+    first, c = first[c != 0], c[c != 0]
+    return seg[first], x[first], z[first], c
+
+
+def _matrix(seg, x, z, c):
+    """The coefficients of flat word sums, one row per sum with a word, over
+    the words that occur in (x, z) order; and each word's row."""
+    row = np.unique(seg, return_inverse=True)[1]
+    col = np.unique(x * (z.max() + 1) + z, return_inverse=True)[1]
+    mat = np.zeros((row.max() + 1, col.max() + 1), dtype=complex)
+    mat[row, col] = c
+    return mat, row
 
 
 def _span(products, m, tol=RANK_TOL):
-    """A basis of the span of word sums, picked among them: the SVD rule
-    decides the rank, and pivoted Gram-Schmidt on the coordinates u s of the
-    products picks that many."""
-    products = [p for p in (word_sum((1, p)) for p in products) if p]
-    if not products:
+    """A basis of the span of flat word sums, picked among them as word-sum
+    dicts: the SVD rule decides the rank, and pivoted Gram-Schmidt on the
+    coordinates u s of the sums picks that many."""
+    if not len(products[0]):
         return []
-    u, s, _ = np.linalg.svd(np.sqrt(m) * _coefficients(products), full_matrices=False)
+    mat, row = _matrix(*products)
+    u, s, _ = np.linalg.svd(np.sqrt(m) * mat, full_matrices=False)
     rank = int(np.count_nonzero(s > tol * max(1.0, s[0])))
     coords, picked = u[:, :rank] * s[:rank], []
     for _ in range(rank):
@@ -100,7 +134,9 @@ def _span(products, m, tol=RANK_TOL):
         v = coords[i] / np.linalg.norm(coords[i])
         coords = coords - np.outer(coords @ v.conj(), v)
         picked.append(i)
-    return [products[i] for i in sorted(picked)]
+    items = list(zip(zip(products[1].tolist(), products[2].tolist()), products[3].tolist()))
+    cut = np.searchsorted(row, np.arange(len(mat) + 1)).tolist()
+    return [dict(items[cut[i]:cut[i + 1]]) for i in sorted(picked)]
 
 
 def form_rank(fbm, family_name, level, tol=RANK_TOL):
@@ -129,15 +165,16 @@ def nilpotency_residual(fbm):
     return max((float(np.abs(dense_words(w, fbm.m)).max()) for w in anti if w), default=0.0)
 
 
-def _containment_residual(a, b):
-    """How far span(a) sticks out of span(b), two bases of word sums: the
-    largest coordinate, over the words of both, of an orthonormal basis of
-    span(a) minus its projection on span(b)."""
-    if not a:
-        return 0.0
-    mat = _coefficients(a + b).T
+def _containment_residuals(a, b):
+    """How far span(a) sticks out of span(b), and span(b) out of span(a), for
+    two bases of word sums: the largest coordinate, over the words of both, of
+    an orthonormal basis of the one minus its projection on the other."""
+    if not a + b:
+        return 0.0, 0.0
+    mat = _matrix(*_flat(a + b))[0].T
     qa, qb = np.linalg.qr(mat[:, :len(a)])[0], np.linalg.qr(mat[:, len(a):])[0]
-    return float(np.abs(qa - qb @ (qb.conj().T @ qa)).max())
+    return tuple(float(np.abs(p - q @ (q.conj().T @ p)).max(initial=0.0))
+                 for p, q in ((qa, qb), (qb, qa)))
 
 
 def bidegree_decomposition_check(n_or_fbm, max_r=2, tol=None):
@@ -158,12 +195,11 @@ def bidegree_decomposition_check(n_or_fbm, max_r=2, tol=None):
                   for p in range(0, r + 1))
         rp.add(f"rank count C({n},{r}) = Vandermonde sum", abs(lhs - rhs), tol=0.5)
     for r in range(1, max_r + 1):
-        mixed = _span([word_product(bl, br) for p in range(0, r + 1)
-                       for bl in hol_chain[p] for br in bar_chain[r - p]], fbm.m)
-        rp.add(f"span(mu^{r}) inside span(eta mixed^{r})",
-               _containment_residual(mu_chain[r], mixed))
-        rp.add(f"span(eta mixed^{r}) inside span(mu^{r})",
-               _containment_residual(mixed, mu_chain[r]))
+        mixed = _span(_products([(hol_chain[p], bar_chain[r - p]) for p in range(r + 1)], n),
+                      fbm.m)
+        inside, outside = _containment_residuals(mu_chain[r], mixed)
+        rp.add(f"span(mu^{r}) inside span(eta mixed^{r})", inside)
+        rp.add(f"span(eta mixed^{r}) inside span(mu^{r})", outside)
     return rp
 
 

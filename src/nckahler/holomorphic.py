@@ -128,16 +128,36 @@ def _position_in_block(block):
     return local
 
 
+def _row_ids(rows):
+    """The inverse of np.unique(rows, axis=0) for integer rows: a 1-D np.unique
+    of a mixed-radix code, ranked again before a digit could overflow int64."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    for col in (rows - rows.min(axis=0)).T:
+        if (int(code.max()) + 1) * (int(col.max()) + 1) > 1 << 62:
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * (int(col.max()) + 1) + col
+    return np.unique(code, return_inverse=True)[1]
+
+
+def _svd(stack):
+    """s and vh of np.linalg.svd(stack, full_matrices=False).  One-column
+    blocks skip LAPACK: s is the column's norm, and vh is [[1]] as LAPACK's."""
+    if stack.shape[2] == 1:
+        return np.linalg.norm(stack, axis=1), np.ones((len(stack), 1, 1), dtype=complex)
+    return np.linalg.svd(stack, full_matrices=False)[1:]
+
+
 def h0_solve(conn, radius):
     """C-basis of { xi in (box-truncated A)^m : delta_j(xi) + A_j xi = 0 }.
 
     The system over the box coefficients, rows (j, output mode, i) against
     unknowns (box mode, l), is assembled sparse and split into its connected
     blocks: mode t couples only to t + supp(A_j).  Blocks of equal shape share
-    one batched SVD.  A singular value at most 1e-10 times the largest over all
-    blocks marks a null direction, as in a dense null space of the whole
-    system.  Raises ValueError when the entries, or one batch of blocks with
-    its SVD factors, would take more than MAX_BYTES.
+    one batched SVD, and one-column blocks (all, on a constant diagonal
+    connection) their column norms.  A singular value at most 1e-10 times the
+    largest over all blocks marks a null direction, as in a dense null space of
+    the whole system.  Raises ValueError when the entries, or one batch of
+    blocks with its SVD factors, would take more than MAX_BYTES.
 
     For a non-constant connection the dimension is that of the box-truncated
     system, and it can depend on the radius: with A_1 = U_2 on n = 2 it is 0
@@ -156,8 +176,7 @@ def h0_solve(conn, radius):
     terms = [(j, i, i, (0,) * n, delta_eigenvalue(box.T, j + 1))
              for j in range(half) for i in range(m)] + terms
     shifts = {k: s for s, k in enumerate(dict.fromkeys(k for *_, k, _ in terms))}
-    out_modes = (box[None] + np.array(list(shifts))[:, None]).reshape(-1, n)
-    _, out_index = np.unique(out_modes, axis=0, return_inverse=True)
+    out_index = _row_ids((box[None] + np.array(list(shifts))[:, None]).reshape(-1, n))
     n_out, out_index = out_index.max() + 1, out_index.reshape(len(shifts), n_box)
     upper = np.triu(theta.entries, k=1)
     rows, cols, vals = [], [], []
@@ -197,7 +216,7 @@ def h0_solve(conn, radius):
         own = np.flatnonzero(group[col_block] == g)
         block_cols = np.empty((len(blocks), w), dtype=int)
         block_cols[slot[col_block[own]], col_local[own]] = own
-        factors.append((block_cols, *np.linalg.svd(stack, full_matrices=False)[1:]))
+        factors.append((block_cols, *_svd(stack)))
     cutoff = 1e-10 * max((s.max() for _, s, _ in factors), default=0.0)
 
     found = []
@@ -248,6 +267,8 @@ def ps_compare(theta, radius=4):
     residual after that one normalization."""
     if theta.n != 2:
         raise DimensionMismatch("comparison requires torus dimension 2")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     u2 = TorusElement.generator(theta, 2)
     lhs = delta(u2, 1).coeffs[(0, 1)]
     rhs = del_tau(u2).coeffs[(0, 1)]

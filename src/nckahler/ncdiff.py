@@ -183,7 +183,9 @@ class TorusMatrix:
         return TorusMatrix(self.theta, self.shape, out)
 
     def norm(self):
-        return float(max((np.abs(b).max() for b in self.blocks.values()), default=0.0))
+        """Max entry magnitude, rounded as TorusElement.norm's abs (np.hypot)."""
+        return float(max((np.hypot(b.real, b.imag).max() for b in self.blocks.values()),
+                         default=0.0))
 
     def is_zero(self, tol=PRUNE_TOL):
         return self.norm() < tol

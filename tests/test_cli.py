@@ -197,6 +197,12 @@ class TestHolo:
         obj = json.loads(capsys.readouterr().out)
         assert obj["pass"]
 
+    def test_ps_compare_negative_radius_exit_2(self, theta2_file, capsys):
+        # an empty box would compare nothing and pass
+        path, _ = theta2_file
+        assert main(["holo", "ps-compare", "--theta2", path, "--radius", "-1"]) == 2
+        assert "radius must be >= 0" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["holo", "flat", "--conn", "/nonexistent.json"]) == 2
 

@@ -17,7 +17,7 @@ from nckahler.forms import (
 )
 from nckahler.holomorphic import delta
 from nckahler.kahler import Matching, build_kahler_package
-from nckahler.ncdiff import NCDiffOp, TorusMatrix, dense_words, word_product
+from nckahler.ncdiff import NCDiffOp, TorusMatrix, dense_words, word_product, word_sum
 from nckahler.torus import DimensionMismatch, ThetaMatrix, TorusElement
 
 RNG = np.random.default_rng(300)
@@ -203,6 +203,77 @@ class TestAgainstDenseChains:
         products = [word_product(a, b) for a in fbm.mu for b in fbm.mu]
         for w in fbm.chain("mu", 2)[2]:
             assert any(w == p or w == {k: -c for k, c in p.items()} for p in products)
+
+
+def coefficients(sums):
+    """The dict path's coefficient matrix: one row per word sum, over the
+    words that occur, sorted."""
+    col = {w: i for i, w in enumerate(sorted({w for p in sums for w in p}))}
+    mat = np.zeros((len(sums), len(col)), dtype=complex)
+    for i, p in enumerate(sums):
+        for w, c in p.items():
+            mat[i, col[w]] = c
+    return mat
+
+
+def dict_span(products, m, tol=forms.RANK_TOL):
+    """The dict path's span of word_product dicts: their coefficient matrix
+    and the picked products, by the same SVD and pivoted Gram-Schmidt."""
+    products = [p for p in (word_sum((1, p)) for p in products) if p]
+    if not products:
+        return np.zeros((0, 0), dtype=complex), []
+    mat = coefficients(products)
+    u, s, _ = np.linalg.svd(np.sqrt(m) * mat, full_matrices=False)
+    rank = int(np.count_nonzero(s > tol * max(1.0, s[0])))
+    coords, picked = u[:, :rank] * s[:rank], []
+    for _ in range(rank):
+        i = int(np.argmax(np.linalg.norm(coords, axis=1)))
+        v = coords[i] / np.linalg.norm(coords[i])
+        coords = coords - np.outer(coords @ v.conj(), v)
+        picked.append(i)
+    return mat, [products[i] for i in sorted(picked)]
+
+
+def assert_same_span(groups, fbm):
+    """The word-pair pass on (left, right) groups gives the dict path's
+    matrix and picks bit for bit, the words of each pick in the same order."""
+    products = [word_product(a, b) for left, right in groups for a in left for b in right]
+    want_mat, want = dict_span(products, fbm.m)
+    got = forms._products(groups, fbm.n)
+    mat = forms._matrix(*got)[0] if len(got[0]) else np.zeros((0, 0), dtype=complex)
+    assert mat.shape == want_mat.shape and np.array_equal(mat, want_mat)
+    picks = forms._span(got, fbm.m)
+    assert [list(p.items()) for p in picks] == [list(p.items()) for p in want]
+    return picks
+
+
+class TestAgainstDictPath:
+    """The one word-pair pass per level against the word_product dicts it
+    replaces: same coefficients, picks and chains, bit for bit."""
+
+    @pytest.mark.parametrize("eps_prime", [1, -1])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_chains(self, n, eps_prime):
+        fbm = build_form_matrices(n, eps_prime)
+        for name in ("mu", "eta_bar", "eta_hol"):
+            family = getattr(fbm, name)
+            chain = fbm.chain(name, n + 1 if name == "mu" else n // 2 + 1)
+            for basis, grown in zip(chain, chain[1:]):
+                if basis:
+                    picks = assert_same_span([(basis, family)], fbm)
+                    assert [list(p.items()) for p in grown] == [list(p.items()) for p in picks]
+                    assert np.array_equal(forms._matrix(*forms._flat(basis))[0],
+                                          coefficients(basis))
+                else:
+                    assert grown == []
+
+    @pytest.mark.parametrize("eps_prime", [1, -1])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_mixed_spans(self, n, eps_prime):
+        fbm = build_form_matrices(n, eps_prime)
+        hol, bar = fbm.chain("eta_hol", 2), fbm.chain("eta_bar", 2)
+        for r in (1, 2):
+            assert_same_span([(hol[p], bar[r - p]) for p in range(r + 1)], fbm)
 
 
 class TestCommutatorDecomposition:

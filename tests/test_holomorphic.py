@@ -7,10 +7,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from nckahler import holomorphic
 from nckahler.holomorphic import (
     Connection,
+    _row_ids,
+    _svd,
     del_tau,
     delbar_tuple,
     delta,
@@ -270,6 +275,70 @@ class TestH0Constant:
             h0_solve(grassmannian(theta, 1), 1000)
 
 
+MODE_ROWS = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5) | st.integers(-2 ** 40, 2 ** 40), min_size=n, max_size=n),
+    min_size=1, max_size=40))
+
+
+class TestRowIds:
+    @settings(max_examples=200, deadline=None)
+    @given(MODE_ROWS)
+    @example([[2 ** 40, -2 ** 40, 3, 2 ** 40, -2 ** 40, 1],
+              [-2 ** 40, 2 ** 40, 3, 0, 2 ** 40, 1],
+              [2 ** 40, -2 ** 40, 3, 2 ** 40, -2 ** 40, 1]])  # the code is ranked again
+    def test_same_inverse_as_unique_rows(self, rows):
+        rows = np.array(rows, dtype=np.int64)
+        want = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+        assert np.array_equal(_row_ids(rows), want)
+
+
+def lapack_svd(stack):
+    return np.linalg.svd(stack, full_matrices=False)[1:]
+
+
+def bench_connections(seed):
+    """The benchmark's seeded leaf-linalg connections and radii: c1 U_2 on
+    m = 1, c2 U_2 above the diagonal on m = 2, and the m = 2 Grassmannian."""
+    theta = ThetaMatrix.random(4, np.random.default_rng(seed))
+    rng = np.random.default_rng([seed, 1])
+    c1, c2 = (complex(rng.normal(), rng.normal()) for _ in range(2))
+    u2, z = TorusElement.generator(theta, 2), TorusElement.zero(theta)
+    return [(Connection(theta, 1, [[[u2.scale(c1)]], [[z]]]), 2),
+            (Connection(theta, 2, [[[z, u2.scale(c2)], [z, z]], [[z, z], [z, z]]]), 2),
+            (grassmannian(theta, 2), 3)]
+
+
+class TestOneColumnBlocks:
+    @pytest.mark.parametrize("scale", [0.0, 1e-13, 1.0])
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    def test_against_lapack(self, h, scale):
+        rng = np.random.default_rng(h)
+        stack = scale * (rng.normal(size=(300, h, 1)) + 1j * rng.normal(size=(300, h, 1)))
+        (s, vh), (want_s, want_vh) = _svd(stack), lapack_svd(stack)
+        assert s.shape == want_s.shape and vh.shape == want_vh.shape
+        assert np.array_equal(vh, want_vh)
+        # LAPACK's own rounding of a column norm is up to 3 ulps from np.linalg.norm
+        assert np.all(np.abs(s - want_s) <= 4 * np.spacing(want_s))
+
+    @pytest.mark.parametrize("seed", [1, 7, 20261017])
+    def test_bench_connections_as_with_lapack(self, seed, monkeypatch):
+        widths = []
+
+        def recording(stack):
+            widths.append(stack.shape[2])
+            return _svd(stack)
+
+        def bases():
+            return [[[x.to_json() for x in xi] for xi in h0_solve(conn, radius)]
+                    for conn, radius in bench_connections(seed)]
+
+        monkeypatch.setattr(holomorphic, "_svd", recording)
+        got = bases()
+        assert 1 in widths
+        monkeypatch.setattr(holomorphic, "_svd", lapack_svd)
+        assert got == bases()
+
+
 class TestMorphism:
     def test_identity(self):
         g = grassmannian(THETA4, 2)
@@ -325,3 +394,8 @@ class TestPSCompare:
     def test_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
             ps_compare(THETA4)
+
+    def test_negative_radius_refused(self):
+        # an empty box would compare nothing and report residual 0
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            ps_compare(THETA2, radius=-1)

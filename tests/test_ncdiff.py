@@ -111,6 +111,16 @@ class TestCompose:
             NCDiffOp.identity(THETA, 2).compose(NCDiffOp.identity(THETA, 4))
 
 
+class TestTorusMatrixNorm:
+    def test_rounds_as_element_norm(self):
+        # np.abs rounds |c| differently from Python's abs in about one value
+        # in three on some numpy builds; np.hypot agrees with abs
+        rng = np.random.default_rng(17)
+        for v in (rng.normal(size=300) + 1j * rng.normal(size=300)).tolist():
+            a = TorusElement.monomial(THETA, ZERO2, v)
+            assert TorusMatrix.from_entries(THETA, [[a]]).norm() == a.norm()
+
+
 def _leibniz_terms(alpha):
     """(gamma, C(alpha, gamma), alpha - gamma) for 0 <= gamma <= alpha."""
     for gamma in iproduct(*(range(a + 1) for a in alpha)):
