@@ -19,7 +19,7 @@ import numpy as np
 from .clifford import GammaRep, build_gamma
 from .ncdiff import NCDiffOp, TorusMatrix, pauli_words, word_kron, word_product, word_sum
 from .report import VerificationReport, resolve_tol
-from .torus import DimensionMismatch, TorusElement
+from .torus import PRUNE_TOL, DimensionMismatch, TorusElement
 
 
 _ONE = {(0, 0): 1 + 0j}
@@ -210,6 +210,8 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
     """Assemble every operator of the construction for one (Theta, matching,
     eps') choice: d2 = [I, d], del = (d - i d2)/2, delbar = (d + i d2)/2,
     T = (T_script - i I)/2, Tbar = (T_script + i I)/2."""
+    if eps_prime not in (1, -1):
+        raise ValueError(f"eps' must be +1 or -1, got {eps_prime!r}")
     rep = build_gamma(theta.n) if rep is None else rep
     if matching is None:
         matching = enumerate_matchings(theta.n)[0]
@@ -252,14 +254,16 @@ def _core_chain_jobs(pkg, d2s):
             "{d,d2*}": (d, d2s, 1), "{d*,d2}": (pkg.d_star, d2, 1)}
 
 
-def _core_chain_sums(pkg, r):
+def _laplacian(theta, m):
+    """sum_j del_j^2, so that DD^2 = -sum del_r^2 reads DD^2 + lap = 0."""
+    return NCDiffOp.from_words(theta, m, {tuple(2 * a for a in _unit(theta.n, j)): _ONE
+                                          for j in range(1, theta.n + 1)})
+
+
+def _core_chain_sums(pkg, r, del2):
     """The differences verify_core_chain checks, by name, from the products r
-    of _core_chain_jobs."""
-    theta, m = pkg.theta, pkg.DD.m
-    # sum_j del_j^2, so that DD^2 = -sum del_r^2 reads DD^2 + lap = 0
-    lap = NCDiffOp.from_words(theta, m, {tuple(2 * a for a in _unit(theta.n, j)): _ONE
-                                         for j in range(1, theta.n + 1)})
-    return {"DD^2": [(1, r["DD^2"]), (1, lap)], "DDbar^2": [(1, r["DDbar^2"]), (1, lap)],
+    of _core_chain_jobs and del2 = _laplacian(pkg.theta, pkg.DD.m)."""
+    return {"DD^2": [(1, r["DD^2"]), (1, del2)], "DDbar^2": [(1, r["DDbar^2"]), (1, del2)],
             "[Ts,d]": [(1, r["[Ts,d]"]), (-1, pkg.d)], "[I,d2]": [(1, r["[I,d2]"]), (1, pkg.d)]}
 
 
@@ -287,7 +291,7 @@ def verify_core_chain(pkg, tol=None):
     kernel pass."""
     rp = VerificationReport(tol=resolve_tol(tol))
     [r] = _batch(NCDiffOp.products, [_core_chain_jobs(pkg, pkg.d2.adjoint())])
-    [s] = _batch(NCDiffOp.sums, [_core_chain_sums(pkg, r)])
+    [s] = _batch(NCDiffOp.sums, [_core_chain_sums(pkg, r, _laplacian(pkg.theta, pkg.DD.m))])
     _add_core_chain(rp, r, s)
     return rp
 
@@ -315,7 +319,7 @@ def _checklist_jobs(pkg, adj, mas):
     return jobs
 
 
-def _checklist_sums(pkg, adj, r):
+def _checklist_sums(pkg, adj, r, del2):
     """The checklist's two-term differences (the core chain's too), by name."""
     p, pb, d, T, Tb = pkg.del_hol, pkg.del_bar, pkg.d, pkg.T, pkg.T_bar
     lap, lap_db = r["{d,d*}"], r["{delbar,delbar*}"]
@@ -328,7 +332,7 @@ def _checklist_sums(pkg, adj, r):
             "T+Tbar": [(1, T), (1, Tb)], "d*": [(1, adj[2]), (-1, pkg.d_star)],
             "lap d2": [(1, lap), (-1, r["{d2,d2*}"])],
             # 2 lap_db is exact, so this is lap - lap_db.scale(2.0)
-            "lap delbar": [(1, lap), (-2.0, lap_db)], **_core_chain_sums(pkg, r)}
+            "lap delbar": [(1, lap), (-2.0, lap_db)], **_core_chain_sums(pkg, r, del2)}
 
 
 def verify_n22(pkg, tol=None, rng=None, samples=3):
@@ -338,26 +342,29 @@ def verify_n22(pkg, tol=None, rng=None, samples=3):
     is one kernel pass, {del, [delbar, a]} over the samples a a second, and
     the differences two reductions.  Each package draws its samples from
     rng, or from a fresh default_rng(7) when rng is None, so a report does
-    not depend on the batch it ran in."""
+    not depend on the batch it ran in; each draw's mult(a) is one from_terms."""
     pkgs = [pkg] if isinstance(pkg, KahlerPackage) else list(pkg)
     tol = resolve_tol(tol)
     adj = NCDiffOp.adjoints([op for q in pkgs for op in (q.del_hol, q.del_bar, q.d, q.d2)])
     adj = [adj[i:i + 4] for i in range(0, len(adj), 4)]
+    ctxs = {(id(q.theta), q.DD.m): q for q in pkgs}
+    laps = {ctx: _laplacian(q.theta, q.DD.m) for ctx, q in ctxs.items()}
     mas, drawn = [], {}
     for q in pkgs:
         # fresh default_rng(7) draws repeat over one torus and fiber: build them once
         key = (id(q.theta), q.DD.m) if rng is None else len(mas)
         if key not in drawn:
             qrng = np.random.default_rng(7) if rng is None else rng
-            drawn[key] = [NCDiffOp.mult(TorusElement.random(q.theta, qrng, radius=1, terms=3),
-                                        q.DD.m) for _ in range(samples)]
+            elems = [TorusElement.random(q.theta, qrng, radius=1, terms=3) for _ in range(samples)]
+            drawn[key] = NCDiffOp.mult(elems, q.DD.m) if elems else []
         mas.append(drawn[key])
     rs = _batch(NCDiffOp.products, [_checklist_jobs(*a) for a in zip(pkgs, adj, mas)])
     nested = _batch(NCDiffOp.products, [{s: (q.del_hol, r["[delbar,a]", s], 1)
                                          for s in range(samples)} for q, r in zip(pkgs, rs)])
     # the differences in two reductions: sums of two terms, then the three-term
     # ones from their first two (the order + and - take)
-    difs = _batch(NCDiffOp.sums, [_checklist_sums(*a) for a in zip(pkgs, adj, rs)])
+    difs = _batch(NCDiffOp.sums, [_checklist_sums(q, a, r, laps[id(q.theta), q.DD.m])
+                                  for q, a, r in zip(pkgs, adj, rs)])
     difs = [dif | more for dif, more in zip(difs, _batch(NCDiffOp.sums, [
         {"d": [(1, dif["del+delbar"]), (-1, q.d)], "DD": [(1, dif["d+d*"]), (-1, q.DD)],
          "T_script": [(1, dif["T+Tbar"]), (-1, q.T_script)]} for q, dif in zip(pkgs, difs)]))]
@@ -427,14 +434,17 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     """The real-structure conditions for J = (a -> a*) tensor J_N on the C^N
     fiber: J D = eps' D J on the monomial basis vectors e_i U^k of 12 modes k
     of the box [-radius, radius]^n, plus the zero- and first-order conditions
-    [JaJ*, b] = [JaJ*, [D, b]] = 0 on sampled monomial pairs.
+    [JaJ*, b] = [JaJ*, [D, b]] = 0 on `samples` (>= 1) monomial pairs.
 
-    Each operator acts once on a block of basis vectors, the columns of an
-    (N, N) TorusMatrix (column i of a result is the operator on e_i): for
-    J D the identity at every sampled mode at once, which holds only while
-    D's coefficients sit at mode 0, and for the pair conditions the identity
-    at mode 0.  A call makes 2 + 2 * samples NCDiffOp.apply calls, and one
-    kernel pass (NCDiffOp.products) forms every sample's [D, b]."""
+    Each operator acts once on the columns of an (N, N) block: for J D the
+    identity at every sampled mode at once, in a TorusMatrix, which holds
+    only while D's coefficients sit at mode 0 (two NCDiffOp.apply calls).  In
+    the pair conditions every intermediate is one block at one mode, so the
+    samples run as (samples, N, N) stacks: one NCDiffOp.products pass forms
+    every [D, b], and one NCDiffOp.applies pass acts with each on the
+    identity and on J a J*."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     tol = resolve_tol(tol)
     rng = np.random.default_rng(11) if rng is None else rng
     rep = build_gamma(theta.n) if rep is None else rep
@@ -452,10 +462,6 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
                for k, b in v.blocks.items()}
         return TorusMatrix(theta, v.shape, out)
 
-    def JaJstar(a, v):
-        # J^2 = eps I, so J^{-1} = eps J
-        return J(a.matmul(J(v))).scale(eps)
-
     # D's coefficients sit at mode 0, so D.apply keeps the block of mode k at
     # k and J moves it to -k: no two sampled modes merge, and the norm is the
     # max over every (mode, basis vector)
@@ -464,24 +470,40 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     rp.add("J D = eps' D J",
            (J(D.apply(basis)) - D.apply(J(basis)).scale(eps_p)).norm())
 
-    ident = TorusMatrix.constant(theta, eye)
-    modes = []
-    for _ in range(samples):
-        ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
-        mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
-        modes.append((ma, mb))
-    Dbs = NCDiffOp.products([(D, NCDiffOp.mult(TorusElement.monomial(theta, mb), N), -1)
-                             for _, mb in modes])
-    res0 = res1 = 0.0
-    for (ma, mb), Db in zip(modes, Dbs):
-        a = TorusMatrix.scalar_element(TorusElement.monomial(theta, ma), N)
-        # b applied to the identity is b itself
-        b = TorusMatrix.scalar_element(TorusElement.monomial(theta, mb), N)
-        ja = JaJstar(a, ident)
-        res0 = max(res0, (JaJstar(a, b) - b.matmul(ja)).norm())
-        res1 = max(res1, (JaJstar(a, Db.apply(ident)) - Db.apply(ja)).norm())
-    rp.add("[J a J*, b] = 0", res0)
-    rp.add("[J a J*, [D, b]] = 0", res1)
+    # per sample, ma is drawn before mb
+    ma, mb = zip(*[[tuple(int(x) for x in rng.integers(-2, 3, size=theta.n)) for _ in range(2)]
+                   for _ in range(samples)])
+    mbs = NCDiffOp.mult([TorusElement.monomial(theta, k) for k in mb], N)
+    Dbs = NCDiffOp.products([(D, b, -1) for b in mbs])
+    for Db, b, k in zip(Dbs, mbs, mb):
+        # [D, b] = sum_j del_j(b) gamma_j: one degree-0 block at mb, none at mb = 0
+        if Db.table[:2].tolist() != ([[0], b.mode.tolist()] if any(k) else [[], []]):
+            raise RuntimeError(f"[D, b] for b = U^{k} is not one degree-0 block at {k}")
+    nma = [tuple(-x for x in k) for k in ma]
+    sa, sb, pab, sab, pba = [np.array(p)[:, None, None] for p in zip(*(
+        (theta.star_phase(a), theta.star_phase(b), theta.phase(a, tuple(-x for x in b)),
+         theta.star_phase(tuple(x - y for x, y in zip(a, b))), theta.phase(b, na))
+        for a, b, na in zip(ma, mb, nma)))]
+
+    def JaJstar(Cb, s):
+        # J a J* (b U^mb) per sample s, from Cb = C conj(b): J b U^k = star_phase(k)
+        # C conj(b) U^-k, U^ma b U^k = phase(ma, k) b U^(ma + k), and J^-1 = eps J
+        return eps * (sab[s] * (C @ (pab[s] * (sb[s] * Cb)).conj()))
+
+    def residual(d):
+        # TorusMatrix's prune-then-norm per sample of the difference d; its
+        # operands, phases times unitary or [D, b] blocks, are never below PRUNE_TOL
+        kept = np.abs(d).max(axis=(1, 2)) >= PRUNE_TOL
+        return float(np.hypot(d.real, d.imag).max(axis=(1, 2))[kept].max(initial=0.0))
+
+    # J a J*(identity) at -ma: J(1) = C, and a C is the block C at ma
+    ja = eps * (sa * (C @ C.conj()))
+    rp.add("[J a J*, b] = 0", residual(JaJstar(C @ eye.conj(), slice(None)) - pba * ja))
+    live = [s for s, k in enumerate(mb) if any(k)]
+    acted = NCDiffOp.applies([(Dbs[s], {(0,) * theta.n: eye}) for s in live]
+                             + [(Dbs[s], {nma[s]: ja[s]}) for s in live])
+    acted = np.array([blk for out in acted for blk in out.values()]).reshape(2, -1, N, N)
+    rp.add("[J a J*, [D, b]] = 0", residual(JaJstar(C @ acted[0].conj(), live) - acted[1]))
     return rp
 
 
@@ -517,6 +539,9 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     packages once and shares them between the conjugation check and one
     verify_n22 batch over the packages of `eps_list`; `on_package(pkg)` is
     called on every package that gets verified."""
+    for eps in eps_list:
+        if eps not in (1, -1):
+            raise ValueError(f"eps' must be +1 or -1, got {eps!r}")
     tol = resolve_tol(tol)
     rep = build_gamma(theta.n) if rep is None else rep
     grid = VerificationReport(tol=tol)

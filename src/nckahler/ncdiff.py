@@ -14,13 +14,13 @@ of q-bit masks x, z.  Words multiply exactly by the symplectic rule
 
 and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so products and adjoints never
 form an m x m block; dense blocks appear only in residual_norm, to_json and
-apply.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau of
+applies.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau of
 Aaronson and Gottesman (PRA 70, 2004), and its blocks as integer arrays: the
 code of alpha, the id of the interned mode k, and the span start:stop of the
 block's words.  Tuples appear only at the edges: terms, from_terms, to_json,
-from_json and apply.  Sums, adjoints and products (NCDiffOp.sums, adjoints
-and products, each a batch of jobs) lay out their contributions with numpy,
-the weights of each distinct block (pair) computed once, and share one
+from_json, apply and applies.  Sums, adjoints and products (NCDiffOp.sums,
+adjoints and products, each a batch of jobs) lay out their contributions with
+numpy, the weights of each distinct block (pair) computed once, and share one
 reduction, _reduce: each (block, word) is summed in input order with
 np.bincount, sums below PRUNE_TOL are dropped, and blocks and words keep the
 order a dict accumulation gives them.  Complex products are spelled out in
@@ -93,19 +93,6 @@ class TorusMatrix:
         return cls(theta, mat.shape, {(0,) * theta.n: mat})
 
     @classmethod
-    def scalar_element(cls, a, m):
-        """a . Id_m for a torus element a."""
-        return cls(a.theta, (m, m), {k: c * np.eye(m) for k, c in a.coeffs.items()})
-
-    @classmethod
-    def unit_column(cls, theta, m, i, mode=None):
-        """The column e_i . U^mode of A^m (mode 0 by default)."""
-        col = np.zeros((m, 1), dtype=complex)
-        col[i] = 1.0
-        mode = (0,) * theta.n if mode is None else tuple(int(x) for x in mode)
-        return cls(theta, (m, 1), {mode: col})
-
-    @classmethod
     def random(cls, theta, shape, rng, radius=2, terms=3):
         """Entries TorusElement.random(theta, rng, radius, terms), drawn row-major."""
         rows, cols = shape
@@ -170,17 +157,6 @@ class TorusMatrix:
             mk = tuple(-x for x in k)
             out[mk] = theta.star_phase(k) * b.conj().T
         return TorusMatrix(theta, self.shape[::-1], out, prune=False)
-
-    def derive_multi(self, delta):
-        """Apply del^delta entrywise: block k picks up (2 pi i k)^delta."""
-        if all(d == 0 for d in delta):
-            return self
-        out = {}
-        for k, b in self.blocks.items():
-            f = _deriv_factor(k, delta)
-            if f != 0:
-                out[k] = f * b
-        return TorusMatrix(self.theta, self.shape, out)
 
     def norm(self):
         """Max entry magnitude, rounded as TorusElement.norm's abs (np.hypot)."""
@@ -273,18 +249,25 @@ def word_kron(a, b, q):
             for (x1, z1), c1 in a.items() for (x2, z2), c2 in b.items()}
 
 
-def _act(x, z, c, cols):
-    """M @ b for each block b of the stack cols, M the sum of the words
-    (x, z, c): entry r of a column is sum_g M[r, r ^ xs[g]] b[r ^ xs[g]] over
-    the distinct x in order of first appearance, added in that order with the
-    complex products spelled out in real arithmetic, as in the dense product."""
-    idx = np.arange(cols.shape[1])
-    xs = idx ^ np.array(list(dict.fromkeys(x.tolist())), dtype=np.int64)[:, None]
-    M, v = _densify(x, z, c, len(idx))[idx, xs], cols[:, xs]
-    er, ei = M.real[None, :, :, None], M.imag[None, :, :, None]
-    pr, pi = er * v.real - ei * v.imag, er * v.imag + ei * v.real
+def _act(seg, x, z, c, cols):
+    """M_j @ cols[j] for each (m, w) block of the stack cols, M_j the sum of
+    the words (x, z, c) of job seg (ascending): entry r of a column is
+    sum_g M_j[r, r ^ xs[g]] b[r ^ xs[g]] over the distinct x of job j in order
+    of first appearance, added in that order with the complex products
+    spelled out in real arithmetic, as in the dense product (a job with fewer
+    distinct x than another then adds exact zeros)."""
+    jobs, m = cols.shape[:2]
+    idx, j = np.arange(m), np.arange(jobs)[:, None, None]
+    dense = np.zeros((jobs, m, m), dtype=complex)
+    np.add.at(dense, (seg[:, None], x[:, None] ^ idx, idx), c[:, None] * _signs(m)[z])
+    first = np.full((jobs, m), len(x))
+    np.minimum.at(first, (seg, x), np.arange(len(x)))
+    # per job its x in order of first appearance, then x it lacks (whose entries are 0)
+    rows = idx ^ first.argsort(kind="stable")[:, :(first < len(x)).sum(axis=1).max(), None]
+    M, v = dense[j, idx, rows][..., None], cols[j, rows]
+    pr, pi = M.real * v.real - M.imag * v.imag, M.real * v.imag + M.imag * v.real
     out = np.zeros(cols.shape, dtype=complex)
-    for g in range(len(xs)):
+    for g in range(rows.shape[1]):
         out.real += pr[:, g]
         out.imag += pi[:, g]
     return out
@@ -518,28 +501,32 @@ class NCDiffOp:
     def from_terms(cls, theta, m, terms):
         """The operator of {alpha: {k: {(x, z): c}}}, in that order, less the
         words below PRUNE_TOL; a dict holds each block and word once, so
-        nothing is summed."""
+        nothing is summed.  For a list of such dicts, the list of their
+        operators from one _tabulate."""
         _check_fiber(m)
-        codes, ids, lengths, words, cs = [], [], [], [], []
-        for alpha, blocks in terms.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != theta.n:
-                raise ValueError(f"bad multi-index {alpha}")
-            code = _acode(alpha)
-            for k, block in blocks.items():
-                codes.append(code)
-                ids.append(_mode_id(theta.n, tuple(int(v) for v in k)))
-                lengths.append(len(block))
-                words += block
-                cs += block.values()
+        jobs = terms if isinstance(terms, list) else [terms]
+        owners, codes, ids, lengths, words, cs = [], [], [], [], [], []
+        for owner, job in enumerate(jobs):
+            for alpha, blocks in job.items():
+                alpha = tuple(int(a) for a in alpha)
+                if len(alpha) != theta.n:
+                    raise ValueError(f"bad multi-index {alpha}")
+                code = _acode(alpha)
+                for k, block in blocks.items():
+                    owners.append(owner)
+                    codes.append(code)
+                    ids.append(_mode_id(theta.n, tuple(int(v) for v in k)))
+                    lengths.append(len(block))
+                    words += block
+                    cs += block.values()
         x, z = np.array(words, dtype=np.int64).reshape(-1, 2).T
         # nonzero for a negative mask and for one of more than q bits
         if ((x | z) >> m.bit_length() - 1).any():
             raise DimensionMismatch(f"a word outside the fiber of {m}")
-        return _tabulate([(theta, m)], np.zeros(len(codes), dtype=np.intp),
-                         np.array(codes, dtype=np.int64), np.array(ids, dtype=np.intp),
-                         np.arange(len(codes)).repeat(lengths), x, z,
-                         np.array(cs, dtype=complex))[0]
+        ops = _tabulate([(theta, m)] * len(jobs), np.array(owners, dtype=np.intp),
+                        np.array(codes, dtype=np.int64), np.array(ids, dtype=np.intp),
+                        np.arange(len(codes)).repeat(lengths), x, z, np.array(cs, dtype=complex))
+        return ops if isinstance(terms, list) else ops[0]
 
     @classmethod
     def zero(cls, theta, m):
@@ -570,9 +557,17 @@ class NCDiffOp:
 
     @classmethod
     def mult(cls, a, m):
-        """Left multiplication by the torus element a on A^m."""
-        return cls.from_terms(a.theta, m, {(0,) * a.theta.n: {k: {(0, 0): c}
-                                                             for k, c in a.coeffs.items()}})
+        """Left multiplication by the torus element a on A^m; for a non-empty
+        list of elements over one torus, the list of their operators from one
+        from_terms."""
+        if not isinstance(a, list):
+            return cls.mult([a], m)[0]
+        theta = a[0].theta
+        if not all(theta.compatible(b.theta) for b in a):
+            raise DimensionMismatch("elements over different torus contexts")
+        zero = (0,) * theta.n
+        return cls.from_terms(theta, m, [{zero: {k: {(0, 0): c} for k, c in b.coeffs.items()}}
+                                         for b in a])
 
     @classmethod
     def random(cls, theta, m, rng, max_degree=1, radius=1, terms=2):
@@ -730,16 +725,33 @@ class NCDiffOp:
         action oracle independent of compose and adjoint."""
         if v.shape[0] != self.m:
             raise DimensionMismatch(f"vector length {v.shape[0]} != fiber {self.m}")
-        theta, out = self.theta, {}
-        for alpha, blocks in groupby(self._table(), itemgetter(0)):
-            dv = v.derive_multi(alpha)
-            cols = np.array(list(dv.blocks.values())).reshape(-1, *v.shape)
-            for _, k, s, e in blocks:
-                for kp, act in zip(dv.blocks, _act(self.x[s:e], self.z[s:e], self.c[s:e], cols)):
-                    kk = tuple(x + y for x, y in zip(k, kp))
-                    term = theta.phase(k, kp) * act
-                    out[kk] = out[kk] + term if kk in out else term
-        return TorusMatrix(theta, v.shape, out)
+        return TorusMatrix(self.theta, v.shape, NCDiffOp.applies([(self, v.blocks)])[0])
+
+    @staticmethod
+    def applies(jobs):
+        """[P v for (P, v) in jobs], each v the blocks {k: b} of a TorusMatrix,
+        every b of one (m, w) shape: per job the blocks {mode: block} of P v,
+        unpruned.  The fiber actions of every (job, block of P, k) are one _act
+        pass; per job the terms phase(k', k) (M del^alpha b)(k) at k' + k add
+        up in the order of alpha, block and k."""
+        units, out = [], [{} for _ in jobs]
+        for j, (P, v) in enumerate(jobs):
+            if any(b.shape[0] != P.m for b in v.values()):
+                raise DimensionMismatch(f"a block of v is not {P.m} rows long")
+            for alpha, kk, s, e in P._table():
+                for k, b in v.items():
+                    # del^alpha b U^k = (2 pi i k)^alpha b U^k: b itself at alpha = 0
+                    if f := _deriv_factor(k, alpha):
+                        units.append((j, P.theta.phase(kk, k), tuple(x + y for x, y in zip(kk, k)),
+                                      f * b if any(alpha) else b, P.x[s:e], P.z[s:e], P.c[s:e]))
+        if units:
+            js, phases, kks, cols, x, z, c = zip(*units)
+            seg = np.arange(len(units)).repeat([len(w) for w in x])
+            acts = _act(seg, *map(np.concatenate, (x, z, c)), np.array(cols))
+            for j, phase, kk, act in zip(js, phases, kks, acts):
+                term = phase * act
+                out[j][kk] = out[j][kk] + term if kk in out[j] else term
+        return out
 
     def _dense(self, s, e):
         return _densify(self.x[s:e], self.z[s:e], self.c[s:e], self.m)

@@ -44,7 +44,7 @@ from nckahler.kahler import (
 from nckahler.ncdiff import NCDiffOp, TorusMatrix
 from nckahler.torus import ThetaMatrix, TorusElement
 
-from test_ncdiff import inner_product
+from test_ncdiff import inner_product, unit_column
 from test_torus import swap_oracle_phase
 
 TOL = 1e-10
@@ -238,7 +238,7 @@ def test_criterion_10_oracle_cross_checks():
         Q = NCDiffOp.random(theta, 2, rng) if t % 5 else P + NCDiffOp.zero(theta, 2)
         diff = P - Q
         nf_zero = diff.residual_norm() < 1e-12
-        act = max(diff.apply(TorusMatrix.unit_column(theta, 2, i, m)).norm()
+        act = max(diff.apply(unit_column(theta, 2, i, m)).norm()
                   for m in modes for i in range(2))
         act_zero = act < 1e-9 * 200  # modest growth bound on the box
         ok = ok and (nf_zero == act_zero)

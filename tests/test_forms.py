@@ -19,6 +19,7 @@ from nckahler.holomorphic import delta
 from nckahler.kahler import Matching, build_kahler_package
 from nckahler.ncdiff import NCDiffOp, TorusMatrix, dense_words, word_product, word_sum
 from nckahler.torus import DimensionMismatch, ThetaMatrix, TorusElement
+from test_ncdiff import scalar_element
 
 RNG = np.random.default_rng(300)
 THETA4 = ThetaMatrix.random(4, RNG)
@@ -313,7 +314,7 @@ def product_map_via_operators(fbm, theta, x, y):
     def lift(t):
         acc = TorusMatrix.zero(theta, (dim, dim))
         for tj, ej in zip(t, eta_bar):
-            acc = acc + TorusMatrix.scalar_element(tj, dim).matmul(
+            acc = acc + scalar_element(tj, dim).matmul(
                 TorusMatrix.constant(theta, ej))
         return acc
 

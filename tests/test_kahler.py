@@ -24,7 +24,7 @@ from nckahler.kahler import (
 )
 from nckahler.ncdiff import NCDiffOp, TorusMatrix
 from nckahler.torus import ThetaMatrix, TorusElement
-from test_ncdiff import loop_product
+from test_ncdiff import assert_same_blocks, loop_apply, loop_product, scalar_element, unit_column
 
 RNG = np.random.default_rng(200)
 THETA2 = ThetaMatrix.random(2, RNG)
@@ -171,7 +171,31 @@ class TestKernelPasses:
             assert len(passes) == 1
 
 
+class TestEpsPrime:
+    @pytest.mark.parametrize("eps", [2, 0, -2, 0.5])
+    def test_other_values_refused(self, eps):
+        # an eps' other than +-1 would build a wrong package, or die in a KeyError
+        with pytest.raises(ValueError, match=f"got {eps}"):
+            build_kahler_package(THETA2, eps_prime=eps, rep=REP2)
+        for matchings in (enumerate_matchings(2), []):
+            with pytest.raises(ValueError, match=f"got {eps}"):
+                verify_grid(THETA2, matchings, eps_list=(1, eps), rep=REP2)
+
+
 class TestN22Checklist:
+    @pytest.mark.parametrize("rng", [None, 3], ids=["default-rng", "shared-rng"])
+    def test_one_constructor_call_per_draw(self, rng, monkeypatch):
+        # the samples' mult(a) from one from_terms call per draw (one draw for
+        # both eps' packages with the default rng), the Laplacian from one per batch
+        calls, from_terms = [], NCDiffOp.from_terms
+        pkgs = [build_kahler_package(THETA4, eps_prime=e, rep=REP4) for e in (1, -1)]
+        monkeypatch.setattr(NCDiffOp, "from_terms", classmethod(
+            lambda cls, theta, m, terms: calls.append(terms) or from_terms(theta, m, terms)))
+        draw = None if rng is None else np.random.default_rng(rng)
+        verify_n22(pkgs, rng=draw)
+        lists = [t for t in calls if isinstance(t, list)]
+        assert len(calls) == 1 + len(lists) and len(lists) == (1 if rng is None else 2)
+        assert [len(t) for t in lists] == [3] * len(lists)
     @pytest.mark.parametrize("rng", [None, 3], ids=["default-rng", "shared-rng"])
     def test_batch_equals_per_package(self, rng):
         # check for check, the batch over both eps' packages gives the names,
@@ -409,21 +433,77 @@ def oracle_real_structure(theta, rep, variant, radius=3, samples=20):
     res = 0.0
     for m in oracle_box_sample(theta.n, radius, rng, 12):
         for i in range(N):
-            v = TorusMatrix.unit_column(theta, N, i, m)
+            v = unit_column(theta, N, i, m)
             res = max(res, (J(D.apply(v)) - D.apply(J(v)).scale(eps_p)).norm())
 
     res0 = res1 = 0.0
     for _ in range(samples):
         ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
         mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
-        a = TorusMatrix.scalar_element(TorusElement.monomial(theta, ma), N)
-        b = TorusMatrix.scalar_element(TorusElement.monomial(theta, mb), N)
+        a = scalar_element(TorusElement.monomial(theta, ma), N)
+        b = scalar_element(TorusElement.monomial(theta, mb), N)
         Db = D.commutator(NCDiffOp.mult(TorusElement.monomial(theta, mb), N))
         for i in range(N):
-            v = TorusMatrix.unit_column(theta, N, i)
+            v = unit_column(theta, N, i)
             res0 = max(res0, (JaJstar(a, b.matmul(v)) - b.matmul(JaJstar(a, v))).norm())
             res1 = max(res1, (JaJstar(a, Db.apply(v)) - Db.apply(JaJstar(a, v))).norm())
     return res, res0, res1
+
+
+def reference_real_structure(theta, rep, variant, rng=None, radius=3, samples=20):
+    """The three residuals of verify_real_structure with a loop of TorusMatrix
+    operations over the samples and one loop_apply per operator and vector,
+    the way verify_real_structure ran before its samples were stacked."""
+    rng = np.random.default_rng(11) if rng is None else rng
+    C = rep.conj_matrix(variant)
+    eps, eps_p, _ = rep.signs(variant)
+    D = build_dirac(rep, theta)
+    N = rep.N
+    eye = np.eye(N, dtype=complex)
+
+    def J(v):
+        out = {tuple(-x for x in k): theta.star_phase(k) * (C @ b.conj())
+               for k, b in v.blocks.items()}
+        return TorusMatrix(theta, v.shape, out)
+
+    def JaJstar(a, v):
+        return J(a.matmul(J(v))).scale(eps)
+
+    basis = TorusMatrix(theta, (N, N),
+                        {k: eye for k in kahler._box_sample(theta.n, radius, rng, 12)})
+    res = (J(loop_apply(D, basis)) - loop_apply(D, J(basis)).scale(eps_p)).norm()
+    ident = TorusMatrix.constant(theta, eye)
+    modes = []
+    for _ in range(samples):
+        ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
+        mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
+        modes.append((ma, mb))
+    Dbs = NCDiffOp.products([(D, NCDiffOp.mult(TorusElement.monomial(theta, mb), N), -1)
+                             for _, mb in modes])
+    res0 = res1 = 0.0
+    for (ma, mb), Db in zip(modes, Dbs):
+        a = scalar_element(TorusElement.monomial(theta, ma), N)
+        b = scalar_element(TorusElement.monomial(theta, mb), N)
+        ja = JaJstar(a, ident)
+        res0 = max(res0, (JaJstar(a, b) - b.matmul(ja)).norm())
+        res1 = max(res1, (JaJstar(a, loop_apply(Db, ident)) - loop_apply(Db, ja)).norm())
+    return res, res0, res1
+
+
+class ForcedRng:
+    """default_rng(seed) whose k-th draw of a sample mode (integers(-2, 3)),
+    for k in zero_draws (from 1: ma of sample 0, then its mb, ...), is 0."""
+
+    def __init__(self, seed, zero_draws):
+        self.rng, self.zero_draws, self.draws = np.random.default_rng(seed), zero_draws, 0
+
+    def integers(self, low, high, size):
+        out = self.rng.integers(low, high, size=size)
+        if (low, high) == (-2, 3):
+            self.draws += 1
+            if self.draws in self.zero_draws:
+                return np.zeros_like(out)
+        return out
 
 
 def residuals(rp):
@@ -461,20 +541,79 @@ class TestRealStructure:
             assert residuals(rp) == oracle_real_structure(theta, rep, variant)
 
     def test_apply_count(self, monkeypatch):
-        # J D: D applied once to J(basis) and once to the basis; then [D, b]
-        # once to the identity and once to J a J* per sample (512 one column at a time)
-        calls = 0
-        apply = NCDiffOp.apply
+        # J D: D applied once to J(basis) and once to the basis; then every
+        # sample's [D, b] on the identity and on J a J* in one applies pass
+        calls, passes = 0, []
+        apply, applies = NCDiffOp.apply, NCDiffOp.applies
 
         def counted(op, v):
             nonlocal calls
             calls += 1
             return apply(op, v)
 
+        def counted_applies(jobs):
+            passes.append(len(jobs))
+            return applies(jobs)
+
         monkeypatch.setattr(NCDiffOp, "apply", counted)
+        monkeypatch.setattr(NCDiffOp, "applies", staticmethod(counted_applies))
         theta = ThetaMatrix.random(6, np.random.default_rng(3))
         verify_real_structure(theta, rep=build_gamma(6), samples=20)
-        assert calls <= 2 + 2 * 20
+        assert calls == 2
+        # the two apply calls, then 2 jobs per sample whose b is not 1
+        assert passes[:2] == [1, 1] and len(passes) == 3 and passes[2] <= 2 * 20
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("passed", [False, True], ids=["default-rng", "passed-rng"])
+    def test_equals_per_sample_reference(self, n, variant, passed):
+        # the stacked samples give the per-sample loop's residuals bit for bit
+        rep = build_gamma(n)
+        for seed in range(10):
+            theta = ThetaMatrix.random(n, np.random.default_rng(100 + seed))
+            draw = (lambda: np.random.default_rng(seed)) if passed else (lambda: None)
+            got = verify_real_structure(theta, rep=rep, variant=variant, rng=draw())
+            assert residuals(got) == reference_real_structure(theta, rep, variant, draw())
+
+    @pytest.mark.parametrize("samples,zero_draws", [(20, {2, 9}), (1, {2})])
+    def test_forced_b_one(self, samples, zero_draws, monkeypatch):
+        # mb = 0 (draw 2, sample 0) makes b = 1 and [D, b] = 0: no applies job
+        # for that sample, none at all when samples = 1; draw 9 makes a = 1 in
+        # sample 4.  The residuals are the loop's.
+        jobs, applies = [], NCDiffOp.applies
+        monkeypatch.setattr(NCDiffOp, "applies", staticmethod(
+            lambda js: jobs.append(len(js)) or applies(js)))
+        for variant in ("plus", "minus"):
+            rp = verify_real_structure(THETA4, rep=REP4, variant=variant, samples=samples,
+                                       rng=ForcedRng(5, zero_draws))
+            assert jobs[-1] == 2 * (samples - 1)
+            assert residuals(rp) == reference_real_structure(
+                THETA4, REP4, variant, ForcedRng(5, zero_draws), samples=samples)
+            assert rp.all_pass
+
+    def test_applies_equal_loop_on_sample_jobs(self):
+        # the real structure's applies jobs against the block loop, bit for bit
+        theta, rep = ThetaMatrix.random(6, np.random.default_rng(8)), build_gamma(6)
+        D, rng, N = build_dirac(rep, theta), np.random.default_rng(9), rep.N
+        mbs = [TorusElement.monomial(theta, rng.integers(-2, 3, size=6)) for _ in range(8)]
+        Dbs = NCDiffOp.products([(D, NCDiffOp.mult(b, N), -1) for b in mbs])
+        vs = [{tuple(int(x) for x in rng.integers(-2, 3, size=6)): rng.normal(size=(N, N)) + 1j}
+              for _ in Dbs]
+        for out, Db, v in zip(NCDiffOp.applies(list(zip(Dbs, vs))), Dbs, vs, strict=True):
+            assert_same_blocks(out, loop_apply(Db, TorusMatrix(theta, (N, N), v)).blocks)
+
+    def test_guard_on_degree_one_commutator(self, monkeypatch):
+        # a [D, b] with a degree-1 block is an internal fault, not a config error
+        products = NCDiffOp.products
+        monkeypatch.setattr(NCDiffOp, "products", staticmethod(
+            lambda jobs: [Db + P for Db, (P, _, _) in zip(products(jobs), jobs)]))
+        with pytest.raises(RuntimeError, match="degree-0 block"):
+            verify_real_structure(THETA4, rep=REP4)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_refused(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            verify_real_structure(THETA2, rep=REP2, samples=samples)
 
     def test_scaled_gamma_fails_jd_only(self):
         # i gamma_1 breaks J D = eps' D J in its del_1 part by 2 * 2 pi |k_1|

@@ -22,6 +22,8 @@ from nckahler.kahler import (
 from nckahler.ncdiff import (
     NCDiffOp,
     TorusMatrix,
+    _densify,
+    _deriv_factor,
     _push_weights,
     dense_words,
     pauli_words,
@@ -51,11 +53,75 @@ def random_op(seed, m=2, max_degree=1):
     return NCDiffOp.random(THETA, m, np.random.default_rng(seed), max_degree=max_degree)
 
 
+def unit_column(theta, m, i, mode=None):
+    """The column e_i . U^mode of A^m (mode 0 by default)."""
+    col = np.zeros((m, 1), dtype=complex)
+    col[i] = 1.0
+    mode = (0,) * theta.n if mode is None else tuple(int(x) for x in mode)
+    return TorusMatrix(theta, (m, 1), {mode: col})
+
+
+def scalar_element(a, m):
+    """a . Id_m for a torus element a."""
+    return TorusMatrix(a.theta, (m, m), {k: c * np.eye(m) for k, c in a.coeffs.items()})
+
+
 def basis_vectors(theta, m, radius):
     from itertools import product
     for mode in product(range(-radius, radius + 1), repeat=theta.n):
         for i in range(m):
-            yield TorusMatrix.unit_column(theta, m, i, mode)
+            yield unit_column(theta, m, i, mode)
+
+
+def derive_multi(v, delta):
+    """del^delta on the TorusMatrix v: block k picks up (2 pi i k)^delta."""
+    if all(d == 0 for d in delta):
+        return v
+    out = {}
+    for k, b in v.blocks.items():
+        f = _deriv_factor(k, delta)
+        if f != 0:
+            out[k] = f * b
+    return TorusMatrix(v.theta, v.shape, out)
+
+
+def loop_act(x, z, c, cols):
+    """M @ b for each block b of the stack cols, M the sum of the words
+    (x, z, c), one operator block at a time: entry r of a column is
+    sum_g M[r, r ^ xs[g]] b[r ^ xs[g]] over the distinct x in order of first
+    appearance, with the complex products spelled out in real arithmetic."""
+    idx = np.arange(cols.shape[1])
+    xs = idx ^ np.array(list(dict.fromkeys(x.tolist())), dtype=np.int64)[:, None]
+    M, v = _densify(x, z, c, len(idx))[idx, xs], cols[:, xs]
+    er, ei = M.real[None, :, :, None], M.imag[None, :, :, None]
+    pr, pi = er * v.real - ei * v.imag, er * v.imag + ei * v.real
+    out = np.zeros(cols.shape, dtype=complex)
+    for g in range(len(xs)):
+        out.real += pr[:, g]
+        out.imag += pi[:, g]
+    return out
+
+
+def loop_apply(P, v):
+    """P v with one loop_act per (term, block) of P over every mode of v:
+    the block loop NCDiffOp.applies replaced, oracle for it bit for bit."""
+    theta, out = P.theta, {}
+    for alpha, blocks in groupby(P._table(), itemgetter(0)):
+        dv = derive_multi(v, alpha)
+        cols = np.array(list(dv.blocks.values())).reshape(-1, *v.shape)
+        for _, k, s, e in blocks:
+            for kp, act in zip(dv.blocks, loop_act(P.x[s:e], P.z[s:e], P.c[s:e], cols)):
+                kk = tuple(x + y for x, y in zip(k, kp))
+                term = theta.phase(k, kp) * act
+                out[kk] = out[kk] + term if kk in out else term
+    return TorusMatrix(theta, v.shape, out)
+
+
+def assert_same_blocks(got, want):
+    """Equal modes, in order, and equal blocks bit for bit (np.array_equal)."""
+    assert list(got) == list(want)
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
 
 
 class TestCompose:
@@ -141,7 +207,7 @@ def oracle_compose(P, Q):
         A = A.dense()
         for beta, B in Q.terms.items():
             for gamma, coef, delta in _leibniz_terms(alpha):
-                dB = B.dense().derive_multi(delta)
+                dB = derive_multi(B.dense(), delta)
                 if dB.is_zero():
                     continue
                 idx = tuple(g + b for g, b in zip(gamma, beta))
@@ -156,7 +222,7 @@ def oracle_adjoint(P):
     for alpha, M in P.terms.items():
         sign = (-1) ** sum(alpha)
         for gamma, coef, delta in _leibniz_terms(alpha):
-            dM = M.dense().star().derive_multi(delta)
+            dM = derive_multi(M.dense().star(), delta)
             if dM.is_zero():
                 continue
             term = dM.scale(sign * coef)
@@ -573,8 +639,8 @@ class TestApply:
         rhs = P.apply(v) + P.apply(w).scale(2.5j)
         assert (lhs - rhs).norm() < 1e-10
 
-    def test_fiber_entries_once_per_block(self, monkeypatch):
-        # a block's entries serve every mode of v: one build per (term, block)
+    def test_one_act_pass(self, monkeypatch):
+        # every (term, block) of P on every mode of v in one fiber-action pass
         built = []
         act = ncdiff._act
 
@@ -586,13 +652,65 @@ class TestApply:
         P = random_op(8)
         v = TorusMatrix.random(THETA, (2, 3), np.random.default_rng(10))
         P.apply(v)
-        assert len(v.blocks) > 1
-        assert len(built) == sum(len(M.blocks) for M in P.terms.values())
+        assert len(v.blocks) > 1 and sum(len(M.blocks) for M in P.terms.values()) > 1
+        assert len(built) == 1
+        built.clear()
+        NCDiffOp.applies([(P, v.blocks), (random_op(9), v.blocks)])
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("m,max_degree", [(1, 2), (2, 1), (2, 2), (4, 2)])
+    def test_equals_block_loop(self, m, max_degree):
+        # several alpha and modes per operator, several modes per v, and a
+        # zero derivative factor at the modes with a 0 entry: bit for bit
+        rng = np.random.default_rng(40 + m + max_degree)
+        for _ in range(6):
+            P = NCDiffOp.random(THETA, m, rng, max_degree=max_degree, radius=2, terms=4)
+            v = TorusMatrix.random(THETA, (m, 3), rng, radius=1, terms=3)
+            want = loop_apply(P, v)
+            assert_same_blocks(P.apply(v).blocks, want.blocks)
+
+    def test_batch_equals_one_job_each(self):
+        # jobs over different operators and v in one pass, and a zero operator;
+        # applies leaves blocks below PRUNE_TOL in (two here), apply drops them
+        rng = np.random.default_rng(41)
+        jobs = [(NCDiffOp.random(THETA, 4, rng, max_degree=2, terms=3),
+                 TorusMatrix.random(THETA, (4, 2), rng, radius=1, terms=2).blocks)
+                for _ in range(5)]
+        jobs.append((NCDiffOp.zero(THETA, 4), jobs[0][1]))
+        got = NCDiffOp.applies(jobs)
+        for out, (P, v) in zip(got, jobs, strict=True):
+            kept = {k: b for k, b in out.items() if np.abs(b).max() >= PRUNE_TOL}
+            assert_same_blocks(kept, loop_apply(P, TorusMatrix(THETA, (4, 2), v)).blocks)
+        assert sum(map(len, got)) == sum(len(TorusMatrix(THETA, (4, 2), out).blocks)
+                                         for out in got) + 2
+        assert got[-1] == {}
+        with pytest.raises(DimensionMismatch):
+            NCDiffOp.applies([(jobs[0][0], {ZERO2: np.eye(2)})])
 
     def test_wrong_length_rejected(self):
         v = TorusMatrix.random(THETA, (3, 1), np.random.default_rng(7))
         with pytest.raises(DimensionMismatch):
             NCDiffOp.identity(THETA, 2).apply(v)
+
+
+class TestListConstructors:
+    def test_from_terms_list_equals_one_by_one(self):
+        rng = np.random.default_rng(42)
+        ops = [NCDiffOp.random(THETA, 4, rng, max_degree=2, terms=3) for _ in range(4)]
+        terms = [{a: t.blocks for a, t in op.terms.items()} for op in ops] + [{}]
+        got = NCDiffOp.from_terms(THETA, 4, terms)
+        assert ([layout(op) for op in got]
+                == [layout(NCDiffOp.from_terms(THETA, 4, t)) for t in terms])
+
+    def test_mult_list_equals_one_by_one(self):
+        rng = np.random.default_rng(43)
+        elems = [TorusElement.random(THETA, rng, radius=2, terms=3) for _ in range(5)]
+        elems.append(TorusElement.zero(THETA))
+        got = NCDiffOp.mult(elems, 2)
+        assert [layout(op) for op in got] == [layout(NCDiffOp.mult(a, 2)) for a in elems]
+        other = TorusElement.one(ThetaMatrix.random(2, np.random.default_rng(44)))
+        with pytest.raises(DimensionMismatch):
+            NCDiffOp.mult([elems[0], other], 2)
 
 
 class TestAdjoint:
@@ -653,8 +771,8 @@ class TestInnerProduct:
     def test_orthonormal_basis(self):
         for i in range(3):
             for j in range(3):
-                ei = TorusMatrix.unit_column(THETA, 3, i)
-                ej = TorusMatrix.unit_column(THETA, 3, j)
+                ei = unit_column(THETA, 3, i)
+                ej = unit_column(THETA, 3, j)
                 assert abs(inner_product(ei, ej) - (1.0 if i == j else 0.0)) < 1e-15
 
     def test_positivity(self):
@@ -695,7 +813,7 @@ class TestSerialization:
 
     def test_entry_extraction(self):
         a = TorusElement.random(THETA, np.random.default_rng(19))
-        M = TorusMatrix.scalar_element(a, 2)
+        M = scalar_element(a, 2)
         assert M.entry(0, 0).close_to(a, 1e-15)
         assert M.entry(0, 1).is_zero()
 
