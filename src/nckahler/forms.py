@@ -32,7 +32,7 @@ from math import comb
 import numpy as np
 
 from .clifford import build_gamma
-from .kahler import fiber_words, lifted_words
+from .kahler import check_eps, fiber_words, lifted_words
 from .ncdiff import _first_ids, _word_pairs, dense_words, word_product, word_sum
 from .report import VerificationReport, resolve_tol
 from .torus import DimensionMismatch
@@ -69,6 +69,7 @@ class FormBasisMatrices:
 
 
 def build_form_matrices(n_or_rep, eps_prime=1):
+    check_eps(eps_prime)
     rep = build_gamma(n_or_rep) if isinstance(n_or_rep, int) else n_or_rep
     mu = [word_sum((0.5, a), (0.5j * eps_prime, b)) for a, b in lifted_words(fiber_words(rep))]
     pairs = [(mu[2 * j - 1], mu[2 * j - 2]) for j in range(1, rep.n // 2 + 1)]

@@ -9,6 +9,7 @@ import pytest
 
 from nckahler import kahler
 from nckahler.clifford import build_gamma
+from nckahler.forms import build_form_matrices
 from nckahler.kahler import (
     Matching,
     MatchingError,
@@ -180,6 +181,23 @@ class TestEpsPrime:
         for matchings in (enumerate_matchings(2), []):
             with pytest.raises(ValueError, match=f"got {eps}"):
                 verify_grid(THETA2, matchings, eps_list=(1, eps), rep=REP2)
+
+    # every entry that takes eps' refuses it through kahler.check_eps
+    ENTRIES = {
+        "build_base": lambda eps: kahler.build_base(THETA2, REP2, (1, eps)),
+        "build_kahler_package": lambda eps: build_kahler_package(THETA2, eps_prime=eps, rep=REP2),
+        "verify_grid": lambda eps: verify_grid(THETA2, [], eps_list=(1, eps), rep=REP2),
+        "build_lifted": lambda eps: kahler.build_lifted(REP2, THETA2, eps_prime=eps),
+        "build_T_script": lambda eps: kahler.build_T_script(REP2, THETA2, eps_prime=eps),
+        "build_form_matrices": lambda eps: build_form_matrices(4, eps_prime=eps),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_refused_by_the_one_check(self, entry):
+        for eps in (0, 2, 3, -2, 0.5):
+            with pytest.raises(ValueError, match=f"got {eps}") as err:
+                self.ENTRIES[entry](eps)
+            assert err.traceback[-1].name == "check_eps"
 
 
 class TestN22Checklist:
@@ -365,20 +383,49 @@ class TestPMConjugation:
         assert res > 0.1
 
 
+def counting_passes(monkeypatch):
+    """The names of the kernel passes (NCDiffOp.from_terms, sums, products,
+    adjoints) made from now on, in order."""
+    passes = []
+    for name in ("sums", "products", "adjoints"):
+        run = getattr(NCDiffOp, name)
+        monkeypatch.setattr(NCDiffOp, name, staticmethod(
+            lambda jobs, run=run, name=name: passes.append(name) or run(jobs)))
+    from_terms = NCDiffOp.from_terms
+    monkeypatch.setattr(NCDiffOp, "from_terms", classmethod(
+        lambda cls, theta, m, terms: passes.append("from_terms") or from_terms(theta, m, terms)))
+    return passes
+
+
+def oracle_grid(theta, rep, matching, eps_list):
+    """The checks of verify_grid for one matching, from build_kahler_package
+    for each eps', verify_n22 for each of eps_list and verify_pm_conjugation,
+    and those packages."""
+    pkgs = {eps: build_kahler_package(theta, matching, eps, rep=rep) for eps in (1, -1)}
+    want = [(f"[{matching}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
+            for eps in eps_list for c in verify_n22(pkgs[eps]).checks]
+    pm = verify_pm_conjugation(pkgs[1], pkgs[-1])
+    return want + [(f"[{matching}] pm conjugation", pm, 1e-12)], pkgs
+
+
+def same_words(P, Q):
+    return all(np.array_equal(getattr(P, f), getattr(Q, f)) for f in ("x", "z", "c", "table"))
+
+
 class TestVerifyGrid:
-    def test_two_builds_per_matching(self, monkeypatch):
-        built = []
-        build = kahler.build_kahler_package
-
-        def counting_build(theta, matching, eps_prime, rep=None):
-            built.append((str(matching), eps_prime))
-            return build(theta, matching, eps_prime, rep=rep)
-
-        monkeypatch.setattr(kahler, "build_kahler_package", counting_build)
-        ms = enumerate_matchings(4)
-        verified = []
-        rp = verify_grid(THETA4, ms, [1], rep=REP4, on_package=verified.append)
-        assert built == [(str(m), e) for m in ms for e in (1, -1)]
+    def test_pass_budget(self, monkeypatch):
+        # at most 4 kernel passes once per grid and 7 per matching (30 per
+        # matching when each eps' package was built and checked on its own)
+        ms, verified = enumerate_matchings(4), []
+        passes = counting_passes(monkeypatch)
+        counts = []
+        for k in (1, 3):
+            passes.clear(), verified.clear()
+            rp = verify_grid(THETA4, ms[:k], [1], rep=REP4, on_package=verified.append)
+            counts.append(len(passes))
+        per_matching = (counts[1] - counts[0]) / 2
+        assert per_matching <= 7, passes
+        assert counts[0] - per_matching <= 4, passes
         assert [(str(p.matching), p.eps_prime) for p in verified] == [(str(m), 1) for m in ms]
         # eps' = +1 alone still runs the conjugation check against eps' = -1
         names = [c.name for c in rp.checks]
@@ -386,16 +433,46 @@ class TestVerifyGrid:
         assert not any("eps'=-1" in n for n in names)
 
     def test_matches_per_package_checklist(self):
-        mt = enumerate_matchings(2)[0]
-        rp = verify_grid(THETA2, [mt], [1, -1], rep=REP2)
-        want = []
-        for eps in (1, -1):
-            pkg = build_kahler_package(THETA2, mt, eps, rep=REP2)
-            want += [(f"[{mt}|eps'={eps:+d}] {c.name}", c.residual)
-                     for c in verify_n22(pkg).checks]
-        want.append((f"[{mt}] pm conjugation", pm_residual(THETA2, mt, REP2)))
-        assert [(c.name, c.residual) for c in rp.checks] == want
+        # every check (name, residual, tol) of every matching at n = 2, 4 and
+        # 6 bit for bit, and every verified package's words, against the
+        # per-package path; the words fix what verify --dump-ops writes
+        theta6 = ThetaMatrix.random(6, np.random.default_rng(16))
+        for theta, rep in ((THETA2, REP2), (THETA4, REP4), (theta6, build_gamma(6))):
+            for eps_list in ([1], [-1], [1, -1]):
+                self.assert_matches(theta, rep, enumerate_matchings(theta.n), eps_list)
+
+    @staticmethod
+    def assert_matches(theta, rep, ms, eps_list):
+        got = []
+        rp = verify_grid(theta, ms, eps_list, rep=rep, on_package=got.append)
+        want = [oracle_grid(theta, rep, mt, eps_list) for mt in ms]
+        assert ([(c.name, c.residual, c.tol) for c in rp.checks]
+                == [check for checks, _ in want for check in checks])
         assert rp.all_pass
+        pkgs = [pkgs[eps] for _, pkgs in want for eps in eps_list]
+        assert ([(p.matching, p.eps_prime) for p in got]
+                == [(p.matching, p.eps_prime) for p in pkgs])
+        for p, q in zip(got, pkgs):
+            for f in dataclasses.fields(p):
+                if isinstance(getattr(p, f.name), NCDiffOp):
+                    assert same_words(getattr(p, f.name), getattr(q, f.name)), f.name
+            if theta.n <= 4:
+                assert p.del_hol.to_json() == q.del_hol.to_json()
+                assert p.del_bar.to_json() == q.del_bar.to_json()
+
+    @pytest.mark.parametrize("rng", [None, 5], ids=["default-rng", "passed-rng"])
+    def test_grid_package_reports_as_built_one(self, rng):
+        # verify_n22 on a package verify_grid built reports what it reports
+        # on the build_kahler_package one
+        got = []
+        verify_grid(THETA4, enumerate_matchings(4), rep=REP4, on_package=got.append)
+        for pkg in got:
+            built = build_kahler_package(THETA4, pkg.matching, pkg.eps_prime, rep=REP4)
+            reports = [verify_n22(p, rng=None if rng is None else np.random.default_rng(rng))
+                       for p in (pkg, built)]
+            assert reports[0].meta == reports[1].meta
+            assert ([(c.name, c.residual, c.tol) for c in reports[0].checks]
+                    == [(c.name, c.residual, c.tol) for c in reports[1].checks])
 
 
 class TestDistinctness:
