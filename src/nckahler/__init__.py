@@ -7,7 +7,6 @@ from .kahler import (
     KahlerPackage,
     Matching,
     build_dirac,
-    build_I,
     build_kahler_package,
     build_lifted,
     build_T_script,

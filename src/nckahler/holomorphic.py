@@ -48,20 +48,16 @@ def delbar_tuple(a):
     return tuple(delta(a, j) for j in range(1, a.theta.n // 2 + 1))
 
 
-def holomorphic_kernel(theta, radius, extra_ops=None):
+def holomorphic_kernel(theta, radius):
     """C-basis of { a supported in box(radius) : delta_j(a) = 0 for all j }.
 
     The delta_j are diagonal on monomials, so the kernel is spanned by the
-    monomials whose eigenvalue tuple vanishes; contract: only U^0.
-    `extra_ops` replaces the eigenvalue functions (for sanity checks)."""
+    monomials whose eigenvalue tuple vanishes; contract: only U^0."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    half = theta.n // 2
-    eigs = extra_ops or [lambda m, j=j: delta_eigenvalue(m, j)
-                         for j in range(1, half + 1)]
     basis = []
     for m in iproduct(range(-radius, radius + 1), repeat=theta.n):
-        if all(abs(e(m)) < 1e-12 for e in eigs):
+        if all(abs(delta_eigenvalue(m, j)) < 1e-12 for j in range(1, theta.n // 2 + 1)):
             basis.append(TorusElement.monomial(theta, m))
     return basis
 

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, groupby
 from itertools import product as iproduct
 
 import numpy as np
 
 from .clifford import GammaRep, build_gamma
 from .ncdiff import NCDiffOp, TorusMatrix, pauli_words, word_kron, word_product, word_sum
-from .report import VerificationReport, resolve_tol
+from .report import Check, VerificationReport, resolve_tol
 from .torus import PRUNE_TOL, DimensionMismatch, TorusElement
 
 
@@ -116,10 +118,6 @@ def _unit(n, j):
     return tuple(int(i == j - 1) for i in range(n))
 
 
-def _constant(theta, m, words):
-    return NCDiffOp.from_words(theta, m, {(0,) * theta.n: words})
-
-
 def _lap_words(n):
     """sum_j del_j^2, so that DD^2 = -sum del_r^2 reads DD^2 + lap = 0."""
     return {tuple(2 * a for a in _unit(n, j)): _ONE for j in range(1, n + 1)}
@@ -193,6 +191,10 @@ def build_T_script(rep, theta, eps_prime=1):
 
 
 def _I_words(matching, rep, words):
+    """The words of the complex-structure generator of one matching,
+
+        I = (1/2) sum_{(l,j) in pairs} [kron(1, gamma_l gamma_j)
+                                        + kron(gamma_l gamma_j, 1)]."""
     if matching.two_k != rep.n:
         raise MatchingError(f"matching covers 1..{matching.two_k}, rep has n={rep.n}")
     gammas, _, q = words
@@ -203,25 +205,10 @@ def _I_words(matching, rep, words):
     return word_sum(*terms)
 
 
-def build_I(matching, rep, theta):
-    """Complex-structure generator for one matching:
-
-        I = (1/2) sum_{(l,j) in pairs} [kron(1, gamma_l gamma_j)
-                                        + kron(gamma_l gamma_j, 1)].
-    """
-    return _constant(theta, rep.N ** 2, _I_words(matching, rep, fiber_words(rep)))
-
-
-def build_gamma_tilde(rep, theta):
-    """kron(sigma, sigma)."""
-    sigma = pauli_words(rep.sigma)
-    return _constant(theta, rep.N ** 2, word_kron(sigma, sigma, rep.N.bit_length() - 1))
-
-
 def build_pm_intertwiner(rep, theta):
     """kron(sigma, 1): conjugates the eps'=+1 differentials into eps'=-1."""
-    sigma = pauli_words(rep.sigma)
-    return _constant(theta, rep.N ** 2, word_kron(sigma, _ONE, rep.N.bit_length() - 1))
+    sigma, q = pauli_words(rep.sigma), rep.N.bit_length() - 1
+    return NCDiffOp.from_words(theta, rep.N ** 2, {(0,) * theta.n: word_kron(sigma, _ONE, q)})
 
 
 @dataclass
@@ -280,226 +267,194 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
 # -- verification -----------------------------------------------------------
 
 
-def _batch(run, named, known=None):
-    """run (NCDiffOp.products or sums) once over the jobs of every dict of
-    `named`, [{name: job}]; the results as [{name: result}].  `known` maps
-    (id(P), id(Q), s) of product jobs whose P and Q outlive it to their
-    result, None until a call that meets the job has run it."""
-    known = {} if known is None else known
-    flat = [job for jobs in named for job in jobs.values()]
-    keys = [(id(job[0]), id(job[1]), job[2]) if isinstance(job, tuple) else None for job in flat]
-    out = iter(run([job for job, key in zip(flat, keys) if known.get(key) is None]))
-    got = [next(out) if known.get(key) is None else known[key] for key in keys]
-    known.update((key, op) for key, op in zip(keys, got) if key in known)
-    got = iter(got)
-    return [{name: next(got) for name in jobs} for jobs in named]
+# The mult(a) samples of the checklist: draws of TorusElement.random(radius=1, terms=3).
+SAMPLES = 3
 
+# A check: its name, its terms ((c, t), ...) for sum_i c_i t_i, and whether
+# it reads the derivation degree (tol 0.5), not residual_norm.  A term t is an
+# operand name or a product (P, Q, s) = PQ + s QP of two terms; an operand is
+# a package field, "lap" (sum_j del_j^2), "a" (a sample's mult(a)) or "X*",
+# X's adjoint ("d*" is d's adjoint, "d_star" the field).  A run of rows that
+# names "a" repeats per sample, sample-major; one product with c = 1 is no sum.
+Row = namedtuple("Row", "name terms degree", defaults=(False,))
 
-def _lifted_jobs(DD, DDbar, d, d_star, Ts):
-    """The checklist's products that no matching enters, by name:
-    verify_grid runs them once per base."""
-    return {"DD^2": (DD, DD, 0), "DDbar^2": (DDbar, DDbar, 0), "{DD,DDbar}": (DD, DDbar, 1),
-            "d^2": (d, d, 0), "[Ts,d]": (Ts, d, -1), "{d,d*}": (d, d_star, 1)}
-
-
-def _core_chain_jobs(pkg, d2s):
-    """The products verify_core_chain checks, by name; d2s is d2*."""
-    I_op, d2 = pkg.I_op, pkg.d2
-    return {**_lifted_jobs(pkg.DD, pkg.DDbar, pkg.d, pkg.d_star, pkg.T_script),
-            "[I,Ts]": (I_op, pkg.T_script, -1), "[I,gt]": (I_op, pkg.gamma_tilde, -1),
-            "[I,star]": (I_op, pkg.hodge_star, -1), "[I,d2]": (I_op, d2, -1),
-            "{d,d2*}": (pkg.d, d2s, 1), "{d*,d2}": (pkg.d_star, d2, 1)}
-
-
-def _core_chain_sums(pkg, r, del2):
-    """The differences verify_core_chain checks, by name, from the products r
-    of _core_chain_jobs and del2, the Laplacian of _lap_words."""
-    return {"DD^2": [(1, r["DD^2"]), (1, del2)], "DDbar^2": [(1, r["DDbar^2"]), (1, del2)],
-            "[Ts,d]": [(1, r["[Ts,d]"]), (-1, pkg.d)], "[I,d2]": [(1, r["[I,d2]"]), (1, pkg.d)]}
-
-
-def _add_core_chain(rp, r, s):
-    """The checks of verify_core_chain on the products r of _core_chain_jobs
-    and the sums s of _core_chain_sums."""
-    rp.add("DD^2 = -sum del_r^2", s["DD^2"].residual_norm())
-    rp.add("DDbar^2 = -sum del_r^2", s["DDbar^2"].residual_norm())
-    rp.add("{DD, DDbar} = 0", r["{DD,DDbar}"].residual_norm())
-    rp.add("d^2 = 0", r["d^2"].residual_norm())
-    rp.add("[T_script, d] = d", s["[Ts,d]"].residual_norm())
-    rp.add("[I, T_script] = 0", r["[I,Ts]"].residual_norm())
-    rp.add("[I, gamma_tilde] = 0", r["[I,gt]"].residual_norm())
-    rp.add("[I, star] = 0", r["[I,star]"].residual_norm())
+CORE_CHAIN = (
+    Row("DD^2 = -sum del_r^2", ((1, ("DD", "DD", 0)), (1, "lap"))),
+    Row("DDbar^2 = -sum del_r^2", ((1, ("DDbar", "DDbar", 0)), (1, "lap"))),
+    Row("{DD, DDbar} = 0", ((1, ("DD", "DDbar", 1)),)),
+    Row("d^2 = 0", ((1, ("d", "d", 0)),)),
+    Row("[T_script, d] = d", ((1, ("T_script", "d", -1)), (-1, "d"))),
+    Row("[I, T_script] = 0", ((1, ("I_op", "T_script", -1)),)),
+    Row("[I, gamma_tilde] = 0", ((1, ("I_op", "gamma_tilde", -1)),)),
+    Row("[I, star] = 0", ((1, ("I_op", "hodge_star", -1)),)),
     # build_kahler_package defines d2 = [I, d]
-    rp.add("[I, [I, d]] = -d", s["[I,d2]"].residual_norm())
-    rp.add("{d, d2*} = 0", r["{d,d2*}"].residual_norm())
-    rp.add("{d*, d2} = 0", r["{d*,d2}"].residual_norm())
+    Row("[I, [I, d]] = -d", ((1, ("I_op", "d2", -1)), (1, "d"))),
+    Row("{d, d2*} = 0", ((1, ("d", "d2*", 1)),)),
+    Row("{d*, d2} = 0", ((1, ("d_star", "d2", 1)),)),
+)
+
+CHECKLIST = (
+    Row("del^2 = 0", ((1, ("del_hol", "del_hol", 0)),)),
+    Row("delbar^2 = 0", ((1, ("del_bar", "del_bar", 0)),)),
+    Row("{del, delbar} = 0", ((1, ("del_hol", "del_bar", 1)),)),
+    Row("[T, Tbar] = 0", ((1, ("T", "T_bar", -1)),)),
+    Row("[T, del] = del", ((1, ("T", "del_hol", -1)), (-1, "del_hol"))),
+    Row("[T, delbar] = 0", ((1, ("T", "del_bar", -1)),)),
+    Row("[Tbar, del] = 0", ((1, ("T_bar", "del_hol", -1)),)),
+    Row("[Tbar, delbar] = delbar", ((1, ("T_bar", "del_bar", -1)), (-1, "del_bar"))),
+    Row("[T, a] = 0", ((1, ("T", "a", -1)),)),
+    Row("[Tbar, a] = 0", ((1, ("T_bar", "a", -1)),)),
+    # "bounded" commutators = derivation degree 0 in normal form; a degree is
+    # an integer, so these pass below 0.5 whatever the run's tol
+    Row("[del, a] degree-0", ((1, ("del_hol", "a", -1)),), True),
+    Row("[delbar, a] degree-0", ((1, ("del_bar", "a", -1)),), True),
+    Row("{del, [delbar, a]} degree-0", ((1, ("del_hol", ("del_bar", "a", -1), 1)),), True),
+    Row("{gamma_tilde, del} = 0", ((1, ("gamma_tilde", "del_hol", 1)),)),
+    Row("{gamma_tilde, delbar} = 0", ((1, ("gamma_tilde", "del_bar", 1)),)),
+    Row("[gamma_tilde, T] = 0", ((1, ("gamma_tilde", "T", -1)),)),
+    Row("[gamma_tilde, Tbar] = 0", ((1, ("gamma_tilde", "T_bar", -1)),)),
+    # Hodge relations with zeta = -1
+    Row("star del = -delbar* star",
+        ((1, ("hodge_star", "del_hol", 0)), (1, ("del_bar*", "hodge_star", 0)))),
+    Row("star delbar = -del* star",
+        ((1, ("hodge_star", "del_bar", 0)), (1, ("del_hol*", "hodge_star", 0)))),
+    Row("{del, delbar*} = 0", ((1, ("del_hol", "del_bar*", 1)),)),
+    Row("{delbar, del*} = 0", ((1, ("del_bar", "del_hol*", 1)),)),
+    Row("{del, del*} = {delbar, delbar*}",
+        ((1, ("del_hol", "del_hol*", 1)), (-1, ("del_bar", "del_bar*", 1)))),
+    # structural consistency of the package
+    Row("d = del + delbar", ((1, "del_hol"), (1, "del_bar"), (-1, "d"))),
+    Row("d + d* = DD", ((1, "d"), (1, "d_star"), (-1, "DD"))),
+    Row("T_script = T + Tbar", ((1, "T"), (1, "T_bar"), (-1, "T_script"))),
+    Row("d* = (DD + i DDbar)/2", ((1, "d*"), (-1, "d_star"))),
+    # Laplacian equalities; 2{delbar, delbar*} is exact, so the -2.0 scales it exactly
+    Row("{d, d*} = {d2, d2*}", ((1, ("d", "d_star", 1)), (-1, ("d2", "d2*", 1)))),
+    Row("{d, d*} = 2{delbar, delbar*}",
+        ((1, ("d", "d_star", 1)), (-2.0, ("del_bar", "del_bar*", 1)))),
+) + CORE_CHAIN
+
+# The pm conjugation by W = kron(sigma, 1), over the del and delbar of the
+# eps' = +1 package (del+, delbar+) and of the eps' = -1 one (del-, delbar-).
+PM = (
+    Row("W del_+ = del_- W", ((1, ("W", "del+", 0)), (-1, ("del-", "W", 0)))),
+    Row("W delbar_+ = delbar_- W", ((1, ("W", "delbar+", 0)), (-1, ("delbar-", "W", 0)))),
+)
+
+# A compiled table: one slot per distinct operand, adjoint, product and sum
+# of its rows.  leaves are (slot, name, sample or None), adjoints (slot, slot
+# of X), levels the products per nesting depth, (slot, P slot, Q slot, s),
+# sums (slot, ((c, slot), ...)) and checks (name, slot, degree).
+Plan = namedtuple("Plan", "leaves adjoints levels sums checks")
+
+
+@lru_cache(maxsize=8)
+def _plan(table, samples):
+    """The Plan of `table` with `samples` samples."""
+    plan, slot, depth = Plan([], [], [], [], []), {}, {}
+
+    def names(t):
+        return [t.rstrip("*")] if isinstance(t, str) else names(t[0]) + names(t[1])
+
+    def file(key, steps, *step):
+        """key's slot, allotted and filed in steps on first sight."""
+        if key not in slot:
+            slot[key] = len(slot)
+            steps.append((slot[key], *step))
+        return slot[key]
+
+    def visit(t, s):
+        """The slot of term t in sample s, after its operands'."""
+        if isinstance(t, str):
+            s = s if t.rstrip("*") == "a" else None
+            if t.endswith("*"):
+                return file((t, s), plan.adjoints, visit(t[:-1], s))
+            return file((t, s), plan.leaves, t, s)
+        P, Q = visit(t[0], s), visit(t[1], s)
+        d = max(depth.get(P, 0), depth.get(Q, 0))
+        if d == len(plan.levels):
+            plan.levels.append([])
+        i = file((P, Q, t[2]), plan.levels[d], P, Q, t[2])
+        depth[i] = d + 1
+        return i
+
+    for sampled, run in groupby(table, lambda row: any("a" in names(t) for _, t in row.terms)):
+        run = list(run)
+        for s in range(samples) if sampled else [None]:
+            for name, terms, degree in run:
+                terms = tuple((c, visit(t, s)) for c, t in terms)
+                one = len(terms) == 1 and terms[0][0] == 1
+                plan.checks.append((name if s is None else f"{name} (sample {s})",
+                                    terms[0][1] if one else file(terms, plan.sums, terms), degree))
+    return plan
+
+
+def _run(jobs, tol, known=None, keep=()):
+    """The report at tol of each (plan, operands) of jobs, from one adjoints
+    pass, one products pass per nesting depth and one sums pass over every
+    job; a pass with nothing to do is skipped.  operands maps an operand name
+    to its operator ("a" to the list of samples).  A check's residual is the
+    residual_norm of its operator, or for a degree check its max_degree, at
+    tol 0.5.  Each distinct (id(P), id(Q), s) runs once; `known` holds such
+    products across calls, and gains each one whose P and Q ids are in `keep`."""
+    pairs = [(plan, {i: ops[name] if s is None else ops[name][s] for i, name, s in plan.leaves})
+             for plan, ops in jobs]
+    done = dict(known or {})
+
+    def products(flat):
+        keys = [(id(P), id(Q), s) for P, Q, s in flat]
+        todo = {key: job for key, job in zip(keys, flat) if key not in done}
+        done.update(zip(todo, NCDiffOp.products(list(todo.values()))))
+        return [done[key] for key in keys]
+
+    def grow(run, steps):
+        """v[i] = the result of job, for each (v, i, job) of steps, from one run."""
+        for (v, i, _), op in zip(steps, run([job for *_, job in steps]) if steps else ()):
+            v[i] = op
+
+    grow(NCDiffOp.adjoints, [(v, i, v[j]) for plan, v in pairs for i, j in plan.adjoints])
+    for d in range(max((len(plan.levels) for plan, _ in pairs), default=0)):
+        grow(products, [(v, i, (v[p], v[q], s)) for plan, v in pairs
+                        for i, p, q, s in chain(*plan.levels[d:d + 1])])
+    grow(NCDiffOp.sums, [(v, i, [(c, v[j]) for c, j in terms])
+                         for plan, v in pairs for i, terms in plan.sums])
+    if known is not None:
+        known.update((key, op) for key, op in done.items() if key[0] in keep and key[1] in keep)
+    return [VerificationReport(tol, [Check(name, float(v[i].max_degree()), 0.5) if degree else
+                                     Check(name, v[i].residual_norm(), tol)
+                                     for name, i, degree in plan.checks]) for plan, v in pairs]
 
 
 def verify_core_chain(pkg, tol=None):
-    """The operator identities the construction rests on, before the full
-    axiom checklist: squares of the lifted pair, nilpotency, [T,d]=d,
-    [I, .] commutations, [I,[I,d]]=-d, and the d/d2 cross relations; one
-    kernel pass."""
-    rp = VerificationReport(tol=resolve_tol(tol))
-    [r] = _batch(NCDiffOp.products, [_core_chain_jobs(pkg, pkg.d2.adjoint())])
+    """The operator identities the construction rests on (squares of the
+    lifted pair, nilpotency, [T,d]=d, [I, .] commutations, [I,[I,d]]=-d and
+    the d/d2 cross relations): the CORE_CHAIN rows, which close CHECKLIST."""
     lap = NCDiffOp.from_words(pkg.theta, pkg.DD.m, _lap_words(pkg.theta.n))
-    [s] = _batch(NCDiffOp.sums, [_core_chain_sums(pkg, r, lap)])
-    _add_core_chain(rp, r, s)
-    return rp
+    return _run([(_plan(CORE_CHAIN, 0), vars(pkg) | {"lap": lap})], resolve_tol(tol))[0]
 
 
-def _checklist_jobs(pkg, adj, mas):
-    """The products of verify_n22 for one package, by name; adj holds the
-    adjoints of del, delbar, d and d2, and mas the samples' mult(a)."""
-    p, pb, T, Tb = pkg.del_hol, pkg.del_bar, pkg.T, pkg.T_bar
-    ps, pbs, _, d2s = adj
-    gt, st = pkg.gamma_tilde, pkg.hodge_star
-    jobs = {"del^2": (p, p, 0), "delbar^2": (pb, pb, 0), "{del,delbar}": (p, pb, 1),
-            "[T,Tbar]": (T, Tb, -1), "[T,del]": (T, p, -1), "[T,delbar]": (T, pb, -1),
-            "[Tbar,del]": (Tb, p, -1), "[Tbar,delbar]": (Tb, pb, -1),
-            "{gt,del}": (gt, p, 1), "{gt,delbar}": (gt, pb, 1),
-            "[gt,T]": (gt, T, -1), "[gt,Tbar]": (gt, Tb, -1),
-            "star del": (st, p, 0), "delbar* star": (pbs, st, 0),
-            "star delbar": (st, pb, 0), "del* star": (ps, st, 0),
-            "{del,delbar*}": (p, pbs, 1), "{delbar,del*}": (pb, ps, 1),
-            "{del,del*}": (p, ps, 1), "{delbar,delbar*}": (pb, pbs, 1),
-            "{d2,d2*}": (pkg.d2, d2s, 1), **_core_chain_jobs(pkg, d2s)}
-    for s, ma in enumerate(mas):
-        jobs |= {("[T,a]", s): (T, ma, -1), ("[Tbar,a]", s): (Tb, ma, -1),
-                 ("[del,a]", s): (p, ma, -1), ("[delbar,a]", s): (pb, ma, -1)}
-    return jobs
-
-
-def _checklist_sums(pkg, adj, r, del2):
-    """The checklist's differences (the core chain's too), by name; a
-    three-term one sums its terms in the order + and - take."""
-    p, pb, d, T, Tb = pkg.del_hol, pkg.del_bar, pkg.d, pkg.T, pkg.T_bar
-    lap, lap_db = r["{d,d*}"], r["{delbar,delbar*}"]
-    return {"[T,del]": [(1, r["[T,del]"]), (-1, p)],
-            "[Tbar,delbar]": [(1, r["[Tbar,delbar]"]), (-1, pb)],
-            "star del": [(1, r["star del"]), (1, r["delbar* star"])],
-            "star delbar": [(1, r["star delbar"]), (1, r["del* star"])],
-            "{del,del*}": [(1, r["{del,del*}"]), (-1, lap_db)],
-            "d": [(1, p), (1, pb), (-1, d)], "DD": [(1, d), (1, pkg.d_star), (-1, pkg.DD)],
-            "T_script": [(1, T), (1, Tb), (-1, pkg.T_script)],
-            "d*": [(1, adj[2]), (-1, pkg.d_star)], "lap d2": [(1, lap), (-1, r["{d2,d2*}"])],
-            # 2 lap_db is exact, so this is lap - lap_db.scale(2.0)
-            "lap delbar": [(1, lap), (-2.0, lap_db)], **_core_chain_sums(pkg, r, del2)}
-
-
-def _pm_jobs(W, plus, minus):
-    """The products of verify_pm_conjugation, by name."""
-    return {"W del": (W, plus.del_hol, 0), "del W": (minus.del_hol, W, 0),
-            "W delbar": (W, plus.del_bar, 0), "delbar W": (minus.del_bar, W, 0)}
-
-
-def _pm_sums(r):
-    return {"del": [(1, r["W del"]), (-1, r["del W"])],
-            "delbar": [(1, r["W delbar"]), (-1, r["delbar W"])]}
-
-
-def _verify(pkgs, mas, laps, tol, known=None, pms=()):
-    """verify_n22's reports of pkgs, with per package the samples' mult(a)
-    mas and the Laplacian laps, and verify_pm_conjugation's residual of each
-    (W, plus, minus) of pms, in four kernel passes: adjoints, every product
-    whose operands exist (less those `known` holds, see _batch), {del,
-    [delbar, a]} over the samples a, and every difference."""
-    adj = NCDiffOp.adjoints([op for q in pkgs for op in (q.del_hol, q.del_bar, q.d, q.d2)])
-    adj = [adj[i:i + 4] for i in range(0, len(adj), 4)]
-    rs = _batch(NCDiffOp.products, [_checklist_jobs(*a) for a in zip(pkgs, adj, mas)]
-                + [_pm_jobs(*pm) for pm in pms], known)
-    rs, rpm = rs[:len(pkgs)], rs[len(pkgs):]
-    nested = _batch(NCDiffOp.products, [
-        {s: (q.del_hol, r["[delbar,a]", s], 1) for s in range(len(ma))}
-        for q, r, ma in zip(pkgs, rs, mas)])
-    difs = _batch(NCDiffOp.sums, [_checklist_sums(*a) for a in zip(pkgs, adj, rs, laps)]
-                  + [_pm_sums(r) for r in rpm])
-    return ([_checklist_report(*a, tol) for a in zip(pkgs, rs, nested, difs)],
-            [max(op.residual_norm() for op in dif.values()) for dif in difs[len(pkgs):]])
-
-
-def verify_n22(pkg, tol=None, rng=None, samples=3):
-    """Full N=(2,2) axiom checklist for one package, as a report; for a list
-    of packages, the list of their reports from one batch: after one
-    adjoints pass, every product whose operands exist (the core chain's too)
-    is one kernel pass, {del, [delbar, a]} over the samples a a second, and
-    every difference one reduction.  Each package draws its samples from
-    rng, or from a fresh default_rng(7) when rng is None, so a report does
-    not depend on the batch it ran in; each draw's mult(a) is one from_terms,
-    and each torus and fiber's Laplacian one more."""
+def verify_n22(pkg, tol=None, rng=None):
+    """Full N=(2,2) axiom checklist, the CHECKLIST rows over SAMPLES samples,
+    for one package as a report; for a list of packages, their reports from
+    one _run.  Each package draws its samples from rng, or from a fresh
+    default_rng(7) when rng is None, so a report does not depend on the batch
+    it ran in; each draw's mult(a) is one from_terms, and each torus and
+    fiber's Laplacian one more."""
     pkgs = [pkg] if isinstance(pkg, KahlerPackage) else list(pkg)
-    laps = {(id(q.theta), q.DD.m): q for q in pkgs}
-    laps = {ctx: NCDiffOp.from_words(q.theta, q.DD.m, _lap_words(q.theta.n))
-            for ctx, q in laps.items()}
-    mas, drawn = [], {}
+    laps, drawn, jobs = {}, {}, []
     for q in pkgs:
+        ctx = (id(q.theta), q.DD.m)
+        if ctx not in laps:
+            laps[ctx] = NCDiffOp.from_words(q.theta, q.DD.m, _lap_words(q.theta.n))
         # fresh default_rng(7) draws repeat over one torus and fiber: build them once
-        key = (id(q.theta), q.DD.m) if rng is None else len(mas)
-        if key not in drawn:
+        if rng is not None or ctx not in drawn:
             qrng = np.random.default_rng(7) if rng is None else rng
-            elems = [TorusElement.random(q.theta, qrng, radius=1, terms=3) for _ in range(samples)]
-            drawn[key] = NCDiffOp.mult(elems, q.DD.m) if elems else []
-        mas.append(drawn[key])
-    reports, _ = _verify(pkgs, mas, [laps[id(q.theta), q.DD.m] for q in pkgs],
-                         resolve_tol(tol))
+            drawn[ctx] = NCDiffOp.mult([TorusElement.random(q.theta, qrng, radius=1, terms=3)
+                                        for _ in range(SAMPLES)], q.DD.m)
+        jobs.append((_plan(CHECKLIST, SAMPLES), vars(q) | {"lap": laps[ctx], "a": drawn[ctx]}))
+    reports = _run(jobs, resolve_tol(tol))
+    for q, rp in zip(pkgs, reports):
+        rp.meta = {"n": q.theta.n, "matching": str(q.matching), "eps_prime": q.eps_prime}
     return reports[0] if isinstance(pkg, KahlerPackage) else reports
-
-
-def _checklist_report(pkg, r, nested, dif, tol):
-    """verify_n22's report of one package from its products r and nested and
-    its differences dif."""
-    rp = VerificationReport(tol=tol)
-    rp.meta = {
-        "n": pkg.theta.n,
-        "matching": str(pkg.matching),
-        "eps_prime": pkg.eps_prime,
-    }
-    rp.add("del^2 = 0", r["del^2"].residual_norm())
-    rp.add("delbar^2 = 0", r["delbar^2"].residual_norm())
-    rp.add("{del, delbar} = 0", r["{del,delbar}"].residual_norm())
-    rp.add("[T, Tbar] = 0", r["[T,Tbar]"].residual_norm())
-    rp.add("[T, del] = del", dif["[T,del]"].residual_norm())
-    rp.add("[T, delbar] = 0", r["[T,delbar]"].residual_norm())
-    rp.add("[Tbar, del] = 0", r["[Tbar,del]"].residual_norm())
-    rp.add("[Tbar, delbar] = delbar", dif["[Tbar,delbar]"].residual_norm())
-
-    for s in nested:
-        rp.add(f"[T, a] = 0 (sample {s})", r["[T,a]", s].residual_norm())
-        rp.add(f"[Tbar, a] = 0 (sample {s})", r["[Tbar,a]", s].residual_norm())
-        # "bounded" commutators = derivation degree 0 in normal form; a degree
-        # is an integer, so these pass below 0.5 whatever the run's tol
-        rp.add(f"[del, a] degree-0 (sample {s})",
-               float(r["[del,a]", s].max_degree()), tol=0.5)
-        rp.add(f"[delbar, a] degree-0 (sample {s})",
-               float(r["[delbar,a]", s].max_degree()), tol=0.5)
-        rp.add(f"{{del, [delbar, a]}} degree-0 (sample {s})",
-               float(nested[s].max_degree()), tol=0.5)
-
-    rp.add("{gamma_tilde, del} = 0", r["{gt,del}"].residual_norm())
-    rp.add("{gamma_tilde, delbar} = 0", r["{gt,delbar}"].residual_norm())
-    rp.add("[gamma_tilde, T] = 0", r["[gt,T]"].residual_norm())
-    rp.add("[gamma_tilde, Tbar] = 0", r["[gt,Tbar]"].residual_norm())
-
-    # Hodge relations with zeta = -1: star del = -delbar* star, star delbar = -del* star
-    rp.add("star del = -delbar* star", dif["star del"].residual_norm())
-    rp.add("star delbar = -del* star", dif["star delbar"].residual_norm())
-
-    rp.add("{del, delbar*} = 0", r["{del,delbar*}"].residual_norm())
-    rp.add("{delbar, del*} = 0", r["{delbar,del*}"].residual_norm())
-    rp.add("{del, del*} = {delbar, delbar*}", dif["{del,del*}"].residual_norm())
-
-    # structural consistency of the package
-    rp.add("d = del + delbar", dif["d"].residual_norm())
-    rp.add("d + d* = DD", dif["DD"].residual_norm())
-    rp.add("T_script = T + Tbar", dif["T_script"].residual_norm())
-    rp.add("d* = (DD + i DDbar)/2", dif["d*"].residual_norm())
-
-    # Laplacian equalities
-    rp.add("{d, d*} = {d2, d2*}", dif["lap d2"].residual_norm())
-    rp.add("{d, d*} = 2{delbar, delbar*}", dif["lap delbar"].residual_norm())
-
-    _add_core_chain(rp, r, dif)
-    return rp
 
 
 def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
@@ -594,43 +549,47 @@ def _box_sample(n, radius, rng, count):
     return sorted(out)
 
 
+def _pm_operands(W, plus, minus):
+    return {"W": W, "del+": plus.del_hol, "delbar+": plus.del_bar,
+            "del-": minus.del_hol, "delbar-": minus.del_bar}
+
+
 def verify_pm_conjugation(plus, minus):
-    """Residual of W del_+ = del_- W and the delbar analogue for
+    """Residual of W del_+ = del_- W and the delbar analogue (the PM rows) for
     W = kron(sigma, 1), conjugating the eps' = +1 package into eps' = -1."""
     W = build_pm_intertwiner(plus.rep, plus.theta)
-    [r] = _batch(NCDiffOp.products, [_pm_jobs(W, plus, minus)])
-    return max(op.residual_norm() for op in _batch(NCDiffOp.sums, [_pm_sums(r)])[0].values())
+    return _run([(_plan(PM, 0), _pm_operands(W, plus, minus))], 1e-12)[0].max_residual
 
 
 def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
                 on_package=None):
     """The N=(2,2) checklist over every (matching, eps') of the grid, as one
-    report: "[matching|eps'=+-1] <check>" for each eps' in `eps_list`, then
-    "[matching] pm conjugation".  One build_base serves the grid: its
-    operators, its samples, and the checklist products no matching enters,
-    run once, with the first matching's.  Per matching, seven kernel passes
-    build its eps' = +1 and -1 packages (_packages) and check those of
-    `eps_list` and the conjugation of one into the other (_verify);
+    report: "[matching|eps'=+-1] <check>" per CHECKLIST check and eps' of
+    `eps_list`, then "[matching] pm conjugation", the larger PM residual.
+    One build_base serves the grid: its operators, its SAMPLES samples, and
+    every checklist product of two of its operators, run once, with the
+    first matching's.  Per matching, seven kernel passes build its eps' = +1
+    and -1 packages (_packages) and run both tables on them (one _run);
     `on_package(pkg)` is called on every package that gets verified."""
     eps_list = [check_eps(eps) for eps in eps_list]
-    tol = resolve_tol(tol)
-    base = build_base(theta, rep, samples=3)
-    known = {(id(P), id(Q), s): None for eps in (1, -1)
-             for P, Q, s in _lifted_jobs(base.DD, *base.lifted[eps]).values()}
-    grid = VerificationReport(tol=tol)
+    grid = VerificationReport(tol=resolve_tol(tol))
+    base = build_base(theta, rep, samples=SAMPLES)
+    keep = {id(op) for op in (base.D, base.DD, base.gamma_tilde, base.hodge_star, base.W,
+                              base.lap, *base.mas, *chain(*base.lifted.values()))}
+    known, checklist, pm_plan = {}, _plan(CHECKLIST, SAMPLES), _plan(PM, 0)
     for matching in matchings:
         pkgs = dict(zip((1, -1), _packages(base, [matching], (1, -1))))
         if on_package is not None:
             for eps in eps_list:
                 on_package(pkgs[eps])
         label = str(matching)
-        reports, [pm] = _verify([pkgs[eps] for eps in eps_list], [base.mas] * len(eps_list),
-                                [base.lap] * len(eps_list), tol, known,
-                                [(base.W, pkgs[1], pkgs[-1])])
+        *reports, pm = _run(
+            [(checklist, vars(pkgs[eps]) | {"lap": base.lap, "a": base.mas}) for eps in eps_list]
+            + [(pm_plan, _pm_operands(base.W, pkgs[1], pkgs[-1]))], grid.tol, known, keep)
         for eps, rp in zip(eps_list, reports):
             for c in rp.checks:
                 grid.add(f"[{label}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
-        grid.add(f"[{label}] pm conjugation", pm, 1e-12)
+        grid.add(f"[{label}] pm conjugation", pm.max_residual, 1e-12)
     return grid
 
 

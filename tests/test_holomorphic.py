@@ -72,11 +72,12 @@ class TestKernel:
         basis = holomorphic_kernel(THETA4, 0)
         assert len(basis) == 1
 
-    def test_weakened_operator_gains_kernel(self):
+    def test_weakened_operator_gains_kernel(self, monkeypatch):
         # replacing delta_1 by del_2 alone admits monomials with m_2 = 0
-        eigs = [lambda m: TWO_PI_I * m[1],
-                lambda m: TWO_PI_I * (m[3] + 1j * m[2])]
-        basis = holomorphic_kernel(THETA4, 1, extra_ops=eigs)
+        eigenvalue = holomorphic.delta_eigenvalue
+        monkeypatch.setattr(holomorphic, "delta_eigenvalue",
+                            lambda m, j: TWO_PI_I * m[1] if j == 1 else eigenvalue(m, j))
+        basis = holomorphic_kernel(THETA4, 1)
         assert len(basis) == 3  # m_1 in {-1,0,1}, m_2 = m_3 = m_4 = 0
 
 

@@ -138,7 +138,7 @@ class TestKernelPasses:
                 assert got == grid()
 
     def test_pass_counts(self, monkeypatch):
-        # the checklist's 54 products at n = 6 in two passes, after 4
+        # the checklist's 48 products at n = 6 in two passes, after 4
         # adjoints in one pass; the core chain, the pm check and the real
         # structure's [D, b] in one pass each
         passes, adjoints = [], []
@@ -267,6 +267,94 @@ class TestN22Checklist:
         assert all(c.tol == 0.5 for c in degree)
         assert all(c.tol == 2.0 for c in rp.checks if "degree-0" not in c.name)
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_checklist_literally(self, eps):
+        # the checks, their order and their tolerances, spelled out, so that a
+        # reordered or renamed row fails here and not only against the table;
+        # every residual at n = 4 is an exact zero
+        for mt in enumerate_matchings(4):
+            rp = verify_n22(build_kahler_package(THETA4, mt, eps, rep=REP4), tol=1e-10)
+            assert [(c.name, c.tol) for c in rp.checks] == N22_CHECKS
+            assert all(c.residual == 0.0 for c in rp.checks), str(mt)
+
+    def test_sample_checks_per_package(self):
+        pkg = build_kahler_package(THETA4, rep=REP4)
+        grid = verify_grid(THETA4, enumerate_matchings(4)[:1], (1, -1), rep=REP4)
+        for checks, packages in ((verify_n22(pkg).checks, 1), (grid.checks, 2)):
+            assert sum("(sample " in c.name for c in checks) == 5 * kahler.SAMPLES * packages
+
+    def test_empty_batch(self):
+        # no package makes no kernel pass (numpy used to refuse to concatenate nothing)
+        assert verify_n22([]) == []
+
+    def test_one_row_adds_one_check(self, monkeypatch):
+        # a new check is one row of CHECKLIST: T = T* reads an adjoint and a
+        # sum, and [a, T] a sample, repeated once per sample
+        rows = (kahler.Row("T = T*", ((1, "T"), (-1, "T*"))),
+                kahler.Row("[a, T] = 0", ((1, ("a", "T", -1)),)))
+        monkeypatch.setattr(kahler, "CHECKLIST", kahler.CHECKLIST + rows)
+        want = ["T = T*"] + [f"[a, T] = 0 (sample {s})" for s in range(kahler.SAMPLES)]
+        rp = verify_n22(build_kahler_package(THETA4, rep=REP4))
+        assert [c.name for c in rp.checks] == [name for name, _ in N22_CHECKS] + want
+        assert rp.all_pass and max(c.residual for c in rp.checks[-4:]) < 1e-12
+        grid = verify_grid(THETA4, enumerate_matchings(4)[:1], [1], rep=REP4)
+        assert [c.name for c in grid.checks][-5:-1] == [f"[1-2,3-4|eps'=+1] {n}" for n in want]
+        assert grid.all_pass
+
+
+# verify_n22's checks at tol 1e-10, in order
+N22_CHECKS = [
+    ("del^2 = 0", 1e-10),
+    ("delbar^2 = 0", 1e-10),
+    ("{del, delbar} = 0", 1e-10),
+    ("[T, Tbar] = 0", 1e-10),
+    ("[T, del] = del", 1e-10),
+    ("[T, delbar] = 0", 1e-10),
+    ("[Tbar, del] = 0", 1e-10),
+    ("[Tbar, delbar] = delbar", 1e-10),
+    ("[T, a] = 0 (sample 0)", 1e-10),
+    ("[Tbar, a] = 0 (sample 0)", 1e-10),
+    ("[del, a] degree-0 (sample 0)", 0.5),
+    ("[delbar, a] degree-0 (sample 0)", 0.5),
+    ("{del, [delbar, a]} degree-0 (sample 0)", 0.5),
+    ("[T, a] = 0 (sample 1)", 1e-10),
+    ("[Tbar, a] = 0 (sample 1)", 1e-10),
+    ("[del, a] degree-0 (sample 1)", 0.5),
+    ("[delbar, a] degree-0 (sample 1)", 0.5),
+    ("{del, [delbar, a]} degree-0 (sample 1)", 0.5),
+    ("[T, a] = 0 (sample 2)", 1e-10),
+    ("[Tbar, a] = 0 (sample 2)", 1e-10),
+    ("[del, a] degree-0 (sample 2)", 0.5),
+    ("[delbar, a] degree-0 (sample 2)", 0.5),
+    ("{del, [delbar, a]} degree-0 (sample 2)", 0.5),
+    ("{gamma_tilde, del} = 0", 1e-10),
+    ("{gamma_tilde, delbar} = 0", 1e-10),
+    ("[gamma_tilde, T] = 0", 1e-10),
+    ("[gamma_tilde, Tbar] = 0", 1e-10),
+    ("star del = -delbar* star", 1e-10),
+    ("star delbar = -del* star", 1e-10),
+    ("{del, delbar*} = 0", 1e-10),
+    ("{delbar, del*} = 0", 1e-10),
+    ("{del, del*} = {delbar, delbar*}", 1e-10),
+    ("d = del + delbar", 1e-10),
+    ("d + d* = DD", 1e-10),
+    ("T_script = T + Tbar", 1e-10),
+    ("d* = (DD + i DDbar)/2", 1e-10),
+    ("{d, d*} = {d2, d2*}", 1e-10),
+    ("{d, d*} = 2{delbar, delbar*}", 1e-10),
+    ("DD^2 = -sum del_r^2", 1e-10),
+    ("DDbar^2 = -sum del_r^2", 1e-10),
+    ("{DD, DDbar} = 0", 1e-10),
+    ("d^2 = 0", 1e-10),
+    ("[T_script, d] = d", 1e-10),
+    ("[I, T_script] = 0", 1e-10),
+    ("[I, gamma_tilde] = 0", 1e-10),
+    ("[I, star] = 0", 1e-10),
+    ("[I, [I, d]] = -d", 1e-10),
+    ("{d, d2*} = 0", 1e-10),
+    ("{d*, d2} = 0", 1e-10),
+]
+
 
 def dense_package(rep, matching, eps):
     """The package's operators by the dense kron formulas, as {name: {alpha:
@@ -375,10 +463,9 @@ class TestPMConjugation:
 
     def test_wrong_intertwiner_detected(self):
         # gamma_tilde = kron(sigma, sigma) does NOT conjugate del_+ to del_-
-        from nckahler.kahler import build_gamma_tilde, build_kahler_package
         plus = build_kahler_package(THETA4, eps_prime=1, rep=REP4)
         minus = build_kahler_package(THETA4, eps_prime=-1, rep=REP4)
-        W = build_gamma_tilde(REP4, THETA4)
+        W = plus.gamma_tilde
         res = (W.compose(plus.del_hol) - minus.del_hol.compose(W)).residual_norm()
         assert res > 0.1
 
