@@ -214,13 +214,13 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, radius_default=3):
+    def common(sp, radius=False):
         sp.add_argument("--theta", help="path to a deformation-matrix JSON file")
         sp.add_argument("--n", type=int, help="torus dimension (even)")
         sp.add_argument("--tol", type=float, default=None,
                         help="residual tolerance (default 1e-10 or NCK_TOL)")
-        sp.add_argument("--radius", type=int, default=radius_default,
-                        help="truncation box radius")
+        if radius:
+            sp.add_argument("--radius", type=int, default=3, help="truncation box radius")
         sp.add_argument("--out", help="write the JSON report to this path (atomic)")
 
     sp = sub.add_parser("clifford", help="gamma matrices, grading, sign tables")
@@ -248,7 +248,7 @@ def build_parser():
     sp = sub.add_parser("holo", help="holomorphic calculus")
     hsub = sp.add_subparsers(dest="holo_cmd", required=True)
     hp = hsub.add_parser("kernel")
-    common(hp)
+    common(hp, radius=True)
     hp.set_defaults(func=cmd_holo)
     hp = hsub.add_parser("flat")
     hp.add_argument("--conn", required=True, help="connection JSON file")
@@ -269,7 +269,7 @@ def build_parser():
     hp.set_defaults(func=cmd_holo)
 
     sp = sub.add_parser("report", help="full verification report")
-    common(sp)
+    common(sp, radius=True)
     sp.set_defaults(func=cmd_report)
     return p
 

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .clifford import GammaRep, build_gamma
-from .ncdiff import NCDiffOp, TorusMatrix, pauli_words, word_kron, word_product, word_sum
+from .ncdiff import NCDiffOp, pauli_words, word_kron, word_product, word_sum
 from .report import Check, VerificationReport, resolve_tol
 from .torus import PRUNE_TOL, DimensionMismatch, TorusElement
 
@@ -136,8 +136,11 @@ def build_dirac(rep, theta, words=None):
 KahlerBase = namedtuple("KahlerBase",
                         "rep theta words D DD gamma_tilde hodge_star W lap mas lifted")
 
+# The mult(a) samples of the checklist: draws of TorusElement.random(radius=1, terms=3).
+SAMPLES = 3
 
-def build_base(theta, rep=None, eps_list=(1, -1), samples=0):
+
+def build_base(theta, rep=None, eps_list=(1, -1)):
     """The operators of the packages over (theta, rep) that no matching
     enters: D, and on the C^{N^2} fiber, per eps' of eps_list,
 
@@ -149,9 +152,9 @@ def build_base(theta, rep=None, eps_list=(1, -1), samples=0):
     which is bounded, self-adjoint, commutes with the algebra and has
     [T_script, d] = d; gamma_tilde = kron(sigma, sigma), hodge_star =
     kron(1, sigma), the pm intertwiner W = kron(sigma, 1), lap = sum_j
-    del_j^2, and the mult(a) of `samples` draws from a fresh default_rng(7),
-    as verify_n22 draws them.  D is one from_terms, all but d and d* a
-    second, and d, d* one sums."""
+    del_j^2, and mas, the checklist's mult(a) of SAMPLES draws from a fresh
+    default_rng(7).  Every check reads these operators from here.  D is one
+    from_terms, all but d and d* a second, and d, d* one sums."""
     eps_list = [check_eps(eps) for eps in eps_list]
     rep = build_gamma(theta.n) if rep is None else rep
     words = fiber_words(rep)
@@ -167,7 +170,7 @@ def build_base(theta, rep=None, eps_list=(1, -1), samples=0):
                 {zero: word_sum(*((1j * eps / 2.0, w) for w in ts))}]
     rng = np.random.default_rng(7)
     mas = [{zero: {k: {(0, 0): c} for k, c in a.coeffs.items()}}
-           for a in (TorusElement.random(theta, rng, radius=1, terms=3) for _ in range(samples))]
+           for a in (TorusElement.random(theta, rng, radius=1, terms=3) for _ in range(SAMPLES))]
     DD, gt, star, W, lap, *ops = NCDiffOp.from_terms(
         theta, rep.N ** 2, [{a: {zero: w} for a, w in op.items()} for op in ops] + mas)
     ops, mas = ops[:2 * len(eps_list)], ops[2 * len(eps_list):]
@@ -205,12 +208,6 @@ def _I_words(matching, rep, words):
     return word_sum(*terms)
 
 
-def build_pm_intertwiner(rep, theta):
-    """kron(sigma, 1): conjugates the eps'=+1 differentials into eps'=-1."""
-    sigma, q = pauli_words(rep.sigma), rep.N.bit_length() - 1
-    return NCDiffOp.from_words(theta, rep.N ** 2, {(0,) * theta.n: word_kron(sigma, _ONE, q)})
-
-
 @dataclass
 class KahlerPackage:
     rep: GammaRep
@@ -231,6 +228,7 @@ class KahlerPackage:
     T_bar: NCDiffOp
     gamma_tilde: NCDiffOp
     hodge_star: NCDiffOp
+    base: KahlerBase
 
 
 def _structures(base, matchings, eps_list):
@@ -252,7 +250,7 @@ def _packages(base, matchings, eps_list):
     out = iter(NCDiffOp.sums([[(0.5, P), (z, Q)] for _, I, eps, d2 in rows for P, Q in (
         (base.lifted[eps][1], d2), (base.lifted[eps][3], I)) for z in (-0.5j, 0.5j)]))
     return [KahlerPackage(base.rep, base.theta, eps, mt, base.D, base.DD, *base.lifted[eps], I, d2,
-                          *(next(out) for _ in range(4)), base.gamma_tilde, base.hodge_star)
+                          *(next(out) for _ in range(4)), base.gamma_tilde, base.hodge_star, base)
             for mt, I, eps, d2 in rows]
 
 
@@ -266,9 +264,6 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
 
 # -- verification -----------------------------------------------------------
 
-
-# The mult(a) samples of the checklist: draws of TorusElement.random(radius=1, terms=3).
-SAMPLES = 3
 
 # A check: its name, its terms ((c, t), ...) for sum_i c_i t_i, and whether
 # it reads the derivation degree (tol 0.5), not residual_norm.  A term t is an
@@ -424,34 +419,25 @@ def _run(jobs, tol, known=None, keep=()):
                                      for name, i, degree in plan.checks]) for plan, v in pairs]
 
 
+def _operands(pkg):
+    """A package's operands: its fields, and the Laplacian and samples of its base."""
+    return vars(pkg) | {"lap": pkg.base.lap, "a": pkg.base.mas}
+
+
 def verify_core_chain(pkg, tol=None):
     """The operator identities the construction rests on (squares of the
     lifted pair, nilpotency, [T,d]=d, [I, .] commutations, [I,[I,d]]=-d and
     the d/d2 cross relations): the CORE_CHAIN rows, which close CHECKLIST."""
-    lap = NCDiffOp.from_words(pkg.theta, pkg.DD.m, _lap_words(pkg.theta.n))
-    return _run([(_plan(CORE_CHAIN, 0), vars(pkg) | {"lap": lap})], resolve_tol(tol))[0]
+    return _run([(_plan(CORE_CHAIN, 0), _operands(pkg))], resolve_tol(tol))[0]
 
 
-def verify_n22(pkg, tol=None, rng=None):
-    """Full N=(2,2) axiom checklist, the CHECKLIST rows over SAMPLES samples,
-    for one package as a report; for a list of packages, their reports from
-    one _run.  Each package draws its samples from rng, or from a fresh
-    default_rng(7) when rng is None, so a report does not depend on the batch
-    it ran in; each draw's mult(a) is one from_terms, and each torus and
-    fiber's Laplacian one more."""
+def verify_n22(pkg, tol=None):
+    """Full N=(2,2) axiom checklist, the CHECKLIST rows over the SAMPLES
+    samples of the package's base, for one package as a report; for a list
+    of packages, their reports from one _run.  Every operand comes from the
+    package and its base: nothing is built here."""
     pkgs = [pkg] if isinstance(pkg, KahlerPackage) else list(pkg)
-    laps, drawn, jobs = {}, {}, []
-    for q in pkgs:
-        ctx = (id(q.theta), q.DD.m)
-        if ctx not in laps:
-            laps[ctx] = NCDiffOp.from_words(q.theta, q.DD.m, _lap_words(q.theta.n))
-        # fresh default_rng(7) draws repeat over one torus and fiber: build them once
-        if rng is not None or ctx not in drawn:
-            qrng = np.random.default_rng(7) if rng is None else rng
-            drawn[ctx] = NCDiffOp.mult([TorusElement.random(q.theta, qrng, radius=1, terms=3)
-                                        for _ in range(SAMPLES)], q.DD.m)
-        jobs.append((_plan(CHECKLIST, SAMPLES), vars(q) | {"lap": laps[ctx], "a": drawn[ctx]}))
-    reports = _run(jobs, resolve_tol(tol))
+    reports = _run([(_plan(CHECKLIST, SAMPLES), _operands(q)) for q in pkgs], resolve_tol(tol))
     for q, rp in zip(pkgs, reports):
         rp.meta = {"n": q.theta.n, "matching": str(q.matching), "eps_prime": q.eps_prime}
     return reports[0] if isinstance(pkg, KahlerPackage) else reports
@@ -464,13 +450,12 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     of the box [-radius, radius]^n, plus the zero- and first-order conditions
     [JaJ*, b] = [JaJ*, [D, b]] = 0 on `samples` (>= 1) monomial pairs.
 
-    Each operator acts once on the columns of an (N, N) block: for J D the
-    identity at every sampled mode at once, in a TorusMatrix, which holds
-    only while D's coefficients sit at mode 0 (two NCDiffOp.apply calls).  In
-    the pair conditions every intermediate is one block at one mode, so the
-    samples run as (samples, N, N) stacks: one NCDiffOp.products pass forms
-    every [D, b], and one NCDiffOp.applies pass acts with each on the
-    identity and on J a J*."""
+    Each operator acts once on the columns of an (N, N) block, and every
+    intermediate is one block at one mode, so the modes and samples run as
+    (count, N, N) stacks: one NCDiffOp.products pass forms every [D, b], and
+    one NCDiffOp.applies pass acts with D on the identity at every sampled
+    mode and on its image under J, and with each [D, b] on the identity and
+    on J a J*."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     tol = resolve_tol(tol)
@@ -483,20 +468,8 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     D = build_dirac(rep, theta)
     N = rep.N
     eye = np.eye(N, dtype=complex)
-
-    def J(v):
-        # (J v)_i = sum_j C_ij v_j*: block k goes to mode -k as star_phase(k) C conj(b)
-        out = {tuple(-x for x in k): theta.star_phase(k) * (C @ b.conj())
-               for k, b in v.blocks.items()}
-        return TorusMatrix(theta, v.shape, out)
-
-    # D's coefficients sit at mode 0, so D.apply keeps the block of mode k at
-    # k and J moves it to -k: no two sampled modes merge, and the norm is the
-    # max over every (mode, basis vector)
-    basis = TorusMatrix(theta, (N, N),
-                        {k: eye for k in _box_sample(theta.n, radius, rng, 12)})
-    rp.add("J D = eps' D J",
-           (J(D.apply(basis)) - D.apply(J(basis)).scale(eps_p)).norm())
+    Ce = C @ eye.conj()
+    modes = _box_sample(theta.n, radius, rng, 12)
 
     # per sample, ma is drawn before mb
     ma, mb = zip(*[[tuple(int(x) for x in rng.integers(-2, 3, size=theta.n)) for _ in range(2)]
@@ -519,17 +492,28 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
         return eps * (sab[s] * (C @ (pab[s] * (sb[s] * Cb)).conj()))
 
     def residual(d):
-        # TorusMatrix's prune-then-norm per sample of the difference d; its
-        # operands, phases times unitary or [D, b] blocks, are never below PRUNE_TOL
+        # TorusMatrix's prune-then-norm per mode or sample of the difference d;
+        # its operands, phases times unitary, D or [D, b] blocks, are never below PRUNE_TOL
         kept = np.abs(d).max(axis=(1, 2)) >= PRUNE_TOL
         return float(np.hypot(d.real, d.imag).max(axis=(1, 2))[kept].max(initial=0.0))
 
     # J a J*(identity) at -ma: J(1) = C, and a C is the block C at ma
     ja = eps * (sa * (C @ C.conj()))
-    rp.add("[J a J*, b] = 0", residual(JaJstar(C @ eye.conj(), slice(None)) - pba * ja))
     live = [s for s, k in enumerate(mb) if any(k)]
-    acted = NCDiffOp.applies([(Dbs[s], {(0,) * theta.n: eye}) for s in live]
-                             + [(Dbs[s], {nma[s]: ja[s]}) for s in live])
+    # J(eye U^k) = star_phase(k) C conj(eye) U^-k
+    nk = [tuple(-x for x in k) for k in modes]
+    DB, DJ, *acted = NCDiffOp.applies(
+        [(D, {k: eye for k in modes}),
+         (D, {m: theta.star_phase(k) * Ce for k, m in zip(modes, nk)})]
+        + [(Dbs[s], {(0,) * theta.n: eye}) for s in live]
+        + [(Dbs[s], {nma[s]: ja[s]}) for s in live])
+    # D's coefficients sit at mode 0, so D keeps the block of mode k at k and
+    # J moves it to -k: no two sampled modes merge, and mode 0, where D acts
+    # as 0 and leaves no block, drops out
+    jd = [theta.star_phase(k) * (C @ DB[k].conj()) - eps_p * DJ[m]
+          for k, m in zip(modes, nk) if any(k)]
+    rp.add("J D = eps' D J", residual(np.array(jd).reshape(-1, N, N)))
+    rp.add("[J a J*, b] = 0", residual(JaJstar(Ce, slice(None)) - pba * ja))
     acted = np.array([blk for out in acted for blk in out.values()]).reshape(2, -1, N, N)
     rp.add("[J a J*, [D, b]] = 0", residual(JaJstar(C @ acted[0].conj(), live) - acted[1]))
     return rp
@@ -549,16 +533,16 @@ def _box_sample(n, radius, rng, count):
     return sorted(out)
 
 
-def _pm_operands(W, plus, minus):
-    return {"W": W, "del+": plus.del_hol, "delbar+": plus.del_bar,
+def _pm_operands(plus, minus):
+    return {"W": plus.base.W, "del+": plus.del_hol, "delbar+": plus.del_bar,
             "del-": minus.del_hol, "delbar-": minus.del_bar}
 
 
 def verify_pm_conjugation(plus, minus):
     """Residual of W del_+ = del_- W and the delbar analogue (the PM rows) for
-    W = kron(sigma, 1), conjugating the eps' = +1 package into eps' = -1."""
-    W = build_pm_intertwiner(plus.rep, plus.theta)
-    return _run([(_plan(PM, 0), _pm_operands(W, plus, minus))], 1e-12)[0].max_residual
+    the W = kron(sigma, 1) of plus's base, conjugating the eps' = +1 package
+    into eps' = -1."""
+    return _run([(_plan(PM, 0), _pm_operands(plus, minus))], 1e-12)[0].max_residual
 
 
 def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
@@ -573,7 +557,7 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     `on_package(pkg)` is called on every package that gets verified."""
     eps_list = [check_eps(eps) for eps in eps_list]
     grid = VerificationReport(tol=resolve_tol(tol))
-    base = build_base(theta, rep, samples=SAMPLES)
+    base = build_base(theta, rep)
     keep = {id(op) for op in (base.D, base.DD, base.gamma_tilde, base.hodge_star, base.W,
                               base.lap, *base.mas, *chain(*base.lifted.values()))}
     known, checklist, pm_plan = {}, _plan(CHECKLIST, SAMPLES), _plan(PM, 0)
@@ -584,8 +568,8 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
                 on_package(pkgs[eps])
         label = str(matching)
         *reports, pm = _run(
-            [(checklist, vars(pkgs[eps]) | {"lap": base.lap, "a": base.mas}) for eps in eps_list]
-            + [(pm_plan, _pm_operands(base.W, pkgs[1], pkgs[-1]))], grid.tol, known, keep)
+            [(checklist, _operands(pkgs[eps])) for eps in eps_list]
+            + [(pm_plan, _pm_operands(pkgs[1], pkgs[-1]))], grid.tol, known, keep)
         for eps, rp in zip(eps_list, reports):
             for c in rp.checks:
                 grid.add(f"[{label}|eps'={eps:+d}] {c.name}", c.residual, c.tol)

@@ -27,12 +27,12 @@ class DimensionMismatch(ValueError):
 class ThetaMatrix:
     """Real skew-symmetric n x n deformation matrix for an even torus."""
 
-    def __init__(self, entries, require_even=True):
+    def __init__(self, entries):
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("theta must be a square matrix")
         n = entries.shape[0]
-        if require_even and n % 2 != 0:
+        if n % 2 != 0:
             raise ValueError(f"torus dimension must be even, got {n}")
         if n < 1:
             raise ValueError("torus dimension must be positive")

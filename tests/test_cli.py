@@ -305,6 +305,16 @@ class TestExitCodes:
         assert main(argv + ["--theta", path, "--n", "4"]) == 0
 
 
+    @pytest.mark.parametrize("argv", [["verify", "--n", "2"], ["forms", "--n", "4"]],
+                             ids=["verify", "forms"])
+    def test_radius_refused_where_unread(self, argv, capsys):
+        # only holo kernel and report read --radius; elsewhere argparse refuses it
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--radius", "3"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --radius 3" in capsys.readouterr().err
+
+
 class TestInProcessCalls:
     @pytest.mark.parametrize("argv", [["verify"], ["report"], ["holo", "kernel"], ["forms"]],
                              ids=["verify", "report", "holo-kernel", "forms"])

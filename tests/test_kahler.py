@@ -201,30 +201,28 @@ class TestEpsPrime:
 
 
 class TestN22Checklist:
-    @pytest.mark.parametrize("rng", [None, 3], ids=["default-rng", "shared-rng"])
-    def test_one_constructor_call_per_draw(self, rng, monkeypatch):
-        # the samples' mult(a) from one from_terms call per draw (one draw for
-        # both eps' packages with the default rng), the Laplacian from one per batch
-        calls, from_terms = [], NCDiffOp.from_terms
+    def test_one_constructor_call_per_draw(self, monkeypatch):
+        # the samples' mult(a) and the Laplacian come from the package's base,
+        # built with it: verify_n22 makes no from_terms call
+        calls, jobs, from_terms, run = [], [], NCDiffOp.from_terms, kahler._run
         pkgs = [build_kahler_package(THETA4, eps_prime=e, rep=REP4) for e in (1, -1)]
         monkeypatch.setattr(NCDiffOp, "from_terms", classmethod(
             lambda cls, theta, m, terms: calls.append(terms) or from_terms(theta, m, terms)))
-        draw = None if rng is None else np.random.default_rng(rng)
-        verify_n22(pkgs, rng=draw)
-        lists = [t for t in calls if isinstance(t, list)]
-        assert len(calls) == 1 + len(lists) and len(lists) == (1 if rng is None else 2)
-        assert [len(t) for t in lists] == [3] * len(lists)
-    @pytest.mark.parametrize("rng", [None, 3], ids=["default-rng", "shared-rng"])
-    def test_batch_equals_per_package(self, rng):
+        monkeypatch.setattr(kahler, "_run", lambda js, *a: jobs.extend(js) or run(js, *a))
+        verify_n22(pkgs)
+        assert calls == []
+        assert [len(pkg.base.mas) for pkg in pkgs] == [kahler.SAMPLES] * 2
+        assert all(ops["a"] is pkg.base.mas and ops["lap"] is pkg.base.lap
+                   for (_, ops), pkg in zip(jobs, pkgs, strict=True))
+
+    def test_batch_equals_per_package(self):
         # check for check, the batch over both eps' packages gives the names,
         # residuals and tolerances of one call per package
         for mt in enumerate_matchings(4):
             pkgs = [build_kahler_package(THETA4, mt, e, rep=REP4) for e in (1, -1)]
-            draw = None if rng is None else np.random.default_rng(rng)
-            batch = verify_n22(pkgs, rng=draw)
-            draw = None if rng is None else np.random.default_rng(rng)
+            batch = verify_n22(pkgs)
             for pkg, rp in zip(pkgs, batch, strict=True):
-                want = verify_n22(pkg, rng=draw)
+                want = verify_n22(pkg)
                 assert rp.meta == want.meta
                 assert ([(c.name, c.residual, c.tol) for c in rp.checks]
                         == [(c.name, c.residual, c.tol) for c in want.checks])
@@ -391,7 +389,7 @@ class TestWordBuilders:
         theta = ThetaMatrix.random(n, np.random.default_rng(n))
         rep = build_gamma(n)
         zero = (0,) * n
-        W = kahler.build_pm_intertwiner(rep, theta)
+        W = kahler.build_base(theta, rep).W
         assert np.abs(W.terms[zero].dense().blocks[zero]
                       - np.kron(rep.sigma, np.eye(rep.N))).max() == 0.0
         for mt in enumerate_matchings(n):
@@ -468,6 +466,14 @@ class TestPMConjugation:
         W = plus.gamma_tilde
         res = (W.compose(plus.del_hol) - minus.del_hol.compose(W)).residual_norm()
         assert res > 0.1
+
+    def test_wrong_base_intertwiner_fails(self):
+        # verify_pm_conjugation reads W from the eps' = +1 package's base
+        plus = build_kahler_package(THETA4, eps_prime=1, rep=REP4)
+        minus = build_kahler_package(THETA4, eps_prime=-1, rep=REP4)
+        assert verify_pm_conjugation(plus, minus) < 1e-12
+        bad = dataclasses.replace(plus, base=plus.base._replace(W=plus.gamma_tilde))
+        assert verify_pm_conjugation(bad, minus) > 0.1
 
 
 def counting_passes(monkeypatch):
@@ -547,16 +553,14 @@ class TestVerifyGrid:
                 assert p.del_hol.to_json() == q.del_hol.to_json()
                 assert p.del_bar.to_json() == q.del_bar.to_json()
 
-    @pytest.mark.parametrize("rng", [None, 5], ids=["default-rng", "passed-rng"])
-    def test_grid_package_reports_as_built_one(self, rng):
+    def test_grid_package_reports_as_built_one(self):
         # verify_n22 on a package verify_grid built reports what it reports
         # on the build_kahler_package one
         got = []
         verify_grid(THETA4, enumerate_matchings(4), rep=REP4, on_package=got.append)
         for pkg in got:
             built = build_kahler_package(THETA4, pkg.matching, pkg.eps_prime, rep=REP4)
-            reports = [verify_n22(p, rng=None if rng is None else np.random.default_rng(rng))
-                       for p in (pkg, built)]
+            reports = [verify_n22(p) for p in (pkg, built)]
             assert reports[0].meta == reports[1].meta
             assert ([(c.name, c.residual, c.tol) for c in reports[0].checks]
                     == [(c.name, c.residual, c.tol) for c in reports[1].checks])
@@ -705,8 +709,8 @@ class TestRealStructure:
             assert residuals(rp) == oracle_real_structure(theta, rep, variant)
 
     def test_apply_count(self, monkeypatch):
-        # J D: D applied once to J(basis) and once to the basis; then every
-        # sample's [D, b] on the identity and on J a J* in one applies pass
+        # one applies pass: D on the basis and on J(basis), then every
+        # sample's [D, b] on the identity and on J a J*; no apply call
         calls, passes = 0, []
         apply, applies = NCDiffOp.apply, NCDiffOp.applies
 
@@ -722,10 +726,14 @@ class TestRealStructure:
         monkeypatch.setattr(NCDiffOp, "apply", counted)
         monkeypatch.setattr(NCDiffOp, "applies", staticmethod(counted_applies))
         theta = ThetaMatrix.random(6, np.random.default_rng(3))
+        rng = np.random.default_rng(11)
+        kahler._box_sample(6, 3, rng, 12)
+        # per sample ma, then mb
+        draws = [rng.integers(-2, 3, size=6) for _ in range(2 * 20)]
         verify_real_structure(theta, rep=build_gamma(6), samples=20)
-        assert calls == 2
-        # the two apply calls, then 2 jobs per sample whose b is not 1
-        assert passes[:2] == [1, 1] and len(passes) == 3 and passes[2] <= 2 * 20
+        assert calls == 0
+        # the two J D jobs, then 2 jobs per sample whose b is not 1
+        assert passes == [2 + 2 * sum(bool(mb.any()) for mb in draws[1::2])]
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("variant", ["plus", "minus"])
@@ -750,7 +758,7 @@ class TestRealStructure:
         for variant in ("plus", "minus"):
             rp = verify_real_structure(THETA4, rep=REP4, variant=variant, samples=samples,
                                        rng=ForcedRng(5, zero_draws))
-            assert jobs[-1] == 2 * (samples - 1)
+            assert jobs[-1] == 2 + 2 * (samples - 1)
             assert residuals(rp) == reference_real_structure(
                 THETA4, REP4, variant, ForcedRng(5, zero_draws), samples=samples)
             assert rp.all_pass
