@@ -195,9 +195,14 @@ def bidegree_decomposition_check(n_or_fbm, max_r=2, tol=None):
         rhs = sum(comb(half, p) * comb(half, r - p)
                   for p in range(0, r + 1))
         rp.add(f"rank count C({n},{r}) = Vandermonde sum", abs(lhs - rhs), tol=0.5)
+    # the mixed products of every r from one pass, split by product index
+    groups = [(hol_chain[p], bar_chain[r - p]) for r in range(1, max_r + 1) for p in range(r + 1)]
+    products = _products(groups, n) if groups else ()
+    cut = np.cumsum([0] + [sum(len(hol_chain[p]) * len(bar_chain[r - p]) for p in range(r + 1))
+                           for r in range(1, max_r + 1)])
     for r in range(1, max_r + 1):
-        mixed = _span(_products([(hol_chain[p], bar_chain[r - p]) for p in range(r + 1)], n),
-                      fbm.m)
+        mine = (products[0] >= cut[r - 1]) & (products[0] < cut[r])
+        mixed = _span([x[mine] for x in products], fbm.m)
         inside, outside = _containment_residuals(mu_chain[r], mixed)
         rp.add(f"span(mu^{r}) inside span(eta mixed^{r})", inside)
         rp.add(f"span(eta mixed^{r}) inside span(mu^{r})", outside)

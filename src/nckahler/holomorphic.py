@@ -19,10 +19,10 @@ from .ncdiff import TorusMatrix
 from .torus import TWO_PI_I, DimensionMismatch, TorusElement
 
 # h0_solve refuses a system it would need more than this many bytes to hold:
-# its sparse entries (ENTRY_BYTES each, counting the copies the assembly
-# makes), or one batch of equal-shape blocks with their SVD factors.
+# its entries (ENTRY_BYTES each, counting the copies its assembly and labelling
+# make), or one batch of equal-shape blocks with their SVD factors.
 MAX_BYTES = 1 << 30
-ENTRY_BYTES = 200  # tracemalloc peak per entry: 185-201 on n=4 constant connections
+ENTRY_BYTES = 200  # tracemalloc peak per entry: 129-183 on n=4 constant connections
 
 
 def _check_bytes(n_bytes, what):
@@ -135,25 +135,53 @@ def _row_ids(rows):
     return np.unique(code, return_inverse=True)[1]
 
 
+def _components(a, b, size):
+    """The connected components of the undirected graph on range(size) with
+    edges (a[e], b[e]): their number, and each vertex's component, numbered in
+    order of the components' smallest vertices (scipy's connected_components
+    numbering).  Hook and shortcut (Shiloach-Vishkin): each round hooks every
+    edge's larger root under its smaller one, then jumps pointers until every
+    vertex points at a root; it stops when no edge joins two roots."""
+    parent = np.arange(size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[cross], np.minimum(ra, rb)[cross])
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    roots, labels = np.unique(parent, return_inverse=True)
+    return len(roots), labels
+
+
 def _svd(stack):
-    """s and vh of np.linalg.svd(stack, full_matrices=False).  One-column
-    blocks skip LAPACK: s is the column's norm, and vh is [[1]] as LAPACK's."""
+    """s and vh of np.linalg.svd(stack, full_matrices=False), or of scipy's
+    gesvd where gesdd does not converge.  One-column blocks skip LAPACK: s is
+    the column's norm, and vh is [[1]] as LAPACK's."""
     if stack.shape[2] == 1:
         return np.linalg.norm(stack, axis=1), np.ones((len(stack), 1, 1), dtype=complex)
-    return np.linalg.svd(stack, full_matrices=False)[1:]
+    try:
+        return np.linalg.svd(stack, full_matrices=False)[1:]
+    except np.linalg.LinAlgError:
+        # gesdd did not converge: gesvd, block by block (scipy < 1.15 has no batches)
+        from scipy.linalg import svd
+        s, vh = zip(*(svd(a, full_matrices=False, lapack_driver="gesvd")[1:] for a in stack))
+        return np.stack(s), np.stack(vh)
 
 
 def h0_solve(conn, radius):
     """C-basis of { xi in (box-truncated A)^m : delta_j(xi) + A_j xi = 0 }.
 
     The system over the box coefficients, rows (j, output mode, i) against
-    unknowns (box mode, l), is assembled sparse and split into its connected
-    blocks: mode t couples only to t + supp(A_j).  Blocks of equal shape share
-    one batched SVD, and one-column blocks (all, on a constant diagonal
-    connection) their column norms.  A singular value at most 1e-10 times the
-    largest over all blocks marks a null direction, as in a dense null space of
-    the whole system.  Raises ValueError when the entries, or one batch of
-    blocks with its SVD factors, would take more than MAX_BYTES.
+    unknowns (box mode, l), is assembled as entry arrays and split into its
+    connected blocks by _components: mode t couples only to t + supp(A_j).
+    Blocks of equal shape share one batched SVD (_svd), and one-column blocks
+    (all, on a constant diagonal connection) their column norms.  A singular
+    value at most 1e-10 times the largest over all blocks marks a null
+    direction, as in a dense null space of the whole system.  Raises ValueError
+    when the entries, or one batch of blocks with its SVD factors, would take
+    more than MAX_BYTES.
 
     For a non-constant connection the dimension is that of the box-truncated
     system, and it can depend on the radius: with A_1 = U_2 on n = 2 it is 0
@@ -166,7 +194,7 @@ def h0_solve(conn, radius):
     terms = [(j, i, l, k, c) for j, Aj in enumerate(conn.A) for i, row in enumerate(Aj)
              for l, a in enumerate(row) for k, c in a.coeffs.items()]
     n_box = (2 * radius + 1) ** n
-    _check_bytes(n_box * (half * m + len(terms)) * ENTRY_BYTES, "the sparse system")
+    _check_bytes(n_box * (half * m + len(terms)) * ENTRY_BYTES, "the system's entries")
 
     box = np.indices((2 * radius + 1,) * n).reshape(n, -1).T - radius  # product order
     terms = [(j, i, i, (0,) * n, delta_eigenvalue(box.T, j + 1))
@@ -182,13 +210,8 @@ def h0_solve(conn, radius):
         vals.append(c * np.exp(TWO_PI_I * (box @ (upper @ np.array(k)))))  # theta.phase(k, t)
     rows, cols, vals = (np.concatenate(x, axis=None) for x in (rows, cols, vals))
 
-    # Imported here: scipy.sparse adds 40-100 ms to `import nckahler`.
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
     n_rows, n_cols = half * n_out * m, n_box * m
-    graph = coo_array((np.ones(len(rows)), (cols, n_cols + rows)), shape=(n_cols + n_rows,) * 2)
-    n_blocks, block = connected_components(graph, directed=False)
+    n_blocks, block = _components(cols, n_cols + rows, n_cols + n_rows)
     col_block, row_block = block[:n_cols], block[n_cols:]
     col_local, row_local = _position_in_block(col_block), _position_in_block(row_block)
     width = np.bincount(col_block, minlength=n_blocks)

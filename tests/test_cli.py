@@ -1,13 +1,19 @@
 """Command-line front-end: subcommands, exit codes, atomic reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nckahler
 from nckahler import clifford, forms, holomorphic
 from nckahler.cli import main
+from nckahler.holomorphic import grassmannian
 from nckahler.torus import ThetaMatrix, TorusElement
 
 
@@ -261,7 +267,9 @@ class TestExitCodes:
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        # both drivers fail: gesdd, and the gesvd it falls back on
         monkeypatch.setattr(holomorphic.np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", failing_svd)
         with pytest.raises(np.linalg.LinAlgError):
             main(["holo", "h0", "--conn", conn2_file, "--radius", "1"])
 
@@ -336,3 +344,23 @@ class TestInProcessCalls:
         assert obj["radius"] == 5
         code, obj = run_json(capsys, ["holo", "h0", "--conn", conn2_file])
         assert obj["radius"] == 3
+
+
+class TestScipyFree:
+    def test_no_cli_path_imports_scipy(self, theta4_file, tmp_path):
+        # scipy is only the SVD fallback of holo h0; a fresh interpreter runs the
+        # commands and lists the scipy modules it loaded
+        path, theta = theta4_file
+        conn = tmp_path / "grassmannian.json"
+        conn.write_text(json.dumps({"theta": theta.to_json(), **grassmannian(theta, 2).to_json()}))
+        argvs = [["report", "--n", "4"], ["verify", "--n", "4"], ["forms", "--n", "4"],
+                 ["holo", "h0", "--conn", str(conn), "--radius", "3"],
+                 ["holo", "flat", "--conn", str(conn)], ["holo", "kernel", "--theta", path]]
+        argvs = [argv + ["--out", str(tmp_path / f"{i}.json")] for i, argv in enumerate(argvs)]
+        code = (f"import sys\nfrom nckahler.cli import main\n"
+                f"codes = [main(argv) for argv in {argvs!r}]\n"
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(nckahler.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120).stdout
+        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

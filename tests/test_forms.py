@@ -138,6 +138,21 @@ class TestOneChainPerFamily:
         assert self.count_svds(monkeypatch,
                                lambda: [form_rank(fbm, "mu", l) for l in range(8)]) == 0
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_bidegree_mixed_spans_from_one_pass(self, n, monkeypatch):
+        fbm = build_form_matrices(n)
+        for name in ("mu", "eta_hol", "eta_bar"):
+            fbm.chain(name, n)
+        calls, word_pairs = [], forms._word_pairs
+
+        def counting(*args):
+            calls.append(1)
+            return word_pairs(*args)
+
+        monkeypatch.setattr(forms, "_word_pairs", counting)
+        assert bidegree_decomposition_check(fbm).all_pass
+        assert len(calls) == 1
+
 
 def dense_families(rep, eps_prime):
     """The dense N^2 x N^2 mu, eta_bar, eta_hol of the kron formulas."""

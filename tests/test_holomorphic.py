@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -10,10 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from nckahler import holomorphic
 from nckahler.holomorphic import (
     Connection,
+    _components,
     _row_ids,
     _svd,
     del_tau,
@@ -338,6 +342,52 @@ class TestOneColumnBlocks:
         assert 1 in widths
         monkeypatch.setattr(holomorphic, "_svd", lapack_svd)
         assert got == bases()
+
+
+class TestComponents:
+    def test_same_labels_as_scipy(self):
+        # four graphs in five have at most size / 2 edges, so isolated
+        # vertices; seed 0 has no edges at all
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            size = int(rng.integers(1, 200))
+            top = size // 2 + 1 if seed % 5 else 3 * size
+            n_edges = 0 if seed == 0 else int(rng.integers(0, top))
+            a, b = rng.integers(0, size, (2, n_edges))
+            graph = coo_array((np.ones(n_edges), (a, b)), shape=(size, size))
+            want_n, want = connected_components(graph, directed=False)
+            got_n, got = _components(a, b, size)
+            assert got_n == want_n and np.array_equal(got, want), seed
+
+    def test_shuffled_path_in_few_rounds(self):
+        # one label jump per round would take tens of thousands of rounds here
+        order = np.random.default_rng(5).permutation(10 ** 5)
+        start = time.perf_counter()
+        n_blocks, labels = _components(order[:-1], order[1:], 10 ** 5)
+        assert time.perf_counter() - start < 2.0
+        assert n_blocks == 1 and not labels.any()
+
+
+class TestSvdFallback:
+    @pytest.mark.parametrize("seed", [1, 7, 20261017])
+    def test_gesvd_retry_as_gesdd(self, seed, monkeypatch):
+        conn, radius = bench_connections(seed)[1]  # m = 2: 4 x 2 blocks
+        want = h0_solve(conn, radius)
+        svd, failed = np.linalg.svd, []
+
+        def failing(a, *args, **kwargs):
+            if a.shape[-1] > 1:
+                failed.append(a.shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(holomorphic.np.linalg, "svd", failing)
+        got = h0_solve(conn, radius)
+        assert failed and len(got) == len(want)
+        for xi, eta in zip(got, want):
+            for x, y in zip(xi, eta):
+                assert x.coeffs.keys() == y.coeffs.keys()
+                assert all(abs(x.coeffs[k] - y.coeffs[k]) <= 1e-12 for k in x.coeffs)
 
 
 class TestMorphism:
