@@ -58,20 +58,14 @@ class GammaRep:
 
 
 def _relations_residual(gammas, sigma):
-    n = len(gammas)
-    N = gammas[0].shape[0]
-    eye = np.eye(N)
-    r = 0.0
-    for j in range(n):
-        r = max(r, np.abs(gammas[j].conj().T + gammas[j]).max())
-        for k in range(j, n):
-            anti = gammas[j] @ gammas[k] + gammas[k] @ gammas[j]
-            r = max(r, np.abs(anti + 2.0 * (j == k) * eye).max())
-    r = max(r, np.abs(sigma.conj().T - sigma).max())
-    r = max(r, np.abs(sigma @ sigma - eye).max())
-    for g in gammas:
-        r = max(r, np.abs(sigma @ g + g @ sigma).max())
-    return r
+    """The relations' largest residual entry, over the stacked (n, N, N) gammas."""
+    G = np.array(gammas)
+    eye = np.eye(G.shape[1])
+    prods = G[:, None] @ G[None, :]
+    anti = prods + prods.transpose(1, 0, 2, 3) + 2.0 * np.eye(len(G))[:, :, None, None] * eye
+    return max(np.abs(G.conj().transpose(0, 2, 1) + G).max(), np.abs(anti).max(),
+               np.abs(sigma.conj().T - sigma).max(), np.abs(sigma @ sigma - eye).max(),
+               np.abs(sigma @ G + G @ sigma).max())
 
 
 def relations_residual(rep):
@@ -128,12 +122,10 @@ def charge_conjugation(rep, variant, tol=1e-10):
     z = flat[np.flatnonzero(np.abs(flat) > 1e-12)[0]]
     C = C * (abs(z) / z)
 
-    res = 0.0
-    for g in gammas:
-        res = max(res, np.abs(C @ g.conj() - eps_p * g @ C).max())
-    res = max(res, np.abs(C @ sigma.conj() - eps_pp * sigma @ C).max())
-    res = max(res, np.abs(C @ C.conj() - eps * np.eye(N)).max())
-    res = max(res, np.abs(C @ C.conj().T - np.eye(N)).max())
+    res = max(np.abs(C @ np.conj(gammas) - eps_p * np.array(gammas) @ C).max(),
+              np.abs(C @ sigma.conj() - eps_pp * sigma @ C).max(),
+              np.abs(C @ C.conj() - eps * np.eye(N)).max(),
+              np.abs(C @ C.conj().T - np.eye(N)).max())
     if res > tol:
         raise SelfCheckError(
             f"charge conjugation failed for n={n} {variant}: residual {res:.3e} "

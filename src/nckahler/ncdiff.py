@@ -13,19 +13,20 @@ of q-bit masks x, z.  Words multiply exactly by the symplectic rule
     X^{x1} Z^{z1} . X^{x2} Z^{z2} = (-1)^{|z1 & x2|} X^{x1 ^ x2} Z^{z1 ^ z2},
 
 and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so products and adjoints never
-form an m x m block; dense blocks appear only in residual_norm, to_json and
-applies.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau of
-Aaronson and Gottesman (PRA 70, 2004), and its blocks as integer arrays: the
-code of alpha, the id of the interned mode k, and the span start:stop of the
-block's words.  Tuples appear only at the edges: terms, from_terms, to_json,
-from_json, apply and applies.  Sums, adjoints and products (NCDiffOp.sums,
-adjoints and products, each a batch of jobs) lay out their contributions with
-numpy, the weights of each distinct block (pair) computed once, and share one
-reduction, _reduce: each (block, word) is summed in input order with
-np.bincount, sums below PRUNE_TOL are dropped, and blocks and words keep the
-order a dict accumulation gives them.  Complex products are spelled out in
-real arithmetic as Python computes them (numpy's complex multiply may fuse
-them), so every sum equals the dict loop's bit for bit.
+form an m x m block; dense blocks appear only in residual_norm and to_json.  An
+NCDiffOp stores its words as flat arrays, the x/z/phase tableau of Aaronson and
+Gottesman (PRA 70, 2004), and its blocks as integer arrays: the code of alpha,
+the id of the interned mode k, and the span start:stop of the block's words.
+Tuples appear only at the edges: terms, from_terms, to_json, from_json, apply
+and applies.  Sums, adjoints, products and actions (NCDiffOp.sums, adjoints,
+products and applies, each a batch of jobs) lay out their work with numpy, the
+weights of each distinct block (pair) computed once.  The first three share
+one reduction, _reduce: each (block, word) is summed in input order with
+np.bincount and sums below PRUNE_TOL are dropped; applies forms the entries
+M[r, r ^ x] of each block once (_act).  Blocks and words keep the order a dict
+accumulation gives them, and complex products are spelled out in real
+arithmetic as Python computes them (numpy's complex multiply may fuse them),
+so every sum equals the dict loop's bit for bit.
 
 Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
 from Fourier exponent k to a constant rows x cols complex block (constant
@@ -40,8 +41,8 @@ from __future__ import annotations
 import math
 import threading
 from functools import lru_cache
-from itertools import groupby, product as iproduct
-from operator import itemgetter, lshift
+from itertools import chain, groupby, pairwise, product as iproduct
+from operator import add, itemgetter, lshift, sub
 
 import numpy as np
 
@@ -60,9 +61,8 @@ def _push_weights(alpha, beta, kp):
     sends a block of B at mode k'."""
     out = []
     for gamma in iproduct(*(range(a + 1) for a in alpha)):
-        if f := _deriv_factor(kp, tuple(a - g for a, g in zip(alpha, gamma))):
-            coef = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
-            out.append((tuple(g + b for g, b in zip(gamma, beta)), coef * f))
+        if f := _deriv_factor(kp, tuple(map(sub, alpha, gamma))):
+            out.append((tuple(map(add, gamma, beta)), math.prod(map(math.comb, alpha, gamma)) * f))
     return tuple(out)
 
 
@@ -249,28 +249,34 @@ def word_kron(a, b, q):
             for (x1, z1), c1 in a.items() for (x2, z2), c2 in b.items()}
 
 
-def _act(seg, x, z, c, cols):
-    """M_j @ cols[j] for each (m, w) block of the stack cols, M_j the sum of
-    the words (x, z, c) of job seg (ascending): entry r of a column is
-    sum_g M_j[r, r ^ xs[g]] b[r ^ xs[g]] over the distinct x of job j in order
-    of first appearance, added in that order with the complex products
-    spelled out in real arithmetic, as in the dense product (a job with fewer
-    distinct x than another then adds exact zeros)."""
-    jobs, m = cols.shape[:2]
-    idx, j = np.arange(m), np.arange(jobs)[:, None, None]
-    dense = np.zeros((jobs, m, m), dtype=complex)
-    np.add.at(dense, (seg[:, None], x[:, None] ^ idx, idx), c[:, None] * _signs(m)[z])
-    first = np.full((jobs, m), len(x))
-    np.minimum.at(first, (seg, x), np.arange(len(x)))
-    # per job its x in order of first appearance, then x it lacks (whose entries are 0)
-    rows = idx ^ first.argsort(kind="stable")[:, :(first < len(x)).sum(axis=1).max(), None]
-    M, v = dense[j, idx, rows][..., None], cols[j, rows]
-    pr, pi = M.real * v.real - M.imag * v.imag, M.real * v.imag + M.imag * v.real
-    out = np.zeros(cols.shape, dtype=complex)
-    for g in range(rows.shape[1]):
-        out.real += pr[:, g]
-        out.imag += pi[:, g]
-    return out
+def _act(blk, length, x, z, c, cols):
+    """M_u @ cols[u] for each (m, w) block u of the stack cols, M_u the sum of
+    the words of block blk[u] (the blocks tile the words x, z, c, length[b]
+    words each): entry r of a column is sum_g M_u[r, r ^ xs[g]] b[r ^ xs[g]]
+    over the block's distinct x in order of first appearance, added in that
+    order with the complex products spelled out in real arithmetic.  Each
+    block is densified once, as M[r, r ^ x] per distinct x, and the (u, g)
+    pairs of all units run as one stack, g-major."""
+    U, m, w = cols.shape
+    idx, run = np.arange(m), np.arange(len(length)).repeat(length)
+    # slots: the distinct (block, x) in order; a word adds c (-1)^{|z & r|} to M[r ^ x, r]
+    slot, first = _first_ids(run * m + x)
+    at, sign = ((slot * m)[:, None] + (x[:, None] ^ idx)).ravel(), _signs(m)[z]
+    Mr, Mi = (np.bincount(at, (p[:, None] * sign).ravel(), len(first) * m).reshape(-1, m, 1)
+              for p in (c.real, c.imag))
+    count = np.bincount(run[first], minlength=len(length))
+    pu, g = _runs(count[blk])
+    order = g.argsort(kind="stable")
+    pu, g = pu[order], g[order]
+    s = (count.cumsum() - count)[blk[pu]] + g
+    v = cols.reshape(-1, w)[(pu * m)[:, None] + (idx ^ x[first][s][:, None])]
+    Mr, Mi = Mr[s].repeat(w, axis=-1), Mi[s].repeat(w, axis=-1)
+    pr, pi = Mr * v.real - Mi * v.imag, Mr * v.imag + Mi * v.real
+    # rows :U hold each unit's g = 0 term, the later ones add in g order
+    for a, b in pairwise(np.bincount(g).cumsum().tolist()):
+        pr[pu[a:b]] += pr[a:b]
+        pi[pu[a:b]] += pi[a:b]
+    return np.stack((pr[:U], pi[:U]), axis=-1).view(complex)[..., 0]
 
 
 # -- block tables -------------------------------------------------------------
@@ -280,6 +286,7 @@ def _act(seg, x, z, c, cols):
 _SHIFTS, _AMAX = tuple(range(0, 60, 4)), 16
 
 
+@lru_cache(maxsize=4096)
 def _acode(alpha):
     if len(alpha) > len(_SHIFTS) or min(alpha, default=0) < 0 or max(alpha, default=0) >= _AMAX:
         raise ValueError(f"multi-index {alpha} is outside the code radix "
@@ -287,6 +294,7 @@ def _acode(alpha):
     return sum(map(lshift, alpha, _SHIFTS))
 
 
+@lru_cache(maxsize=4096)
 def _alpha(code, n):
     return tuple(code >> j & _AMAX - 1 for j in _SHIFTS[:n])
 
@@ -329,7 +337,7 @@ def _pair_weights(n, a, b, ka, kb, s, lam, mu):
         mu = s * mu
         for idx, w in _push_weights(beta, alpha, k):
             fg.setdefault(idx, [0, 0])[1] = mu * w
-    kk = _mode_id(n, tuple(x + y for x, y in zip(k, kp)))
+    kk = _mode_id(n, tuple(map(add, k, kp)))
     return tuple((_acode(idx), kk, (f + g, f - g, -f + g, -f - g)) for idx, (f, g) in fg.items())
 
 
@@ -666,8 +674,10 @@ class NCDiffOp:
 
         def weigh(key):
             (r, j), i = divmod(key // nc, nc), key % nc
-            return _pair_weights(T[j].n, a[j], a[i], k[j], k[i], r - 1, T[j].phase(K[j], K[i]),
-                                 T[j].phase(K[i], K[j]))
+            # phase is exactly 1 where either mode is 0 (mode id 0)
+            lam, mu = ((T[j].phase(K[j], K[i]), T[j].phase(K[i], K[j])) if k[j] and k[i]
+                       else (1 + 0j, 1 + 0j))
+            return _pair_weights(T[j].n, a[j], a[i], k[j], k[i], r - 1, lam, mu)
 
         # key ((s + 1) nc + class of P's block) nc + class of Q's block
         seg, (target, mode, table) = _unfold((((s[job] + 1) * nc + cls[u]) * nc + cls[v],),
@@ -729,28 +739,56 @@ class NCDiffOp:
 
     @staticmethod
     def applies(jobs):
-        """[P v for (P, v) in jobs], each v the blocks {k: b} of a TorusMatrix,
-        every b of one (m, w) shape: per job the blocks {mode: block} of P v,
-        unpruned.  The fiber actions of every (job, block of P, k) are one _act
-        pass; per job the terms phase(k', k) (M del^alpha b)(k) at k' + k add
-        up in the order of alpha, block and k."""
-        units, out = [], [{} for _ in jobs]
-        for j, (P, v) in enumerate(jobs):
-            if any(b.shape[0] != P.m for b in v.values()):
-                raise DimensionMismatch(f"a block of v is not {P.m} rows long")
-            for alpha, kk, s, e in P._table():
-                for k, b in v.items():
-                    # del^alpha b U^k = (2 pi i k)^alpha b U^k: b itself at alpha = 0
-                    if f := _deriv_factor(k, alpha):
-                        units.append((j, P.theta.phase(kk, k), tuple(x + y for x, y in zip(kk, k)),
-                                      f * b if any(alpha) else b, P.x[s:e], P.z[s:e], P.c[s:e]))
-        if units:
-            js, phases, kks, cols, x, z, c = zip(*units)
-            seg = np.arange(len(units)).repeat([len(w) for w in x])
-            acts = _act(seg, *map(np.concatenate, (x, z, c)), np.array(cols))
-            for j, phase, kk, act in zip(js, phases, kks, acts):
-                term = phase * act
-                out[j][kk] = out[j][kk] + term if kk in out[j] else term
+        """[P v for (P, v) in jobs] over one torus and fiber, each v the blocks
+        {k: b} of a TorusMatrix, every b of one (m, w) shape: per job the
+        blocks {mode: block} of P v, unpruned.  The units (block of P at k',
+        mode k of v), in the order of job, block and k, are laid out with
+        numpy from one _concat table; unit terms phase(k', k) (M del^alpha b)(k)
+        add up at k' + k in unit order.  _deriv_factor runs once per distinct
+        (alpha, k), phase only where k' and k are both non-zero (it is 1
+        elsewhere), and every fiber action is in one _act pass."""
+        out, ids = [{} for _ in jobs], {}
+        if any(b.shape[0] != P.m for P, v in jobs for b in v.values()):
+            raise DimensionMismatch("a block of v is not as long as its operator's fiber")
+        if not (vid := [ids.setdefault(k, len(ids)) for _, v in jobs for k in v]):
+            return out
+        ops = list({id(P): P for P, _ in jobs}.values())
+        slot, keys, n, m = {id(P): i for i, P in enumerate(ops)}, [*ids], ops[0].theta.n, ops[0].m
+        if any(P.theta.n != n or P.m != m for P in ops) or any(len(k) != n for k in keys):
+            raise DimensionMismatch("the jobs of a pass differ in torus dimension or fiber")
+        (_, A, M, _, length, x, z, c), modes = _concat(ops), _modes(n)[1]
+        # the mode vectors of v's modes and of every block
+        K, KK = (np.fromiter(chain.from_iterable(ks), np.int64, len(ks) * n).reshape(-1, n)
+                 for ks in (keys, list(map(modes.__getitem__, M.tolist()))))
+        nb = np.array([P.table.shape[1] for P in ops])
+        p, nv = np.array([(slot[id(P)], len(v)) for P, v in jobs]).T
+        job, place = _runs(nb[p] * nv)
+        u, t = np.divmod(place, nv[job])
+        blk, vb = (nb.cumsum() - nb)[p][job] + u, (nv.cumsum() - nv)[job] + t
+        # (2 pi i k)^alpha depends on k only where alpha is not 0
+        vk, a = np.array(vid)[vb], A[blk]
+        k = K[vk] * ((a[:, None] >> np.array(_SHIFTS[:n]) & _AMAX - 1) != 0)
+        rank, first = _first_ids(a, *k.T)
+        fac = np.array([_deriv_factor(kj, _alpha(aj, n)) for aj, kj in
+                        zip(a[first].tolist(), k[first].tolist())], dtype=complex)[rank]
+        if not len(live := fac.nonzero()[0]):
+            return out
+        job, blk, vb, vk, fac = job[live], blk[live], vb[live], vk[live], fac[live]
+        phase, both = np.ones(len(job), complex), ((M[blk] != 0) & K[vk].any(axis=1)).nonzero()[0]
+        phase[both] = [ops[o].theta.phase(modes[i], keys[kj]) for o, i, kj
+                       in zip(p[job[both]].tolist(), M[blk[both]].tolist(), vk[both].tolist())]
+        bs = [b for _, v in jobs for b in v.values()]
+        acts = _act(blk, length, x, z, c, fac[:, None, None] * np.concatenate(bs).reshape(
+            len(bs), m, -1)[vb])
+        # the targets k' + k, numbered in order of first appearance; the real
+        # and imaginary parts of their terms add in unit order
+        T, size = KK[blk] + K[vk], 2 * acts[0].size
+        tid, first = _first_ids(job, *T.T)
+        sums = np.bincount((tid[:, None] * size + np.arange(size)).ravel(),
+                           (phase[:, None, None] * acts).view(float).ravel(), len(first) * size)
+        for j, kk, s in zip(job[first].tolist(), T[first].tolist(),
+                            sums.view(complex).reshape(-1, *acts.shape[1:])):
+            out[j][tuple(kk)] = s
         return out
 
     def _dense(self, s, e):

@@ -763,6 +763,30 @@ class TestRealStructure:
                 THETA4, REP4, variant, ForcedRng(5, zero_draws), samples=samples)
             assert rp.all_pass
 
+    def test_applies_phase_calls(self, monkeypatch):
+        # the applies pass calls ThetaMatrix.phase at most once per unit whose
+        # block mode and v mode are both non-zero; elsewhere the phase is 1
+        theta, rep = ThetaMatrix.random(6, np.random.default_rng(3)), build_gamma(6)
+        calls, seen = [], []
+        phase, applies = ThetaMatrix.phase, NCDiffOp.applies
+
+        def counted_phase(self, m, k):
+            calls.append(1)
+            return phase(self, m, k)
+
+        def counted_applies(jobs):
+            before = len(calls)
+            out = applies(jobs)
+            seen.append((len(calls) - before,
+                         sum(int((P.mode != 0).sum()) * sum(map(any, v)) for P, v in jobs)))
+            return out
+
+        monkeypatch.setattr(ThetaMatrix, "phase", counted_phase)
+        monkeypatch.setattr(NCDiffOp, "applies", staticmethod(counted_applies))
+        verify_real_structure(theta, rep=rep)
+        [(made, units)] = seen
+        assert 0 < made <= units
+
     def test_applies_equal_loop_on_sample_jobs(self):
         # the real structure's applies jobs against the block loop, bit for bit
         theta, rep = ThetaMatrix.random(6, np.random.default_rng(8)), build_gamma(6)

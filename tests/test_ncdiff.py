@@ -692,6 +692,46 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             NCDiffOp.identity(THETA, 2).apply(v)
 
+    def test_mixed_units_equal_loop(self):
+        # one pass mixing one-word blocks at mode 0, multi-word blocks at
+        # non-zero modes whose targets merge across alpha (and across block
+        # modes), a job whose factors are all 0 and a job with an empty v:
+        # the block loop's blocks, bit for bit
+        rng = np.random.default_rng(44)
+
+        def c():
+            return complex(*rng.normal(size=2))
+
+        one_word = NCDiffOp.from_terms(THETA, 4, {(1, 0): {ZERO2: {(1, 2): c()}},
+                                                  (0, 1): {ZERO2: {(3, 0): c()}}})
+        merging = NCDiffOp.from_terms(THETA, 4, {
+            (0, 0): {(1, 0): {(0, 1): c(), (2, 3): c(), (0, 2): c()},
+                     (0, 1): {(1, 1): c(), (3, 2): c()}},
+            (1, 0): {(1, 0): {(1, 0): c(), (1, 3): c(), (2, 2): c()},
+                     (1, -1): {(0, 0): c(), (3, 3): c()}}})
+        # del_1 on modes whose first entry is 0: every factor is 0
+        flat = NCDiffOp.from_terms(THETA, 4, {(1, 0): {(1, 1): {(1, 1): c(), (2, 0): c()}}})
+        v = {k: rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+             for k in [(0, 0), (1, 0), (0, 1), (-1, 2), (2, -1)]}
+        jobs = [(one_word, v), (merging, v), (flat, {ZERO2: v[ZERO2], (0, 2): v[(0, 1)]}),
+                (merging, {})]
+        got = NCDiffOp.applies(jobs)
+        for out, (P, w) in zip(got, jobs, strict=True):
+            assert_same_blocks(out, loop_apply(P, TorusMatrix(THETA, (4, 2), w)).blocks)
+        # (2, 0) and (0, 2) add terms of both alphas, (1, 1) of two block modes
+        assert {(2, 0), (0, 2), (1, 1)} <= set(got[1]) and got[2] == {} and got[3] == {}
+
+    def test_one_torus_and_fiber_per_pass(self):
+        v = TorusMatrix.random(THETA, (2, 1), np.random.default_rng(7)).blocks
+        other = NCDiffOp.identity(ThetaMatrix.random(4, np.random.default_rng(8)), 2)
+        with pytest.raises(DimensionMismatch, match="torus dimension or fiber"):
+            NCDiffOp.applies([(NCDiffOp.identity(THETA, 2), v), (other, {(0,) * 4: v[ZERO2]})])
+        with pytest.raises(DimensionMismatch, match="torus dimension or fiber"):
+            NCDiffOp.applies([(NCDiffOp.identity(THETA, 2), {(0, 0, 0): v[ZERO2]})])
+        four = {ZERO2: np.ones((4, 1))}
+        with pytest.raises(DimensionMismatch, match="torus dimension or fiber"):
+            NCDiffOp.applies([(NCDiffOp.identity(THETA, 2), v), (NCDiffOp.identity(THETA, 4), four)])
+
 
 class TestListConstructors:
     def test_from_terms_list_equals_one_by_one(self):
