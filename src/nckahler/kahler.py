@@ -22,7 +22,7 @@ import numpy as np
 from .clifford import GammaRep, build_gamma
 from .ncdiff import NCDiffOp, pauli_words, word_kron, word_product, word_sum
 from .report import Check, VerificationReport, resolve_tol
-from .torus import PRUNE_TOL, DimensionMismatch, TorusElement
+from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
 
 
 _ONE = {(0, 0): 1 + 0j}
@@ -450,12 +450,12 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     of the box [-radius, radius]^n, plus the zero- and first-order conditions
     [JaJ*, b] = [JaJ*, [D, b]] = 0 on `samples` (>= 1) monomial pairs.
 
-    Each operator acts once on the columns of an (N, N) block, and every
-    intermediate is one block at one mode, so the modes and samples run as
-    (count, N, N) stacks: one NCDiffOp.products pass forms every [D, b], and
-    one NCDiffOp.applies pass acts with D on the identity at every sampled
-    mode and on its image under J, and with each [D, b] on the identity and
-    on J a J*."""
+    Every operand is one (N, N) block at one mode, so the modes and samples
+    run as (count, N, N) stacks.  One NCDiffOp.products pass forms every
+    [D, b]; D (n degree-1 blocks at mode 0) and each [D, b] (one degree-0
+    block) act as dense fiber matrices on blocks that are a phase times a
+    monomial matrix (I, C, or C conj(C) = eps I).  So each entry of M b is a
+    single product, and real matmuls give the word-by-word action's bits."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     tol = resolve_tol(tol)
@@ -466,7 +466,11 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     C = rep.conj_matrix(variant)
     eps, eps_p, _ = rep.signs(variant)
     D = build_dirac(rep, theta)
-    N = rep.N
+    if D.mode.any() or sorted(map(sum, D.terms)) != [1] * theta.n:
+        raise RuntimeError("D is not n degree-1 blocks at mode 0")
+    # gamma_j, the block of del_j, in D's stored order
+    N, axis = rep.N, [a.index(1) for a in D.terms]
+    gammas = [D._dense(s, e) for s, e in zip(D.start.tolist(), D.stop.tolist())]
     eye = np.eye(N, dtype=complex)
     Ce = C @ eye.conj()
     modes = _box_sample(theta.n, radius, rng, 12)
@@ -497,25 +501,30 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
         kept = np.abs(d).max(axis=(1, 2)) >= PRUNE_TOL
         return float(np.hypot(d.real, d.imag).max(axis=(1, 2))[kept].max(initial=0.0))
 
+    def mul(M, b):
+        return (M.real @ b.real - M.imag @ b.imag) + 1j * (M.real @ b.imag + M.imag @ b.real)
+
+    def dirac(K, b):
+        # D (b_s U^K_s) = sum_j gamma_j (2 pi i K_sj) b_s U^K_s, added block after block
+        return sum(mul(g, TWO_PI_I * K[:, j, None, None] * b) for j, g in zip(axis, gammas))
+
+    # D keeps the block of mode k at k, and J moves it to -k, so no two sampled
+    # modes merge; at mode 0, where D acts as 0, J D = eps' D J holds trivially
+    nz = [k for k in modes if any(k)]
+    K, sk = np.array(nz, dtype=np.int64).reshape(-1, theta.n), [theta.star_phase(k) for k in nz]
+    # J(eye U^k) = star_phase(k) C conj(eye) U^-k
+    DJ = dirac(-K, np.array([s * Ce for s in sk]).reshape(-1, N, N))
+    jd = [s * (C @ db.conj()) - eps_p * dj for s, db, dj in zip(sk, dirac(K, eye), DJ)]
+    rp.add("J D = eps' D J", residual(np.array(jd).reshape(-1, N, N)))
     # J a J*(identity) at -ma: J(1) = C, and a C is the block C at ma
     ja = eps * (sa * (C @ C.conj()))
-    live = [s for s, k in enumerate(mb) if any(k)]
-    # J(eye U^k) = star_phase(k) C conj(eye) U^-k
-    nk = [tuple(-x for x in k) for k in modes]
-    DB, DJ, *acted = NCDiffOp.applies(
-        [(D, {k: eye for k in modes}),
-         (D, {m: theta.star_phase(k) * Ce for k, m in zip(modes, nk)})]
-        + [(Dbs[s], {(0,) * theta.n: eye}) for s in live]
-        + [(Dbs[s], {nma[s]: ja[s]}) for s in live])
-    # D's coefficients sit at mode 0, so D keeps the block of mode k at k and
-    # J moves it to -k: no two sampled modes merge, and mode 0, where D acts
-    # as 0 and leaves no block, drops out
-    jd = [theta.star_phase(k) * (C @ DB[k].conj()) - eps_p * DJ[m]
-          for k, m in zip(modes, nk) if any(k)]
-    rp.add("J D = eps' D J", residual(np.array(jd).reshape(-1, N, N)))
     rp.add("[J a J*, b] = 0", residual(JaJstar(Ce, slice(None)) - pba * ja))
-    acted = np.array([blk for out in acted for blk in out.values()]).reshape(2, -1, N, N)
-    rp.add("[J a J*, [D, b]] = 0", residual(JaJstar(C @ acted[0].conj(), live) - acted[1]))
+    # the live samples, b not 1, are those whose [D, b] has its one block;
+    # [D, b] . eye is that block, and on J a J*(identity) at -ma it lands at mb - ma
+    live = [s for s, k in enumerate(mb) if any(k)]
+    Mb = np.array([Dbs[s]._dense(0, len(Dbs[s].c)) for s in live]).reshape(-1, N, N)
+    acted = pba[live] * mul(Mb, ja[live])
+    rp.add("[J a J*, [D, b]] = 0", residual(JaJstar(C @ Mb.conj(), live) - acted))
     return rp
 
 

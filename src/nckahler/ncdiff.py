@@ -13,20 +13,20 @@ of q-bit masks x, z.  Words multiply exactly by the symplectic rule
     X^{x1} Z^{z1} . X^{x2} Z^{z2} = (-1)^{|z1 & x2|} X^{x1 ^ x2} Z^{z1 ^ z2},
 
 and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so products and adjoints never
-form an m x m block; dense blocks appear only in residual_norm and to_json.  An
-NCDiffOp stores its words as flat arrays, the x/z/phase tableau of Aaronson and
-Gottesman (PRA 70, 2004), and its blocks as integer arrays: the code of alpha,
-the id of the interned mode k, and the span start:stop of the block's words.
-Tuples appear only at the edges: terms, from_terms, to_json, from_json, apply
-and applies.  Sums, adjoints, products and actions (NCDiffOp.sums, adjoints,
-products and applies, each a batch of jobs) lay out their work with numpy, the
-weights of each distinct block (pair) computed once.  The first three share
-one reduction, _reduce: each (block, word) is summed in input order with
-np.bincount and sums below PRUNE_TOL are dropped; applies forms the entries
-M[r, r ^ x] of each block once (_act).  Blocks and words keep the order a dict
-accumulation gives them, and complex products are spelled out in real
-arithmetic as Python computes them (numpy's complex multiply may fuse them),
-so every sum equals the dict loop's bit for bit.
+form an m x m block; dense blocks appear only in apply, residual_norm and
+to_json.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau
+of Aaronson and Gottesman (PRA 70, 2004), and its blocks as integer arrays:
+the code of alpha, the id of the interned mode k, and the span start:stop of
+the block's words.  Tuples appear only at the edges: terms, from_terms,
+to_json, from_json and apply.  The batch passes NCDiffOp.sums, adjoints and
+products lay out their work with numpy, the weights of each distinct block
+(pair) computed once, and share one reduction, _reduce: each (block, word) is
+summed in input order with np.bincount, sums below PRUNE_TOL are dropped, and
+blocks and words keep the order a dict accumulation gives them.  Complex
+products are spelled out in real arithmetic as Python computes them (numpy's
+complex multiply may fuse them), so every sum equals the dict loop's bit for
+bit.  apply loops over the blocks of P, each acting on every mode of v in one
+_act.
 
 Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
 from Fourier exponent k to a constant rows x cols complex block (constant
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import lru_cache
-from itertools import chain, groupby, pairwise, product as iproduct
+from itertools import groupby, product as iproduct
 from operator import add, itemgetter, lshift, sub
 
 import numpy as np
@@ -249,34 +249,21 @@ def word_kron(a, b, q):
             for (x1, z1), c1 in a.items() for (x2, z2), c2 in b.items()}
 
 
-def _act(blk, length, x, z, c, cols):
-    """M_u @ cols[u] for each (m, w) block u of the stack cols, M_u the sum of
-    the words of block blk[u] (the blocks tile the words x, z, c, length[b]
-    words each): entry r of a column is sum_g M_u[r, r ^ xs[g]] b[r ^ xs[g]]
-    over the block's distinct x in order of first appearance, added in that
-    order with the complex products spelled out in real arithmetic.  Each
-    block is densified once, as M[r, r ^ x] per distinct x, and the (u, g)
-    pairs of all units run as one stack, g-major."""
-    U, m, w = cols.shape
-    idx, run = np.arange(m), np.arange(len(length)).repeat(length)
-    # slots: the distinct (block, x) in order; a word adds c (-1)^{|z & r|} to M[r ^ x, r]
-    slot, first = _first_ids(run * m + x)
-    at, sign = ((slot * m)[:, None] + (x[:, None] ^ idx)).ravel(), _signs(m)[z]
-    Mr, Mi = (np.bincount(at, (p[:, None] * sign).ravel(), len(first) * m).reshape(-1, m, 1)
-              for p in (c.real, c.imag))
-    count = np.bincount(run[first], minlength=len(length))
-    pu, g = _runs(count[blk])
-    order = g.argsort(kind="stable")
-    pu, g = pu[order], g[order]
-    s = (count.cumsum() - count)[blk[pu]] + g
-    v = cols.reshape(-1, w)[(pu * m)[:, None] + (idx ^ x[first][s][:, None])]
-    Mr, Mi = Mr[s].repeat(w, axis=-1), Mi[s].repeat(w, axis=-1)
-    pr, pi = Mr * v.real - Mi * v.imag, Mr * v.imag + Mi * v.real
-    # rows :U hold each unit's g = 0 term, the later ones add in g order
-    for a, b in pairwise(np.bincount(g).cumsum().tolist()):
-        pr[pu[a:b]] += pr[a:b]
-        pi[pu[a:b]] += pi[a:b]
-    return np.stack((pr[:U], pi[:U]), axis=-1).view(complex)[..., 0]
+def _act(x, z, c, cols):
+    """M @ b for each (m, w) block b of the stack cols, M the sum of the words
+    (x, z, c): entry r of a column is sum_g M[r, r ^ xs[g]] b[r ^ xs[g]] over
+    the distinct x in order of first appearance, added in that order with the
+    complex products spelled out in real arithmetic."""
+    idx = np.arange(cols.shape[1])
+    xs = idx ^ np.array(list(dict.fromkeys(x.tolist())), dtype=np.int64)[:, None]
+    M, v = _densify(x, z, c, len(idx))[idx, xs], cols[:, xs]
+    er, ei = M.real[None, :, :, None], M.imag[None, :, :, None]
+    pr, pi = er * v.real - ei * v.imag, er * v.imag + ei * v.real
+    out = np.zeros(cols.shape, dtype=complex)
+    for g in range(len(xs)):
+        out.real += pr[:, g]
+        out.imag += pi[:, g]
+    return out
 
 
 # -- block tables -------------------------------------------------------------
@@ -729,67 +716,26 @@ class NCDiffOp:
     # -- action and comparison ---------------------------------------------
 
     def apply(self, v):
-        """P v = sum_alpha M_alpha . del^alpha v for an (m, c) TorusMatrix v,
-        the blocks acting as signed row permutations and the phases factored
-        out as in TorusMatrix.matmul.  Nothing is normal-ordered, so this is an
-        action oracle independent of compose and adjoint."""
+        """P v = sum_alpha M_alpha . del^alpha v for an (m, c) TorusMatrix v: per
+        block of P, one _act on the modes of v where del^alpha is not 0, each
+        term phase(k', k) M (del^alpha b) added at k' + k in block order.
+        Nothing is normal-ordered, so this is an action oracle independent of
+        compose and adjoint."""
         if v.shape[0] != self.m:
             raise DimensionMismatch(f"vector length {v.shape[0]} != fiber {self.m}")
-        return TorusMatrix(self.theta, v.shape, NCDiffOp.applies([(self, v.blocks)])[0])
-
-    @staticmethod
-    def applies(jobs):
-        """[P v for (P, v) in jobs] over one torus and fiber, each v the blocks
-        {k: b} of a TorusMatrix, every b of one (m, w) shape: per job the
-        blocks {mode: block} of P v, unpruned.  The units (block of P at k',
-        mode k of v), in the order of job, block and k, are laid out with
-        numpy from one _concat table; unit terms phase(k', k) (M del^alpha b)(k)
-        add up at k' + k in unit order.  _deriv_factor runs once per distinct
-        (alpha, k), phase only where k' and k are both non-zero (it is 1
-        elsewhere), and every fiber action is in one _act pass."""
-        out, ids = [{} for _ in jobs], {}
-        if any(b.shape[0] != P.m for P, v in jobs for b in v.values()):
-            raise DimensionMismatch("a block of v is not as long as its operator's fiber")
-        if not (vid := [ids.setdefault(k, len(ids)) for _, v in jobs for k in v]):
-            return out
-        ops = list({id(P): P for P, _ in jobs}.values())
-        slot, keys, n, m = {id(P): i for i, P in enumerate(ops)}, [*ids], ops[0].theta.n, ops[0].m
-        if any(P.theta.n != n or P.m != m for P in ops) or any(len(k) != n for k in keys):
-            raise DimensionMismatch("the jobs of a pass differ in torus dimension or fiber")
-        (_, A, M, _, length, x, z, c), modes = _concat(ops), _modes(n)[1]
-        # the mode vectors of v's modes and of every block
-        K, KK = (np.fromiter(chain.from_iterable(ks), np.int64, len(ks) * n).reshape(-1, n)
-                 for ks in (keys, list(map(modes.__getitem__, M.tolist()))))
-        nb = np.array([P.table.shape[1] for P in ops])
-        p, nv = np.array([(slot[id(P)], len(v)) for P, v in jobs]).T
-        job, place = _runs(nb[p] * nv)
-        u, t = np.divmod(place, nv[job])
-        blk, vb = (nb.cumsum() - nb)[p][job] + u, (nv.cumsum() - nv)[job] + t
-        # (2 pi i k)^alpha depends on k only where alpha is not 0
-        vk, a = np.array(vid)[vb], A[blk]
-        k = K[vk] * ((a[:, None] >> np.array(_SHIFTS[:n]) & _AMAX - 1) != 0)
-        rank, first = _first_ids(a, *k.T)
-        fac = np.array([_deriv_factor(kj, _alpha(aj, n)) for aj, kj in
-                        zip(a[first].tolist(), k[first].tolist())], dtype=complex)[rank]
-        if not len(live := fac.nonzero()[0]):
-            return out
-        job, blk, vb, vk, fac = job[live], blk[live], vb[live], vk[live], fac[live]
-        phase, both = np.ones(len(job), complex), ((M[blk] != 0) & K[vk].any(axis=1)).nonzero()[0]
-        phase[both] = [ops[o].theta.phase(modes[i], keys[kj]) for o, i, kj
-                       in zip(p[job[both]].tolist(), M[blk[both]].tolist(), vk[both].tolist())]
-        bs = [b for _, v in jobs for b in v.values()]
-        acts = _act(blk, length, x, z, c, fac[:, None, None] * np.concatenate(bs).reshape(
-            len(bs), m, -1)[vb])
-        # the targets k' + k, numbered in order of first appearance; the real
-        # and imaginary parts of their terms add in unit order
-        T, size = KK[blk] + K[vk], 2 * acts[0].size
-        tid, first = _first_ids(job, *T.T)
-        sums = np.bincount((tid[:, None] * size + np.arange(size)).ravel(),
-                           (phase[:, None, None] * acts).view(float).ravel(), len(first) * size)
-        for j, kk, s in zip(job[first].tolist(), T[first].tolist(),
-                            sums.view(complex).reshape(-1, *acts.shape[1:])):
-            out[j][tuple(kk)] = s
-        return out
+        if any(len(k) != self.theta.n for k in v.blocks):
+            raise DimensionMismatch(f"a mode of v is not in Z^{self.theta.n}")
+        out = {}
+        for alpha, kp, s, e in self._table():
+            fac = [(k, f) for k in v.blocks if (f := _deriv_factor(k, alpha))]
+            if not fac:
+                continue
+            cols = np.array([f * v.blocks[k] for k, f in fac])
+            for (k, _), act in zip(fac, _act(self.x[s:e], self.z[s:e], self.c[s:e], cols)):
+                kk = tuple(map(add, kp, k))
+                term = self.theta.phase(kp, k) * act
+                out[kk] = out[kk] + term if kk in out else term
+        return TorusMatrix(self.theta, v.shape, out)
 
     def _dense(self, s, e):
         return _densify(self.x[s:e], self.z[s:e], self.c[s:e], self.m)

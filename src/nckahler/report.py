@@ -12,7 +12,8 @@ DEFAULT_TOL = 1e-10
 def resolve_tol(tol=None):
     """The residual tolerance: tol if given, else the NCK_TOL variable, else
     DEFAULT_TOL.  A NaN, infinite or negative tolerance is a configuration
-    error (ValueError); 0 is allowed and fails every check."""
+    error (ValueError); 0 is allowed and fails every check held to it, while
+    the checks with a fixed threshold (0.5 or 1e-12) keep theirs."""
     source, value = ("tol", tol) if tol is not None else ("NCK_TOL", os.environ.get("NCK_TOL"))
     if value is None or value == "":
         return DEFAULT_TOL

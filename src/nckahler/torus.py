@@ -42,6 +42,9 @@ class ThetaMatrix:
         self.entries = 0.5 * (entries - entries.T)  # exact skew-symmetrization
         np.fill_diagonal(self.entries, 0.0)
         self._upper = np.triu(self.entries, k=1)
+        # phase reads _upper and to_json entries: neither may drift from the other
+        self.entries.setflags(write=False)
+        self._upper.setflags(write=False)
         if self._all_rational():
             warnings.warn(
                 "theta has rational entries; the C*-algebra is not a generic "

@@ -14,6 +14,7 @@ import nckahler
 from nckahler import clifford, forms, holomorphic
 from nckahler.cli import main
 from nckahler.holomorphic import grassmannian
+from nckahler.report import VerificationReport
 from nckahler.torus import ThetaMatrix, TorusElement
 
 
@@ -263,6 +264,22 @@ class TestSinglePath:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, passed, total", [(["verify", "--n", "4"], 57, 297),
+                                                     (["report", "--n", "2"], 26, 116),
+                                                     (["forms", "--n", "4"], 5, 9)],
+                             ids=["verify-n4", "report-n2", "forms-n4"])
+    def test_tol_zero_passes_fixed_rows_only(self, argv, passed, total, capsys, monkeypatch):
+        # --tol 0 fails every check held to the run's tolerance; the rows with
+        # a fixed threshold (0.5 for integer counts, 1e-12) keep passing
+        reports, to_json = [], VerificationReport.to_json
+        monkeypatch.setattr(VerificationReport, "to_json",
+                            lambda rp: reports.append(rp) or to_json(rp))
+        code, obj = run_json(capsys, argv + ["--tol", "0"])
+        assert code == 1 and obj["tol"] == 0
+        assert (obj["summary"]["pass_count"], obj["summary"]["total"]) == (passed, total)
+        checks = reports[-1].checks
+        assert [c["pass"] for c in obj["checks"]] == [c.tol > 0 for c in checks]
+
     def test_solver_fault_is_not_config_error(self, conn2_file, monkeypatch):
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

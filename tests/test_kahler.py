@@ -709,31 +709,26 @@ class TestRealStructure:
             assert residuals(rp) == oracle_real_structure(theta, rep, variant)
 
     def test_apply_count(self, monkeypatch):
-        # one applies pass: D on the basis and on J(basis), then every
-        # sample's [D, b] on the identity and on J a J*; no apply call
+        # one products pass forms every sample's [D, b]; D and the [D, b] act
+        # as dense fiber matrices, with no apply call
         calls, passes = 0, []
-        apply, applies = NCDiffOp.apply, NCDiffOp.applies
+        apply, products = NCDiffOp.apply, NCDiffOp.products
 
         def counted(op, v):
             nonlocal calls
             calls += 1
             return apply(op, v)
 
-        def counted_applies(jobs):
+        def counted_products(jobs):
             passes.append(len(jobs))
-            return applies(jobs)
+            return products(jobs)
 
         monkeypatch.setattr(NCDiffOp, "apply", counted)
-        monkeypatch.setattr(NCDiffOp, "applies", staticmethod(counted_applies))
+        monkeypatch.setattr(NCDiffOp, "products", staticmethod(counted_products))
         theta = ThetaMatrix.random(6, np.random.default_rng(3))
-        rng = np.random.default_rng(11)
-        kahler._box_sample(6, 3, rng, 12)
-        # per sample ma, then mb
-        draws = [rng.integers(-2, 3, size=6) for _ in range(2 * 20)]
         verify_real_structure(theta, rep=build_gamma(6), samples=20)
         assert calls == 0
-        # the two J D jobs, then 2 jobs per sample whose b is not 1
-        assert passes == [2 + 2 * sum(bool(mb.any()) for mb in draws[1::2])]
+        assert passes == [20]
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("variant", ["plus", "minus"])
@@ -748,55 +743,60 @@ class TestRealStructure:
             assert residuals(got) == reference_real_structure(theta, rep, variant, draw())
 
     @pytest.mark.parametrize("samples,zero_draws", [(20, {2, 9}), (1, {2})])
-    def test_forced_b_one(self, samples, zero_draws, monkeypatch):
-        # mb = 0 (draw 2, sample 0) makes b = 1 and [D, b] = 0: no applies job
+    def test_forced_b_one(self, samples, zero_draws):
+        # mb = 0 (draw 2, sample 0) makes b = 1 and [D, b] = 0: no [D, b] acts
         # for that sample, none at all when samples = 1; draw 9 makes a = 1 in
         # sample 4.  The residuals are the loop's.
-        jobs, applies = [], NCDiffOp.applies
-        monkeypatch.setattr(NCDiffOp, "applies", staticmethod(
-            lambda js: jobs.append(len(js)) or applies(js)))
         for variant in ("plus", "minus"):
             rp = verify_real_structure(THETA4, rep=REP4, variant=variant, samples=samples,
                                        rng=ForcedRng(5, zero_draws))
-            assert jobs[-1] == 2 + 2 * (samples - 1)
             assert residuals(rp) == reference_real_structure(
                 THETA4, REP4, variant, ForcedRng(5, zero_draws), samples=samples)
             assert rp.all_pass
 
-    def test_applies_phase_calls(self, monkeypatch):
-        # the applies pass calls ThetaMatrix.phase at most once per unit whose
-        # block mode and v mode are both non-zero; elsewhere the phase is 1
+    def test_phase_calls(self, monkeypatch):
+        # the actions call ThetaMatrix.phase nowhere: 5 phases per sample, and
+        # one star_phase per non-zero sampled mode
         theta, rep = ThetaMatrix.random(6, np.random.default_rng(3)), build_gamma(6)
-        calls, seen = [], []
-        phase, applies = ThetaMatrix.phase, NCDiffOp.applies
+        calls, phase = [], ThetaMatrix.phase
 
         def counted_phase(self, m, k):
             calls.append(1)
             return phase(self, m, k)
 
-        def counted_applies(jobs):
-            before = len(calls)
-            out = applies(jobs)
-            seen.append((len(calls) - before,
-                         sum(int((P.mode != 0).sum()) * sum(map(any, v)) for P, v in jobs)))
-            return out
-
         monkeypatch.setattr(ThetaMatrix, "phase", counted_phase)
-        monkeypatch.setattr(NCDiffOp, "applies", staticmethod(counted_applies))
-        verify_real_structure(theta, rep=rep)
-        [(made, units)] = seen
-        assert 0 < made <= units
+        verify_real_structure(theta, rep=rep, samples=20)
+        modes = kahler._box_sample(6, 3, np.random.default_rng(11), 12)
+        assert len(calls) == 5 * 20 + sum(map(any, modes)) == 111
 
-    def test_applies_equal_loop_on_sample_jobs(self):
-        # the real structure's applies jobs against the block loop, bit for bit
+    def test_apply_equals_loop_on_sample_jobs(self):
+        # [D, b] of the real structure's samples on a mode of v, against the
+        # block loop, bit for bit
         theta, rep = ThetaMatrix.random(6, np.random.default_rng(8)), build_gamma(6)
         D, rng, N = build_dirac(rep, theta), np.random.default_rng(9), rep.N
         mbs = [TorusElement.monomial(theta, rng.integers(-2, 3, size=6)) for _ in range(8)]
         Dbs = NCDiffOp.products([(D, NCDiffOp.mult(b, N), -1) for b in mbs])
-        vs = [{tuple(int(x) for x in rng.integers(-2, 3, size=6)): rng.normal(size=(N, N)) + 1j}
-              for _ in Dbs]
-        for out, Db, v in zip(NCDiffOp.applies(list(zip(Dbs, vs))), Dbs, vs, strict=True):
-            assert_same_blocks(out, loop_apply(Db, TorusMatrix(theta, (N, N), v)).blocks)
+        for Db in Dbs:
+            v = TorusMatrix(theta, (N, N), {tuple(int(x) for x in rng.integers(-2, 3, size=6)):
+                                            rng.normal(size=(N, N)) + 1j})
+            assert_same_blocks(Db.apply(v).blocks, loop_apply(Db, v).blocks)
+
+    @pytest.mark.parametrize("alpha, mode", [((1, 0, 0, 0), (1, 0, 0, 0)),
+                                             ((0, 0, 0, 0), (0, 0, 0, 0))],
+                             ids=["off-mode-0", "degree-0"])
+    def test_guard_on_dirac_blocks(self, alpha, mode, monkeypatch):
+        # the dense action reads D as n degree-1 blocks at mode 0: a D with a
+        # block at a non-zero mode, or of degree 0, raises, and no residual
+        # comes back
+        build = kahler.build_dirac
+
+        def extended(rep, theta, words=None):
+            return build(rep, theta, words) + NCDiffOp.from_terms(
+                theta, rep.N, {alpha: {mode: {(1, 0): 0.5 + 0j}}})
+
+        monkeypatch.setattr(kahler, "build_dirac", extended)
+        with pytest.raises(RuntimeError, match="D is not n degree-1 blocks at mode 0"):
+            verify_real_structure(THETA4, rep=REP4)
 
     def test_guard_on_degree_one_commutator(self, monkeypatch):
         # a [D, b] with a degree-1 block is an internal fault, not a config error

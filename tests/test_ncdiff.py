@@ -104,7 +104,7 @@ def loop_act(x, z, c, cols):
 
 def loop_apply(P, v):
     """P v with one loop_act per (term, block) of P over every mode of v:
-    the block loop NCDiffOp.applies replaced, oracle for it bit for bit."""
+    NCDiffOp.apply's block loop, kept as its oracle bit for bit."""
     theta, out = P.theta, {}
     for alpha, blocks in groupby(P._table(), itemgetter(0)):
         dv = derive_multi(v, alpha)
@@ -640,23 +640,21 @@ class TestApply:
         assert (lhs - rhs).norm() < 1e-10
 
     def test_one_act_pass(self, monkeypatch):
-        # every (term, block) of P on every mode of v in one fiber-action pass
+        # one fiber action per block of P, on every mode of v at once
         built = []
         act = ncdiff._act
 
-        def counting(*args):
-            built.append(1)
-            return act(*args)
+        def counting(x, z, c, cols):
+            built.append(len(cols))
+            return act(x, z, c, cols)
 
         monkeypatch.setattr(ncdiff, "_act", counting)
         P = random_op(8)
         v = TorusMatrix.random(THETA, (2, 3), np.random.default_rng(10))
         P.apply(v)
-        assert len(v.blocks) > 1 and sum(len(M.blocks) for M in P.terms.values()) > 1
-        assert len(built) == 1
-        built.clear()
-        NCDiffOp.applies([(P, v.blocks), (random_op(9), v.blocks)])
-        assert len(built) == 1
+        assert len(v.blocks) > 1 and P.table.shape[1] > 1
+        live = [sum(_deriv_factor(k, alpha) != 0 for k in v.blocks) for alpha, *_ in P._table()]
+        assert built == live and all(live)
 
     @pytest.mark.parametrize("m,max_degree", [(1, 2), (2, 1), (2, 2), (4, 2)])
     def test_equals_block_loop(self, m, max_degree):
@@ -670,22 +668,17 @@ class TestApply:
             assert_same_blocks(P.apply(v).blocks, want.blocks)
 
     def test_batch_equals_one_job_each(self):
-        # jobs over different operators and v in one pass, and a zero operator;
-        # applies leaves blocks below PRUNE_TOL in (two here), apply drops them
+        # several operators and v, and a zero operator, each against the loop
         rng = np.random.default_rng(41)
         jobs = [(NCDiffOp.random(THETA, 4, rng, max_degree=2, terms=3),
-                 TorusMatrix.random(THETA, (4, 2), rng, radius=1, terms=2).blocks)
+                 TorusMatrix.random(THETA, (4, 2), rng, radius=1, terms=2))
                 for _ in range(5)]
         jobs.append((NCDiffOp.zero(THETA, 4), jobs[0][1]))
-        got = NCDiffOp.applies(jobs)
-        for out, (P, v) in zip(got, jobs, strict=True):
-            kept = {k: b for k, b in out.items() if np.abs(b).max() >= PRUNE_TOL}
-            assert_same_blocks(kept, loop_apply(P, TorusMatrix(THETA, (4, 2), v)).blocks)
-        assert sum(map(len, got)) == sum(len(TorusMatrix(THETA, (4, 2), out).blocks)
-                                         for out in got) + 2
-        assert got[-1] == {}
+        for P, v in jobs:
+            assert_same_blocks(P.apply(v).blocks, loop_apply(P, v).blocks)
+        assert NCDiffOp.zero(THETA, 4).apply(jobs[0][1]).blocks == {}
         with pytest.raises(DimensionMismatch):
-            NCDiffOp.applies([(jobs[0][0], {ZERO2: np.eye(2)})])
+            jobs[0][0].apply(TorusMatrix(THETA, (2, 2), {ZERO2: np.eye(2)}))
 
     def test_wrong_length_rejected(self):
         v = TorusMatrix.random(THETA, (3, 1), np.random.default_rng(7))
@@ -693,10 +686,10 @@ class TestApply:
             NCDiffOp.identity(THETA, 2).apply(v)
 
     def test_mixed_units_equal_loop(self):
-        # one pass mixing one-word blocks at mode 0, multi-word blocks at
-        # non-zero modes whose targets merge across alpha (and across block
-        # modes), a job whose factors are all 0 and a job with an empty v:
-        # the block loop's blocks, bit for bit
+        # one-word blocks at mode 0, multi-word blocks at non-zero modes whose
+        # targets merge across alpha (and across block modes), an operator
+        # whose factors are all 0 and an empty v, one apply each: the block
+        # loop's blocks, bit for bit
         rng = np.random.default_rng(44)
 
         def c():
@@ -715,22 +708,25 @@ class TestApply:
              for k in [(0, 0), (1, 0), (0, 1), (-1, 2), (2, -1)]}
         jobs = [(one_word, v), (merging, v), (flat, {ZERO2: v[ZERO2], (0, 2): v[(0, 1)]}),
                 (merging, {})]
-        got = NCDiffOp.applies(jobs)
-        for out, (P, w) in zip(got, jobs, strict=True):
-            assert_same_blocks(out, loop_apply(P, TorusMatrix(THETA, (4, 2), w)).blocks)
+        got = []
+        for P, w in jobs:
+            w = TorusMatrix(THETA, (4, 2), w)
+            got.append(P.apply(w).blocks)
+            assert_same_blocks(got[-1], loop_apply(P, w).blocks)
         # (2, 0) and (0, 2) add terms of both alphas, (1, 1) of two block modes
         assert {(2, 0), (0, 2), (1, 1)} <= set(got[1]) and got[2] == {} and got[3] == {}
 
     def test_one_torus_and_fiber_per_pass(self):
+        # a mode of v of the wrong length is refused, not truncated by zip
         v = TorusMatrix.random(THETA, (2, 1), np.random.default_rng(7)).blocks
         other = NCDiffOp.identity(ThetaMatrix.random(4, np.random.default_rng(8)), 2)
-        with pytest.raises(DimensionMismatch, match="torus dimension or fiber"):
-            NCDiffOp.applies([(NCDiffOp.identity(THETA, 2), v), (other, {(0,) * 4: v[ZERO2]})])
-        with pytest.raises(DimensionMismatch, match="torus dimension or fiber"):
-            NCDiffOp.applies([(NCDiffOp.identity(THETA, 2), {(0, 0, 0): v[ZERO2]})])
-        four = {ZERO2: np.ones((4, 1))}
-        with pytest.raises(DimensionMismatch, match="torus dimension or fiber"):
-            NCDiffOp.applies([(NCDiffOp.identity(THETA, 2), v), (NCDiffOp.identity(THETA, 4), four)])
+        with pytest.raises(DimensionMismatch, match="not in Z"):
+            other.apply(TorusMatrix(THETA, (2, 1), v))
+        for k in [(0, 0, 0), (1,)]:
+            with pytest.raises(DimensionMismatch, match="not in Z"):
+                NCDiffOp.identity(THETA, 2).apply(TorusMatrix(THETA, (2, 1), {k: v[ZERO2]}))
+        with pytest.raises(DimensionMismatch, match="fiber"):
+            NCDiffOp.identity(THETA, 4).apply(TorusMatrix(THETA, (2, 1), v))
 
 
 class TestListConstructors:

@@ -232,6 +232,15 @@ class TestTheta:
         t2 = ThetaMatrix.from_json(THETA4.to_json())
         assert t2.compatible(THETA4)
 
+    def test_frozen(self):
+        # phase and to_json would otherwise disagree on an edited entry
+        theta = ThetaMatrix.random(4, np.random.default_rng(12))
+        before = theta.to_json(), theta.phase((0, 1, 0, 0), (1, 0, 0, 0))
+        for arr in (theta.entries, theta._upper):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 1] += 0.25
+        assert (theta.to_json(), theta.phase((0, 1, 0, 0), (1, 0, 0, 0))) == before
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_nearby_theta_incompatible(self):
         # 0.3 and 0.300001 are within np.allclose's default rtol=1e-5, yet
