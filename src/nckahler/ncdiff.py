@@ -18,14 +18,24 @@ to_json.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau
 of Aaronson and Gottesman (PRA 70, 2004), and its blocks as integer arrays:
 the code of alpha, the id of the interned mode k, and the span start:stop of
 the block's words.  Tuples appear only at the edges: terms, from_terms,
-to_json, from_json and apply.  The batch passes NCDiffOp.sums, adjoints and
-products lay out their work with numpy, the weights of each distinct block
-(pair) computed once, and share one reduction, _reduce: each (block, word) is
-summed in input order with np.bincount, sums below PRUNE_TOL are dropped, and
-blocks and words keep the order a dict accumulation gives them.  Complex
-products are spelled out in real arithmetic as Python computes them (numpy's
-complex multiply may fuse them), so every sum equals the dict loop's bit for
-bit.  apply loops over the blocks of P, each acting on every mode of v in one
+to_json, from_json and apply; an operator's arrays are read-only.
+
+The batch passes NCDiffOp.sums, adjoints and products each split into a plan
+and a run, as an inspector-executor loop does (Saltz, Mirchandaney and
+Crowley, IEEE Trans. Computers 40(5), 1991).  The plan is block-level: the
+block pairs, their targets and weights (phase, binomial, derivative
+eigenvalue; computed once per distinct class of blocks), and the numbering
+of the result blocks (_number).  It depends only on the operands' alpha and
+mode rows, fibers and tori and on the shape of the job list, so _planned
+keeps it under a key of that content, never of object ids, and a pass over
+other words in the same blocks (the next matching of a grid) reuses it.  The
+run is word-level: it gathers the words, forms the word pairs with numpy and
+sums them in one reduction, _collect: each (block, word) is summed in input
+order with np.bincount, sums below PRUNE_TOL are dropped, and blocks and
+words keep the order a dict accumulation gives them.  Complex products are
+spelled out in real arithmetic as Python computes them (numpy's complex
+multiply may fuse them), so every sum equals the dict loop's bit for bit.
+apply loops over the blocks of P, each acting on every mode of v in one
 _act.
 
 Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import groupby, product as iproduct
 from operator import add, itemgetter, lshift, sub
@@ -328,17 +339,6 @@ def _pair_weights(n, a, b, ka, kb, s, lam, mu):
     return tuple((_acode(idx), kk, (f + g, f - g, -f + g, -f - g)) for idx, (f, g) in fg.items())
 
 
-@lru_cache(maxsize=4096)
-def _star_weights(theta, a, kid):
-    """((code, mode id, star_phase(k), weight), ...): the targets (gamma, -k)
-    of (M del^alpha)* for a block of M at mode k (code a, mode id kid), weight
-    (-1)^|alpha| C(alpha, gamma) (-2 pi i k)^(alpha - gamma)."""
-    alpha, k = _alpha(a, theta.n), _modes(theta.n)[1][kid]
-    mk, mu = tuple(-v for v in k), theta.star_phase(k)
-    return tuple((_acode(gamma), _mode_id(theta.n, mk), mu, complex((-1) ** sum(alpha) * w))
-                 for gamma, w in _push_weights(alpha, (0,) * theta.n, mk))
-
-
 def _first_ids(*cols):
     """Number the distinct rows of the integer columns cols in order of first
     appearance: (each row's number, each number's first row)."""
@@ -364,25 +364,25 @@ def _runs(counts):
 
 def _unfold(keys, weigh, *dtypes):
     """The targets weigh(*row j of the integer columns keys) of every row j,
-    weigh called once per distinct row: the row of each target, and per
-    value of a target (of type dtypes[i]) the array of its values."""
+    weigh called once per distinct row: the row of each target, its index
+    into the distinct rows' targets end to end, and per value of a target (of
+    type dtypes[i]) the array of its values over those."""
     ids, first = _first_ids(*keys)
     weights = [weigh(*key) for key in zip(*(col[first].tolist() for col in keys))]
     lengths = np.array([len(w) for w in weights], dtype=np.intp)
     run, place = _runs(lengths[ids])
     t = (lengths.cumsum() - lengths)[ids][run] + place
     cols = list(zip(*(w for ws in weights for w in ws))) or [()] * len(dtypes)
-    return run, [np.array(col, dtype=dt)[t] for col, dt in zip(cols, dtypes)]
+    return run, t, [np.array(col, dtype=dt) for col, dt in zip(cols, dtypes)]
 
 
 def _concat(ops):
-    """The blocks of ops, concatenated (owner, alpha code, mode id, offset and
-    length in the concatenated words), and the words x, z and c."""
-    owner = np.arange(len(ops)).repeat([op.table.shape[1] for op in ops])
-    (alpha, mode, start, stop), x, z, c = (np.concatenate([getattr(op, f) for op in ops], axis=-1)
-                                           for f in ("table", "x", "z", "c"))
-    words = np.array([len(op.c) for op in ops])
-    return owner, alpha, mode, start + (words.cumsum() - words)[owner], stop - start, x, z, c
+    """The words x, z and c of ops end to end, and the offset and length of
+    each block's words in them (an operator's blocks tile its words)."""
+    start, stop = np.concatenate([op.table[2:] for op in ops], axis=1)
+    length = stop - start
+    x, z, c = (np.concatenate([getattr(op, f) for op in ops]) for f in "xzc")
+    return length.cumsum() - length, length, x, z, c
 
 
 def _word_pairs(q, x, z, c, a_off, a_len, b_off, b_len, row, table):
@@ -390,35 +390,48 @@ def _word_pairs(q, x, z, c, a_off, a_len, b_off, b_len, row, table):
     factor is not 0.  Segment i pairs a_len[i] words from a_off[i] with
     b_len[i] words from b_off[i], a-word major; word pair (w1, w2) gives
     table[4 row[i] + 2 |z1 & x2| % 2 + |z2 & x1| % 2] c1 c2 under w1 ^ w2."""
-    seg, place = _runs(a_len * b_len)
-    u, v = np.divmod(place, b_len[seg])
-    i, j = a_off[seg] + u, b_off[seg] + v
-    x1, z1, x2, z2 = x[i], z[i], x[j], z[j]
+    # a-word g (word ia[g] of segment seg[g]) pairs with the bl[g] words from
+    # b_off; pair p is (ia[k[p]], j[p]), and per-pair arrays are formed only
+    # where needed, the rest gathered through k
+    seg, place = _runs(a_len)
+    ia, bl = a_off[seg] + place, b_len[seg]
+    k = np.arange(len(ia)).repeat(bl)
+    j = np.arange(len(k)) + (b_off[seg] - (bl.cumsum() - bl))[k]
+    # each word packed as x << q | z
+    low = (1 << q) - 1
+    w = x << q | z
+    w1, w2 = w[ia][k], w[j]
     parity = _parity(1 << q)
-    t = table[4 * row[seg] + 2 * parity[z1 & x2] + parity[z2 & x1]]
+    t = table[(4 * row)[seg][k] + 2 * parity[w1 & (w2 >> q) & low] + parity[w2 & (w1 >> q) & low]]
     nz = t != 0
-    t, i, j = t[nz], i[nz], j[nz]
+    t, k, j, w = t[nz], k[nz], j[nz], (w1 ^ w2)[nz]
+    i = ia[k]
     ar, ai, br, bi = c.real[i], c.imag[i], c.real[j], c.imag[j]
     pr, pi = ar * br - ai * bi, ar * bi + ai * br
-    return (seg[nz], (x1 ^ x2)[nz], (z1 ^ z2)[nz],
-            t.real * pr - t.imag * pi, t.real * pi + t.imag * pr)
+    return seg[k], w >> q, w & low, t.real * pr - t.imag * pi, t.real * pi + t.imag * pr
 
 
-def _reduce(contexts, owner, alpha, mode, seg, x, z, re, im):
-    """One NCDiffOp per (theta, m) of contexts.  Segment s adds to the block at
-    mode id mode[s] of M_alpha[s] of result owner[s], owners ascending; word i
-    is (x[i], z[i]) with coefficient re[i] + i im[i] in segment seg[i].
-    Blocks are grouped by (owner, alpha), and otherwise ordered, as their
-    first segments; equal (block, word) are summed in input order
-    (np.bincount on a stable sort) and words follow their first
-    contribution.  A sort key packs (block, x, z), x and z taking q bits
-    each for the largest m = 2^q."""
+def _number(owner, alpha, mode):
+    """_collect's blocks for segments adding to the blocks at mode id mode[i]
+    of M_alpha[i] of result owner[i], owners ascending: the distinct (owner,
+    alpha, mode), grouped by (owner, alpha) and otherwise ordered as their
+    first segments, and each segment's block."""
     target, first = _first_ids(owner, alpha, mode)
-    owner, alpha, mode, block = owner[first], alpha[first], mode[first], target[seg]
+    owner, alpha, mode = owner[first], alpha[first], mode[first]
     # at mode 0 alone, each (owner, alpha) has one target
-    if mode.any():
-        order = _first_ids(owner, alpha)[0].argsort(kind="stable")
-        owner, alpha, mode, block = owner[order], alpha[order], mode[order], order.argsort()[block]
+    if not mode.any():
+        return (owner, alpha, mode), target
+    order = _first_ids(owner, alpha)[0].argsort(kind="stable")
+    return (owner[order], alpha[order], mode[order]), order.argsort()[target]
+
+
+def _collect(contexts, blocks, block, x, z, re, im):
+    """One NCDiffOp per (theta, m) of contexts from the blocks (owner, alpha,
+    mode) of _number: word i is (x[i], z[i]) with coefficient re[i] + i im[i]
+    in block block[i].  Equal (block, word) are summed in input order
+    (np.bincount on a stable sort) and words follow their first
+    contribution.  A sort key packs (block, x, z), x and z taking q bits each
+    for the largest m = 2^q."""
     q = max(m for _, m in contexts).bit_length() - 1
     key = block << 2 * q | x << q | z
     srt = key.argsort(kind="stable")
@@ -433,7 +446,16 @@ def _reduce(contexts, owner, alpha, mode, seg, x, z, re, im):
     # group g >= 1 sums its words in input order into bin g
     c.real, c.imag = (np.bincount(group, w[srt])[1:][out] for w in (re, im))
     first = first[out]
-    return _tabulate(contexts, owner, alpha, mode, block[out], x[first], z[first], c)
+    return _tabulate(contexts, *blocks, block[out], x[first], z[first], c)
+
+
+def _reduce(contexts, owner, alpha, mode, seg, x, z, re, im):
+    """_collect over _number's blocks of the segments (owner, alpha, mode),
+    word i lying in segment seg[i]: the reduction in one call, whose halves
+    the planned passes run apart (the tests' block-pair loop reduces with
+    it)."""
+    blocks, block = _number(owner, alpha, mode)
+    return _collect(contexts, blocks, block[seg], x, z, re, im)
 
 
 def _tabulate(contexts, owner, alpha, mode, block, x, z, c):
@@ -455,8 +477,139 @@ def _tabulate(contexts, owner, alpha, mode, block, x, z, c):
     base = np.concatenate(([0], stop))[cuts]
     stop -= base[:-1].repeat(cuts[1:] - cuts[:-1])
     table, cuts, base = np.array((alpha, mode, stop - counts, stop)), cuts.tolist(), base.tolist()
+    # read-only before slicing, so that every operator's views are: plans and
+    # the dedupe of operators by identity rely on operators never changing
+    for a in (x, z, c, table):
+        a.setflags(write=False)
     return [NCDiffOp(theta, m, x[w0:w1], z[w0:w1], c[w0:w1], table[:, b0:b1])
             for (theta, m), b0, b1, w0, w1 in zip(contexts, cuts, cuts[1:], base, base[1:])]
+
+
+# -- plans --------------------------------------------------------------------
+
+# The batched passes split into a plan, their block-level layout, and a run
+# over the words.  At most PLAN_CACHE plans are kept, the least recently used
+# dropped first.
+PLAN_CACHE = 128
+_PLANS, _PLANNING = OrderedDict(), threading.Lock()
+
+
+def _distinct(operands):
+    """The distinct operators of operands, by identity (an NCDiffOp hashes by
+    identity, and its arrays are read-only), and each operand's slot among
+    them."""
+    ops = list(dict.fromkeys(operands))
+    slot = {op: i for i, op in enumerate(ops)}
+    return ops, tuple(map(slot.__getitem__, operands))
+
+
+def _planned(kind, ops, shape, build):
+    """build(ops, shape), the plan of a `kind` pass over the distinct operands
+    ops with the job shape `shape` (a tuple of slots), or the plan of an
+    earlier pass of the same key.  build also checks that the operands of
+    each job share a torus and fiber, which the key fixes.  The key is
+    content only: per operand its alpha and mode rows (whose length gives the
+    block count), its fiber and its torus, and per torus its n and entries (a
+    ThetaMatrix is read-only); the word counts are not in it."""
+    tori, key = {}, [kind, shape]
+    for op in ops:
+        if id(op.theta) not in tori:
+            tori[id(op.theta)] = len(tori)
+            key.append((op.theta.n, op.theta.entries.tobytes()))
+        key += (op.table[:2].tobytes(), op.m, tori[id(op.theta)])
+    key = tuple(key)
+    with _PLANNING:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+            return plan
+    plan = build(ops, shape)
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    with _PLANNING:
+        _PLANS[key] = plan
+        while len(_PLANS) > PLAN_CACHE:
+            _PLANS.popitem(last=False)
+    return plan
+
+
+def _products_plan(ops, shape):
+    """The block-level layout of NCDiffOp.products over ops and the jobs
+    (P slot, Q slot, s) of shape: per segment (a block pair's target), its
+    block u of P and v of Q in the blocks of ops end to end, its row of the
+    weight table and its block of _collect; the table, those blocks, and q
+    of the largest fiber 2^q."""
+    for i, j, _ in shape:
+        ops[i]._check(ops[j])
+    nb = np.array([op.table.shape[1] for op in ops])
+    b0 = nb.cumsum() - nb
+    A, M = np.concatenate([op.table[:2] for op in ops], axis=1)
+    # alpha groups, numbered in order within each operand
+    G = np.zeros(len(A), dtype=np.intp)
+    G[1:] = (A[1:] != A[:-1]).cumsum()
+    p, q, s = (np.array(col) for col in zip(*shape))
+    job, place = _runs(nb[p] * nb[q])
+    u, v = np.divmod(place, nb[q][job])
+    u, v = u + b0[p][job], v + b0[q][job]
+    order = np.lexsort((v, u, G[v], G[u], job))
+    job, u, v = job[order], u[order], v[order]
+    # blocks of one (torus, alpha, mode) class share their pairs' weights
+    thetas = list({id(op.theta): op.theta for op in ops}.values())
+    T = np.array([thetas.index(op.theta) for op in ops]).repeat(nb)
+    cls, rep = _first_ids(T, A, M)
+    T, a, k = [thetas[t] for t in T[rep].tolist()], A[rep].tolist(), M[rep].tolist()
+    K, nc = [_modes(t.n)[1][m] for t, m in zip(T, k)], len(rep)
+
+    def weigh(key):
+        (r, j), i = divmod(key // nc, nc), key % nc
+        # phase is exactly 1 where either mode is 0 (mode id 0)
+        lam, mu = ((T[j].phase(K[j], K[i]), T[j].phase(K[i], K[j])) if k[j] and k[i]
+                   else (1 + 0j, 1 + 0j))
+        return _pair_weights(T[j].n, a[j], a[i], k[j], k[i], r - 1, lam, mu)
+
+    # key ((s + 1) nc + class of P's block) nc + class of Q's block
+    seg, row, (target, mode, table) = _unfold((((s[job] + 1) * nc + cls[u]) * nc + cls[v],),
+                                              weigh, np.int64, np.int64, complex)
+    blocks, block = _number(job[seg], target[row], mode[row])
+    return (u[seg], v[seg], row, table.ravel(), *blocks, block,
+            max(op.m for op in ops).bit_length() - 1)
+
+
+def _adjoints_plan(ops, shape):
+    """The block-level layout of NCDiffOp.adjoints of the operands ops[i], i
+    in shape: per target (gamma, -k) of each block, its block among the
+    operands' blocks end to end, the star phase of k and the weight
+    (-1)^|alpha| C(alpha, gamma) (-2 pi i k)^(alpha - gamma); the blocks of
+    _collect and each target's block."""
+    ops = [ops[i] for i in shape]
+    owner = np.arange(len(ops)).repeat([op.table.shape[1] for op in ops])
+    alpha, mode = np.concatenate([op.table[:2] for op in ops], axis=1)
+
+    def weigh(o, a, kid):
+        theta = ops[o].theta
+        alpha, k = _alpha(a, theta.n), _modes(theta.n)[1][kid]
+        mk, mu = tuple(-v for v in k), theta.star_phase(k)
+        return tuple((_acode(gamma), _mode_id(theta.n, mk), mu, complex((-1) ** sum(alpha) * w))
+                     for gamma, w in _push_weights(alpha, (0,) * theta.n, mk))
+
+    seg, t, (alpha, mode, mu, w) = _unfold((owner, alpha, mode), weigh,
+                                           np.int64, np.int64, complex, complex)
+    blocks, block = _number(owner[seg], alpha[t], mode[t])
+    return (seg, mu[t], w[t], *blocks, block)
+
+
+def _sums_plan(ops, shape):
+    """The blocks of _collect for NCDiffOp.sums over the terms (job, slot) of
+    shape, and the block of each term's block in turn; each term is over
+    its job's first term's torus and fiber."""
+    first = {}
+    for job, i in shape:
+        ops[first.setdefault(job, i)]._check(ops[i])
+    owner = np.repeat([job for job, _ in shape], [ops[i].table.shape[1] for _, i in shape])
+    alpha, mode = np.concatenate([ops[i].table[:2] for _, i in shape], axis=1)
+    blocks, block = _number(owner, alpha, mode)
+    return (*blocks, block)
 
 
 class Term:
@@ -480,7 +633,7 @@ class NCDiffOp:
     the block table, an int64 array whose rows alpha, mode, start and stop
     give per block of U^k in M_alpha its alpha code, mode id and words
     start:stop.  The blocks tile the words in order, the blocks of one alpha
-    are adjacent, and no word is below PRUNE_TOL."""
+    are adjacent, and no word is below PRUNE_TOL.  The arrays are read-only."""
 
     __slots__ = ("theta", "m", "x", "z", "c", "table")
 
@@ -598,16 +751,17 @@ class NCDiffOp:
         """[z_1 P_1 + z_2 P_2 + ... for each job [(z_1, P_1), (z_2, P_2), ...]],
         every job in one reduction, each over its P_1's torus and fiber.  A
         job's words are summed in term order, as adding the scaled terms one
-        by one into a dict would."""
+        by one into a dict would.  The blocks of the reduction come from a
+        plan (_sums_plan), kept per alpha and mode rows of the operands and
+        the (job, operand) of each term (_planned)."""
         terms = [(job, complex(a), op) for job, pairs in enumerate(jobs) for a, op in pairs]
-        for job, _, op in terms:
-            jobs[job][0][1]._check(op)
-        term, alpha, mode, _, length, x, z, c = _concat([op for _, _, op in terms])
+        ops, slots = _distinct([op for _, _, op in terms])
+        *blocks, block = _planned("sums", ops, tuple(zip((job for job, _, _ in terms), slots)),
+                                  _sums_plan)
+        _, length, x, z, c = _concat([op for _, _, op in terms])
         a = np.array([a for _, a, _ in terms]).repeat([len(op.c) for _, _, op in terms])
-        return _reduce([(p[0][1].theta, p[0][1].m) for p in jobs],
-                       np.array([job for job, _, _ in terms])[term], alpha, mode,
-                       np.arange(len(alpha)).repeat(length), x, z,
-                       a.real * c.real - a.imag * c.imag, a.real * c.imag + a.imag * c.real)
+        return _collect([(p[0][1].theta, p[0][1].m) for p in jobs], blocks, block.repeat(length),
+                        x, z, a.real * c.real - a.imag * c.imag, a.real * c.imag + a.imag * c.real)
 
     def __add__(self, other):
         return NCDiffOp.sums([[(1, self), (1, other)]])[0]
@@ -632,49 +786,21 @@ class NCDiffOp:
         |z1 & x2| and |z2 & x1|, and nothing where that factor is 0.  The
         sums run in the order of job, alpha group of P, of Q, block of P, of
         Q, target and word pair.  Jobs may differ in torus and fiber; each
-        result is over its P's."""
+        result is over its P's.  The block pairs, weights and target blocks
+        are a plan (_products_plan), kept per alpha and mode rows, fiber and
+        torus of the distinct operands and (P, Q, s) of the jobs (_planned),
+        so a pass over new words in known blocks runs only the word pairs and
+        their reduction."""
         if not jobs:
             return []
-        ops = list({id(op): op for P, Q, _ in jobs for op in (P, Q)}.values())
-        slot = {id(op): i for i, op in enumerate(ops)}
-        for P, Q, _ in jobs:
-            P._check(Q)
-        _, A, M, off, length, x, z, c = _concat(ops)
-        nb = np.array([op.table.shape[1] for op in ops])
-        b0 = nb.cumsum() - nb
-        # alpha groups, numbered in order within each operand
-        G = np.zeros(len(A), dtype=np.intp)
-        G[1:] = (A[1:] != A[:-1]).cumsum()
-        p, q, s = (np.array(col) for col in zip(*((slot[id(P)], slot[id(Q)], s)
-                                                  for P, Q, s in jobs)))
-        job, place = _runs(nb[p] * nb[q])
-        u, v = np.divmod(place, nb[q][job])
-        u, v = u + b0[p][job], v + b0[q][job]
-        order = np.lexsort((v, u, G[v], G[u], job))
-        job, u, v = job[order], u[order], v[order]
-        # blocks of one (torus, alpha, mode) class share their pairs' weights
-        thetas = list({id(op.theta): op.theta for op in ops}.values())
-        T = np.array([thetas.index(op.theta) for op in ops]).repeat(nb)
-        cls, rep = _first_ids(T, A, M)
-        T, a, k = [thetas[t] for t in T[rep].tolist()], A[rep].tolist(), M[rep].tolist()
-        K, nc = [_modes(t.n)[1][m] for t, m in zip(T, k)], len(rep)
-
-        def weigh(key):
-            (r, j), i = divmod(key // nc, nc), key % nc
-            # phase is exactly 1 where either mode is 0 (mode id 0)
-            lam, mu = ((T[j].phase(K[j], K[i]), T[j].phase(K[i], K[j])) if k[j] and k[i]
-                       else (1 + 0j, 1 + 0j))
-            return _pair_weights(T[j].n, a[j], a[i], k[j], k[i], r - 1, lam, mu)
-
-        # key ((s + 1) nc + class of P's block) nc + class of Q's block
-        seg, (target, mode, table) = _unfold((((s[job] + 1) * nc + cls[u]) * nc + cls[v],),
-                                             weigh, np.int64, np.int64, complex)
-        contexts = [(P.theta, P.m) for P, _, _ in jobs]
-        q = max(m for _, m in contexts).bit_length() - 1
-        u, v = u[seg], v[seg]
-        return _reduce(contexts, job[seg], target, mode,
-                       *_word_pairs(q, x, z, c, off[u], length[u], off[v], length[v],
-                                    np.arange(len(seg)), table.ravel()))
+        ops, slots = _distinct([op for P, Q, _ in jobs for op in (P, Q)])
+        u, v, row, table, *blocks, block, q = _planned(
+            "products", ops, tuple(zip(slots[::2], slots[1::2], (s for *_, s in jobs))),
+            _products_plan)
+        off, length, x, z, c = _concat(ops)
+        seg, x, z, re, im = _word_pairs(q, x, z, c, off[u], length[u], off[v], length[v],
+                                        row, table)
+        return _collect([(P.theta, P.m) for P, _, _ in jobs], blocks, block[seg], x, z, re, im)
 
     def compose(self, other):
         """Normal-ordered product self . other."""
@@ -692,23 +818,22 @@ class NCDiffOp:
         <x,y> = sum_i tau(x_i* y_i), by del_j* = -del_j, (mult_a)* = mult_{a*}
         and (M del^alpha)* =
         (-1)^|alpha| sum_{gamma <= alpha} C(alpha, gamma) (del^{alpha - gamma} M*) del^gamma.
-        M* maps c X^x Z^z at U^k to star_phase(k) (X^x Z^z)^dagger at U^-k,
-        the targets of each distinct block from _star_weights."""
-        owner, alpha, mode, off, length, x, z, c = _concat(ops)
-        seg, (alpha, mode, mu, w) = _unfold(
-            (owner, alpha, mode), lambda o, a, k: _star_weights(ops[o].theta, a, k),
-            np.int64, np.int64, complex, complex)
-        owner, off, length = owner[seg], off[seg], length[seg]
+        M* maps c X^x Z^z at U^k to star_phase(k) (X^x Z^z)^dagger at U^-k.
+        The targets and weights of each block are a plan (_adjoints_plan),
+        kept per alpha and mode rows and torus of the operands (_planned)."""
+        distinct, slots = _distinct(ops)
+        seg, mu, w, *blocks, block = _planned("adjoints", distinct, slots, _adjoints_plan)
+        off, length, x, z, c = _concat(ops)
         # the words of every (block, gamma), run after run
-        run, place = _runs(length)
-        i = off[run] + place
+        run, place = _runs(length[seg])
+        i = off[seg][run] + place
         x, z, c, mu, w = x[i], z[i], c[i], mu[run], w[run]
         # (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z
         flip = 1.0 - 2.0 * _parity(max(P.m for P in ops))[x & z]
         ar, ai = flip * c.real, -flip * c.imag
         tr, ti = mu.real * ar - mu.imag * ai, mu.real * ai + mu.imag * ar
-        return _reduce([(P.theta, P.m) for P in ops], owner, alpha, mode, run, x, z,
-                       w.real * tr - w.imag * ti, w.real * ti + w.imag * tr)
+        return _collect([(P.theta, P.m) for P in ops], blocks, block[run], x, z,
+                        w.real * tr - w.imag * ti, w.real * ti + w.imag * tr)
 
     def adjoint(self):
         return NCDiffOp.adjoints([self])[0]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby, product as iproduct
 from operator import itemgetter
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nckahler import ncdiff
+from nckahler.cli import main
 from nckahler.kahler import (
     build_kahler_package,
     enumerate_matchings,
+    verify_grid,
     verify_n22,
     verify_real_structure,
 )
@@ -51,6 +54,27 @@ def word_adjoint(words):
 
 def random_op(seed, m=2, max_degree=1):
     return NCDiffOp.random(THETA, m, np.random.default_rng(seed), max_degree=max_degree)
+
+
+def clear_plans():
+    """Empty the kernel's plan cache, where it keeps one: the next pass plans cold."""
+    getattr(ncdiff, "_PLANS", {}).clear()
+
+
+def plans(kind):
+    """The keys of the cached plans of `kind` passes."""
+    return [key for key in ncdiff._PLANS if key[0] == kind]
+
+
+def count_builds(monkeypatch):
+    """A Counter of the plans built per kind of pass from here on."""
+    builds = Counter()
+    for kind in ("products", "adjoints", "sums"):
+        def counting(ops, shape, build=getattr(ncdiff, f"_{kind}_plan"), kind=kind):
+            builds[kind] += 1
+            return build(ops, shape)
+        monkeypatch.setattr(ncdiff, f"_{kind}_plan", counting)
+    return builds
 
 
 def unit_column(theta, m, i, mode=None):
@@ -259,6 +283,17 @@ class TestAgainstPerTermOracle:
                               (P.adjoint(), oracle_adjoint(P))):
                 assert_close(got, want)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_adjoint_cold_and_warm(self, n):
+        # a cold plan and the warm one give the same adjoint, bit for bit
+        theta = THETA if n == 2 else ThetaMatrix.random(4, np.random.default_rng(42))
+        for seed in range(5):
+            P = NCDiffOp.random(theta, 2, np.random.default_rng(3000 * n + seed), max_degree=2)
+            clear_plans()
+            cold, warm = P.adjoint(), P.adjoint()
+            assert layout(warm) == layout(cold)
+            assert_close(cold, oracle_adjoint(P))
+
     @pytest.mark.parametrize("n, m, theta_seed", [(2, 2, 51), (2, 2, 52), (2, 4, 53),
                                                   (4, 2, 54), (4, 2, 55)])
     def test_brackets(self, n, m, theta_seed):
@@ -367,13 +402,16 @@ def dict_adjoint(self):
 
 
 def assert_sums_match_dict_walk(P, Q):
-    """+, -, scale and adjoint equal the dict walks in value and stored order."""
-    for got, want in ((P + Q, dict_sum(P, Q, 1)), (P - Q, dict_sum(P, Q, -1)),
-                      (P.scale(0.5), dict_scale(P, 0.5)), (P.scale(1j), dict_scale(P, 1j)),
-                      (P.scale(0.3 - 1.7j), dict_scale(P, 0.3 - 1.7j)),
-                      (P.adjoint(), dict_adjoint(P))):
-        assert layout(got) == layout(want)
-        assert_pruned(got)
+    """+, -, scale and adjoint equal the dict walks in value and stored order,
+    from cold plans and again from warm ones."""
+    clear_plans()
+    for _ in range(2):
+        for got, want in ((P + Q, dict_sum(P, Q, 1)), (P - Q, dict_sum(P, Q, -1)),
+                          (P.scale(0.5), dict_scale(P, 0.5)), (P.scale(1j), dict_scale(P, 1j)),
+                          (P.scale(0.3 - 1.7j), dict_scale(P, 0.3 - 1.7j)),
+                          (P.adjoint(), dict_adjoint(P))):
+            assert layout(got) == layout(want)
+            assert_pruned(got)
 
 
 def layout(op):
@@ -502,13 +540,17 @@ def captured_products(run):
 class TestBlockPairLoop:
     """The vectorised block-pair enumeration of NCDiffOp.products equals the
     Python loop over block pairs (loop_products), in value and stored order,
-    bit for bit: on mixed-mode random jobs, on every checklist job of a
-    package, and on the real-structure check's [D, b] jobs."""
+    bit for bit, from a cold plan and from the warm one: on mixed-mode random
+    jobs, on every checklist job of a package, and on the real-structure
+    check's [D, b] jobs.  A plan serves every pass over the same alpha and
+    mode rows and torus, whatever the word counts and Theta objects."""
 
     @staticmethod
     def assert_equal_to_loop(jobs):
-        assert ([layout(op) for op in NCDiffOp.products(jobs)]
-                == [layout(op) for op in loop_products(jobs)])
+        want = [layout(op) for op in loop_products(jobs)]
+        clear_plans()
+        for _ in range(2):
+            assert [layout(op) for op in NCDiffOp.products(jobs)] == want
 
     @pytest.mark.parametrize("n, m, theta_seed", MIXED)
     def test_mixed_jobs(self, n, m, theta_seed):
@@ -529,6 +571,120 @@ class TestBlockPairLoop:
         [jobs] = captured_products(lambda: verify_real_structure(theta))
         assert len(jobs) == 20
         self.assert_equal_to_loop(jobs)
+
+    @staticmethod
+    def assert_plans(job_lists, count):
+        """Each job list, planned in turn from a cold cache, equals the loop;
+        the passes build `count` plans."""
+        clear_plans()
+        for jobs in job_lists:
+            assert ([layout(op) for op in NCDiffOp.products(jobs)]
+                    == [layout(op) for op in loop_products(jobs)])
+        assert len(plans("products")) == count
+
+    @pytest.mark.parametrize("n, m, theta_seed", MIXED[:3])
+    def test_plan_shared_across_word_counts(self, n, m, theta_seed):
+        # every block cut to its first word: the same alpha and mode rows
+        jobs = mixed_jobs(n, m, theta_seed)
+        cut = {id(op): NCDiffOp.from_terms(op.theta, op.m, {
+            a: {k: dict(list(w.items())[:1]) for k, w in T.blocks.items()}
+            for a, T in op.terms.items()}) for P, Q, _ in jobs for op in (P, Q)}
+        other = [(cut[id(P)], cut[id(Q)], s) for P, Q, s in jobs]
+        pairs = [(P, cut[id(P)]) for P, _, _ in jobs]
+        assert all(np.array_equal(P.table[:2], R.table[:2]) for P, R in pairs)
+        assert any(not np.array_equal(P.table, R.table) for P, R in pairs)
+        self.assert_plans([jobs, other], 1)
+
+    def test_plan_per_theta(self):
+        # Theta enters the weights off mode 0: one changed entry, another plan
+        theta = ThetaMatrix.random(4, np.random.default_rng(70))
+        entries = theta.entries.copy()
+        entries[0, 2], entries[2, 0] = entries[0, 2] + 0.125, entries[2, 0] - 0.125
+        rng = np.random.default_rng(71)
+        P, Q = (NCDiffOp.random(theta, 2, rng, max_degree=1, radius=1) for _ in range(2))
+        assert P.mode.any() and Q.mode.any()
+        lists = [[(P, Q, 0), (P, Q, -1), (Q, P, 1)]]
+        for t in (ThetaMatrix(entries), ThetaMatrix.from_json(theta.to_json())):
+            P2, Q2 = (NCDiffOp.from_terms(t, 2, {a: T.blocks for a, T in op.terms.items()})
+                      for op in (P, Q))
+            lists.append([(P2, Q2, 0), (P2, Q2, -1), (Q2, P2, 1)])
+        changed, copied = ([layout(op) for op in NCDiffOp.products(jobs)] for jobs in lists[1:])
+        assert changed != copied
+        self.assert_plans(lists[:2], 2)
+        # a copy of Theta has Theta's plan
+        self.assert_plans(lists[::2], 1)
+
+
+class TestFrozen:
+    def test_arrays_read_only(self):
+        # plans and the dedupe of operators by identity assume no operator changes
+        P = random_op(5)
+        for op in (P, P.compose(P), P + P, P.adjoint(), NCDiffOp.identity(THETA, 2)):
+            with pytest.raises(ValueError, match="read-only"):
+                op.c[0] = 0
+            for arr in (op.x, op.z, op.table, op.alpha, op.stop):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
+
+
+class TestPlans:
+    """The block-level plans of the batched passes: few per grid, kept across
+    calls, and at most PLAN_CACHE of them."""
+
+    def test_grid_plan_count(self, monkeypatch, capsys):
+        clear_plans()
+        builds = count_builds(monkeypatch)
+        verify_grid(ThetaMatrix.random(6, np.random.default_rng(72)), enumerate_matchings(6))
+        assert 1 <= builds["products"] <= 4
+        assert main(["verify", "--n", "6"]) == 0
+        builds.clear()
+        assert main(["verify", "--n", "6"]) == 0
+        assert not builds
+        assert len(ncdiff._PLANS) <= ncdiff.PLAN_CACHE
+        capsys.readouterr()
+
+    def test_bounded_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(ncdiff, "PLAN_CACHE", 3)
+        ops = [random_op(seed, max_degree=2) for seed in range(6)]
+        clear_plans()
+        for i, P in enumerate(ops):
+            P.compose(P)
+            assert len(ncdiff._PLANS) == min(i + 1, 3)
+        builds = count_builds(monkeypatch)
+        # ops[3]'s plan is used again, so ops[4]'s is the one dropped next
+        ops[3].compose(ops[3])
+        ops[0].compose(ops[0])
+        assert builds["products"] == 1
+        ops[3].compose(ops[3])
+        assert builds["products"] == 1
+        ops[4].compose(ops[4])
+        assert builds["products"] == 2
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # eight threads run passes whose plans evict each other, switching
+        # often: every result is the serial one, and the bound holds
+        monkeypatch.setattr(ncdiff, "PLAN_CACHE", 4)
+        ops = [random_op(seed, max_degree=2) for seed in range(6)]
+        passes = [lambda P=P, Q=Q: (NCDiffOp.products([(P, Q, -1), (Q, P, 0)])
+                                    + NCDiffOp.adjoints([P, Q]) + [P + Q.scale(0.5j)])
+                  for P, Q in zip(ops, ops[1:] + ops[:1])]
+        want = [[layout(op) for op in run()] for run in passes]
+
+        def work(start):
+            order = list(range(start, len(passes))) + list(range(start))
+            return {i: [layout(op) for op in passes[i]()] for i in order * 3}
+
+        clear_plans()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                runs = [pool.submit(work, t % len(passes)) for t in range(8)]
+                got = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == dict(enumerate(want)) for g in got)
+        assert len(ncdiff._PLANS) <= 4
 
 
 class TestModeIds:
