@@ -443,6 +443,24 @@ def verify_n22(pkg, tol=None):
     return reports[0] if isinstance(pkg, KahlerPackage) else reports
 
 
+def _mul(M, b):
+    """M @ b for (.., N, N) stacks, the complex products spelled out in real
+    arithmetic."""
+    return (M.real @ b.real - M.imag @ b.imag) + 1j * (M.real @ b.imag + M.imag @ b.real)
+
+
+def _dirac(D):
+    """The action (K, b) -> D (b_s U^K_s) = sum_j gamma_j (2 pi i K_sj) b_s U^K_s
+    of D on a (count, N, N) stack b at the modes K (rows), added block after
+    block in D's stored order, gamma_j the dense block of del_j read from D.
+    D must be n degree-1 blocks at mode 0, or this raises RuntimeError."""
+    if D.mode.any() or sorted(map(sum, D.terms)) != [1] * D.theta.n:
+        raise RuntimeError("D is not n degree-1 blocks at mode 0")
+    axis = [a.index(1) for a in D.terms]
+    gammas = [D._dense(s, e) for s, e in zip(D.start.tolist(), D.stop.tolist())]
+    return lambda K, b: sum(_mul(g, TWO_PI_I * K[:, j, None, None] * b) for j, g in zip(axis, gammas))
+
+
 def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
                           radius=3, samples=20):
     """The real-structure conditions for J = (a -> a*) tensor J_N on the C^N
@@ -451,11 +469,12 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     [JaJ*, b] = [JaJ*, [D, b]] = 0 on `samples` (>= 1) monomial pairs.
 
     Every operand is one (N, N) block at one mode, so the modes and samples
-    run as (count, N, N) stacks.  One NCDiffOp.products pass forms every
-    [D, b]; D (n degree-1 blocks at mode 0) and each [D, b] (one degree-0
-    block) act as dense fiber matrices on blocks that are a phase times a
-    monomial matrix (I, C, or C conj(C) = eps I).  So each entry of M b is a
-    single product, and real matmuls give the word-by-word action's bits."""
+    run as (count, N, N) stacks.  D (n degree-1 blocks at mode 0) acts as its
+    dense fiber matrices (_dirac), and [D, b] = sum_j del_j(b) gamma_j is, for
+    b = U^mb, one degree-0 block: D's action on the identity at mb.  Every
+    block acted on is a phase times a monomial matrix (I, C, or C conj(C) =
+    eps I), so each entry of M b is a single product, and real matmuls give
+    the word-by-word action's bits."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     tol = resolve_tol(tol)
@@ -465,25 +484,14 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     rp.meta = {"n": theta.n, "variant": variant}
     C = rep.conj_matrix(variant)
     eps, eps_p, _ = rep.signs(variant)
-    D = build_dirac(rep, theta)
-    if D.mode.any() or sorted(map(sum, D.terms)) != [1] * theta.n:
-        raise RuntimeError("D is not n degree-1 blocks at mode 0")
-    # gamma_j, the block of del_j, in D's stored order
-    N, axis = rep.N, [a.index(1) for a in D.terms]
-    gammas = [D._dense(s, e) for s, e in zip(D.start.tolist(), D.stop.tolist())]
-    eye = np.eye(N, dtype=complex)
+    dirac = _dirac(build_dirac(rep, theta))
+    N, eye = rep.N, np.eye(rep.N, dtype=complex)
     Ce = C @ eye.conj()
     modes = _box_sample(theta.n, radius, rng, 12)
 
     # per sample, ma is drawn before mb
     ma, mb = zip(*[[tuple(int(x) for x in rng.integers(-2, 3, size=theta.n)) for _ in range(2)]
                    for _ in range(samples)])
-    mbs = NCDiffOp.mult([TorusElement.monomial(theta, k) for k in mb], N)
-    Dbs = NCDiffOp.products([(D, b, -1) for b in mbs])
-    for Db, b, k in zip(Dbs, mbs, mb):
-        # [D, b] = sum_j del_j(b) gamma_j: one degree-0 block at mb, none at mb = 0
-        if Db.table[:2].tolist() != ([[0], b.mode.tolist()] if any(k) else [[], []]):
-            raise RuntimeError(f"[D, b] for b = U^{k} is not one degree-0 block at {k}")
     nma = [tuple(-x for x in k) for k in ma]
     sa, sb, pab, sab, pba = [np.array(p)[:, None, None] for p in zip(*(
         (theta.star_phase(a), theta.star_phase(b), theta.phase(a, tuple(-x for x in b)),
@@ -501,13 +509,6 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
         kept = np.abs(d).max(axis=(1, 2)) >= PRUNE_TOL
         return float(np.hypot(d.real, d.imag).max(axis=(1, 2))[kept].max(initial=0.0))
 
-    def mul(M, b):
-        return (M.real @ b.real - M.imag @ b.imag) + 1j * (M.real @ b.imag + M.imag @ b.real)
-
-    def dirac(K, b):
-        # D (b_s U^K_s) = sum_j gamma_j (2 pi i K_sj) b_s U^K_s, added block after block
-        return sum(mul(g, TWO_PI_I * K[:, j, None, None] * b) for j, g in zip(axis, gammas))
-
     # D keeps the block of mode k at k, and J moves it to -k, so no two sampled
     # modes merge; at mode 0, where D acts as 0, J D = eps' D J holds trivially
     nz = [k for k in modes if any(k)]
@@ -519,11 +520,11 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
     # J a J*(identity) at -ma: J(1) = C, and a C is the block C at ma
     ja = eps * (sa * (C @ C.conj()))
     rp.add("[J a J*, b] = 0", residual(JaJstar(Ce, slice(None)) - pba * ja))
-    # the live samples, b not 1, are those whose [D, b] has its one block;
-    # [D, b] . eye is that block, and on J a J*(identity) at -ma it lands at mb - ma
+    # the live samples, b not 1, are those with a [D, b]; [D, b] . eye is its
+    # block, and on J a J*(identity) at -ma it lands at mb - ma
     live = [s for s, k in enumerate(mb) if any(k)]
-    Mb = np.array([Dbs[s]._dense(0, len(Dbs[s].c)) for s in live]).reshape(-1, N, N)
-    acted = pba[live] * mul(Mb, ja[live])
+    Mb = dirac(np.array([mb[s] for s in live], dtype=np.int64).reshape(-1, theta.n), eye)
+    acted = pba[live] * _mul(Mb, ja[live])
     rp.add("[J a J*, [D, b]] = 0", residual(JaJstar(C @ Mb.conj(), live) - acted))
     return rp
 

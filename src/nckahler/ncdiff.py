@@ -20,9 +20,10 @@ the code of alpha, the id of the interned mode k, and the span start:stop of
 the block's words.  Tuples appear only at the edges: terms, from_terms,
 to_json, from_json and apply; an operator's arrays are read-only.
 
-The batch passes NCDiffOp.sums, adjoints and products each split into a plan
-and a run, as an inspector-executor loop does (Saltz, Mirchandaney and
-Crowley, IEEE Trans. Computers 40(5), 1991).  The plan is block-level: the
+The batch passes NCDiffOp.adjoints and products each split into a plan and
+a run, as an inspector-executor loop does (Saltz, Mirchandaney and Crowley,
+IEEE Trans. Computers 40(5), 1991); NCDiffOp.sums, whose plan would only
+number its blocks, runs _reduce directly.  The plan is block-level: the
 block pairs, their targets and weights (phase, binomial, derivative
 eigenvalue; computed once per distinct class of blocks), and the numbering
 of the result blocks (_number).  It depends only on the operands' alpha and
@@ -452,8 +453,8 @@ def _collect(contexts, blocks, block, x, z, re, im):
 def _reduce(contexts, owner, alpha, mode, seg, x, z, re, im):
     """_collect over _number's blocks of the segments (owner, alpha, mode),
     word i lying in segment seg[i]: the reduction in one call, whose halves
-    the planned passes run apart (the tests' block-pair loop reduces with
-    it)."""
+    the planned passes run apart (sums and the tests' block-pair loop reduce
+    with it)."""
     blocks, block = _number(owner, alpha, mode)
     return _collect(contexts, blocks, block[seg], x, z, re, im)
 
@@ -599,19 +600,6 @@ def _adjoints_plan(ops, shape):
     return (seg, mu[t], w[t], *blocks, block)
 
 
-def _sums_plan(ops, shape):
-    """The blocks of _collect for NCDiffOp.sums over the terms (job, slot) of
-    shape, and the block of each term's block in turn; each term is over
-    its job's first term's torus and fiber."""
-    first = {}
-    for job, i in shape:
-        ops[first.setdefault(job, i)]._check(ops[i])
-    owner = np.repeat([job for job, _ in shape], [ops[i].table.shape[1] for _, i in shape])
-    alpha, mode = np.concatenate([ops[i].table[:2] for _, i in shape], axis=1)
-    blocks, block = _number(owner, alpha, mode)
-    return (*blocks, block)
-
-
 class Term:
     """Read-only view of one multi-index of an NCDiffOp (NCDiffOp.terms):
     blocks = {k: {(x, z): c}} in stored order."""
@@ -751,17 +739,18 @@ class NCDiffOp:
         """[z_1 P_1 + z_2 P_2 + ... for each job [(z_1, P_1), (z_2, P_2), ...]],
         every job in one reduction, each over its P_1's torus and fiber.  A
         job's words are summed in term order, as adding the scaled terms one
-        by one into a dict would.  The blocks of the reduction come from a
-        plan (_sums_plan), kept per alpha and mode rows of the operands and
-        the (job, operand) of each term (_planned)."""
+        by one into a dict would."""
         terms = [(job, complex(a), op) for job, pairs in enumerate(jobs) for a, op in pairs]
-        ops, slots = _distinct([op for _, _, op in terms])
-        *blocks, block = _planned("sums", ops, tuple(zip((job for job, _, _ in terms), slots)),
-                                  _sums_plan)
-        _, length, x, z, c = _concat([op for _, _, op in terms])
-        a = np.array([a for _, a, _ in terms]).repeat([len(op.c) for _, _, op in terms])
-        return _collect([(p[0][1].theta, p[0][1].m) for p in jobs], blocks, block.repeat(length),
-                        x, z, a.real * c.real - a.imag * c.imag, a.real * c.imag + a.imag * c.real)
+        for job, _, op in terms:
+            jobs[job][0][1]._check(op)
+        ops = [op for _, _, op in terms]
+        _, length, x, z, c = _concat(ops)
+        alpha, mode = np.concatenate([op.table[:2] for op in ops], axis=1)
+        a = np.array([a for _, a, _ in terms]).repeat([len(op.c) for op in ops])
+        return _reduce([(p[0][1].theta, p[0][1].m) for p in jobs],
+                       np.repeat([job for job, _, _ in terms], [op.table.shape[1] for op in ops]),
+                       alpha, mode, np.arange(len(alpha)).repeat(length), x, z,
+                       a.real * c.real - a.imag * c.imag, a.real * c.imag + a.imag * c.real)
 
     def __add__(self, other):
         return NCDiffOp.sums([[(1, self), (1, other)]])[0]

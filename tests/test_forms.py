@@ -17,7 +17,7 @@ from nckahler.forms import (
 )
 from nckahler.holomorphic import delta
 from nckahler.kahler import Matching, build_kahler_package
-from nckahler.ncdiff import NCDiffOp, TorusMatrix, dense_words, word_product, word_sum
+from nckahler.ncdiff import NCDiffOp, TorusMatrix, word_product, word_sum
 from nckahler.torus import DimensionMismatch, ThetaMatrix, TorusElement
 from test_ncdiff import scalar_element
 
@@ -28,6 +28,16 @@ FBM4 = build_form_matrices(4)
 FBM6 = build_form_matrices(6)
 
 
+def words(form):
+    """The word sum {(x, z): c} of a form, in stored order."""
+    return dict(zip(zip(form.x.tolist(), form.z.tolist()), form.c.tolist()))
+
+
+def dense(form):
+    """The dense m x m fiber matrix of a form (its one block, at mode 0)."""
+    return form._dense(0, len(form.c))
+
+
 class TestNilpotency:
     @pytest.mark.parametrize("fbm", [FBM4, FBM6], ids=["n4", "n6"])
     def test_families_square_to_zero(self, fbm):
@@ -36,11 +46,12 @@ class TestNilpotency:
     def test_exactly_zero_and_detects_a_defect(self):
         assert nilpotency_residual(FBM6) == 0.0
         bad = build_form_matrices(4)
-        bad.mu[0] = {**bad.mu[0], (0, 0): 0.25}  # mu_1 + 1/4 squares to mu_1/2 + 1/16
+        # mu_1 + 1/4 squares to mu_1/2 + 1/16
+        bad.mu[0] = bad.mu[0] + NCDiffOp.identity(bad.mu[0].theta, bad.m).scale(0.25)
         assert nilpotency_residual(bad) == pytest.approx(0.5)
 
     def test_mu_linearly_independent(self):
-        stack = np.stack([dense_words(w, FBM4.m).reshape(-1) for w in FBM4.mu])
+        stack = np.stack([dense(w).reshape(-1) for w in FBM4.mu])
         assert np.linalg.matrix_rank(stack, tol=1e-10) == 4
 
 
@@ -56,7 +67,7 @@ class TestEtaBarClosedForm:
         for j in range(1, n // 2 + 1):
             eta = rep.gammas[2 * j - 1] - 1j * rep.gammas[2 * j - 2]
             alt = 0.25 * (np.kron(eye, eta) + 1j * eps_prime * np.kron(eta, rep.sigma))
-            assert np.abs(alt - dense_words(fbm.eta_bar[j - 1], fbm.m)).max() <= 1e-12
+            assert np.abs(alt - dense(fbm.eta_bar[j - 1])).max() <= 1e-12
 
 
 class TestRanks:
@@ -143,15 +154,18 @@ class TestOneChainPerFamily:
         fbm = build_form_matrices(n)
         for name in ("mu", "eta_hol", "eta_bar"):
             fbm.chain(name, n)
-        calls, word_pairs = [], forms._word_pairs
+        calls, products = [], NCDiffOp.products
 
-        def counting(*args):
-            calls.append(1)
-            return word_pairs(*args)
+        def counting(jobs):
+            calls.append(len(jobs))
+            return products(jobs)
 
-        monkeypatch.setattr(forms, "_word_pairs", counting)
+        monkeypatch.setattr(NCDiffOp, "products", staticmethod(counting))
         assert bidegree_decomposition_check(fbm).all_pass
-        assert len(calls) == 1
+        # every hol^p x bar^(r-p) product of r = 1 and r = 2 in one pass, the
+        # level-p bases having C(n/2, p) elements
+        half = n // 2
+        assert calls == [2 * half + sum(comb(half, p) * comb(half, 2 - p) for p in range(3))]
 
 
 def dense_families(rep, eps_prime):
@@ -202,22 +216,21 @@ class TestAgainstDenseChains:
     def test_same_ranks_and_spans(self, n, eps_prime):
         rep = build_gamma(n)
         fbm = build_form_matrices(rep, eps_prime)
-        dense = dense_families(rep, eps_prime)
-        for name, family in dense.items():
+        for name, family in dense_families(rep, eps_prime).items():
             top = n + 1 if name == "mu" else n // 2 + 1
             want = dense_level_chain(family, top)
             got = fbm.chain(name, top)
             for level, (basis, rows) in enumerate(zip(got, want)):
                 assert len(basis) == rows.shape[0], (name, level)
-                mine = dense_span_basis([dense_words(w, fbm.m) for w in basis])
+                mine = dense_span_basis([dense(w) for w in basis])
                 assert sticks_out(mine, rows) < 1e-12, (name, level)
                 assert sticks_out(rows, mine) < 1e-12, (name, level)
 
     def test_basis_is_products_of_the_family(self):
         # each kept mu^2 element is +-mu_j mu_k exactly: no rounding noise
         fbm = build_form_matrices(4)
-        products = [word_product(a, b) for a in fbm.mu for b in fbm.mu]
-        for w in fbm.chain("mu", 2)[2]:
+        products = [word_product(words(a), words(b)) for a in fbm.mu for b in fbm.mu]
+        for w in map(words, fbm.chain("mu", 2)[2]):
             assert any(w == p or w == {k: -c for k, c in p.items()} for p in products)
 
 
@@ -251,21 +264,24 @@ def dict_span(products, m, tol=forms.RANK_TOL):
 
 
 def assert_same_span(groups, fbm):
-    """The word-pair pass on (left, right) groups gives the dict path's
-    matrix and picks bit for bit, the words of each pick in the same order."""
-    products = [word_product(a, b) for left, right in groups for a in left for b in right]
+    """The products pass on (left, right) groups of forms gives the dict
+    path's matrix and picks bit for bit, the words of each pick in the same
+    order."""
+    products = [word_product(words(a), words(b))
+                for left, right in groups for a in left for b in right]
     want_mat, want = dict_span(products, fbm.m)
-    got = forms._products(groups, fbm.n)
-    mat = forms._matrix(*got)[0] if len(got[0]) else np.zeros((0, 0), dtype=complex)
+    got = [f for f in NCDiffOp.products([(a, b, 0) for left, right in groups
+                                         for a in left for b in right]) if len(f.c)]
+    mat = forms._matrix(got) if got else np.zeros((0, 0), dtype=complex)
     assert mat.shape == want_mat.shape and np.array_equal(mat, want_mat)
     picks = forms._span(got, fbm.m)
-    assert [list(p.items()) for p in picks] == [list(p.items()) for p in want]
+    assert [list(words(p).items()) for p in picks] == [list(p.items()) for p in want]
     return picks
 
 
 class TestAgainstDictPath:
-    """The one word-pair pass per level against the word_product dicts it
-    replaces: same coefficients, picks and chains, bit for bit."""
+    """The one products pass per level against the word_product dicts:
+    same coefficients, picks and chains, bit for bit."""
 
     @pytest.mark.parametrize("eps_prime", [1, -1])
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -277,9 +293,10 @@ class TestAgainstDictPath:
             for basis, grown in zip(chain, chain[1:]):
                 if basis:
                     picks = assert_same_span([(basis, family)], fbm)
-                    assert [list(p.items()) for p in grown] == [list(p.items()) for p in picks]
-                    assert np.array_equal(forms._matrix(*forms._flat(basis))[0],
-                                          coefficients(basis))
+                    assert ([list(words(p).items()) for p in grown]
+                            == [list(words(p).items()) for p in picks])
+                    assert np.array_equal(forms._matrix(basis),
+                                          coefficients(list(map(words, basis))))
                 else:
                     assert grown == []
 
@@ -301,7 +318,7 @@ class TestCommutatorDecomposition:
         want = NCDiffOp.zero(THETA4, 16)
         for k in range(1, 5):
             want = want + NCDiffOp.mult(a.derive(k), 16).compose(
-                NCDiffOp.from_words(THETA4, 16, {(0,) * 4: FBM4.mu[k - 1]}))
+                NCDiffOp.from_words(THETA4, 16, {(0,) * 4: words(FBM4.mu[k - 1])}))
         assert (com - want).residual_norm() < 1e-10
 
     def test_delbar_commutator_uses_eta_bar(self):
@@ -312,7 +329,7 @@ class TestCommutatorDecomposition:
         want = NCDiffOp.zero(THETA4, 16)
         for j in range(1, 3):
             want = want + NCDiffOp.mult(delta(a, j), 16).compose(
-                NCDiffOp.from_words(THETA4, 16, {(0,) * 4: FBM4.eta_bar[j - 1]}))
+                NCDiffOp.from_words(THETA4, 16, {(0,) * 4: words(FBM4.eta_bar[j - 1])}))
         assert (com - want).residual_norm() < 1e-10
 
 
@@ -324,7 +341,7 @@ def product_map_via_operators(fbm, theta, x, y):
     if len(x) != half or len(y) != half:
         raise DimensionMismatch(f"expected tuples of length {half}")
     dim = fbm.m
-    eta_bar = [dense_words(w, dim) for w in fbm.eta_bar]
+    eta_bar = [dense(w) for w in fbm.eta_bar]
 
     def lift(t):
         acc = TorusMatrix.zero(theta, (dim, dim))

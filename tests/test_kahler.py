@@ -139,8 +139,8 @@ class TestKernelPasses:
 
     def test_pass_counts(self, monkeypatch):
         # the checklist's 48 products at n = 6 in two passes, after 4
-        # adjoints in one pass; the core chain, the pm check and the real
-        # structure's [D, b] in one pass each
+        # adjoints in one pass; the core chain and the pm check in one pass
+        # each, and the real structure, which reads [D, b] from D, in none
         passes, adjoints = [], []
         products, adjoint = NCDiffOp.products, NCDiffOp.adjoints
 
@@ -165,11 +165,12 @@ class TestKernelPasses:
         verify_n22([plus, minus])
         assert passes == [2 * (22 + 11 + 4 * 3), 2 * 3]
         assert adjoints == [8]
-        for check in (lambda: verify_core_chain(plus), lambda: verify_pm_conjugation(plus, minus),
-                      lambda: verify_real_structure(theta, rep=rep)):
+        for check, count in ((lambda: verify_core_chain(plus), 1),
+                             (lambda: verify_pm_conjugation(plus, minus), 1),
+                             (lambda: verify_real_structure(theta, rep=rep), 0)):
             passes.clear()
             check()
-            assert len(passes) == 1
+            assert len(passes) == count
 
 
 class TestEpsPrime:
@@ -709,8 +710,8 @@ class TestRealStructure:
             assert residuals(rp) == oracle_real_structure(theta, rep, variant)
 
     def test_apply_count(self, monkeypatch):
-        # one products pass forms every sample's [D, b]; D and the [D, b] act
-        # as dense fiber matrices, with no apply call
+        # D and the [D, b], read from D's blocks, act as dense fiber matrices:
+        # no products pass and no apply call
         calls, passes = 0, []
         apply, products = NCDiffOp.apply, NCDiffOp.products
 
@@ -728,7 +729,28 @@ class TestRealStructure:
         theta = ThetaMatrix.random(6, np.random.default_rng(3))
         verify_real_structure(theta, rep=build_gamma(6), samples=20)
         assert calls == 0
-        assert passes == [20]
+        assert passes == []
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_dirac_block_is_the_product_block(self, n):
+        # [D, b] for b = U^k off mode 0 is one degree-0 block at k, and
+        # _dirac's closed form sum_j gamma_j (2 pi i k_j) is that block bit
+        # for bit; at k = 0 the product is the zero operator
+        rep, rng = build_gamma(n), np.random.default_rng(40 + n)
+        for seed in range(3):
+            theta = ThetaMatrix.random(n, np.random.default_rng(seed))
+            D = build_dirac(rep, theta)
+            modes = [tuple(int(x) for x in rng.integers(-2, 3, size=n)) for _ in range(8)]
+            modes[0] = (0,) * n
+            bs = NCDiffOp.mult([TorusElement.monomial(theta, k) for k in modes], rep.N)
+            Dbs = NCDiffOp.products([(D, b, -1) for b in bs])
+            closed = kahler._dirac(D)(np.array(modes), np.eye(rep.N, dtype=complex))
+            for Db, b, k, block in zip(Dbs, bs, modes, closed):
+                if not any(k):
+                    assert Db.table.shape[1] == 0
+                    continue
+                assert Db.table[:2].tolist() == [[0], b.mode.tolist()]
+                assert block.tobytes() == Db._dense(0, len(Db.c)).tobytes()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("variant", ["plus", "minus"])
@@ -799,11 +821,21 @@ class TestRealStructure:
             verify_real_structure(THETA4, rep=REP4)
 
     def test_guard_on_degree_one_commutator(self, monkeypatch):
-        # a [D, b] with a degree-1 block is an internal fault, not a config error
-        products = NCDiffOp.products
-        monkeypatch.setattr(NCDiffOp, "products", staticmethod(
-            lambda jobs: [Db + P for Db, (P, _, _) in zip(products(jobs), jobs)]))
-        with pytest.raises(RuntimeError, match="degree-0 block"):
+        # a D whose [D, b] has a degree-1 block (D with a degree-2 term) is an
+        # internal fault, not a config error: the guard on D refuses it, since
+        # [D, b] is read from D's blocks
+        build = kahler.build_dirac
+
+        def extended(rep, theta, words=None):
+            return build(rep, theta, words) + NCDiffOp.from_words(
+                theta, rep.N, {(2, 0, 0, 0): {(1, 0): 0.5 + 0j}})
+
+        monkeypatch.setattr(kahler, "build_dirac", extended)
+        D = kahler.build_dirac(REP4, THETA4)
+        b = NCDiffOp.mult(TorusElement.monomial(THETA4, (1, 0, 0, 0)), REP4.N)
+        [Db] = NCDiffOp.products([(D, b, -1)])
+        assert max(map(sum, Db.terms)) == 1
+        with pytest.raises(RuntimeError, match="D is not n degree-1 blocks at mode 0"):
             verify_real_structure(THETA4, rep=REP4)
 
     @pytest.mark.parametrize("samples", [0, -1])

@@ -1,0 +1,58 @@
+"""Module layering: no nckahler module reaches into another's private names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nckahler
+
+SRC = Path(nckahler.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def private(name):
+    """A single-underscore name; dunders such as __version__ are public."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_uses(path):
+    """The private names that the module at path imports from another
+    nckahler module, or reads off one it imported as a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses, modules = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "nckahler":
+            continue
+        for alias in node.names:
+            if private(alias.name):
+                uses.append(f"{node.module or '.'}.{alias.name}")
+            elif (SRC / f"{alias.name}.py").exists():
+                modules.add(alias.asname or alias.name)
+    uses += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules and private(node.attr)]
+    return uses
+
+
+def test_modules_found():
+    assert {p.stem for p in MODULES} >= {"ncdiff", "forms", "kahler", "torus"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_imports(path):
+    assert private_uses(path) == []
+
+
+def test_detects_a_private_import(tmp_path):
+    # the rule itself: a private name imported, or read off an imported
+    # module, is found; a dunder and a module's own private names are not
+    src = tmp_path / "mod.py"
+    src.write_text("from . import __version__, ncdiff\n"
+                   "from .ncdiff import NCDiffOp, _first_ids\n"
+                   "from nckahler.torus import _x as y\n"
+                   "def _own():\n"
+                   "    return ncdiff._word_pairs, NCDiffOp\n")
+    assert private_uses(src) == ["ncdiff._first_ids", "nckahler.torus._x", "ncdiff._word_pairs"]

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nckahler import ncdiff
+from nckahler import kahler, ncdiff
 from nckahler.cli import main
+from nckahler.clifford import build_gamma
 from nckahler.kahler import (
     build_kahler_package,
     enumerate_matchings,
     verify_grid,
     verify_n22,
-    verify_real_structure,
 )
 from nckahler.ncdiff import (
     NCDiffOp,
@@ -69,7 +69,7 @@ def plans(kind):
 def count_builds(monkeypatch):
     """A Counter of the plans built per kind of pass from here on."""
     builds = Counter()
-    for kind in ("products", "adjoints", "sums"):
+    for kind in ("products", "adjoints"):
         def counting(ops, shape, build=getattr(ncdiff, f"_{kind}_plan"), kind=kind):
             builds[kind] += 1
             return build(ops, shape)
@@ -567,9 +567,16 @@ class TestBlockPairLoop:
             self.assert_equal_to_loop(jobs)
 
     def test_real_structure_jobs(self):
+        # the [D, b] jobs of verify_real_structure(theta)'s samples, b = U^mb
+        # off mode 0, drawn as it draws them
         theta = ThetaMatrix.random(4, np.random.default_rng(69))
-        [jobs] = captured_products(lambda: verify_real_structure(theta))
-        assert len(jobs) == 20
+        rng = np.random.default_rng(11)
+        kahler._box_sample(4, 3, rng, 12)
+        # per sample, ma is drawn before mb
+        mb = [(rng.integers(-2, 3, size=4), rng.integers(-2, 3, size=4))[1] for _ in range(20)]
+        D = kahler.build_dirac(build_gamma(4), theta)
+        jobs = [(D, NCDiffOp.mult(TorusElement.monomial(theta, k), 4), -1) for k in mb]
+        assert any(P.mode.any() for _, P, _ in jobs)
         self.assert_equal_to_loop(jobs)
 
     @staticmethod
