@@ -1,15 +1,13 @@
 """Kahler operator calculus and holomorphic bundles on noncommutative even tori."""
 
-from .torus import ThetaMatrix, TorusElement, DimensionMismatch
+from .torus import ThetaMatrix, TorusElement, TorusMatrix, DimensionMismatch
 from .clifford import GammaRep, build_gamma, charge_conjugation, grading_product_check
-from .ncdiff import NCDiffOp, TorusMatrix
+from .ncdiff import NCDiffOp
 from .kahler import (
     KahlerPackage,
     Matching,
     build_dirac,
     build_kahler_package,
-    build_lifted,
-    build_T_script,
     enumerate_matchings,
     verify_core_chain,
     verify_distinctness,

@@ -3,9 +3,10 @@ delbar-connections on free modules, flatness, H^0, morphisms, and the
 dimension-2 reduction to the classical del_tau operator.
 
 A connection keeps its coefficient matrices A_j as nested lists of torus
-elements, the form of its JSON.  The flatness and morphism checks lift them,
-and the possibly rectangular morphism phi, to TorusMatrix once and do their
-algebra there.
+elements, the form of its JSON.  The flatness and morphism checks read them,
+and the possibly rectangular morphism phi, as TorusMatrix (torus) once and do
+their algebra there; delta_j acts on a TorusMatrix of any shape, an element
+being the 1 x 1 case.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .ncdiff import TorusMatrix
-from .torus import TWO_PI_I, DimensionMismatch, TorusElement
+from .torus import TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix
 
 # h0_solve refuses a system it would need more than this many bytes to hold:
 # its entries (ENTRY_BYTES each, counting the copies its assembly and labelling
@@ -32,8 +32,9 @@ def _check_bytes(n_bytes, what):
 
 
 def delta(a, j):
-    """delta_j = del_{2j} + i del_{2j-1} (1-based j up to n/2)."""
-    return a.derive(2 * j) + 1j * a.derive(2 * j - 1)
+    """delta_j = del_{2j} + i del_{2j-1} (1-based j up to n/2), entrywise on a
+    TorusMatrix a: block k picks up delta_eigenvalue(k, j)."""
+    return a.multiplier(lambda k: delta_eigenvalue(k, j))
 
 
 def delta_eigenvalue(m, j):
@@ -60,12 +61,6 @@ def holomorphic_kernel(theta, radius):
         if all(abs(delta_eigenvalue(m, j)) < 1e-12 for j in range(1, theta.n // 2 + 1)):
             basis.append(TorusElement.monomial(theta, m))
     return basis
-
-
-def _delta_matrix(M, j):
-    """delta_j entrywise: block k picks up delta_eigenvalue(k, j)."""
-    return TorusMatrix(M.theta, M.shape,
-                       {k: delta_eigenvalue(k, j) * b for k, b in M.blocks.items()})
 
 
 @dataclass
@@ -109,7 +104,7 @@ def flatness_check(conn):
     for l in range(1, half + 1):
         for r in range(l + 1, half + 1):
             Al, Ar = A[l - 1], A[r - 1]
-            curv = ((_delta_matrix(Ar, l) - _delta_matrix(Al, r))
+            curv = ((delta(Ar, l) - delta(Al, r))
                     + (Al.matmul(Ar) - Ar.matmul(Al)))
             res = max(res, curv.norm())
     return res
@@ -264,7 +259,7 @@ def morphism_check(phi, c1, c2):
     for j in range(1, c1.theta.n // 2 + 1):
         A1 = TorusMatrix.from_entries(c1.theta, c1.A[j - 1])
         A2 = TorusMatrix.from_entries(c2.theta, c2.A[j - 1])
-        defect = _delta_matrix(P, j) + (A2.matmul(P) - P.matmul(A1))
+        defect = delta(P, j) + (A2.matmul(P) - P.matmul(A1))
         res = max(res, defect.norm())
     return res
 
@@ -274,10 +269,7 @@ def del_tau(a, tau=1j):
     del_tau(U^{(r1,r2)}) = 2 pi i (r1 tau + r2) U^{(r1,r2)}."""
     if a.theta.n != 2:
         raise DimensionMismatch("del_tau lives on the 2-dimensional torus")
-    return TorusElement(
-        a.theta,
-        {m: TWO_PI_I * (m[0] * tau + m[1]) * c for m, c in a.coeffs.items()},
-    )
+    return a.multiplier(lambda m: TWO_PI_I * (m[0] * tau + m[1]))
 
 
 def ps_compare(theta, radius=4):

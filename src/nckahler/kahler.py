@@ -181,18 +181,6 @@ def build_base(theta, rep=None, eps_list=(1, -1)):
     return KahlerBase(rep, theta, words, D, DD, gt, star, W, lap, mas, lifted)
 
 
-def build_lifted(rep, theta, eps_prime=1):
-    """The lifted pair and the differential it defines: (DD, DDbar, d, d*)
-    of build_base."""
-    base = build_base(theta, rep, [eps_prime])
-    return (base.DD, *base.lifted[eps_prime][:3])
-
-
-def build_T_script(rep, theta, eps_prime=1):
-    """T_script of build_base."""
-    return build_base(theta, rep, [eps_prime]).lifted[eps_prime][3]
-
-
 def _I_words(matching, rep, words):
     """The words of the complex-structure generator of one matching,
 

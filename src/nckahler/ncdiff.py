@@ -37,14 +37,7 @@ words keep the order a dict accumulation gives them.  Complex products are
 spelled out in real arithmetic as Python computes them (numpy's complex
 multiply may fuse them), so every sum equals the dict loop's bit for bit.
 apply loops over the blocks of P, each acting on every mode of v in one
-_act.
-
-Every other matrix of torus elements, of any shape, is a TorusMatrix: a map
-from Fourier exponent k to a constant rows x cols complex block (constant
-fiber matrices commute with the scalar phases, so the blocked product is the
-entrywise torus product).  Vectors of A_Theta^m are (m, 1) columns, and the
-connection and morphism matrices of the holomorphic calculus are TorusMatrix
-too.
+_act, v a TorusMatrix column stack (see torus).
 """
 
 from __future__ import annotations
@@ -58,7 +51,7 @@ from operator import add, itemgetter, lshift, sub
 
 import numpy as np
 
-from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
+from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix
 
 
 def _deriv_factor(k, delta):
@@ -76,107 +69,6 @@ def _push_weights(alpha, beta, kp):
         if f := _deriv_factor(kp, tuple(map(sub, alpha, gamma))):
             out.append((tuple(map(add, gamma, beta)), math.prod(map(math.comb, alpha, gamma)) * f))
     return tuple(out)
-
-
-class TorusMatrix:
-    """rows x cols matrix with torus-element entries, blocked by Fourier mode."""
-
-    __slots__ = ("theta", "shape", "blocks")
-
-    def __init__(self, theta, shape, blocks=None, prune=True):
-        self.theta = theta
-        self.shape = tuple(shape)
-        self.blocks = {}
-        if blocks:
-            for k, mat in blocks.items():
-                mat = np.asarray(mat, dtype=complex)
-                if mat.shape != self.shape:
-                    raise DimensionMismatch(f"block at {k} is {mat.shape}, not {self.shape}")
-                if not prune or np.abs(mat).max() >= PRUNE_TOL:
-                    self.blocks[k] = mat
-
-    @classmethod
-    def zero(cls, theta, shape):
-        return cls(theta, shape)
-
-    @classmethod
-    def constant(cls, theta, mat):
-        mat = np.asarray(mat, dtype=complex)
-        return cls(theta, mat.shape, {(0,) * theta.n: mat})
-
-    @classmethod
-    def random(cls, theta, shape, rng, radius=2, terms=3):
-        """Entries TorusElement.random(theta, rng, radius, terms), drawn row-major."""
-        rows, cols = shape
-        return cls.from_entries(theta, [[TorusElement.random(theta, rng, radius, terms)
-                                         for _ in range(cols)] for _ in range(rows)])
-
-    @classmethod
-    def from_entries(cls, theta, entries):
-        """Build from a nested list of TorusElements, rows of equal length."""
-        shape = (len(entries), len(entries[0]) if entries else 0)
-        blocks = {}
-        for i, row in enumerate(entries):
-            if len(row) != shape[1]:
-                raise DimensionMismatch("rows of entries differ in length")
-            for j, a in enumerate(row):
-                if not theta.compatible(a.theta):
-                    raise DimensionMismatch(f"entry ({i}, {j}) is over another torus context")
-                for k, c in a.coeffs.items():
-                    blocks.setdefault(k, np.zeros(shape, dtype=complex))[i, j] = c
-        return cls(theta, shape, blocks)
-
-    def entry(self, i, j):
-        coeffs = {k: b[i, j] for k, b in self.blocks.items()}
-        return TorusElement(self.theta, coeffs)
-
-    def _check(self, other, shapes_fit):
-        if not shapes_fit:
-            raise DimensionMismatch(f"torus matrices of shapes {self.shape} and {other.shape}")
-        if not self.theta.compatible(other.theta):
-            raise DimensionMismatch("torus matrices over incompatible contexts")
-
-    def __add__(self, other):
-        self._check(other, self.shape == other.shape)
-        out = {k: b.copy() for k, b in self.blocks.items()}
-        for k, b in other.blocks.items():
-            out[k] = out[k] + b if k in out else b
-        return TorusMatrix(self.theta, self.shape, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, z):
-        return TorusMatrix(self.theta, self.shape, {k: z * b for k, b in self.blocks.items()})
-
-    def matmul(self, other):
-        """Entrywise torus product; phases factor out of the constant blocks."""
-        self._check(other, self.shape[1] == other.shape[0])
-        theta = self.theta
-        out = {}
-        for k, A in self.blocks.items():
-            for kp, B in other.blocks.items():
-                kk = tuple(x + y for x, y in zip(k, kp))
-                term = theta.phase(k, kp) * (A @ B)
-                out[kk] = out[kk] + term if kk in out else term
-        return TorusMatrix(theta, (self.shape[0], other.shape[1]), out)
-
-    def star(self):
-        """Entrywise star composed with matrix transpose."""
-        theta = self.theta
-        out = {}
-        for k, b in self.blocks.items():
-            mk = tuple(-x for x in k)
-            out[mk] = theta.star_phase(k) * b.conj().T
-        return TorusMatrix(theta, self.shape[::-1], out, prune=False)
-
-    def norm(self):
-        """Max entry magnitude, rounded as TorusElement.norm's abs (np.hypot)."""
-        return float(max((np.hypot(b.real, b.imag).max() for b in self.blocks.values()),
-                         default=0.0))
-
-    def is_zero(self, tol=PRUNE_TOL):
-        return self.norm() < tol
 
 
 # -- Pauli words --------------------------------------------------------------

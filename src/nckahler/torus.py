@@ -3,6 +3,13 @@
 Elements are finite sums  sum_m alpha_m U^m  over m in Z^n, where U^m denotes
 the normal-ordered monomial U_1^{m_1} ... U_n^{m_n} and the generators satisfy
 U_j U_l = exp(2 pi i Theta_{lj}) U_l U_j.
+
+Every matrix of torus elements, of any shape, is a TorusMatrix: a map from
+Fourier exponent k to a constant rows x cols complex block (constant fiber
+matrices commute with the scalar phases, so the blocked product is the
+entrywise torus product).  A TorusElement is the 1 x 1 case, vectors of
+A_Theta^m are (m, 1) columns, and the connection and morphism matrices of the
+holomorphic calculus are TorusMatrix too.
 """
 
 from __future__ import annotations
@@ -10,10 +17,13 @@ from __future__ import annotations
 import cmath
 import warnings
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-# Default tolerances; every operation that compares or prunes accepts overrides.
+# Blocks whose entries are all below PRUNE_TOL are dropped; is_zero and
+# close_to compare against EQ_TOL unless given a tol.
 PRUNE_TOL = 1e-14
 EQ_TOL = 1e-9
 
@@ -60,7 +70,10 @@ class ThetaMatrix:
         return True
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, n):
+        """The commutative n-torus; Theta is read-only, so one instance per n
+        is shared."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return cls(np.zeros((n, n)))
@@ -106,21 +119,155 @@ class ThetaMatrix:
                                  and np.array_equal(self.entries, other.entries))
 
 
-class TorusElement:
-    """Finitely supported map Z^n -> C of normal-ordered Fourier coefficients."""
+class TorusMatrix:
+    """rows x cols matrix with torus-element entries, blocked by Fourier mode.
+    Sums, scalings, products and stars keep the class of self where the shape
+    is self's, so the results of elements are elements."""
 
-    __slots__ = ("theta", "coeffs")
+    __slots__ = ("theta", "shape", "blocks")
+
+    def __init__(self, theta, shape, blocks=None, prune=True):
+        self.theta = theta
+        self.shape = tuple(shape)
+        self.blocks = {}
+        if blocks:
+            for k, mat in blocks.items():
+                mat = np.asarray(mat, dtype=complex)
+                if mat.shape != self.shape:
+                    raise DimensionMismatch(f"block at {k} is {mat.shape}, not {self.shape}")
+                if not prune or np.abs(mat).max() >= PRUNE_TOL:
+                    self.blocks[k] = mat
+
+    def _new(self, shape, blocks, prune=True):
+        """A result over self's torus: of self's class if it has self's shape."""
+        out = object.__new__(type(self) if shape == self.shape else TorusMatrix)
+        TorusMatrix.__init__(out, self.theta, shape, blocks, prune)
+        return out
+
+    @classmethod
+    def zero(cls, theta, shape):
+        return cls(theta, shape)
+
+    @classmethod
+    def constant(cls, theta, mat):
+        mat = np.asarray(mat, dtype=complex)
+        return TorusMatrix(theta, mat.shape, {(0,) * theta.n: mat})
+
+    @classmethod
+    def random(cls, theta, shape, rng, radius=2, terms=3):
+        """Entries TorusElement.random(theta, rng, radius, terms), drawn row-major."""
+        rows, cols = shape
+        return cls.from_entries(theta, [[TorusElement.random(theta, rng, radius, terms)
+                                         for _ in range(cols)] for _ in range(rows)])
+
+    @classmethod
+    def from_entries(cls, theta, entries):
+        """Build from a nested list of TorusElements, rows of equal length."""
+        shape = (len(entries), len(entries[0]) if entries else 0)
+        blocks = {}
+        for i, row in enumerate(entries):
+            if len(row) != shape[1]:
+                raise DimensionMismatch("rows of entries differ in length")
+            for j, a in enumerate(row):
+                if not theta.compatible(a.theta):
+                    raise DimensionMismatch(f"entry ({i}, {j}) is over another torus context")
+                for k, b in a.blocks.items():
+                    blocks.setdefault(k, np.zeros(shape, dtype=complex))[i, j] = b[0, 0]
+        return TorusMatrix(theta, shape, blocks)
+
+    def entry(self, i, j):
+        return TorusElement(self.theta, {k: b[i, j] for k, b in self.blocks.items()})
+
+    def _check(self, other, shapes_fit):
+        if not shapes_fit:
+            raise DimensionMismatch(f"torus matrices of shapes {self.shape} and {other.shape}")
+        if not self.theta.compatible(other.theta):
+            raise DimensionMismatch("torus matrices over incompatible contexts")
+
+    def __add__(self, other):
+        self._check(other, self.shape == other.shape)
+        out = {k: b.copy() for k, b in self.blocks.items()}
+        for k, b in other.blocks.items():
+            out[k] = out[k] + b if k in out else b
+        return self._new(self.shape, out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def scale(self, z):
+        return self._new(self.shape, {k: z * b for k, b in self.blocks.items()})
+
+    def multiplier(self, f):
+        """The Fourier multiplier U^k -> f(k) U^k, applied to every entry."""
+        return self._new(self.shape, {k: f(k) * b for k, b in self.blocks.items()})
+
+    def matmul(self, other):
+        """Entrywise torus product; phases factor out of the constant blocks.
+        For elements this is the twisted product, the bilinear extension of
+        U^m U^k = lambda(m, k) U^{m+k}."""
+        self._check(other, self.shape[1] == other.shape[0])
+        theta = self.theta
+        out = {}
+        for k, A in self.blocks.items():
+            for kp, B in other.blocks.items():
+                kk = tuple(x + y for x, y in zip(k, kp))
+                term = theta.phase(k, kp) * (A @ B)
+                out[kk] = out[kk] + term if kk in out else term
+        return self._new((self.shape[0], other.shape[1]), out)
+
+    mul = matmul
+
+    def __mul__(self, other):
+        if isinstance(other, TorusMatrix):
+            return self.matmul(other)
+        if isinstance(other, (int, float, complex)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __rmul__(self, z):
+        if isinstance(z, (int, float, complex)):
+            return self.scale(z)
+        return NotImplemented
+
+    def star(self):
+        """Entrywise star composed with matrix transpose; star(U^m) = mu(m) U^{-m}."""
+        theta = self.theta
+        out = {}
+        for k, b in self.blocks.items():
+            mk = tuple(-x for x in k)
+            out[mk] = theta.star_phase(k) * b.conj().T
+        return self._new(self.shape[::-1], out, prune=False)
+
+    def norm(self):
+        """Max entry magnitude over all modes (np.hypot of each entry)."""
+        return float(max((np.hypot(b.real, b.imag).max() for b in self.blocks.values()),
+                         default=0.0))
+
+    def is_zero(self, tol=EQ_TOL):
+        """norm() < tol; the default is EQ_TOL, pass PRUNE_TOL for 'nothing left
+        after pruning'."""
+        return self.norm() < tol
+
+    def close_to(self, other, tol=EQ_TOL):
+        return (self - other).is_zero(tol)
+
+
+class TorusElement(TorusMatrix):
+    """Finitely supported map Z^n -> C of normal-ordered Fourier coefficients:
+    the 1 x 1 TorusMatrix, with coeffs the read-only {m: complex} view of its
+    blocks."""
+
+    __slots__ = ()
 
     def __init__(self, theta, coeffs=None, prune=True):
-        self.theta = theta
-        self.coeffs = dict(coeffs) if coeffs else {}
-        if prune:
-            self._prune()
+        super().__init__(theta, (1, 1), {m: [[c]] for m, c in (coeffs or {}).items()}, prune)
 
-    def _prune(self, tol=PRUNE_TOL):
-        dead = [m for m, c in self.coeffs.items() if abs(c) < tol]
-        for m in dead:
-            del self.coeffs[m]
+    @property
+    def coeffs(self):
+        return MappingProxyType({m: b[0, 0].item() for m, b in self.blocks.items()})
 
     # -- constructors -------------------------------------------------------
 
@@ -156,62 +303,7 @@ class TorusElement:
             coeffs[m] = complex(rng.normal(), rng.normal())
         return cls(theta, coeffs)
 
-    # -- linear structure ---------------------------------------------------
-
-    def _check(self, other):
-        if not isinstance(other, TorusElement):
-            raise TypeError("expected a TorusElement")
-        if not self.theta.compatible(other.theta):
-            raise DimensionMismatch("elements over different torus contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0.0) + c
-        return TorusElement(self.theta, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TorusElement(self.theta, {m: -c for m, c in self.coeffs.items()}, prune=False)
-
-    def scale(self, z):
-        return TorusElement(self.theta, {m: z * c for m, c in self.coeffs.items()})
-
-    def __rmul__(self, z):
-        if isinstance(z, (int, float, complex)):
-            return self.scale(z)
-        return NotImplemented
-
-    # -- algebra ------------------------------------------------------------
-
-    def mul(self, other):
-        """Twisted product, bilinear extension of U^m U^k = lambda(m,k) U^{m+k}."""
-        self._check(other)
-        theta = self.theta
-        out = {}
-        for m, a in self.coeffs.items():
-            for k, b in other.coeffs.items():
-                mk = tuple(x + y for x, y in zip(m, k))
-                out[mk] = out.get(mk, 0.0) + a * b * theta.phase(m, k)
-        return TorusElement(theta, out)
-
-    def __mul__(self, other):
-        if isinstance(other, TorusElement):
-            return self.mul(other)
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
-    def star(self):
-        """Antilinear involution; star(U^m) = mu(m) U^{-m}."""
-        theta = self.theta
-        out = {}
-        for m, c in self.coeffs.items():
-            out[tuple(-x for x in m)] = c.conjugate() * theta.star_phase(m)
-        return TorusElement(theta, out, prune=False)
+    # -- trace and derivations ----------------------------------------------
 
     def trace(self):
         """Canonical trace: the coefficient at exponent 0."""
@@ -221,22 +313,7 @@ class TorusElement:
         """Derivation d/dt of the j-th torus action: U^m -> 2 pi i m_j U^m."""
         if not 1 <= j <= self.theta.n:
             raise IndexError(f"derivation index {j} out of range 1..{self.theta.n}")
-        return TorusElement(
-            self.theta,
-            {m: TWO_PI_I * m[j - 1] * c for m, c in self.coeffs.items()},
-        )
-
-    # -- comparisons and norms ---------------------------------------------
-
-    def norm(self):
-        """Max coefficient magnitude (sup over Fourier modes)."""
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def is_zero(self, tol=EQ_TOL):
-        return self.norm() < tol
-
-    def close_to(self, other, tol=EQ_TOL):
-        return (self - other).norm() < tol
+        return self.multiplier(lambda m: TWO_PI_I * m[j - 1])
 
     # -- serialization ------------------------------------------------------
 
@@ -257,7 +334,7 @@ class TorusElement:
         return cls(theta, coeffs)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.blocks:
             return "TorusElement(0)"
         parts = [f"({c:.4g})U^{m}" for m, c in sorted(self.coeffs.items())]
         return "TorusElement(" + " + ".join(parts[:6]) + ("..." if len(parts) > 6 else "") + ")"

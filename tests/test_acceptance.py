@@ -41,8 +41,8 @@ from nckahler.kahler import (
     verify_pm_conjugation,
     verify_real_structure,
 )
-from nckahler.ncdiff import NCDiffOp, TorusMatrix
-from nckahler.torus import ThetaMatrix, TorusElement
+from nckahler.ncdiff import NCDiffOp
+from nckahler.torus import ThetaMatrix, TorusElement, TorusMatrix
 
 from test_ncdiff import inner_product, unit_column
 from test_torus import swap_oracle_phase

@@ -31,8 +31,7 @@ from nckahler.holomorphic import (
     morphism_check,
     ps_compare,
 )
-from nckahler.ncdiff import TorusMatrix
-from nckahler.torus import TWO_PI_I, DimensionMismatch, ThetaMatrix, TorusElement
+from nckahler.torus import TWO_PI_I, DimensionMismatch, ThetaMatrix, TorusElement, TorusMatrix
 
 RNG = np.random.default_rng(400)
 THETA2 = ThetaMatrix.random(2, RNG)
@@ -441,6 +440,13 @@ class TestPSCompare:
 
     def test_box_residual(self):
         assert ps_compare(THETA2, radius=4) < 1e-12
+
+    def test_exact_on_seeded_thetas(self):
+        # delta_1 and del_tau scale each coefficient by one eigenvalue, the same
+        # complex number on both sides, so the residual is exactly 0
+        for seed in range(20):
+            theta = ThetaMatrix.random(2, np.random.default_rng(seed))
+            assert [ps_compare(theta, radius=r) for r in (0, 4, 9)] == [0.0] * 3
 
     def test_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):

@@ -23,8 +23,8 @@ from nckahler.kahler import (
     verify_pm_conjugation,
     verify_real_structure,
 )
-from nckahler.ncdiff import NCDiffOp, TorusMatrix
-from nckahler.torus import ThetaMatrix, TorusElement
+from nckahler.ncdiff import NCDiffOp
+from nckahler.torus import ThetaMatrix, TorusElement, TorusMatrix
 from test_ncdiff import assert_same_blocks, loop_apply, loop_product, scalar_element, unit_column
 
 RNG = np.random.default_rng(200)
@@ -188,8 +188,6 @@ class TestEpsPrime:
         "build_base": lambda eps: kahler.build_base(THETA2, REP2, (1, eps)),
         "build_kahler_package": lambda eps: build_kahler_package(THETA2, eps_prime=eps, rep=REP2),
         "verify_grid": lambda eps: verify_grid(THETA2, [], eps_list=(1, eps), rep=REP2),
-        "build_lifted": lambda eps: kahler.build_lifted(REP2, THETA2, eps_prime=eps),
-        "build_T_script": lambda eps: kahler.build_T_script(REP2, THETA2, eps_prime=eps),
         "build_form_matrices": lambda eps: build_form_matrices(4, eps_prime=eps),
     }
 

@@ -1,4 +1,5 @@
-"""Module layering: no nckahler module reaches into another's private names."""
+"""Module layering: no nckahler module reaches into another's private names,
+and the lower layers import only the layers below them."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,30 @@ def private_uses(path):
     return uses
 
 
+def nckahler_imports(path):
+    """The nckahler modules that the module at path imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("nckahler.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "nckahler":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found |= {a.name for a in node.names if (SRC / f"{a.name}.py").exists()}
+    return found
+
+
+# module: the nckahler modules it may import
+LAYERS = {"torus": set(), "holomorphic": {"torus"}}
+
+
 def test_modules_found():
     assert {p.stem for p in MODULES} >= {"ncdiff", "forms", "kahler", "torus"}
 
@@ -56,3 +81,18 @@ def test_detects_a_private_import(tmp_path):
                    "def _own():\n"
                    "    return ncdiff._word_pairs, NCDiffOp\n")
     assert private_uses(src) == ["ncdiff._first_ids", "nckahler.torus._x", "ncdiff._word_pairs"]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_layer_imports(module):
+    assert nckahler_imports(SRC / f"{module}.py") <= LAYERS[module]
+
+
+def test_detects_a_layer_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy\n"
+                   "from . import ncdiff\n"
+                   "from .torus import TorusMatrix\n"
+                   "from nckahler.kahler import build_base\n"
+                   "import nckahler.forms\n")
+    assert nckahler_imports(src) == {"ncdiff", "torus", "kahler", "forms"}

@@ -24,7 +24,6 @@ from nckahler.kahler import (
 )
 from nckahler.ncdiff import (
     NCDiffOp,
-    TorusMatrix,
     _densify,
     _deriv_factor,
     _push_weights,
@@ -32,7 +31,7 @@ from nckahler.ncdiff import (
     pauli_words,
     word_product,
 )
-from nckahler.torus import PRUNE_TOL, DimensionMismatch, ThetaMatrix, TorusElement
+from nckahler.torus import PRUNE_TOL, DimensionMismatch, ThetaMatrix, TorusElement, TorusMatrix
 
 RNG = np.random.default_rng(100)
 THETA = ThetaMatrix.random(2, RNG)
@@ -232,7 +231,7 @@ def oracle_compose(P, Q):
         for beta, B in Q.terms.items():
             for gamma, coef, delta in _leibniz_terms(alpha):
                 dB = derive_multi(B.dense(), delta)
-                if dB.is_zero():
+                if dB.is_zero(PRUNE_TOL):
                     continue
                 idx = tuple(g + b for g, b in zip(gamma, beta))
                 term = A.matmul(dB).scale(coef)
@@ -247,7 +246,7 @@ def oracle_adjoint(P):
         sign = (-1) ** sum(alpha)
         for gamma, coef, delta in _leibniz_terms(alpha):
             dM = derive_multi(M.dense().star(), delta)
-            if dM.is_zero():
+            if dM.is_zero(PRUNE_TOL):
                 continue
             term = dM.scale(sign * coef)
             out[gamma] = out[gamma] + term if gamma in out else term

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nckahler.torus import (
+    PRUNE_TOL,
     DimensionMismatch,
     ThetaMatrix,
     TorusElement,
+    TorusMatrix,
 )
 
 RNG = np.random.default_rng(42)
@@ -26,7 +29,8 @@ def l2_norm_sq(a):
 
 def inner_product_scalar(a, b):
     """tau(a* b) = sum_m conj(alpha_m) beta_m (Parseval form)."""
-    a._check(b)
+    if not a.theta.compatible(b.theta):
+        raise DimensionMismatch("elements over different torus contexts")
     return sum(c.conjugate() * b.coeffs[m] for m, c in a.coeffs.items() if m in b.coeffs)
 
 
@@ -241,6 +245,14 @@ class TestTheta:
                 arr[0, 1] += 0.25
         assert (theta.to_json(), theta.phase((0, 1, 0, 0), (1, 0, 0, 0))) == before
 
+    def test_zero_shared_per_n(self):
+        # Theta is read-only, so every caller of zero(n) can share one instance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, second = ThetaMatrix.zero(6), ThetaMatrix.zero(6)
+        assert first is second and first.n == 6 and not first.entries.any()
+        assert ThetaMatrix.zero(4) is not first
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_nearby_theta_incompatible(self):
         # 0.3 and 0.300001 are within np.allclose's default rtol=1e-5, yet
@@ -268,3 +280,38 @@ class TestSerialization:
         rng = np.random.default_rng(10)
         a, b = TorusElement.random(THETA4, rng), TorusElement.random(THETA4, rng)
         assert abs(inner_product_scalar(a, b) - (a.star() * b).trace()) < 1e-10
+
+
+class TestOneContainer:
+    """A TorusElement is the 1 x 1 TorusMatrix: one algebra, one is_zero."""
+
+    def test_element_is_a_one_by_one_torus_matrix(self):
+        a = TorusElement.random(THETA4, np.random.default_rng(30))
+        assert isinstance(a, TorusMatrix) and a.shape == (1, 1)
+        assert {m: b[0, 0] for m, b in a.blocks.items()} == dict(a.coeffs)
+        with pytest.raises(TypeError):
+            a.coeffs[(0,) * 4] = 1.0
+
+    @pytest.mark.parametrize("c", [0.0, 1e-15, 1e-12, 5e-10, 2e-9, 1e-6, 1.0])
+    def test_is_zero_agrees_across_containers(self, c):
+        a = TorusElement.monomial(THETA4, (1, 0, 0, 0), c)
+        M = TorusMatrix.from_entries(THETA4, [[a]])
+        assert type(M) is TorusMatrix
+        assert a.is_zero() == M.is_zero()
+        for tol in (PRUNE_TOL, 1e-11, 1.0):
+            assert a.is_zero(tol) == M.is_zero(tol)
+
+    def test_element_results_are_elements(self):
+        rng = np.random.default_rng(31)
+        a, b = TorusElement.random(THETA4, rng), TorusElement.random(THETA4, rng)
+        for out in (a + b, a - b, -a, a.scale(2j), 2 * a, a * 0.5, a.mul(b), a * b,
+                    a.star(), a.derive(1)):
+            assert type(out) is TorusElement and out.shape == (1, 1)
+        row = TorusMatrix.random(THETA4, (1, 2), rng)
+        assert type(a.matmul(row)) is TorusMatrix and a.matmul(row).shape == (1, 2)
+
+    def test_element_product_matches_matrix_product(self):
+        rng = np.random.default_rng(32)
+        a, b = TorusElement.random(THETA4, rng), TorusElement.random(THETA4, rng)
+        A, B = (TorusMatrix.from_entries(THETA4, [[x]]) for x in (a, b))
+        assert (A.matmul(B) - TorusMatrix.from_entries(THETA4, [[a * b]])).norm() == 0.0
