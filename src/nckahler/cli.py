@@ -27,6 +27,12 @@ class ConfigError(Exception):
     pass
 
 
+# verify --dump-ops holds del and delbar of each package, at most 2 n 4^n entries
+# (first order at mode 0) of about DUMP_ENTRY_BYTES of peak RSS each (measured
+# at n = 8); a dump over DUMP_MAX_BYTES is refused before anything is built.
+DUMP_ENTRY_BYTES, DUMP_MAX_BYTES = 110, 1 << 30
+
+
 def atomic_write(path, text):
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -112,6 +118,11 @@ def cmd_verify(args):
                 raise ConfigError(f"matching {m} is not a perfect matching of 1..{theta.n}")
     else:
         matchings = kahler.enumerate_matchings(theta.n)
+    eps = parse_eps(args.eps_prime)
+    size = len(matchings) * len(eps) * 2 * theta.n * 4 ** theta.n * DUMP_ENTRY_BYTES
+    if args.dump_ops and size > DUMP_MAX_BYTES:
+        raise ConfigError(f"--dump-ops needs about {size} bytes, over the limit of "
+                          f"{DUMP_MAX_BYTES}; pass one --matching or --eps-prime")
     dumps = {}
 
     def dump(pkg):
@@ -120,7 +131,7 @@ def cmd_verify(args):
             "delbar": pkg.del_bar.to_json(),
         }
 
-    rp = kahler.verify_grid(theta, matchings, parse_eps(args.eps_prime), tol=tol,
+    rp = kahler.verify_grid(theta, matchings, eps, tol=tol,
                             on_package=dump if args.dump_ops else None)
     rp.meta = _meta(tol) | {
         "n": theta.n,

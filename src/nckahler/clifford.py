@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_N = 10
+# largest residuals the self-checks of build_gamma and charge_conjugation accept
+RELATIONS_TOL, CONJUGATION_TOL = 1e-12, 1e-10
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -95,7 +97,7 @@ def _subset_products(gammas):
     return prods, sizes
 
 
-def charge_conjugation(rep, variant, tol=1e-10):
+def charge_conjugation(rep, variant):
     """The unitary C with C conj(gamma_j) = eps' gamma_j C (and the sigma
     constraint), returning (C, (eps, eps', eps'')).
 
@@ -126,7 +128,7 @@ def charge_conjugation(rep, variant, tol=1e-10):
               np.abs(C @ sigma.conj() - eps_pp * sigma @ C).max(),
               np.abs(C @ C.conj() - eps * np.eye(N)).max(),
               np.abs(C @ C.conj().T - np.eye(N)).max())
-    if res > tol:
+    if res > CONJUGATION_TOL:
         raise SelfCheckError(
             f"charge conjugation failed for n={n} {variant}: residual {res:.3e} "
             "(sign-table / representation mismatch)"
@@ -134,7 +136,7 @@ def charge_conjugation(rep, variant, tol=1e-10):
     return C, (eps, eps_p, eps_pp)
 
 
-def build_gamma(n, check_tol=1e-12):
+def build_gamma(n):
     """Construct a GammaRep for even n via the two-step tensor recursion.
 
     The n=2 base case is the concrete pair gamma_1 = i sigma_x, gamma_2 = i sigma_y
@@ -160,7 +162,7 @@ def build_gamma(n, check_tol=1e-12):
     sigma = prod / c
 
     res = _relations_residual(gammas, sigma)
-    if res > check_tol:
+    if res > RELATIONS_TOL:
         raise SelfCheckError(f"gamma construction failed relations check: {res:.3e}")
 
     rep = GammaRep(n=n, N=N, gammas=gammas, sigma=sigma,

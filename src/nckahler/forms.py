@@ -56,22 +56,22 @@ class FormBasisMatrices:
     def m(self):  # the fiber size N^2 = 2^n
         return 2 ** self.n
 
-    def chain(self, name, top, tol=RANK_TOL):
+    def chain(self, name, top):
         """Bases of the spans of all level-fold ordered products of a family
         for levels 0..top (level 0: the identity), each grown from the one
         before (span closure, no n^level enumeration) and kept for later calls."""
         if name not in ("mu", "eta_bar", "eta_hol"):
             raise ValueError(f"unknown family {name!r}")
         family = getattr(self, name)
-        if (name, tol) not in self.chains:
-            self.chains[name, tol] = [[NCDiffOp.identity(self.mu[0].theta, self.m)]]
-        chain = self.chains[name, tol]
+        if name not in self.chains:
+            self.chains[name] = [[NCDiffOp.identity(self.mu[0].theta, self.m)]]
+        chain = self.chains[name]
         while len(chain) <= top:
             basis = chain[-1]
             # level 1 is the family itself: 1 f = f
             products = family if len(chain) == 1 else NCDiffOp.products(
                 [(b, f, 0) for b in basis for f in family])
-            chain.append(_span(products, self.m, tol) if basis else [])
+            chain.append(_span(products, self.m) if basis else [])
         return chain
 
 
@@ -100,15 +100,15 @@ def _matrix(forms):
     return mat
 
 
-def _span(forms, m, tol=RANK_TOL):
+def _span(forms, m):
     """A basis of the span of forms, picked among those with a word: the SVD
-    rule decides the rank, and pivoted Gram-Schmidt on the coordinates u s
-    of the forms picks that many."""
+    rule (RANK_TOL) decides the rank, and pivoted Gram-Schmidt on the
+    coordinates u s of the forms picks that many."""
     forms = [f for f in forms if len(f.c)]
     if not forms:
         return []
     u, s, _ = np.linalg.svd(np.sqrt(m) * _matrix(forms), full_matrices=False)
-    rank = int(np.count_nonzero(s > tol * max(1.0, s[0])))
+    rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0])))
     coords, picked = u[:, :rank] * s[:rank], []
     for _ in range(rank):
         i = int(np.argmax(np.linalg.norm(coords, axis=1)))
@@ -118,11 +118,11 @@ def _span(forms, m, tol=RANK_TOL):
     return [forms[i] for i in sorted(picked)]
 
 
-def form_rank(fbm, family_name, level, tol=RANK_TOL):
+def form_rank(fbm, family_name, level):
     """C-span dimension of all level-fold ordered products of the family."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    return len(fbm.chain(family_name, level, tol)[level])
+    return len(fbm.chain(family_name, level)[level])
 
 
 def rank_table(fbm):

@@ -15,10 +15,10 @@ of q-bit masks x, z.  Words multiply exactly by the symplectic rule
 and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so products and adjoints never
 form an m x m block; dense blocks appear only in apply, residual_norm and
 to_json.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau
-of Aaronson and Gottesman (PRA 70, 2004), and its blocks as integer arrays:
-the code of alpha, the id of the interned mode k, and the span start:stop of
-the block's words.  Tuples appear only at the edges: terms, from_terms,
-to_json, from_json and apply; an operator's arrays are read-only.
+of Aaronson and Gottesman (PRA 70, 2004), and its blocks as one integer
+table: per block the code of alpha, the n entries of the mode k, and the span
+start:stop of the block's words.  Tuples appear only at the edges: terms,
+from_terms, to_json, from_json and apply; an operator's arrays are read-only.
 
 The batch passes NCDiffOp.adjoints and products each split into a plan and
 a run, as an inspector-executor loop does (Saltz, Mirchandaney and Crowley,
@@ -26,10 +26,11 @@ IEEE Trans. Computers 40(5), 1991); NCDiffOp.sums, whose plan would only
 number its blocks, runs _reduce directly.  The plan is block-level: the
 block pairs, their targets and weights (phase, binomial, derivative
 eigenvalue; computed once per distinct class of blocks), and the numbering
-of the result blocks (_number).  It depends only on the operands' alpha and
-mode rows, fibers and tori and on the shape of the job list, so _planned
-keeps it under a key of that content, never of object ids, and a pass over
-other words in the same blocks (the next matching of a grid) reuses it.  The
+of the result blocks (_number).  A pass is over one torus and one fiber
+(DimensionMismatch otherwise); the plan depends only on those, the operands'
+alpha and mode rows and the shape of the job list, so _planned keeps it under
+a key of that content, never of object ids, and a pass over other words in
+the same blocks (the next matching of a grid) reuses it.  The
 run is word-level: it gathers the words, forms the word pairs with numpy and
 sums them in one reduction, _collect: each (block, word) is summed in input
 order with np.bincount, sums below PRUNE_TOL are dropped, and blocks and
@@ -190,46 +191,20 @@ def _alpha(code, n):
     return tuple(code >> j & _AMAX - 1 for j in _SHIFTS[:n])
 
 
-_INTERN, _MODES = threading.Lock(), {}
-
-
-def _modes(n):
-    """({mode: id}, [mode]) of the Fourier modes of the n-torus interned so
-    far, id 0 being mode 0.  An id only names its mode in this process: no
-    result depends on the ids' values or on what was interned before."""
-    if n not in _MODES:
-        with _INTERN:
-            _MODES.setdefault(n, ({(0,) * n: 0}, [(0,) * n]))
-    return _MODES[n]
-
-
-def _mode_id(n, k):
-    ids, modes = _modes(n)
-    if k not in ids:
-        with _INTERN:
-            if k not in ids:
-                # the mode is in the list before its id is published
-                modes.append(k)
-                ids[k] = len(modes) - 1
-    return ids[k]
-
-
 @lru_cache(maxsize=4096)
-def _pair_weights(n, a, b, ka, kb, s, lam, mu):
-    """((code, mode id, (f + g, f - g, -f + g, -f - g)), ...): per target, the
-    merged weights f of A del^alpha . B del^beta and g of s B del^beta .
-    A del^alpha for blocks of A at mode k and of B at k' on the n-torus
-    (codes a, b, mode ids ka, kb and phases lam = lambda(k, k'), mu =
-    lambda(k', k)): binomial, derivative eigenvalue and phase."""
-    _, modes = _modes(n)
-    alpha, beta, k, kp = _alpha(a, n), _alpha(b, n), modes[ka], modes[kb]
+def _pair_weights(a, b, k, kp, s, lam, mu):
+    """((code, (f + g, f - g, -f + g, -f - g)), ...): per target, the merged
+    weights f of A del^alpha . B del^beta and g of s B del^beta . A del^alpha
+    for blocks of A at mode k and of B at k' (codes a, b and phases lam =
+    lambda(k, k'), mu = lambda(k', k)): binomial, derivative eigenvalue and
+    phase.  Every target is at mode k + k'."""
+    alpha, beta = _alpha(a, len(k)), _alpha(b, len(k))
     fg = {idx: [lam * w, 0] for idx, w in _push_weights(alpha, beta, kp)}
     if s:
         mu = s * mu
         for idx, w in _push_weights(beta, alpha, k):
             fg.setdefault(idx, [0, 0])[1] = mu * w
-    kk = _mode_id(n, tuple(map(add, k, kp)))
-    return tuple((_acode(idx), kk, (f + g, f - g, -f + g, -f - g)) for idx, (f, g) in fg.items())
+    return tuple((_acode(idx), (f + g, f - g, -f + g, -f - g)) for idx, (f, g) in fg.items())
 
 
 def _first_ids(*cols):
@@ -272,7 +247,7 @@ def _unfold(keys, weigh, *dtypes):
 def _concat(ops):
     """The words x, z and c of ops end to end, and the offset and length of
     each block's words in them (an operator's blocks tile its words)."""
-    start, stop = np.concatenate([op.table[2:] for op in ops], axis=1)
+    start, stop = np.concatenate([op.table[-2:] for op in ops], axis=1)
     length = stop - start
     x, z, c = (np.concatenate([getattr(op, f) for op in ops]) for f in "xzc")
     return length.cumsum() - length, length, x, z, c
@@ -305,27 +280,28 @@ def _word_pairs(q, x, z, c, a_off, a_len, b_off, b_len, row, table):
 
 
 def _number(owner, alpha, mode):
-    """_collect's blocks for segments adding to the blocks at mode id mode[i]
+    """_collect's blocks for segments adding to the blocks at mode mode[:, i]
     of M_alpha[i] of result owner[i], owners ascending: the distinct (owner,
     alpha, mode), grouped by (owner, alpha) and otherwise ordered as their
     first segments, and each segment's block."""
-    target, first = _first_ids(owner, alpha, mode)
-    owner, alpha, mode = owner[first], alpha[first], mode[first]
     # at mode 0 alone, each (owner, alpha) has one target
     if not mode.any():
-        return (owner, alpha, mode), target
+        target, first = _first_ids(owner, alpha)
+        return (owner[first], alpha[first], mode[:, first]), target
+    target, first = _first_ids(owner, alpha, *mode)
+    owner, alpha, mode = owner[first], alpha[first], mode[:, first]
     order = _first_ids(owner, alpha)[0].argsort(kind="stable")
-    return (owner[order], alpha[order], mode[order]), order.argsort()[target]
+    return (owner[order], alpha[order], mode[:, order]), order.argsort()[target]
 
 
-def _collect(contexts, blocks, block, x, z, re, im):
-    """One NCDiffOp per (theta, m) of contexts from the blocks (owner, alpha,
-    mode) of _number: word i is (x[i], z[i]) with coefficient re[i] + i im[i]
-    in block block[i].  Equal (block, word) are summed in input order
-    (np.bincount on a stable sort) and words follow their first
-    contribution.  A sort key packs (block, x, z), x and z taking q bits each
-    for the largest m = 2^q."""
-    q = max(m for _, m in contexts).bit_length() - 1
+def _collect(theta, m, count, blocks, block, x, z, re, im):
+    """`count` NCDiffOps over theta and the fiber m = 2^q from the blocks
+    (owner, alpha, mode) of _number: word i is (x[i], z[i]) with coefficient
+    re[i] + i im[i] in block block[i].  Equal (block, word) are summed in
+    input order (np.bincount on a stable sort) and words follow their first
+    contribution.  A sort key packs (block, x, z), x and z taking q bits
+    each."""
+    q = m.bit_length() - 1
     key = block << 2 * q | x << q | z
     srt = key.argsort(kind="stable")
     key = key[srt]
@@ -339,23 +315,23 @@ def _collect(contexts, blocks, block, x, z, re, im):
     # group g >= 1 sums its words in input order into bin g
     c.real, c.imag = (np.bincount(group, w[srt])[1:][out] for w in (re, im))
     first = first[out]
-    return _tabulate(contexts, *blocks, block[out], x[first], z[first], c)
+    return _tabulate(theta, m, count, *blocks, block[out], x[first], z[first], c)
 
 
-def _reduce(contexts, owner, alpha, mode, seg, x, z, re, im):
+def _reduce(theta, m, count, owner, alpha, mode, seg, x, z, re, im):
     """_collect over _number's blocks of the segments (owner, alpha, mode),
     word i lying in segment seg[i]: the reduction in one call, whose halves
     the planned passes run apart (sums and the tests' block-pair loop reduce
     with it)."""
     blocks, block = _number(owner, alpha, mode)
-    return _collect(contexts, blocks, block[seg], x, z, re, im)
+    return _collect(theta, m, count, blocks, block[seg], x, z, re, im)
 
 
-def _tabulate(contexts, owner, alpha, mode, block, x, z, c):
-    """One NCDiffOp per (theta, m) of contexts from the blocks (owner, alpha,
-    mode) in stored order, owners ascending, and words ordered by block, an
-    index into those, less the words below PRUNE_TOL and the blocks they
-    empty."""
+def _tabulate(theta, m, count, owner, alpha, mode, block, x, z, c):
+    """`count` NCDiffOps over theta and the fiber m from the blocks (owner,
+    alpha, mode) in stored order, owners ascending, and words ordered by
+    block, an index into those, less the words below PRUNE_TOL and the blocks
+    they empty."""
     # np.hypot rounds as Python's abs(complex) does
     kept = np.hypot(c.real, c.imag) >= PRUNE_TOL
     if not kept.all():
@@ -363,19 +339,20 @@ def _tabulate(contexts, owner, alpha, mode, block, x, z, c):
     counts = np.bincount(block, minlength=len(owner))
     if not counts.all():
         present = counts.nonzero()[0]
-        owner, alpha, mode, counts = owner[present], alpha[present], mode[present], counts[present]
+        owner, alpha, mode, counts = owner[present], alpha[present], mode[:, present], counts[present]
     stop = counts.cumsum()
     # each owner's blocks and words are contiguous, in owner order
-    cuts = owner.searchsorted(np.arange(len(contexts) + 1))
+    cuts = owner.searchsorted(np.arange(count + 1))
     base = np.concatenate(([0], stop))[cuts]
     stop -= base[:-1].repeat(cuts[1:] - cuts[:-1])
-    table, cuts, base = np.array((alpha, mode, stop - counts, stop)), cuts.tolist(), base.tolist()
+    table = np.concatenate((alpha[None], mode, (stop - counts)[None], stop[None]))
+    cuts, base = cuts.tolist(), base.tolist()
     # read-only before slicing, so that every operator's views are: plans and
     # the dedupe of operators by identity rely on operators never changing
     for a in (x, z, c, table):
         a.setflags(write=False)
     return [NCDiffOp(theta, m, x[w0:w1], z[w0:w1], c[w0:w1], table[:, b0:b1])
-            for (theta, m), b0, b1, w0, w1 in zip(contexts, cuts, cuts[1:], base, base[1:])]
+            for b0, b1, w0, w1 in zip(cuts, cuts[1:], base, base[1:])]
 
 
 # -- plans --------------------------------------------------------------------
@@ -388,29 +365,29 @@ _PLANS, _PLANNING = OrderedDict(), threading.Lock()
 
 
 def _distinct(operands):
-    """The distinct operators of operands, by identity (an NCDiffOp hashes by
-    identity, and its arrays are read-only), and each operand's slot among
-    them."""
+    """(theta, m) of a pass over operands, its distinct operators by identity
+    (an NCDiffOp hashes by identity, and its arrays are read-only), and each
+    operand's slot among them.  A pass is over one torus and one fiber:
+    DimensionMismatch if the operands' differ."""
     ops = list(dict.fromkeys(operands))
+    theta, m = ops[0].theta, ops[0].m
+    for op in ops:
+        if op.m != m or op.theta is not theta and not theta.compatible(op.theta):
+            raise DimensionMismatch("a pass over operators of different tori or fibers")
     slot = {op: i for i, op in enumerate(ops)}
-    return ops, tuple(map(slot.__getitem__, operands))
+    return (theta, m), ops, tuple(map(slot.__getitem__, operands))
 
 
 def _planned(kind, ops, shape, build):
     """build(ops, shape), the plan of a `kind` pass over the distinct operands
     ops with the job shape `shape` (a tuple of slots), or the plan of an
-    earlier pass of the same key.  build also checks that the operands of
-    each job share a torus and fiber, which the key fixes.  The key is
-    content only: per operand its alpha and mode rows (whose length gives the
-    block count), its fiber and its torus, and per torus its n and entries (a
-    ThetaMatrix is read-only); the word counts are not in it."""
-    tori, key = {}, [kind, shape]
-    for op in ops:
-        if id(op.theta) not in tori:
-            tori[id(op.theta)] = len(tori)
-            key.append((op.theta.n, op.theta.entries.tobytes()))
-        key += (op.table[:2].tobytes(), op.m, tori[id(op.theta)])
-    key = tuple(key)
+    earlier pass of the same key.  The key is content only: the n and entries
+    of the pass's torus (a ThetaMatrix is read-only), its fiber, and per
+    operand its alpha and mode rows (whose length gives the block count); the
+    word counts are not in it."""
+    theta = ops[0].theta
+    key = (kind, shape, theta.n, theta.entries.tobytes(), ops[0].m,
+           *(op.table[:-2].tobytes() for op in ops))
     with _PLANNING:
         plan = _PLANS.get(key)
         if plan is not None:
@@ -431,13 +408,11 @@ def _products_plan(ops, shape):
     """The block-level layout of NCDiffOp.products over ops and the jobs
     (P slot, Q slot, s) of shape: per segment (a block pair's target), its
     block u of P and v of Q in the blocks of ops end to end, its row of the
-    weight table and its block of _collect; the table, those blocks, and q
-    of the largest fiber 2^q."""
-    for i, j, _ in shape:
-        ops[i]._check(ops[j])
-    nb = np.array([op.table.shape[1] for op in ops])
+    weight table and its block of _collect; the table and those blocks."""
+    theta, nb = ops[0].theta, np.array([op.table.shape[1] for op in ops])
     b0 = nb.cumsum() - nb
-    A, M = np.concatenate([op.table[:2] for op in ops], axis=1)
+    AM = np.concatenate([op.table[:-2] for op in ops], axis=1)
+    A, M = AM[0], AM[1:]
     # alpha groups, numbered in order within each operand
     G = np.zeros(len(A), dtype=np.intp)
     G[1:] = (A[1:] != A[:-1]).cumsum()
@@ -447,26 +422,20 @@ def _products_plan(ops, shape):
     u, v = u + b0[p][job], v + b0[q][job]
     order = np.lexsort((v, u, G[v], G[u], job))
     job, u, v = job[order], u[order], v[order]
-    # blocks of one (torus, alpha, mode) class share their pairs' weights
-    thetas = list({id(op.theta): op.theta for op in ops}.values())
-    T = np.array([thetas.index(op.theta) for op in ops]).repeat(nb)
-    cls, rep = _first_ids(T, A, M)
-    T, a, k = [thetas[t] for t in T[rep].tolist()], A[rep].tolist(), M[rep].tolist()
-    K, nc = [_modes(t.n)[1][m] for t, m in zip(T, k)], len(rep)
+    # blocks of one (alpha, mode) class share their pairs' weights
+    cls, rep = _first_ids(*AM)
+    a, K, nc = A[rep].tolist(), list(zip(*M[:, rep].tolist())), len(rep)
 
     def weigh(key):
         (r, j), i = divmod(key // nc, nc), key % nc
-        # phase is exactly 1 where either mode is 0 (mode id 0)
-        lam, mu = ((T[j].phase(K[j], K[i]), T[j].phase(K[i], K[j])) if k[j] and k[i]
-                   else (1 + 0j, 1 + 0j))
-        return _pair_weights(T[j].n, a[j], a[i], k[j], k[i], r - 1, lam, mu)
+        return _pair_weights(a[j], a[i], K[j], K[i], r - 1,
+                             theta.phase(K[j], K[i]), theta.phase(K[i], K[j]))
 
     # key ((s + 1) nc + class of P's block) nc + class of Q's block
-    seg, row, (target, mode, table) = _unfold((((s[job] + 1) * nc + cls[u]) * nc + cls[v],),
-                                              weigh, np.int64, np.int64, complex)
-    blocks, block = _number(job[seg], target[row], mode[row])
-    return (u[seg], v[seg], row, table.ravel(), *blocks, block,
-            max(op.m for op in ops).bit_length() - 1)
+    seg, row, (target, table) = _unfold((((s[job] + 1) * nc + cls[u]) * nc + cls[v],),
+                                        weigh, np.int64, complex)
+    blocks, block = _number(job[seg], target[row], M[:, u[seg]] + M[:, v[seg]])
+    return (u[seg], v[seg], row, table.ravel(), *blocks, block)
 
 
 def _adjoints_plan(ops, shape):
@@ -475,20 +444,18 @@ def _adjoints_plan(ops, shape):
     operands' blocks end to end, the star phase of k and the weight
     (-1)^|alpha| C(alpha, gamma) (-2 pi i k)^(alpha - gamma); the blocks of
     _collect and each target's block."""
-    ops = [ops[i] for i in shape]
+    theta, ops = ops[0].theta, [ops[i] for i in shape]
     owner = np.arange(len(ops)).repeat([op.table.shape[1] for op in ops])
-    alpha, mode = np.concatenate([op.table[:2] for op in ops], axis=1)
+    AM = np.concatenate([op.table[:-2] for op in ops], axis=1)
 
-    def weigh(o, a, kid):
-        theta = ops[o].theta
-        alpha, k = _alpha(a, theta.n), _modes(theta.n)[1][kid]
-        mk, mu = tuple(-v for v in k), theta.star_phase(k)
-        return tuple((_acode(gamma), _mode_id(theta.n, mk), mu, complex((-1) ** sum(alpha) * w))
+    def weigh(a, *k):
+        alpha, mk = _alpha(a, theta.n), tuple(-v for v in k)
+        mu = theta.star_phase(k)
+        return tuple((_acode(gamma), mu, complex((-1) ** sum(alpha) * w))
                      for gamma, w in _push_weights(alpha, (0,) * theta.n, mk))
 
-    seg, t, (alpha, mode, mu, w) = _unfold((owner, alpha, mode), weigh,
-                                           np.int64, np.int64, complex, complex)
-    blocks, block = _number(owner[seg], alpha[t], mode[t])
+    seg, t, (alpha, mu, w) = _unfold(tuple(AM), weigh, np.int64, complex, complex)
+    blocks, block = _number(owner[seg], alpha[t], -AM[1:, seg])
     return (seg, mu[t], w[t], *blocks, block)
 
 
@@ -510,8 +477,8 @@ class Term:
 class NCDiffOp:
     """Normal-ordered differential operator  sum_alpha M_alpha . del^alpha  on
     a fiber of m = 2^q: the words x, z (int64 masks) and c (complex128), and
-    the block table, an int64 array whose rows alpha, mode, start and stop
-    give per block of U^k in M_alpha its alpha code, mode id and words
+    the block table, an (n + 3) x blocks int64 array whose rows give per block
+    of U^k in M_alpha the alpha code, the n entries of k and the words
     start:stop.  The blocks tile the words in order, the blocks of one alpha
     are adjacent, and no word is below PRUNE_TOL.  The arrays are read-only."""
 
@@ -520,8 +487,9 @@ class NCDiffOp:
     def __init__(self, theta, m, x, z, c, table):
         self.theta, self.m, self.x, self.z, self.c, self.table = theta, m, x, z, c, table
 
-    # the rows of the block table, as views
-    alpha, mode, start, stop = (property(lambda op, i=i: op.table[i]) for i in range(4))
+    # views of the block table: mode is its (n, blocks) middle
+    alpha, mode, start, stop = (property(lambda op, i=i: op.table[i])
+                                for i in (0, slice(1, -2), -2, -1))
 
     # -- constructors -------------------------------------------------------
 
@@ -532,18 +500,20 @@ class NCDiffOp:
         nothing is summed.  For a list of such dicts, the list of their
         operators from one _tabulate."""
         _check_fiber(m)
-        jobs = terms if isinstance(terms, list) else [terms]
-        owners, codes, ids, lengths, words, cs = [], [], [], [], [], []
+        n, jobs = theta.n, terms if isinstance(terms, list) else [terms]
+        owners, codes, modes, lengths, words, cs = [], [], [], [], [], []
         for owner, job in enumerate(jobs):
             for alpha, blocks in job.items():
                 alpha = tuple(int(a) for a in alpha)
-                if len(alpha) != theta.n:
+                if len(alpha) != n:
                     raise ValueError(f"bad multi-index {alpha}")
                 code = _acode(alpha)
                 for k, block in blocks.items():
+                    if len(k) != n:
+                        raise DimensionMismatch(f"mode {k} is not in Z^{n}")
                     owners.append(owner)
                     codes.append(code)
-                    ids.append(_mode_id(theta.n, tuple(int(v) for v in k)))
+                    modes.append(k)
                     lengths.append(len(block))
                     words += block
                     cs += block.values()
@@ -551,8 +521,9 @@ class NCDiffOp:
         # nonzero for a negative mask and for one of more than q bits
         if ((x | z) >> m.bit_length() - 1).any():
             raise DimensionMismatch(f"a word outside the fiber of {m}")
-        ops = _tabulate([(theta, m)] * len(jobs), np.array(owners, dtype=np.intp),
-                        np.array(codes, dtype=np.int64), np.array(ids, dtype=np.intp),
+        ops = _tabulate(theta, m, len(jobs), np.array(owners, dtype=np.intp),
+                        np.array(codes, dtype=np.int64),
+                        np.array(modes, dtype=np.int64).reshape(-1, n).T,
                         np.arange(len(codes)).repeat(lengths), x, z, np.array(cs, dtype=complex))
         return ops if isinstance(terms, list) else ops[0]
 
@@ -609,8 +580,8 @@ class NCDiffOp:
 
     def _table(self):
         """(alpha, k, start, stop) of each block, as tuples."""
-        n, (_, modes) = self.theta.n, _modes(self.theta.n)
-        return [(_alpha(a, n), modes[k], s, e) for a, k, s, e in zip(*self.table.tolist())]
+        n, (a, *k, s, e) = self.theta.n, self.table.tolist()
+        return [(_alpha(c, n), kk, s0, e0) for c, kk, s0, e0 in zip(a, zip(*k), s, e)]
 
     @property
     def terms(self):
@@ -622,26 +593,21 @@ class NCDiffOp:
 
     # -- ring structure -----------------------------------------------------
 
-    def _check(self, other):
-        if self.m != other.m or not self.theta.compatible(other.theta):
-            raise DimensionMismatch("operators over incompatible contexts")
-
     @staticmethod
     def sums(jobs):
         """[z_1 P_1 + z_2 P_2 + ... for each job [(z_1, P_1), (z_2, P_2), ...]],
-        every job in one reduction, each over its P_1's torus and fiber.  A
-        job's words are summed in term order, as adding the scaled terms one
-        by one into a dict would."""
+        every job in one reduction, all over one torus and fiber.  A job's
+        words are summed in term order, as adding the scaled terms one by one
+        into a dict would."""
         terms = [(job, complex(a), op) for job, pairs in enumerate(jobs) for a, op in pairs]
-        for job, _, op in terms:
-            jobs[job][0][1]._check(op)
         ops = [op for _, _, op in terms]
+        (theta, m), *_ = _distinct(ops)
         _, length, x, z, c = _concat(ops)
-        alpha, mode = np.concatenate([op.table[:2] for op in ops], axis=1)
+        AM = np.concatenate([op.table[:-2] for op in ops], axis=1)
         a = np.array([a for _, a, _ in terms]).repeat([len(op.c) for op in ops])
-        return _reduce([(p[0][1].theta, p[0][1].m) for p in jobs],
+        return _reduce(theta, m, len(jobs),
                        np.repeat([job for job, _, _ in terms], [op.table.shape[1] for op in ops]),
-                       alpha, mode, np.arange(len(alpha)).repeat(length), x, z,
+                       AM[0], AM[1:], np.arange(AM.shape[1]).repeat(length), x, z,
                        a.real * c.real - a.imag * c.imag, a.real * c.imag + a.imag * c.real)
 
     def __add__(self, other):
@@ -666,22 +632,21 @@ class NCDiffOp:
         phases); a word pair adds (+-f +- g) c1 c2 under w1 ^ w2, signed by
         |z1 & x2| and |z2 & x1|, and nothing where that factor is 0.  The
         sums run in the order of job, alpha group of P, of Q, block of P, of
-        Q, target and word pair.  Jobs may differ in torus and fiber; each
-        result is over its P's.  The block pairs, weights and target blocks
-        are a plan (_products_plan), kept per alpha and mode rows, fiber and
-        torus of the distinct operands and (P, Q, s) of the jobs (_planned),
-        so a pass over new words in known blocks runs only the word pairs and
-        their reduction."""
+        Q, target and word pair.  All jobs are over one torus and fiber.  The
+        block pairs, weights and target blocks are a plan (_products_plan),
+        kept per torus, fiber, alpha and mode rows of the distinct operands
+        and (P, Q, s) of the jobs (_planned), so a pass over new words in
+        known blocks runs only the word pairs and their reduction."""
         if not jobs:
             return []
-        ops, slots = _distinct([op for P, Q, _ in jobs for op in (P, Q)])
-        u, v, row, table, *blocks, block, q = _planned(
+        (theta, m), ops, slots = _distinct([op for P, Q, _ in jobs for op in (P, Q)])
+        u, v, row, table, *blocks, block = _planned(
             "products", ops, tuple(zip(slots[::2], slots[1::2], (s for *_, s in jobs))),
             _products_plan)
         off, length, x, z, c = _concat(ops)
-        seg, x, z, re, im = _word_pairs(q, x, z, c, off[u], length[u], off[v], length[v],
-                                        row, table)
-        return _collect([(P.theta, P.m) for P, _, _ in jobs], blocks, block[seg], x, z, re, im)
+        seg, x, z, re, im = _word_pairs(m.bit_length() - 1, x, z, c, off[u], length[u],
+                                        off[v], length[v], row, table)
+        return _collect(theta, m, len(jobs), blocks, block[seg], x, z, re, im)
 
     def compose(self, other):
         """Normal-ordered product self . other."""
@@ -700,9 +665,10 @@ class NCDiffOp:
         and (M del^alpha)* =
         (-1)^|alpha| sum_{gamma <= alpha} C(alpha, gamma) (del^{alpha - gamma} M*) del^gamma.
         M* maps c X^x Z^z at U^k to star_phase(k) (X^x Z^z)^dagger at U^-k.
-        The targets and weights of each block are a plan (_adjoints_plan),
-        kept per alpha and mode rows and torus of the operands (_planned)."""
-        distinct, slots = _distinct(ops)
+        All are over one torus and fiber.  The targets and weights of each
+        block are a plan (_adjoints_plan), kept per torus, fiber, alpha and
+        mode rows of the operands (_planned)."""
+        (theta, m), distinct, slots = _distinct(ops)
         seg, mu, w, *blocks, block = _planned("adjoints", distinct, slots, _adjoints_plan)
         off, length, x, z, c = _concat(ops)
         # the words of every (block, gamma), run after run
@@ -710,10 +676,10 @@ class NCDiffOp:
         i = off[seg][run] + place
         x, z, c, mu, w = x[i], z[i], c[i], mu[run], w[run]
         # (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z
-        flip = 1.0 - 2.0 * _parity(max(P.m for P in ops))[x & z]
+        flip = 1.0 - 2.0 * _parity(m)[x & z]
         ar, ai = flip * c.real, -flip * c.imag
         tr, ti = mu.real * ar - mu.imag * ai, mu.real * ai + mu.imag * ar
-        return _collect([(P.theta, P.m) for P in ops], blocks, block[run], x, z,
+        return _collect(theta, m, len(ops), blocks, block[run], x, z,
                         w.real * tr - w.imag * ti, w.real * ti + w.imag * tr)
 
     def adjoint(self):

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import nckahler
-from nckahler import clifford, forms, holomorphic
+from nckahler import cli, clifford, forms, holomorphic, kahler
 from nckahler.cli import main
 from nckahler.holomorphic import grassmannian
 from nckahler.report import VerificationReport
@@ -140,6 +140,22 @@ class TestVerify:
         assert "operators" in obj
         (key, ops), = [(k, v) for k, v in obj["operators"].items()]
         assert "del" in ops and "delbar" in ops
+
+    def test_dump_ops_over_the_limit_refused_before_building(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a package was built")
+
+        # n = 4 dumps 3 matchings x 2 signs x 2 n 4^n entries: one byte over
+        monkeypatch.setattr(cli, "DUMP_MAX_BYTES", 3 * 2 * 2 * 4 * 4 ** 4 * cli.DUMP_ENTRY_BYTES - 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(kahler, "build_base", unreachable)
+            assert main(["verify", "--n", "4", "--dump-ops"]) == 2
+            # 105 matchings at n = 8: about 12 GB
+            assert main(["verify", "--n", "8", "--dump-ops"]) == 2
+        assert capsys.readouterr().err.count("--dump-ops needs") == 2
+        # one sign halves the dump
+        assert main(["verify", "--n", "4", "--dump-ops", "--eps-prime", "+1"]) == 0
+        capsys.readouterr()
 
 
 class TestForms:

@@ -747,7 +747,7 @@ class TestRealStructure:
                 if not any(k):
                     assert Db.table.shape[1] == 0
                     continue
-                assert Db.table[:2].tolist() == [[0], b.mode.tolist()]
+                assert Db.table[:-2].tolist() == [[0], *b.mode.tolist()]
                 assert block.tobytes() == Db._dense(0, len(Db.c)).tobytes()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])

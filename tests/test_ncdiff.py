@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby, product as iproduct
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 import pytest
@@ -333,7 +333,7 @@ class TestAgainstPerTermOracle:
 def loop_product(self, other, sign):
     """self . other + sign * other . self: the word-pair loop the batched kernel
     replaced, kept verbatim as the reference its sums must equal bit for bit."""
-    self._check(other)
+    ncdiff._distinct([self, other])
     theta, acc = self.theta, {}
     for (alpha, A), (beta, B) in iproduct(self.terms.items(), other.terms.items()):
         for (k, a), (kp, b) in iproduct(A.blocks.items(), B.blocks.items()):
@@ -369,7 +369,7 @@ def _accumulate(acc, idx, k, w, words):
 def dict_sum(self, other, sign):
     """self + sign * other, accumulated word by word: the dict walk the array
     reduction replaced, kept verbatim as the reference of its sums and order."""
-    self._check(other)
+    ncdiff._distinct([self, other])
     acc = {}
     for op, w in ((self, 1), (other, sign)):
         for alpha, M in op.terms.items():
@@ -428,29 +428,28 @@ def loop_products(jobs):
     the kernel's."""
     ops = list({id(op): op for P, Q, _ in jobs for op in (P, Q)}.values())
     bases = dict(zip(map(id, ops), np.cumsum([0] + [len(op.c) for op in ops]).tolist()))
+    (theta, m), *_ = ncdiff._distinct(ops)
 
     def groups(op):
-        blocks = zip(*op.table.tolist())
+        # (alpha code, mode, start, stop) of each block
+        blocks = zip(op.alpha.tolist(), zip(*op.mode.tolist()), op.start.tolist(),
+                     op.stop.tolist())
         return [(a, [(k, bases[id(op)] + s, e - s) for _, k, s, e in run])
                 for a, run in groupby(blocks, itemgetter(0))]
 
     segments, targets, table = [], [], []
     for job, (P, Q, s) in enumerate(jobs):
-        P._check(Q)
-        theta, modes = P.theta, ncdiff._modes(P.theta.n)[1]
         for (a, a_blocks), (b, b_blocks) in iproduct(groups(P), groups(Q)):
-            for (ka, a0, la), (kb, b0, lb) in iproduct(a_blocks, b_blocks):
-                k, kp = modes[ka], modes[kb]
-                for code, kk, f in ncdiff._pair_weights(theta.n, a, b, ka, kb, s,
-                                                        theta.phase(k, kp), theta.phase(kp, k)):
+            for (k, a0, la), (kp, b0, lb) in iproduct(a_blocks, b_blocks):
+                for code, f in ncdiff._pair_weights(a, b, k, kp, s,
+                                                    theta.phase(k, kp), theta.phase(kp, k)):
                     segments.append((a0, la, b0, lb, len(table) // 4))
-                    targets.append((job, code, kk))
+                    targets.append((job, code, *map(add, k, kp)))
                     table += f
-    contexts = [(P.theta, P.m) for P, _, _ in jobs]
     x, z, c = (np.concatenate([getattr(op, f) for op in ops]) for f in "xzc")
-    q = max(m for _, m in contexts).bit_length() - 1
-    return ncdiff._reduce(contexts, *np.array(targets, dtype=np.int64).reshape(-1, 3).T,
-                          *ncdiff._word_pairs(q, x, z, c,
+    targets = np.array(targets, dtype=np.int64).reshape(-1, theta.n + 2).T
+    return ncdiff._reduce(theta, m, len(jobs), targets[0], targets[1], targets[2:],
+                          *ncdiff._word_pairs(m.bit_length() - 1, x, z, c,
                                               *np.array(segments, dtype=np.int64).reshape(-1, 5).T,
                                               np.array(table, dtype=complex)))
 
@@ -503,16 +502,24 @@ class TestProducts:
             Q = next(op for op in ops[i + 1:] + ops[:i + 1] if op.m == P.m)
             assert_sums_match_dict_walk(P, Q)
 
-    def test_jobs_over_several_fibers_and_tori(self):
-        # key widths follow the largest fiber; each job keeps its own context
+    @pytest.mark.parametrize("n, m", [(4, 2), (2, 2), (2, 4)],
+                             ids=["torus-dimension", "torus-entries", "fiber"])
+    def test_pass_over_two_contexts_refused(self, n, m):
+        # a products, adjoints or sums pass is over one torus and one fiber;
+        # jobs that each match but differ from one another are refused before
+        # anything is planned
         rng = np.random.default_rng(66)
-        theta2, theta4 = ThetaMatrix.random(2, rng), ThetaMatrix.random(4, rng)
-        ops = [NCDiffOp.random(theta, m, rng, max_degree=1, radius=1)
-               for theta, m in ((theta2, 2), (theta2, 4), (theta4, 2))]
-        jobs = [(op, op, s) for op in ops for s in (0, -1, 1)]
-        for (A, B, s), op in zip(jobs, NCDiffOp.products(jobs)):
-            assert (op.theta, op.m) == (A.theta, A.m)
-            assert layout(op) == layout(loop_product(A, B, s))
+        theta = ThetaMatrix.random(2, rng)
+        other = theta if (n, m) == (2, 4) else ThetaMatrix.random(n, rng)
+        P = NCDiffOp.random(theta, 2, rng, max_degree=1, radius=1)
+        Q = NCDiffOp.random(other, m, rng, max_degree=1, radius=1)
+        clear_plans()
+        for run in (lambda: NCDiffOp.products([(P, P, 0), (Q, Q, -1)]),
+                    lambda: NCDiffOp.adjoints([P, Q]),
+                    lambda: NCDiffOp.sums([[(1, P), (2, P)], [(1, Q)]])):
+            with pytest.raises(DimensionMismatch, match="tori or fibers"):
+                run()
+        assert not ncdiff._PLANS
 
     def test_mismatched_job_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -597,7 +604,7 @@ class TestBlockPairLoop:
             for a, T in op.terms.items()}) for P, Q, _ in jobs for op in (P, Q)}
         other = [(cut[id(P)], cut[id(Q)], s) for P, Q, s in jobs]
         pairs = [(P, cut[id(P)]) for P, _, _ in jobs]
-        assert all(np.array_equal(P.table[:2], R.table[:2]) for P, R in pairs)
+        assert all(np.array_equal(P.table[:-2], R.table[:-2]) for P, R in pairs)
         assert any(not np.array_equal(P.table, R.table) for P, R in pairs)
         self.assert_plans([jobs, other], 1)
 
@@ -691,29 +698,6 @@ class TestPlans:
             sys.setswitchinterval(interval)
         assert all(g == dict(enumerate(want)) for g in got)
         assert len(ncdiff._PLANS) <= 4
-
-
-class TestModeIds:
-    def test_interned_once_across_threads(self):
-        # eight threads intern the same new modes at once, each from another
-        # start, switching often: all get one id per mode, naming that mode
-        modes = [(i, -i, 7, 11, 13) for i in range(2000)]
-
-        def intern(start):
-            order = modes[start:] + modes[:start]
-            return dict(zip(order, (ncdiff._mode_id(5, k) for k in order)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(8) as pool:
-                runs = [pool.submit(intern, 250 * t) for t in range(8)]
-                ids = [run.result(timeout=60) for run in runs]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(got == ids[0] for got in ids)
-        assert len(set(ids[0].values())) == len(modes)
-        assert all(ncdiff._modes(5)[1][i] == k for k, i in ids[0].items())
 
 
 class TestCodeRadix:
@@ -909,6 +893,17 @@ class TestListConstructors:
         other = TorusElement.one(ThetaMatrix.random(2, np.random.default_rng(44)))
         with pytest.raises(DimensionMismatch):
             NCDiffOp.mult([elems[0], other], 2)
+
+    @pytest.mark.parametrize("mode", [(1, 2), (1, 2, 0, 0, 0), ()], ids=["short", "long", "empty"])
+    def test_from_terms_refuses_a_mode_of_another_length(self, mode):
+        # a mode of length != n used to build an operator whose products
+        # truncated it
+        theta = ThetaMatrix.random(4, np.random.default_rng(45))
+        with pytest.raises(DimensionMismatch, match="not in Z"):
+            NCDiffOp.from_terms(theta, 2, {(0, 0, 0, 0): {mode: {(0, 0): 1 + 0j}}})
+        with pytest.raises(DimensionMismatch, match="not in Z"):
+            NCDiffOp.from_terms(theta, 2, [{}, {(1, 0, 0, 0): {(0,) * 4: {(0, 0): 1 + 0j},
+                                                              mode: {(0, 0): 1 + 0j}}}])
 
 
 class TestAdjoint:
