@@ -1,23 +1,22 @@
-"""Irreducible Clifford representations for even n.
+"""Irreducible Clifford representations for even n, as Pauli words.
 
 Gamma matrices satisfy gamma_j* = -gamma_j and {gamma_j, gamma_k} = -2 delta_jk,
 with grading sigma and two inequivalent charge conjugations J+- realized as
-C . (entrywise conjugation) for unitary matrices C.
+C . (entrywise conjugation) for unitary matrices C.  Every gamma_j, sigma and
+C+- is one Pauli word with a phase in {+-1, +-i} (see pauli), so every check
+here is an exact word identity; the matrices are dense views of the words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations_with_replacement
 
-import numpy as np
+from .pauli import dense_words, signs, word_product, word_sum
 
 MAX_N = 10
-# largest residuals the self-checks of build_gamma and charge_conjugation accept
-RELATIONS_TOL, CONJUGATION_TOL = 1e-12, 1e-10
-
-_S1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_S3 = np.array([[1, 0], [0, -1]], dtype=complex)
+_ONE = {(0, 0): 1 + 0j}
 
 # (eps, eps', eps'') per n mod 8 for the two charge conjugations of even
 # Clifford algebras.  J- differs from J+ by multiplication with the grading.
@@ -30,150 +29,147 @@ class CliffordError(ValueError):
 
 
 class SelfCheckError(RuntimeError):
-    """A constructed matrix failed its own relations check: an internal fault."""
+    """A constructed word failed its own relations check: an internal fault."""
+
+
+def _variant(variant):  # 0 for "plus", 1 for "minus"
+    if variant not in ("plus", "minus"):
+        raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
+    return int(variant == "minus")
 
 
 @dataclass
 class GammaRep:
+    """The representation on C^N, N = 2^(n/2): per gamma_j, sigma and C+- one
+    word sum {(x, z): phase}, the form NCDiffOp.from_terms takes; gammas, sigma,
+    conj_plus, conj_minus and conj_matrix are read-only dense views of them."""
+
     n: int
     N: int
-    gammas: list = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    conj_plus: np.ndarray = field(repr=False)
-    conj_minus: np.ndarray = field(repr=False)
+    gamma_words: list = field(repr=False)
+    sigma_words: dict = field(repr=False)
+    conj_plus_words: dict = field(default=None, repr=False)
+    conj_minus_words: dict = field(default=None, repr=False)
     signs_plus: tuple = (0, 0, 0)
     signs_minus: tuple = (0, 0, 0)
 
+    def _dense(self, words):
+        mat = dense_words(words, self.N)
+        mat.setflags(write=False)
+        return mat
+
+    gammas = property(lambda self: [self._dense(g) for g in self.gamma_words])
+    sigma = property(lambda self: self._dense(self.sigma_words))
+    conj_plus = property(lambda self: self.conj_matrix("plus"))
+    conj_minus = property(lambda self: self.conj_matrix("minus"))
+
+    def conj_words(self, variant):
+        return (self.conj_plus_words, self.conj_minus_words)[_variant(variant)]
+
     def conj_matrix(self, variant):
-        if variant == "plus":
-            return self.conj_plus
-        if variant == "minus":
-            return self.conj_minus
-        raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
+        return self._dense(self.conj_words(variant))
 
     def signs(self, variant):
-        if variant == "plus":
-            return self.signs_plus
-        if variant == "minus":
-            return self.signs_minus
-        raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
+        return (self.signs_plus, self.signs_minus)[_variant(variant)]
+
+
+def _max_entry(words):
+    """The largest |entry| of a word sum: per x, of sum_z c_z (-1)^{|z & i|}
+    over the masks i, which need no bit above the z's."""
+    m, rows = 1 << max((z for _, z in words), default=0).bit_length(), {}
+    for (x, z), c in words.items():
+        rows[x] = rows.get(x, 0) + c * signs(m)[z]
+    return max((float(abs(r).max()) for r in rows.values()), default=0.0)
+
+
+def _adjoint(words):
+    """(c X^x Z^z)* = conj(c) (-1)^{|x & z|} X^x Z^z."""
+    return {(x, z): c.conjugate() * (-1) ** (x & z).bit_count() for (x, z), c in words.items()}
 
 
 def _relations_residual(gammas, sigma):
-    """The relations' largest residual entry, over the stacked (n, N, N) gammas."""
-    G = np.array(gammas)
-    eye = np.eye(G.shape[1])
-    prods = G[:, None] @ G[None, :]
-    anti = prods + prods.transpose(1, 0, 2, 3) + 2.0 * np.eye(len(G))[:, :, None, None] * eye
-    return max(np.abs(G.conj().transpose(0, 2, 1) + G).max(), np.abs(anti).max(),
-               np.abs(sigma.conj().T - sigma).max(), np.abs(sigma @ sigma - eye).max(),
-               np.abs(sigma @ G + G @ sigma).max())
+    """The largest residual entry of gamma_j* = -gamma_j, {gamma_j, gamma_k} =
+    -2 delta_jk, sigma* = sigma, sigma^2 = 1 and {sigma, gamma_j} = 0 (words)."""
+    def anti(a, b, c=0.0):  # ab + ba + c 1
+        return word_sum((1, word_product(a, b)), (1, word_product(b, a)), (c, _ONE))
+    pairs = combinations_with_replacement(range(len(gammas)), 2)
+    return max(map(_max_entry, [word_sum((1, _adjoint(g)), (1, g)) for g in gammas]
+                   + [anti(gammas[j], gammas[k], 2.0 * (j == k)) for j, k in pairs]
+                   + [anti(sigma, g) for g in gammas]
+                   + [word_sum((1, _adjoint(sigma)), (-1, sigma)),
+                      word_sum((1, word_product(sigma, sigma)), (-1, _ONE))]))
 
 
 def relations_residual(rep):
-    return _relations_residual(rep.gammas, rep.sigma)
+    return _relations_residual(rep.gamma_words, rep.sigma_words)
+
+
+def _grading(gammas, n):
+    """gamma_1 ... gamma_n, and c = 1 (n/2 even) or -i (n/2 odd): sigma = it / c."""
+    return reduce(word_product, gammas, _ONE), 1.0 if (n // 2) % 2 == 0 else -1j
 
 
 def grading_product_check(rep):
-    """Residual of gamma_1 ... gamma_n = c sigma, c = 1 (n/2 even) or -i (n/2 odd)."""
-    prod = np.eye(rep.N, dtype=complex)
-    for g in rep.gammas:
-        prod = prod @ g
-    c = 1.0 if (rep.n // 2) % 2 == 0 else -1j
-    return float(np.abs(prod - c * rep.sigma).max())
-
-
-def _subset_products(gammas):
-    """Products gamma_S over all subsets S of {1..n}, in subset-bitmask order."""
-    n = len(gammas)
-    N = gammas[0].shape[0]
-    prods = [np.eye(N, dtype=complex)]
-    sizes = [0]
-    for mask in range(1, 2**n):
-        low = (mask & -mask).bit_length() - 1
-        prev = mask & (mask - 1)
-        prods.append(gammas[low] @ prods[prev] if prev else gammas[low].copy())
-        sizes.append(sizes[prev] + 1)
-    return prods, sizes
+    """Residual of gamma_1 ... gamma_n = c sigma."""
+    prod, c = _grading(rep.gamma_words, rep.n)
+    return _max_entry(word_sum((1, prod), (-c, rep.sigma_words)))
 
 
 def charge_conjugation(rep, variant):
-    """The unitary C with C conj(gamma_j) = eps' gamma_j C (and the sigma
-    constraint), returning (C, (eps, eps', eps'')).
-
-    Every gamma_j of `build_gamma` is real or purely imaginary, n/2 of each.
-    The product of the real ones satisfies the relations with
-    eps' = (-1)^(n/2 - 1), that of the imaginary ones with eps' = (-1)^(n/2),
-    so C is whichever product the variant's eps' asks for, phase-canonicalized.
-    All sign relations, including C conj(C) = eps I, are verified against the
-    n mod 8 table before returning.
-    """
-    if variant not in ("plus", "minus"):
-        raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
-    gammas, sigma, n = rep.gammas, rep.sigma, rep.n
-    table = SIGNS_PLUS if variant == "plus" else SIGNS_MINUS
-    eps, eps_p, eps_pp = table[n % 8]
-    N = gammas[0].shape[0]
-    use_real = eps_p == (-1) ** (n // 2 - 1)
-    C = np.eye(N, dtype=complex)
-    for g in gammas:
-        if (not np.any(g.imag)) == use_real:
-            C = C @ g
-    # canonical phase: first nonzero entry of the first nonzero column is real > 0
-    flat = C.T.reshape(-1)
-    z = flat[np.flatnonzero(np.abs(flat) > 1e-12)[0]]
-    C = C * (abs(z) / z)
-
-    res = max(np.abs(C @ np.conj(gammas) - eps_p * np.array(gammas) @ C).max(),
-              np.abs(C @ sigma.conj() - eps_pp * sigma @ C).max(),
-              np.abs(C @ C.conj() - eps * np.eye(N)).max(),
-              np.abs(C @ C.conj().T - np.eye(N)).max())
-    if res > CONJUGATION_TOL:
-        raise SelfCheckError(
-            f"charge conjugation failed for n={n} {variant}: residual {res:.3e} "
-            "(sign-table / representation mismatch)"
-        )
+    """(C, (eps, eps', eps'')), C the word with C conj(gamma_j) = eps' gamma_j C
+    (and the sigma constraint): of the gammas, n/2 real and n/2 imaginary,
+    the product of the real ones (eps' = (-1)^(n/2 - 1)) or of the imaginary
+    ones (eps' = (-1)^(n/2)), its phase (column 0's entry) made 1.  Every sign
+    relation, C conj(C) = eps I included, is checked against the n mod 8 table."""
+    eps, eps_p, eps_pp = (SIGNS_PLUS, SIGNS_MINUS)[_variant(variant)][rep.n % 8]
+    use_real = eps_p == (-1) ** (rep.n // 2 - 1)
+    ((word, _),) = reduce(word_product, [g for g in rep.gamma_words if (
+        not any(c.imag for c in g.values())) == use_real], _ONE).items()
+    C = {word: 1 + 0j}
+    # C conj(a) = e b, per (a, e, b)
+    identities = [(g, eps_p, word_product(g, C)) for g in rep.gamma_words]
+    identities += [(rep.sigma_words, eps_pp, word_product(rep.sigma_words, C)), (C, eps, _ONE)]
+    res = max(_max_entry(word_sum((1, word_product(C, {w: c.conjugate() for w, c in a.items()})),
+                                  (-e, b))) for a, e, b in identities)
+    if res:
+        raise SelfCheckError(f"charge conjugation failed for n={rep.n} {variant}: residual "
+                             f"{res:.3e} (sign-table / representation mismatch)")
     return C, (eps, eps_p, eps_pp)
 
 
 def build_gamma(n):
     """Construct a GammaRep for even n via the two-step tensor recursion.
 
-    The n=2 base case is the concrete pair gamma_1 = i sigma_x, gamma_2 = i sigma_y
-    with grading diag(1, -1); the grading for general n is the normalized product
-    gamma_1 ... gamma_n / c.
-    """
+    The n=2 base case is the pair gamma_1 = i sigma_x = i X, gamma_2 =
+    i sigma_y = -X Z with grading Z.  Each step appends a low qubit, Z on it
+    in kron(gamma, sigma_z), and kron(1, i sigma_x), kron(1, i sigma_y) on it;
+    the grading is the normalized product gamma_1 ... gamma_n / c."""
     if n % 2 != 0 or n < 2:
         raise CliffordError(f"n must be even and >= 2, got {n}")
     if n > MAX_N:
         raise CliffordError(f"n={n} exceeds supported ceiling {MAX_N}")
-    gammas = [1j * _S1, 1j * _S2]
-    while len(gammas) < n:
-        eye = np.eye(gammas[0].shape[0], dtype=complex)
-        gammas = [np.kron(g, _S3) for g in gammas] + [
-            np.kron(eye, 1j * _S1),
-            np.kron(eye, 1j * _S2),
-        ]
-    N = 2 ** (n // 2)
-    prod = np.eye(N, dtype=complex)
-    for g in gammas:
-        prod = prod @ g
-    c = 1.0 if (n // 2) % 2 == 0 else -1j
-    sigma = prod / c
-
+    gammas = []
+    for _ in range(n // 2):
+        gammas = [{(x << 1, z << 1 | 1): c for (x, z), c in g.items()} for g in gammas] + [
+            {(1, 0): 1j}, {(1, 1): -1 + 0j}]
+    prod, c = _grading(gammas, n)
+    # + 0j makes a zero part +0.0, as the Pauli transform of the dense view gives it
+    sigma = {w: v / c + 0j for w, v in prod.items()}
     res = _relations_residual(gammas, sigma)
-    if res > RELATIONS_TOL:
+    if res:
         raise SelfCheckError(f"gamma construction failed relations check: {res:.3e}")
-
-    rep = GammaRep(n=n, N=N, gammas=gammas, sigma=sigma,
-                   conj_plus=None, conj_minus=None)
-    rep.conj_plus, rep.signs_plus = charge_conjugation(rep, "plus")
-    rep.conj_minus, rep.signs_minus = charge_conjugation(rep, "minus")
+    rep = GammaRep(n=n, N=2 ** (n // 2), gamma_words=gammas, sigma_words=sigma)
+    rep.conj_plus_words, rep.signs_plus = charge_conjugation(rep, "plus")
+    rep.conj_minus_words, rep.signs_minus = charge_conjugation(rep, "minus")
     return rep
 
 
 def irreducibility_rank(rep):
-    """Dimension of the span of all gamma products; N^2 iff irreducible."""
-    prods, _ = _subset_products(rep.gammas)
-    stack = np.stack([p.reshape(-1) for p in prods])
-    return int(np.linalg.matrix_rank(stack, tol=1e-8))
+    """Dimension of the span of all gamma products; N^2 iff irreducible.  Each
+    product gamma_S is one word, its masks the XOR of its gammas', and distinct
+    words are linearly independent: this counts the distinct words."""
+    words = {(0, 0)}
+    for g in rep.gamma_words:
+        ((x, z),) = g
+        words |= {(a ^ x, b ^ z) for a, b in words}
+    return len(words)

@@ -35,8 +35,9 @@ from math import comb
 import numpy as np
 
 from .clifford import build_gamma
-from .kahler import check_eps, fiber_words, lifted_words
-from .ncdiff import NCDiffOp, word_sum
+from .kahler import check_eps, lifted_words
+from .ncdiff import NCDiffOp
+from .pauli import word_sum
 from .report import VerificationReport, resolve_tol
 from .torus import DimensionMismatch, ThetaMatrix
 
@@ -79,7 +80,7 @@ def build_form_matrices(n_or_rep, eps_prime=1):
     check_eps(eps_prime)
     rep = build_gamma(n_or_rep) if isinstance(n_or_rep, int) else n_or_rep
     n, half = rep.n, rep.n // 2
-    mu = [word_sum((0.5, a), (0.5j * eps_prime, b)) for a, b in lifted_words(fiber_words(rep))]
+    mu = [word_sum((0.5, a), (0.5j * eps_prime, b)) for a, b in lifted_words(rep)]
     pairs = [(mu[2 * j - 1], mu[2 * j - 2]) for j in range(1, half + 1)]
     words = (mu + [word_sum((0.5, a), (-0.5j, b)) for a, b in pairs]
              + [word_sum((0.5, a), (0.5j, b)) for a, b in pairs])

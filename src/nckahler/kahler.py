@@ -3,10 +3,9 @@ full N=(2,2) verification checklist on the noncommutative even torus.
 
 All operators act on A_Theta tensor C^{N^2} (fiber ordering: first tensor leg
 then second, as np.kron orders them), except the base Dirac operator which
-lives on C^N.  The builders write every fiber matrix as Pauli words: the
-words of the N x N gammas and sigma come from one Pauli transform each per
-base (fiber_words, kept in KahlerBase.words), and a kron of two legs
-concatenates their masks (word_kron): no N^2 x N^2 matrix is formed.
+lives on C^N.  The builders write every fiber matrix as Pauli words: they
+read the words of the gammas and sigma off the GammaRep, and a kron of two
+legs concatenates their masks (word_kron): no N^2 x N^2 matrix is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .clifford import GammaRep, build_gamma
-from .ncdiff import NCDiffOp, pauli_words, word_kron, word_product, word_sum
+from .ncdiff import NCDiffOp
+from .pauli import word_kron, word_product, word_sum
 from .report import Check, VerificationReport, resolve_tol
 from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
 
@@ -99,18 +99,11 @@ def check_eps(eps_prime):
     return eps_prime
 
 
-def fiber_words(rep):
-    """The Pauli words of each gamma_j and of sigma, and the qubit count q of
-    the C^N fiber (N = 2^q); a KahlerBase shares one call's words."""
-    return ([pauli_words(g) for g in rep.gammas], pauli_words(rep.sigma),
-            rep.N.bit_length() - 1)
-
-
-def lifted_words(words):
+def lifted_words(rep):
     """Per coordinate j, the C^{N^2} fiber words of DD and of DDbar / (-eps'):
-    kron(1, gamma_j) and kron(gamma_j, sigma)."""
-    gammas, sigma, q = words
-    return [(word_kron(_ONE, g, q), word_kron(g, sigma, q)) for g in gammas]
+    kron(1, gamma_j) and kron(gamma_j, sigma), each leg on q = n/2 qubits."""
+    q = rep.n // 2
+    return [(word_kron(_ONE, g, q), word_kron(g, rep.sigma_words, q)) for g in rep.gamma_words]
 
 
 def _unit(n, j):
@@ -123,18 +116,17 @@ def _lap_words(n):
     return {tuple(2 * a for a in _unit(n, j)): _ONE for j in range(1, n + 1)}
 
 
-def build_dirac(rep, theta, words=None):
+def build_dirac(rep, theta):
     """D = sum_j del_j tensor gamma_j on the C^N fiber."""
     if rep.n != theta.n:
         raise DimensionMismatch(f"rep n={rep.n} vs theta n={theta.n}")
-    gammas = words[0] if words else [pauli_words(g) for g in rep.gammas]
     return NCDiffOp.from_words(theta, rep.N, {_unit(rep.n, j): g
-                                              for j, g in enumerate(gammas, 1)})
+                                              for j, g in enumerate(rep.gamma_words, 1)})
 
 
 # What build_base builds; lifted[eps'] = (DDbar, d, d*, T_script) per eps'.
 KahlerBase = namedtuple("KahlerBase",
-                        "rep theta words D DD gamma_tilde hodge_star W lap mas lifted")
+                        "rep theta D DD gamma_tilde hodge_star W lap mas lifted")
 
 # The mult(a) samples of the checklist: draws of TorusElement.random(radius=1, terms=3).
 SAMPLES = 3
@@ -157,11 +149,10 @@ def build_base(theta, rep=None, eps_list=(1, -1)):
     from_terms, all but d and d* a second, and d, d* one sums."""
     eps_list = [check_eps(eps) for eps in eps_list]
     rep = build_gamma(theta.n) if rep is None else rep
-    words = fiber_words(rep)
-    D = build_dirac(rep, theta, words)
-    (gammas, sigma, q), zero = words, (0,) * theta.n
-    units, legs = [_unit(theta.n, j) for j in range(1, theta.n + 1)], lifted_words(words)
-    ts = [word_kron(g, word_product(g, sigma), q) for g in gammas]
+    D = build_dirac(rep, theta)
+    sigma, q, zero = rep.sigma_words, rep.n // 2, (0,) * theta.n
+    units, legs = [_unit(theta.n, j) for j in range(1, theta.n + 1)], lifted_words(rep)
+    ts = [word_kron(g, word_product(g, sigma), q) for g in rep.gamma_words]
     ops = [dict(zip(units, (a for a, _ in legs))), {zero: word_kron(sigma, sigma, q)},
            {zero: word_kron(_ONE, sigma, q)}, {zero: word_kron(sigma, _ONE, q)},
            _lap_words(theta.n)]
@@ -178,18 +169,17 @@ def build_base(theta, rep=None, eps_list=(1, -1)):
     ds = iter(NCDiffOp.sums([[(0.5, DD), (z, Dbar)] for Dbar in ops[::2] for z in (-0.5j, 0.5j)]))
     lifted = {eps: (DDbar, next(ds), next(ds), Ts)
               for eps, DDbar, Ts in zip(eps_list, ops[::2], ops[1::2])}
-    return KahlerBase(rep, theta, words, D, DD, gt, star, W, lap, mas, lifted)
+    return KahlerBase(rep, theta, D, DD, gt, star, W, lap, mas, lifted)
 
 
-def _I_words(matching, rep, words):
+def _I_words(matching, rep):
     """The words of the complex-structure generator of one matching,
 
         I = (1/2) sum_{(l,j) in pairs} [kron(1, gamma_l gamma_j)
                                         + kron(gamma_l gamma_j, 1)]."""
     if matching.two_k != rep.n:
         raise MatchingError(f"matching covers 1..{matching.two_k}, rep has n={rep.n}")
-    gammas, _, q = words
-    terms = []
+    gammas, q, terms = rep.gamma_words, rep.n // 2, []
     for (l, j) in matching.pairs:
         gg = word_product(gammas[l - 1], gammas[j - 1])
         terms += [(0.5, word_kron(_ONE, gg, q)), (0.5, word_kron(gg, _ONE, q))]
@@ -224,7 +214,7 @@ def _structures(base, matchings, eps_list):
     matching-major: every I from one from_terms, every d2 from one products."""
     zero = (0,) * base.theta.n
     Is = NCDiffOp.from_terms(base.theta, base.rep.N ** 2, [
-        {zero: {zero: _I_words(mt, base.rep, base.words)}} for mt in matchings])
+        {zero: {zero: _I_words(mt, base.rep)}} for mt in matchings])
     rows = [(mt, I, eps) for mt, I in zip(matchings, Is) for eps in eps_list]
     return [(*row, d2) for row, d2 in zip(rows, NCDiffOp.products(
         [(I, base.lifted[eps][1], -1) for _, I, eps in rows]))]
@@ -575,11 +565,11 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     return grid
 
 
-def verify_distinctness(theta, two_k, threshold=0.1, rep=None):
-    """True iff the d2 operators (eps' = +1) of all matchings are pairwise
-    well-separated; every d2 from one base (_structures)."""
-    base = build_base(theta, build_gamma(two_k) if rep is None else rep, [1])
-    ops = [d2 for *_, d2 in _structures(base, enumerate_matchings(two_k), [1])]
+def verify_distinctness(theta, threshold=0.1, rep=None):
+    """True iff the d2 operators (eps' = +1) of all matchings of 1..theta.n
+    are pairwise well-separated; every d2 from one base (_structures)."""
+    base = build_base(theta, rep, [1])
+    ops = [d2 for *_, d2 in _structures(base, enumerate_matchings(theta.n), [1])]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             if (ops[i] - ops[j]).residual_norm() <= threshold:

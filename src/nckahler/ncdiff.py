@@ -7,18 +7,15 @@ two operators agree on the dense smooth domain iff their normal forms agree
 coefficient by coefficient — identity checks here are exact, not box-truncated.
 
 Operator fibers have m = 2^q, and the block of U^k in M_alpha is a sum of
-Pauli words c X^x Z^z: the signed permutation |i> -> (-1)^{|z & i|} |i ^ x>
-of q-bit masks x, z.  Words multiply exactly by the symplectic rule
-
-    X^{x1} Z^{z1} . X^{x2} Z^{z2} = (-1)^{|z1 & x2|} X^{x1 ^ x2} Z^{z1 ^ z2},
-
-and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so products and adjoints never
-form an m x m block; dense blocks appear only in apply, residual_norm and
-to_json.  An NCDiffOp stores its words as flat arrays, the x/z/phase tableau
-of Aaronson and Gottesman (PRA 70, 2004), and its blocks as one integer
-table: per block the code of alpha, the n entries of the mode k, and the span
-start:stop of the block's words.  Tuples appear only at the edges: terms,
-from_terms, to_json, from_json and apply; an operator's arrays are read-only.
+Pauli words c X^x Z^z of q-bit masks x, z (see pauli).  Words multiply by
+the symplectic rule, and (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z, so
+products and adjoints never form an m x m block; dense blocks appear only in
+apply, residual_norm and to_json.  An NCDiffOp stores its words as flat
+arrays, the x/z/phase tableau of Aaronson and Gottesman (PRA 70, 2004), and
+its blocks as one integer table: per block the code of alpha, the n entries
+of the mode k, and the span start:stop of the block's words.  Tuples appear
+only at the edges: terms, from_terms, to_json, from_json and apply; an
+operator's arrays are read-only.
 
 The batch passes NCDiffOp.adjoints and products each split into a plan and
 a run, as an inspector-executor loop does (Saltz, Mirchandaney and Crowley,
@@ -52,6 +49,7 @@ from operator import add, itemgetter, lshift, sub
 
 import numpy as np
 
+from .pauli import check_fiber, dense_words, densify, parity, pauli_words
 from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix
 
 
@@ -72,86 +70,7 @@ def _push_weights(alpha, beta, kp):
     return tuple(out)
 
 
-# -- Pauli words --------------------------------------------------------------
-
-
-def _check_fiber(m):
-    if m < 1 or m & (m - 1):
-        raise DimensionMismatch(f"fiber {m} is not a power of two")
-
-
-@lru_cache(maxsize=None)
-def _parity(m):
-    """P[i] = |i| mod 2 for every mask i < m (read-only)."""
-    parity = np.array([i.bit_count() & 1 for i in range(m)], dtype=np.intp)
-    parity.setflags(write=False)
-    return parity
-
-
-@lru_cache(maxsize=None)
-def _signs(m):
-    """S[z, i] = (-1)^{|z & i|}: row z is the diagonal of Z^z (read-only)."""
-    idx = np.arange(m)
-    signs = 1.0 - 2.0 * _parity(m)[idx[:, None] & idx[None, :]]
-    signs.setflags(write=False)
-    return signs
-
-
-def pauli_words(mat):
-    """The Pauli transform {(x, z): c} of a 2^q x 2^q matrix M,
-    c(x, z) = (1/m) sum_i M[i ^ x, i] (-1)^{|z & i|}; zero words are dropped."""
-    mat = np.asarray(mat, dtype=complex)
-    m = mat.shape[0]
-    if mat.shape != (m, m):
-        raise DimensionMismatch(f"fiber matrix of shape {mat.shape} is not square")
-    _check_fiber(m)
-    idx = np.arange(m)
-    # row x holds the diagonal M[i ^ x, i] of the permutation X^x
-    coeffs = mat[idx[:, None] ^ idx[None, :], idx[None, :]] @ _signs(m) / m
-    return {(int(x), int(z)): complex(coeffs[x, z]) for x, z in zip(*np.nonzero(coeffs))}
-
-
-def _densify(x, z, c, m):
-    """The m x m matrix sum_w c_w X^x Z^z of the words (x, z, c), added in
-    order: entry M[i ^ x, i] gets c (-1)^{|z & i|}."""
-    out = np.zeros((m, m), dtype=complex)
-    idx = np.arange(m)
-    np.add.at(out, (x[:, None] ^ idx, idx), c[:, None] * _signs(m)[z])
-    return out
-
-
-def dense_words(words, m):
-    """The m x m matrix of the word sum {(x, z): c}."""
-    x, z = np.array(list(words), dtype=np.int64).reshape(-1, 2).T
-    return _densify(x, z, np.array(list(words.values()), dtype=complex), m)
-
-
-def word_product(a, b):
-    """The product of two word sums by the symplectic sign rule."""
-    out = {}
-    for (x1, z1), c1 in a.items():
-        for (x2, z2), c2 in b.items():
-            c = c1 * c2
-            if (z1 & x2).bit_count() & 1:
-                c = -c
-            word = (x1 ^ x2, z1 ^ z2)
-            out[word] = out[word] + c if word in out else c
-    return out
-
-
-def word_sum(*terms):
-    """sum_i c_i w_i over (c_i, word sum w_i), exact zeros dropped."""
-    out = {}
-    for c, words in terms:
-        for w, v in words.items():
-            out[w] = out.get(w, 0) + c * v
-    return {w: v for w, v in out.items() if v}
-
-
-def word_kron(a, b, q):
-    """kron(A, B) for B on q qubits: the masks concatenate, A's above B's."""
-    return {(x1 << q | x2, z1 << q | z2): c1 * c2
-            for (x1, z1), c1 in a.items() for (x2, z2), c2 in b.items()}
+# -- word action ---------------------------------------------------------------
 
 
 def _act(x, z, c, cols):
@@ -161,7 +80,7 @@ def _act(x, z, c, cols):
     complex products spelled out in real arithmetic."""
     idx = np.arange(cols.shape[1])
     xs = idx ^ np.array(list(dict.fromkeys(x.tolist())), dtype=np.int64)[:, None]
-    M, v = _densify(x, z, c, len(idx))[idx, xs], cols[:, xs]
+    M, v = densify(x, z, c, len(idx))[idx, xs], cols[:, xs]
     er, ei = M.real[None, :, :, None], M.imag[None, :, :, None]
     pr, pi = er * v.real - ei * v.imag, er * v.imag + ei * v.real
     out = np.zeros(cols.shape, dtype=complex)
@@ -269,8 +188,8 @@ def _word_pairs(q, x, z, c, a_off, a_len, b_off, b_len, row, table):
     low = (1 << q) - 1
     w = x << q | z
     w1, w2 = w[ia][k], w[j]
-    parity = _parity(1 << q)
-    t = table[(4 * row)[seg][k] + 2 * parity[w1 & (w2 >> q) & low] + parity[w2 & (w1 >> q) & low]]
+    par = parity(1 << q)
+    t = table[(4 * row)[seg][k] + 2 * par[w1 & (w2 >> q) & low] + par[w2 & (w1 >> q) & low]]
     nz = t != 0
     t, k, j, w = t[nz], k[nz], j[nz], (w1 ^ w2)[nz]
     i = ia[k]
@@ -499,7 +418,7 @@ class NCDiffOp:
         words below PRUNE_TOL; a dict holds each block and word once, so
         nothing is summed.  For a list of such dicts, the list of their
         operators from one _tabulate."""
-        _check_fiber(m)
+        check_fiber(m)
         n, jobs = theta.n, terms if isinstance(terms, list) else [terms]
         owners, codes, modes, lengths, words, cs = [], [], [], [], [], []
         for owner, job in enumerate(jobs):
@@ -676,7 +595,7 @@ class NCDiffOp:
         i = off[seg][run] + place
         x, z, c, mu, w = x[i], z[i], c[i], mu[run], w[run]
         # (X^x Z^z)^dagger = (-1)^{|x & z|} X^x Z^z
-        flip = 1.0 - 2.0 * _parity(m)[x & z]
+        flip = 1.0 - 2.0 * parity(m)[x & z]
         ar, ai = flip * c.real, -flip * c.imag
         tr, ti = mu.real * ar - mu.imag * ai, mu.real * ai + mu.imag * ar
         return _collect(theta, m, len(ops), blocks, block[run], x, z,
@@ -710,7 +629,7 @@ class NCDiffOp:
         return TorusMatrix(self.theta, v.shape, out)
 
     def _dense(self, s, e):
-        return _densify(self.x[s:e], self.z[s:e], self.c[s:e], self.m)
+        return densify(self.x[s:e], self.z[s:e], self.c[s:e], self.m)
 
     def residual_norm(self):
         """Max magnitude over all terms, modes and dense fiber entries; zero iff

@@ -22,16 +22,14 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .pauli import DimensionMismatch
+
 # Blocks whose entries are all below PRUNE_TOL are dropped; is_zero and
 # close_to compare against EQ_TOL unless given a tol.
 PRUNE_TOL = 1e-14
 EQ_TOL = 1e-9
 
 TWO_PI_I = 2j * np.pi
-
-
-class DimensionMismatch(ValueError):
-    """Operands live over incompatible torus contexts."""
 
 
 class ThetaMatrix:

@@ -151,7 +151,7 @@ def test_criterion_05_matching_counts():
     wanted = [math.prod(range(k - 1, 0, -2)) for k in (2, 4, 6, 8)]
     g = grid()
     distinct = all(
-        verify_distinctness(g["thetas"][k][0], k, rep=g["reps"][k])
+        verify_distinctness(g["thetas"][k][0], rep=g["reps"][k])
         for k in (4, 6))
     emit(5, "matching counts 1,3,15,105 and pairwise-distinct d2",
          counts == [1, 3, 15, 105] and counts == wanted and distinct,

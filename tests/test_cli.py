@@ -62,6 +62,14 @@ class TestClifford:
         assert obj["relations_residual"] < 1e-12
         assert obj["signs_plus"] == [-1, 1, 1]
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_exact_up_to_n10(self, capsys, n):
+        assert main(["clifford", "--n", str(n)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["relations_residual"] == 0.0 and obj["grading_residual"] == 0.0
+        assert obj["signs_plus"] == list(clifford.SIGNS_PLUS[n % 8])
+        assert obj["signs_minus"] == list(clifford.SIGNS_MINUS[n % 8])
+
 
 class TestEnumerate:
     def test_count_n6(self, capsys):

@@ -1,5 +1,7 @@
 """Gamma matrices, grading, and charge conjugations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,53 @@ from nckahler.clifford import (
     irreducibility_rank,
     relations_residual,
 )
+from nckahler.pauli import pauli_words
+
+DIMS = [2, 4, 6, 8, 10]
+
+
+def dense_relations_residual(gammas, sigma):
+    """Oracle: the relations' largest residual entry over the stacked
+    (n, N, N) dense gammas."""
+    G = np.array(gammas)
+    eye = np.eye(G.shape[1])
+    prods = G[:, None] @ G[None, :]
+    anti = prods + prods.transpose(1, 0, 2, 3) + 2.0 * np.eye(len(G))[:, :, None, None] * eye
+    return max(np.abs(G.conj().transpose(0, 2, 1) + G).max(), np.abs(anti).max(),
+               np.abs(sigma.conj().T - sigma).max(), np.abs(sigma @ sigma - eye).max(),
+               np.abs(sigma @ G + G @ sigma).max())
+
+
+def dense_grading_residual(gammas, sigma, n):
+    """Oracle: |gamma_1 ... gamma_n - c sigma|, c = 1 (n/2 even) or -i (n/2 odd)."""
+    prod = np.eye(len(sigma), dtype=complex)
+    for g in gammas:
+        prod = prod @ g
+    c = 1.0 if (n // 2) % 2 == 0 else -1j
+    return float(np.abs(prod - c * sigma).max())
+
+
+def dense_rank(gammas):
+    """Oracle: the rank of the 2^n dense subset products gamma_S."""
+    prods = [np.eye(len(gammas[0]), dtype=complex)]
+    for g in gammas:
+        prods += [p @ g for p in prods]
+    return int(np.linalg.matrix_rank(np.stack([p.reshape(-1) for p in prods]), tol=1e-8))
+
+
+def duplicated(rep):
+    """rep with gamma_2 := gamma_1."""
+    g = rep.gamma_words
+    return dataclasses.replace(rep, gamma_words=[g[0], g[0]] + g[2:])
+
+
+def residuals(rep):
+    return relations_residual(rep), grading_product_check(rep)
+
+
+def oracle_residuals(rep):
+    gammas, sigma = rep.gammas, rep.sigma
+    return dense_relations_residual(gammas, sigma), dense_grading_residual(gammas, sigma, rep.n)
 
 
 class TestBuildGamma:
@@ -25,11 +74,11 @@ class TestBuildGamma:
         assert np.array_equal(rep.gammas[1], g2)
         assert np.array_equal(rep.sigma, sigma)
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n", DIMS)
     def test_relations(self, n):
         rep = build_gamma(n)
         assert rep.N == 2 ** (n // 2)
-        assert relations_residual(rep) < 1e-12
+        assert relations_residual(rep) == 0.0
 
     def test_n4_anticommutators(self):
         rep = build_gamma(4)
@@ -53,20 +102,48 @@ class TestBuildGamma:
             build_gamma(12)
 
 
+class TestWords:
+    @pytest.mark.parametrize("n", DIMS)
+    def test_words_are_the_transforms_of_the_views(self, n):
+        # every generator is one word, and equals the Pauli transform of its
+        # dense view repr for repr: zero parts are +0.0, as in (-1+0j)
+        rep = build_gamma(n)
+        pairs = list(zip(rep.gamma_words, rep.gammas)) + [
+            (rep.sigma_words, rep.sigma), (rep.conj_plus_words, rep.conj_plus),
+            (rep.conj_minus_words, rep.conj_minus)]
+        for words, dense in pairs:
+            assert len(words) == 1
+            assert repr(words) == repr(pauli_words(dense))
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_residuals_equal_dense_oracle(self, n):
+        rep = build_gamma(n)
+        assert residuals(rep) == oracle_residuals(rep) == (0.0, 0.0)
+        dup = duplicated(rep)
+        assert residuals(dup) == oracle_residuals(dup)
+
+    def test_views_are_read_only(self):
+        rep = build_gamma(4)
+        for mat in rep.gammas + [rep.sigma, rep.conj_plus, rep.conj_matrix("minus")]:
+            with pytest.raises(ValueError):
+                mat[0, 0] = 0
+
+
 class TestGrading:
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n", DIMS)
     def test_product_normalization(self, n):
-        assert grading_product_check(build_gamma(n)) < 1e-12
+        assert grading_product_check(build_gamma(n)) == 0.0
 
     def test_sign_flip_sanity(self):
         rep = build_gamma(4)
-        rep.gammas[0] = -rep.gammas[0]
+        rep.gamma_words[0] = {w: -c for w, c in rep.gamma_words[0].items()}
         # flipping one factor flips the product: residual becomes maximal
-        assert abs(grading_product_check(rep) - 2.0) < 1e-12
+        assert grading_product_check(rep) == 2.0
+        assert residuals(rep) == oracle_residuals(rep)
 
 
 class TestChargeConjugation:
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", DIMS)
     def test_sign_tables(self, n):
         rep = build_gamma(n)
         assert rep.signs_plus == SIGNS_PLUS[n % 8]
@@ -94,23 +171,46 @@ class TestChargeConjugation:
         assert np.abs(C @ C.conj() - eps * np.eye(rep.N)).max() < 1e-10
         assert np.abs(C @ C.conj().T - np.eye(rep.N)).max() < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("n", DIMS)
     def test_entries_exact(self, n):
         # C is a product of gammas: a monomial matrix with unit entries, no noise
         rep = build_gamma(n)
         for C in (rep.conj_plus, rep.conj_minus):
             assert set(np.unique(C).tolist()) <= {0, 1, -1, 1j, -1j}
 
+    @pytest.mark.parametrize("n", DIMS)
+    def test_canonical_phase(self, n):
+        # column 0 of a word holds its phase, made 1
+        rep = build_gamma(n)
+        for variant in ("plus", "minus"):
+            assert list(rep.conj_words(variant).values()) == [1 + 0j]
+            C, signs = charge_conjugation(rep, variant)
+            assert C == rep.conj_words(variant) and signs == rep.signs(variant)
+
     def test_unknown_variant_rejected(self):
         rep = build_gamma(2)
-        for lookup in (rep.signs, rep.conj_matrix,
+        for lookup in (rep.signs, rep.conj_matrix, rep.conj_words,
                        lambda v: charge_conjugation(rep, v)):
             with pytest.raises(ValueError):
                 lookup("bogus")
 
 
 class TestIrreducibility:
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", DIMS)
     def test_products_span_full_algebra(self, n):
         rep = build_gamma(n)
         assert irreducibility_rank(rep) == rep.N**2
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_count_equals_dense_rank(self, n):
+        rep = build_gamma(n)
+        for r in (rep, duplicated(rep)):
+            assert irreducibility_rank(r) == dense_rank(r.gammas)
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_duplicated_gamma_fails(self, n):
+        # gamma_2 := gamma_1 halves the distinct products, and breaks
+        # {gamma_1, gamma_2} = 0 by 2: the relations self-check fails
+        dup = duplicated(build_gamma(n))
+        assert irreducibility_rank(dup) == dup.N**2 // 2
+        assert relations_residual(dup) == 2.0

@@ -17,7 +17,8 @@ from nckahler.forms import (
 )
 from nckahler.holomorphic import delta
 from nckahler.kahler import Matching, build_kahler_package
-from nckahler.ncdiff import NCDiffOp, word_product, word_sum
+from nckahler.ncdiff import NCDiffOp
+from nckahler.pauli import word_product, word_sum
 from nckahler.torus import DimensionMismatch, ThetaMatrix, TorusElement, TorusMatrix
 from test_ncdiff import scalar_element
 

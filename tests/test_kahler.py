@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from nckahler import kahler
+from nckahler import clifford, forms, kahler, ncdiff, pauli
 from nckahler.clifford import build_gamma
 from nckahler.forms import build_form_matrices
 from nckahler.kahler import (
@@ -80,7 +80,7 @@ class TestDirac:
 
     def test_anticommutes_with_grading(self):
         D = build_dirac(REP4, THETA4)
-        S = NCDiffOp.constant(THETA4, REP4.sigma)
+        S = NCDiffOp.from_words(THETA4, REP4.N, {(0,) * 4: REP4.sigma_words})
         assert D.anticommutator(S).residual_norm() < 1e-12
 
 
@@ -403,39 +403,29 @@ class TestWordBuilders:
                         assert np.abs(blocks[zero] - want[alpha]).max() == 0.0, (name, alpha)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_one_transform_per_package(self, n, monkeypatch):
-        # the gammas and sigma are transformed once and shared by all builders
+    def test_builders_make_no_transform(self, n, monkeypatch):
+        # every builder reads the GammaRep's words: from the representation
+        # to the grid, the real structure's D and the forms, no Pauli transform
         calls = []
-        transform = kahler.pauli_words
+        transform = pauli.pauli_words
 
         def counting(mat):
             calls.append(1)
             return transform(mat)
 
-        monkeypatch.setattr(kahler, "pauli_words", counting)
-        theta = ThetaMatrix.random(n, np.random.default_rng(n))
-        build_kahler_package(theta, rep=build_gamma(n))
-        assert len(calls) == n + 1
-
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_transforms_per_grid_matching(self, n, monkeypatch):
-        # two packages, then sigma alone for the pm intertwiner; the real
-        # structure's Dirac operator transforms the gammas alone
-        calls = []
-        transform = kahler.pauli_words
-
-        def counting(mat):
-            calls.append(1)
-            return transform(mat)
-
-        monkeypatch.setattr(kahler, "pauli_words", counting)
+        for module in (pauli, ncdiff, clifford, kahler, forms):
+            if hasattr(module, "pauli_words"):
+                monkeypatch.setattr(module, "pauli_words", counting)
         theta = ThetaMatrix.random(n, np.random.default_rng(n))
         rep = build_gamma(n)
+        kahler.build_base(theta, rep)
         verify_grid(theta, enumerate_matchings(n)[:1], (1, -1), rep=rep)
-        assert len(calls) <= 2 * (n + 1) + 1
-        calls.clear()
-        kahler.build_dirac(rep, theta)
-        assert len(calls) == n
+        build_dirac(rep, theta)
+        build_form_matrices(rep)
+        assert calls == []
+        # the counter is live: a constant from a dense matrix is transformed
+        NCDiffOp.constant(theta, np.eye(rep.N))
+        assert calls == [1]
 
     def test_n8_grid_exact(self):
         theta = ThetaMatrix.random(8, np.random.default_rng(8))
@@ -567,10 +557,10 @@ class TestVerifyGrid:
 
 class TestDistinctness:
     def test_2k_2_vacuous(self):
-        assert verify_distinctness(THETA2, 2, rep=REP2)
+        assert verify_distinctness(THETA2, rep=REP2)
 
     def test_2k_4(self):
-        assert verify_distinctness(THETA4, 4, rep=REP4)
+        assert verify_distinctness(THETA4, rep=REP4)
 
 
 def oracle_box_sample(n, radius, rng, count):
@@ -690,7 +680,7 @@ class TestRealStructure:
     def test_wrong_conjugation_fails(self):
         # J_- paired with the signs of J_+ breaks J D = eps' D J (residual 53.3)
         theta = ThetaMatrix.random(4, np.random.default_rng(7))
-        bad = dataclasses.replace(REP4, conj_plus=REP4.conj_minus)
+        bad = dataclasses.replace(REP4, conj_plus_words=REP4.conj_minus_words)
         rp = verify_real_structure(theta, rep=bad, variant="plus")
         assert [c.name for c in rp.failures()] == ["J D = eps' D J"]
         assert rp.failures()[0].residual > 50
@@ -810,8 +800,8 @@ class TestRealStructure:
         # comes back
         build = kahler.build_dirac
 
-        def extended(rep, theta, words=None):
-            return build(rep, theta, words) + NCDiffOp.from_terms(
+        def extended(rep, theta):
+            return build(rep, theta) + NCDiffOp.from_terms(
                 theta, rep.N, {alpha: {mode: {(1, 0): 0.5 + 0j}}})
 
         monkeypatch.setattr(kahler, "build_dirac", extended)
@@ -824,8 +814,8 @@ class TestRealStructure:
         # [D, b] is read from D's blocks
         build = kahler.build_dirac
 
-        def extended(rep, theta, words=None):
-            return build(rep, theta, words) + NCDiffOp.from_words(
+        def extended(rep, theta):
+            return build(rep, theta) + NCDiffOp.from_words(
                 theta, rep.N, {(2, 0, 0, 0): {(1, 0): 0.5 + 0j}})
 
         monkeypatch.setattr(kahler, "build_dirac", extended)
@@ -845,8 +835,8 @@ class TestRealStructure:
         # i gamma_1 breaks J D = eps' D J in its del_1 part by 2 * 2 pi |k_1|
         # at each stacked mode k, most at the corners k_1 = +-3; no D enters
         # [J a J*, b]
-        g = list(REP4.gammas)
-        bad = dataclasses.replace(REP4, gammas=[1j * g[0]] + g[1:])
+        g = REP4.gamma_words
+        bad = dataclasses.replace(REP4, gamma_words=[{w: 1j * c for w, c in g[0].items()}] + g[1:])
         rp = verify_real_structure(THETA4, rep=bad, variant="plus")
         jd, zero, _ = rp.checks
         assert not jd.passed and jd.residual == pytest.approx(12 * np.pi)

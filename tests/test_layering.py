@@ -59,9 +59,10 @@ def nckahler_imports(path):
 
 
 # module: the nckahler modules it may import (cli and __init__ are the top)
-LAYERS = {"torus": set(), "clifford": set(), "report": set(), "ncdiff": {"torus"},
-          "holomorphic": {"torus"}, "kahler": {"clifford", "ncdiff", "report", "torus"},
-          "forms": {"clifford", "kahler", "ncdiff", "report", "torus"}}
+LAYERS = {"pauli": set(), "torus": {"pauli"}, "clifford": {"pauli"}, "report": set(),
+          "ncdiff": {"pauli", "torus"}, "holomorphic": {"torus"},
+          "kahler": {"clifford", "ncdiff", "pauli", "report", "torus"},
+          "forms": {"clifford", "kahler", "ncdiff", "pauli", "report", "torus"}}
 
 
 def test_modules_found():

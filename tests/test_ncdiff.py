@@ -22,15 +22,8 @@ from nckahler.kahler import (
     verify_grid,
     verify_n22,
 )
-from nckahler.ncdiff import (
-    NCDiffOp,
-    _densify,
-    _deriv_factor,
-    _push_weights,
-    dense_words,
-    pauli_words,
-    word_product,
-)
+from nckahler.ncdiff import NCDiffOp, _deriv_factor, _push_weights
+from nckahler.pauli import dense_words, densify, pauli_words, word_product
 from nckahler.torus import PRUNE_TOL, DimensionMismatch, ThetaMatrix, TorusElement, TorusMatrix
 
 RNG = np.random.default_rng(100)
@@ -115,7 +108,7 @@ def loop_act(x, z, c, cols):
     appearance, with the complex products spelled out in real arithmetic."""
     idx = np.arange(cols.shape[1])
     xs = idx ^ np.array(list(dict.fromkeys(x.tolist())), dtype=np.int64)[:, None]
-    M, v = _densify(x, z, c, len(idx))[idx, xs], cols[:, xs]
+    M, v = densify(x, z, c, len(idx))[idx, xs], cols[:, xs]
     er, ei = M.real[None, :, :, None], M.imag[None, :, :, None]
     pr, pi = er * v.real - ei * v.imag, er * v.imag + ei * v.real
     out = np.zeros(cols.shape, dtype=complex)
