@@ -402,10 +402,8 @@ class TestWordBuilders:
                         assert set(blocks) == {zero}, name
                         assert np.abs(blocks[zero] - want[alpha]).max() == 0.0, (name, alpha)
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_builders_make_no_transform(self, n, monkeypatch):
-        # every builder reads the GammaRep's words: from the representation
-        # to the grid, the real structure's D and the forms, no Pauli transform
+    @staticmethod
+    def count_transforms(monkeypatch):
         calls = []
         transform = pauli.pauli_words
 
@@ -416,16 +414,33 @@ class TestWordBuilders:
         for module in (pauli, ncdiff, clifford, kahler, forms):
             if hasattr(module, "pauli_words"):
                 monkeypatch.setattr(module, "pauli_words", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_one_transform_per_package(self, n, monkeypatch):
+        # the package reads the GammaRep's words: building the representation,
+        # the base, a package and the forms makes no Pauli transform at all
+        calls = self.count_transforms(monkeypatch)
         theta = ThetaMatrix.random(n, np.random.default_rng(n))
         rep = build_gamma(n)
         kahler.build_base(theta, rep)
-        verify_grid(theta, enumerate_matchings(n)[:1], (1, -1), rep=rep)
-        build_dirac(rep, theta)
+        build_kahler_package(theta, rep=rep)
         build_form_matrices(rep)
         assert calls == []
         # the counter is live: a constant from a dense matrix is transformed
         NCDiffOp.constant(theta, np.eye(rep.N))
         assert calls == [1]
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_transforms_per_grid_matching(self, n, monkeypatch):
+        # two packages and the pm intertwiner per matching, then the real
+        # structure's Dirac operator: none of them transforms a matrix
+        calls = self.count_transforms(monkeypatch)
+        theta = ThetaMatrix.random(n, np.random.default_rng(n))
+        rep = build_gamma(n)
+        verify_grid(theta, enumerate_matchings(n)[:1], (1, -1), rep=rep)
+        build_dirac(rep, theta)
+        assert calls == []
 
     def test_n8_grid_exact(self):
         theta = ThetaMatrix.random(8, np.random.default_rng(8))
