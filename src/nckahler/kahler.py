@@ -14,7 +14,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, groupby
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -439,86 +438,68 @@ def _dirac(D):
     return lambda K, b: sum(_mul(g, TWO_PI_I * K[:, j, None, None] * b) for j, g in zip(axis, gammas))
 
 
-def verify_real_structure(theta, rep=None, variant="plus", tol=None, rng=None,
-                          radius=3, samples=20):
+def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     """The real-structure conditions for J = (a -> a*) tensor J_N on the C^N
-    fiber: J D = eps' D J on the monomial basis vectors e_i U^k of 12 modes k
-    of the box [-radius, radius]^n, plus the zero- and first-order conditions
-    [JaJ*, b] = [JaJ*, [D, b]] = 0 on `samples` (>= 1) monomial pairs.
+    fiber, checked exactly on the generators U_1 ... U_n: J D = eps' D J on
+    the basis vectors e_i U^k of the n modes k = e_1 ... e_n, and the zero-
+    and first-order conditions [JaJ*, b] = [JaJ*, [D, b]] = 0 on the n^2
+    pairs (a, b) = (U_i, U_j).
 
-    Every operand is one (N, N) block at one mode, so the modes and samples
-    run as (count, N, N) stacks.  D (n degree-1 blocks at mode 0) acts as its
-    dense fiber matrices (_dirac), and [D, b] = sum_j del_j(b) gamma_j is, for
-    b = U^mb, one degree-0 block: D's action on the identity at mb.  Every
-    block acted on is a phase times a monomial matrix (I, C, or C conj(C) =
-    eps I), so each entry of M b is a single product, and real matmuls give
-    the word-by-word action's bits."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    Why the generators suffice: on U^k tensor v the J D defect is
+    -2 pi i mu(k) U^-k tensor sum_j k_j (C conj(gamma_j) - eps' gamma_j C) conj(v),
+    linear in k times a unit phase, so it vanishes for every k iff it does at
+    the e_j.  a -> J a J* is multiplicative and commutants are subalgebras
+    (holding the inverses of their units), so the zero-order condition on
+    generator pairs gives it for all a, b.  Given that, [D, .] is a
+    derivation, so the b with [JaJ*, [D, b]] = 0 form a subalgebra for
+    fixed a, and so do the a for fixed b.  Continuity extends both to A^inf.
+
+    Every operand is one (N, N) block at one mode, so the modes and pairs run
+    as (count, N, N) stacks.  D (n degree-1 blocks at mode 0) acts as its
+    dense fiber matrices (_dirac), and [D, U_j] = 2 pi i gamma_j U_j is D's
+    action on the identity at e_j.  Every block acted on is a phase times a
+    monomial matrix (I, C, or C conj(C) = eps I), so each entry of M b is a
+    single product, and real matmuls give the word-by-word action's bits."""
     tol = resolve_tol(tol)
-    rng = np.random.default_rng(11) if rng is None else rng
     rep = build_gamma(theta.n) if rep is None else rep
     rp = VerificationReport(tol=tol)
     rp.meta = {"n": theta.n, "variant": variant}
     C = rep.conj_matrix(variant)
     eps, eps_p, _ = rep.signs(variant)
     dirac = _dirac(build_dirac(rep, theta))
-    N, eye = rep.N, np.eye(rep.N, dtype=complex)
-    Ce = C @ eye.conj()
-    modes = _box_sample(theta.n, radius, rng, 12)
+    n, eye = theta.n, np.eye(rep.N, dtype=complex)
+    Ce, E = C @ eye.conj(), np.eye(n, dtype=np.int64)
 
-    # per sample, ma is drawn before mb
-    ma, mb = zip(*[[tuple(int(x) for x in rng.integers(-2, 3, size=theta.n)) for _ in range(2)]
-                   for _ in range(samples)])
-    nma = [tuple(-x for x in k) for k in ma]
-    sa, sb, pab, sab, pba = [np.array(p)[:, None, None] for p in zip(*(
-        (theta.star_phase(a), theta.star_phase(b), theta.phase(a, tuple(-x for x in b)),
-         theta.star_phase(tuple(x - y for x, y in zip(a, b))), theta.phase(b, na))
-        for a, b, na in zip(ma, mb, nma)))]
+    # each distinct phase once: mu(e_i), lambda(e_i, -e_j) and mu(e_i - e_j);
+    # pair (i, j) is row i * n + j, and lambda(e_j, -e_i) is the transpose
+    mu = np.array([theta.star_phase(e) for e in E])[:, None, None]
+    lam = np.array([[theta.phase(a, -b) for b in E] for a in E])
+    mud = np.array([[theta.star_phase(a - b) for b in E] for a in E])
+    i, j = np.divmod(np.arange(n * n), n)
+    pab, sab, pba = (p[:, None, None] for p in (lam[i, j], mud[i, j], lam[j, i]))
 
-    def JaJstar(Cb, s):
-        # J a J* (b U^mb) per sample s, from Cb = C conj(b): J b U^k = star_phase(k)
-        # C conj(b) U^-k, U^ma b U^k = phase(ma, k) b U^(ma + k), and J^-1 = eps J
-        return eps * (sab[s] * (C @ (pab[s] * (sb[s] * Cb)).conj()))
+    def JaJstar(Cb):
+        # J a J* (b U^e_j) per pair, from Cb = C conj(b): J b U^k = mu(k) C conj(b)
+        # U^-k, U^e_i b U^k = lambda(e_i, k) b U^(e_i + k), and J^-1 = eps J
+        return eps * (sab * (C @ (pab * (mu[j] * Cb)).conj()))
 
     def residual(d):
-        # TorusMatrix's prune-then-norm per mode or sample of the difference d;
+        # TorusMatrix's prune-then-norm per mode or pair of the difference d;
         # its operands, phases times unitary, D or [D, b] blocks, are never below PRUNE_TOL
         kept = np.abs(d).max(axis=(1, 2)) >= PRUNE_TOL
         return float(np.hypot(d.real, d.imag).max(axis=(1, 2))[kept].max(initial=0.0))
 
-    # D keeps the block of mode k at k, and J moves it to -k, so no two sampled
-    # modes merge; at mode 0, where D acts as 0, J D = eps' D J holds trivially
-    nz = [k for k in modes if any(k)]
-    K, sk = np.array(nz, dtype=np.int64).reshape(-1, theta.n), [theta.star_phase(k) for k in nz]
-    # J(eye U^k) = star_phase(k) C conj(eye) U^-k
-    DJ = dirac(-K, np.array([s * Ce for s in sk]).reshape(-1, N, N))
-    jd = [s * (C @ db.conj()) - eps_p * dj for s, db, dj in zip(sk, dirac(K, eye), DJ)]
-    rp.add("J D = eps' D J", residual(np.array(jd).reshape(-1, N, N)))
-    # J a J*(identity) at -ma: J(1) = C, and a C is the block C at ma
-    ja = eps * (sa * (C @ C.conj()))
-    rp.add("[J a J*, b] = 0", residual(JaJstar(Ce, slice(None)) - pba * ja))
-    # the live samples, b not 1, are those with a [D, b]; [D, b] . eye is its
-    # block, and on J a J*(identity) at -ma it lands at mb - ma
-    live = [s for s, k in enumerate(mb) if any(k)]
-    Mb = dirac(np.array([mb[s] for s in live], dtype=np.int64).reshape(-1, theta.n), eye)
-    acted = pba[live] * _mul(Mb, ja[live])
-    rp.add("[J a J*, [D, b]] = 0", residual(JaJstar(C @ Mb.conj(), live) - acted))
+    # D keeps the block of mode k at k, and J moves it to -k; J(eye U^k) = mu(k) C conj(eye) U^-k
+    G = dirac(E, eye)
+    jd = mu * (C @ G.conj()) - eps_p * dirac(-E, mu * Ce)
+    rp.add("J D = eps' D J", residual(jd))
+    # J a J*(identity) at -e_i: J(1) = C, and a C is the block C at e_i
+    ja = eps * (mu[i] * (C @ C.conj()))
+    rp.add("[J a J*, b] = 0", residual(JaJstar(Ce) - pba * ja))
+    # [D, U_j] . eye is G_j, and on J a J*(identity) at -e_i it lands at e_j - e_i
+    Mb = G[j]
+    rp.add("[J a J*, [D, b]] = 0", residual(JaJstar(C @ Mb.conj()) - pba * _mul(Mb, ja)))
     return rp
-
-
-def _box_sample(n, radius, rng, count):
-    """A deterministic handful of exponents in box(radius), corners included;
-    the whole box when it holds fewer than `count` modes."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    side = range(-radius, radius + 1)
-    if len(side) ** n < count:
-        return list(iproduct(side, repeat=n))
-    out = {(0,) * n, (radius,) + (0,) * (n - 1), (-radius,) * n}
-    while len(out) < count:
-        out.add(tuple(int(x) for x in rng.integers(-radius, radius + 1, size=n)))
-    return sorted(out)
 
 
 def _pm_operands(plus, minus):

@@ -1,8 +1,6 @@
 """Matchings, Dirac lifts, and the N=(2,2) verification chain."""
 
 import dataclasses
-import signal
-from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -585,10 +583,28 @@ def oracle_box_sample(n, radius, rng, count):
     return sorted(out)
 
 
-def oracle_real_structure(theta, rep, variant, radius=3, samples=20):
-    """The three residuals of verify_real_structure, one unit column e_i U^k
-    and one apply at a time, with the default rng."""
+def generator_sample(n):
+    """The modes e_1 ... e_n and the n^2 pairs (e_i, e_j) of U_i, U_j that
+    verify_real_structure checks."""
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return units, [(a, b) for a in units for b in units]
+
+
+def box_sample(n):
+    """A sampled check of the same conditions: 12 modes of the box [-3, 3]^n,
+    corners and mode 0 included, then 20 monomial pairs (a before b) of
+    [-2, 2]^n, all drawn from default_rng(11)."""
     rng = np.random.default_rng(11)
+    modes = oracle_box_sample(n, 3, rng, 12)
+    return modes, [tuple(tuple(int(x) for x in rng.integers(-2, 3, size=n)) for _ in range(2))
+                   for _ in range(20)]
+
+
+def oracle_real_structure(theta, rep, variant, sample=None):
+    """The three residuals of verify_real_structure, one unit column e_i U^k
+    and one apply at a time, on the (modes, pairs) of `sample` (default: the
+    generators)."""
+    modes, pairs = generator_sample(theta.n) if sample is None else sample
     C = rep.conj_matrix(variant)
     eps, eps_p, _ = rep.signs(variant)
     D = build_dirac(rep, theta)
@@ -603,15 +619,13 @@ def oracle_real_structure(theta, rep, variant, radius=3, samples=20):
         return J(a.matmul(J(v))).scale(eps)
 
     res = 0.0
-    for m in oracle_box_sample(theta.n, radius, rng, 12):
+    for m in modes:
         for i in range(N):
             v = unit_column(theta, N, i, m)
             res = max(res, (J(D.apply(v)) - D.apply(J(v)).scale(eps_p)).norm())
 
     res0 = res1 = 0.0
-    for _ in range(samples):
-        ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
-        mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
+    for ma, mb in pairs:
         a = scalar_element(TorusElement.monomial(theta, ma), N)
         b = scalar_element(TorusElement.monomial(theta, mb), N)
         Db = D.commutator(NCDiffOp.mult(TorusElement.monomial(theta, mb), N))
@@ -622,11 +636,11 @@ def oracle_real_structure(theta, rep, variant, radius=3, samples=20):
     return res, res0, res1
 
 
-def reference_real_structure(theta, rep, variant, rng=None, radius=3, samples=20):
+def reference_real_structure(theta, rep, variant):
     """The three residuals of verify_real_structure with a loop of TorusMatrix
-    operations over the samples and one loop_apply per operator and vector,
-    the way verify_real_structure ran before its samples were stacked."""
-    rng = np.random.default_rng(11) if rng is None else rng
+    operations over the generator pairs and one loop_apply per operator and
+    vector."""
+    modes, pairs = generator_sample(theta.n)
     C = rep.conj_matrix(variant)
     eps, eps_p, _ = rep.signs(variant)
     D = build_dirac(rep, theta)
@@ -641,19 +655,13 @@ def reference_real_structure(theta, rep, variant, rng=None, radius=3, samples=20
     def JaJstar(a, v):
         return J(a.matmul(J(v))).scale(eps)
 
-    basis = TorusMatrix(theta, (N, N),
-                        {k: eye for k in kahler._box_sample(theta.n, radius, rng, 12)})
+    basis = TorusMatrix(theta, (N, N), {k: eye for k in modes})
     res = (J(loop_apply(D, basis)) - loop_apply(D, J(basis)).scale(eps_p)).norm()
     ident = TorusMatrix.constant(theta, eye)
-    modes = []
-    for _ in range(samples):
-        ma = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
-        mb = tuple(int(x) for x in rng.integers(-2, 3, size=theta.n))
-        modes.append((ma, mb))
     Dbs = NCDiffOp.products([(D, NCDiffOp.mult(TorusElement.monomial(theta, mb), N), -1)
-                             for _, mb in modes])
+                             for _, mb in pairs])
     res0 = res1 = 0.0
-    for (ma, mb), Db in zip(modes, Dbs):
+    for (ma, mb), Db in zip(pairs, Dbs):
         a = scalar_element(TorusElement.monomial(theta, ma), N)
         b = scalar_element(TorusElement.monomial(theta, mb), N)
         ja = JaJstar(a, ident)
@@ -662,20 +670,20 @@ def reference_real_structure(theta, rep, variant, rng=None, radius=3, samples=20
     return res, res0, res1
 
 
-class ForcedRng:
-    """default_rng(seed) whose k-th draw of a sample mode (integers(-2, 3)),
-    for k in zero_draws (from 1: ma of sample 0, then its mb, ...), is 0."""
+MUTATIONS = ("wrong-conjugation", "scaled-gamma", "star-phase-one")
 
-    def __init__(self, seed, zero_draws):
-        self.rng, self.zero_draws, self.draws = np.random.default_rng(seed), zero_draws, 0
 
-    def integers(self, low, high, size):
-        out = self.rng.integers(low, high, size=size)
-        if (low, high) == (-2, 3):
-            self.draws += 1
-            if self.draws in self.zero_draws:
-                return np.zeros_like(out)
-        return out
+def mutated(rep, mutation, monkeypatch):
+    """rep with one defect: J_- with the signs of J_+, i gamma_1 for gamma_1,
+    or (through ThetaMatrix) a J that drops the star phase; None: rep."""
+    if mutation == "wrong-conjugation":
+        return dataclasses.replace(rep, conj_plus_words=rep.conj_minus_words)
+    if mutation == "scaled-gamma":
+        g = rep.gamma_words
+        return dataclasses.replace(rep, gamma_words=[{w: 1j * c for w, c in g[0].items()}] + g[1:])
+    if mutation == "star-phase-one":
+        monkeypatch.setattr(ThetaMatrix, "star_phase", lambda self, m: 1 + 0j)
+    return rep
 
 
 def residuals(rp):
@@ -692,13 +700,14 @@ class TestRealStructure:
         rp = verify_real_structure(THETA4, rep=REP4, variant="plus")
         assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
 
-    def test_wrong_conjugation_fails(self):
-        # J_- paired with the signs of J_+ breaks J D = eps' D J (residual 53.3)
+    def test_wrong_conjugation_fails(self, monkeypatch):
+        # J_- paired with the signs of J_+ breaks J D = eps' D J by 2 * 2 pi
+        # at the generator modes
         theta = ThetaMatrix.random(4, np.random.default_rng(7))
-        bad = dataclasses.replace(REP4, conj_plus_words=REP4.conj_minus_words)
+        bad = mutated(REP4, "wrong-conjugation", monkeypatch)
         rp = verify_real_structure(theta, rep=bad, variant="plus")
         assert [c.name for c in rp.failures()] == ["J D = eps' D J"]
-        assert rp.failures()[0].residual > 50
+        assert rp.failures()[0].residual == pytest.approx(4 * np.pi)
         assert residuals(rp) == oracle_real_structure(theta, bad, "plus")
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -730,7 +739,7 @@ class TestRealStructure:
         monkeypatch.setattr(NCDiffOp, "apply", counted)
         monkeypatch.setattr(NCDiffOp, "products", staticmethod(counted_products))
         theta = ThetaMatrix.random(6, np.random.default_rng(3))
-        verify_real_structure(theta, rep=build_gamma(6), samples=20)
+        verify_real_structure(theta, rep=build_gamma(6))
         assert calls == 0
         assert passes == []
 
@@ -757,31 +766,18 @@ class TestRealStructure:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("variant", ["plus", "minus"])
-    @pytest.mark.parametrize("passed", [False, True], ids=["default-rng", "passed-rng"])
-    def test_equals_per_sample_reference(self, n, variant, passed):
-        # the stacked samples give the per-sample loop's residuals bit for bit
+    @pytest.mark.parametrize("seeds", [range(100, 110)], ids=["default-rng"])
+    def test_equals_per_sample_reference(self, n, variant, seeds):
+        # the stacked pairs give the per-pair loop's residuals bit for bit
         rep = build_gamma(n)
-        for seed in range(10):
-            theta = ThetaMatrix.random(n, np.random.default_rng(100 + seed))
-            draw = (lambda: np.random.default_rng(seed)) if passed else (lambda: None)
-            got = verify_real_structure(theta, rep=rep, variant=variant, rng=draw())
-            assert residuals(got) == reference_real_structure(theta, rep, variant, draw())
-
-    @pytest.mark.parametrize("samples,zero_draws", [(20, {2, 9}), (1, {2})])
-    def test_forced_b_one(self, samples, zero_draws):
-        # mb = 0 (draw 2, sample 0) makes b = 1 and [D, b] = 0: no [D, b] acts
-        # for that sample, none at all when samples = 1; draw 9 makes a = 1 in
-        # sample 4.  The residuals are the loop's.
-        for variant in ("plus", "minus"):
-            rp = verify_real_structure(THETA4, rep=REP4, variant=variant, samples=samples,
-                                       rng=ForcedRng(5, zero_draws))
-            assert residuals(rp) == reference_real_structure(
-                THETA4, REP4, variant, ForcedRng(5, zero_draws), samples=samples)
-            assert rp.all_pass
+        for seed in seeds:
+            theta = ThetaMatrix.random(n, np.random.default_rng(seed))
+            got = verify_real_structure(theta, rep=rep, variant=variant)
+            assert residuals(got) == reference_real_structure(theta, rep, variant)
 
     def test_phase_calls(self, monkeypatch):
-        # the actions call ThetaMatrix.phase nowhere: 5 phases per sample, and
-        # one star_phase per non-zero sampled mode
+        # the actions call ThetaMatrix.phase nowhere: each distinct phase once,
+        # the n star_phase(e_i), then n^2 phase(e_i, -e_j) and n^2 star_phase(e_i - e_j)
         theta, rep = ThetaMatrix.random(6, np.random.default_rng(3)), build_gamma(6)
         calls, phase = [], ThetaMatrix.phase
 
@@ -790,9 +786,8 @@ class TestRealStructure:
             return phase(self, m, k)
 
         monkeypatch.setattr(ThetaMatrix, "phase", counted_phase)
-        verify_real_structure(theta, rep=rep, samples=20)
-        modes = kahler._box_sample(6, 3, np.random.default_rng(11), 12)
-        assert len(calls) == 5 * 20 + sum(map(any, modes)) == 111
+        verify_real_structure(theta, rep=rep)
+        assert len(calls) == 2 * 6 ** 2 + 6 == 78
 
     def test_apply_equals_loop_on_sample_jobs(self):
         # [D, b] of the real structure's samples on a mode of v, against the
@@ -841,43 +836,41 @@ class TestRealStructure:
         with pytest.raises(RuntimeError, match="D is not n degree-1 blocks at mode 0"):
             verify_real_structure(THETA4, rep=REP4)
 
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_no_samples_refused(self, samples):
-        with pytest.raises(ValueError, match="samples"):
-            verify_real_structure(THETA2, rep=REP2, samples=samples)
-
-    def test_scaled_gamma_fails_jd_only(self):
+    def test_scaled_gamma_fails_jd_only(self, monkeypatch):
         # i gamma_1 breaks J D = eps' D J in its del_1 part by 2 * 2 pi |k_1|
-        # at each stacked mode k, most at the corners k_1 = +-3; no D enters
-        # [J a J*, b]
-        g = REP4.gamma_words
-        bad = dataclasses.replace(REP4, gamma_words=[{w: 1j * c for w, c in g[0].items()}] + g[1:])
+        # at each mode k, so by 4 pi at e_1; no D enters [J a J*, b]
+        bad = mutated(REP4, "scaled-gamma", monkeypatch)
         rp = verify_real_structure(THETA4, rep=bad, variant="plus")
         jd, zero, _ = rp.checks
-        assert not jd.passed and jd.residual == pytest.approx(12 * np.pi)
+        assert not jd.passed and jd.residual == pytest.approx(4 * np.pi)
         assert zero.residual == 0.0
         assert residuals(rp) == oracle_real_structure(THETA4, bad, "plus")
 
-    def test_box_sample_draws_unchanged(self):
-        for n, radius, seed in ((2, 3, 11), (4, 3, 11), (6, 2, 5), (2, 2, 1)):
-            got = kahler._box_sample(n, radius, np.random.default_rng(seed), 12)
-            assert got == oracle_box_sample(n, radius, np.random.default_rng(seed), 12)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_star_phase_one_fails_order_rows(self, n, monkeypatch):
+        # a J without the star phase still intertwines D (the phases of U^k
+        # and of U^-k cancel) but no longer makes J a J* commute with the
+        # algebra: both order rows fail, on the generators and on the box
+        theta, rep = ThetaMatrix.random(n, np.random.default_rng(300 + n)), build_gamma(n)
+        rep = mutated(rep, "star-phase-one", monkeypatch)
+        rp = verify_real_structure(theta, rep=rep, variant="plus")
+        assert [c.name for c in rp.failures()] == ["[J a J*, b] = 0", "[J a J*, [D, b]] = 0"]
+        assert residuals(rp) == oracle_real_structure(theta, rep, "plus")
+        box = oracle_real_structure(theta, rep, "plus", box_sample(n))
+        assert [r < rp.tol for r in box] == [True, False, False]
 
-    def test_box_smaller_than_sample_count(self):
-        # a radius-1 box on n = 2 holds 9 modes, fewer than the 12 sampled:
-        # each mode is checked once, and the call returns
-        def hang(signum, frame):
-            raise TimeoutError("_box_sample did not return")
-
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(10)
-        try:
-            modes = kahler._box_sample(2, 1, np.random.default_rng(0), 12)
-            rp = verify_real_structure(THETA2, rep=REP2, radius=1)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert modes == sorted(iproduct(range(-1, 2), repeat=2))
-        assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
-        with pytest.raises(ValueError):
-            verify_real_structure(THETA2, rep=REP2, radius=-1)
+    @pytest.mark.parametrize("n, mutation", [(n, None) for n in (2, 4, 6, 8)]
+                             + [(n, m) for n in (4, 6) for m in MUTATIONS])
+    def test_box_oracle_same_verdicts(self, n, mutation, monkeypatch):
+        # the generator check passes and fails the same rows as the sampled
+        # box oracle, row by row, on good reps and on each mutation
+        rep = mutated(build_gamma(n), mutation, monkeypatch)
+        verdicts = []
+        for seed in range(3):
+            theta = ThetaMatrix.random(n, np.random.default_rng(seed))
+            for variant in ("plus", "minus"):
+                rp = verify_real_structure(theta, rep=rep, variant=variant)
+                box = oracle_real_structure(theta, rep, variant, box_sample(n))
+                verdicts.append([c.passed for c in rp.checks])
+                assert verdicts[-1] == [r < rp.tol for r in box]
+        assert all(map(all, verdicts)) == (mutation is None)

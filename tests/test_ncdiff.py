@@ -566,15 +566,11 @@ class TestBlockPairLoop:
             self.assert_equal_to_loop(jobs)
 
     def test_real_structure_jobs(self):
-        # the [D, b] jobs of verify_real_structure(theta)'s samples, b = U^mb
-        # off mode 0, drawn as it draws them
+        # the [D, b] jobs of verify_real_structure(theta)'s pairs, b = U_j
         theta = ThetaMatrix.random(4, np.random.default_rng(69))
-        rng = np.random.default_rng(11)
-        kahler._box_sample(4, 3, rng, 12)
-        # per sample, ma is drawn before mb
-        mb = [(rng.integers(-2, 3, size=4), rng.integers(-2, 3, size=4))[1] for _ in range(20)]
         D = kahler.build_dirac(build_gamma(4), theta)
-        jobs = [(D, NCDiffOp.mult(TorusElement.monomial(theta, k), 4), -1) for k in mb]
+        jobs = [(D, NCDiffOp.mult(TorusElement.monomial(theta, k), 4), -1)
+                for k in np.eye(4, dtype=int)]
         assert any(P.mode.any() for _, P, _ in jobs)
         self.assert_equal_to_loop(jobs)
 
