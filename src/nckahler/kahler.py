@@ -19,7 +19,7 @@ import numpy as np
 
 from .clifford import GammaRep, build_gamma
 from .ncdiff import NCDiffOp
-from .pauli import word_kron, word_product, word_sum
+from .pauli import parity, word_kron, word_product, word_sum
 from .report import Check, VerificationReport, resolve_tol
 from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
 
@@ -127,7 +127,8 @@ def build_dirac(rep, theta):
 KahlerBase = namedtuple("KahlerBase",
                         "rep theta D DD gamma_tilde hodge_star W lap mas lifted")
 
-# The mult(a) samples of the checklist: draws of TorusElement.random(radius=1, terms=3).
+# The mult(a) samples of the checklist: sum_j U_j, then draws of
+# TorusElement.random(radius=1, terms=3).
 SAMPLES = 3
 
 
@@ -143,9 +144,12 @@ def build_base(theta, rep=None, eps_list=(1, -1)):
     which is bounded, self-adjoint, commutes with the algebra and has
     [T_script, d] = d; gamma_tilde = kron(sigma, sigma), hodge_star =
     kron(1, sigma), the pm intertwiner W = kron(sigma, 1), lap = sum_j
-    del_j^2, and mas, the checklist's mult(a) of SAMPLES draws from a fresh
-    default_rng(7).  Every check reads these operators from here.  D is one
-    from_terms, all but d and d* a second, and d, d* one sums."""
+    del_j^2, and mas, the checklist's mult(a) of SAMPLES samples: sample 0
+    is sum_j U_j, which checks every generator at once (see _run), and the
+    others are draws from a fresh default_rng(7), whose first draw is
+    discarded so that samples 1 and 2 stay as they were.  Every check reads
+    these operators from here.  D is one from_terms, all but d and d* a
+    second, and d, d* one sums."""
     eps_list = [check_eps(eps) for eps in eps_list]
     rep = build_gamma(theta.n) if rep is None else rep
     D = build_dirac(rep, theta)
@@ -159,8 +163,9 @@ def build_base(theta, rep=None, eps_list=(1, -1)):
         ops += [{u: word_sum((-eps, b)) for u, (_, b) in zip(units, legs)},
                 {zero: word_sum(*((1j * eps / 2.0, w) for w in ts))}]
     rng = np.random.default_rng(7)
-    mas = [{zero: {k: {(0, 0): c} for k, c in a.coeffs.items()}}
-           for a in (TorusElement.random(theta, rng, radius=1, terms=3) for _ in range(SAMPLES))]
+    draws = [TorusElement.random(theta, rng, radius=1, terms=3).coeffs for _ in range(SAMPLES)]
+    draws[0] = dict.fromkeys(units, 1 + 0j)
+    mas = [{zero: {k: {(0, 0): c} for k, c in a.items()}} for a in draws]
     DD, gt, star, W, lap, *ops = NCDiffOp.from_terms(
         theta, rep.N ** 2, [{a: {zero: w} for a, w in op.items()} for op in ops] + mas)
     ops, mas = ops[:2 * len(eps_list)], ops[2 * len(eps_list):]
@@ -315,14 +320,15 @@ PM = (
 # A compiled table: one slot per distinct operand, adjoint, product and sum
 # of its rows.  leaves are (slot, name, sample or None), adjoints (slot, slot
 # of X), levels the products per nesting depth, (slot, P slot, Q slot, s),
-# sums (slot, ((c, slot), ...)) and checks (name, slot, degree).
-Plan = namedtuple("Plan", "leaves adjoints levels sums checks")
+# sums (slot, ((c, slot), ...)), checks (name, slot, degree) and pinned the
+# slots of the leaves other than "a" of the rows that name "a".
+Plan = namedtuple("Plan", "leaves adjoints levels sums checks pinned")
 
 
 @lru_cache(maxsize=8)
 def _plan(table, samples):
     """The Plan of `table` with `samples` samples."""
-    plan, slot, depth = Plan([], [], [], [], []), {}, {}
+    plan, slot, depth, pinned = Plan([], [], [], [], [], []), {}, {}, set()
 
     def names(t):
         return [t.rstrip("*")] if isinstance(t, str) else names(t[0]) + names(t[1])
@@ -351,12 +357,15 @@ def _plan(table, samples):
 
     for sampled, run in groupby(table, lambda row: any("a" in names(t) for _, t in row.terms)):
         run = list(run)
+        if sampled:
+            pinned.update(x for row in run for _, t in row.terms for x in names(t) if x != "a")
         for s in range(samples) if sampled else [None]:
             for name, terms, degree in run:
                 terms = tuple((c, visit(t, s)) for c, t in terms)
                 one = len(terms) == 1 and terms[0][0] == 1
                 plan.checks.append((name if s is None else f"{name} (sample {s})",
                                     terms[0][1] if one else file(terms, plan.sums, terms), degree))
+    plan.pinned.extend(i for i, name, _ in plan.leaves if name in pinned)
     return plan
 
 
@@ -367,9 +376,19 @@ def _run(jobs, tol, known=None, keep=()):
     to its operator ("a" to the list of samples).  A check's residual is the
     residual_norm of its operator, or for a degree check its max_degree, at
     tol 0.5.  Each distinct (id(P), id(Q), s) runs once; `known` holds such
-    products across calls, and gains each one whose P and Q ids are in `keep`."""
+    products across calls, and gains each one whose P and Q ids are in `keep`.
+
+    Sample 0 is sum_j U_j.  a -> [X, a] is a derivation, so the a that pass
+    a row [X, a] = 0 (or of degree 0) form a unital subalgebra, closed under
+    inverses by [X, a^-1] = -a^-1 [X, a] a^-1: a row that holds on U_1 ...
+    U_n holds on A.  With every other operand of the row at mode 0, the
+    terms of distinct U_j land at distinct modes e_j, so none cancel, and the
+    one sample checks each generator.  This raises RuntimeError unless every
+    pinned leaf is at mode 0, as _dirac guards D."""
     pairs = [(plan, {i: ops[name] if s is None else ops[name][s] for i, name, s in plan.leaves})
              for plan, ops in jobs]
+    if any(v[i].mode.any() for plan, v in pairs for i in plan.pinned):
+        raise RuntimeError("an operand of a sampled row is not at mode 0")
     done = dict(known or {})
 
     def products(flat):
@@ -514,6 +533,33 @@ def verify_pm_conjugation(plus, minus):
     return _run([(_plan(PM, 0), _pm_operands(plus, minus))], 1e-12)[0].max_residual
 
 
+def _w_signs(W, op):
+    """Per word X^x Z^z of op, the sign s of W X^x Z^z W^-1 = s X^x Z^z for
+    W's one word X^x_W Z^z_W: (-1)^(|x & z_W| + |z & x_W|)."""
+    par = parity(op.m)
+    return 1 - 2 * (par[op.x & W.z[0]] ^ par[op.z & W.x[0]])
+
+
+def _w_fixed(W, *ops):
+    """Whether conjugating by W fixes every word of every op."""
+    return all((_w_signs(W, op) == 1).all() for op in ops)
+
+
+def _w_twins(base):
+    """Whether conjugating by base.W, one word at mode 0 with no derivative
+    (so it fixes itself), fixes DD, gamma_tilde, star, lap and the samples
+    word by word, and maps each operator of lifted[1] onto its lifted[-1]
+    twin: the same blocks and words, the coefficients negated exactly where
+    the sign is -1."""
+    W = base.W
+    if len(W.c) != 1 or W.table[:-2].any():
+        return False
+    return _w_fixed(W, base.DD, base.gamma_tilde, base.hodge_star, base.lap, *base.mas) and all(
+        all(np.array_equal(getattr(P, f), getattr(Q, f)) for f in ("table", "x", "z"))
+        and np.array_equal(Q.c, P.c * _w_signs(W, P))
+        for P, Q in zip(base.lifted[1], base.lifted[-1]))
+
+
 def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
                 on_package=None):
     """The N=(2,2) checklist over every (matching, eps') of the grid, as one
@@ -522,25 +568,40 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     One build_base serves the grid: its operators, its SAMPLES samples, and
     every checklist product of two of its operators, run once, with the
     first matching's.  Per matching, seven kernel passes build its eps' = +1
-    and -1 packages (_packages) and run both tables on them (one _run);
-    `on_package(pkg)` is called on every package that gets verified."""
+    and -1 packages (_packages) and run the tables on them (one _run);
+    `on_package(pkg)` is called on every package of eps_list.
+
+    The eps' = -1 rows are derived: they are the +1 rows, and only the +1
+    checklist runs, when an exact word-by-word check shows that the -1
+    package is the W-conjugate of the +1 one (_w_twins once per grid, and a
+    W-invariant I per matching; both packages share the matching's I).
+    Conjugating by the one word W multiplies each word by a sign, so
+    products, adjoints and sums commute with it word for word, and each
+    dense block of a conjugate is a signed permutation of the same sums:
+    every residual and degree equals its +1 twin bit for bit.  Where the
+    check fails, the -1 checklist runs in the same _run.  The PM rows are
+    always computed, as an independent cross-check."""
     eps_list = [check_eps(eps) for eps in eps_list]
     grid = VerificationReport(tol=resolve_tol(tol))
     base = build_base(theta, rep)
     keep = {id(op) for op in (base.D, base.DD, base.gamma_tilde, base.hodge_star, base.W,
                               base.lap, *base.mas, *chain(*base.lifted.values()))}
     known, checklist, pm_plan = {}, _plan(CHECKLIST, SAMPLES), _plan(PM, 0)
+    twins = _w_twins(base)
     for matching in matchings:
         pkgs = dict(zip((1, -1), _packages(base, [matching], (1, -1))))
         if on_package is not None:
             for eps in eps_list:
                 on_package(pkgs[eps])
         label = str(matching)
+        derived = twins and _w_fixed(base.W, pkgs[1].I_op)
+        run = list(dict.fromkeys(1 if derived else eps for eps in eps_list))
         *reports, pm = _run(
-            [(checklist, _operands(pkgs[eps])) for eps in eps_list]
+            [(checklist, _operands(pkgs[eps])) for eps in run]
             + [(pm_plan, _pm_operands(pkgs[1], pkgs[-1]))], grid.tol, known, keep)
-        for eps, rp in zip(eps_list, reports):
-            for c in rp.checks:
+        reports = dict(zip(run, reports))
+        for eps in eps_list:
+            for c in reports[1 if derived else eps].checks:
                 grid.add(f"[{label}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
         grid.add(f"[{label}] pm conjugation", pm.max_residual, 1e-12)
     return grid

@@ -278,6 +278,33 @@ class TestN22Checklist:
         for checks, packages in ((verify_n22(pkg).checks, 1), (grid.checks, 2)):
             assert sum("(sample " in c.name for c in checks) == 5 * kahler.SAMPLES * packages
 
+    @pytest.mark.parametrize("alpha", [(0, 0, 1, 0), (1, 0, -1, 0)])
+    def test_sample_zero_is_every_generator(self, alpha):
+        # T + c (alpha . del) breaks [T, a] = 0 on the U_j with alpha_j != 0:
+        # sample 0, sum_j U_j, fails at 2 pi |c|, also for del_1 - del_3,
+        # which the draw it replaced missed (every mode of that draw has
+        # k_1 = k_3)
+        pkg, c = build_kahler_package(THETA4, rep=REP4), 0.25 + 0.5j
+        X = NCDiffOp.from_terms(THETA4, REP4.N ** 2, {
+            tuple(int(j == i) for i in range(4)): {(0,) * 4: {(0, 0): a * c}}
+            for j, a in enumerate(alpha) if a})
+        pkg.T = pkg.T + X
+        rp = {ch.name: ch for ch in verify_n22(pkg).checks}
+        assert not rp["[T, a] = 0 (sample 0)"].passed
+        assert rp["[T, a] = 0 (sample 0)"].residual == pytest.approx(2 * np.pi * abs(c), rel=1e-15)
+        assert rp["[Tbar, a] = 0 (sample 0)"].passed
+
+    def test_sampled_rows_need_mode_zero(self):
+        # sum_j U_j checks each generator only while the other operands of
+        # its rows sit at mode 0: a T with a block at U_1 is refused
+        pkg = build_kahler_package(THETA4, rep=REP4)
+        pkg.T = pkg.T + NCDiffOp.mult(TorusElement.monomial(THETA4, (1, 0, 0, 0)), REP4.N ** 2)
+        with pytest.raises(RuntimeError, match="not at mode 0"):
+            verify_n22(pkg)
+        # rows that name no sample still run on it
+        pkg.T_script = pkg.T
+        assert verify_core_chain(pkg).checks
+
     def test_empty_batch(self):
         # no package makes no kernel pass (numpy used to refuse to concatenate nothing)
         assert verify_n22([]) == []
@@ -505,6 +532,131 @@ def oracle_grid(theta, rep, matching, eps_list):
 
 def same_words(P, Q):
     return all(np.array_equal(getattr(P, f), getattr(Q, f)) for f in ("x", "z", "c", "table"))
+
+
+def counting_jobs(monkeypatch):
+    """The job count of each NCDiffOp.products pass made from now on, in order."""
+    jobs, products = [], NCDiffOp.products
+    monkeypatch.setattr(NCDiffOp, "products",
+                        staticmethod(lambda js: jobs.append(len(js)) or products(js)))
+    return jobs
+
+
+def w_sign(W, x, z):
+    """The sign of W X^x Z^z W^-1 = sign X^x Z^z for W one Pauli word."""
+    (xw, zw), = zip(W.x.tolist(), W.z.tolist())
+    return (-1) ** ((x & zw).bit_count() + (z & xw).bit_count())
+
+
+def patch_lifted(monkeypatch, edit):
+    """kahler.build_base, with the d and T_script of lifted[eps] plus the
+    mode-0 words edit(base, eps) = (d words, T_script words)."""
+    build = kahler.build_base
+
+    def patched(theta, rep=None, eps_list=(1, -1)):
+        base, zero = build(theta, rep, eps_list), (0,) * theta.n
+        lifted = {}
+        for eps, (DDbar, d, d_star, Ts) in base.lifted.items():
+            dw, tw = (NCDiffOp.from_words(theta, base.rep.N ** 2, {zero: w})
+                      for w in edit(base, eps))
+            lifted[eps] = (DDbar, d + dw, d_star, Ts + tw)
+        return base._replace(lifted=lifted)
+
+    monkeypatch.setattr(kahler, "build_base", patched)
+
+
+def grid_rows(theta, rep, ms, eps_list=(1, -1)):
+    """verify_grid's checklist rows {(matching, eps'): [(name, residual hex,
+    tol)]} and, per (matching, eps'), its package's own verify_n22 rows."""
+    pkgs = []
+    rp = verify_grid(theta, ms, eps_list, rep=rep, on_package=pkgs.append)
+    got, want = {}, {}
+    for c in rp.checks:
+        if "|eps'=" in c.name:
+            label, name = c.name[1:].split("] ", 1)
+            mt, eps = label.split("|eps'=")
+            got.setdefault((mt, int(eps)), []).append((name, c.residual.hex(), c.tol))
+    for pkg in pkgs:
+        want[(str(pkg.matching), pkg.eps_prime)] = [
+            (c.name, c.residual.hex(), c.tol) for c in verify_n22(pkg, tol=rp.tol).checks]
+    return got, want
+
+
+class TestDerivedRows:
+    """verify_grid derives the eps' = -1 rows from the +1 run only where the
+    -1 package is checked to be the W-conjugate of the +1 one."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_minus_rows_cost_no_products(self, n, monkeypatch):
+        # the products jobs of a grid over both eps', or over -1 alone, are
+        # those of the +1 grid, job for job
+        theta, rep = ThetaMatrix.random(n, np.random.default_rng(n)), build_gamma(n)
+        ms, counts = enumerate_matchings(n)[:3], {}
+        jobs = counting_jobs(monkeypatch)
+        for eps_list in ((1,), (1, -1), (-1,)):
+            jobs.clear()
+            verify_grid(theta, ms, eps_list, rep=rep)
+            counts[eps_list] = list(jobs)
+        assert counts[(1, -1)] == counts[(1,)] == counts[(-1,)]
+
+    def test_w_consistent_defect_derived(self, monkeypatch):
+        # three random words on d and T_script of eps' = +1, and their W
+        # conjugates on -1: the derived -1 rows are the computed ones bit for
+        # bit, and fail where the +1 rows fail
+        rng = np.random.default_rng(28)
+        m = REP4.N ** 2
+        words = {(int(x), int(z)): complex(*rng.normal(size=2))
+                 for x, z in rng.integers(0, m, size=(3, 2))}
+
+        def conjugated(base, eps):
+            w = {xz: c * (1 if eps == 1 else w_sign(base.W, *xz)) for xz, c in words.items()}
+            return w, w
+
+        patch_lifted(monkeypatch, conjugated)
+        ms = enumerate_matchings(4)
+        got, want = grid_rows(THETA4, REP4, ms)
+        assert got == want
+        for mt in map(str, ms):
+            fails = [[float.fromhex(r) >= tol for _, r, tol in got[(mt, eps)]] for eps in (1, -1)]
+            assert fails[0] == fails[1] and any(fails[0])
+        # and derived: the -1 rows took no products job
+        jobs = counting_jobs(monkeypatch)
+        for eps_list in ((1,), (1, -1)):
+            verify_grid(THETA4, ms, eps_list, rep=REP4)
+        assert jobs[:len(jobs) // 2] == jobs[len(jobs) // 2:]
+
+    def test_minus_only_defect_computed(self, monkeypatch):
+        # a word on the eps' = -1 T_script alone: the -1 rows are computed,
+        # and fail; the +1 rows pass
+        patch_lifted(monkeypatch, lambda base, eps: ({}, {(1, 0): 0.5} if eps == -1 else {}))
+        got, want = grid_rows(THETA4, REP4, enumerate_matchings(4))
+        assert got == want
+        for (mt, eps), rows in got.items():
+            assert any(float.fromhex(r) >= tol for _, r, tol in rows) == (eps == -1), (mt, eps)
+
+    def test_w_odd_I_computed_at_its_matching(self, monkeypatch):
+        # an I with a word that anticommutes with W at one matching: that
+        # matching's -1 rows are computed, and differ from its +1 rows; every
+        # other matching's are derived.  Many such words leave the two sides'
+        # residuals equal; X^9 Z^7 with X^3 Z^6 beside it does not
+        ms, I_words = enumerate_matchings(4), kahler._I_words
+        assert w_sign(kahler.build_base(THETA4, REP4).W, 9, 7) == -1
+
+        def odd(matching, rep):
+            words = I_words(matching, rep)
+            if matching == ms[1]:
+                words = pauli.word_sum((1, words), (1, {(3, 6): 0.5, (9, 7): 0.5j}))
+            return words
+
+        monkeypatch.setattr(kahler, "_I_words", odd)
+        got, want = grid_rows(THETA4, REP4, ms)
+        assert got == want
+        assert got[(str(ms[1]), -1)] != got[(str(ms[1]), 1)]
+        # per matching, one _run of the checklist jobs and the pm job
+        runs, run = [], kahler._run
+        monkeypatch.setattr(kahler, "_run", lambda js, *a: runs.append(len(js)) or run(js, *a))
+        verify_grid(THETA4, ms, (1, -1), rep=REP4)
+        assert runs == [2, 3, 2]
 
 
 class TestVerifyGrid:
