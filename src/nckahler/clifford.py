@@ -4,16 +4,17 @@ Gamma matrices satisfy gamma_j* = -gamma_j and {gamma_j, gamma_k} = -2 delta_jk,
 with grading sigma and two inequivalent charge conjugations J+- realized as
 C . (entrywise conjugation) for unitary matrices C.  Every gamma_j, sigma and
 C+- is one Pauli word with a phase in {+-1, +-i} (see pauli), so every check
-here is an exact word identity; the matrices are dense views of the words.
+here is an exact word identity; pauli.dense_words gives a word's matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
-from .pauli import dense_words, signs, word_product, word_sum
+from .pauli import signs, word_product, word_sum
 
 MAX_N = 10
 _ONE = {(0, 0): 1 + 0j}
@@ -38,36 +39,23 @@ def _variant(variant):  # 0 for "plus", 1 for "minus"
     return int(variant == "minus")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GammaRep:
     """The representation on C^N, N = 2^(n/2): per gamma_j, sigma and C+- one
-    word sum {(x, z): phase}, the form NCDiffOp.from_terms takes; gammas, sigma,
-    conj_plus, conj_minus and conj_matrix are read-only dense views of them."""
+    read-only word sum {(x, z): phase}, the form NCDiffOp.from_terms takes.
+    Frozen: build_gamma builds one per n and every caller shares it."""
 
     n: int
     N: int
-    gamma_words: list = field(repr=False)
-    sigma_words: dict = field(repr=False)
-    conj_plus_words: dict = field(default=None, repr=False)
-    conj_minus_words: dict = field(default=None, repr=False)
+    gamma_words: tuple = field(repr=False)
+    sigma_words: MappingProxyType = field(repr=False)
+    conj_plus_words: MappingProxyType = field(default=None, repr=False)
+    conj_minus_words: MappingProxyType = field(default=None, repr=False)
     signs_plus: tuple = (0, 0, 0)
     signs_minus: tuple = (0, 0, 0)
 
-    def _dense(self, words):
-        mat = dense_words(words, self.N)
-        mat.setflags(write=False)
-        return mat
-
-    gammas = property(lambda self: [self._dense(g) for g in self.gamma_words])
-    sigma = property(lambda self: self._dense(self.sigma_words))
-    conj_plus = property(lambda self: self.conj_matrix("plus"))
-    conj_minus = property(lambda self: self.conj_matrix("minus"))
-
     def conj_words(self, variant):
         return (self.conj_plus_words, self.conj_minus_words)[_variant(variant)]
-
-    def conj_matrix(self, variant):
-        return self._dense(self.conj_words(variant))
 
     def signs(self, variant):
         return (self.signs_plus, self.signs_minus)[_variant(variant)]
@@ -125,7 +113,7 @@ def charge_conjugation(rep, variant):
     use_real = eps_p == (-1) ** (rep.n // 2 - 1)
     ((word, _),) = reduce(word_product, [g for g in rep.gamma_words if (
         not any(c.imag for c in g.values())) == use_real], _ONE).items()
-    C = {word: 1 + 0j}
+    C = MappingProxyType({word: 1 + 0j})
     # C conj(a) = e b, per (a, e, b)
     identities = [(g, eps_p, word_product(g, C)) for g in rep.gamma_words]
     identities += [(rep.sigma_words, eps_pp, word_product(rep.sigma_words, C)), (C, eps, _ONE)]
@@ -137,8 +125,10 @@ def charge_conjugation(rep, variant):
     return C, (eps, eps_p, eps_pp)
 
 
+@lru_cache(maxsize=None)
 def build_gamma(n):
-    """Construct a GammaRep for even n via the two-step tensor recursion.
+    """The GammaRep for even n via the two-step tensor recursion, built and
+    self-checked once per n: the rep is frozen, so every call shares it.
 
     The n=2 base case is the pair gamma_1 = i sigma_x = i X, gamma_2 =
     i sigma_y = -X Z with grading Z.  Each step appends a low qubit, Z on it
@@ -153,15 +143,14 @@ def build_gamma(n):
         gammas = [{(x << 1, z << 1 | 1): c for (x, z), c in g.items()} for g in gammas] + [
             {(1, 0): 1j}, {(1, 1): -1 + 0j}]
     prod, c = _grading(gammas, n)
-    # + 0j makes a zero part +0.0, as the Pauli transform of the dense view gives it
+    # + 0j makes a zero part +0.0, as the Pauli transform of the dense matrix gives it
     sigma = {w: v / c + 0j for w, v in prod.items()}
     res = _relations_residual(gammas, sigma)
     if res:
         raise SelfCheckError(f"gamma construction failed relations check: {res:.3e}")
-    rep = GammaRep(n=n, N=2 ** (n // 2), gamma_words=gammas, sigma_words=sigma)
-    rep.conj_plus_words, rep.signs_plus = charge_conjugation(rep, "plus")
-    rep.conj_minus_words, rep.signs_minus = charge_conjugation(rep, "minus")
-    return rep
+    rep = GammaRep(n, 2 ** (n // 2), tuple(map(MappingProxyType, gammas)), MappingProxyType(sigma))
+    (cp, sp), (cm, sm) = (charge_conjugation(rep, v) for v in ("plus", "minus"))
+    return replace(rep, conj_plus_words=cp, signs_plus=sp, conj_minus_words=cm, signs_minus=sm)
 
 
 def irreducibility_rank(rep):

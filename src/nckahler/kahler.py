@@ -2,8 +2,8 @@
 full N=(2,2) verification checklist on the noncommutative even torus.
 
 All operators act on A_Theta tensor C^{N^2} (fiber ordering: first tensor leg
-then second, as np.kron orders them), except the base Dirac operator which
-lives on C^N.  The builders write every fiber matrix as Pauli words: they
+then second, as np.kron orders them), except build_dirac's D on C^N, which no
+package holds.  The builders write every fiber matrix as Pauli words: they
 read the words of the gammas and sigma off the GammaRep, and a kron of two
 legs concatenates their masks (word_kron): no N^2 x N^2 matrix is formed.
 """
@@ -17,9 +17,9 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .clifford import GammaRep, build_gamma
+from .clifford import build_gamma
 from .ncdiff import NCDiffOp
-from .pauli import parity, word_kron, word_product, word_sum
+from .pauli import dense_words, parity, word_kron, word_product, word_sum
 from .report import Check, VerificationReport, resolve_tol
 from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
 
@@ -125,7 +125,7 @@ def build_dirac(rep, theta):
 
 # What build_base builds; lifted[eps'] = (DDbar, d, d*, T_script) per eps'.
 KahlerBase = namedtuple("KahlerBase",
-                        "rep theta D DD gamma_tilde hodge_star W lap mas lifted")
+                        "rep theta DD gamma_tilde hodge_star W lap mas lifted")
 
 # The mult(a) samples of the checklist: sum_j U_j, then draws of
 # TorusElement.random(radius=1, terms=3).
@@ -134,7 +134,7 @@ SAMPLES = 3
 
 def build_base(theta, rep=None, eps_list=(1, -1)):
     """The operators of the packages over (theta, rep) that no matching
-    enters: D, and on the C^{N^2} fiber, per eps' of eps_list,
+    enters, all on the C^{N^2} fiber: per eps' of eps_list,
 
         DD       = sum_j del_j tensor kron(1, gamma_j)
         DDbar    = -eps' sum_j del_j tensor kron(gamma_j, sigma)
@@ -148,11 +148,10 @@ def build_base(theta, rep=None, eps_list=(1, -1)):
     is sum_j U_j, which checks every generator at once (see _run), and the
     others are draws from a fresh default_rng(7), whose first draw is
     discarded so that samples 1 and 2 stay as they were.  Every check reads
-    these operators from here.  D is one from_terms, all but d and d* a
-    second, and d, d* one sums."""
+    these operators from here.  All but d and d* are one from_terms, and d,
+    d* one sums."""
     eps_list = [check_eps(eps) for eps in eps_list]
     rep = build_gamma(theta.n) if rep is None else rep
-    D = build_dirac(rep, theta)
     sigma, q, zero = rep.sigma_words, rep.n // 2, (0,) * theta.n
     units, legs = [_unit(theta.n, j) for j in range(1, theta.n + 1)], lifted_words(rep)
     ts = [word_kron(g, word_product(g, sigma), q) for g in rep.gamma_words]
@@ -173,7 +172,7 @@ def build_base(theta, rep=None, eps_list=(1, -1)):
     ds = iter(NCDiffOp.sums([[(0.5, DD), (z, Dbar)] for Dbar in ops[::2] for z in (-0.5j, 0.5j)]))
     lifted = {eps: (DDbar, next(ds), next(ds), Ts)
               for eps, DDbar, Ts in zip(eps_list, ops[::2], ops[1::2])}
-    return KahlerBase(rep, theta, D, DD, gt, star, W, lap, mas, lifted)
+    return KahlerBase(rep, theta, DD, gt, star, W, lap, mas, lifted)
 
 
 def _I_words(matching, rep):
@@ -192,11 +191,8 @@ def _I_words(matching, rep):
 
 @dataclass
 class KahlerPackage:
-    rep: GammaRep
-    theta: object
     eps_prime: int
     matching: Matching
-    D: NCDiffOp
     DD: NCDiffOp
     DDbar: NCDiffOp
     d: NCDiffOp
@@ -231,7 +227,7 @@ def _packages(base, matchings, eps_list):
     rows = _structures(base, matchings, eps_list)
     out = iter(NCDiffOp.sums([[(0.5, P), (z, Q)] for _, I, eps, d2 in rows for P, Q in (
         (base.lifted[eps][1], d2), (base.lifted[eps][3], I)) for z in (-0.5j, 0.5j)]))
-    return [KahlerPackage(base.rep, base.theta, eps, mt, base.D, base.DD, *base.lifted[eps], I, d2,
+    return [KahlerPackage(eps, mt, base.DD, *base.lifted[eps], I, d2,
                           *(next(out) for _ in range(4)), base.gamma_tilde, base.hodge_star, base)
             for mt, I, eps, d2 in rows]
 
@@ -384,7 +380,7 @@ def _run(jobs, tol, known=None, keep=()):
     U_n holds on A.  With every other operand of the row at mode 0, the
     terms of distinct U_j land at distinct modes e_j, so none cancel, and the
     one sample checks each generator.  This raises RuntimeError unless every
-    pinned leaf is at mode 0, as _dirac guards D."""
+    pinned leaf is at mode 0."""
     pairs = [(plan, {i: ops[name] if s is None else ops[name][s] for i, name, s in plan.leaves})
              for plan, ops in jobs]
     if any(v[i].mode.any() for plan, v in pairs for i in plan.pinned):
@@ -435,7 +431,7 @@ def verify_n22(pkg, tol=None):
     pkgs = [pkg] if isinstance(pkg, KahlerPackage) else list(pkg)
     reports = _run([(_plan(CHECKLIST, SAMPLES), _operands(q)) for q in pkgs], resolve_tol(tol))
     for q, rp in zip(pkgs, reports):
-        rp.meta = {"n": q.theta.n, "matching": str(q.matching), "eps_prime": q.eps_prime}
+        rp.meta = {"n": q.base.theta.n, "matching": str(q.matching), "eps_prime": q.eps_prime}
     return reports[0] if isinstance(pkg, KahlerPackage) else reports
 
 
@@ -443,18 +439,6 @@ def _mul(M, b):
     """M @ b for (.., N, N) stacks, the complex products spelled out in real
     arithmetic."""
     return (M.real @ b.real - M.imag @ b.imag) + 1j * (M.real @ b.imag + M.imag @ b.real)
-
-
-def _dirac(D):
-    """The action (K, b) -> D (b_s U^K_s) = sum_j gamma_j (2 pi i K_sj) b_s U^K_s
-    of D on a (count, N, N) stack b at the modes K (rows), added block after
-    block in D's stored order, gamma_j the dense block of del_j read from D.
-    D must be n degree-1 blocks at mode 0, or this raises RuntimeError."""
-    if D.mode.any() or sorted(map(sum, D.terms)) != [1] * D.theta.n:
-        raise RuntimeError("D is not n degree-1 blocks at mode 0")
-    axis = [a.index(1) for a in D.terms]
-    gammas = [D._dense(s, e) for s, e in zip(D.start.tolist(), D.stop.tolist())]
-    return lambda K, b: sum(_mul(g, TWO_PI_I * K[:, j, None, None] * b) for j, g in zip(axis, gammas))
 
 
 def verify_real_structure(theta, rep=None, variant="plus", tol=None):
@@ -474,18 +458,25 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     fixed a, and so do the a for fixed b.  Continuity extends both to A^inf.
 
     Every operand is one (N, N) block at one mode, so the modes and pairs run
-    as (count, N, N) stacks.  D (n degree-1 blocks at mode 0) acts as its
-    dense fiber matrices (_dirac), and [D, U_j] = 2 pi i gamma_j U_j is D's
-    action on the identity at e_j.  Every block acted on is a phase times a
-    monomial matrix (I, C, or C conj(C) = eps I), so each entry of M b is a
+    as (count, N, N) stacks.  D = sum_j del_j tensor gamma_j acts on b U^K
+    as sum_j gamma_j (2 pi i K_j) b U^K, added in j order, with gamma_j and C
+    the dense matrices of the rep's words; [D, U_j] = 2 pi i gamma_j U_j is
+    D's action on the identity at e_j.  Every block acted on is a phase times
+    a monomial matrix (I, C, or C conj(C) = eps I), so each entry of M b is a
     single product, and real matmuls give the word-by-word action's bits."""
     tol = resolve_tol(tol)
     rep = build_gamma(theta.n) if rep is None else rep
+    if rep.n != theta.n:
+        raise DimensionMismatch(f"rep n={rep.n} vs theta n={theta.n}")
     rp = VerificationReport(tol=tol)
     rp.meta = {"n": theta.n, "variant": variant}
-    C = rep.conj_matrix(variant)
+    C = dense_words(rep.conj_words(variant), rep.N)
     eps, eps_p, _ = rep.signs(variant)
-    dirac = _dirac(build_dirac(rep, theta))
+    gammas = [dense_words(g, rep.N) for g in rep.gamma_words]
+
+    def dirac(K, b):
+        return sum(_mul(g, TWO_PI_I * K[:, j, None, None] * b) for j, g in enumerate(gammas))
+
     n, eye = theta.n, np.eye(rep.N, dtype=complex)
     Ce, E = C @ eye.conj(), np.eye(n, dtype=np.int64)
 
@@ -584,7 +575,7 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     eps_list = [check_eps(eps) for eps in eps_list]
     grid = VerificationReport(tol=resolve_tol(tol))
     base = build_base(theta, rep)
-    keep = {id(op) for op in (base.D, base.DD, base.gamma_tilde, base.hodge_star, base.W,
+    keep = {id(op) for op in (base.DD, base.gamma_tilde, base.hodge_star, base.W,
                               base.lap, *base.mas, *chain(*base.lifted.values()))}
     known, checklist, pm_plan = {}, _plan(CHECKLIST, SAMPLES), _plan(PM, 0)
     twins = _w_twins(base)

@@ -44,6 +44,9 @@ class ThetaMatrix:
             raise ValueError(f"torus dimension must be even, got {n}")
         if n < 1:
             raise ValueError("torus dimension must be positive")
+        finite = np.isfinite(entries)
+        if not finite.all():
+            raise ValueError(f"theta entry {tuple(np.argwhere(~finite)[0].tolist())} is not finite")
         if not np.allclose(entries, -entries.T, rtol=0, atol=1e-12):
             raise ValueError("theta must be skew-symmetric")
         self.n = n
@@ -84,14 +87,13 @@ class ThetaMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        """Read { "n": int, "theta": [[real]] }; only the strict upper
-        triangle is used, the rest follows by skew-symmetry."""
+        """Read { "n": int, "theta": [[real]] }: the whole matrix, which
+        __init__ checks and skew-symmetrizes."""
         n = int(obj["n"])
         raw = np.asarray(obj["theta"], dtype=float)
         if raw.shape != (n, n):
             raise ValueError(f"theta matrix must be {n}x{n}")
-        up = np.triu(raw, k=1)
-        return cls(up - up.T)
+        return cls(raw)
 
     def to_json(self):
         return {"n": self.n, "theta": self.entries.tolist()}
@@ -328,7 +330,10 @@ class TorusElement(TorusMatrix):
             m = tuple(int(x) for x in it["m"])
             if len(m) != theta.n:
                 raise DimensionMismatch("exponent length does not match theta")
-            coeffs[m] = coeffs.get(m, 0.0) + complex(it["re"], it["im"])
+            c = complex(it["re"], it["im"])
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at mode {m} is not finite: {c}")
+            coeffs[m] = coeffs.get(m, 0.0) + c
         return cls(theta, coeffs)
 
     def __repr__(self):

@@ -42,6 +42,7 @@ from nckahler.kahler import (
     verify_real_structure,
 )
 from nckahler.ncdiff import NCDiffOp
+from nckahler.pauli import dense_words
 from nckahler.torus import ThetaMatrix, TorusElement, TorusMatrix
 
 from test_ncdiff import inner_product, unit_column
@@ -92,10 +93,11 @@ def test_criterion_01_clifford_relations():
         rep = build_gamma(n)
         worst = max(worst, relations_residual(rep), grading_product_check(rep))
     rep2 = build_gamma(2)
+    g1, g2 = (dense_words(g, 2) for g in rep2.gamma_words)
     exact = (
-        np.array_equal(rep2.gammas[0], 1j * np.array([[0, 1], [1, 0]]))
-        and np.array_equal(rep2.gammas[1], 1j * np.array([[0, -1j], [1j, 0]]))
-        and np.array_equal(rep2.sigma, np.diag([1.0, -1.0]))
+        np.array_equal(g1, 1j * np.array([[0, 1], [1, 0]]))
+        and np.array_equal(g2, 1j * np.array([[0, -1j], [1j, 0]]))
+        and np.array_equal(dense_words(rep2.sigma_words, 2), np.diag([1.0, -1.0]))
     )
     dt = time.time() - t0
     emit(1, "Clifford relations n=2..8, exact n=2 matrices",

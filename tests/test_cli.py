@@ -45,6 +45,15 @@ def conn2_file(theta2_file, tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def fresh_gamma():
+    """build_gamma's cache emptied around the test: a patched self-check runs
+    on a fresh build, and no rep built under the patch outlives the test."""
+    clifford.build_gamma.cache_clear()
+    yield
+    clifford.build_gamma.cache_clear()
+
+
 def run_json(capsys, argv):
     code = main(argv)
     return code, json.loads(capsys.readouterr().out)
@@ -314,13 +323,13 @@ class TestExitCodes:
         with pytest.raises(np.linalg.LinAlgError):
             main(["holo", "h0", "--conn", conn2_file, "--radius", "1"])
 
-    def test_failed_sign_check_is_not_config_error(self, monkeypatch):
+    def test_failed_sign_check_is_not_config_error(self, monkeypatch, fresh_gamma):
         flipped = {k: (-eps, *rest) for k, (eps, *rest) in clifford.SIGNS_PLUS.items()}
         monkeypatch.setattr(clifford, "SIGNS_PLUS", flipped)
         with pytest.raises(RuntimeError, match="charge conjugation failed"):
             main(["clifford", "--n", "4"])
 
-    def test_failed_relations_check_is_not_config_error(self, monkeypatch):
+    def test_failed_relations_check_is_not_config_error(self, monkeypatch, fresh_gamma):
         monkeypatch.setattr(clifford, "_relations_residual", lambda gammas, sigma: 1.0)
         with pytest.raises(RuntimeError, match="relations check"):
             main(["clifford", "--n", "4"])
@@ -339,6 +348,26 @@ class TestExitCodes:
         path = tmp_path / "theta.json"
         path.write_text(json.dumps({"n": 2, "theta": [[0.0, 0.3, 0.1]]}))
         assert main(["verify", "--theta", str(path)]) == 2
+
+    @pytest.mark.parametrize("theta", [[[5, 0.3], [0.7, 9]], [[0, float("nan")], [0, 0]]],
+                             ids=["not-skew", "nan"])
+    def test_theta_checked_where_read_exit_2(self, theta, tmp_path, capsys):
+        # the whole matrix is read: a lower triangle or diagonal off skew, or
+        # a non-finite entry, is a configuration error
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps({"n": 2, "theta": theta}))
+        assert main(["verify", "--theta", str(path)]) == 2
+        assert "theta" in capsys.readouterr().err
+
+    def test_non_finite_connection_exit_2(self, theta2_file, tmp_path, capsys):
+        # a NaN coefficient at U_2 is refused, not pruned as if it were zero
+        _, theta = theta2_file
+        path = tmp_path / "conn.json"
+        path.write_text(json.dumps({"theta": theta.to_json(), "m": 1, "A": [[[
+            [{"m": [0, 1], "re": float("nan"), "im": 0.0}]]]]}))
+        for argv in (["flat"], ["h0", "--radius", "2"]):
+            assert main(["holo", *argv, "--conn", str(path)]) == 2
+            assert "(0, 1) is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["3", "12"])
     def test_bad_dimension_exit_2(self, n, capsys):

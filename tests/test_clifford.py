@@ -1,6 +1,7 @@
 """Gamma matrices, grading, and charge conjugations."""
 
 import dataclasses
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from nckahler.clifford import (
     irreducibility_rank,
     relations_residual,
 )
-from nckahler.pauli import pauli_words
+from nckahler.pauli import dense_words, pauli_words
 
 DIMS = [2, 4, 6, 8, 10]
 
@@ -52,7 +53,20 @@ def dense_rank(gammas):
 def duplicated(rep):
     """rep with gamma_2 := gamma_1."""
     g = rep.gamma_words
-    return dataclasses.replace(rep, gamma_words=[g[0], g[0]] + g[2:])
+    return dataclasses.replace(rep, gamma_words=(g[0], g[0]) + g[2:])
+
+
+def gammas(rep):
+    """The dense gamma_j of rep."""
+    return [dense_words(g, rep.N) for g in rep.gamma_words]
+
+
+def sigma(rep):
+    return dense_words(rep.sigma_words, rep.N)
+
+
+def conj(rep, variant):
+    return dense_words(rep.conj_words(variant), rep.N)
 
 
 def residuals(rep):
@@ -60,8 +74,8 @@ def residuals(rep):
 
 
 def oracle_residuals(rep):
-    gammas, sigma = rep.gammas, rep.sigma
-    return dense_relations_residual(gammas, sigma), dense_grading_residual(gammas, sigma, rep.n)
+    g, s = gammas(rep), sigma(rep)
+    return dense_relations_residual(g, s), dense_grading_residual(g, s, rep.n)
 
 
 class TestBuildGamma:
@@ -69,10 +83,9 @@ class TestBuildGamma:
         rep = build_gamma(2)
         g1 = 1j * np.array([[0, 1], [1, 0]])
         g2 = 1j * np.array([[0, -1j], [1j, 0]])
-        sigma = np.diag([1.0, -1.0])
-        assert np.array_equal(rep.gammas[0], g1)
-        assert np.array_equal(rep.gammas[1], g2)
-        assert np.array_equal(rep.sigma, sigma)
+        assert np.array_equal(gammas(rep)[0], g1)
+        assert np.array_equal(gammas(rep)[1], g2)
+        assert np.array_equal(sigma(rep), np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("n", DIMS)
     def test_relations(self, n):
@@ -81,16 +94,15 @@ class TestBuildGamma:
         assert relations_residual(rep) == 0.0
 
     def test_n4_anticommutators(self):
-        rep = build_gamma(4)
+        g = gammas(build_gamma(4))
         for j in range(4):
             for k in range(4):
                 if j != k:
-                    anti = rep.gammas[j] @ rep.gammas[k] + rep.gammas[k] @ rep.gammas[j]
+                    anti = g[j] @ g[k] + g[k] @ g[j]
                     assert np.abs(anti).max() < 1e-12
 
     def test_n6_squares(self):
-        rep = build_gamma(6)
-        for g in rep.gammas:
+        for g in gammas(build_gamma(6)):
             assert np.abs(g @ g + np.eye(8)).max() < 1e-12
 
     def test_odd_rejected(self):
@@ -106,14 +118,12 @@ class TestWords:
     @pytest.mark.parametrize("n", DIMS)
     def test_words_are_the_transforms_of_the_views(self, n):
         # every generator is one word, and equals the Pauli transform of its
-        # dense view repr for repr: zero parts are +0.0, as in (-1+0j)
+        # dense matrix repr for repr: zero parts are +0.0, as in (-1+0j)
         rep = build_gamma(n)
-        pairs = list(zip(rep.gamma_words, rep.gammas)) + [
-            (rep.sigma_words, rep.sigma), (rep.conj_plus_words, rep.conj_plus),
-            (rep.conj_minus_words, rep.conj_minus)]
-        for words, dense in pairs:
+        for words in rep.gamma_words + (rep.sigma_words, rep.conj_plus_words,
+                                        rep.conj_minus_words):
             assert len(words) == 1
-            assert repr(words) == repr(pauli_words(dense))
+            assert repr(dict(words)) == repr(pauli_words(dense_words(words, rep.N)))
 
     @pytest.mark.parametrize("n", DIMS)
     def test_residuals_equal_dense_oracle(self, n):
@@ -123,10 +133,19 @@ class TestWords:
         assert residuals(dup) == oracle_residuals(dup)
 
     def test_views_are_read_only(self):
+        # build_gamma builds and self-checks each n once and shares the rep,
+        # so the rep is frozen and each word sum is a read-only view
         rep = build_gamma(4)
-        for mat in rep.gammas + [rep.sigma, rep.conj_plus, rep.conj_matrix("minus")]:
-            with pytest.raises(ValueError):
-                mat[0, 0] = 0
+        assert build_gamma(4) is rep and build_gamma(6) is not rep
+        for field in ("n", "gamma_words", "sigma_words", "conj_plus_words", "signs_minus"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rep, field, None)
+        assert isinstance(rep.gamma_words, tuple)
+        for words in rep.gamma_words + (rep.sigma_words, rep.conj_plus_words,
+                                        rep.conj_minus_words):
+            assert isinstance(words, MappingProxyType)
+            with pytest.raises(TypeError):
+                words[(0, 0)] = 1 + 0j
 
 
 class TestGrading:
@@ -136,7 +155,8 @@ class TestGrading:
 
     def test_sign_flip_sanity(self):
         rep = build_gamma(4)
-        rep.gamma_words[0] = {w: -c for w, c in rep.gamma_words[0].items()}
+        g = rep.gamma_words
+        rep = dataclasses.replace(rep, gamma_words=({w: -c for w, c in g[0].items()},) + g[1:])
         # flipping one factor flips the product: residual becomes maximal
         assert grading_product_check(rep) == 2.0
         assert residuals(rep) == oracle_residuals(rep)
@@ -156,18 +176,18 @@ class TestChargeConjugation:
 
     def test_n4_j_squared(self):
         rep = build_gamma(4)
-        C = rep.conj_plus
+        C = conj(rep, "plus")
         assert np.abs(C @ C.conj() + np.eye(4)).max() < 1e-10  # eps = -1
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     def test_intertwining_relations(self, n, variant):
         rep = build_gamma(n)
-        C = rep.conj_matrix(variant)
+        C, s = conj(rep, variant), sigma(rep)
         eps, eps_p, eps_pp = rep.signs(variant)
-        for g in rep.gammas:
+        for g in gammas(rep):
             assert np.abs(C @ g.conj() - eps_p * g @ C).max() < 1e-10
-        assert np.abs(C @ rep.sigma.conj() - eps_pp * rep.sigma @ C).max() < 1e-10
+        assert np.abs(C @ s.conj() - eps_pp * s @ C).max() < 1e-10
         assert np.abs(C @ C.conj() - eps * np.eye(rep.N)).max() < 1e-10
         assert np.abs(C @ C.conj().T - np.eye(rep.N)).max() < 1e-10
 
@@ -175,7 +195,7 @@ class TestChargeConjugation:
     def test_entries_exact(self, n):
         # C is a product of gammas: a monomial matrix with unit entries, no noise
         rep = build_gamma(n)
-        for C in (rep.conj_plus, rep.conj_minus):
+        for C in (conj(rep, "plus"), conj(rep, "minus")):
             assert set(np.unique(C).tolist()) <= {0, 1, -1, 1j, -1j}
 
     @pytest.mark.parametrize("n", DIMS)
@@ -189,7 +209,7 @@ class TestChargeConjugation:
 
     def test_unknown_variant_rejected(self):
         rep = build_gamma(2)
-        for lookup in (rep.signs, rep.conj_matrix, rep.conj_words,
+        for lookup in (rep.signs, rep.conj_words,
                        lambda v: charge_conjugation(rep, v)):
             with pytest.raises(ValueError):
                 lookup("bogus")
@@ -205,7 +225,7 @@ class TestIrreducibility:
     def test_count_equals_dense_rank(self, n):
         rep = build_gamma(n)
         for r in (rep, duplicated(rep)):
-            assert irreducibility_rank(r) == dense_rank(r.gammas)
+            assert irreducibility_rank(r) == dense_rank(gammas(r))
 
     @pytest.mark.parametrize("n", DIMS)
     def test_duplicated_gamma_fails(self, n):

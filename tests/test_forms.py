@@ -18,7 +18,7 @@ from nckahler.forms import (
 from nckahler.holomorphic import delta
 from nckahler.kahler import Matching, build_kahler_package
 from nckahler.ncdiff import NCDiffOp
-from nckahler.pauli import word_product, word_sum
+from nckahler.pauli import dense_words, word_product, word_sum
 from nckahler.torus import DimensionMismatch, ThetaMatrix, TorusElement, TorusMatrix
 from test_ncdiff import scalar_element
 
@@ -64,10 +64,11 @@ class TestEtaBarClosedForm:
         # (1 tensor eta + i eps' eta tensor sigma) / 4
         rep = build_gamma(n)
         fbm = build_form_matrices(rep, eps_prime)
-        eye = np.eye(rep.N)
+        eye, sigma = np.eye(rep.N), dense_words(rep.sigma_words, rep.N)
+        gammas = [dense_words(g, rep.N) for g in rep.gamma_words]
         for j in range(1, n // 2 + 1):
-            eta = rep.gammas[2 * j - 1] - 1j * rep.gammas[2 * j - 2]
-            alt = 0.25 * (np.kron(eye, eta) + 1j * eps_prime * np.kron(eta, rep.sigma))
+            eta = gammas[2 * j - 1] - 1j * gammas[2 * j - 2]
+            alt = 0.25 * (np.kron(eye, eta) + 1j * eps_prime * np.kron(eta, sigma))
             assert np.abs(alt - dense(fbm.eta_bar[j - 1])).max() <= 1e-12
 
 
@@ -171,9 +172,9 @@ class TestOneChainPerFamily:
 
 def dense_families(rep, eps_prime):
     """The dense N^2 x N^2 mu, eta_bar, eta_hol of the kron formulas."""
-    eye = np.eye(rep.N)
-    mu = [0.5 * np.kron(eye, g) + (0.5j * eps_prime) * np.kron(g, rep.sigma)
-          for g in rep.gammas]
+    eye, sigma = np.eye(rep.N), dense_words(rep.sigma_words, rep.N)
+    mu = [0.5 * np.kron(eye, dense_words(g, rep.N))
+          + (0.5j * eps_prime) * np.kron(dense_words(g, rep.N), sigma) for g in rep.gamma_words]
     pairs = [(mu[2 * j - 1], mu[2 * j - 2]) for j in range(1, rep.n // 2 + 1)]
     return {"mu": mu, "eta_bar": [0.5 * (a - 1j * b) for a, b in pairs],
             "eta_hol": [0.5 * (a + 1j * b) for a, b in pairs]}

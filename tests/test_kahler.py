@@ -22,7 +22,7 @@ from nckahler.kahler import (
     verify_real_structure,
 )
 from nckahler.ncdiff import NCDiffOp
-from nckahler.torus import ThetaMatrix, TorusElement, TorusMatrix
+from nckahler.torus import TWO_PI_I, DimensionMismatch, ThetaMatrix, TorusElement, TorusMatrix
 from test_ncdiff import assert_same_blocks, loop_apply, loop_product, scalar_element, unit_column
 
 RNG = np.random.default_rng(200)
@@ -379,19 +379,20 @@ N22_CHECKS = [
 
 
 def dense_package(rep, matching, eps):
-    """The package's operators by the dense kron formulas, as {name: {alpha:
-    fiber matrix}}.  Every coefficient is constant, so [I, d] has the
+    """The package's operators, and D, by the dense kron formulas, as {name:
+    {alpha: fiber matrix}}.  Every coefficient is constant, so [I, d] has the
     coefficients I M - M I."""
-    n, eye, sigma = rep.n, np.eye(rep.N), rep.sigma
+    n, eye, sigma = rep.n, np.eye(rep.N), pauli.dense_words(rep.sigma_words, rep.N)
+    gammas = [pauli.dense_words(g, rep.N) for g in rep.gamma_words]
     unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     zero = (0,) * n
     ops = {
-        "D": dict(zip(unit, rep.gammas)),
-        "DD": {u: np.kron(eye, g) for u, g in zip(unit, rep.gammas)},
-        "DDbar": {u: -eps * np.kron(g, sigma) for u, g in zip(unit, rep.gammas)},
-        "T_script": {zero: sum((1j * eps / 2.0) * np.kron(g, g @ sigma) for g in rep.gammas)},
+        "D": dict(zip(unit, gammas)),
+        "DD": {u: np.kron(eye, g) for u, g in zip(unit, gammas)},
+        "DDbar": {u: -eps * np.kron(g, sigma) for u, g in zip(unit, gammas)},
+        "T_script": {zero: sum((1j * eps / 2.0) * np.kron(g, g @ sigma) for g in gammas)},
         "I_op": {zero: sum(0.5 * (np.kron(eye, gg) + np.kron(gg, eye))
-                           for gg in (rep.gammas[l - 1] @ rep.gammas[j - 1]
+                           for gg in (gammas[l - 1] @ gammas[j - 1]
                                       for l, j in matching.pairs))},
         "gamma_tilde": {zero: np.kron(sigma, sigma)},
         "hodge_star": {zero: np.kron(eye, sigma)},
@@ -414,13 +415,15 @@ class TestWordBuilders:
         rep = build_gamma(n)
         zero = (0,) * n
         W = kahler.build_base(theta, rep).W
-        assert np.abs(W.terms[zero].dense().blocks[zero]
-                      - np.kron(rep.sigma, np.eye(rep.N))).max() == 0.0
+        assert np.abs(W.terms[zero].dense().blocks[zero] - np.kron(
+            pauli.dense_words(rep.sigma_words, rep.N), np.eye(rep.N))).max() == 0.0
+        D = build_dirac(rep, theta)
         for mt in enumerate_matchings(n):
             for eps in (1, -1):
                 pkg = build_kahler_package(theta, mt, eps, rep=rep)
                 for name, want in dense_package(rep, mt, eps).items():
-                    op = getattr(pkg, name)
+                    # D is on the C^N fiber and in no package
+                    op = D if name == "D" else getattr(pkg, name)
                     assert set(op.terms) == set(want), name
                     for alpha, M in op.terms.items():
                         blocks = M.dense().blocks
@@ -458,8 +461,8 @@ class TestWordBuilders:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_transforms_per_grid_matching(self, n, monkeypatch):
-        # two packages and the pm intertwiner per matching, then the real
-        # structure's Dirac operator: none of them transforms a matrix
+        # two packages and the pm intertwiner per matching, then the Dirac
+        # operator: none of them transforms a matrix
         calls = self.count_transforms(monkeypatch)
         theta = ThetaMatrix.random(n, np.random.default_rng(n))
         rep = build_gamma(n)
@@ -757,7 +760,7 @@ def oracle_real_structure(theta, rep, variant, sample=None):
     and one apply at a time, on the (modes, pairs) of `sample` (default: the
     generators)."""
     modes, pairs = generator_sample(theta.n) if sample is None else sample
-    C = rep.conj_matrix(variant)
+    C = pauli.dense_words(rep.conj_words(variant), rep.N)
     eps, eps_p, _ = rep.signs(variant)
     D = build_dirac(rep, theta)
     N = rep.N
@@ -793,7 +796,7 @@ def reference_real_structure(theta, rep, variant):
     operations over the generator pairs and one loop_apply per operator and
     vector."""
     modes, pairs = generator_sample(theta.n)
-    C = rep.conj_matrix(variant)
+    C = pauli.dense_words(rep.conj_words(variant), rep.N)
     eps, eps_p, _ = rep.signs(variant)
     D = build_dirac(rep, theta)
     N = rep.N
@@ -832,7 +835,7 @@ def mutated(rep, mutation, monkeypatch):
         return dataclasses.replace(rep, conj_plus_words=rep.conj_minus_words)
     if mutation == "scaled-gamma":
         g = rep.gamma_words
-        return dataclasses.replace(rep, gamma_words=[{w: 1j * c for w, c in g[0].items()}] + g[1:])
+        return dataclasses.replace(rep, gamma_words=({w: 1j * c for w, c in g[0].items()},) + g[1:])
     if mutation == "star-phase-one":
         monkeypatch.setattr(ThetaMatrix, "star_phase", lambda self, m: 1 + 0j)
     return rep
@@ -874,7 +877,7 @@ class TestRealStructure:
             assert residuals(rp) == oracle_real_structure(theta, rep, variant)
 
     def test_apply_count(self, monkeypatch):
-        # D and the [D, b], read from D's blocks, act as dense fiber matrices:
+        # D and the [D, b], from the rep's words, act as dense fiber matrices:
         # no products pass and no apply call
         calls, passes = 0, []
         apply, products = NCDiffOp.apply, NCDiffOp.products
@@ -897,10 +900,13 @@ class TestRealStructure:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_dirac_block_is_the_product_block(self, n):
-        # [D, b] for b = U^k off mode 0 is one degree-0 block at k, and
-        # _dirac's closed form sum_j gamma_j (2 pi i k_j) is that block bit
-        # for bit; at k = 0 the product is the zero operator
+        # [D, b] for b = U^k off mode 0 is one degree-0 block at k, and the
+        # closed form sum_j gamma_j (2 pi i k_j) from the rep's words, added
+        # in j order as verify_real_structure adds it, is that block bit for
+        # bit; at k = 0 the product is the zero operator
         rep, rng = build_gamma(n), np.random.default_rng(40 + n)
+        gammas = [pauli.dense_words(g, rep.N) for g in rep.gamma_words]
+        eye = np.eye(rep.N, dtype=complex)
         for seed in range(3):
             theta = ThetaMatrix.random(n, np.random.default_rng(seed))
             D = build_dirac(rep, theta)
@@ -908,7 +914,9 @@ class TestRealStructure:
             modes[0] = (0,) * n
             bs = NCDiffOp.mult([TorusElement.monomial(theta, k) for k in modes], rep.N)
             Dbs = NCDiffOp.products([(D, b, -1) for b in bs])
-            closed = kahler._dirac(D)(np.array(modes), np.eye(rep.N, dtype=complex))
+            K = np.array(modes)
+            closed = sum(kahler._mul(g, TWO_PI_I * K[:, j, None, None] * eye)
+                         for j, g in enumerate(gammas))
             for Db, b, k, block in zip(Dbs, bs, modes, closed):
                 if not any(k):
                     assert Db.table.shape[1] == 0
@@ -953,40 +961,9 @@ class TestRealStructure:
                                             rng.normal(size=(N, N)) + 1j})
             assert_same_blocks(Db.apply(v).blocks, loop_apply(Db, v).blocks)
 
-    @pytest.mark.parametrize("alpha, mode", [((1, 0, 0, 0), (1, 0, 0, 0)),
-                                             ((0, 0, 0, 0), (0, 0, 0, 0))],
-                             ids=["off-mode-0", "degree-0"])
-    def test_guard_on_dirac_blocks(self, alpha, mode, monkeypatch):
-        # the dense action reads D as n degree-1 blocks at mode 0: a D with a
-        # block at a non-zero mode, or of degree 0, raises, and no residual
-        # comes back
-        build = kahler.build_dirac
-
-        def extended(rep, theta):
-            return build(rep, theta) + NCDiffOp.from_terms(
-                theta, rep.N, {alpha: {mode: {(1, 0): 0.5 + 0j}}})
-
-        monkeypatch.setattr(kahler, "build_dirac", extended)
-        with pytest.raises(RuntimeError, match="D is not n degree-1 blocks at mode 0"):
-            verify_real_structure(THETA4, rep=REP4)
-
-    def test_guard_on_degree_one_commutator(self, monkeypatch):
-        # a D whose [D, b] has a degree-1 block (D with a degree-2 term) is an
-        # internal fault, not a config error: the guard on D refuses it, since
-        # [D, b] is read from D's blocks
-        build = kahler.build_dirac
-
-        def extended(rep, theta):
-            return build(rep, theta) + NCDiffOp.from_words(
-                theta, rep.N, {(2, 0, 0, 0): {(1, 0): 0.5 + 0j}})
-
-        monkeypatch.setattr(kahler, "build_dirac", extended)
-        D = kahler.build_dirac(REP4, THETA4)
-        b = NCDiffOp.mult(TorusElement.monomial(THETA4, (1, 0, 0, 0)), REP4.N)
-        [Db] = NCDiffOp.products([(D, b, -1)])
-        assert max(map(sum, Db.terms)) == 1
-        with pytest.raises(RuntimeError, match="D is not n degree-1 blocks at mode 0"):
-            verify_real_structure(THETA4, rep=REP4)
+    def test_rep_of_another_dimension_refused(self):
+        with pytest.raises(DimensionMismatch, match="rep n=4 vs theta n=2"):
+            verify_real_structure(THETA2, rep=REP4)
 
     def test_scaled_gamma_fails_jd_only(self, monkeypatch):
         # i gamma_1 breaks J D = eps' D J in its del_1 part by 2 * 2 pi |k_1|

@@ -489,11 +489,9 @@ class TestProducts:
         pkg = build_kahler_package(theta, enumerate_matchings(4)[1], -1)
         ops = [getattr(pkg, f.name) for f in dataclasses.fields(pkg)]
         ops = [op for op in ops if isinstance(op, NCDiffOp)]
-        assert len(ops) == 14
+        assert len(ops) == 13
         for i, P in enumerate(ops):
-            # D alone is on the C^N fiber: it pairs with itself
-            Q = next(op for op in ops[i + 1:] + ops[:i + 1] if op.m == P.m)
-            assert_sums_match_dict_walk(P, Q)
+            assert_sums_match_dict_walk(P, ops[(i + 1) % len(ops)])
 
     @pytest.mark.parametrize("n, m", [(4, 2), (2, 2), (2, 4)],
                              ids=["torus-dimension", "torus-entries", "fiber"])

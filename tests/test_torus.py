@@ -264,10 +264,22 @@ class TestTheta:
             TorusElement.generator(near, 1) * TorusElement.generator(far, 2)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_json_uses_upper_triangle_only(self):
-        obj = {"n": 2, "theta": [[0.0, 0.3], [99.0, 0.0]]}
-        t = ThetaMatrix.from_json(obj)
-        assert abs(t.entries[1, 0] + 0.3) < 1e-15
+    def test_json_reads_the_whole_matrix(self):
+        # the lower triangle and the diagonal are checked, not dropped
+        for theta in ([[0.0, 0.3], [99.0, 0.0]], [[5.0, 0.3], [0.7, 9.0]],
+                      [[1e-3, 0.3], [-0.3, 0.0]]):
+            with pytest.raises(ValueError, match="skew-symmetric"):
+                ThetaMatrix.from_json({"n": 2, "theta": theta})
+        # within 1e-12 of skew, the matrix is skew-symmetrized exactly
+        t = ThetaMatrix.from_json({"n": 2, "theta": [[0.0, 0.3], [-0.3 + 1e-13, 0.0]]})
+        assert t.entries[0, 1] == -t.entries[1, 0] and abs(t.entries[0, 1] - 0.3) < 1e-13
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_named(self, bad):
+        entries = np.zeros((4, 4))
+        entries[2, 1] = bad
+        with pytest.raises(ValueError, match=r"theta entry \(2, 1\) is not finite"):
+            ThetaMatrix(entries)
 
 
 class TestSerialization:
@@ -275,6 +287,15 @@ class TestSerialization:
         a = TorusElement.random(THETA4, np.random.default_rng(9))
         b = TorusElement.from_json(THETA4, a.to_json())
         assert b.close_to(a, 1e-15)
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_named(self, part, bad):
+        # a NaN block would otherwise be pruned as if it were zero
+        items = TorusElement.generator(THETA4, 2).to_json()
+        items[0][part] = bad
+        with pytest.raises(ValueError, match=r"mode \(0, 1, 0, 0\) is not finite"):
+            TorusElement.from_json(THETA4, items)
 
     def test_inner_product_matches_trace_form(self):
         rng = np.random.default_rng(10)
