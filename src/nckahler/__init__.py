@@ -9,7 +9,6 @@ from .kahler import (
     build_dirac,
     build_kahler_package,
     enumerate_matchings,
-    verify_core_chain,
     verify_distinctness,
     verify_grid,
     verify_n22,

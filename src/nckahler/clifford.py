@@ -14,7 +14,9 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
-from .pauli import signs, word_product, word_sum
+import numpy as np
+
+from .pauli import dense_words, word_product, word_sum
 
 MAX_N = 10
 _ONE = {(0, 0): 1 + 0j}
@@ -62,12 +64,10 @@ class GammaRep:
 
 
 def _max_entry(words):
-    """The largest |entry| of a word sum: per x, of sum_z c_z (-1)^{|z & i|}
-    over the masks i, which need no bit above the z's."""
-    m, rows = 1 << max((z for _, z in words), default=0).bit_length(), {}
-    for (x, z), c in words.items():
-        rows[x] = rows.get(x, 0) + c * signs(m)[z]
-    return max((float(abs(r).max()) for r in rows.values()), default=0.0)
+    """The largest |entry| of a word sum: of its dense matrix on the masks
+    that its words' bits need, the rule NCDiffOp.residual_norm takes."""
+    m = 1 << max((max(w) for w in words), default=0).bit_length()
+    return float(np.abs(dense_words(words, m)).max())
 
 
 def _adjoint(words):

@@ -20,15 +20,16 @@ from .torus import TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix
 
 # h0_solve refuses a system it would need more than this many bytes to hold:
 # its entries (ENTRY_BYTES each, counting the copies its assembly and labelling
-# make), or one batch of equal-shape blocks with their SVD factors.
+# make), or one batch of equal-shape blocks with their SVD factors;
+# holomorphic_kernel likewise refuses a pair grid.
 MAX_BYTES = 1 << 30
 ENTRY_BYTES = 200  # tracemalloc peak per entry: 129-183 on n=4 constant connections
 
 
 def _check_bytes(n_bytes, what):
     if n_bytes > MAX_BYTES:
-        raise ValueError(f"{what} needs {n_bytes} bytes, over the dense solver limit "
-                         f"of {MAX_BYTES} bytes; reduce the radius or rank")
+        raise ValueError(f"{what} needs {n_bytes} bytes, over the holomorphic.MAX_BYTES "
+                         f"limit of {MAX_BYTES} bytes; reduce the radius")
 
 
 def delta(a, j):
@@ -52,15 +53,22 @@ def delbar_tuple(a):
 def holomorphic_kernel(theta, radius):
     """C-basis of { a supported in box(radius) : delta_j(a) = 0 for all j }.
 
-    The delta_j are diagonal on monomials, so the kernel is spanned by the
-    monomials whose eigenvalue tuple vanishes; contract: only U^0."""
+    The delta_j are diagonal on monomials, and delta_j's eigenvalue on U^m
+    reads only the pair (m_{2j-1}, m_{2j}), so the kernel is spanned by the
+    product of the n/2 pair kernels, in box order.  Each pair kernel is one
+    delta_eigenvalue test over the (2 radius + 1)^2 grid of its pair, on modes
+    zero off the pair, refused over MAX_BYTES; contract: only U^0."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    basis = []
-    for m in iproduct(range(-radius, radius + 1), repeat=theta.n):
-        if all(abs(delta_eigenvalue(m, j)) < 1e-12 for j in range(1, theta.n // 2 + 1)):
-            basis.append(TorusElement.monomial(theta, m))
-    return basis
+    side = 2 * radius + 1
+    _check_bytes(side ** 2 * 40, "the pair grid")  # tracemalloc peak: 40 bytes a point
+    grid = np.indices((side, side)).reshape(2, -1) - radius  # box order
+    pairs = []
+    for j in range(1, theta.n // 2 + 1):
+        mode = [0] * theta.n
+        mode[2 * j - 2:2 * j] = grid
+        pairs.append(grid[:, np.abs(delta_eigenvalue(mode, j)) < 1e-12].T.tolist())
+    return [TorusElement.monomial(theta, [x for pair in m for x in pair]) for m in iproduct(*pairs)]
 
 
 @dataclass

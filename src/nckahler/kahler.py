@@ -251,21 +251,6 @@ def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
 # names "a" repeats per sample, sample-major; one product with c = 1 is no sum.
 Row = namedtuple("Row", "name terms degree", defaults=(False,))
 
-CORE_CHAIN = (
-    Row("DD^2 = -sum del_r^2", ((1, ("DD", "DD", 0)), (1, "lap"))),
-    Row("DDbar^2 = -sum del_r^2", ((1, ("DDbar", "DDbar", 0)), (1, "lap"))),
-    Row("{DD, DDbar} = 0", ((1, ("DD", "DDbar", 1)),)),
-    Row("d^2 = 0", ((1, ("d", "d", 0)),)),
-    Row("[T_script, d] = d", ((1, ("T_script", "d", -1)), (-1, "d"))),
-    Row("[I, T_script] = 0", ((1, ("I_op", "T_script", -1)),)),
-    Row("[I, gamma_tilde] = 0", ((1, ("I_op", "gamma_tilde", -1)),)),
-    Row("[I, star] = 0", ((1, ("I_op", "hodge_star", -1)),)),
-    # build_kahler_package defines d2 = [I, d]
-    Row("[I, [I, d]] = -d", ((1, ("I_op", "d2", -1)), (1, "d"))),
-    Row("{d, d2*} = 0", ((1, ("d", "d2*", 1)),)),
-    Row("{d*, d2} = 0", ((1, ("d_star", "d2", 1)),)),
-)
-
 CHECKLIST = (
     Row("del^2 = 0", ((1, ("del_hol", "del_hol", 0)),)),
     Row("delbar^2 = 0", ((1, ("del_bar", "del_bar", 0)),)),
@@ -304,7 +289,20 @@ CHECKLIST = (
     Row("{d, d*} = {d2, d2*}", ((1, ("d", "d_star", 1)), (-1, ("d2", "d2*", 1)))),
     Row("{d, d*} = 2{delbar, delbar*}",
         ((1, ("d", "d_star", 1)), (-2.0, ("del_bar", "del_bar*", 1)))),
-) + CORE_CHAIN
+    # the core chain: the operator identities the construction rests on
+    Row("DD^2 = -sum del_r^2", ((1, ("DD", "DD", 0)), (1, "lap"))),
+    Row("DDbar^2 = -sum del_r^2", ((1, ("DDbar", "DDbar", 0)), (1, "lap"))),
+    Row("{DD, DDbar} = 0", ((1, ("DD", "DDbar", 1)),)),
+    Row("d^2 = 0", ((1, ("d", "d", 0)),)),
+    Row("[T_script, d] = d", ((1, ("T_script", "d", -1)), (-1, "d"))),
+    Row("[I, T_script] = 0", ((1, ("I_op", "T_script", -1)),)),
+    Row("[I, gamma_tilde] = 0", ((1, ("I_op", "gamma_tilde", -1)),)),
+    Row("[I, star] = 0", ((1, ("I_op", "hodge_star", -1)),)),
+    # build_kahler_package defines d2 = [I, d]
+    Row("[I, [I, d]] = -d", ((1, ("I_op", "d2", -1)), (1, "d"))),
+    Row("{d, d2*} = 0", ((1, ("d", "d2*", 1)),)),
+    Row("{d*, d2} = 0", ((1, ("d_star", "d2", 1)),)),
+)
 
 # The pm conjugation by W = kron(sigma, 1), over the del and delbar of the
 # eps' = +1 package (del+, delbar+) and of the eps' = -1 one (del-, delbar-).
@@ -414,13 +412,6 @@ def _run(jobs, tol, known=None, keep=()):
 def _operands(pkg):
     """A package's operands: its fields, and the Laplacian and samples of its base."""
     return vars(pkg) | {"lap": pkg.base.lap, "a": pkg.base.mas}
-
-
-def verify_core_chain(pkg, tol=None):
-    """The operator identities the construction rests on (squares of the
-    lifted pair, nilpotency, [T,d]=d, [I, .] commutations, [I,[I,d]]=-d and
-    the d/d2 cross relations): the CORE_CHAIN rows, which close CHECKLIST."""
-    return _run([(_plan(CORE_CHAIN, 0), _operands(pkg))], resolve_tol(tol))[0]
 
 
 def verify_n22(pkg, tol=None):

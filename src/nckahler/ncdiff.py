@@ -14,7 +14,7 @@ apply, residual_norm and to_json.  An NCDiffOp stores its words as flat
 arrays, the x/z/phase tableau of Aaronson and Gottesman (PRA 70, 2004), and
 its blocks as one integer table: per block the code of alpha, the n entries
 of the mode k, and the span start:stop of the block's words.  Tuples appear
-only at the edges: terms, from_terms, to_json, from_json and apply; an
+only at the edges: terms, from_terms, to_json and apply; an
 operator's arrays are read-only.
 
 The batch passes NCDiffOp.adjoints and products each split into a plan and
@@ -50,7 +50,7 @@ from operator import add, itemgetter, lshift, sub
 import numpy as np
 
 from .pauli import check_fiber, dense_words, densify, parity, pauli_words
-from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix
+from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusMatrix
 
 
 def _deriv_factor(k, delta):
@@ -650,18 +650,6 @@ class NCDiffOp:
             out.append({"alpha": list(alpha),
                         "matrix": [[M.entry(i, j).to_json() for j in range(m)] for i in range(m)]})
         return out
-
-    @classmethod
-    def from_json(cls, theta, items):
-        terms = {}
-        for it in items:
-            alpha = tuple(int(x) for x in it["alpha"])
-            tm = TorusMatrix.from_entries(theta, [[TorusElement.from_json(theta, cell)
-                                                   for cell in row] for row in it["matrix"]])
-            if tm.shape[0] != tm.shape[1]:
-                raise DimensionMismatch(f"coefficient of shape {tm.shape} is not square")
-            terms[alpha] = {k: pauli_words(b) for k, b in tm.blocks.items()}
-        return cls.from_terms(theta, len(items[0]["matrix"]) if items else 1, terms)
 
     def __repr__(self):
         return f"NCDiffOp(n={self.theta.n}, m={self.m}, terms={len(set(self.alpha.tolist()))})"

@@ -24,10 +24,8 @@ import numpy as np
 
 from .pauli import DimensionMismatch
 
-# Blocks whose entries are all below PRUNE_TOL are dropped; is_zero and
-# close_to compare against EQ_TOL unless given a tol.
+# Blocks whose entries are all below PRUNE_TOL are dropped.
 PRUNE_TOL = 1e-14
-EQ_TOL = 1e-9
 
 TWO_PI_I = 2j * np.pi
 
@@ -47,8 +45,11 @@ class ThetaMatrix:
         finite = np.isfinite(entries)
         if not finite.all():
             raise ValueError(f"theta entry {tuple(np.argwhere(~finite)[0].tolist())} is not finite")
-        if not np.allclose(entries, -entries.T, rtol=0, atol=1e-12):
-            raise ValueError("theta must be skew-symmetric")
+        off = np.argwhere(np.abs(entries + entries.T) > 1e-12)  # row-major
+        if len(off):
+            i, j = off[0]
+            raise ValueError(f"theta must be skew-symmetric: entry ({i}, {j}) is "
+                             f"{entries[i, j]} and entry ({j}, {i}) is {entries[j, i]}")
         self.n = n
         self.entries = 0.5 * (entries - entries.T)  # exact skew-symmetrization
         np.fill_diagonal(self.entries, 0.0)
@@ -246,12 +247,11 @@ class TorusMatrix:
         return float(max((np.hypot(b.real, b.imag).max() for b in self.blocks.values()),
                          default=0.0))
 
-    def is_zero(self, tol=EQ_TOL):
-        """norm() < tol; the default is EQ_TOL, pass PRUNE_TOL for 'nothing left
-        after pruning'."""
+    def is_zero(self, tol):
+        """norm() < tol; pass PRUNE_TOL for 'nothing left after pruning'."""
         return self.norm() < tol
 
-    def close_to(self, other, tol=EQ_TOL):
+    def close_to(self, other, tol):
         return (self - other).is_zero(tol)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,11 @@ import pytest
 import scipy.linalg
 
 import nckahler
-from nckahler import cli, clifford, forms, holomorphic, kahler
+from nckahler import cli, clifford, forms, holomorphic, kahler, pauli
 from nckahler.cli import main
 from nckahler.holomorphic import grassmannian
 from nckahler.report import VerificationReport
-from nckahler.torus import ThetaMatrix, TorusElement
+from nckahler.torus import PRUNE_TOL, ThetaMatrix, TorusElement
 
 
 @pytest.fixture()
@@ -157,6 +158,29 @@ class TestVerify:
         assert "operators" in obj
         (key, ops), = [(k, v) for k, v in obj["operators"].items()]
         assert "del" in ops and "delbar" in ops
+
+    @pytest.mark.parametrize("argv", [["--n", "2"], ["--n", "4", "--matching", "1-2,3-4"]],
+                             ids=["n2", "n4-one-matching"])
+    def test_dump_ops_entries_are_the_dense_words(self, argv, capsys):
+        # each dumped entry (i, j) lists, by ascending mode, the (i, j) entry
+        # of the dense matrix of the operator's words there, omitting those
+        # under PRUNE_TOL
+        _, obj = run_json(capsys, ["verify", *argv, "--dump-ops"])
+        theta = cli.load_theta(cli._parser().parse_args(["verify", *argv]))
+        rep, dumps = clifford.build_gamma(theta.n), obj["operators"]
+        assert len(dumps) == 2  # one matching, both eps'
+        for key, ops in dumps.items():
+            matching, eps = key.split("|eps'=")
+            pkg = kahler.build_kahler_package(theta, kahler.Matching.parse(matching), int(eps), rep)
+            for name, op in (("del", pkg.del_hol), ("delbar", pkg.del_bar)):
+                terms = sorted(op.terms.items())
+                assert [t["alpha"] for t in ops[name]] == [list(alpha) for alpha, _ in terms]
+                for t, (_, term) in zip(ops[name], terms):
+                    dense = {k: pauli.dense_words(w, op.m) for k, w in sorted(term.blocks.items())}
+                    assert t["matrix"] == [[
+                        [{"m": list(k), "re": b[i, j].real, "im": b[i, j].imag}
+                         for k, b in dense.items() if abs(b[i, j]) >= PRUNE_TOL]
+                        for j in range(op.m)] for i in range(op.m)]
 
     def test_dump_ops_over_the_limit_refused_before_building(self, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
@@ -337,7 +361,18 @@ class TestExitCodes:
     def test_dense_limit_exit_2(self, conn2_file, capsys):
         # 10001^2 box modes, two entries each: over MAX_BYTES
         assert main(["holo", "h0", "--conn", conn2_file, "--radius", "5000"]) == 2
-        assert "dense solver limit" in capsys.readouterr().err
+        assert "MAX_BYTES limit" in capsys.readouterr().err
+
+    def test_kernel_radius_over_the_limit_exit_2(self, capsys):
+        # the pair grid of radius 100000 would take 1.6e12 bytes: refused
+        # before anything is allocated
+        tracemalloc.start()
+        try:
+            assert main(["holo", "kernel", "--n", "4", "--radius", "100000"]) == 2
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        assert "the pair grid needs" in capsys.readouterr().err
 
     def test_radius_40_solves(self, conn2_file, capsys):
         # 6561 unknowns, split into 81 blocks of 81
@@ -349,15 +384,18 @@ class TestExitCodes:
         path.write_text(json.dumps({"n": 2, "theta": [[0.0, 0.3, 0.1]]}))
         assert main(["verify", "--theta", str(path)]) == 2
 
-    @pytest.mark.parametrize("theta", [[[5, 0.3], [0.7, 9]], [[0, float("nan")], [0, 0]]],
-                             ids=["not-skew", "nan"])
-    def test_theta_checked_where_read_exit_2(self, theta, tmp_path, capsys):
+    @pytest.mark.parametrize("theta, named", [
+        ([[5, 0.3], [0.7, 9]], "entry (0, 0) is 5.0"),
+        ([[0, 0.3], [0.7, 0]], "entry (0, 1) is 0.3 and entry (1, 0) is 0.7"),
+        ([[0, float("nan")], [0, 0]], "theta entry (0, 1) is not finite")],
+        ids=["not-skew", "not-skew-off-diagonal", "nan"])
+    def test_theta_checked_where_read_exit_2(self, theta, named, tmp_path, capsys):
         # the whole matrix is read: a lower triangle or diagonal off skew, or
-        # a non-finite entry, is a configuration error
+        # a non-finite entry, is a configuration error that names the entry
         path = tmp_path / "theta.json"
         path.write_text(json.dumps({"n": 2, "theta": theta}))
         assert main(["verify", "--theta", str(path)]) == 2
-        assert "theta" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_non_finite_connection_exit_2(self, theta2_file, tmp_path, capsys):
         # a NaN coefficient at U_2 is refused, not pruned as if it were zero

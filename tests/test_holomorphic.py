@@ -44,7 +44,7 @@ def scalar_matrix(theta, value):
 
 class TestDelbarTuple:
     def test_unit_is_holomorphic(self):
-        assert all(t.is_zero() for t in delbar_tuple(TorusElement.one(THETA4)))
+        assert all(t.is_zero(1e-9) for t in delbar_tuple(TorusElement.one(THETA4)))
 
     def test_monomial_eigenvalues(self):
         m = (2, -1, 3, 4)
@@ -69,7 +69,7 @@ class TestKernel:
         theta = ThetaMatrix.random(n, np.random.default_rng(n))
         basis = holomorphic_kernel(theta, 3)
         assert len(basis) == 1
-        assert basis[0].close_to(TorusElement.one(theta))
+        assert basis[0].close_to(TorusElement.one(theta), 1e-9)
 
     def test_radius_zero(self):
         basis = holomorphic_kernel(THETA4, 0)
@@ -82,6 +82,27 @@ class TestKernel:
                             lambda m, j: TWO_PI_I * m[1] if j == 1 else eigenvalue(m, j))
         basis = holomorphic_kernel(THETA4, 1)
         assert len(basis) == 3  # m_1 in {-1,0,1}, m_2 = m_3 = m_4 = 0
+
+    def test_weakened_second_pair_stays_on_its_pair(self, monkeypatch):
+        # replacing delta_2 by del_4 alone admits m_3 in {-1,0,1}, the rest 0:
+        # delta_2 is tested on modes zero off its own pair
+        eigenvalue = holomorphic.delta_eigenvalue
+        monkeypatch.setattr(holomorphic, "delta_eigenvalue",
+                            lambda m, j: TWO_PI_I * m[3] if j == 2 else eigenvalue(m, j))
+        basis = holomorphic_kernel(THETA4, 1)
+        assert [list(b.coeffs) for b in basis] == [[(0, 0, m3, 0)] for m3 in (-1, 0, 1)]
+
+    def test_pair_product_in_box_order(self, monkeypatch):
+        # oracle: the scan of every box mode, under a mutation that widens
+        # both pair kernels, gives the same monomials in the same order
+        monkeypatch.setattr(holomorphic, "delta_eigenvalue",
+                            lambda m, j: TWO_PI_I * m[2 * j - 1])
+        want = [m for m in product(range(-2, 3), repeat=4)
+                if all(holomorphic.delta_eigenvalue(m, j) == 0 for j in (1, 2))]
+        basis = holomorphic_kernel(THETA4, 2)
+        assert len(want) == 25
+        assert [b.to_json() for b in basis] == [
+            TorusElement.monomial(THETA4, m).to_json() for m in want]
 
 
 class TestFlatness:
@@ -169,7 +190,7 @@ class TestH0:
         basis = h0_solve(Connection(theta, 2, A), 1)
         # nabla(xi) = delta xi + A xi: constants with A xi = 0, i.e. xi_2 = 0
         assert len(basis) == 1
-        assert basis[0][1].is_zero()
+        assert basis[0][1].is_zero(1e-9)
 
     def test_random_connection_generically_rigid(self):
         rng = np.random.default_rng(3)
@@ -275,7 +296,7 @@ class TestH0Constant:
     def test_huge_radius_refused_before_enumeration(self):
         # the box would hold 2001^6 modes
         theta = ThetaMatrix.random(6, np.random.default_rng(6))
-        with pytest.raises(ValueError, match="dense solver limit"):
+        with pytest.raises(ValueError, match="MAX_BYTES limit"):
             h0_solve(grassmannian(theta, 1), 1000)
 
 
