@@ -193,6 +193,8 @@ def cmd_holo(args):
 
 def cmd_report(args):
     """Everything at once for one torus dimension."""
+    if args.radius < 0:
+        raise ConfigError("radius must be >= 0")
     theta = load_theta(args)
     tol = resolve_tol(args.tol)
     rep = clifford.build_gamma(theta.n)

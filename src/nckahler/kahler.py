@@ -432,6 +432,12 @@ def _mul(M, b):
     return (M.real @ b.real - M.imag @ b.imag) + 1j * (M.real @ b.imag + M.imag @ b.real)
 
 
+def _dirac_on(gammas, K, b):
+    """sum_j gamma_j (2 pi i K[:, j]) b for the (n, N, N) gammas and (count, n)
+    modes K: one batched _mul, summed over axis 0, so added in j order."""
+    return _mul(gammas[:, None], TWO_PI_I * K.T[:, :, None, None] * b).sum(axis=0)
+
+
 def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     """The real-structure conditions for J = (a -> a*) tensor J_N on the C^N
     fiber, checked exactly on the generators U_1 ... U_n: J D = eps' D J on
@@ -449,12 +455,13 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     fixed a, and so do the a for fixed b.  Continuity extends both to A^inf.
 
     Every operand is one (N, N) block at one mode, so the modes and pairs run
-    as (count, N, N) stacks.  D = sum_j del_j tensor gamma_j acts on b U^K
-    as sum_j gamma_j (2 pi i K_j) b U^K, added in j order, with gamma_j and C
-    the dense matrices of the rep's words; [D, U_j] = 2 pi i gamma_j U_j is
-    D's action on the identity at e_j.  Every block acted on is a phase times
-    a monomial matrix (I, C, or C conj(C) = eps I), so each entry of M b is a
-    single product, and real matmuls give the word-by-word action's bits."""
+    as (count, N, N) stacks with their phases from ThetaMatrix.phases tables.
+    D = sum_j del_j tensor gamma_j acts on b U^K as sum_j gamma_j (2 pi i K_j)
+    b U^K (_dirac_on), with gamma_j and C the dense matrices of the rep's
+    words; [D, U_j] = 2 pi i gamma_j U_j is D's action on the identity at e_j.
+    Every block acted on is a phase times a monomial matrix (I, C, or C
+    conj(C) = eps I), so each entry of M b is a single product, and real
+    matmuls give the word-by-word action's bits."""
     tol = resolve_tol(tol)
     rep = build_gamma(theta.n) if rep is None else rep
     if rep.n != theta.n:
@@ -463,21 +470,14 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     rp.meta = {"n": theta.n, "variant": variant}
     C = dense_words(rep.conj_words(variant), rep.N)
     eps, eps_p, _ = rep.signs(variant)
-    gammas = [dense_words(g, rep.N) for g in rep.gamma_words]
-
-    def dirac(K, b):
-        return sum(_mul(g, TWO_PI_I * K[:, j, None, None] * b) for j, g in enumerate(gammas))
-
+    gammas = np.array([dense_words(g, rep.N) for g in rep.gamma_words])
     n, eye = theta.n, np.eye(rep.N, dtype=complex)
     Ce, E = C @ eye.conj(), np.eye(n, dtype=np.int64)
 
-    # each distinct phase once: mu(e_i), lambda(e_i, -e_j) and mu(e_i - e_j);
-    # pair (i, j) is row i * n + j, and lambda(e_j, -e_i) is the transpose
-    mu = np.array([theta.star_phase(e) for e in E])[:, None, None]
-    lam = np.array([[theta.phase(a, -b) for b in E] for a in E])
-    mud = np.array([[theta.star_phase(a - b) for b in E] for a in E])
+    # pair (i, j) is row i * n + j; lam[i, j] = lambda(e_i, -e_j), so lam.T holds lambda(e_j, -e_i)
     i, j = np.divmod(np.arange(n * n), n)
-    pab, sab, pba = (p[:, None, None] for p in (lam[i, j], mud[i, j], lam[j, i]))
+    mu, lam = theta.star_phases(E)[:, None, None], theta.phases(E[:, None], -E)
+    pab, pba, sab = (p.reshape(-1, 1, 1) for p in (lam, lam.T, theta.star_phases(E[i] - E[j])))
 
     def JaJstar(Cb):
         # J a J* (b U^e_j) per pair, from Cb = C conj(b): J b U^k = mu(k) C conj(b)
@@ -491,8 +491,8 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
         return float(np.hypot(d.real, d.imag).max(axis=(1, 2))[kept].max(initial=0.0))
 
     # D keeps the block of mode k at k, and J moves it to -k; J(eye U^k) = mu(k) C conj(eye) U^-k
-    G = dirac(E, eye)
-    jd = mu * (C @ G.conj()) - eps_p * dirac(-E, mu * Ce)
+    G = _dirac_on(gammas, E, eye)
+    jd = mu * (C @ G.conj()) - eps_p * _dirac_on(gammas, -E, mu * Ce)
     rp.add("J D = eps' D J", residual(jd))
     # J a J*(identity) at -e_i: J(1) = C, and a C is the block C at e_i
     ja = eps * (mu[i] * (C @ C.conj()))

@@ -115,6 +115,19 @@ class ThetaMatrix:
         """Phase mu(m) with (U^m)^* = mu(m) U^{-m}."""
         return self.phase(m, tuple(-x for x in m)).conjugate()
 
+    def phases(self, M, K):
+        """phase(m, k) over the rows m of M and k of K, integer arrays of modes
+        on their last axis that broadcast: phase's bits where each exponent is
+        one Theta entry or 0 (as at modes 0, e_i and e_i - e_j), within
+        rounding elsewhere, and 1 + 0j where either mode is 0."""
+        M, K = np.asarray(M), np.asarray(K)
+        out = np.exp(TWO_PI_I * ((M @ self._upper.T) * K).sum(axis=-1))
+        return np.where(M.any(axis=-1) & K.any(axis=-1), out, 1 + 0j)
+
+    def star_phases(self, M):
+        """mu(m) over the rows m of M, the conjugate of phases(M, -M)."""
+        return self.phases(M, -np.asarray(M)).conj()
+
     def compatible(self, other):
         return self is other or (self.n == other.n
                                  and np.array_equal(self.entries, other.entries))

@@ -280,6 +280,15 @@ class TestReport:
         obj = json.loads(out.read_text())
         assert obj["summary"]["pass_count"] == obj["summary"]["total"]
 
+    def test_negative_radius_exit_2_before_any_check(self, capsys, monkeypatch):
+        # the kernel's radius is checked before the grid, not after it
+        def refused(*args, **kwargs):
+            raise AssertionError("verify_grid ran")
+
+        monkeypatch.setattr(kahler, "verify_grid", refused)
+        assert main(["report", "--n", "6", "--radius", "-1"]) == 2
+        assert "radius must be >= 0" in capsys.readouterr().err
+
 
 class TestSinglePath:
     def test_report_grid_equals_verify(self, theta2_file, capsys):

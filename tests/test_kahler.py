@@ -829,7 +829,8 @@ MUTATIONS = ("wrong-conjugation", "scaled-gamma", "star-phase-one")
 
 def mutated(rep, mutation, monkeypatch):
     """rep with one defect: J_- with the signs of J_+, i gamma_1 for gamma_1,
-    or (through ThetaMatrix) a J that drops the star phase; None: rep."""
+    or (through ThetaMatrix, scalar and table) a J that drops the star phase;
+    None: rep."""
     if mutation == "wrong-conjugation":
         return dataclasses.replace(rep, conj_plus_words=rep.conj_minus_words)
     if mutation == "scaled-gamma":
@@ -837,6 +838,8 @@ def mutated(rep, mutation, monkeypatch):
         return dataclasses.replace(rep, gamma_words=({w: 1j * c for w, c in g[0].items()},) + g[1:])
     if mutation == "star-phase-one":
         monkeypatch.setattr(ThetaMatrix, "star_phase", lambda self, m: 1 + 0j)
+        monkeypatch.setattr(ThetaMatrix, "star_phases",
+                            lambda self, M: np.ones(np.shape(M)[:-1], dtype=complex))
     return rep
 
 
@@ -900,11 +903,11 @@ class TestRealStructure:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_dirac_block_is_the_product_block(self, n):
         # [D, b] for b = U^k off mode 0 is one degree-0 block at k, and the
-        # closed form sum_j gamma_j (2 pi i k_j) from the rep's words, added
-        # in j order as verify_real_structure adds it, is that block bit for
-        # bit; at k = 0 the product is the zero operator
+        # closed form sum_j gamma_j (2 pi i k_j) from the rep's words, as
+        # verify_real_structure's _dirac_on adds it, is that block bit for bit;
+        # at k = 0 the product is the zero operator
         rep, rng = build_gamma(n), np.random.default_rng(40 + n)
-        gammas = [pauli.dense_words(g, rep.N) for g in rep.gamma_words]
+        gammas = np.array([pauli.dense_words(g, rep.N) for g in rep.gamma_words])
         eye = np.eye(rep.N, dtype=complex)
         for seed in range(3):
             theta = ThetaMatrix.random(n, np.random.default_rng(seed))
@@ -914,8 +917,7 @@ class TestRealStructure:
             bs = NCDiffOp.mult([TorusElement.monomial(theta, k) for k in modes], rep.N)
             Dbs = NCDiffOp.products([(D, b, -1) for b in bs])
             K = np.array(modes)
-            closed = sum(kahler._mul(g, TWO_PI_I * K[:, j, None, None] * eye)
-                         for j, g in enumerate(gammas))
+            closed = kahler._dirac_on(gammas, K, eye)
             for Db, b, k, block in zip(Dbs, bs, modes, closed):
                 if not any(k):
                     assert Db.table.shape[1] == 0
@@ -934,9 +936,23 @@ class TestRealStructure:
             got = verify_real_structure(theta, rep=rep, variant=variant)
             assert residuals(got) == reference_real_structure(theta, rep, variant)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("mutation", [None, "scaled-gamma"])
+    def test_dirac_is_the_j_ordered_sum(self, n, mutation, monkeypatch):
+        # the batched action adds over axis 0 what the per-gamma loop adds in
+        # j order, bit for bit, on the identity and on random stacks
+        rep, rng = mutated(build_gamma(n), mutation, monkeypatch), np.random.default_rng(n)
+        gammas = np.array([pauli.dense_words(g, rep.N) for g in rep.gamma_words])
+        K = rng.integers(-2, 3, size=(7, n))
+        for b in (np.eye(rep.N, dtype=complex),
+                  rng.normal(size=(7, rep.N, rep.N)) + 1j * rng.normal(size=(7, rep.N, rep.N))):
+            loop = sum(kahler._mul(g, TWO_PI_I * K[:, j, None, None] * b)
+                       for j, g in enumerate(gammas))
+            assert kahler._dirac_on(gammas, K, b).tobytes() == loop.tobytes()
+
     def test_phase_calls(self, monkeypatch):
-        # the actions call ThetaMatrix.phase nowhere: each distinct phase once,
-        # the n star_phase(e_i), then n^2 phase(e_i, -e_j) and n^2 star_phase(e_i - e_j)
+        # the phases come from ThetaMatrix.phases and star_phases tables: no
+        # scalar phase call (star_phase goes through phase)
         theta, rep = ThetaMatrix.random(6, np.random.default_rng(3)), build_gamma(6)
         calls, phase = [], ThetaMatrix.phase
 
@@ -946,7 +962,7 @@ class TestRealStructure:
 
         monkeypatch.setattr(ThetaMatrix, "phase", counted_phase)
         verify_real_structure(theta, rep=rep)
-        assert len(calls) == 2 * 6 ** 2 + 6 == 78
+        assert calls == []
 
     def test_apply_equals_loop_on_sample_jobs(self):
         # [D, b] of the real structure's samples on a mode of v, against the

@@ -108,6 +108,35 @@ class TestProduct:
                 if zero in (m, k):
                     assert got == cmath.exp(0j) and math.copysign(1.0, got.imag) == 1.0
 
+    @pytest.mark.parametrize("n", range(2, 12, 2))
+    def test_phase_tables_are_the_scalar_bits_at_unit_modes(self, n):
+        # at 0, +-e_i and e_i - e_j each argument is one Theta entry or 0, so
+        # the tables hold the scalar path's bits, signed zeros included
+        eye = np.eye(n, dtype=np.int64)
+        i, j = np.divmod(np.arange(n * n), n)
+        modes = np.concatenate([np.zeros((1, n), dtype=np.int64), eye, -eye, eye[i] - eye[j]])
+        for seed in range(3):
+            theta = ThetaMatrix.random(n, np.random.default_rng(seed))
+            table = np.array([[theta.phase(m, k) for k in modes] for m in modes])
+            assert theta.phases(modes[:, None], modes).tobytes() == table.tobytes()
+            star = np.array([theta.star_phase(m) for m in modes])
+            assert theta.star_phases(modes).tobytes() == star.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 12, 2))
+    def test_phase_tables_match_the_scalar_path(self, n):
+        # on general modes the table sums each exponent in another order than
+        # phase: agreement to 1e-13, and the exact 1 at mode 0 is kept
+        rng = np.random.default_rng(70 + n)
+        theta = ThetaMatrix.random(n, rng)
+        M, K = rng.integers(-3, 4, size=(30, n)), rng.integers(-3, 4, size=(20, n))
+        M[0] = K[0] = 0
+        table = np.array([[theta.phase(m, k) for k in K] for m in M])
+        got = theta.phases(M[:, None], K)
+        assert np.abs(got - table).max() <= 1e-13
+        star = np.array([theta.star_phase(m) for m in M])
+        assert np.abs(theta.star_phases(M) - star).max() <= 1e-13
+        assert (got[0] == 1).all() and (got[:, 0] == 1).all() and theta.star_phases(M)[0] == 1
+
     def test_associativity(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
