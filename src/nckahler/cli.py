@@ -175,7 +175,7 @@ def cmd_holo(args):
         conn = load_connection(args.conn)
         res = holomorphic.flatness_check(conn)
         obj = {"m": conn.m, "residual": res, "flat": res < tol}
-        return emit(obj, args.out, True)
+        return emit(obj, args.out, obj["flat"])
     if args.holo_cmd == "h0":
         conn = load_connection(args.conn)
         basis = holomorphic.h0_solve(conn, args.radius)

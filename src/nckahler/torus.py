@@ -54,22 +54,15 @@ class ThetaMatrix:
         self.entries = 0.5 * (entries - entries.T)  # exact skew-symmetrization
         np.fill_diagonal(self.entries, 0.0)
         self._upper = np.triu(self.entries, k=1)
-        # phase reads _upper and to_json entries: neither may drift from the other
+        self._pairs = np.triu_indices(n, k=1)
+        # phases reads _upper and to_json entries: neither may drift from the other
         self.entries.setflags(write=False)
         self._upper.setflags(write=False)
-        if self._all_rational():
-            warnings.warn(
-                "theta has rational entries; the C*-algebra is not a generic "
-                "irrational rotation algebra",
-                stacklevel=2,
-            )
-
-    def _all_rational(self, max_den=10**4, tol=1e-12):
-        for v in self._upper[np.triu_indices(self.n, k=1)]:
-            f = Fraction(v).limit_denominator(max_den)
-            if abs(v - float(f)) > tol:
-                return False
-        return True
+        # every entry within 1e-12 of a fraction of denominator at most 10^4
+        if all(abs(v - float(Fraction(v).limit_denominator(10**4))) <= 1e-12
+               for v in self._upper[self._pairs]):
+            warnings.warn("theta has rational entries; the C*-algebra is not a generic "
+                          "irrational rotation algebra", stacklevel=2)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -100,29 +93,28 @@ class ThetaMatrix:
         return {"n": self.n, "theta": self.entries.tolist()}
 
     def phase(self, m, k):
-        """Reordering phase lambda(m, k) with U^m U^k = lambda(m,k) U^{m+k}.
-
-        lambda(m,k) = exp(2 pi i sum_{a<b} Theta_{ab} m_b k_a), exactly 1 when
-        either mode is 0.
-        """
+        """Reordering phase lambda(m, k) with U^m U^k = lambda(m,k) U^{m+k}:
+        phases' value for one pair, exactly 1 when either mode is 0."""
         if not any(m) or not any(k):
             return 1 + 0j
-        m = np.asarray(m, dtype=float)
-        k = np.asarray(k, dtype=float)
-        return cmath.exp(TWO_PI_I * float(k @ (self._upper @ m)))
+        return complex(self.phases(m, k))
 
     def star_phase(self, m):
         """Phase mu(m) with (U^m)^* = mu(m) U^{-m}."""
         return self.phase(m, tuple(-x for x in m)).conjugate()
 
     def phases(self, M, K):
-        """phase(m, k) over the rows m of M and k of K, integer arrays of modes
-        on their last axis that broadcast: phase's bits where each exponent is
-        one Theta entry or 0 (as at modes 0, e_i and e_i - e_j), within
-        rounding elsewhere, and 1 + 0j where either mode is 0."""
+        """lambda(m, k) = exp(2 pi i sum_{a<b} Theta_{ab} m_b k_a) over the rows
+        m of M and k of K, integer arrays of modes on their last axis that
+        broadcast; 1 + 0j where either mode is 0.  The one formula of the
+        phase: phase and star_phase take their values from it.  Each term is
+        Theta_{ab} (m_b k_a), added in row-major (a, b) order, so a phase has
+        the same bits in every table it is taken in.  A zero mode makes every
+        term +-0.0, and + 0.0 makes a zero sum +0.0, whose exp is 1 + 0j."""
         M, K = np.asarray(M), np.asarray(K)
-        out = np.exp(TWO_PI_I * ((M @ self._upper.T) * K).sum(axis=-1))
-        return np.where(M.any(axis=-1) & K.any(axis=-1), out, 1 + 0j)
+        a, b = self._pairs
+        x = np.add.accumulate(self._upper[a, b] * (M[..., b] * K[..., a]), axis=-1)[..., -1]
+        return np.exp(TWO_PI_I * (x + 0.0))
 
     def star_phases(self, M):
         """mu(m) over the rows m of M, the conjugate of phases(M, -M)."""
@@ -140,7 +132,7 @@ class TorusMatrix:
 
     __slots__ = ("theta", "shape", "blocks")
 
-    def __init__(self, theta, shape, blocks=None, prune=True):
+    def __init__(self, theta, shape, blocks=None):
         self.theta = theta
         self.shape = tuple(shape)
         self.blocks = {}
@@ -149,13 +141,13 @@ class TorusMatrix:
                 mat = np.asarray(mat, dtype=complex)
                 if mat.shape != self.shape:
                     raise DimensionMismatch(f"block at {k} is {mat.shape}, not {self.shape}")
-                if not prune or np.abs(mat).max() >= PRUNE_TOL:
+                if np.abs(mat).max() >= PRUNE_TOL:
                     self.blocks[k] = mat
 
-    def _new(self, shape, blocks, prune=True):
+    def _new(self, shape, blocks):
         """A result over self's torus: of self's class if it has self's shape."""
         out = object.__new__(type(self) if shape == self.shape else TorusMatrix)
-        TorusMatrix.__init__(out, self.theta, shape, blocks, prune)
+        TorusMatrix.__init__(out, self.theta, shape, blocks)
         return out
 
     @classmethod
@@ -248,12 +240,9 @@ class TorusMatrix:
 
     def star(self):
         """Entrywise star composed with matrix transpose; star(U^m) = mu(m) U^{-m}."""
-        theta = self.theta
-        out = {}
-        for k, b in self.blocks.items():
-            mk = tuple(-x for x in k)
-            out[mk] = theta.star_phase(k) * b.conj().T
-        return self._new(self.shape[::-1], out, prune=False)
+        mu = self.theta.star_phase
+        return self._new(self.shape[::-1], {tuple(-x for x in k): mu(k) * b.conj().T
+                                            for k, b in self.blocks.items()})
 
     def norm(self):
         """Max entry magnitude over all modes (np.hypot of each entry)."""
@@ -275,8 +264,8 @@ class TorusElement(TorusMatrix):
 
     __slots__ = ()
 
-    def __init__(self, theta, coeffs=None, prune=True):
-        super().__init__(theta, (1, 1), {m: [[c]] for m, c in (coeffs or {}).items()}, prune)
+    def __init__(self, theta, coeffs=None):
+        super().__init__(theta, (1, 1), {m: [[c]] for m, c in (coeffs or {}).items()})
 
     @property
     def coeffs(self):

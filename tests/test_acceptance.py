@@ -177,7 +177,7 @@ def test_criterion_07_form_ranks():
             want = comb(half, level) if level <= half else 0
             ok = ok and form_rank(fbm, "eta_bar", level) == want
             ok = ok and form_rank(fbm, "eta_hol", level) == want
-        rp = bidegree_decomposition_check(fbm, max_r=2, tol=TOL)
+        rp = bidegree_decomposition_check(fbm, tol=TOL)
         ok = ok and rp.all_pass
     fbm2 = build_form_matrices(2)
     ok = ok and form_rank(fbm2, "eta_bar", 2) == 0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -89,6 +90,20 @@ class TestEnumerate:
 
     def test_odd_rejected(self, capsys):
         assert main(["enumerate", "--n", "5"]) == 2
+
+    def test_over_the_cap_exit_2(self, monkeypatch, capsys):
+        # the count is bounded before any matching is built: 7!! = 105 > 100
+        monkeypatch.setattr(kahler, "MAX_MATCHINGS", 100)
+        assert main(["enumerate", "--n", "8"]) == 2
+        assert "7!! >= 105 perfect matchings" in capsys.readouterr().err
+        assert main(["enumerate", "--n", "6"]) == 0
+
+    @pytest.mark.parametrize("n", ["16", "40"])
+    def test_huge_n_refused_at_once(self, n, capsys):
+        t0 = time.perf_counter()
+        assert main(["enumerate", "--n", n]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "MAX_MATCHINGS" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -254,6 +269,19 @@ class TestHolo:
         assert main(["holo", "h0", "--conn", str(cpath), "--radius", "2"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["dimension"] == 2
+
+    def test_curved_exit_1(self, theta4_file, tmp_path, capsys):
+        # A_1 = U_3, A_2 = 0 on n = 4: F_12 = -delta_2(U_3), residual 2 pi;
+        # a check failed, so exit 1 with the report
+        _, theta = theta4_file
+        conn = {"theta": theta.to_json(), "m": 1,
+                "A": [[[TorusElement.generator(theta, 3).to_json()]],
+                      [[TorusElement.zero(theta).to_json()]]]}
+        cpath = tmp_path / "conn.json"
+        cpath.write_text(json.dumps(conn))
+        assert main(["holo", "flat", "--conn", str(cpath)]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["flat"] is False and obj["residual"] == pytest.approx(2 * np.pi)
 
     def test_ps_compare(self, theta2_file, capsys):
         path, _ = theta2_file

@@ -251,6 +251,18 @@ def bench_shaped(m):
     return Connection(THETA4, m, [A1, [[z] * m for _ in range(m)]])
 
 
+def twisted_extension(k=(1, 1, 1, 0), q=(0, -1, 0, 1), c=0.7 + 0.2j):
+    """m = 2, A_j = [[0, c e_j U^k], [0, -delta_j-eigenvalue(q)]] with e_j the
+    delta_j-eigenvalue of k + q: H^0 holds (1, 0) and (-c lambda(k, q)
+    U^{k+q}, U^q), so the phase at the multi-generator mode k acting on U^q
+    enters the span."""
+    kq = tuple(x + y for x, y in zip(k, q))
+    z = TorusElement.zero(THETA4)
+    A = [[[z, TorusElement.monomial(THETA4, k, c * delta_eigenvalue(kq, j))],
+          [z, TorusElement.monomial(THETA4, (0,) * 4, -delta_eigenvalue(q, j))]] for j in (1, 2)]
+    return Connection(THETA4, 2, A)
+
+
 ORACLE_CASES = {
     "grassmannian m=1": (lambda: grassmannian(THETA4, 1), 2),
     "grassmannian m=2": (lambda: grassmannian(THETA4, 2), 1),
@@ -263,6 +275,7 @@ ORACLE_CASES = {
         THETA2, np.random.default_rng(3), 1, 3)]]]), 2),
     "c U_2 m=1": (lambda: bench_shaped(1), 2),
     "c U_2 m=2": (lambda: bench_shaped(2), 1),
+    "twisted extension m=2": (twisted_extension, 1),
     "(U_2, U_4)": (lambda: Connection(THETA4, 1, [
         [[TorusElement.generator(THETA4, 2)]], [[TorusElement.generator(THETA4, 4)]]]), 2),
 }
@@ -278,6 +291,18 @@ class TestH0AgainstDenseOracle:
         assert got.shape[1] == want.shape[1]
         if want.shape[1]:
             assert np.abs(projector(got) - projector(want)).max() <= 1e-8
+
+
+def test_twisted_extension_basis():
+    # the section over U^q carries -c lambda(k, q) at U^{k+q}: the phase of
+    # the three-generator mode k, taken from ThetaMatrix.phases
+    k, q, c = (1, 1, 1, 0), (0, -1, 0, 1), 0.7 + 0.2j
+    basis = h0_solve(twisted_extension(k, q, c), 1)
+    assert len(basis) == 2
+    (x1, x2), = [xi for xi in basis if xi[1].coeffs]
+    ratio = x1.coeffs[(1, 0, 1, 1)] / x2.coeffs[q]
+    assert set(x1.coeffs) == {(1, 0, 1, 1)} and set(x2.coeffs) == {q}
+    assert abs(ratio + c * THETA4.phase(k, q)) <= 1e-12 and abs(THETA4.phase(k, q) - 1) > 0.1
 
 
 class TestH0Constant:

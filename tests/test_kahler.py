@@ -654,27 +654,33 @@ class TestDerivedRows:
         got, want = grid_rows(THETA4, REP4, ms)
         assert got == want
         assert got[(str(ms[1]), -1)] != got[(str(ms[1]), 1)]
-        # per matching, one _run of the checklist jobs and the pm job
+        # per chunk of matchings, one _run of their checklist jobs and pm jobs:
+        # all three matchings in one chunk, then one matching a chunk
         runs, run = [], kahler._run
         monkeypatch.setattr(kahler, "_run", lambda js, *a: runs.append(len(js)) or run(js, *a))
         verify_grid(THETA4, ms, (1, -1), rep=REP4)
-        assert runs == [2, 3, 2]
+        monkeypatch.setattr(kahler, "GRID_CHUNK", 1)
+        verify_grid(THETA4, ms, (1, -1), rep=REP4)
+        assert runs == [7, 2, 3, 2]
 
 
 class TestVerifyGrid:
     def test_pass_budget(self, monkeypatch):
-        # at most 4 kernel passes once per grid and 7 per matching (30 per
-        # matching when each eps' package was built and checked on its own)
+        # at most 4 kernel passes once per grid and 7 per chunk of matchings
+        # (30 per matching when each eps' package was built and checked on
+        # its own): one matching a chunk, then three matchings in one chunk
         ms, verified = enumerate_matchings(4), []
         passes = counting_passes(monkeypatch)
-        counts = []
-        for k in (1, 3):
+        counts, chunk = [], kahler.GRID_CHUNK
+        for size, k in ((1, 1), (1, 3), (chunk, 3)):
+            monkeypatch.setattr(kahler, "GRID_CHUNK", size)
             passes.clear(), verified.clear()
             rp = verify_grid(THETA4, ms[:k], [1], rep=REP4, on_package=verified.append)
             counts.append(len(passes))
-        per_matching = (counts[1] - counts[0]) / 2
-        assert per_matching <= 7, passes
-        assert counts[0] - per_matching <= 4, passes
+        per_chunk = (counts[1] - counts[0]) / 2
+        assert per_chunk <= 7, passes
+        assert counts[0] - per_chunk <= 4, passes
+        assert counts[2] == counts[0], passes
         assert [(str(p.matching), p.eps_prime) for p in verified] == [(str(m), 1) for m in ms]
         # eps' = +1 alone still runs the conjugation check against eps' = -1
         names = [c.name for c in rp.checks]
@@ -989,6 +995,31 @@ class TestRealStructure:
         assert not jd.passed and jd.residual == pytest.approx(4 * np.pi)
         assert zero.residual == 0.0
         assert residuals(rp) == oracle_real_structure(THETA4, bad, "plus")
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_lambda_placement_on_a_one_sided_pair(self, n, variant):
+        # With unit phases both placements of lambda(e_i, -e_j) and
+        # lambda(e_j, -e_i) give identities that hold.  An imaginary part eta
+        # on Theta_12 makes |lambda(e_2, -e_1)| = e^(2 pi eta) and
+        # |mu(e_1 - e_2)| = e^(-2 pi eta), every other phase unit: only the
+        # pair (a, b) = (U_1, U_2) is off, by 2 sinh(2 pi eta) times its
+        # block, which in the first-order row is [D, U_2] = 2 pi i gamma_2.
+        # With gamma_2 doubled that row reads 8 pi sinh(2 pi eta); the two
+        # tables swapped would put the defect on (U_2, U_1), under gamma_1.
+        theta, eta = ThetaMatrix.random(n, np.random.default_rng(9)), 0.05
+        upper = theta._upper.astype(complex)
+        upper[0, 1] += 1j * eta
+        theta._upper = upper
+        rep = build_gamma(n)
+        g = rep.gamma_words
+        rep = dataclasses.replace(rep, gamma_words=(g[0], {w: 2 * c for w, c in g[1].items()},
+                                                    *g[2:]))
+        jd, zero, first = verify_real_structure(theta, rep=rep, variant=variant).checks
+        defect = 2 * np.sinh(2 * np.pi * eta)
+        assert jd.residual == 0.0
+        assert zero.residual == pytest.approx(defect, rel=1e-12)
+        assert first.residual == pytest.approx(4 * np.pi * defect, rel=1e-12)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_star_phase_one_fails_order_rows(self, n, monkeypatch):

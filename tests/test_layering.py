@@ -99,3 +99,42 @@ def test_detects_a_layer_import(tmp_path):
                    "from nckahler.kahler import build_base\n"
                    "import nckahler.forms\n")
     assert nckahler_imports(src) == {"ncdiff", "torus", "kahler", "forms"}
+
+
+def theta_reads(path):
+    """Where the module at path reads an attribute named `entries` or
+    `_upper` (ThetaMatrix's entries): "module.function" for the innermost
+    enclosing function, or "module" at top level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in ("entries", "_upper"):
+                found.append(where)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{path.stem}.{child.name}" if is_def else where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+# the phase formula lives in torus: elsewhere Theta's entries serve only as
+# the content key of ncdiff's plan cache
+THETA_READERS = {"ncdiff": ["ncdiff._planned"]}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "torus"], ids=lambda p: p.stem)
+def test_theta_entries_read_in_torus_only(path):
+    assert theta_reads(path) == THETA_READERS.get(path.stem, [])
+
+
+def test_detects_a_theta_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy as np\n"
+                   "def h0(theta, entries):\n"
+                   "    upper = np.triu(theta.entries, k=1)\n"
+                   "    def inner():\n"
+                   "        return theta._upper\n"
+                   "    return upper, TorusMatrix.from_entries, entries\n"
+                   "x = THETA.entries\n")
+    assert theta_reads(src) == ["mod.h0", "mod.inner", "mod"]

@@ -124,17 +124,19 @@ class TestProduct:
 
     @pytest.mark.parametrize("n", range(2, 12, 2))
     def test_phase_tables_match_the_scalar_path(self, n):
-        # on general modes the table sums each exponent in another order than
-        # phase: agreement to 1e-13, and the exact 1 at mode 0 is kept
+        # one formula: on general modes a table holds the scalar path's bits,
+        # whatever the table's shape, and the exact 1 at mode 0 is kept
         rng = np.random.default_rng(70 + n)
         theta = ThetaMatrix.random(n, rng)
         M, K = rng.integers(-3, 4, size=(30, n)), rng.integers(-3, 4, size=(20, n))
         M[0] = K[0] = 0
         table = np.array([[theta.phase(m, k) for k in K] for m in M])
         got = theta.phases(M[:, None], K)
-        assert np.abs(got - table).max() <= 1e-13
+        assert got.tobytes() == table.tobytes()
+        assert theta.phases(M[:, None, None], K[:, None]).tobytes() == got[..., None].tobytes()
+        assert np.array([theta.phases(m, K) for m in M]).tobytes() == table.tobytes()
         star = np.array([theta.star_phase(m) for m in M])
-        assert np.abs(theta.star_phases(M) - star).max() <= 1e-13
+        assert theta.star_phases(M).tobytes() == star.tobytes()
         assert (got[0] == 1).all() and (got[:, 0] == 1).all() and theta.star_phases(M)[0] == 1
 
     def test_associativity(self):
