@@ -205,11 +205,12 @@ def h0_solve(conn, radius):
     shifts = {k: s for s, k in enumerate(dict.fromkeys(k for *_, k, _ in terms))}
     out_index = _row_ids((box[None] + np.array(list(shifts))[:, None]).reshape(-1, n))
     n_out, out_index = out_index.max() + 1, out_index.reshape(len(shifts), n_box)
+    lam = {k: theta.phases(k, box) for k in shifts}  # U^k U^t = lambda(k, t) U^(k + t)
     rows, cols, vals = [], [], []
     for j, i, l, k, c in terms:
         rows.append((j * n_out + out_index[shifts[k]]) * m + i)
         cols.append(np.arange(n_box) * m + l)
-        vals.append(c * theta.phases(k, box))  # U^k U^t = lambda(k, t) U^(k + t)
+        vals.append(c * lam[k])
     rows, cols, vals = (np.concatenate(x, axis=None) for x in (rows, cols, vals))
 
     n_rows, n_cols = half * n_out * m, n_box * m

@@ -548,21 +548,15 @@ def _w_twins(base):
         for P, Q in zip(base.lifted[1], base.lifted[-1]))
 
 
-# Matchings per _run of verify_grid, which forms the core chain's products of
-# two base operators once per chunk (n = 10: 73 MB peak RSS, 60 MB at 1).
-GRID_CHUNK = 8
-
-
 def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
                 on_package=None):
     """The N=(2,2) checklist over every (matching, eps') of the grid, as one
     report: "[matching|eps'=+-1] <check>" per CHECKLIST check and eps' of
     `eps_list`, then "[matching] pm conjugation", the larger PM residual.
     One build_base serves the grid: its operators and its SAMPLES samples.
-    Per GRID_CHUNK matchings, seven kernel passes build their eps' = +1 and
-    -1 packages (_packages) and run the tables on them (one _run, whose
-    dedupe forms each product of two base operators once per chunk);
-    `on_package(pkg)` is called on every package of eps_list, in grid order.
+    Per matching, seven kernel passes build its eps' = +1 and -1 packages
+    (_packages) and run the tables on them (one _run); `on_package(pkg)` is
+    called on every package of eps_list.
 
     The eps' = -1 rows are derived: they are the +1 rows, and only the +1
     checklist runs, when an exact word-by-word check shows that the -1
@@ -579,26 +573,22 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     base = build_base(theta, rep)
     checklist, pm_plan = _plan(CHECKLIST, SAMPLES), _plan(PM, 0)
     twins = _w_twins(base)
-    for start in range(0, len(matchings), GRID_CHUNK):
-        pkgs = _packages(base, matchings[start:start + GRID_CHUNK], (1, -1))
-        jobs, rows = [], []
-        for pair in zip(pkgs[::2], pkgs[1::2]):
-            pkg = dict(zip((1, -1), pair))
-            if on_package is not None:
-                for eps in eps_list:
-                    on_package(pkg[eps])
-            derived = twins and _w_fixed(base.W, pkg[1].I_op)
-            run = list(dict.fromkeys(1 if derived else eps for eps in eps_list))
-            jobs += [(checklist, _operands(pkg[eps])) for eps in run]
-            jobs.append((pm_plan, _pm_operands(*pair)))
-            rows.append((str(pkg[1].matching), derived, run))
-        reports = iter(_run(jobs, grid.tol))
-        for label, derived, run in rows:
-            rps = {eps: next(reports) for eps in run}
+    for matching in matchings:
+        pkgs = dict(zip((1, -1), _packages(base, [matching], (1, -1))))
+        if on_package is not None:
             for eps in eps_list:
-                for c in rps[1 if derived else eps].checks:
-                    grid.add(f"[{label}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
-            grid.add(f"[{label}] pm conjugation", next(reports).max_residual, 1e-12)
+                on_package(pkgs[eps])
+        label = str(matching)
+        derived = twins and _w_fixed(base.W, pkgs[1].I_op)
+        run = list(dict.fromkeys(1 if derived else eps for eps in eps_list))
+        *reports, pm = _run(
+            [(checklist, _operands(pkgs[eps])) for eps in run]
+            + [(pm_plan, _pm_operands(pkgs[1], pkgs[-1]))], grid.tol)
+        reports = dict(zip(run, reports))
+        for eps in eps_list:
+            for c in reports[1 if derived else eps].checks:
+                grid.add(f"[{label}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
+        grid.add(f"[{label}] pm conjugation", pm.max_residual, 1e-12)
     return grid
 
 

@@ -609,22 +609,25 @@ class NCDiffOp:
     def apply(self, v):
         """P v = sum_alpha M_alpha . del^alpha v for an (m, c) TorusMatrix v: per
         block of P, one _act on the modes of v where del^alpha is not 0, each
-        term phase(k', k) M (del^alpha b) added at k' + k in block order.
+        term phase(k', k) M (del^alpha b) added at k' + k in block order, the
+        phases from one table over P's and v's modes.
         Nothing is normal-ordered, so this is an action oracle independent of
         compose and adjoint."""
         if v.shape[0] != self.m:
             raise DimensionMismatch(f"vector length {v.shape[0]} != fiber {self.m}")
         if any(len(k) != self.theta.n for k in v.blocks):
             raise DimensionMismatch(f"a mode of v is not in Z^{self.theta.n}")
-        out = {}
-        for alpha, kp, s, e in self._table():
-            fac = [(k, f) for k in v.blocks if (f := _deriv_factor(k, alpha))]
+        out, modes = {}, [*v.blocks]
+        lam = self.theta.phases(self.table[1:-2].T[:, None],
+                                np.array(modes, dtype=int).reshape(-1, self.theta.n))
+        for (alpha, kp, s, e), row in zip(self._table(), lam):
+            fac = [(k, f, ph) for k, ph in zip(modes, row) if (f := _deriv_factor(k, alpha))]
             if not fac:
                 continue
-            cols = np.array([f * v.blocks[k] for k, f in fac])
-            for (k, _), act in zip(fac, _act(self.x[s:e], self.z[s:e], self.c[s:e], cols)):
+            cols = np.array([f * v.blocks[k] for k, f, _ in fac])
+            for (k, _, ph), act in zip(fac, _act(self.x[s:e], self.z[s:e], self.c[s:e], cols)):
                 kk = tuple(map(add, kp, k))
-                term = self.theta.phase(kp, k) * act
+                term = ph * act
                 out[kk] = out[kk] + term if kk in out else term
         return TorusMatrix(self.theta, v.shape, out)
 

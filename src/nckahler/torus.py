@@ -215,12 +215,13 @@ class TorusMatrix:
         For elements this is the twisted product, the bilinear extension of
         U^m U^k = lambda(m, k) U^{m+k}."""
         self._check(other, self.shape[1] == other.shape[0])
-        theta = self.theta
-        out = {}
-        for k, A in self.blocks.items():
-            for kp, B in other.blocks.items():
+        n, out = self.theta.n, {}
+        lam = self.theta.phases(np.array([*self.blocks], dtype=int).reshape(-1, 1, n),
+                                np.array([*other.blocks], dtype=int).reshape(-1, n))
+        for (k, A), row in zip(self.blocks.items(), lam):
+            for (kp, B), ph in zip(other.blocks.items(), row):
                 kk = tuple(x + y for x, y in zip(k, kp))
-                term = theta.phase(k, kp) * (A @ B)
+                term = ph * (A @ B)
                 out[kk] = out[kk] + term if kk in out else term
         return self._new((self.shape[0], other.shape[1]), out)
 

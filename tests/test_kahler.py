@@ -654,33 +654,27 @@ class TestDerivedRows:
         got, want = grid_rows(THETA4, REP4, ms)
         assert got == want
         assert got[(str(ms[1]), -1)] != got[(str(ms[1]), 1)]
-        # per chunk of matchings, one _run of their checklist jobs and pm jobs:
-        # all three matchings in one chunk, then one matching a chunk
+        # per matching, one _run of the checklist jobs and the pm job
         runs, run = [], kahler._run
         monkeypatch.setattr(kahler, "_run", lambda js, *a: runs.append(len(js)) or run(js, *a))
         verify_grid(THETA4, ms, (1, -1), rep=REP4)
-        monkeypatch.setattr(kahler, "GRID_CHUNK", 1)
-        verify_grid(THETA4, ms, (1, -1), rep=REP4)
-        assert runs == [7, 2, 3, 2]
+        assert runs == [2, 3, 2]
 
 
 class TestVerifyGrid:
     def test_pass_budget(self, monkeypatch):
-        # at most 4 kernel passes once per grid and 7 per chunk of matchings
-        # (30 per matching when each eps' package was built and checked on
-        # its own): one matching a chunk, then three matchings in one chunk
+        # at most 4 kernel passes once per grid and 7 per matching (30 per
+        # matching when each eps' package was built and checked on its own)
         ms, verified = enumerate_matchings(4), []
         passes = counting_passes(monkeypatch)
-        counts, chunk = [], kahler.GRID_CHUNK
-        for size, k in ((1, 1), (1, 3), (chunk, 3)):
-            monkeypatch.setattr(kahler, "GRID_CHUNK", size)
+        counts = []
+        for k in (1, 3):
             passes.clear(), verified.clear()
             rp = verify_grid(THETA4, ms[:k], [1], rep=REP4, on_package=verified.append)
             counts.append(len(passes))
-        per_chunk = (counts[1] - counts[0]) / 2
-        assert per_chunk <= 7, passes
-        assert counts[0] - per_chunk <= 4, passes
-        assert counts[2] == counts[0], passes
+        per_matching = (counts[1] - counts[0]) / 2
+        assert per_matching <= 7, passes
+        assert counts[0] - per_matching <= 4, passes
         assert [(str(p.matching), p.eps_prime) for p in verified] == [(str(m), 1) for m in ms]
         # eps' = +1 alone still runs the conjugation check against eps' = -1
         names = [c.name for c in rp.checks]
