@@ -15,33 +15,38 @@ Each form is an NCDiffOp: a constant operator of degree 0 at mode 0 over
 the zero deformation (no phase is ever taken, so Theta does not enter).
 mu_k, the coefficient of del_k in the package's d, is 2 Pauli words, and a
 product of r of them has at most C(n, r) 2^r words.  Level 1 is the family
-itself; each later level's products (previous basis x family), and the
-bidegree check's mixed hol x bar spans, are one NCDiffOp.products pass.
-Their coefficients are multiples of 2^-2r, r <= n + 1, so the pass's
-PRUNE_TOL drops exactly the words that cancel.  One SVD of the products'
-coefficients over the words that occur, scaled by sqrt(m) (a Frobenius
-isometry: words are orthogonal, of norm sqrt(m)), decides each span with
-the singular values of the flattened m x m matrices.  A level's basis is
-picked among its products, exact word sums.  Each family's chain of bases
-is grown once per FormBasisMatrices, level by level on demand; the rank
-table, form_rank and the bidegree check index it.
+itself; each later level's products (previous basis x family) are one
+NCDiffOp.products pass over every family still short of its top level, and
+the bidegree check's mixed hol x bar spans one more.  Their coefficients are
+multiples of 2^-2r, r <= n + 1, so the pass's PRUNE_TOL drops exactly the
+words that cancel, and each pass's coefficients scale to Gaussian integers
+(pauli.gaussian_integers, with an exact round trip).  A span is decided by
+an exact row echelon over those integers, fraction-free as in Bareiss (Math.
+Comp. 22, 1968): each product, in job order, is reduced on its least word
+against the rows kept so far by row <- p[w] row - row[w] p, in Python ints,
+and is picked when it keeps a new least word.  So the picks are a basis of
+the span, and their count is the rank over Q(i), which is the complex rank;
+no rounding and no cutoff enter it.  Each family's chain of bases is grown once
+per FormBasisMatrices; the rank table, form_rank and the bidegree check
+index it.  The bidegree check's span containment stays a float distance
+(_containment_residuals), which says how far a failing span is off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
 from .clifford import build_gamma
 from .kahler import check_eps, lifted_words
 from .ncdiff import NCDiffOp
-from .pauli import word_sum
+from .pauli import gaussian_integers, word_sum
 from .report import VerificationReport, resolve_tol
 from .torus import DimensionMismatch, ThetaMatrix
 
-RANK_TOL = 1e-10
+FAMILIES = ("mu", "eta_bar", "eta_hol")
 
 
 @dataclass
@@ -59,21 +64,31 @@ class FormBasisMatrices:
 
     def chain(self, name, top):
         """Bases of the spans of all level-fold ordered products of a family
-        for levels 0..top (level 0: the identity), each grown from the one
-        before (span closure, no n^level enumeration) and kept for later calls."""
-        if name not in ("mu", "eta_bar", "eta_hol"):
-            raise ValueError(f"unknown family {name!r}")
-        family = getattr(self, name)
-        if name not in self.chains:
-            self.chains[name] = [[NCDiffOp.identity(self.mu[0].theta, self.m)]]
-        chain = self.chains[name]
-        while len(chain) <= top:
-            basis = chain[-1]
-            # level 1 is the family itself: 1 f = f
-            products = family if len(chain) == 1 else NCDiffOp.products(
-                [(b, f, 0) for b in basis for f in family])
-            chain.append(_span(products, self.m) if basis else [])
-        return chain
+        for levels 0..top (level 0: the identity); see grow."""
+        return self.grow({name: top})[name]
+
+    def grow(self, tops):
+        """The chains of the families {name: top}, each grown from the level
+        before (span closure, no n^level enumeration) and kept for later
+        calls.  The families grow together: a round adds the next level to
+        every family still short of its top, the products of all of them
+        from one NCDiffOp.products pass (level 1 is the family itself: 1 f =
+        f) and their spans from one scaling (_spans)."""
+        for name in tops:
+            if name not in FAMILIES:
+                raise ValueError(f"unknown family {name!r}")
+            self.chains.setdefault(name, [[NCDiffOp.identity(self.mu[0].theta, self.m)]])
+        while short := [name for name, top in tops.items() if len(self.chains[name]) <= top]:
+            jobs = {name: [(b, f, 0) for b in self.chains[name][-1] for f in getattr(self, name)]
+                    for name in short if len(self.chains[name]) > 1}
+            flat = [job for level in jobs.values() for job in level]
+            products = iter(NCDiffOp.products(flat) if flat else [])
+            levels = [[next(products) for _ in jobs[name]] if name in jobs else getattr(self, name)
+                      for name in short]
+            cuts = np.cumsum([0] + [len(level) for level in levels]).tolist()
+            for name, basis in zip(short, _spans([f for level in levels for f in level], cuts)):
+                self.chains[name].append(basis)
+        return {name: self.chains[name] for name in tops}
 
 
 def build_form_matrices(n_or_rep, eps_prime=1):
@@ -90,10 +105,16 @@ def build_form_matrices(n_or_rep, eps_prime=1):
                              eta_bar=ops[n:n + half], eta_hol=ops[n + half:])
 
 
+def _words(forms):
+    """The words x, z and coefficients c of forms, end to end."""
+    return (np.concatenate([f.x for f in forms]), np.concatenate([f.z for f in forms]),
+            np.concatenate([f.c for f in forms]))
+
+
 def _matrix(forms):
     """The coefficients of forms, one row each, over the words that occur in
     (x, z) order."""
-    x, z, c = (np.concatenate([getattr(f, a) for f in forms]) for a in "xzc")
+    x, z, c = _words(forms)
     row = np.arange(len(forms)).repeat([len(f.c) for f in forms])
     col = np.unique(x * (z.max() + 1) + z, return_inverse=True)[1]
     mat = np.zeros((len(forms), col.max() + 1), dtype=complex)
@@ -101,22 +122,75 @@ def _matrix(forms):
     return mat
 
 
-def _span(forms, m):
-    """A basis of the span of forms, picked among those with a word: the SVD
-    rule (RANK_TOL) decides the rank, and pivoted Gram-Schmidt on the
-    coordinates u s of the forms picks that many."""
-    forms = [f for f in forms if len(f.c)]
+def _spans(forms, cuts):
+    """Bases of the spans of forms[a:b] for consecutive cuts a, b ([] for an
+    empty slice, with no _span), from one scaling of all the coefficients to
+    Gaussian integers: each form a row {x << q | z: (re, im)}.  A form equal
+    word for word to an earlier one of its slice times a unit (1, i, -1 or
+    -i, exact on floats) lies in that one's span and is left out first."""
     if not forms:
-        return []
-    u, s, _ = np.linalg.svd(np.sqrt(m) * _matrix(forms), full_matrices=False)
-    rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0])))
-    coords, picked = u[:, :rank] * s[:rank], []
-    for _ in range(rank):
-        i = int(np.argmax(np.linalg.norm(coords, axis=1)))
-        v = coords[i] / np.linalg.norm(coords[i])
-        coords = coords - np.outer(coords @ v.conj(), v)
-        picked.append(i)
-    return [forms[i] for i in sorted(picked)]
+        return [[] for _ in cuts[1:]]
+    lens = [len(f.c) for f in forms]
+    q = forms[0].m.bit_length() - 1
+    x, z, c = _words(forms)
+    # each form's words in key order, turned by the unit that takes the first
+    # one's coefficient to re > 0, im >= 0 (+ 0 clears the signs of zeros)
+    key, row = x << q | z, np.arange(len(forms)).repeat(lens)
+    order = (row << 2 * q | key).argsort()
+    key, c = key[order], c[order]
+    ends = np.cumsum(lens)
+    lead = np.append(c, 0)[ends - lens]
+    turn = np.where(lead.imag > 0, 3 * (lead.real <= 0), np.where(lead.real < 0, 2, lead.imag < 0))
+    unit = c * np.array([1, 1j, -1, -1j])[turn][row] + 0
+    sigs = np.column_stack((key, unit.real.view(np.int64), unit.imag.view(np.int64))).tobytes()
+    _, re, im = gaussian_integers(c)
+    key, ends, width = key.tolist(), ends.tolist(), 3 * 8
+    spans = []
+    for a, b in zip(cuts, cuts[1:]):
+        seen, kept, rows = set(), [], []
+        for f, s, e in zip(forms[a:b], ([0] + ends)[a:b], ends[a:b]):
+            sig = sigs[width * s:width * e]
+            if sig not in seen:
+                seen.add(sig)
+                kept.append(f)
+                rows.append(dict(zip(key[s:e], zip(re[s:e], im[s:e]))))
+        spans.append(_span(kept, rows) if a < b else [])
+    return spans
+
+
+def _span(forms, rows):
+    """A basis of the span of forms, picked among them by the exact echelon
+    of their Gaussian-integer rows: a form is picked when its row keeps a
+    new least word (_reduce)."""
+    pivots = {}
+    return [f for f, row in zip(forms, rows) if _reduce(row, pivots)]
+
+
+def _reduce(row, pivots):
+    """Reduce row on its least word w against pivots ({least word: row}) by
+    the fraction-free update row <- p[w] row - row[w] p, exact in Python ints,
+    until w is new (the row joins pivots: True) or the row is 0 (False).
+    Dividing by the integer content keeps the ints small; it scales the row
+    only."""
+    while row:
+        w = min(row)
+        p = pivots.get(w)
+        if p is None:
+            pivots[w] = row
+            return True
+        (ar, ai), (br, bi) = p[w], row[w]
+        row = {k: (ar * r - ai * i, ar * i + ai * r) for k, (r, i) in row.items()}
+        for k, (r, i) in p.items():
+            nr, ni = row.get(k, (0, 0))
+            nr, ni = nr - br * r + bi * i, ni - br * i - bi * r
+            if nr or ni:
+                row[k] = nr, ni
+            else:
+                del row[k]
+        g = gcd(*(v for pair in row.values() for v in pair))
+        if g > 1:
+            row = {k: (r // g, i // g) for k, (r, i) in row.items()}
+    return False
 
 
 def form_rank(fbm, family_name, level):
@@ -129,7 +203,7 @@ def form_rank(fbm, family_name, level):
 def rank_table(fbm):
     """Ranks per level for all three families, through the first vanishing."""
     top = fbm.n + 1
-    chains = {name: fbm.chain(name, top) for name in ("mu", "eta_bar", "eta_hol")}
+    chains = fbm.grow(dict.fromkeys(FAMILIES, top))
     return [{"level": level,
              "omega_d": len(chains["mu"][level]),
              "omega_0q": len(chains["eta_bar"][level]),
@@ -166,9 +240,8 @@ def bidegree_decomposition_check(n_or_fbm, tol=None):
     n, half = fbm.n, fbm.n // 2
     rp = VerificationReport(tol=tol)
     rp.meta = {"n": n}
-    mu_chain = fbm.chain("mu", n)
-    hol_chain = fbm.chain("eta_hol", 2)
-    bar_chain = fbm.chain("eta_bar", 2)
+    chains = fbm.grow({"mu": n, "eta_hol": 2, "eta_bar": 2})
+    mu_chain, hol_chain, bar_chain = chains["mu"], chains["eta_hol"], chains["eta_bar"]
     for r in range(0, n + 1):
         lhs = len(mu_chain[r])
         rhs = sum(comb(half, p) * comb(half, r - p)
@@ -178,9 +251,8 @@ def bidegree_decomposition_check(n_or_fbm, tol=None):
     jobs = [[(h, b, 0) for p in range(r + 1) for h in hol_chain[p] for b in bar_chain[r - p]]
             for r in (1, 2)]
     products = NCDiffOp.products([job for level in jobs for job in level])
-    cut = np.cumsum([0] + [len(level) for level in jobs]).tolist()
-    for r in (1, 2):
-        mixed = _span(products[cut[r - 1]:cut[r]], fbm.m)
+    cuts = np.cumsum([0] + [len(level) for level in jobs]).tolist()
+    for r, mixed in zip((1, 2), _spans(products, cuts)):
         inside, outside = _containment_residuals(mu_chain[r], mixed)
         rp.add(f"span(mu^{r}) inside span(eta mixed^{r})", inside)
         rp.add(f"span(eta mixed^{r}) inside span(mu^{r})", outside)

@@ -88,6 +88,45 @@ def word_sum(*terms):
     return {w: v for w, v in out.items() if v}
 
 
+# The window of gaussian_integers: the lowest bit of a part may be 2^-DYADIC_EXP,
+# and a part may have at most DYADIC_BITS significant bits.  Every float is
+# dyadic, 1/3 too (6004799503160661 2^-54).  A float that rounds a number that
+# is not fills its 53-bit significand, but for trailing zeros (6 or more only
+# once in 32), so the second bound is what refuses it.
+DYADIC_EXP, DYADIC_BITS = 60, 48
+
+
+def gaussian_integers(c):
+    """(e, re, im) of the complex array c: the smallest e in 0..DYADIC_EXP
+    for which c 2^e has integer real and imaginary parts, and those parts as
+    lists of Python ints, in c's flat order.  e comes from one np.frexp pass
+    and the round trip is checked exactly.  ValueError on a part that is not
+    finite, has a bit below 2^-DYADIC_EXP or more than DYADIC_BITS significant
+    bits."""
+    c = np.ascontiguousarray(c, dtype=complex).ravel()
+    parts = c.view(float)  # re, im interleaved
+    if not np.isfinite(parts).all():
+        raise ValueError(f"coefficient {int(np.isfinite(parts).argmin()) // 2} is not finite")
+    mant, exp = np.frexp(parts)
+    sig = np.ldexp(mant, 53).astype(np.int64)  # exact: parts = sig 2^(exp - 53)
+    # 2^(low - 1) is the lowest set bit of sig (of |sig|: two's complement
+    # keeps it); a zero part needs no bit
+    low = np.frexp(sig & -sig)[1]
+    low[sig == 0] = 54
+    need, bits = 54 - exp - low, 54 - low
+    e = int(need.max(initial=0))
+    if e > DYADIC_EXP or bits.max(initial=0) > DYADIC_BITS:
+        i = int(((need > DYADIC_EXP) | (bits > DYADIC_BITS)).argmax()) // 2
+        raise ValueError(f"coefficient {i} ({complex(c[i])!r}) is not a dyadic number"
+                         f" of at most {DYADIC_BITS} bits within 2^-{DYADIC_EXP}")
+    scaled = np.ldexp(parts, e)
+    if not (np.array_equal(np.rint(scaled), scaled) and np.array_equal(np.ldexp(scaled, -e), parts)):
+        raise ValueError(f"the coefficients do not round-trip at 2^{e}")
+    ints = (scaled.astype(np.int64).tolist() if np.abs(scaled).max(initial=0) < 2.0 ** 63
+            else [int(v) for v in scaled.tolist()])
+    return e, ints[0::2], ints[1::2]
+
+
 def word_kron(a, b, q):
     """kron(A, B) for B on q qubits: the masks concatenate, A's above B's."""
     return {(x1 << q | x2, z1 << q | z2): c1 * c2

@@ -16,7 +16,7 @@ from nckahler.clifford import (
     irreducibility_rank,
     relations_residual,
 )
-from nckahler.pauli import dense_words, pauli_words
+from nckahler.pauli import DYADIC_BITS, DYADIC_EXP, dense_words, gaussian_integers, pauli_words
 
 DIMS = [2, 4, 6, 8, 10]
 
@@ -146,6 +146,46 @@ class TestWords:
             assert isinstance(words, MappingProxyType)
             with pytest.raises(TypeError):
                 words[(0, 0)] = 1 + 0j
+
+
+class TestGaussianIntegers:
+    """pauli.gaussian_integers: c 2^e as Gaussian integers, e the smallest."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            size, e = int(rng.integers(1, 30)), int(rng.integers(0, DYADIC_EXP + 1))
+            re, im = (rng.integers(-2 ** 40, 2 ** 40, size) for _ in range(2))
+            re[rng.random(size) < 0.3] = 0
+            c = np.ldexp(re, -e) + 1j * np.ldexp(im, -e)
+            got, gre, gim = gaussian_integers(c)
+            assert got <= e
+            assert all(type(v) is int for v in gre + gim)
+            assert [complex(r * 2.0 ** -got, i * 2.0 ** -got) for r, i in zip(gre, gim)] \
+                == c.tolist()
+            if got:
+                # one bit less leaves a part that is not an integer
+                half = np.concatenate((c.real, c.imag)) * 2.0 ** (got - 1)
+                assert not np.array_equal(half, np.rint(half))
+
+    @pytest.mark.parametrize("c, e, re, im", [
+        ([0.75], 2, [3], [0]),
+        ([4.0, -8j], 0, [4, 0], [0, -8]),
+        ([0.25 - 0.5j, 2.0 ** -40], 40, [2 ** 38, 1], [-2 ** 39, 0]),
+        ([1 + 2.0 ** -47], 47, [2 ** 47 + 1], [0]),
+        ([2.0 ** 40, 2.0 ** -60], 60, [2 ** 100, 1], [0, 0]),
+        ([], 0, [], []),
+    ])
+    def test_smallest_exponent(self, c, e, re, im):
+        assert gaussian_integers(np.array(c, dtype=complex)) == (e, re, im)
+
+    @pytest.mark.parametrize("bad", [1 / 3, 0.2, 1j / 3, 2.0 ** -61, 1 + 2.0 ** -(DYADIC_BITS),
+                                     float("nan"), complex(0, float("inf"))])
+    def test_refused(self, bad):
+        # 1/3 is 6004799503160661 2^-54 as a float: within 2^-60, but of 53 bits
+        with pytest.raises(ValueError):
+            gaussian_integers(np.array([0.5, bad]))
 
 
 class TestGrading:

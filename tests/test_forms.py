@@ -27,6 +27,9 @@ THETA4 = ThetaMatrix.random(4, RNG)
 THETA6 = ThetaMatrix.random(6, RNG)
 FBM4 = build_form_matrices(4)
 FBM6 = build_form_matrices(6)
+# The SVD cutoff of the dense oracles below, relative to max(1, s_0): the
+# package's rank rule before the exact echelon.
+RANK_TOL = 1e-10
 
 
 def words(form):
@@ -170,6 +173,52 @@ class TestOneChainPerFamily:
         assert calls == [2 * half + sum(comb(half, p) * comb(half, 2 - p) for p in range(3))]
 
 
+def count_products_passes(monkeypatch):
+    """The job counts of the NCDiffOp.products passes made from now on."""
+    calls, products = [], NCDiffOp.products
+
+    def counting(jobs):
+        calls.append(len(jobs))
+        return products(jobs)
+
+    monkeypatch.setattr(NCDiffOp, "products", staticmethod(counting))
+    return calls
+
+
+class TestLockstepChains:
+    """The three families grow together: one products pass per level."""
+
+    def test_one_pass_per_level(self, monkeypatch):
+        fbm = build_form_matrices(6)
+        calls = count_products_passes(monkeypatch)
+        rank_table(fbm)
+        # levels 2..7; eta_bar and eta_hol join the passes of levels 2..4 (the
+        # level-3 basis is one form, whose products vanish)
+        assert calls == [6 * 6 + 3 * 3 * 2, 15 * 6 + 3 * 3 * 2, 20 * 6 + 1 * 3 * 2,
+                         15 * 6, 6 * 6, 1 * 6]
+        bidegree_decomposition_check(fbm)
+        assert len(calls) == 6 + 1
+
+    def test_chain_is_grow(self):
+        # a chain grown alone equals the one grown with the other families
+        alone, together = build_form_matrices(4), build_form_matrices(4)
+        together.grow(dict.fromkeys(forms.FAMILIES, 5))
+        for name in forms.FAMILIES:
+            assert ([list(map(words, level)) for level in alone.chain(name, 5)]
+                    == [list(map(words, level)) for level in together.chains[name]])
+        with pytest.raises(ValueError):
+            alone.chain("nu", 1)
+
+    def test_n10_table_and_bidegree(self):
+        fbm = build_form_matrices(10)
+        for row in rank_table(fbm):
+            l = row["level"]
+            assert row["omega_d"] == comb(10, l)
+            assert row["omega_0q"] == row["omega_p0"] == comb(5, l)
+        rp = bidegree_decomposition_check(fbm)
+        assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
+
+
 def dense_families(rep, eps_prime):
     """The dense N^2 x N^2 mu, eta_bar, eta_hol of the kron formulas."""
     eye, sigma = np.eye(rep.N), dense_words(rep.sigma_words, rep.N)
@@ -180,7 +229,7 @@ def dense_families(rep, eps_prime):
             "eta_hol": [0.5 * (a + 1j * b) for a, b in pairs]}
 
 
-def dense_span_basis(mats, tol=forms.RANK_TOL):
+def dense_span_basis(mats, tol=RANK_TOL):
     """Orthonormal basis (rows) of the span of flattened matrices."""
     if not mats:
         return np.zeros((0, 0))
@@ -247,43 +296,59 @@ def coefficients(sums):
     return mat
 
 
-def dict_span(products, m, tol=forms.RANK_TOL):
-    """The dict path's span of word_product dicts: their coefficient matrix
-    and the picked products, by the same SVD and pivoted Gram-Schmidt."""
+def dict_products(products):
+    """The dict path's nonzero word_product dicts and their coefficient
+    matrix."""
     products = [p for p in (word_sum((1, p)) for p in products) if p]
-    if not products:
-        return np.zeros((0, 0), dtype=complex), []
-    mat = coefficients(products)
-    u, s, _ = np.linalg.svd(np.sqrt(m) * mat, full_matrices=False)
-    rank = int(np.count_nonzero(s > tol * max(1.0, s[0])))
-    coords, picked = u[:, :rank] * s[:rank], []
-    for _ in range(rank):
-        i = int(np.argmax(np.linalg.norm(coords, axis=1)))
-        v = coords[i] / np.linalg.norm(coords[i])
-        coords = coords - np.outer(coords @ v.conj(), v)
-        picked.append(i)
-    return mat, [products[i] for i in sorted(picked)]
+    return products, coefficients(products) if products else np.zeros((0, 0), dtype=complex)
+
+
+def greedy_picks(mat, m, tol=RANK_TOL):
+    """The rows of mat, in order, that raise the dense SVD rank of the rows
+    picked before them: the singular values of those rows scaled by sqrt(m)
+    (the dense fiber matrices') above tol max(1, s_0).  If the picks are
+    U diag(s) vh, the picks and a row r, r = c vh + p with p orthogonal to vh,
+    have the singular values of [[diag(s), 0], [c, |p|]], so one small SVD per
+    row decides, and a pick updates s and vh."""
+    mat = np.sqrt(m) * mat
+    s, vh, picked = np.zeros(0), np.zeros((0, mat.shape[1]), dtype=complex), []
+
+    def rank(sv):
+        return int(np.count_nonzero(sv > tol * max(1.0, sv[0]))) if len(sv) else 0
+
+    for i, row in enumerate(mat):
+        c = vh.conj() @ row
+        p = row - c @ vh
+        t = np.linalg.norm(p)
+        small = np.zeros((len(s) + 1,) * 2, dtype=complex)
+        small[:-1, :-1], small[-1, :-1], small[-1, -1] = np.diag(s), c, t
+        _, sv, vmh = np.linalg.svd(small)
+        if rank(sv) > rank(s):
+            picked.append(i)
+            s, vh = sv, vmh @ np.vstack([vh, p / t])
+    return picked
 
 
 def assert_same_span(groups, fbm):
     """The products pass on (left, right) groups of forms gives the dict
-    path's matrix and picks bit for bit, the words of each pick in the same
-    order."""
-    products = [word_product(words(a), words(b))
-                for left, right in groups for a in left for b in right]
-    want_mat, want = dict_span(products, fbm.m)
+    path's matrix bit for bit, and the echelon picks the products that the
+    greedy SVD oracle picks, the words of each in the dict path's order."""
+    want, want_mat = dict_products([word_product(words(a), words(b))
+                                    for left, right in groups for a in left for b in right])
     got = [f for f in NCDiffOp.products([(a, b, 0) for left, right in groups
                                          for a in left for b in right]) if len(f.c)]
     mat = forms._matrix(got) if got else np.zeros((0, 0), dtype=complex)
     assert mat.shape == want_mat.shape and np.array_equal(mat, want_mat)
-    picks = forms._span(got, fbm.m)
-    assert [list(words(p).items()) for p in picks] == [list(p.items()) for p in want]
+    picks = forms._spans(got, [0, len(got)])[0]
+    assert ([list(words(p).items()) for p in picks]
+            == [list(want[i].items()) for i in greedy_picks(want_mat, fbm.m)])
     return picks
 
 
 class TestAgainstDictPath:
     """The one products pass per level against the word_product dicts:
-    same coefficients, picks and chains, bit for bit."""
+    same coefficients and chains bit for bit, and the greedy SVD oracle's
+    picks."""
 
     @pytest.mark.parametrize("eps_prime", [1, -1])
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -309,6 +374,55 @@ class TestAgainstDictPath:
         hol, bar = fbm.chain("eta_hol", 2), fbm.chain("eta_bar", 2)
         for r in (1, 2):
             assert_same_span([(hol[p], bar[r - p]) for p in range(r + 1)], fbm)
+
+
+class TestExactRank:
+    """The echelon's rank is exact: a defect far under any float cutoff
+    counts."""
+
+    def test_a_2_to_the_minus_40_defect_counts(self):
+        fbm = build_form_matrices(4)
+        products = [p for p in NCDiffOp.products([(b, f, 0) for b in fbm.mu for f in fbm.mu])
+                    if len(p.c)]
+        clean = forms._spans(products, [0, len(products)])[0]
+        assert len(clean) == 6
+        # a product the echelon leaves out, 2^-40 added to its first word
+        i = next(i for i, p in enumerate(products) if all(p is not q for q in clean))
+        p = products[i]
+        defect = NCDiffOp.from_words(p.theta, p.m, {(0,) * 4: {(int(p.x[0]), int(p.z[0])): 2.0 ** -40}})
+        bad = products[:i] + [p + defect] + products[i + 1:]
+        picks = forms._spans(bad, [0, len(bad)])[0]
+        assert len(picks) == 7 and any(q is bad[i] for q in picks)
+        # the SVD rule with the 1e-10 cutoff drops it, greedily and whole
+        mat = forms._matrix(bad)
+        assert len(greedy_picks(mat, fbm.m)) == 6
+        s = np.linalg.svd(np.sqrt(fbm.m) * mat, compute_uv=False)
+        assert np.count_nonzero(s > RANK_TOL * max(1.0, s[0])) == 6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_gaussian_rows_against_the_svd_oracle(self, seed):
+        # rows over Z[i] with exact dependencies: Gaussian-integer mixes of
+        # fewer sparse rows; the echelon's picks are the greedy SVD picks
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, 6))
+        basis = (rng.integers(-3, 4, (rank, 10)) + 1j * rng.integers(-3, 4, (rank, 10))) \
+            * (rng.random((rank, 10)) < 0.5)
+        mat = (rng.integers(-2, 3, (12, rank)) + 1j * rng.integers(-2, 3, (12, rank))) @ basis
+        rows = [{k: (int(v.real), int(v.imag)) for k, v in enumerate(r) if v} for r in mat]
+        picks = forms._span(list(range(len(rows))), rows)
+        assert picks == greedy_picks(mat, 1)
+        assert len(picks) == np.linalg.matrix_rank(mat)
+
+    def test_unit_multiples_left_out(self):
+        f = FBM4.mu[0]
+        g = FBM4.mu[1]
+        assert forms._spans([f, f.scale(1j), g, f.scale(-1), f.scale(-1j)], [0, 5]) == [[f, g]]
+
+    def test_non_dyadic_coefficient_refused(self):
+        fbm = build_form_matrices(2)
+        third = fbm.mu[0].scale(1 / 3)
+        with pytest.raises(ValueError, match="dyadic"):
+            forms._spans([third], [0, 1])
 
 
 class TestCommutatorDecomposition:
