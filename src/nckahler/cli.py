@@ -182,13 +182,12 @@ def cmd_holo(args):
         obj = {"m": conn.m, "radius": args.radius, "dimension": len(basis),
                "basis": [[x.to_json() for x in xi] for xi in basis]}
         return emit(obj, args.out, True)
-    if args.holo_cmd == "ps-compare":
-        with open(args.theta2) as fh:
-            theta = ThetaMatrix.from_json(json.load(fh))
-        res = holomorphic.ps_compare(theta, radius=args.radius)
-        obj = {"residual": res, "pass": res < 1e-12}
-        return emit(obj, args.out, obj["pass"])
-    raise ConfigError(f"unknown holo subcommand {args.holo_cmd!r}")
+    # ps-compare, the last of the four required subcommands
+    with open(args.theta2) as fh:
+        theta = ThetaMatrix.from_json(json.load(fh))
+    res = holomorphic.ps_compare(theta, radius=args.radius)
+    obj = {"residual": res, "pass": res < 1e-12}
+    return emit(obj, args.out, obj["pass"])
 
 
 def cmd_report(args):
@@ -201,13 +200,12 @@ def cmd_report(args):
     rp = VerificationReport(tol=tol)
     rp.add("clifford relations", clifford.relations_residual(rep), 1e-12)
     rp.add("grading product", clifford.grading_product_check(rep), 1e-12)
-    rp.extend(kahler.verify_grid(theta, kahler.enumerate_matchings(theta.n),
-                                 rep=rep, tol=tol))
+    rp.extend(kahler.verify_grid(theta, kahler.enumerate_matchings(theta.n), tol=tol))
     for variant in ("plus", "minus"):
         sub = kahler.verify_real_structure(theta, rep=rep, variant=variant, tol=tol)
         for c in sub.checks:
             rp.add(f"[J {variant}] {c.name}", c.residual, c.tol)
-    fbm = forms.build_form_matrices(rep)
+    fbm = forms.build_form_matrices(theta.n)
     rp.add("form nilpotency", forms.nilpotency_residual(fbm), 1e-12)
     rp.extend(forms.bidegree_decomposition_check(fbm, tol=tol))
     kern = holomorphic.holomorphic_kernel(theta, args.radius)

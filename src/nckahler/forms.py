@@ -91,10 +91,10 @@ class FormBasisMatrices:
         return {name: self.chains[name] for name in tops}
 
 
-def build_form_matrices(n_or_rep, eps_prime=1):
+def build_form_matrices(n, eps_prime=1):
+    """The one-forms of eps' on the C^{N^2} fiber of build_gamma(n)."""
     check_eps(eps_prime)
-    rep = build_gamma(n_or_rep) if isinstance(n_or_rep, int) else n_or_rep
-    n, half = rep.n, rep.n // 2
+    rep, half = build_gamma(n), n // 2
     mu = [word_sum((0.5, a), (0.5j * eps_prime, b)) for a, b in lifted_words(rep)]
     pairs = [(mu[2 * j - 1], mu[2 * j - 2]) for j in range(1, half + 1)]
     words = (mu + [word_sum((0.5, a), (-0.5j, b)) for a, b in pairs]
@@ -231,12 +231,11 @@ def _containment_residuals(a, b):
                  for p, q in ((qa, qb), (qb, qa)))
 
 
-def bidegree_decomposition_check(n_or_fbm, tol=None):
+def bidegree_decomposition_check(fbm, tol=None):
     """Report on Omega^r = direct sum of Omega^{p,q}: the binomial count
     identity C(n,r) = sum_p C(n/2,p) C(n/2,r-p), and span equality between
     mu-products and mixed eta products at r = 1 and 2."""
     tol = resolve_tol(tol)
-    fbm = build_form_matrices(n_or_fbm) if isinstance(n_or_fbm, int) else n_or_fbm
     n, half = fbm.n, fbm.n // 2
     rp = VerificationReport(tol=tol)
     rp.meta = {"n": n}

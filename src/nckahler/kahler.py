@@ -141,9 +141,9 @@ KahlerBase = namedtuple("KahlerBase",
 SAMPLES = 3
 
 
-def build_base(theta, rep=None, eps_list=(1, -1)):
-    """The operators of the packages over (theta, rep) that no matching
-    enters, all on the C^{N^2} fiber: per eps' of eps_list,
+def build_base(theta, eps_list=(1, -1)):
+    """The operators of the packages over theta that no matching enters, all
+    on the C^{N^2} fiber of rep = build_gamma(theta.n): per eps' of eps_list,
 
         DD       = sum_j del_j tensor kron(1, gamma_j)
         DDbar    = -eps' sum_j del_j tensor kron(gamma_j, sigma)
@@ -160,7 +160,7 @@ def build_base(theta, rep=None, eps_list=(1, -1)):
     these operators from here.  All but d and d* are one from_terms, and d,
     d* one sums."""
     eps_list = [check_eps(eps) for eps in eps_list]
-    rep = build_gamma(theta.n) if rep is None else rep
+    rep = build_gamma(theta.n)
     sigma, q, zero = rep.sigma_words, rep.n // 2, (0,) * theta.n
     units, legs = [_unit(theta.n, j) for j in range(1, theta.n + 1)], lifted_words(rep)
     ts = [word_kron(g, word_product(g, sigma), q) for g in rep.gamma_words]
@@ -241,10 +241,10 @@ def _packages(base, matchings, eps_list):
             for mt, I, eps, d2 in rows]
 
 
-def build_kahler_package(theta, matching=None, eps_prime=1, rep=None):
+def build_kahler_package(theta, matching=None, eps_prime=1):
     """Assemble every operator of the construction for one (Theta, matching,
     eps') choice: _packages over a build_base of that eps'."""
-    base = build_base(theta, rep, [eps_prime])
+    base = build_base(theta, [eps_prime])
     return _packages(base, [enumerate_matchings(theta.n)[0] if matching is None else matching],
                      [eps_prime])[0]
 
@@ -378,7 +378,8 @@ def _run(jobs, tol):
     job; a pass with nothing to do is skipped.  operands maps an operand name
     to its operator ("a" to the list of samples).  A check's residual is the
     residual_norm of its operator, or for a degree check its max_degree, at
-    tol 0.5.  Each distinct (id(P), id(Q), s) of the call runs once.
+    tol 0.5.  Each (P, Q, s) of a job runs once, in its plan's one slot; no
+    product is shared between jobs.
 
     Sample 0 is sum_j U_j.  a -> [X, a] is a derivation, so the a that pass
     a row [X, a] = 0 (or of degree 0) form a unital subalgebra, closed under
@@ -391,13 +392,6 @@ def _run(jobs, tol):
              for plan, ops in jobs]
     if any(v[i].mode.any() for plan, v in pairs for i in plan.pinned):
         raise RuntimeError("an operand of a sampled row is not at mode 0")
-    done = {}
-
-    def products(flat):
-        keys = [(id(P), id(Q), s) for P, Q, s in flat]
-        todo = {key: job for key, job in zip(keys, flat) if key not in done}
-        done.update(zip(todo, NCDiffOp.products(list(todo.values()))))
-        return [done[key] for key in keys]
 
     def grow(run, steps):
         """v[i] = the result of job, for each (v, i, job) of steps, from one run."""
@@ -406,8 +400,8 @@ def _run(jobs, tol):
 
     grow(NCDiffOp.adjoints, [(v, i, v[j]) for plan, v in pairs for i, j in plan.adjoints])
     for d in range(max((len(plan.levels) for plan, _ in pairs), default=0)):
-        grow(products, [(v, i, (v[p], v[q], s)) for plan, v in pairs
-                        for i, p, q, s in chain(*plan.levels[d:d + 1])])
+        grow(NCDiffOp.products, [(v, i, (v[p], v[q], s)) for plan, v in pairs
+                                 for i, p, q, s in chain(*plan.levels[d:d + 1])])
     grow(NCDiffOp.sums, [(v, i, [(c, v[j]) for c, j in terms])
                          for plan, v in pairs for i, terms in plan.sums])
     return [VerificationReport(tol, [Check(name, float(v[i].max_degree()), 0.5) if degree else
@@ -548,12 +542,12 @@ def _w_twins(base):
         for P, Q in zip(base.lifted[1], base.lifted[-1]))
 
 
-def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
-                on_package=None):
+def verify_grid(theta, matchings, eps_list=(1, -1), tol=None, on_package=None):
     """The N=(2,2) checklist over every (matching, eps') of the grid, as one
     report: "[matching|eps'=+-1] <check>" per CHECKLIST check and eps' of
     `eps_list`, then "[matching] pm conjugation", the larger PM residual.
-    One build_base serves the grid: its operators and its SAMPLES samples.
+    One build_base serves the grid: its operators, over the rep
+    build_gamma(theta.n), and its SAMPLES samples.
     Per matching, seven kernel passes build its eps' = +1 and -1 packages
     (_packages) and run the tables on them (one _run); `on_package(pkg)` is
     called on every package of eps_list.
@@ -570,7 +564,7 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     always computed, as an independent cross-check."""
     eps_list = [check_eps(eps) for eps in eps_list]
     grid = VerificationReport(tol=resolve_tol(tol))
-    base = build_base(theta, rep)
+    base = build_base(theta)
     checklist, pm_plan = _plan(CHECKLIST, SAMPLES), _plan(PM, 0)
     twins = _w_twins(base)
     for matching in matchings:
@@ -592,10 +586,10 @@ def verify_grid(theta, matchings, eps_list=(1, -1), rep=None, tol=None,
     return grid
 
 
-def verify_distinctness(theta, rep=None):
+def verify_distinctness(theta):
     """True iff the d2 operators (eps' = +1) of all matchings of 1..theta.n
     are pairwise more than 0.1 apart (residual_norm of the difference);
     every d2 from one base (_structures)."""
-    base = build_base(theta, rep, [1])
+    base = build_base(theta, [1])
     ops = [d2 for *_, d2 in _structures(base, enumerate_matchings(theta.n), [1])]
     return all((P - Q).residual_norm() > 0.1 for P, Q in combinations(ops, 2))

@@ -303,7 +303,9 @@ def _planned(kind, ops, shape, build):
     earlier pass of the same key.  The key is content only: the n and entries
     of the pass's torus (a ThetaMatrix is read-only), its fiber, and per
     operand its alpha and mode rows (whose length gives the block count); the
-    word counts are not in it."""
+    word counts are not in it.  The cache is safe to share across threads:
+    _PLANNING guards every read and write of _PLANS, and two threads that
+    miss on one key build equal plans."""
     theta = ops[0].theta
     key = (kind, shape, theta.n, theta.entries.tobytes(), ops[0].m,
            *(op.table[:-2].tobytes() for op in ops))

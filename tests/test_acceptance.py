@@ -68,7 +68,7 @@ def grid():
     for n in GRID_DIMS:
         for ti, theta in enumerate(thetas[n]):
             for matching in enumerate_matchings(n):
-                pkgs = {eps: build_kahler_package(theta, matching, eps, rep=reps[n])
+                pkgs = {eps: build_kahler_package(theta, matching, eps)
                         for eps in (1, -1)}
                 for eps, pkg in pkgs.items():
                     reports.append((n, ti, matching, eps,
@@ -153,7 +153,7 @@ def test_criterion_05_matching_counts():
     wanted = [math.prod(range(k - 1, 0, -2)) for k in (2, 4, 6, 8)]
     g = grid()
     distinct = all(
-        verify_distinctness(g["thetas"][k][0], rep=g["reps"][k])
+        verify_distinctness(g["thetas"][k][0])
         for k in (4, 6))
     emit(5, "matching counts 1,3,15,105 and pairwise-distinct d2",
          counts == [1, 3, 15, 105] and counts == wanted and distinct,

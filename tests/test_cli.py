@@ -182,11 +182,11 @@ class TestVerify:
         # under PRUNE_TOL
         _, obj = run_json(capsys, ["verify", *argv, "--dump-ops"])
         theta = cli.load_theta(cli._parser().parse_args(["verify", *argv]))
-        rep, dumps = clifford.build_gamma(theta.n), obj["operators"]
+        dumps = obj["operators"]
         assert len(dumps) == 2  # one matching, both eps'
         for key, ops in dumps.items():
             matching, eps = key.split("|eps'=")
-            pkg = kahler.build_kahler_package(theta, kahler.Matching.parse(matching), int(eps), rep)
+            pkg = kahler.build_kahler_package(theta, kahler.Matching.parse(matching), int(eps))
             for name, op in (("del", pkg.del_hol), ("delbar", pkg.del_bar)):
                 terms = sorted(op.terms.items())
                 assert [t["alpha"] for t in ops[name]] == [list(alpha) for alpha, _ in terms]

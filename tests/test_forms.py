@@ -66,7 +66,7 @@ class TestEtaBarClosedForm:
         # eta_bar_j = (mu_2j - i mu_{2j-1}) / 2 is, with eta = gamma_2j - i gamma_{2j-1},
         # (1 tensor eta + i eps' eta tensor sigma) / 4
         rep = build_gamma(n)
-        fbm = build_form_matrices(rep, eps_prime)
+        fbm = build_form_matrices(n, eps_prime)
         eye, sigma = np.eye(rep.N), dense_words(rep.sigma_words, rep.N)
         gammas = [dense_words(g, rep.N) for g in rep.gamma_words]
         for j in range(1, n // 2 + 1):
@@ -118,11 +118,12 @@ class TestBidegree:
 
 
 class TestOneChainPerFamily:
-    """Each family's span chain is grown once per FormBasisMatrices: one SVD
-    per level, kept for later calls."""
+    """Each family's span chain is grown once per FormBasisMatrices: one span
+    (forms._span, the exact echelon) per level, kept for later calls."""
 
     @staticmethod
-    def count_svds(monkeypatch, fn):
+    def count_spans(monkeypatch, fn):
+        """The number of forms._span calls fn makes."""
         calls = []
         real = forms._span
 
@@ -137,22 +138,22 @@ class TestOneChainPerFamily:
     def test_rank_table_n6(self, monkeypatch):
         # mu: levels 1..7; eta_bar, eta_hol: levels 1..4, the 4th empty
         fbm = build_form_matrices(6)
-        assert self.count_svds(monkeypatch, lambda: rank_table(fbm)) <= 18
+        assert self.count_spans(monkeypatch, lambda: rank_table(fbm)) <= 18
 
     def test_bidegree_n6(self, monkeypatch):
         # mu: levels 1..6; eta_hol, eta_bar: levels 1..2; one mixed span per r
         fbm = build_form_matrices(6)
-        assert self.count_svds(monkeypatch,
-                               lambda: bidegree_decomposition_check(fbm)) <= 15
+        assert self.count_spans(monkeypatch,
+                                lambda: bidegree_decomposition_check(fbm)) <= 15
 
     def test_rank_table_then_bidegree_grows_each_family_once(self, monkeypatch):
         fbm = build_form_matrices(6)
-        assert self.count_svds(monkeypatch, lambda: rank_table(fbm)) == 7 + 4 + 4
+        assert self.count_spans(monkeypatch, lambda: rank_table(fbm)) == 7 + 4 + 4
         # every chain level is kept: only the two mixed spans are new
-        assert self.count_svds(monkeypatch,
-                               lambda: bidegree_decomposition_check(fbm)) == 2
-        assert self.count_svds(monkeypatch,
-                               lambda: [form_rank(fbm, "mu", l) for l in range(8)]) == 0
+        assert self.count_spans(monkeypatch,
+                                lambda: bidegree_decomposition_check(fbm)) == 2
+        assert self.count_spans(monkeypatch,
+                                lambda: [form_rank(fbm, "mu", l) for l in range(8)]) == 0
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_bidegree_mixed_spans_from_one_pass(self, n, monkeypatch):
@@ -266,7 +267,7 @@ class TestAgainstDenseChains:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_same_ranks_and_spans(self, n, eps_prime):
         rep = build_gamma(n)
-        fbm = build_form_matrices(rep, eps_prime)
+        fbm = build_form_matrices(n, eps_prime)
         for name, family in dense_families(rep, eps_prime).items():
             top = n + 1 if name == "mu" else n // 2 + 1
             want = dense_level_chain(family, top)

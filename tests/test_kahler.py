@@ -85,19 +85,19 @@ class TestCoreChain:
     # the core chain closes CHECKLIST: verify_n22 runs it with the other rows
     @pytest.mark.parametrize("eps", [1, -1])
     def test_n2(self, eps):
-        pkg = build_kahler_package(THETA2, eps_prime=eps, rep=REP2)
+        pkg = build_kahler_package(THETA2, eps_prime=eps)
         rp = verify_n22(pkg)
         assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_n4_all_matchings(self, eps):
         for mt in enumerate_matchings(4):
-            pkg = build_kahler_package(THETA4, mt, eps, rep=REP4)
+            pkg = build_kahler_package(THETA4, mt, eps)
             rp = verify_n22(pkg)
             assert rp.all_pass, (str(mt), [(c.name, c.residual) for c in rp.failures()])
 
     def test_corrupted_I_fails(self, monkeypatch):
-        pkg = build_kahler_package(THETA4, rep=REP4)
+        pkg = build_kahler_package(THETA4)
         pkg.I_op = pkg.I_op.scale(2.0)
 
         def residuals():
@@ -122,12 +122,11 @@ class TestKernelPasses:
     @pytest.mark.parametrize("n", [2, 4])
     def test_grid_equals_word_pair_loop(self, n, monkeypatch):
         # every residual of the grid, all matchings and both eps', bit for bit
-        rep = build_gamma(n)
         for seed in (1, 2, 3):
             theta = ThetaMatrix.random(n, np.random.default_rng(seed))
 
             def grid():
-                rp = verify_grid(theta, enumerate_matchings(n), (1, -1), rep=rep)
+                rp = verify_grid(theta, enumerate_matchings(n), (1, -1))
                 return [(c.name, c.residual) for c in rp.checks]
 
             got = grid()
@@ -152,7 +151,7 @@ class TestKernelPasses:
 
         theta = ThetaMatrix.random(6, np.random.default_rng(6))
         rep = build_gamma(6)
-        plus, minus = (build_kahler_package(theta, eps_prime=e, rep=rep) for e in (1, -1))
+        plus, minus = (build_kahler_package(theta, eps_prime=e) for e in (1, -1))
         monkeypatch.setattr(NCDiffOp, "products", staticmethod(counting_products))
         monkeypatch.setattr(NCDiffOp, "adjoints", staticmethod(counting_adjoint))
         verify_n22(plus)
@@ -175,16 +174,16 @@ class TestEpsPrime:
     def test_other_values_refused(self, eps):
         # an eps' other than +-1 would build a wrong package, or die in a KeyError
         with pytest.raises(ValueError, match=f"got {eps}"):
-            build_kahler_package(THETA2, eps_prime=eps, rep=REP2)
+            build_kahler_package(THETA2, eps_prime=eps)
         for matchings in (enumerate_matchings(2), []):
             with pytest.raises(ValueError, match=f"got {eps}"):
-                verify_grid(THETA2, matchings, eps_list=(1, eps), rep=REP2)
+                verify_grid(THETA2, matchings, eps_list=(1, eps))
 
     # every entry that takes eps' refuses it through kahler.check_eps
     ENTRIES = {
-        "build_base": lambda eps: kahler.build_base(THETA2, REP2, (1, eps)),
-        "build_kahler_package": lambda eps: build_kahler_package(THETA2, eps_prime=eps, rep=REP2),
-        "verify_grid": lambda eps: verify_grid(THETA2, [], eps_list=(1, eps), rep=REP2),
+        "build_base": lambda eps: kahler.build_base(THETA2, (1, eps)),
+        "build_kahler_package": lambda eps: build_kahler_package(THETA2, eps_prime=eps),
+        "verify_grid": lambda eps: verify_grid(THETA2, [], eps_list=(1, eps)),
         "build_form_matrices": lambda eps: build_form_matrices(4, eps_prime=eps),
     }
 
@@ -201,7 +200,7 @@ class TestN22Checklist:
         # the samples' mult(a) and the Laplacian come from the package's base,
         # built with it: verify_n22 makes no from_terms call
         calls, jobs, from_terms, run = [], [], NCDiffOp.from_terms, kahler._run
-        pkgs = [build_kahler_package(THETA4, eps_prime=e, rep=REP4) for e in (1, -1)]
+        pkgs = [build_kahler_package(THETA4, eps_prime=e) for e in (1, -1)]
         monkeypatch.setattr(NCDiffOp, "from_terms", classmethod(
             lambda cls, theta, m, terms: calls.append(terms) or from_terms(theta, m, terms)))
         monkeypatch.setattr(kahler, "_run", lambda js, *a: jobs.extend(js) or run(js, *a))
@@ -215,7 +214,7 @@ class TestN22Checklist:
         # check for check, the batch over both eps' packages gives the names,
         # residuals and tolerances of one call per package
         for mt in enumerate_matchings(4):
-            pkgs = [build_kahler_package(THETA4, mt, e, rep=REP4) for e in (1, -1)]
+            pkgs = [build_kahler_package(THETA4, mt, e) for e in (1, -1)]
             batch = verify_n22(pkgs)
             for pkg, rp in zip(pkgs, batch, strict=True):
                 want = verify_n22(pkg)
@@ -224,19 +223,19 @@ class TestN22Checklist:
                         == [(c.name, c.residual, c.tol) for c in want.checks])
 
     def test_n2_full(self):
-        rp = verify_n22(build_kahler_package(THETA2, rep=REP2))
+        rp = verify_n22(build_kahler_package(THETA2))
         assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
 
     def test_n4_one_matching_both_eps(self):
         for eps in (1, -1):
             mt = enumerate_matchings(4)[1]
-            rp = verify_n22(build_kahler_package(THETA4, mt, eps, rep=REP4))
+            rp = verify_n22(build_kahler_package(THETA4, mt, eps))
             assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
 
     def test_n2_explicit_del_matrices(self):
         # the two Kahler differentials in dimension 2, as explicit 4x4 matrices
         for eps in (1, -1):
-            pkg = build_kahler_package(THETA2, eps_prime=eps, rep=REP2)
+            pkg = build_kahler_package(THETA2, eps_prime=eps)
             M = np.zeros((4, 4), dtype=complex)
             M[1, 0] = 0.5
             M[2, 0] = 0.5j * eps
@@ -247,7 +246,7 @@ class TestN22Checklist:
             assert (pkg.del_hol - want).residual_norm() < 1e-14
 
     def test_structure_identities(self):
-        pkg = build_kahler_package(THETA4, rep=REP4)
+        pkg = build_kahler_package(THETA4)
         assert (pkg.del_hol + pkg.del_bar - pkg.d).residual_norm() < 1e-14
         assert (pkg.d + pkg.d_star - pkg.DD).residual_norm() < 1e-14
         assert (pkg.T + pkg.T_bar - pkg.T_script).residual_norm() < 1e-14
@@ -255,7 +254,7 @@ class TestN22Checklist:
 
     def test_degree_checks_ignore_run_tol(self):
         # a degree is an integer: degree 1 must fail even under tol=2
-        rp = verify_n22(build_kahler_package(THETA2, rep=REP2), tol=2.0)
+        rp = verify_n22(build_kahler_package(THETA2), tol=2.0)
         degree = [c for c in rp.checks if "degree-0" in c.name]
         assert len(degree) == 9
         assert all(c.tol == 0.5 for c in degree)
@@ -267,13 +266,13 @@ class TestN22Checklist:
         # reordered or renamed row fails here and not only against the table;
         # every residual at n = 4 is an exact zero
         for mt in enumerate_matchings(4):
-            rp = verify_n22(build_kahler_package(THETA4, mt, eps, rep=REP4), tol=1e-10)
+            rp = verify_n22(build_kahler_package(THETA4, mt, eps), tol=1e-10)
             assert [(c.name, c.tol) for c in rp.checks] == N22_CHECKS
             assert all(c.residual == 0.0 for c in rp.checks), str(mt)
 
     def test_sample_checks_per_package(self):
-        pkg = build_kahler_package(THETA4, rep=REP4)
-        grid = verify_grid(THETA4, enumerate_matchings(4)[:1], (1, -1), rep=REP4)
+        pkg = build_kahler_package(THETA4)
+        grid = verify_grid(THETA4, enumerate_matchings(4)[:1], (1, -1))
         for checks, packages in ((verify_n22(pkg).checks, 1), (grid.checks, 2)):
             assert sum("(sample " in c.name for c in checks) == 5 * kahler.SAMPLES * packages
 
@@ -283,7 +282,7 @@ class TestN22Checklist:
         # sample 0, sum_j U_j, fails at 2 pi |c|, also for del_1 - del_3,
         # which the draw it replaced missed (every mode of that draw has
         # k_1 = k_3)
-        pkg, c = build_kahler_package(THETA4, rep=REP4), 0.25 + 0.5j
+        pkg, c = build_kahler_package(THETA4), 0.25 + 0.5j
         X = NCDiffOp.from_terms(THETA4, REP4.N ** 2, {
             tuple(int(j == i) for i in range(4)): {(0,) * 4: {(0, 0): a * c}}
             for j, a in enumerate(alpha) if a})
@@ -296,13 +295,13 @@ class TestN22Checklist:
     def test_sampled_rows_need_mode_zero(self):
         # sum_j U_j checks each generator only while the other operands of
         # its rows sit at mode 0: a T with a block at U_1 is refused
-        pkg = build_kahler_package(THETA4, rep=REP4)
+        pkg = build_kahler_package(THETA4)
         pkg.T = pkg.T + NCDiffOp.mult(TorusElement.monomial(THETA4, (1, 0, 0, 0)), REP4.N ** 2)
         with pytest.raises(RuntimeError, match="not at mode 0"):
             verify_n22(pkg)
         # rows that name no sample still run on it: PM names none
         pkg.del_hol = pkg.T
-        assert verify_pm_conjugation(pkg, build_kahler_package(THETA4, None, -1, rep=REP4)) > 0
+        assert verify_pm_conjugation(pkg, build_kahler_package(THETA4, None, -1)) > 0
 
     def test_empty_batch(self):
         # no package makes no kernel pass (numpy used to refuse to concatenate nothing)
@@ -315,10 +314,10 @@ class TestN22Checklist:
                 kahler.Row("[a, T] = 0", ((1, ("a", "T", -1)),)))
         monkeypatch.setattr(kahler, "CHECKLIST", kahler.CHECKLIST + rows)
         want = ["T = T*"] + [f"[a, T] = 0 (sample {s})" for s in range(kahler.SAMPLES)]
-        rp = verify_n22(build_kahler_package(THETA4, rep=REP4))
+        rp = verify_n22(build_kahler_package(THETA4))
         assert [c.name for c in rp.checks] == [name for name, _ in N22_CHECKS] + want
         assert rp.all_pass and max(c.residual for c in rp.checks[-4:]) < 1e-12
-        grid = verify_grid(THETA4, enumerate_matchings(4)[:1], [1], rep=REP4)
+        grid = verify_grid(THETA4, enumerate_matchings(4)[:1], [1])
         assert [c.name for c in grid.checks][-5:-1] == [f"[1-2,3-4|eps'=+1] {n}" for n in want]
         assert grid.all_pass
 
@@ -413,13 +412,13 @@ class TestWordBuilders:
         theta = ThetaMatrix.random(n, np.random.default_rng(n))
         rep = build_gamma(n)
         zero = (0,) * n
-        W = kahler.build_base(theta, rep).W
+        W = kahler.build_base(theta).W
         assert np.abs(W.terms[zero].dense().blocks[zero] - np.kron(
             pauli.dense_words(rep.sigma_words, rep.N), np.eye(rep.N))).max() == 0.0
         D = build_dirac(rep, theta)
         for mt in enumerate_matchings(n):
             for eps in (1, -1):
-                pkg = build_kahler_package(theta, mt, eps, rep=rep)
+                pkg = build_kahler_package(theta, mt, eps)
                 for name, want in dense_package(rep, mt, eps).items():
                     # D is on the C^N fiber and in no package
                     op = D if name == "D" else getattr(pkg, name)
@@ -450,9 +449,9 @@ class TestWordBuilders:
         calls = self.count_transforms(monkeypatch)
         theta = ThetaMatrix.random(n, np.random.default_rng(n))
         rep = build_gamma(n)
-        kahler.build_base(theta, rep)
-        build_kahler_package(theta, rep=rep)
-        build_form_matrices(rep)
+        kahler.build_base(theta)
+        build_kahler_package(theta)
+        build_form_matrices(n)
         assert calls == []
         # the counter is live: a constant from a dense matrix is transformed
         NCDiffOp.constant(theta, np.eye(rep.N))
@@ -465,7 +464,7 @@ class TestWordBuilders:
         calls = self.count_transforms(monkeypatch)
         theta = ThetaMatrix.random(n, np.random.default_rng(n))
         rep = build_gamma(n)
-        verify_grid(theta, enumerate_matchings(n)[:1], (1, -1), rep=rep)
+        verify_grid(theta, enumerate_matchings(n)[:1], (1, -1))
         build_dirac(rep, theta)
         assert calls == []
 
@@ -476,32 +475,32 @@ class TestWordBuilders:
         assert all(c.residual == 0.0 for c in rp.checks)
 
 
-def pm_residual(theta, matching, rep):
+def pm_residual(theta, matching):
     return verify_pm_conjugation(
-        build_kahler_package(theta, matching, eps_prime=1, rep=rep),
-        build_kahler_package(theta, matching, eps_prime=-1, rep=rep))
+        build_kahler_package(theta, matching, eps_prime=1),
+        build_kahler_package(theta, matching, eps_prime=-1))
 
 
 class TestPMConjugation:
     def test_n2(self):
-        assert pm_residual(THETA2, enumerate_matchings(2)[0], REP2) < 1e-12
+        assert pm_residual(THETA2, enumerate_matchings(2)[0]) < 1e-12
 
     def test_n4_all_matchings(self):
         for mt in enumerate_matchings(4):
-            assert pm_residual(THETA4, mt, REP4) < 1e-12
+            assert pm_residual(THETA4, mt) < 1e-12
 
     def test_wrong_intertwiner_detected(self):
         # gamma_tilde = kron(sigma, sigma) does NOT conjugate del_+ to del_-
-        plus = build_kahler_package(THETA4, eps_prime=1, rep=REP4)
-        minus = build_kahler_package(THETA4, eps_prime=-1, rep=REP4)
+        plus = build_kahler_package(THETA4, eps_prime=1)
+        minus = build_kahler_package(THETA4, eps_prime=-1)
         W = plus.gamma_tilde
         res = (W.compose(plus.del_hol) - minus.del_hol.compose(W)).residual_norm()
         assert res > 0.1
 
     def test_wrong_base_intertwiner_fails(self):
         # verify_pm_conjugation reads W from the eps' = +1 package's base
-        plus = build_kahler_package(THETA4, eps_prime=1, rep=REP4)
-        minus = build_kahler_package(THETA4, eps_prime=-1, rep=REP4)
+        plus = build_kahler_package(THETA4, eps_prime=1)
+        minus = build_kahler_package(THETA4, eps_prime=-1)
         assert verify_pm_conjugation(plus, minus) < 1e-12
         bad = dataclasses.replace(plus, base=plus.base._replace(W=plus.gamma_tilde))
         assert verify_pm_conjugation(bad, minus) > 0.1
@@ -521,11 +520,11 @@ def counting_passes(monkeypatch):
     return passes
 
 
-def oracle_grid(theta, rep, matching, eps_list):
+def oracle_grid(theta, matching, eps_list):
     """The checks of verify_grid for one matching, from build_kahler_package
     for each eps', verify_n22 for each of eps_list and verify_pm_conjugation,
     and those packages."""
-    pkgs = {eps: build_kahler_package(theta, matching, eps, rep=rep) for eps in (1, -1)}
+    pkgs = {eps: build_kahler_package(theta, matching, eps) for eps in (1, -1)}
     want = [(f"[{matching}|eps'={eps:+d}] {c.name}", c.residual, c.tol)
             for eps in eps_list for c in verify_n22(pkgs[eps]).checks]
     pm = verify_pm_conjugation(pkgs[1], pkgs[-1])
@@ -555,8 +554,8 @@ def patch_lifted(monkeypatch, edit):
     mode-0 words edit(base, eps) = (d words, T_script words)."""
     build = kahler.build_base
 
-    def patched(theta, rep=None, eps_list=(1, -1)):
-        base, zero = build(theta, rep, eps_list), (0,) * theta.n
+    def patched(theta, eps_list=(1, -1)):
+        base, zero = build(theta, eps_list), (0,) * theta.n
         lifted = {}
         for eps, (DDbar, d, d_star, Ts) in base.lifted.items():
             dw, tw = (NCDiffOp.from_words(theta, base.rep.N ** 2, {zero: w})
@@ -567,11 +566,11 @@ def patch_lifted(monkeypatch, edit):
     monkeypatch.setattr(kahler, "build_base", patched)
 
 
-def grid_rows(theta, rep, ms, eps_list=(1, -1)):
+def grid_rows(theta, ms, eps_list=(1, -1)):
     """verify_grid's checklist rows {(matching, eps'): [(name, residual hex,
     tol)]} and, per (matching, eps'), its package's own verify_n22 rows."""
     pkgs = []
-    rp = verify_grid(theta, ms, eps_list, rep=rep, on_package=pkgs.append)
+    rp = verify_grid(theta, ms, eps_list, on_package=pkgs.append)
     got, want = {}, {}
     for c in rp.checks:
         if "|eps'=" in c.name:
@@ -592,12 +591,12 @@ class TestDerivedRows:
     def test_minus_rows_cost_no_products(self, n, monkeypatch):
         # the products jobs of a grid over both eps', or over -1 alone, are
         # those of the +1 grid, job for job
-        theta, rep = ThetaMatrix.random(n, np.random.default_rng(n)), build_gamma(n)
+        theta = ThetaMatrix.random(n, np.random.default_rng(n))
         ms, counts = enumerate_matchings(n)[:3], {}
         jobs = counting_jobs(monkeypatch)
         for eps_list in ((1,), (1, -1), (-1,)):
             jobs.clear()
-            verify_grid(theta, ms, eps_list, rep=rep)
+            verify_grid(theta, ms, eps_list)
             counts[eps_list] = list(jobs)
         assert counts[(1, -1)] == counts[(1,)] == counts[(-1,)]
 
@@ -616,7 +615,7 @@ class TestDerivedRows:
 
         patch_lifted(monkeypatch, conjugated)
         ms = enumerate_matchings(4)
-        got, want = grid_rows(THETA4, REP4, ms)
+        got, want = grid_rows(THETA4, ms)
         assert got == want
         for mt in map(str, ms):
             fails = [[float.fromhex(r) >= tol for _, r, tol in got[(mt, eps)]] for eps in (1, -1)]
@@ -624,14 +623,14 @@ class TestDerivedRows:
         # and derived: the -1 rows took no products job
         jobs = counting_jobs(monkeypatch)
         for eps_list in ((1,), (1, -1)):
-            verify_grid(THETA4, ms, eps_list, rep=REP4)
+            verify_grid(THETA4, ms, eps_list)
         assert jobs[:len(jobs) // 2] == jobs[len(jobs) // 2:]
 
     def test_minus_only_defect_computed(self, monkeypatch):
         # a word on the eps' = -1 T_script alone: the -1 rows are computed,
         # and fail; the +1 rows pass
         patch_lifted(monkeypatch, lambda base, eps: ({}, {(1, 0): 0.5} if eps == -1 else {}))
-        got, want = grid_rows(THETA4, REP4, enumerate_matchings(4))
+        got, want = grid_rows(THETA4, enumerate_matchings(4))
         assert got == want
         for (mt, eps), rows in got.items():
             assert any(float.fromhex(r) >= tol for _, r, tol in rows) == (eps == -1), (mt, eps)
@@ -642,7 +641,7 @@ class TestDerivedRows:
         # other matching's are derived.  Many such words leave the two sides'
         # residuals equal; X^9 Z^7 with X^3 Z^6 beside it does not
         ms, I_words = enumerate_matchings(4), kahler._I_words
-        assert w_sign(kahler.build_base(THETA4, REP4).W, 9, 7) == -1
+        assert w_sign(kahler.build_base(THETA4).W, 9, 7) == -1
 
         def odd(matching, rep):
             words = I_words(matching, rep)
@@ -651,13 +650,13 @@ class TestDerivedRows:
             return words
 
         monkeypatch.setattr(kahler, "_I_words", odd)
-        got, want = grid_rows(THETA4, REP4, ms)
+        got, want = grid_rows(THETA4, ms)
         assert got == want
         assert got[(str(ms[1]), -1)] != got[(str(ms[1]), 1)]
         # per matching, one _run of the checklist jobs and the pm job
         runs, run = [], kahler._run
         monkeypatch.setattr(kahler, "_run", lambda js, *a: runs.append(len(js)) or run(js, *a))
-        verify_grid(THETA4, ms, (1, -1), rep=REP4)
+        verify_grid(THETA4, ms, (1, -1))
         assert runs == [2, 3, 2]
 
 
@@ -670,7 +669,7 @@ class TestVerifyGrid:
         counts = []
         for k in (1, 3):
             passes.clear(), verified.clear()
-            rp = verify_grid(THETA4, ms[:k], [1], rep=REP4, on_package=verified.append)
+            rp = verify_grid(THETA4, ms[:k], [1], on_package=verified.append)
             counts.append(len(passes))
         per_matching = (counts[1] - counts[0]) / 2
         assert per_matching <= 7, passes
@@ -686,15 +685,15 @@ class TestVerifyGrid:
         # 6 bit for bit, and every verified package's words, against the
         # per-package path; the words fix what verify --dump-ops writes
         theta6 = ThetaMatrix.random(6, np.random.default_rng(16))
-        for theta, rep in ((THETA2, REP2), (THETA4, REP4), (theta6, build_gamma(6))):
+        for theta in (THETA2, THETA4, theta6):
             for eps_list in ([1], [-1], [1, -1]):
-                self.assert_matches(theta, rep, enumerate_matchings(theta.n), eps_list)
+                self.assert_matches(theta, enumerate_matchings(theta.n), eps_list)
 
     @staticmethod
-    def assert_matches(theta, rep, ms, eps_list):
+    def assert_matches(theta, ms, eps_list):
         got = []
-        rp = verify_grid(theta, ms, eps_list, rep=rep, on_package=got.append)
-        want = [oracle_grid(theta, rep, mt, eps_list) for mt in ms]
+        rp = verify_grid(theta, ms, eps_list, on_package=got.append)
+        want = [oracle_grid(theta, mt, eps_list) for mt in ms]
         assert ([(c.name, c.residual, c.tol) for c in rp.checks]
                 == [check for checks, _ in want for check in checks])
         assert rp.all_pass
@@ -713,9 +712,9 @@ class TestVerifyGrid:
         # verify_n22 on a package verify_grid built reports what it reports
         # on the build_kahler_package one
         got = []
-        verify_grid(THETA4, enumerate_matchings(4), rep=REP4, on_package=got.append)
+        verify_grid(THETA4, enumerate_matchings(4), on_package=got.append)
         for pkg in got:
-            built = build_kahler_package(THETA4, pkg.matching, pkg.eps_prime, rep=REP4)
+            built = build_kahler_package(THETA4, pkg.matching, pkg.eps_prime)
             reports = [verify_n22(p) for p in (pkg, built)]
             assert reports[0].meta == reports[1].meta
             assert ([(c.name, c.residual, c.tol) for c in reports[0].checks]
@@ -724,10 +723,10 @@ class TestVerifyGrid:
 
 class TestDistinctness:
     def test_2k_2_vacuous(self):
-        assert verify_distinctness(THETA2, rep=REP2)
+        assert verify_distinctness(THETA2)
 
     def test_2k_4(self):
-        assert verify_distinctness(THETA4, rep=REP4)
+        assert verify_distinctness(THETA4)
 
 
 def oracle_box_sample(n, radius, rng, count):
