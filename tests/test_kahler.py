@@ -936,6 +936,17 @@ class TestRealStructure:
             assert residuals(got) == reference_real_structure(theta, rep, variant)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+    def test_mutated_equals_per_sample_reference(self, n, variant, mutation, monkeypatch):
+        # every residual, the non-zero ones of a defective rep or J included,
+        # is the per-pair loop's bit for bit
+        rep = mutated(build_gamma(n), mutation, monkeypatch)
+        theta = ThetaMatrix.random(n, np.random.default_rng(500 + n))
+        got = verify_real_structure(theta, rep=rep, variant=variant)
+        assert residuals(got) == reference_real_structure(theta, rep, variant)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("mutation", [None, "scaled-gamma"])
     def test_dirac_is_the_j_ordered_sum(self, n, mutation, monkeypatch):
         # the batched action adds over axis 0 what the per-gamma loop adds in
