@@ -19,7 +19,7 @@ import numpy as np
 
 from .clifford import build_gamma
 from .ncdiff import NCDiffOp
-from .pauli import dense_words, parity, word_kron, word_product, word_sum
+from .pauli import dense_stack, parity, word_kron, word_product, word_sum
 from .report import Check, VerificationReport, resolve_tol
 from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
 
@@ -432,12 +432,6 @@ def _mul(M, b):
     return (M.real @ b.real - M.imag @ b.imag) + 1j * (M.real @ b.imag + M.imag @ b.real)
 
 
-def _dirac_on(gammas, K, b):
-    """sum_j gamma_j (2 pi i K[:, j]) b for the (n, N, N) gammas and (count, n)
-    modes K: one batched _mul, summed over axis 0, so added in j order."""
-    return _mul(gammas[:, None], TWO_PI_I * K.T[:, :, None, None] * b).sum(axis=0)
-
-
 def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     """The real-structure conditions for J = (a -> a*) tensor J_N on the C^N
     fiber, checked exactly on the generators U_1 ... U_n: J D = eps' D J on
@@ -455,51 +449,52 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     fixed a, and so do the a for fixed b.  Continuity extends both to A^inf.
 
     Every operand is one (N, N) block at one mode, so the modes and pairs run
-    as (count, N, N) stacks with their phases from ThetaMatrix.phases tables.
+    as (count, N, N) stacks with their phases from ThetaMatrix.phases tables,
+    and C and the gammas are one dense stack of the rep's words.
     D = sum_j del_j tensor gamma_j acts on b U^K as sum_j gamma_j (2 pi i K_j)
-    b U^K (_dirac_on), with gamma_j and C the dense matrices of the rep's
-    words; [D, U_j] = 2 pi i gamma_j U_j is D's action on the identity at e_j.
-    Every block acted on is a phase times a monomial matrix (I, C, or C
-    conj(C) = eps I), so each entry of M b is a single product, and real
-    matmuls give the word-by-word action's bits."""
+    b U^K, so at a unit mode e_k only gamma_k acts: D on the identity at e_k,
+    and [D, U_k] = 2 pi i gamma_k U_k, are the block 2 pi i gamma_k.  Every
+    block acted on is a phase times a monomial matrix (I, C, or C conj(C) =
+    eps I), so each entry of M b is a single product, and real matmuls give
+    the word-by-word action's bits.  A row's residual is the largest entry of
+    its difference blocks, all three rows from one np.hypot pass; as
+    TorusMatrix prunes, a block whose largest entry is below PRUNE_TOL counts
+    as 0.  The prune reads the same np.hypot array as the value, where
+    TorusMatrix reads np.abs: the two can differ only within one ulp of 1e-14."""
     tol = resolve_tol(tol)
     rep = build_gamma(theta.n) if rep is None else rep
     if rep.n != theta.n:
         raise DimensionMismatch(f"rep n={rep.n} vs theta n={theta.n}")
     rp = VerificationReport(tol=tol)
     rp.meta = {"n": theta.n, "variant": variant}
-    C = dense_words(rep.conj_words(variant), rep.N)
+    dense = dense_stack([rep.conj_words(variant), *rep.gamma_words], rep.N)
+    C, gammas = dense[0], dense[1:]
     eps, eps_p, _ = rep.signs(variant)
-    gammas = np.array([dense_words(g, rep.N) for g in rep.gamma_words])
     n, eye = theta.n, np.eye(rep.N, dtype=complex)
     Ce, E = C @ eye.conj(), np.eye(n, dtype=np.int64)
 
     # pair (i, j) is row i * n + j; lam[i, j] = lambda(e_i, -e_j), so lam.T holds lambda(e_j, -e_i)
     i, j = np.divmod(np.arange(n * n), n)
     mu, lam = theta.star_phases(E)[:, None, None], theta.phases(E[:, None], -E)
-    pab, pba, sab = (p.reshape(-1, 1, 1) for p in (lam, lam.T, theta.star_phases(E[i] - E[j])))
+    pab, pba, sab = (p.reshape(-1, 1, 1) for p in (lam, lam.T, eps * theta.star_phases(E[i] - E[j])))
 
-    def JaJstar(Cb):
-        # J a J* (b U^e_j) per pair, from Cb = C conj(b): J b U^k = mu(k) C conj(b)
-        # U^-k, U^e_i b U^k = lambda(e_i, k) b U^(e_i + k), and J^-1 = eps J
-        return eps * (sab * (C @ (pab * (mu[j] * Cb)).conj()))
-
-    def residual(d):
-        # TorusMatrix's prune-then-norm per mode or pair of the difference d;
-        # its operands, phases times unitary, D or [D, b] blocks, are never below PRUNE_TOL
-        kept = np.abs(d).max(axis=(1, 2)) >= PRUNE_TOL
-        return float(np.hypot(d.real, d.imag).max(axis=(1, 2))[kept].max(initial=0.0))
-
-    # D keeps the block of mode k at k, and J moves it to -k; J(eye U^k) = mu(k) C conj(eye) U^-k
-    G = _dirac_on(gammas, E, eye)
-    jd = mu * (C @ G.conj()) - eps_p * _dirac_on(gammas, -E, mu * Ce)
-    rp.add("J D = eps' D J", residual(jd))
-    # J a J*(identity) at -e_i: J(1) = C, and a C is the block C at e_i
+    # D keeps the block of mode k at k, and J moves it to -k: J(b U^k) = mu(k) C conj(b) U^-k.
+    # At k = e_k, Jb holds J(eye U^k) and J(D eye U^k) = J(G_k U^k)
+    G = TWO_PI_I * gammas + 0.0  # + 0.0: +0.0 where gamma_k is 0, as in D's kernel blocks
+    Jb = np.stack([mu * Ce, mu * (C @ G.conj())])
+    jd = Jb[1] - eps_p * _mul(gammas, -TWO_PI_I * Jb[0])
+    # J a J* (b U^e_j) per pair for b = eye and b = [D, U_j] . eye = G_j, from J(b U^e_j):
+    # U^e_i b U^k = lambda(e_i, k) b U^(e_i + k), and J^-1 = eps J (eps is in sab)
+    jajs = sab * (C @ (pab * Jb[:, j]).conj())
+    # J a J*(identity) at -e_i: J(1) = C, and a C is the block C at e_i; G_j lands it at e_j - e_i
     ja = eps * (mu[i] * (C @ C.conj()))
-    rp.add("[J a J*, b] = 0", residual(JaJstar(Ce) - pba * ja))
-    # [D, U_j] . eye is G_j, and on J a J*(identity) at -e_i it lands at e_j - e_i
-    Mb = G[j]
-    rp.add("[J a J*, [D, b]] = 0", residual(JaJstar(C @ Mb.conj()) - pba * _mul(Mb, ja)))
+    d = np.concatenate([jd, (jajs - pba * np.stack([ja, _mul(G[j], ja)])).reshape(-1, *Ce.shape)])
+    # the operands, phases times unitary, D or [D, b] blocks, are never below PRUNE_TOL
+    h = np.hypot(d.real, d.imag).max(axis=(1, 2))
+    h[h < PRUNE_TOL] = 0.0
+    rp.add("J D = eps' D J", float(h[:n].max()))
+    rp.add("[J a J*, b] = 0", float(h[n:n + n * n].max()))
+    rp.add("[J a J*, [D, b]] = 0", float(h[n + n * n:].max()))
     return rp
 
 

@@ -60,10 +60,21 @@ def densify(x, z, c, m):
     return out
 
 
+def dense_stack(sums, m):
+    """The (len(sums), m, m) stack of the matrices of the word sums
+    {(x, z): c}, each added in its order, as densify adds them."""
+    s, x, z = np.array([(k, *w) for k, words in enumerate(sums) for w in words],
+                       dtype=np.int64).reshape(-1, 3).T
+    c = np.array([c for words in sums for c in words.values()], dtype=complex)
+    out = np.zeros((len(sums), m, m), dtype=complex)
+    idx = np.arange(m)
+    np.add.at(out, (s[:, None], x[:, None] ^ idx, idx), c[:, None] * signs(m)[z])
+    return out
+
+
 def dense_words(words, m):
     """The m x m matrix of the word sum {(x, z): c}."""
-    x, z = np.array(list(words), dtype=np.int64).reshape(-1, 2).T
-    return densify(x, z, np.array(list(words.values()), dtype=complex), m)
+    return dense_stack([words], m)[0]
 
 
 def word_product(a, b):

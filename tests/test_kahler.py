@@ -823,6 +823,12 @@ def reference_real_structure(theta, rep, variant):
     return res, res0, res1
 
 
+def dirac_on(gammas, K, b):
+    """sum_j gamma_j (2 pi i K[:, j]) b for the (n, N, N) gammas and (count, n)
+    modes K: one batched _mul, summed over axis 0, so added in j order."""
+    return kahler._mul(gammas[:, None], TWO_PI_I * K.T[:, :, None, None] * b).sum(axis=0)
+
+
 MUTATIONS = ("wrong-conjugation", "scaled-gamma", "star-phase-one")
 
 
@@ -903,7 +909,7 @@ class TestRealStructure:
     def test_dirac_block_is_the_product_block(self, n):
         # [D, b] for b = U^k off mode 0 is one degree-0 block at k, and the
         # closed form sum_j gamma_j (2 pi i k_j) from the rep's words, as
-        # verify_real_structure's _dirac_on adds it, is that block bit for bit;
+        # the oracle dirac_on adds it, is that block bit for bit;
         # at k = 0 the product is the zero operator
         rep, rng = build_gamma(n), np.random.default_rng(40 + n)
         gammas = np.array([pauli.dense_words(g, rep.N) for g in rep.gamma_words])
@@ -916,13 +922,27 @@ class TestRealStructure:
             bs = NCDiffOp.mult([TorusElement.monomial(theta, k) for k in modes], rep.N)
             Dbs = NCDiffOp.products([(D, b, -1) for b in bs])
             K = np.array(modes)
-            closed = kahler._dirac_on(gammas, K, eye)
+            closed = dirac_on(gammas, K, eye)
             for Db, b, k, block in zip(Dbs, bs, modes, closed):
                 if not any(k):
                     assert Db.table.shape[1] == 0
                     continue
                 assert Db.table[:-2].tolist() == [[0], *b.mode.tolist()]
                 assert block.tobytes() == Db._dense(0, len(Db.c)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_unit_mode_block_is_two_pi_i_gamma(self, n):
+        # [D, U_k] is one degree-0 block at e_k, and 2 pi i gamma_k from the
+        # rep's words, the form verify_real_structure takes, is it bit for bit
+        # (+ 0.0 turns the -0.0 of 2 pi i times a zero entry into the kernel's +0.0)
+        rep, theta = build_gamma(n), ThetaMatrix.random(n, np.random.default_rng(60 + n))
+        G = TWO_PI_I * pauli.dense_stack(rep.gamma_words, rep.N) + 0.0
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        bs = NCDiffOp.mult([TorusElement.monomial(theta, k) for k in units], rep.N)
+        Dbs = NCDiffOp.products([(build_dirac(rep, theta), b, -1) for b in bs])
+        for Db, k, block in zip(Dbs, units, G):
+            assert Db.table[:-2].tolist() == [[0], *([x] for x in k)]
+            assert block.tobytes() == Db._dense(0, len(Db.c)).tobytes()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("variant", ["plus", "minus"])
@@ -958,7 +978,7 @@ class TestRealStructure:
                   rng.normal(size=(7, rep.N, rep.N)) + 1j * rng.normal(size=(7, rep.N, rep.N))):
             loop = sum(kahler._mul(g, TWO_PI_I * K[:, j, None, None] * b)
                        for j, g in enumerate(gammas))
-            assert kahler._dirac_on(gammas, K, b).tobytes() == loop.tobytes()
+            assert dirac_on(gammas, K, b).tobytes() == loop.tobytes()
 
     def test_phase_calls(self, monkeypatch):
         # the phases come from ThetaMatrix.phases and star_phases tables: no
