@@ -2,8 +2,10 @@
 computation modules, and emit deterministic JSON reports.
 
 Exit codes: 0 all checks pass; 1 some check failed (report still written);
-2 invalid configuration.  Internal faults (a LinAlgError, a failed Clifford
-self-check) are not configuration errors: they propagate with their traceback.
+2 invalid configuration: a ConfigError from the loaders and argument checks
+below, a missing file or a file that is not JSON.  Any other exception is an
+internal fault (a LinAlgError, a failed Clifford self-check, an error inside a
+computation): it propagates with its traceback, and Python exits 1.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +27,18 @@ from .torus import ThetaMatrix
 
 
 class ConfigError(Exception):
-    pass
+    """Bad input: a flag, NCK_TOL, a Theta or connection file, or an input
+    over a size bound.  Its message names the field."""
+
+
+@contextmanager
+def field(name, *errors):
+    """Raise an error of `errors` (default ValueError) from the block, which
+    reads the field `name`, as a ConfigError naming it."""
+    try:
+        yield
+    except errors or ValueError as exc:
+        raise ConfigError(f"{name}: {f'no key {exc}' if isinstance(exc, KeyError) else exc}") from None
 
 
 # verify --dump-ops holds del and delbar of each package, at most 2 n 4^n entries
@@ -46,19 +60,48 @@ def atomic_write(path, text):
         raise
 
 
+@contextmanager
+def reading(flag, path):
+    """The JSON content of the file that `flag` names; a file that cannot be
+    read, or content that the block cannot load, is a ConfigError."""
+    with field(f"{flag} {path}", OSError, KeyError, TypeError, ValueError), open(path) as fh:
+        yield json.load(fh)
+
+
+def read_theta(flag, path):
+    with reading(flag, path) as obj:
+        return ThetaMatrix.from_json(obj)
+
+
 def load_theta(args, default_n=2):
     n = getattr(args, "n", None)
     if n is not None and n < 1:
         raise ConfigError(f"--n must be a positive torus dimension, got {n}")
     if getattr(args, "theta", None):
-        with open(args.theta) as fh:
-            theta = ThetaMatrix.from_json(json.load(fh))
+        theta = read_theta("--theta", args.theta)
         if n is not None and n != theta.n:
             raise ConfigError(f"--n {n} contradicts the n={theta.n} of {args.theta}")
         return theta
     n = default_n if n is None else n
     # deterministic generic irrational-entry default
-    return ThetaMatrix.random(n, np.random.default_rng(0))
+    with field("--n"):
+        return ThetaMatrix.random(n, np.random.default_rng(0))
+
+
+def load_rep(n):
+    """The Clifford rep of the torus dimension n, which --n or --theta gave."""
+    with field("torus dimension n", clifford.CliffordError):
+        return clifford.build_gamma(n)
+
+
+def load_tol(args):
+    with field("--tol" if args.tol is not None else "NCK_TOL"):
+        return resolve_tol(args.tol)
+
+
+def check_radius(args):
+    if args.radius < 0:
+        raise ConfigError(f"--radius must be >= 0, got {args.radius}")
 
 
 def parse_eps(text):
@@ -89,7 +132,8 @@ def _meta(tol):
 
 
 def cmd_clifford(args):
-    rep = clifford.build_gamma(args.n)
+    with field("--n", clifford.CliffordError):
+        rep = clifford.build_gamma(args.n)
     obj = {
         "n": rep.n,
         "N": rep.N,
@@ -104,19 +148,22 @@ def cmd_clifford(args):
 
 
 def cmd_enumerate(args):
-    ms = kahler.enumerate_matchings(args.n)
+    with field("--n", kahler.MatchingError):
+        ms = kahler.enumerate_matchings(args.n)
     obj = {"n": args.n, "count": len(ms), "matchings": [str(m) for m in ms]}
     return emit(obj, args.out, True)
 
 
 def cmd_verify(args):
     theta = load_theta(args)
-    tol = resolve_tol(args.tol)
+    tol = load_tol(args)
+    load_rep(theta.n)
     if args.matching and args.matching != "all":
-        matchings = [kahler.Matching.parse(args.matching)]
+        with field("--matching", kahler.MatchingError):
+            matchings = [kahler.Matching.parse(args.matching)]
         for m in matchings:
             if m.two_k != theta.n:
-                raise ConfigError(f"matching {m} is not a perfect matching of 1..{theta.n}")
+                raise ConfigError(f"--matching {m} is not a perfect matching of 1..{theta.n}")
     else:
         matchings = kahler.enumerate_matchings(theta.n)
     eps = parse_eps(args.eps_prime)
@@ -146,7 +193,8 @@ def cmd_verify(args):
 
 def cmd_forms(args):
     theta = load_theta(args, default_n=4)
-    tol = resolve_tol(args.tol)
+    tol = load_tol(args)
+    load_rep(theta.n)
     fbm = forms.build_form_matrices(theta.n)
     table = forms.rank_table(fbm)
     rp = forms.bidegree_decomposition_check(fbm, tol=tol)
@@ -157,17 +205,20 @@ def cmd_forms(args):
 
 
 def load_connection(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    theta = ThetaMatrix.from_json(obj["theta"])
-    return holomorphic.Connection.from_json(theta, obj)
+    with reading("--conn", path) as obj:
+        conn = holomorphic.Connection.from_json(ThetaMatrix.from_json(obj["theta"]), obj)
+        if conn.m < 1:
+            raise ValueError(f"m must be >= 1, got {conn.m}")
+        return conn
 
 
 def cmd_holo(args):
-    tol = resolve_tol(args.tol)
+    tol = load_tol(args)
     if args.holo_cmd == "kernel":
         theta = load_theta(args)
-        basis = holomorphic.holomorphic_kernel(theta, args.radius)
+        check_radius(args)
+        with field(f"--radius {args.radius}", holomorphic.BoundError):
+            basis = holomorphic.holomorphic_kernel(theta, args.radius)
         obj = {"n": theta.n, "radius": args.radius, "dimension": len(basis),
                "basis": [b.to_json() for b in basis]}
         return emit(obj, args.out, len(basis) == 1)
@@ -178,13 +229,18 @@ def cmd_holo(args):
         return emit(obj, args.out, obj["flat"])
     if args.holo_cmd == "h0":
         conn = load_connection(args.conn)
-        basis = holomorphic.h0_solve(conn, args.radius)
+        check_radius(args)
+        with field(f"--radius {args.radius}", holomorphic.BoundError):
+            basis = holomorphic.h0_solve(conn, args.radius)
         obj = {"m": conn.m, "radius": args.radius, "dimension": len(basis),
                "basis": [[x.to_json() for x in xi] for xi in basis]}
         return emit(obj, args.out, True)
     # ps-compare, the last of the four required subcommands
-    with open(args.theta2) as fh:
-        theta = ThetaMatrix.from_json(json.load(fh))
+    theta = read_theta("--theta2", args.theta2)
+    if theta.n != 2:
+        raise ConfigError(f"--theta2 {args.theta2}: comparison requires torus dimension 2, "
+                          f"got {theta.n}")
+    check_radius(args)
     res = holomorphic.ps_compare(theta, radius=args.radius)
     obj = {"residual": res, "pass": res < 1e-12}
     return emit(obj, args.out, obj["pass"])
@@ -192,11 +248,10 @@ def cmd_holo(args):
 
 def cmd_report(args):
     """Everything at once for one torus dimension."""
-    if args.radius < 0:
-        raise ConfigError("radius must be >= 0")
+    check_radius(args)
     theta = load_theta(args)
-    tol = resolve_tol(args.tol)
-    rep = clifford.build_gamma(theta.n)
+    tol = load_tol(args)
+    rep = load_rep(theta.n)
     rp = VerificationReport(tol=tol)
     rp.add("clifford relations", clifford.relations_residual(rep), 1e-12)
     rp.add("grading product", clifford.grading_product_check(rep), 1e-12)
@@ -208,7 +263,8 @@ def cmd_report(args):
     fbm = forms.build_form_matrices(theta.n)
     rp.add("form nilpotency", forms.nilpotency_residual(fbm), 1e-12)
     rp.extend(forms.bidegree_decomposition_check(fbm, tol=tol))
-    kern = holomorphic.holomorphic_kernel(theta, args.radius)
+    with field(f"--radius {args.radius}", holomorphic.BoundError):
+        kern = holomorphic.holomorphic_kernel(theta, args.radius)
     rp.add("holomorphic kernel is C.1", float(abs(len(kern) - 1)), 0.5)
     rp.meta = _meta(tol) | {"n": theta.n, "matching": "all", "eps_prime": "both"}
     for line in rp.lines():
@@ -297,10 +353,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except np.linalg.LinAlgError:
-        raise
-    except (ConfigError, kahler.MatchingError, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

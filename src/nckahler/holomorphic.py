@@ -26,9 +26,13 @@ MAX_BYTES = 1 << 30
 ENTRY_BYTES = 200  # tracemalloc peak per entry: 129-183 on n=4 constant connections
 
 
+class BoundError(ValueError):
+    """A computation refused because it would take more than MAX_BYTES."""
+
+
 def _check_bytes(n_bytes, what):
     if n_bytes > MAX_BYTES:
-        raise ValueError(f"{what} needs {n_bytes} bytes, over the holomorphic.MAX_BYTES "
+        raise BoundError(f"{what} needs {n_bytes} bytes, over the holomorphic.MAX_BYTES "
                          f"limit of {MAX_BYTES} bytes; reduce the radius")
 
 

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 import nckahler
-from nckahler import cli, clifford, forms, holomorphic, kahler, pauli
+from nckahler import cli, clifford, forms, holomorphic, kahler, ncdiff, pauli
 from nckahler.cli import main
 from nckahler.holomorphic import grassmannian
 from nckahler.report import VerificationReport
@@ -357,6 +357,81 @@ class TestSinglePath:
         assert obj["version"] == nckahler.__version__
 
 
+def bad_inputs(tmp_path):
+    """Theta and connection files, one per way to be bad (and two good ones),
+    as paths by name."""
+    theta2 = ThetaMatrix.random(2, np.random.default_rng(5)).to_json()
+    unit = {"m": [0, 1], "re": 1.0, "im": 0.0}
+    files = {
+        "theta2": theta2, "theta4": ThetaMatrix.random(4, np.random.default_rng(6)).to_json(),
+        "theta12": ThetaMatrix.random(12, np.random.default_rng(7)).to_json(),
+        "odd": {"n": 3, "theta": np.zeros((3, 3)).tolist()},
+        "shape": {"n": 2, "theta": [[0.0, 0.3, 0.1]]},
+        "no-n": {"theta": [[0, 1], [-1, 0]]},
+        "not-skew": {"n": 2, "theta": [[0, 0.3], [0.7, 0]]},
+        "conn-u2": {"theta": theta2, "m": 1, "A": [[[[unit]]]]},
+        "conn-nan": {"theta": theta2, "m": 1, "A": [[[[unit | {"re": float("nan")}]]]]},
+        "conn-no-A": {"theta": theta2, "m": 1},
+        "conn-no-theta": {"m": 1, "A": [[[[]]]]},
+        "conn-count": {"theta": theta2, "m": 1, "A": []},
+        "conn-not-m-by-m": {"theta": theta2, "m": 2, "A": [[[[]]]]},
+        "conn-mode": {"theta": theta2, "m": 1, "A": [[[[unit | {"m": [0, 1, 2]}]]]]},
+        "conn-text": {"theta": theta2, "m": 1, "A": [[[[unit | {"re": "a"}]]]]},
+        "conn-m0": {"theta": theta2, "m": 0, "A": [[]]},
+        "conn-odd": {"theta": {"n": 3, "theta": [[0]]}, "m": 1, "A": [[[[]]]]},
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in [*files, "not-json", "missing"]}
+    for name, obj in files.items():
+        paths[name].write_text(json.dumps(obj))
+    paths["not-json"].write_text("{not json")
+    return {name: str(p) for name, p in paths.items()}
+
+
+# Every input that exits 2: (argv, NCK_TOL, the field that the message names
+# first); {name} is a path of bad_inputs
+EXIT_2 = [
+    (["clifford", "--n", "3"], None, "--n"),
+    (["clifford", "--n", "12"], None, "--n"),
+    (["enumerate", "--n", "5"], None, "--n"),
+    (["enumerate", "--n", "20"], None, "--n"),  # over MAX_MATCHINGS
+    (["verify", "--n", "0"], None, "--n"),
+    (["verify", "--n", "3"], None, "--n"),
+    (["verify", "--n", "12"], None, "torus dimension n"),
+    (["forms", "--n", "12"], None, "torus dimension n"),
+    (["report", "--n", "12"], None, "torus dimension n"),
+    (["verify", "--theta", "{theta12}"], None, "torus dimension n"),
+    (["verify", "--theta", "{theta4}", "--n", "6"], None, "--n"),
+    (["verify", "--n", "4", "--matching", "1-2,2-3"], None, "--matching"),
+    (["verify", "--n", "4", "--matching", "a-b"], None, "--matching"),
+    (["verify", "--n", "4", "--matching", "1-2"], None, "--matching"),
+    (["verify", "--n", "4", "--eps-prime", "2"], None, "--eps-prime"),
+    (["verify", "--n", "2", "--tol", "nan"], None, "--tol"),
+    (["verify", "--n", "2"], "-1", "NCK_TOL"),
+    (["verify", "--n", "8", "--dump-ops"], None, "--dump-ops"),
+    *[(["verify", "--theta", "{%s}" % name], None, "--theta")
+      for name in ("odd", "shape", "no-n", "not-skew", "not-json", "missing")],
+    (["forms", "--n", "4", "--tol", "-1"], None, "--tol"),
+    (["report", "--n", "2", "--radius", "-1"], None, "--radius"),
+    (["report", "--n", "2", "--radius", "100000"], None, "--radius"),  # over MAX_BYTES
+    (["holo", "kernel", "--n", "3"], None, "--n"),
+    (["holo", "kernel", "--n", "4", "--radius", "-1"], None, "--radius"),
+    (["holo", "kernel", "--n", "4", "--radius", "100000"], None, "--radius"),
+    (["holo", "kernel", "--theta", "{not-skew}"], None, "--theta"),
+    *[(["holo", "flat", "--conn", "{%s}" % name], None, "--conn")
+      for name in ("conn-nan", "conn-no-A", "conn-no-theta", "conn-count", "conn-not-m-by-m",
+                   "conn-mode", "conn-text", "conn-m0", "conn-odd", "not-json", "missing")],
+    (["holo", "flat", "--conn", "{conn-count}", "--tol", "nan"], None, "--tol"),
+    (["holo", "h0", "--conn", "{conn-u2}", "--radius", "5000"], None, "--radius"),  # MAX_BYTES
+    (["holo", "h0", "--conn", "{conn-m0}"], None, "--conn"),
+    (["holo", "h0", "--conn", "{theta2}"], None, "--conn"),
+    (["holo", "h0", "--conn", "{conn-nan}", "--radius", "-1"], None, "--conn"),
+    (["holo", "ps-compare", "--theta2", "{theta4}"], None, "--theta2"),
+    (["holo", "ps-compare", "--theta2", "{odd}"], None, "--theta2"),
+    (["holo", "ps-compare", "--theta2", "{theta2}", "--radius", "-1"], None, "--radius"),
+    (["holo", "ps-compare", "--theta2", "{missing}"], None, "--theta2"),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv, passed, total", [(["verify", "--n", "4"], 57, 297),
                                                      (["report", "--n", "2"], 26, 116),
@@ -467,6 +542,30 @@ class TestExitCodes:
         assert err.value.code == 2
         assert "unrecognized arguments: --radius 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, env, name", EXIT_2,
+                             ids=[" ".join(argv) + (f" NCK_TOL={env}" if env else "")
+                                  for argv, env, _ in EXIT_2])
+    def test_bad_input_exit_2_names_its_field(self, argv, env, name, tmp_path, capsys,
+                                              monkeypatch):
+        paths = bad_inputs(tmp_path)
+        monkeypatch.delenv("NCK_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("NCK_TOL", env)
+        out = tmp_path / "report.json"
+        assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}")
+        assert not out.exists()
+
+    def test_fault_in_a_pass_propagates(self, monkeypatch):
+        # a ValueError raised inside a computation is a fault, not bad input:
+        # it reaches the caller with its traceback (Python exits 1)
+        def broken(jobs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(ncdiff.NCDiffOp, "sums", staticmethod(broken))
+        with pytest.raises(ValueError, match="injected"):
+            main(["verify", "--n", "4"])
+
 
 class TestInProcessCalls:
     @pytest.mark.parametrize("argv", [["verify"], ["report"], ["holo", "kernel"], ["forms"]],
@@ -509,3 +608,4 @@ class TestScipyFree:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120).stdout
         assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
