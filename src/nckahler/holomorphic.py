@@ -61,7 +61,9 @@ def holomorphic_kernel(theta, radius):
     reads only the pair (m_{2j-1}, m_{2j}), so the kernel is spanned by the
     product of the n/2 pair kernels, in box order.  Each pair kernel is one
     delta_eigenvalue test over the (2 radius + 1)^2 grid of its pair, on modes
-    zero off the pair, refused over MAX_BYTES; contract: only U^0."""
+    zero off the pair, refused over MAX_BYTES; contract: only U^0.  The test
+    is exact: on an integer mode the eigenvalue is -2 pi m_{2j-1} +
+    2 pi m_{2j} i, and each part is 0 exactly when its integer is."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     side = 2 * radius + 1
@@ -71,7 +73,7 @@ def holomorphic_kernel(theta, radius):
     for j in range(1, theta.n // 2 + 1):
         mode = [0] * theta.n
         mode[2 * j - 2:2 * j] = grid
-        pairs.append(grid[:, np.abs(delta_eigenvalue(mode, j)) < 1e-12].T.tolist())
+        pairs.append(grid[:, delta_eigenvalue(mode, j) == 0].T.tolist())
     return [TorusElement.monomial(theta, [x for pair in m for x in pair]) for m in iproduct(*pairs)]
 
 

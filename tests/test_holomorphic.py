@@ -75,6 +75,16 @@ class TestKernel:
         basis = holomorphic_kernel(THETA4, 0)
         assert len(basis) == 1
 
+    @pytest.mark.parametrize("n, radii", [(2, [*range(6), 300]), (4, [*range(6), 300]),
+                                          (6, range(6))])
+    def test_exactly_the_unit(self, n, radii):
+        # the eigenvalue test is exact on the integer grid: at every radius
+        # the kernel is U^0 with coefficient exactly 1, and nothing else
+        theta = ThetaMatrix.random(n, np.random.default_rng(70 + n))
+        for radius in radii:
+            basis = holomorphic_kernel(theta, radius)
+            assert [b.to_json() for b in basis] == [TorusElement.one(theta).to_json()]
+
     def test_weakened_operator_gains_kernel(self, monkeypatch):
         # replacing delta_1 by del_2 alone admits monomials with m_2 = 0
         eigenvalue = holomorphic.delta_eigenvalue
