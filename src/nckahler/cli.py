@@ -38,7 +38,8 @@ def field(name, *errors):
     try:
         yield
     except errors or ValueError as exc:
-        raise ConfigError(f"{name}: {f'no key {exc}' if isinstance(exc, KeyError) else exc}") from None
+        what = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{name}: {what}") from None
 
 
 # verify --dump-ops holds del and delbar of each package, at most 2 n 4^n entries
@@ -89,7 +90,8 @@ def load_theta(args, default_n=2):
 
 
 def load_rep(n):
-    """The Clifford rep of the torus dimension n, which --n or --theta gave."""
+    """The Clifford rep of the torus dimension n, which --n or --theta gave;
+    the rep's refusal of n is bad input."""
     with field("torus dimension n", clifford.CliffordError):
         return clifford.build_gamma(n)
 
@@ -132,8 +134,7 @@ def _meta(tol):
 
 
 def cmd_clifford(args):
-    with field("--n", clifford.CliffordError):
-        rep = clifford.build_gamma(args.n)
+    rep = load_rep(args.n)
     obj = {
         "n": rep.n,
         "N": rep.N,
@@ -157,7 +158,7 @@ def cmd_enumerate(args):
 def cmd_verify(args):
     theta = load_theta(args)
     tol = load_tol(args)
-    load_rep(theta.n)
+    load_rep(theta.n)  # an n the rep does not support is refused before the grid
     if args.matching and args.matching != "all":
         with field("--matching", kahler.MatchingError):
             matchings = [kahler.Matching.parse(args.matching)]
@@ -194,7 +195,7 @@ def cmd_verify(args):
 def cmd_forms(args):
     theta = load_theta(args, default_n=4)
     tol = load_tol(args)
-    load_rep(theta.n)
+    load_rep(theta.n)  # an n the rep does not support is refused before the forms
     fbm = forms.build_form_matrices(theta.n)
     table = forms.rank_table(fbm)
     rp = forms.bidegree_decomposition_check(fbm, tol=tol)

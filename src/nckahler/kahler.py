@@ -476,7 +476,8 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     # pair (i, j) is row i * n + j; lam[i, j] = lambda(e_i, -e_j), so lam.T holds lambda(e_j, -e_i)
     i, j = np.divmod(np.arange(n * n), n)
     mu, lam = theta.star_phases(E)[:, None, None], theta.phases(E[:, None], -E)
-    pab, pba, sab = (p.reshape(-1, 1, 1) for p in (lam, lam.T, eps * theta.star_phases(E[i] - E[j])))
+    sab = eps * theta.star_phases(E[i] - E[j])
+    pab, pba, sab = (p.reshape(-1, 1, 1) for p in (lam, lam.T, sab))
 
     # D keeps the block of mode k at k, and J moves it to -k: J(b U^k) = mu(k) C conj(b) U^-k.
     # At k = e_k, Jb holds J(eye U^k) and J(D eye U^k) = J(G_k U^k)
@@ -489,7 +490,8 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     # J a J*(identity) at -e_i: J(1) = C, and a C is the block C at e_i; G_j lands it at e_j - e_i
     ja = eps * (mu[i] * (C @ C.conj()))
     d = np.concatenate([jd, (jajs - pba * np.stack([ja, _mul(G[j], ja)])).reshape(-1, *Ce.shape)])
-    # the operands, phases times unitary, D or [D, b] blocks, are never below PRUNE_TOL
+    # TorusMatrix's prune-then-norm per mode or pair: the operands, phases times unitary,
+    # D or [D, b] blocks, are never below PRUNE_TOL, so only a difference block is pruned
     h = np.hypot(d.real, d.imag).max(axis=(1, 2))
     h[h < PRUNE_TOL] = 0.0
     rp.add("J D = eps' D J", float(h[:n].max()))

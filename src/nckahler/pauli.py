@@ -65,7 +65,7 @@ def dense_stack(sums, m):
     {(x, z): c}, each added in its order, as densify adds them."""
     s, x, z = np.array([(k, *w) for k, words in enumerate(sums) for w in words],
                        dtype=np.int64).reshape(-1, 3).T
-    c = np.array([c for words in sums for c in words.values()], dtype=complex)
+    c = np.array([v for words in sums for v in words.values()], dtype=complex)
     out = np.zeros((len(sums), m, m), dtype=complex)
     idx = np.arange(m)
     np.add.at(out, (s[:, None], x[:, None] ^ idx, idx), c[:, None] * signs(m)[z])

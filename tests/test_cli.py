@@ -390,8 +390,8 @@ def bad_inputs(tmp_path):
 # Every input that exits 2: (argv, NCK_TOL, the field that the message names
 # first); {name} is a path of bad_inputs
 EXIT_2 = [
-    (["clifford", "--n", "3"], None, "--n"),
-    (["clifford", "--n", "12"], None, "--n"),
+    (["clifford", "--n", "3"], None, "torus dimension n"),
+    (["clifford", "--n", "12"], None, "torus dimension n"),
     (["enumerate", "--n", "5"], None, "--n"),
     (["enumerate", "--n", "20"], None, "--n"),  # over MAX_MATCHINGS
     (["verify", "--n", "0"], None, "--n"),
