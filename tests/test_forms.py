@@ -116,6 +116,20 @@ class TestBidegree:
         # n=4, r=2: 6 = 1*1 + 2*2 + 1*1
         assert comb(4, 2) == sum(comb(2, p) * comb(2, 2 - p) for p in range(3))
 
+    @pytest.mark.parametrize("size", [0.5])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_each_containment_row_can_fail(self, n, size):
+        # a word outside span(mu) added to eta_bar_1 moves the mixed spans off
+        # span(mu^r) at r = 1 and 2, both ways
+        fbm = build_form_matrices(n)
+        bar = fbm.eta_bar[0]
+        fbm.eta_bar[0] = bar + NCDiffOp.from_words(
+            bar.theta, bar.m, {(0,) * n: {(2 ** (n - 1), 2 ** n - 1): size}})
+        rp = bidegree_decomposition_check(fbm)
+        assert [c.name for c in rp.failures()] == [
+            f"span({a}^{r}) inside span({b}^{r})"
+            for r in (1, 2) for a, b in (("mu", "eta mixed"), ("eta mixed", "mu"))]
+
 
 class TestOneChainPerFamily:
     """Each family's span chain is grown once per FormBasisMatrices: one span
