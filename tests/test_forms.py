@@ -37,6 +37,17 @@ def words(form):
     return dict(zip(zip(form.x.tolist(), form.z.tolist()), form.c.tolist()))
 
 
+def matrix(forms):
+    """The coefficients of forms, one row each, over the words that occur in
+    (x, z) order: the coefficient oracle of the dict path and the SVD rule."""
+    x, z = np.concatenate([f.x for f in forms]), np.concatenate([f.z for f in forms])
+    row = np.arange(len(forms)).repeat([len(f.c) for f in forms])
+    col = np.unique(x * (z.max() + 1) + z, return_inverse=True)[1]
+    mat = np.zeros((len(forms), col.max() + 1), dtype=complex)
+    mat[row, col] = np.concatenate([f.c for f in forms])
+    return mat
+
+
 def dense(form):
     """The dense m x m fiber matrix of a form (its one block, at mode 0)."""
     return form._dense(0, len(form.c))
@@ -116,19 +127,29 @@ class TestBidegree:
         # n=4, r=2: 6 = 1*1 + 2*2 + 1*1
         assert comb(4, 2) == sum(comb(2, p) * comb(2, 2 - p) for p in range(3))
 
-    @pytest.mark.parametrize("size", [0.5])
+    @pytest.mark.parametrize("size", [0.5, 2.0 ** -40])
     @pytest.mark.parametrize("n", [4, 6])
     def test_each_containment_row_can_fail(self, n, size):
         # a word outside span(mu) added to eta_bar_1 moves the mixed spans off
-        # span(mu^r) at r = 1 and 2, both ways
+        # span(mu^r) at r = 1 and 2, both ways; each row reads the dimension
+        # that sticks out, whatever the size of the word (a float distance
+        # read a 2^-40 word as 6.4e-13 and 9.1e-13, under the tolerance)
         fbm = build_form_matrices(n)
         bar = fbm.eta_bar[0]
         fbm.eta_bar[0] = bar + NCDiffOp.from_words(
             bar.theta, bar.m, {(0,) * n: {(2 ** (n - 1), 2 ** n - 1): size}})
         rp = bidegree_decomposition_check(fbm)
-        assert [c.name for c in rp.failures()] == [
-            f"span({a}^{r}) inside span({b}^{r})"
-            for r in (1, 2) for a, b in (("mu", "eta mixed"), ("eta mixed", "mu"))]
+        assert [(c.name, c.residual) for c in rp.failures()] == [
+            (f"span({a}^{r}) inside span({b}^{r})", dim)
+            for r, dims in ((1, (1, 1)), (2, (n - 1, n)))
+            for (a, b), dim in zip((("mu", "eta mixed"), ("eta mixed", "mu")), dims)]
+
+    @pytest.mark.parametrize("eps_prime", [1, -1])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_containment_rows_read_exactly_zero(self, n, eps_prime):
+        rp = bidegree_decomposition_check(build_form_matrices(n, eps_prime))
+        rows = [c.residual for c in rp.checks if " inside span(" in c.name]
+        assert rows == [0.0] * 4 and rp.all_pass
 
 
 class TestOneChainPerFamily:
@@ -232,6 +253,7 @@ class TestLockstepChains:
             assert row["omega_0q"] == row["omega_p0"] == comb(5, l)
         rp = bidegree_decomposition_check(fbm)
         assert rp.all_pass, [(c.name, c.residual) for c in rp.failures()]
+        assert rp.max_residual == 0.0
 
 
 def dense_families(rep, eps_prime):
@@ -352,7 +374,7 @@ def assert_same_span(groups, fbm):
                                     for left, right in groups for a in left for b in right])
     got = [f for f in NCDiffOp.products([(a, b, 0) for left, right in groups
                                          for a in left for b in right]) if len(f.c)]
-    mat = forms._matrix(got) if got else np.zeros((0, 0), dtype=complex)
+    mat = matrix(got) if got else np.zeros((0, 0), dtype=complex)
     assert mat.shape == want_mat.shape and np.array_equal(mat, want_mat)
     picks = forms._spans(got, [0, len(got)])[0]
     assert ([list(words(p).items()) for p in picks]
@@ -377,7 +399,7 @@ class TestAgainstDictPath:
                     picks = assert_same_span([(basis, family)], fbm)
                     assert ([list(words(p).items()) for p in grown]
                             == [list(words(p).items()) for p in picks])
-                    assert np.array_equal(forms._matrix(basis),
+                    assert np.array_equal(matrix(basis),
                                           coefficients(list(map(words, basis))))
                 else:
                     assert grown == []
@@ -409,7 +431,7 @@ class TestExactRank:
         picks = forms._spans(bad, [0, len(bad)])[0]
         assert len(picks) == 7 and any(q is bad[i] for q in picks)
         # the SVD rule with the 1e-10 cutoff drops it, greedily and whole
-        mat = forms._matrix(bad)
+        mat = matrix(bad)
         assert len(greedy_picks(mat, fbm.m)) == 6
         s = np.linalg.svd(np.sqrt(fbm.m) * mat, compute_uv=False)
         assert np.count_nonzero(s > RANK_TOL * max(1.0, s[0])) == 6
