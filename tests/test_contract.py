@@ -5,9 +5,9 @@ The rows live in data/contract.json: a row's argv (an argument that starts
 with "data/" names a file in this directory), its exit code, the sha256 of
 its stdout with the timestamp line dropped, and its LAPACK-derived numbers.
 Those numbers can differ in the last bits from one CPU or LAPACK build to the
-next: the bidegree check's span-containment residuals (QR) with the
-summary.max_residual they set, and the basis coefficients of `holo h0` (SVD).
-The digest covers them as a placeholder, and they are compared within 1e-12.
+next: they are the basis coefficients of `holo h0` (SVD), the only LAPACK
+output a command prints.  The digest covers them as a placeholder, and they
+are compared within 1e-12; every other byte of every output is hashed.
 
 Re-record a row (or add one) after an intended output change with
 
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nckahler import cli, holomorphic
+from nckahler import cli, forms, holomorphic
 
 DATA = Path(__file__).with_name("data")
 ROWS_PATH = DATA / "contract.json"
@@ -48,13 +48,10 @@ def run(argv):
 
 def _lapack_fields(argv, obj):
     """[(container, key)] of the LAPACK-derived numbers of one output."""
-    fields = [(c, "residual") for c in obj.get("checks", ()) if "inside span(" in c["name"]]
-    if fields:
-        fields.append((obj["summary"], "max_residual"))
-    if argv[:2] == ["holo", "h0"]:
-        fields += [(term, part) for xi in obj["basis"] for entry in xi for term in entry
-                   for part in ("re", "im")]
-    return fields
+    if argv[:2] != ["holo", "h0"]:
+        return []
+    return [(term, part) for xi in obj["basis"] for entry in xi for term in entry
+            for part in ("re", "im")]
 
 
 def digest(argv, stdout):
@@ -119,6 +116,20 @@ def test_reordered_key_fails(monkeypatch):
     # the keys in the order the command builds them, not sorted
     monkeypatch.setattr(json, "dumps", lambda obj, **kw: _dumps(obj, indent=2))
     (problem,) = mismatches(row_of("clifford", "--n", "4"))
+    assert problem.startswith("sha256")
+
+
+def test_one_ulp_containment_row_fails(monkeypatch):
+    # the bidegree rows are exact, and hashed like every other number
+    check = forms.bidegree_decomposition_check
+
+    def nudged(*args, **kwargs):
+        rp = check(*args, **kwargs)
+        rp.checks[-1].residual = float(np.nextafter(rp.checks[-1].residual, np.inf))
+        return rp
+
+    monkeypatch.setattr(forms, "bidegree_decomposition_check", nudged)
+    (problem,) = mismatches(row_of("forms", "--n", "4"))
     assert problem.startswith("sha256")
 
 
