@@ -138,3 +138,57 @@ def test_detects_a_theta_read(tmp_path):
                    "    return upper, TorusMatrix.from_entries, entries\n"
                    "x = THETA.entries\n")
     assert theta_reads(src) == ["mod.h0", "mod.inner", "mod"]
+
+
+def lapack_reads(path):
+    """Where the module at path reaches numpy's linalg or scipy (an import of
+    either, or an attribute `linalg` or a name `scipy` read): the set of
+    "module.function" for the innermost enclosing function, or "module" at
+    top level."""
+    found = set()
+
+    def reaches(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "scipy" or a.name.startswith("numpy.linalg")
+                       for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return (module.split(".")[0] == "scipy" or module.startswith("numpy.linalg")
+                    or module == "numpy" and any(a.name == "linalg" for a in node.names))
+        return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                or isinstance(node, ast.Name) and node.id == "scipy")
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if reaches(child):
+                found.add(where)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{path.stem}.{child.name}" if is_def else where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+# LAPACK serves the H^0 SVD and its gesvd retry only; every other decision is
+# exact (the forms' ranks and containments on the Gaussian-integer echelon)
+LAPACK_READERS = {"holomorphic": {"holomorphic._svd"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_lapack_in_the_h0_svd_only(path):
+    assert lapack_reads(path) == LAPACK_READERS.get(path.stem, set())
+
+
+def test_detects_a_lapack_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy as np\n"
+                   "import scipy.sparse\n"
+                   "from numpy import linalg as la\n"
+                   "def rank(a):\n"
+                   "    return np.linalg.matrix_rank(a)\n"
+                   "def solve(a, b):\n"
+                   "    from scipy.linalg import solve\n"
+                   "    return solve(a, b)\n"
+                   "def qr(a):\n"
+                   "    return scipy.linalg.qr(a), np.dot(a, a), linalg\n")
+    assert lapack_reads(src) == {"mod", "mod.rank", "mod.solve", "mod.qr"}
