@@ -159,7 +159,7 @@ def cmd_verify(args):
     theta = load_theta(args)
     tol = load_tol(args)
     load_rep(theta.n)  # an n the rep does not support is refused before the grid
-    if args.matching and args.matching != "all":
+    if args.matching is not None and args.matching != "all":
         with field("--matching", kahler.MatchingError):
             matchings = [kahler.Matching.parse(args.matching)]
         for m in matchings:
@@ -207,10 +207,7 @@ def cmd_forms(args):
 
 def load_connection(path):
     with reading("--conn", path) as obj:
-        conn = holomorphic.Connection.from_json(ThetaMatrix.from_json(obj["theta"]), obj)
-        if conn.m < 1:
-            raise ValueError(f"m must be >= 1, got {conn.m}")
-        return conn
+        return holomorphic.Connection.from_json(ThetaMatrix.from_json(obj["theta"]), obj)
 
 
 def cmd_holo(args):
@@ -253,6 +250,9 @@ def cmd_report(args):
     theta = load_theta(args)
     tol = load_tol(args)
     rep = load_rep(theta.n)
+    # the kernel's byte bound refuses --radius before the grid runs
+    with field(f"--radius {args.radius}", holomorphic.BoundError):
+        kern = holomorphic.holomorphic_kernel(theta, args.radius)
     rp = VerificationReport(tol=tol)
     rp.add("clifford relations", clifford.relations_residual(rep), 1e-12)
     rp.add("grading product", clifford.grading_product_check(rep), 1e-12)
@@ -264,8 +264,6 @@ def cmd_report(args):
     fbm = forms.build_form_matrices(theta.n)
     rp.add("form nilpotency", forms.nilpotency_residual(fbm), 1e-12)
     rp.extend(forms.bidegree_decomposition_check(fbm, tol=tol))
-    with field(f"--radius {args.radius}", holomorphic.BoundError):
-        kern = holomorphic.holomorphic_kernel(theta, args.radius)
     rp.add("holomorphic kernel is C.1", float(abs(len(kern) - 1)), 0.5)
     rp.meta = _meta(tol) | {"n": theta.n, "matching": "all", "eps_prime": "both"}
     for line in rp.lines():

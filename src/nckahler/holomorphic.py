@@ -86,6 +86,8 @@ class Connection:
     A: list  # n/2 matrices, each m x m nested lists of TorusElements
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         half = self.theta.n // 2
         if len(self.A) != half:
             raise DimensionMismatch(f"need {half} coefficient matrices, got {len(self.A)}")

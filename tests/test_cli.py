@@ -317,6 +317,15 @@ class TestReport:
         assert main(["report", "--n", "6", "--radius", "-1"]) == 2
         assert "radius must be >= 0" in capsys.readouterr().err
 
+    def test_radius_over_the_bound_exit_2_before_any_check(self, capsys, monkeypatch):
+        # the kernel's byte bound is met before the grid too; its row stays last
+        def refused(*args, **kwargs):
+            raise AssertionError("verify_grid ran")
+
+        monkeypatch.setattr(kahler, "verify_grid", refused)
+        assert main(["report", "--n", "10", "--radius", "100000"]) == 2
+        assert capsys.readouterr().err.startswith("error: --radius 100000")
+
 
 class TestSinglePath:
     def test_report_grid_equals_verify(self, theta2_file, capsys):
@@ -404,6 +413,7 @@ EXIT_2 = [
     (["verify", "--n", "4", "--matching", "1-2,2-3"], None, "--matching"),
     (["verify", "--n", "4", "--matching", "a-b"], None, "--matching"),
     (["verify", "--n", "4", "--matching", "1-2"], None, "--matching"),
+    (["verify", "--n", "4", "--matching", ""], None, "--matching"),
     (["verify", "--n", "4", "--eps-prime", "2"], None, "--eps-prime"),
     (["verify", "--n", "2", "--tol", "nan"], None, "--tol"),
     (["verify", "--n", "2"], "-1", "NCK_TOL"),

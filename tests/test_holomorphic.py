@@ -115,6 +115,14 @@ class TestKernel:
             TorusElement.monomial(THETA4, m).to_json() for m in want]
 
 
+class TestConnection:
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_refuses_m_below_one(self, m):
+        # h0_solve on m = 0 failed inside its assembly with a broadcast error
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            Connection(THETA2, m, [[]])
+
+
 class TestFlatness:
     def test_grassmannian_flat(self):
         assert flatness_check(grassmannian(THETA4, 3)) == 0.0
