@@ -211,7 +211,6 @@ def load_connection(path):
 
 
 def cmd_holo(args):
-    tol = load_tol(args)
     if args.holo_cmd == "kernel":
         theta = load_theta(args)
         check_radius(args)
@@ -221,6 +220,7 @@ def cmd_holo(args):
                "basis": [b.to_json() for b in basis]}
         return emit(obj, args.out, len(basis) == 1)
     if args.holo_cmd == "flat":
+        tol = load_tol(args)
         conn = load_connection(args.conn)
         res = holomorphic.flatness_check(conn)
         obj = {"m": conn.m, "residual": res, "flat": res < tol}
@@ -279,65 +279,43 @@ def build_parser():
         prog="nckahler",
         description="verify the Kahler operator identities of noncommutative even tori",
     )
+    # one parent parser per shared option; each subcommand takes the parents
+    # whose options it reads, and argparse refuses the others (exit 2)
+    out, tol, radius, torus, dim, conn = (argparse.ArgumentParser(add_help=False)
+                                          for _ in range(6))
+    out.add_argument("--out", help="write the JSON report to this path (atomic)")
+    tol.add_argument("--tol", type=float, help="residual tolerance (default 1e-10 or NCK_TOL)")
+    radius.add_argument("--radius", type=int, default=3, help="truncation box radius")
+    torus.add_argument("--theta", help="path to a deformation-matrix JSON file")
+    torus.add_argument("--n", type=int, help="torus dimension (even)")
+    dim.add_argument("--n", type=int, required=True, help="torus dimension (even)")
+    conn.add_argument("--conn", required=True, help="connection JSON file")
+
+    def command(subs, name, func, *parents, **kwargs):
+        sp = subs.add_parser(name, parents=[*parents, out], **kwargs)
+        sp.set_defaults(func=func)
+        return sp
+
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, radius=False):
-        sp.add_argument("--theta", help="path to a deformation-matrix JSON file")
-        sp.add_argument("--n", type=int, help="torus dimension (even)")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance (default 1e-10 or NCK_TOL)")
-        if radius:
-            sp.add_argument("--radius", type=int, default=3, help="truncation box radius")
-        sp.add_argument("--out", help="write the JSON report to this path (atomic)")
-
-    sp = sub.add_parser("clifford", help="gamma matrices, grading, sign tables")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_clifford)
-
-    sp = sub.add_parser("enumerate", help="perfect matchings of 1..n")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser("verify", help="run the N=(2,2) checklist")
-    common(sp)
+    command(sub, "clifford", cmd_clifford, dim, help="gamma matrices, grading, sign tables")
+    command(sub, "enumerate", cmd_enumerate, dim, help="perfect matchings of 1..n")
+    sp = command(sub, "verify", cmd_verify, torus, tol, help="run the N=(2,2) checklist")
     sp.add_argument("--matching", help='"1-2,3-4" or "all" (default all)')
-    sp.add_argument("--eps-prime", dest="eps_prime", help="+1, -1 or both")
-    sp.add_argument("--dump-ops", dest="dump_ops", action="store_true",
+    sp.add_argument("--eps-prime", help="+1, -1 or both")
+    sp.add_argument("--dump-ops", action="store_true",
                     help="include operator normal forms in the report")
-    sp.set_defaults(func=cmd_verify)
+    command(sub, "forms", cmd_forms, torus, tol, help="differential-form ranks")
 
-    sp = sub.add_parser("forms", help="differential-form ranks")
-    common(sp)
-    sp.set_defaults(func=cmd_forms)
+    hsub = sub.add_parser("holo", help="holomorphic calculus").add_subparsers(
+        dest="holo_cmd", required=True)
+    command(hsub, "kernel", cmd_holo, torus, radius)
+    command(hsub, "flat", cmd_holo, conn, tol)
+    command(hsub, "h0", cmd_holo, conn, radius)
+    sp = command(hsub, "ps-compare", cmd_holo)
+    sp.add_argument("--theta2", required=True, help="2x2 deformation matrix JSON")
+    sp.add_argument("--radius", type=int, default=4, help="truncation box radius")
 
-    sp = sub.add_parser("holo", help="holomorphic calculus")
-    hsub = sp.add_subparsers(dest="holo_cmd", required=True)
-    hp = hsub.add_parser("kernel")
-    common(hp, radius=True)
-    hp.set_defaults(func=cmd_holo)
-    hp = hsub.add_parser("flat")
-    hp.add_argument("--conn", required=True, help="connection JSON file")
-    hp.add_argument("--tol", type=float, default=None)
-    hp.add_argument("--out")
-    hp.set_defaults(func=cmd_holo)
-    hp = hsub.add_parser("h0")
-    hp.add_argument("--conn", required=True)
-    hp.add_argument("--radius", type=int, default=3)
-    hp.add_argument("--tol", type=float, default=None)
-    hp.add_argument("--out")
-    hp.set_defaults(func=cmd_holo)
-    hp = hsub.add_parser("ps-compare")
-    hp.add_argument("--theta2", required=True, help="2x2 deformation matrix JSON")
-    hp.add_argument("--radius", type=int, default=4)
-    hp.add_argument("--tol", type=float, default=None)
-    hp.add_argument("--out")
-    hp.set_defaults(func=cmd_holo)
-
-    sp = sub.add_parser("report", help="full verification report")
-    common(sp, radius=True)
-    sp.set_defaults(func=cmd_report)
+    command(sub, "report", cmd_report, torus, tol, radius, help="full verification report")
     return p
 
 

@@ -67,7 +67,8 @@ def _max_entry(words):
     """The largest |entry| of a word sum: of its dense matrix on the masks
     that its words' bits need, the rule NCDiffOp.residual_norm takes."""
     m = 1 << max((max(w) for w in words), default=0).bit_length()
-    return float(np.abs(dense_words(words, m)).max())
+    d = dense_words(words, m)
+    return float(np.hypot(d.real, d.imag).max())
 
 
 def _adjoint(words):

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .torus import TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix
+from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix
 
 # h0_solve refuses a system it would need more than this many bytes to hold:
 # its entries (ENTRY_BYTES each, counting the copies its assembly and labelling
@@ -49,8 +49,6 @@ def delta_eigenvalue(m, j):
 
 def delbar_tuple(a):
     """(delta_1(a), ..., delta_{n/2}(a)) — a is holomorphic iff all vanish."""
-    if a.theta.n % 2 != 0:
-        raise DimensionMismatch("holomorphic calculus needs even torus dimension")
     return tuple(delta(a, j) for j in range(1, a.theta.n // 2 + 1))
 
 
@@ -285,23 +283,34 @@ def del_tau(a, tau=1j):
     del_tau(U^{(r1,r2)}) = 2 pi i (r1 tau + r2) U^{(r1,r2)}."""
     if a.theta.n != 2:
         raise DimensionMismatch("del_tau lives on the 2-dimensional torus")
-    return a.multiplier(lambda m: TWO_PI_I * (m[0] * tau + m[1]))
+    return a.multiplier(lambda m: del_tau_eigenvalue(m, tau))
+
+
+def del_tau_eigenvalue(m, tau=1j):
+    """Eigenvalue of del_tau on U^m."""
+    return TWO_PI_I * (m[0] * tau + m[1])
+
+
+def _pruned(x):
+    """x with each entry under PRUNE_TOL (by np.hypot) set to 0, as a
+    TorusMatrix drops such a block."""
+    return np.where(np.hypot(x.real, x.imag) >= PRUNE_TOL, x, 0)
 
 
 def ps_compare(theta, radius=4):
     """Compare delta_1 with c . del_tau at tau = i on a monomial box, fixing
     the single scalar c by evaluating both sides on U_2; returns the max
-    residual after that one normalization."""
+    residual after that one normalization.  Both are Fourier multipliers, so
+    the monomials of the box are one eigenvalue array each, pruned as their
+    TorusElement would be.  The two eigenvalues are one expression, so c = 1
+    and the residual is 0 for every theta."""
     if theta.n != 2:
         raise DimensionMismatch("comparison requires torus dimension 2")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    u2 = TorusElement.generator(theta, 2)
-    lhs = delta(u2, 1).coeffs[(0, 1)]
-    rhs = del_tau(u2).coeffs[(0, 1)]
-    c = lhs / rhs
-    res = 0.0
-    for m in iproduct(range(-radius, radius + 1), repeat=2):
-        a = TorusElement.monomial(theta, m)
-        res = max(res, (delta(a, 1) - c * del_tau(a)).norm())
-    return res
+    c = delta_eigenvalue((0, 1), 1) / del_tau_eigenvalue((0, 1))
+    box = np.indices((2 * radius + 1,) * 2).reshape(2, -1) - radius
+    lhs = _pruned(delta_eigenvalue(box, 1))
+    rhs = _pruned(c * _pruned(del_tau_eigenvalue(box)))
+    diff = _pruned(lhs - rhs)
+    return float(np.hypot(diff.real, diff.imag).max())

@@ -459,8 +459,7 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     the word-by-word action's bits.  A row's residual is the largest entry of
     its difference blocks, all three rows from one np.hypot pass; as
     TorusMatrix prunes, a block whose largest entry is below PRUNE_TOL counts
-    as 0.  The prune reads the same np.hypot array as the value, where
-    TorusMatrix reads np.abs: the two can differ only within one ulp of 1e-14."""
+    as 0."""
     tol = resolve_tol(tol)
     rep = build_gamma(theta.n) if rep is None else rep
     if rep.n != theta.n:

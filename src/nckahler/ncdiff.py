@@ -639,8 +639,9 @@ class NCDiffOp:
     def residual_norm(self):
         """Max magnitude over all terms, modes and dense fiber entries; zero iff
         this is the zero operator (normal-form soundness)."""
-        return max((float(np.abs(self._dense(s, e)).max())
-                    for s, e in zip(self.start.tolist(), self.stop.tolist())), default=0.0)
+        return max((float(np.hypot(d.real, d.imag).max())
+                    for d in map(self._dense, self.start.tolist(), self.stop.tolist())),
+                   default=0.0)
 
     def max_degree(self):
         return int((self.alpha[:, None] >> np.array(_SHIFTS) & _AMAX - 1).sum(axis=1).max(initial=0))

@@ -24,7 +24,8 @@ import numpy as np
 
 from .pauli import DimensionMismatch
 
-# Blocks whose entries are all below PRUNE_TOL are dropped.
+# Blocks whose entries are all below PRUNE_TOL are dropped; an entry's size is
+# its np.hypot, which rounds as Python's abs(complex) does.
 PRUNE_TOL = 1e-14
 
 TWO_PI_I = 2j * np.pi
@@ -141,7 +142,7 @@ class TorusMatrix:
                 mat = np.asarray(mat, dtype=complex)
                 if mat.shape != self.shape:
                     raise DimensionMismatch(f"block at {k} is {mat.shape}, not {self.shape}")
-                if np.abs(mat).max() >= PRUNE_TOL:
+                if np.hypot(mat.real, mat.imag).max() >= PRUNE_TOL:
                     self.blocks[k] = mat
 
     def _new(self, shape, blocks):

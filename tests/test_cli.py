@@ -1,5 +1,6 @@
 """Command-line front-end: subcommands, exit codes, atomic reports."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -164,6 +165,15 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert main(["verify", "--n", "4", "--dump-ops", "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", ["-1", "-"])
+    def test_eps_prime_minus_alone(self, eps, capsys):
+        code, obj = run_json(capsys, ["verify", "--n", "4", "--matching", "1-2,3-4",
+                                      "--eps-prime", eps])
+        assert code == 0 and obj["eps_prime"] == eps
+        names = [c["name"] for c in obj["checks"]]
+        assert names[-1] == "[1-2,3-4] pm conjugation"
+        assert names[:-1] and all(n.startswith("[1-2,3-4|eps'=-1] ") for n in names[:-1])
 
     def test_dump_ops(self, theta2_file, capsys):
         path, _ = theta2_file
@@ -552,6 +562,21 @@ class TestExitCodes:
         assert err.value.code == 2
         assert "unrecognized arguments: --radius 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["holo", "kernel", "--n", "4"],
+                                      ["holo", "h0", "--conn", "{conn-u2}"],
+                                      ["holo", "ps-compare", "--theta2", "{theta2}"]],
+                             ids=["holo-kernel", "holo-h0", "holo-ps-compare"])
+    def test_tol_refused_where_unread(self, argv, tmp_path, capsys, monkeypatch):
+        # the kernel test is exact, h0 and ps-compare hold fixed thresholds:
+        # argparse refuses --tol, and a bad NCK_TOL is not read
+        argv = [a.format(**bad_inputs(tmp_path)) for a in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--tol", "1e-3"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        monkeypatch.setenv("NCK_TOL", "nan")
+        assert main(argv) == 0
+
     @pytest.mark.parametrize("argv, env, name", EXIT_2,
                              ids=[" ".join(argv) + (f" NCK_TOL={env}" if env else "")
                                   for argv, env, _ in EXIT_2])
@@ -575,6 +600,37 @@ class TestExitCodes:
         monkeypatch.setattr(ncdiff.NCDiffOp, "sums", staticmethod(broken))
         with pytest.raises(ValueError, match="injected"):
             main(["verify", "--n", "4"])
+
+
+# The options of each subcommand: exactly those it reads
+OPTIONS = {
+    "clifford": {"--n", "--out"},
+    "enumerate": {"--n", "--out"},
+    "verify": {"--theta", "--n", "--tol", "--matching", "--eps-prime", "--dump-ops", "--out"},
+    "forms": {"--theta", "--n", "--tol", "--out"},
+    "holo kernel": {"--theta", "--n", "--radius", "--out"},
+    "holo flat": {"--conn", "--tol", "--out"},
+    "holo h0": {"--conn", "--radius", "--out"},
+    "holo ps-compare": {"--theta2", "--radius", "--out"},
+    "report": {"--theta", "--n", "--tol", "--radius", "--out"},
+}
+
+
+def subcommands(parser, prefix=""):
+    """{"holo kernel": its option strings, ...} over the parser's leaf subcommands."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sp in action.choices.items():
+                out |= subcommands(sp, f"{prefix}{name} ")
+    if prefix and not out:
+        out[prefix.strip()] = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    return out
+
+
+def test_option_table():
+    # an option that a subcommand does not read would be accepted and ignored
+    assert subcommands(cli.build_parser()) == OPTIONS
 
 
 class TestInProcessCalls:

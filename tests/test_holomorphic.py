@@ -75,6 +75,11 @@ class TestKernel:
         basis = holomorphic_kernel(THETA4, 0)
         assert len(basis) == 1
 
+    def test_negative_radius_refused(self):
+        # the CLI refuses it first; a library caller meets this refusal
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            holomorphic_kernel(THETA4, -1)
+
     @pytest.mark.parametrize("n, radii", [(2, [*range(6), 300]), (4, [*range(6), 300]),
                                           (6, range(6))])
     def test_exactly_the_unit(self, n, radii):
@@ -186,6 +191,11 @@ class TestH0:
     def test_grassmannian_dimension(self, m):
         basis = h0_solve(grassmannian(THETA4, m), 3)
         assert len(basis) == m
+
+    def test_negative_radius_refused(self):
+        # the CLI refuses it first; a library caller meets this refusal
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            h0_solve(grassmannian(THETA4, 1), -1)
 
     def test_shifted_scalar_connection(self):
         # A_j = -delta_j-eigenvalue(m0) . 1 makes U^{m0} a holomorphic section

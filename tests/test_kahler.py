@@ -659,6 +659,27 @@ class TestDerivedRows:
         verify_grid(THETA4, ms, (1, -1))
         assert runs == [2, 3, 2]
 
+    @pytest.mark.parametrize("other_w", [
+        lambda W: W + NCDiffOp.identity(W.theta, W.m).scale(0.5),
+        lambda W: NCDiffOp.from_words(W.theta, W.m, {(1, 0, 0, 0): dict(zip(
+            zip(W.x.tolist(), W.z.tolist()), W.c.tolist()))})],
+        ids=["two-words", "derivative"])
+    def test_w_not_one_constant_word_computes_minus_rows(self, other_w, monkeypatch):
+        # a W of two words, or one with a derivative, is not a word
+        # conjugation: _w_twins refuses it, and every matching's -1 rows are
+        # computed, in the same _run as its +1 rows
+        build = kahler.build_base
+        monkeypatch.setattr(kahler, "build_base", lambda theta, eps_list=(1, -1): (
+            base := build(theta, eps_list))._replace(W=other_w(base.W)))
+        assert not kahler._w_twins(kahler.build_base(THETA4))
+        ms = enumerate_matchings(4)
+        got, want = grid_rows(THETA4, ms)
+        assert got == want
+        runs, run = [], kahler._run
+        monkeypatch.setattr(kahler, "_run", lambda js, *a: runs.append(len(js)) or run(js, *a))
+        verify_grid(THETA4, ms, (1, -1))
+        assert runs == [3, 3, 3]
+
 
 class TestVerifyGrid:
     def test_pass_budget(self, monkeypatch):

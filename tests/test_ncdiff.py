@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nckahler import kahler, ncdiff
+from nckahler import clifford, kahler, ncdiff
 from nckahler.cli import main
 from nckahler.clifford import build_gamma
 from nckahler.kahler import (
@@ -201,6 +201,34 @@ class TestTorusMatrixNorm:
         for v in (rng.normal(size=300) + 1j * rng.normal(size=300)).tolist():
             a = TorusElement.monomial(THETA, ZERO2, v)
             assert TorusMatrix.from_entries(THETA, [[a]]).norm() == a.norm()
+
+    # each residual is the largest Python abs of its dense entries, bit for bit;
+    # np.abs misses it on about one case in three
+    def test_torus_matrix_norm_is_largest_abs(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            M = TorusMatrix.random(THETA, (4, 4), rng)
+            assert M.norm() == max_abs(b for b in M.blocks.values())
+
+    def test_residual_norm_is_largest_abs(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            op = NCDiffOp.random(THETA, 4, rng)
+            assert op.residual_norm() == max_abs(dense_words(w, op.m) for term in op.terms.values()
+                                                 for w in term.blocks.values())
+
+    def test_max_entry_is_largest_abs(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            words = {(int(x), int(z)): complex(*rng.normal(size=2))
+                     for x, z in rng.integers(0, 8, size=(3, 2))}
+            m = 1 << max(max(w) for w in words).bit_length()
+            assert clifford._max_entry(words) == max_abs([dense_words(words, m)])
+
+
+def max_abs(blocks):
+    """The largest Python abs(complex) over the entries of the blocks."""
+    return max((abs(z) for b in blocks for z in b.ravel().tolist()), default=0.0)
 
 
 def _leibniz_terms(alpha):
