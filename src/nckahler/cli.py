@@ -274,6 +274,17 @@ def cmd_report(args):
 # -- argument parsing -------------------------------------------------------
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an argument it does not read with its
+    own usage (exit 2), where argparse would hand it up to the parent."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="nckahler",
@@ -296,7 +307,7 @@ def build_parser():
         sp.set_defaults(func=func)
         return sp
 
-    sub = p.add_subparsers(dest="cmd", required=True)
+    sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Subcommand)
     command(sub, "clifford", cmd_clifford, dim, help="gamma matrices, grading, sign tables")
     command(sub, "enumerate", cmd_enumerate, dim, help="perfect matchings of 1..n")
     sp = command(sub, "verify", cmd_verify, torus, tol, help="run the N=(2,2) checklist")

@@ -179,35 +179,22 @@ def _svd(stack):
         return np.stack(s), np.stack(vh)
 
 
-def h0_solve(conn, radius):
-    """C-basis of { xi in (box-truncated A)^m : delta_j(xi) + A_j xi = 0 }.
+def _column_factors(theta, m, box, terms):
+    """_block_factors of a system whose terms all sit at mode 0 on the
+    diagonal: unknown (t, l) meets only the rows (j, t, l), so it is a
+    one-column block whose column over j is delta_j(t) + A_j[l, l] (added
+    into zeros in terms order; lambda(0, t) is 1), in unknown order."""
+    col = np.zeros((len(box), m, theta.n // 2), dtype=complex)
+    for j, i, _, _, c in terms:
+        col[:, i, j] += c
+    return [(np.arange(len(box) * m)[:, None], *_svd(col.reshape(len(box) * m, -1, 1)))]
 
-    The system over the box coefficients, rows (j, output mode, i) against
-    unknowns (box mode, l), is assembled as entry arrays and split into its
-    connected blocks by _components: mode t couples only to t + supp(A_j).
-    Blocks of equal shape share one batched SVD (_svd), and one-column blocks
-    (all, on a constant diagonal connection) their column norms.  A singular
-    value at most 1e-10 times the largest over all blocks marks a null
-    direction, as in a dense null space of the whole system.  Raises ValueError
-    when the entries, or one batch of blocks with its SVD factors, would take
-    more than MAX_BYTES.
 
-    For a non-constant connection the dimension is that of the box-truncated
-    system, and it can depend on the radius: with A_1 = U_2 on n = 2 it is 0
-    up to radius 6 and 1 from radius 7 on, once the smallest singular value
-    of the truncated chain, about 1/((2 pi)^r r!), falls under the cutoff."""
-    theta, m, n = conn.theta, conn.m, conn.theta.n
-    half = n // 2
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    terms = [(j, i, l, k, c) for j, Aj in enumerate(conn.A) for i, row in enumerate(Aj)
-             for l, a in enumerate(row) for k, c in a.coeffs.items()]
-    n_box = (2 * radius + 1) ** n
-    _check_bytes(n_box * (half * m + len(terms)) * ENTRY_BYTES, "the system's entries")
-
-    box = np.indices((2 * radius + 1,) * n).reshape(n, -1).T - radius  # product order
-    terms = [(j, i, i, (0,) * n, delta_eigenvalue(box.T, j + 1))
-             for j in range(half) for i in range(m)] + terms
+def _block_factors(theta, m, box, terms):
+    """[(block_cols, s, vh)] per batch of equal-shape blocks of the system of
+    terms (j, i, l, k, c): c U^k in row i, column l of A_j, delta_j first.
+    block_cols holds each block's unknowns (box index * m + l) in order."""
+    n_box, n, half = len(box), theta.n, theta.n // 2
     shifts = {k: s for s, k in enumerate(dict.fromkeys(k for *_, k, _ in terms))}
     out_index = _row_ids((box[None] + np.array(list(shifts))[:, None]).reshape(-1, n))
     n_out, out_index = out_index.max() + 1, out_index.reshape(len(shifts), n_box)
@@ -245,6 +232,44 @@ def h0_solve(conn, radius):
         block_cols = np.empty((len(blocks), w), dtype=int)
         block_cols[slot[col_block[own]], col_local[own]] = own
         factors.append((block_cols, *_svd(stack)))
+    return factors
+
+
+def h0_solve(conn, radius):
+    """C-basis of { xi in (box-truncated A)^m : delta_j(xi) + A_j xi = 0 }.
+
+    The system over the box coefficients, rows (j, output mode, i) against
+    unknowns (box mode, l), is assembled as entry arrays and split into its
+    connected blocks by _components: mode t couples only to t + supp(A_j).
+    Blocks of equal shape share one batched SVD (_svd), and a one-column
+    block takes its column norm.  On a constant diagonal connection (every
+    coefficient of every A_j at mode 0 on the diagonal: the Grassmannian, a
+    constant line bundle) every unknown is its own one-column block, so
+    _column_factors reads the columns off the terms with no assembly and no
+    split; the basis is the one the split would give, bit for bit.  A
+    singular value at most 1e-10 times the largest over all blocks marks a
+    null direction, as in a dense null space of the whole system.  Raises
+    ValueError when the entries, or one batch of blocks with its SVD factors,
+    would take more than MAX_BYTES.
+
+    For a non-constant connection the dimension is that of the box-truncated
+    system, and it can depend on the radius: with A_1 = U_2 on n = 2 it is 0
+    up to radius 6 and 1 from radius 7 on, once the smallest singular value
+    of the truncated chain, about 1/((2 pi)^r r!), falls under the cutoff."""
+    theta, m, n = conn.theta, conn.m, conn.theta.n
+    half = n // 2
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    terms = [(j, i, l, k, c) for j, Aj in enumerate(conn.A) for i, row in enumerate(Aj)
+             for l, a in enumerate(row) for k, c in a.coeffs.items()]
+    n_box = (2 * radius + 1) ** n
+    _check_bytes(n_box * (half * m + len(terms)) * ENTRY_BYTES, "the system's entries")
+
+    diagonal = all(i == l and not any(k) for _, i, l, k, _ in terms)
+    box = np.indices((2 * radius + 1,) * n).reshape(n, -1).T - radius  # product order
+    ev = [delta_eigenvalue(box.T, j + 1) for j in range(half)]
+    terms = [(j, i, i, (0,) * n, ev[j]) for j in range(half) for i in range(m)] + terms
+    factors = (_column_factors if diagonal else _block_factors)(theta, m, box, terms)
     cutoff = 1e-10 * max((s.max() for _, s, _ in factors), default=0.0)
 
     found = []

@@ -267,7 +267,13 @@ class TorusElement(TorusMatrix):
     __slots__ = ()
 
     def __init__(self, theta, coeffs=None):
-        super().__init__(theta, (1, 1), {m: [[c]] for m, c in (coeffs or {}).items()})
+        """The blocks TorusMatrix would build from {m: [[c]]}: 1 x 1 views of
+        one array, keeping c where abs(complex(c)) >= PRUNE_TOL."""
+        coeffs = coeffs or {}
+        values = [complex(c) for c in coeffs.values()]
+        cells = np.array(values, dtype=complex).reshape(-1, 1, 1)
+        self.theta, self.shape = theta, (1, 1)
+        self.blocks = {m: b for m, c, b in zip(coeffs, values, cells) if abs(c) >= PRUNE_TOL}
 
     @property
     def coeffs(self):

@@ -577,6 +577,26 @@ class TestExitCodes:
         monkeypatch.setenv("NCK_TOL", "nan")
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("argv, extra", [
+        (["holo", "h0", "--conn", "{conn-u2}"], ["--tol", "1"]),
+        (["holo", "kernel", "--n", "2"], ["--tol", "1"]),
+        (["holo", "ps-compare", "--theta2", "{theta2}"], ["--tol", "1"]),
+        (["holo", "flat", "--conn", "{conn-u2}"], ["--radius", "3"]),
+        (["verify", "--n", "2"], ["--radius", "3"]),
+        (["clifford", "--n", "2"], ["--tol", "1"])],
+        ids=["holo-h0", "holo-kernel", "holo-ps-compare", "holo-flat", "verify", "clifford"])
+    def test_unread_option_refused_with_the_subcommand_usage(self, argv, extra, tmp_path,
+                                                              capsys):
+        # the subcommand's own parser refuses it, not the top-level one
+        argv = [a.format(**bad_inputs(tmp_path)) for a in argv]
+        command = " ".join(a for a in argv[:2] if not a.startswith("-"))
+        with pytest.raises(SystemExit) as err:
+            main(argv + extra)
+        assert err.value.code == 2
+        usage, message = capsys.readouterr().err.split(f"\nnckahler {command}: error: ")
+        assert usage.startswith(f"usage: nckahler {command} [-h]")
+        assert message == f"unrecognized arguments: {' '.join(extra)}\n"
+
     @pytest.mark.parametrize("argv, env, name", EXIT_2,
                              ids=[" ".join(argv) + (f" NCK_TOL={env}" if env else "")
                                   for argv, env, _ in EXIT_2])

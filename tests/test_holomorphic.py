@@ -353,6 +353,76 @@ class TestH0Constant:
             h0_solve(grassmannian(theta, 1), 1000)
 
 
+THETAS = {2: THETA2, 4: THETA4, 6: ThetaMatrix.random(6, np.random.default_rng(6))}
+DIAGONAL_CASES = ("grassmannian m=1", "grassmannian m=2", "grassmannian m=3", "shifted scalar")
+
+
+@st.composite
+def constant_diagonal(draw):
+    """(connection, radius): each A_j[i][i] is 0, a constant, or
+    -delta_j-eigenvalue(k_i) for one mode k_i per line, near the box, which
+    cancels delta_j exactly at U^{k_i}; off the diagonal A_j is 0."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    m, radius = draw(st.integers(1, 4)), draw(st.integers(0, 3 if n < 6 else 2))
+    theta, zero = THETAS[n], (0,) * n
+    modes = [draw(st.lists(st.integers(-radius - 1, radius + 1), min_size=n, max_size=n))
+             for _ in range(m)]
+    constant = st.complex_numbers(max_magnitude=50, allow_nan=False, allow_infinity=False)
+
+    def entry(j, i):
+        c = draw(st.just(0j) | constant | st.just(-delta_eigenvalue(modes[i], j + 1)))
+        return TorusElement(theta, {zero: c})
+
+    A = [[[entry(j, i) if i == l else TorusElement.zero(theta) for l in range(m)]
+          for i in range(m)] for j in range(n // 2)]
+    return Connection(theta, m, A), radius
+
+
+def bits(basis):
+    """Every coefficient of a basis as float.hex, so signed zeros count."""
+    return [[[(k, c.real.hex(), c.imag.hex()) for k, c in x.coeffs.items()] for x in xi]
+            for xi in basis]
+
+
+def two_pi_on_n2():
+    """A_1 = 2 pi on n = 2 cancels delta_1 = -2 pi at U_1 exactly."""
+    return Connection(THETA2, 1, [scalar_matrix(THETA2, 2 * math.pi)])
+
+
+class TestH0DirectPath:
+    """A constant diagonal connection skips the block split; its basis is the
+    block path's, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(constant_diagonal())
+    @example((grassmannian(THETA4, 2), 3))
+    @example((shifted_scalar(), 2))
+    @example((two_pi_on_n2(), 3))
+    def test_same_basis_as_the_block_path(self, case):
+        conn, radius = case
+        column, taken = holomorphic._column_factors, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holomorphic, "_column_factors", lambda *a: taken.append(1) or column(*a))
+            got = h0_solve(conn, radius)
+            mp.setattr(holomorphic, "_column_factors", holomorphic._block_factors)
+            want = h0_solve(conn, radius)
+        assert taken and bits(got) == bits(want)
+
+    def test_two_pi_on_n2_is_u1(self):
+        basis = h0_solve(two_pi_on_n2(), 3)
+        assert [list(xi[0].coeffs) for xi in basis] == [[(1, 0)]]
+        assert bits(basis) == [[[((1, 0), "0x1.0000000000000p+0", "-0x0.0p+0")]]]
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_the_input_picks_the_path(self, name, monkeypatch):
+        make, radius = ORACLE_CASES[name]
+        column, taken = holomorphic._column_factors, []
+        monkeypatch.setattr(holomorphic, "_column_factors",
+                            lambda *a: taken.append(1) or column(*a))
+        h0_solve(make(), radius)
+        assert bool(taken) == (name in DIAGONAL_CASES)
+
+
 MODE_ROWS = st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(-5, 5) | st.integers(-2 ** 40, 2 ** 40), min_size=n, max_size=n),
     min_size=1, max_size=40))

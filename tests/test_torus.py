@@ -379,3 +379,20 @@ class TestOneContainer:
         a, b = TorusElement.random(THETA4, rng), TorusElement.random(THETA4, rng)
         A, B = (TorusMatrix.from_entries(THETA4, [[x]]) for x in (a, b))
         assert (A.matmul(B) - TorusMatrix.from_entries(THETA4, [[a * b]])).norm() == 0.0
+
+    def test_element_blocks_are_the_matrix_blocks(self):
+        # an element prunes by abs(complex(c)), TorusMatrix by np.hypot: the
+        # same rounding, so the same blocks, bit for bit, at the threshold too
+        below = float(np.nextafter(PRUNE_TOL, 0))
+        values = [PRUNE_TOL, below, -PRUNE_TOL, 1j * below, complex(0.6, 0.8) * PRUNE_TOL,
+                  complex(0.6, 0.8) * below, complex(below, below), np.complex128(-0.0 - 1j),
+                  np.float64(below), 2, 0.0, -0.0, complex(-0.0, 0.0), 1.5 - 0.0j, math.inf,
+                  math.nan]
+        coeffs = {(i, 0): c for i, c in enumerate(values)}
+        got = TorusElement(THETA2, coeffs).blocks
+        want = TorusMatrix(THETA2, (1, 1), {m: [[c]] for m, c in coeffs.items()}).blocks
+        assert list(got) == list(want) and (0, 0) in got and (1, 0) not in got
+        for m, b in want.items():
+            assert got[m].dtype == b.dtype and got[m].shape == b.shape == (1, 1)
+            assert got[m].tobytes() == b.tobytes(), m
+
