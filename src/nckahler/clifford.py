@@ -14,9 +14,7 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
-import numpy as np
-
-from .pauli import dense_words, word_product, word_sum
+from .pauli import dense_words, max_entry, word_product, word_sum
 
 MAX_N = 10
 _ONE = {(0, 0): 1 + 0j}
@@ -64,11 +62,10 @@ class GammaRep:
 
 
 def _max_entry(words):
-    """The largest |entry| of a word sum: of its dense matrix on the masks
-    that its words' bits need, the rule NCDiffOp.residual_norm takes."""
+    """The max_entry of a word sum's dense matrix on the masks that its
+    words' bits need, as NCDiffOp.residual_norm takes it."""
     m = 1 << max((max(w) for w in words), default=0).bit_length()
-    d = dense_words(words, m)
-    return float(np.hypot(d.real, d.imag).max())
+    return float(max_entry(dense_words(words, m)))
 
 
 def _adjoint(words):

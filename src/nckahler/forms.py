@@ -44,7 +44,7 @@ import numpy as np
 from .clifford import build_gamma
 from .kahler import check_eps, lifted_words
 from .ncdiff import NCDiffOp
-from .pauli import gaussian_integers, word_sum
+from .pauli import gaussian_integers, max_entry, word_sum
 from .report import VerificationReport, resolve_tol
 from .torus import DimensionMismatch, ThetaMatrix
 
@@ -207,7 +207,7 @@ def nilpotency_residual(fbm):
     every anticommutator {a, b}, a before or at b, from one products pass."""
     anti = NCDiffOp.products([(a, b, 1) for f in (fbm.mu, fbm.eta_bar, fbm.eta_hol)
                               for j, a in enumerate(f) for b in f[j:]])
-    return max((op.residual_norm() for op in anti), default=0.0)
+    return float(max_entry(np.array([op.residual_norm() for op in anti])))
 
 
 def bidegree_decomposition_check(fbm, tol=None):

@@ -12,11 +12,11 @@ being the 1 x 1 case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
-from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix
+from .torus import TWO_PI_I, DimensionMismatch, TorusElement, TorusMatrix, max_entry
 
 # h0_solve refuses a system it would need more than this many bytes to hold:
 # its entries (ENTRY_BYTES each, counting the copies its assembly and labelling
@@ -111,17 +111,12 @@ def grassmannian(theta, m):
 
 def flatness_check(conn):
     """Max curvature residual over l < r:
-    delta_l(A_r) - delta_r(A_l) + [A_l, A_r]; zero iff holomorphic structure."""
-    half = conn.theta.n // 2
+    delta_l(A_r) - delta_r(A_l) + [A_l, A_r]; zero iff holomorphic structure,
+    NaN if a curvature entry is NaN."""
     A = [TorusMatrix.from_entries(conn.theta, Aj) for Aj in conn.A]
-    res = 0.0
-    for l in range(1, half + 1):
-        for r in range(l + 1, half + 1):
-            Al, Ar = A[l - 1], A[r - 1]
-            curv = ((delta(Ar, l) - delta(Al, r))
-                    + (Al.matmul(Ar) - Ar.matmul(Al)))
-            res = max(res, curv.norm())
-    return res
+    return float(max_entry(np.array([
+        ((delta(Ar, l + 1) - delta(Al, r + 1)) + (Al.matmul(Ar) - Ar.matmul(Al))).norm()
+        for (l, Al), (r, Ar) in combinations(enumerate(A), 2)])))
 
 
 def _position_in_block(block):
@@ -289,18 +284,15 @@ def h0_solve(conn, radius):
 def morphism_check(phi, c1, c2):
     """Residual of nabla^{(2)} phi = (id tensor phi) nabla^{(1)}, i.e.
     max_j of delta_j(phi) + A_j^{(2)} phi - phi A_j^{(1)};
-    phi is an m2 x m1 nested list of torus elements."""
+    phi is an m2 x m1 nested list of torus elements; NaN if a defect entry
+    is NaN."""
     if len(phi) != c2.m or any(len(r) != c1.m for r in phi):
         raise DimensionMismatch(
             f"phi must be {c2.m} x {c1.m} for the given connections")
     P = TorusMatrix.from_entries(c1.theta, phi)
-    res = 0.0
-    for j in range(1, c1.theta.n // 2 + 1):
-        A1 = TorusMatrix.from_entries(c1.theta, c1.A[j - 1])
-        A2 = TorusMatrix.from_entries(c2.theta, c2.A[j - 1])
-        defect = delta(P, j) + (A2.matmul(P) - P.matmul(A1))
-        res = max(res, defect.norm())
-    return res
+    A1, A2 = ([TorusMatrix.from_entries(c.theta, Aj) for Aj in c.A] for c in (c1, c2))
+    return float(max_entry(np.array([(delta(P, j + 1) + (a2.matmul(P) - P.matmul(a1))).norm()
+                                     for j, (a1, a2) in enumerate(zip(A1, A2))])))
 
 
 def del_tau(a, tau=1j):
@@ -316,26 +308,17 @@ def del_tau_eigenvalue(m, tau=1j):
     return TWO_PI_I * (m[0] * tau + m[1])
 
 
-def _pruned(x):
-    """x with each entry under PRUNE_TOL (by np.hypot) set to 0, as a
-    TorusMatrix drops such a block."""
-    return np.where(np.hypot(x.real, x.imag) >= PRUNE_TOL, x, 0)
-
-
 def ps_compare(theta, radius=4):
     """Compare delta_1 with c . del_tau at tau = i on a monomial box, fixing
-    the single scalar c by evaluating both sides on U_2; returns the max
-    residual after that one normalization.  Both are Fourier multipliers, so
-    the monomials of the box are one eigenvalue array each, pruned as their
-    TorusElement would be.  The two eigenvalues are one expression, so c = 1
-    and the residual is 0 for every theta."""
+    the single scalar c by evaluating both sides on U_2; returns the max_entry
+    of the difference after that one normalization.  Both are Fourier
+    multipliers, so the monomials of the box are one eigenvalue array each.
+    The two eigenvalues are one expression, so c = 1 and the difference is
+    exactly 0 for every theta."""
     if theta.n != 2:
         raise DimensionMismatch("comparison requires torus dimension 2")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     c = delta_eigenvalue((0, 1), 1) / del_tau_eigenvalue((0, 1))
     box = np.indices((2 * radius + 1,) * 2).reshape(2, -1) - radius
-    lhs = _pruned(delta_eigenvalue(box, 1))
-    rhs = _pruned(c * _pruned(del_tau_eigenvalue(box)))
-    diff = _pruned(lhs - rhs)
-    return float(np.hypot(diff.real, diff.imag).max())
+    return float(max_entry(delta_eigenvalue(box, 1) - c * del_tau_eigenvalue(box)))

@@ -19,9 +19,9 @@ import numpy as np
 
 from .clifford import build_gamma
 from .ncdiff import NCDiffOp
-from .pauli import dense_stack, parity, word_kron, word_product, word_sum
+from .pauli import dense_stack, max_entry, parity, word_kron, word_product, word_sum
 from .report import Check, VerificationReport, resolve_tol
-from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusElement
+from .torus import TWO_PI_I, DimensionMismatch, TorusElement, kept
 
 
 _ONE = {(0, 0): 1 + 0j}
@@ -457,9 +457,9 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     block acted on is a phase times a monomial matrix (I, C, or C conj(C) =
     eps I), so each entry of M b is a single product, and real matmuls give
     the word-by-word action's bits.  A row's residual is the largest entry of
-    its difference blocks, all three rows from one np.hypot pass; as
-    TorusMatrix prunes, a block whose largest entry is below PRUNE_TOL counts
-    as 0."""
+    its difference blocks, all three rows from one max_entry pass; as
+    TorusMatrix prunes, a block whose largest entry kept rejects counts as
+    0."""
     tol = resolve_tol(tol)
     rep = build_gamma(theta.n) if rep is None else rep
     if rep.n != theta.n:
@@ -490,9 +490,9 @@ def verify_real_structure(theta, rep=None, variant="plus", tol=None):
     ja = eps * (mu[i] * (C @ C.conj()))
     d = np.concatenate([jd, (jajs - pba * np.stack([ja, _mul(G[j], ja)])).reshape(-1, *Ce.shape)])
     # TorusMatrix's prune-then-norm per mode or pair: the operands, phases times unitary,
-    # D or [D, b] blocks, are never below PRUNE_TOL, so only a difference block is pruned
-    h = np.hypot(d.real, d.imag).max(axis=(1, 2))
-    h[h < PRUNE_TOL] = 0.0
+    # D or [D, b] blocks, are always kept, so only a difference block is pruned
+    h = max_entry(d, axis=(1, 2))
+    h = np.where(kept(h), h, 0.0)
     rp.add("J D = eps' D J", float(h[:n].max()))
     rp.add("[J a J*, b] = 0", float(h[n:n + n * n].max()))
     rp.add("[J a J*, [D, b]] = 0", float(h[n + n * n:].max()))

@@ -27,10 +27,10 @@ of the result blocks (_number).  A pass is over one torus and one fiber
 (DimensionMismatch otherwise); the plan depends only on those, the operands'
 alpha and mode rows and the shape of the job list, so _planned keeps it under
 a key of that content, never of object ids, and a pass over other words in
-the same blocks (the next matching of a grid) reuses it.  The
-run is word-level: it gathers the words, forms the word pairs with numpy and
-sums them in one reduction, _collect: each (block, word) is summed in input
-order with np.bincount, sums below PRUNE_TOL are dropped, and blocks and
+the same blocks (the next matching of a grid) reuses it.  The run is
+word-level: it gathers the words, forms the word pairs with numpy and sums
+them in one reduction, _collect: each (block, word) is summed in input order
+with np.bincount, the sums torus.kept rejects are dropped, and blocks and
 words keep the order a dict accumulation gives them.  Complex products are
 spelled out in real arithmetic as Python computes them (numpy's complex
 multiply may fuse them), so every sum equals the dict loop's bit for bit.
@@ -49,8 +49,8 @@ from operator import add, itemgetter, lshift, sub
 
 import numpy as np
 
-from .pauli import check_fiber, dense_words, densify, parity, pauli_words
-from .torus import PRUNE_TOL, TWO_PI_I, DimensionMismatch, TorusMatrix
+from .pauli import check_fiber, dense_words, densify, max_entry, parity, pauli_words
+from .torus import TWO_PI_I, DimensionMismatch, TorusMatrix, kept
 
 
 def _deriv_factor(k, delta):
@@ -249,12 +249,11 @@ def _reduce(theta, m, count, owner, alpha, mode, seg, x, z, re, im):
 def _tabulate(theta, m, count, owner, alpha, mode, block, x, z, c):
     """`count` NCDiffOps over theta and the fiber m from the blocks (owner,
     alpha, mode) in stored order, owners ascending, and words ordered by
-    block, an index into those, less the words below PRUNE_TOL and the blocks
-    they empty."""
-    # np.hypot rounds as Python's abs(complex) does
-    kept = np.hypot(c.real, c.imag) >= PRUNE_TOL
-    if not kept.all():
-        block, x, z, c = block[kept], x[kept], z[kept], c[kept]
+    block, an index into those, less the words that kept rejects and the
+    blocks they empty."""
+    keep = kept(c)
+    if not keep.all():
+        block, x, z, c = block[keep], x[keep], z[keep], c[keep]
     counts = np.bincount(block, minlength=len(owner))
     if not counts.all():
         present = counts.nonzero()[0]
@@ -401,7 +400,7 @@ class NCDiffOp:
     the block table, an (n + 3) x blocks int64 array whose rows give per block
     of U^k in M_alpha the alpha code, the n entries of k and the words
     start:stop.  The blocks tile the words in order, the blocks of one alpha
-    are adjacent, and no word is below PRUNE_TOL.  The arrays are read-only."""
+    are adjacent, and torus.kept keeps every word.  The arrays are read-only."""
 
     __slots__ = ("theta", "m", "x", "z", "c", "table")
 
@@ -417,7 +416,7 @@ class NCDiffOp:
     @classmethod
     def from_terms(cls, theta, m, terms):
         """The operator of {alpha: {k: {(x, z): c}}}, in that order, less the
-        words below PRUNE_TOL; a dict holds each block and word once, so
+        words that kept rejects; a dict holds each block and word once, so
         nothing is summed.  For a list of such dicts, the list of their
         operators from one _tabulate."""
         check_fiber(m)
@@ -637,11 +636,12 @@ class NCDiffOp:
         return densify(self.x[s:e], self.z[s:e], self.c[s:e], self.m)
 
     def residual_norm(self):
-        """Max magnitude over all terms, modes and dense fiber entries; zero iff
+        """max_entry over all terms, modes and dense fiber entries; zero iff
         this is the zero operator (normal-form soundness)."""
-        return max((float(np.hypot(d.real, d.imag).max())
-                    for d in map(self._dense, self.start.tolist(), self.stop.tolist())),
-                   default=0.0)
+        if not len(self.c):
+            return 0.0
+        return float(max_entry(np.array([*map(self._dense, self.start.tolist(),
+                                              self.stop.tolist())])))
 
     def max_degree(self):
         return int((self.alpha[:, None] >> np.array(_SHIFTS) & _AMAX - 1).sum(axis=1).max(initial=0))

@@ -15,6 +15,18 @@ class DimensionMismatch(ValueError):
     """Operands live over incompatible torus contexts or fibers."""
 
 
+def magnitude(c):
+    """|c| entrywise, the size rule of every residual and prune: np.hypot of
+    the parts, which rounds as Python's abs(complex) does (np.abs may not)."""
+    return np.hypot(c.real, c.imag)
+
+
+def max_entry(c, axis=None):
+    """The largest magnitude of c's entries (over axis), 0.0 when there are
+    none; NaN if an entry is NaN."""
+    return magnitude(c).max(axis=axis, initial=0.0)
+
+
 def check_fiber(m):
     if m < 1 or m & (m - 1):
         raise DimensionMismatch(f"fiber {m} is not a power of two")

@@ -6,6 +6,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 DEFAULT_TOL = 1e-10
 
 
@@ -54,7 +56,7 @@ class VerificationReport:
 
     @property
     def max_residual(self):
-        return max((c.residual for c in self.checks), default=0.0)
+        return float(np.max([c.residual for c in self.checks])) if self.checks else 0.0
 
     def failures(self):
         return [c for c in self.checks if not c.passed]

@@ -18,17 +18,22 @@ import cmath
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
 
-from .pauli import DimensionMismatch
+from .pauli import DimensionMismatch, magnitude, max_entry
 
-# Blocks whose entries are all below PRUNE_TOL are dropped; an entry's size is
-# its np.hypot, which rounds as Python's abs(complex) does.
+# kept's cutoff: a block whose entries are all below it is dropped.
 PRUNE_TOL = 1e-14
 
 TWO_PI_I = 2j * np.pi
+
+
+def kept(c):
+    """True where the magnitude of c is not below PRUNE_TOL; NaN is kept."""
+    return ~(magnitude(c) < PRUNE_TOL)
 
 
 class ThetaMatrix:
@@ -142,7 +147,7 @@ class TorusMatrix:
                 mat = np.asarray(mat, dtype=complex)
                 if mat.shape != self.shape:
                     raise DimensionMismatch(f"block at {k} is {mat.shape}, not {self.shape}")
-                if np.hypot(mat.real, mat.imag).max() >= PRUNE_TOL:
+                if kept(mat).any():
                     self.blocks[k] = mat
 
     def _new(self, shape, blocks):
@@ -247,9 +252,8 @@ class TorusMatrix:
                                             for k, b in self.blocks.items()})
 
     def norm(self):
-        """Max entry magnitude over all modes (np.hypot of each entry)."""
-        return float(max((np.hypot(b.real, b.imag).max() for b in self.blocks.values()),
-                         default=0.0))
+        """Max entry magnitude over all modes (max_entry); NaN if an entry is."""
+        return float(max_entry(np.array([*self.blocks.values()])))
 
     def is_zero(self, tol):
         """norm() < tol; pass PRUNE_TOL for 'nothing left after pruning'."""
@@ -268,12 +272,11 @@ class TorusElement(TorusMatrix):
 
     def __init__(self, theta, coeffs=None):
         """The blocks TorusMatrix would build from {m: [[c]]}: 1 x 1 views of
-        one array, keeping c where abs(complex(c)) >= PRUNE_TOL."""
+        one array, keeping c where kept(c)."""
         coeffs = coeffs or {}
-        values = [complex(c) for c in coeffs.values()]
-        cells = np.array(values, dtype=complex).reshape(-1, 1, 1)
+        values = np.array([complex(c) for c in coeffs.values()], dtype=complex)
         self.theta, self.shape = theta, (1, 1)
-        self.blocks = {m: b for m, c, b in zip(coeffs, values, cells) if abs(c) >= PRUNE_TOL}
+        self.blocks = dict(compress(zip(coeffs, values.reshape(-1, 1, 1)), kept(values)))
 
     @property
     def coeffs(self):

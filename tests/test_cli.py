@@ -293,6 +293,26 @@ class TestHolo:
         obj = json.loads(capsys.readouterr().out)
         assert obj["flat"] is False and obj["residual"] == pytest.approx(2 * np.pi)
 
+    def test_overflow_is_not_flat(self, tmp_path, capsys):
+        # A_1 = c U_1, A_2 = c U_3 on n = 4 is curved: at c = 1 + i the residual
+        # is finite, and at c = 1e160 (1 + i) [A_1, A_2] overflows to NaN, which
+        # is kept, not pruned as zero, so the residual is NaN and the check fails
+        theta = ThetaMatrix.random(4, np.random.default_rng(0))
+        cpath = tmp_path / "conn.json"
+
+        def flat(c):
+            A = [[[TorusElement.monomial(theta, k, c).to_json()]]
+                 for k in ((1, 0, 0, 0), (0, 0, 1, 0))]
+            cpath.write_text(json.dumps({"theta": theta.to_json(), "m": 1, "A": A}))
+            return main(["holo", "flat", "--conn", str(cpath)]), capsys.readouterr().out
+
+        code, out = flat(1 + 1j)
+        assert code == 1 and json.loads(out)["flat"] is False
+        assert 0 < json.loads(out)["residual"] < np.inf
+        with pytest.warns(RuntimeWarning):
+            code, out = flat(1e160 + 1e160j)
+        assert code == 1 and json.loads(out)["flat"] is False and '"residual": NaN' in out
+
     def test_ps_compare(self, theta2_file, capsys):
         path, _ = theta2_file
         assert main(["holo", "ps-compare", "--theta2", path]) == 0
@@ -335,6 +355,21 @@ class TestReport:
         monkeypatch.setattr(kahler, "verify_grid", refused)
         assert main(["report", "--n", "10", "--radius", "100000"]) == 2
         assert capsys.readouterr().err.startswith("error: --radius 100000")
+
+
+class TestVerificationReport:
+    @pytest.mark.parametrize("residuals", [[np.nan, 1.0], [1.0, np.nan], [0.0, np.nan, 2.0]])
+    def test_nan_residual_fails_and_is_the_max(self, residuals):
+        # a NaN row fails, and the summary's max_residual is NaN wherever it stands
+        rp = VerificationReport(tol=1e-10)
+        for i, r in enumerate(residuals):
+            rp.add(f"row {i}", r)
+        summary = rp.to_json()["summary"]
+        assert np.isnan(rp.max_residual) and np.isnan(summary["max_residual"])
+        assert not rp.all_pass and "NaN" in json.dumps(summary)
+
+    def test_max_residual_of_no_checks(self):
+        assert VerificationReport(tol=1e-10).max_residual == 0.0
 
 
 class TestSinglePath:

@@ -65,6 +65,14 @@ class TestNilpotency:
         bad.mu[0] = bad.mu[0] + NCDiffOp.identity(bad.mu[0].theta, bad.m).scale(0.25)
         assert nilpotency_residual(bad) == pytest.approx(0.5)
 
+    def test_nan_defect_read(self):
+        # a NaN word in the last family's last operator is kept, and its
+        # anticommutators, after the finite ones, make the residual NaN
+        bad = build_form_matrices(4)
+        nan = NCDiffOp.identity(bad.mu[0].theta, bad.m).scale(np.nan)
+        bad.eta_hol[-1] = bad.eta_hol[-1] + nan
+        assert np.isnan(nilpotency_residual(bad))
+
     def test_mu_linearly_independent(self):
         stack = np.stack([dense(w).reshape(-1) for w in FBM4.mu])
         assert np.linalg.matrix_rank(stack, tol=1e-10) == 4

@@ -136,6 +136,16 @@ class TestFlatness:
         A = [scalar_matrix(THETA4, 0.7 - 0.2j), scalar_matrix(THETA4, 1.5j)]
         assert flatness_check(Connection(THETA4, 1, A)) < 1e-15
 
+    @pytest.mark.parametrize("n, j", [(4, 1), (4, 2), (6, 1), (6, 2), (6, 3)])
+    def test_nan_curvature_read(self, n, j):
+        # a NaN coefficient is kept, so every curvature holding it is NaN and
+        # so is the residual, whichever pair (l, r) it lands in
+        theta = THETA4 if n == 4 else ThetaMatrix.random(6, np.random.default_rng(6))
+        zero, nan = TorusElement.zero(theta), complex(math.nan, 0.0)
+        A = [[[TorusElement.monomial(theta, (0,) * n, nan) if i == j else zero]]
+             for i in range(1, n // 2 + 1)]
+        assert math.isnan(flatness_check(Connection(theta, 1, A)))
+
     def test_generator_pair_curvature(self):
         # A_1 = U_1, A_2 = U_2: delta_1(A_2) = 2 pi i U_2 dominates, and the
         # commutator contributes |1 - e^{2 pi i Theta_12}| at mode (1,1,0,0)
@@ -547,6 +557,17 @@ class TestMorphism:
         z = TorusElement.zero(THETA4)
         assert morphism_check([[c, z], [z, c]], g1, g2) < 1e-15
 
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_nan_defect_read(self, j):
+        # a NaN in A_j^{(2)} is kept: the j-th defect is NaN, and so is the
+        # residual, whichever j it is
+        g = grassmannian(THETA4, 1)
+        nan = TorusElement.monomial(THETA4, (0, 0, 0, 0), complex(0.0, math.nan))
+        c2 = Connection(THETA4, 1, [[[nan if i == j else TorusElement.zero(THETA4)]]
+                                    for i in (1, 2)])
+        assert morphism_check([[TorusElement.one(THETA4)]], g, g) == 0.0
+        assert math.isnan(morphism_check([[TorusElement.one(THETA4)]], g, c2))
+
     def test_nonholomorphic_entry_detected(self):
         g = grassmannian(THETA4, 1)
         u1 = TorusElement.generator(THETA4, 1)
@@ -587,10 +608,11 @@ class TestPSCompare:
 
     def test_exact_on_seeded_thetas(self):
         # delta_1 and del_tau scale each coefficient by one eigenvalue, the same
-        # complex number on both sides, so the residual is exactly 0
+        # complex number on both sides, so their difference, unpruned, is
+        # exactly 0
         for seed in range(20):
             theta = ThetaMatrix.random(2, np.random.default_rng(seed))
-            assert [ps_compare(theta, radius=r) for r in (0, 4, 9)] == [0.0] * 3
+            assert [ps_compare(theta, radius=r) for r in (0, 4, 9, 40)] == [0.0] * 4
 
     def test_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):

@@ -101,21 +101,28 @@ def test_detects_a_layer_import(tmp_path):
     assert nckahler_imports(src) == {"ncdiff", "torus", "kahler", "forms"}
 
 
-def theta_reads(path):
-    """Where the module at path reads an attribute named `entries` or
-    `_upper` (ThetaMatrix's entries): "module.function" for the innermost
-    enclosing function, or "module" at top level."""
+def where(path, hit):
+    """Per node of the module at path that hit accepts, in walk order,
+    "module.function" for the innermost enclosing function, or "module" at
+    top level."""
     found = []
 
-    def visit(node, where):
+    def visit(node, at):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr in ("entries", "_upper"):
-                found.append(where)
+            if hit(child):
+                found.append(at)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, f"{path.stem}.{child.name}" if is_def else where)
+            visit(child, f"{path.stem}.{child.name}" if is_def else at)
 
     visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     return found
+
+
+def theta_reads(path):
+    """Where the module at path reads an attribute named `entries` or
+    `_upper` (ThetaMatrix's entries)."""
+    return where(path, lambda node: isinstance(node, ast.Attribute)
+                 and node.attr in ("entries", "_upper"))
 
 
 # the phase formula lives in torus: elsewhere Theta's entries serve only as
@@ -141,11 +148,9 @@ def test_detects_a_theta_read(tmp_path):
 
 
 def lapack_reads(path):
-    """Where the module at path reaches numpy's linalg or scipy (an import of
-    either, or an attribute `linalg` or a name `scipy` read): the set of
-    "module.function" for the innermost enclosing function, or "module" at
-    top level."""
-    found = set()
+    """The set of places where the module at path reaches numpy's linalg or
+    scipy: an import of either, or an attribute `linalg` or a name `scipy`
+    read."""
 
     def reaches(node):
         if isinstance(node, ast.Import):
@@ -158,15 +163,7 @@ def lapack_reads(path):
         return (isinstance(node, ast.Attribute) and node.attr == "linalg"
                 or isinstance(node, ast.Name) and node.id == "scipy")
 
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if reaches(child):
-                found.add(where)
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, f"{path.stem}.{child.name}" if is_def else where)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    return found
+    return set(where(path, reaches))
 
 
 # LAPACK serves the H^0 SVD and its gesvd retry only; every other decision is
@@ -192,3 +189,38 @@ def test_detects_a_lapack_read(tmp_path):
                    "def qr(a):\n"
                    "    return scipy.linalg.qr(a), np.dot(a, a), linalg\n")
     assert lapack_reads(src) == {"mod", "mod.rank", "mod.solve", "mod.qr"}
+
+
+def name_reads(path, name):
+    """Where the module at path reads `name`: as an attribute (np.hypot), a
+    name loaded, or a name imported; an assignment to it is not a read."""
+    return where(path, lambda node: isinstance(node, ast.Attribute) and node.attr == name
+                 or isinstance(node, ast.Name) and node.id == name
+                 and isinstance(node.ctx, ast.Load)
+                 or isinstance(node, ast.alias) and node.name == name)
+
+
+# one size rule and one zero rule: an entry's magnitude is np.hypot of its
+# parts in pauli.magnitude only, and PRUNE_TOL is read in torus.kept only
+RULE_READERS = {"hypot": {"pauli": ["pauli.magnitude"]}, "PRUNE_TOL": {"torus": ["torus.kept"]}}
+
+
+@pytest.mark.parametrize("name", RULE_READERS)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_one_size_rule_and_one_zero_rule(path, name):
+    assert name_reads(path, name) == RULE_READERS[name].get(path.stem, [])
+
+
+def test_detects_a_rule_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy as np\n"
+                   "from numpy import hypot\n"
+                   "from .torus import PRUNE_TOL as TOL\n"
+                   "PRUNE_TOL = 1e-14\n"
+                   "def size(c):\n"
+                   "    return np.hypot(c.real, c.imag) >= torus.PRUNE_TOL\n"
+                   "def hypot_of():\n"
+                   "    '''np.hypot and PRUNE_TOL named in a docstring'''\n"
+                   "    return hypot(1, 2), PRUNE_TOL, TOL\n")
+    assert name_reads(src, "hypot") == ["mod", "mod.size", "mod.hypot_of"]
+    assert name_reads(src, "PRUNE_TOL") == ["mod", "mod.size", "mod.hypot_of"]

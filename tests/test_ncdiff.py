@@ -23,8 +23,15 @@ from nckahler.kahler import (
     verify_n22,
 )
 from nckahler.ncdiff import NCDiffOp, _deriv_factor, _push_weights
-from nckahler.pauli import dense_words, densify, pauli_words, word_product
-from nckahler.torus import PRUNE_TOL, DimensionMismatch, ThetaMatrix, TorusElement, TorusMatrix
+from nckahler.pauli import dense_words, densify, magnitude, max_entry, pauli_words, word_product
+from nckahler.torus import (
+    PRUNE_TOL,
+    DimensionMismatch,
+    ThetaMatrix,
+    TorusElement,
+    TorusMatrix,
+    kept,
+)
 
 RNG = np.random.default_rng(100)
 THETA = ThetaMatrix.random(2, RNG)
@@ -224,6 +231,67 @@ class TestTorusMatrixNorm:
                      for x, z in rng.integers(0, 8, size=(3, 2))}
             m = 1 << max(max(w) for w in words).bit_length()
             assert clifford._max_entry(words) == max_abs([dense_words(words, m)])
+
+    # the size rule (magnitude, max_entry) and the zero rule (kept) on the
+    # values where roundings and comparisons part: signed zeros, subnormals,
+    # the cutoff and the float below it, overflow-sized parts, inf and NaN
+    BELOW = float(np.nextafter(PRUNE_TOL, 0))
+    EDGES = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 5e-324, -5e-324j,
+             complex(1e-310, -2.2e-308), PRUNE_TOL, -1j * PRUNE_TOL, BELOW, 1j * BELOW,
+             complex(0.6, 0.8) * PRUNE_TOL, complex(0.6, 0.8) * BELOW, complex(BELOW, BELOW),
+             1 + 2j, 3e200 - 4e200j, complex(math.inf, 1.0), complex(-1.0, -math.inf),
+             complex(math.inf, math.nan), complex(math.nan, 0.0), complex(0.0, math.nan)]
+
+    def test_magnitude_is_abs(self):
+        rng = np.random.default_rng(21)
+        values = self.EDGES + (rng.normal(size=300) + 1j * rng.normal(size=300)).tolist()
+        got = magnitude(np.array(values)).tolist()
+        assert [g.hex() for g in got] == [abs(v).hex() for v in values]
+
+    def test_kept_is_not_below_the_cutoff(self):
+        # NaN is kept; on every other value kept is abs(c) >= PRUNE_TOL, and
+        # it reads a magnitude as it reads the complex value
+        want = [not abs(v) < PRUNE_TOL for v in self.EDGES]
+        assert kept(np.array(self.EDGES)).tolist() == want
+        assert kept(np.array([abs(v) for v in self.EDGES])).tolist() == want
+        assert kept(np.array([PRUNE_TOL, self.BELOW, complex(math.nan, 0.0)])).tolist() == [
+            True, False, True]
+
+    def test_max_entry_edges(self):
+        assert max_entry(np.array([])) == 0.0 and max_entry(np.zeros((0, 3), complex)) == 0.0
+        assert max_entry(np.array([-0.0, complex(-0.0, -0.0)])).hex() == (0.0).hex()
+        finite = [v for v in self.EDGES if abs(v) < math.inf]
+        assert max_entry(np.array(finite)) == max(map(abs, finite))
+        assert max_entry(np.array(finite + [complex(math.inf, 1.0)])) == math.inf
+        for nan in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, math.nan)):
+            # NaN wherever it stands, unless its other part is infinite (abs: inf)
+            for values in ([nan] + finite, finite + [nan]):
+                assert max_entry(np.array(values)).hex() == (
+                    "inf" if abs(nan) == math.inf else "nan")
+
+    def test_max_entry_over_blocks(self):
+        # axis=(1, 2): each block of a stack on its own, NaN in its block only
+        rng = np.random.default_rng(22)
+        stack = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        stack[1, 2, 2], stack[2, 0, 0], stack[3] = complex(0.0, math.nan), math.inf, -0.0
+        stack[4] = self.BELOW
+        got = max_entry(stack, axis=(1, 2)).tolist()
+        want = [max_abs([stack[0]]), math.nan, math.inf, 0.0, self.BELOW]
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert kept(np.array(got)).tolist() == [True, True, True, False, False]
+        assert max_entry(np.zeros((3, 0, 0), complex), axis=(1, 2)).tolist() == [0.0] * 3
+        assert max_entry(np.zeros((0, 2, 2), complex), axis=(1, 2)).shape == (0,)
+
+    @pytest.mark.parametrize("at", range(3))
+    def test_nan_word_kept_and_read(self, at):
+        # from_terms keeps a NaN word and drops one below the cutoff; the
+        # residual is NaN whichever block holds it
+        nan = complex(math.nan, 1.0)
+        blocks = {(k, 0): {(0, 0): 1.0 + k} for k in range(3)}
+        blocks[(at, 0)] = {(1, 0): nan, (0, 1): self.BELOW}
+        op = NCDiffOp.from_terms(THETA, 2, {(0, 0): blocks})
+        assert op.table.shape[1] == 3 and len(op.c) == 3 and np.isnan(op.c).sum() == 1
+        assert math.isnan(op.residual_norm())
 
 
 def max_abs(blocks):

@@ -396,3 +396,16 @@ class TestOneContainer:
             assert got[m].dtype == b.dtype and got[m].shape == b.shape == (1, 1)
             assert got[m].tobytes() == b.tobytes(), m
 
+    @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                     complex(math.nan, math.nan)])
+    def test_nan_is_kept_and_read(self, nan):
+        # a NaN entry is not zero: it survives both containers, in any block
+        # position, and the norm of every container holding it is NaN
+        a = TorusElement(THETA2, {(0, 0): 1.0, (1, 0): nan, (2, 0): 0.0})
+        assert list(a.blocks) == [(0, 0), (1, 0)] and cmath.isnan(a.coeffs[(1, 0)])
+        assert math.isnan(a.norm()) and not a.is_zero(PRUNE_TOL)
+        for first in (True, False):
+            cell = np.array([[1e-300, nan], [0.0, 0.0]])
+            blocks = {(0, 0): 2 * np.eye(2), (1, 0): cell}
+            M = TorusMatrix(THETA2, (2, 2), dict(reversed(blocks.items())) if first else blocks)
+            assert set(M.blocks) == {(0, 0), (1, 0)} and math.isnan(M.norm())
